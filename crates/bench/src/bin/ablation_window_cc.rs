@@ -11,9 +11,8 @@
 use laqa_bench::{ascii_plot, outdir};
 use laqa_core::QaConfig;
 use laqa_layered::LayeredEncoding;
-use laqa_rap::{RapConfig, WindowConfig};
+use laqa_rap::{RapConfig, RateController, WindowConfig, WindowSender};
 use laqa_sim::agents::qa::{QaSinkAgent, QaSourceAgent};
-use laqa_sim::agents::qa_window::QaWindowSourceAgent;
 use laqa_sim::{LinkConfig, World};
 use laqa_trace::{RunSummary, Table};
 
@@ -83,25 +82,17 @@ fn analyze(
     }
 }
 
-fn run_rap(bw: f64, dur: f64) -> Outcome {
+/// Run one QA source (built by `make_src` from the sink id and forward
+/// link) over the bottleneck and distill the steady-state outcome.
+fn run<T: RateController + 'static>(
+    bw: f64,
+    dur: f64,
+    make_src: impl FnOnce(usize, usize) -> QaSourceAgent<T>,
+) -> Outcome {
     let (mut w, sink_id, fwd) = build_world(bw);
-    let rap = RapConfig {
-        packet_size: 500.0,
-        initial_rate: 2_000.0,
-        initial_rtt: 0.06,
-        max_rate: 1.25 * 30_000.0,
-        ..RapConfig::default()
-    };
-    let src_id = w.add_agent(Box::new(QaSourceAgent::new(
-        sink_id,
-        vec![fwd],
-        1,
-        rap,
-        qa_cfg(),
-        0.05,
-    )));
+    let src_id = w.add_agent(Box::new(make_src(sink_id, fwd)));
     w.run_until(dur);
-    let src: &QaSourceAgent = w.agent(src_id).unwrap();
+    let src: &QaSourceAgent<T> = w.agent(src_id).unwrap();
     let sink: &QaSinkAgent = w.agent(sink_id).unwrap();
     analyze(
         &src.traces.n_active,
@@ -111,31 +102,30 @@ fn run_rap(bw: f64, dur: f64) -> Outcome {
     )
 }
 
+fn run_rap(bw: f64, dur: f64) -> Outcome {
+    let rap = RapConfig {
+        packet_size: 500.0,
+        initial_rate: 2_000.0,
+        initial_rtt: 0.06,
+        max_rate: 1.25 * 30_000.0,
+        ..RapConfig::default()
+    };
+    run(bw, dur, |sink, fwd| {
+        QaSourceAgent::new(sink, vec![fwd], 1, rap, qa_cfg(), 0.05)
+    })
+}
+
 fn run_window(bw: f64, dur: f64) -> Outcome {
-    let (mut w, sink_id, fwd) = build_world(bw);
     let cc = WindowConfig {
         packet_size: 500.0,
         initial_rtt: 0.06,
         max_cwnd: 80.0,
         ..WindowConfig::default()
     };
-    let src_id = w.add_agent(Box::new(QaWindowSourceAgent::new(
-        sink_id,
-        vec![fwd],
-        1,
-        cc,
-        qa_cfg(),
-        0.05,
-    )));
-    w.run_until(dur);
-    let src: &QaWindowSourceAgent = w.agent(src_id).unwrap();
-    let sink: &QaSinkAgent = w.agent(sink_id).unwrap();
-    analyze(
-        &src.traces.n_active,
-        src.qa().metrics().stalls(),
-        sink.receiver.stats().underflows[0],
-        dur * 0.4,
-    )
+    run(bw, dur, |sink, fwd| {
+        let cc = WindowSender::new(cc, 0.0);
+        QaSourceAgent::with_controller(sink, vec![fwd], 1, cc, 500, qa_cfg(), 0.05)
+    })
 }
 
 fn main() {

@@ -28,8 +28,6 @@
 //!                         # and --faults (default: steady links)
 //!          --obs DIR      # enable laqa-obs + the flight recorder and
 //!                         # export snapshot + flight trace to DIR
-//!          --mega         # run the sweep on the megasession executor
-//!                         # (fingerprints identical to per-cell)
 //!          --sched heap|wheel    # event-scheduler implementation (default wheel;
 //!                                # fingerprints are identical either way)
 //! ```
@@ -44,8 +42,7 @@
 use laqa_bench::cli::Args;
 use laqa_bench::outdir;
 use laqa_sim::{
-    run_campaign, run_campaign_opts, CampaignOptions, CampaignResult, CampaignSpec, SessionResult,
-    TestKind, TraceKind, Transport,
+    run_campaign, CampaignResult, CampaignSpec, SessionResult, TestKind, TraceKind, Transport,
 };
 use laqa_trace::{pct, Table};
 
@@ -206,12 +203,18 @@ fn interop_table(result: &CampaignResult, transports: &[Transport]) -> String {
     tbl.render()
 }
 
+/// Every option this binary takes (see the module docs).
+const OPTIONS: &[&str] = &[
+    "smoke", "scaling", "faults", "threads", "duration", "kmax", "seeds", "intensity",
+    "transport", "trace", "out", "obs", "sched",
+];
+
 fn main() {
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.first().is_none_or(|a| a.starts_with("--")) {
         raw.insert(0, "run".to_string());
     }
-    let args = match Args::parse(raw) {
+    let args = match Args::parse(raw, OPTIONS) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -296,16 +299,6 @@ fn export_obs(dir: &std::path::Path) -> Result<(), AnyError> {
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// Run the sweep on the executor `--mega` selects (per-cell warm by
-/// default, megasession with `--mega`) using the ambient scheduler.
-fn run_sweep(args: &Args, spec: &CampaignSpec, threads: usize) -> CampaignResult {
-    let mut opts = CampaignOptions::new(threads);
-    if args.flag("mega") {
-        opts = opts.mega();
-    }
-    run_campaign_opts(spec, opts)
-}
-
 fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -364,7 +357,7 @@ fn cmd_smoke(args: &Args) -> Result<(), AnyError> {
         ),
         &traces,
     );
-    let result = run_sweep(args, &spec, 2);
+    let result = run_campaign(&spec, 2);
     println!("{}", result.table());
     if transports.len() > 1 {
         println!("{}", interop_table(&result, &transports));
@@ -408,7 +401,7 @@ fn cmd_faults(args: &Args) -> Result<(), AnyError> {
          intensities {intensities:?}",
         spec.len()
     );
-    let result = run_sweep(args, &spec, threads);
+    let result = run_campaign(&spec, threads);
     println!("{}", result.table());
 
     let mut tbl = Table::new(
@@ -529,7 +522,7 @@ fn cmd_tables(args: &Args) -> Result<(), AnyError> {
         "running {} sessions ({duration:.0}s simulated each) on {threads} threads...",
         spec.len()
     );
-    let result = run_sweep(args, &spec, threads);
+    let result = run_campaign(&spec, threads);
     println!("{}", result.table());
 
     let headers: Vec<String> = k_values.iter().map(|k| format!("K_max={k}")).collect();

@@ -3,22 +3,20 @@
 //! Sweeps the campaign smoke grid across thread counts on cold vs. warm
 //! worlds under both scheduler kinds, cross-checks that every one of the
 //! `{cold, warm} × {threads} × {heap, wheel}` fingerprints is bit-identical
-//! (exiting non-zero on any divergence — warm pools and the geometry memo
-//! must be invisible to the simulation), probes steady-state allocations
+//! (exiting non-zero on any divergence — warm pools must be invisible to
+//! the simulation), probes steady-state allocations
 //! for a warm pool's second session, and writes `BENCH_campaign.json` at
 //! the repo root so campaign throughput is tracked in-tree.
 //!
 //! ```text
 //! campaign_bench                   # full baseline (3 reps, best-of)
 //! campaign_bench --smoke           # 1 rep, short duration (CI wiring)
-//! campaign_bench --mega            # add megasession-executor cells and
-//!                                  # the 64-session mega-vs-per-cell probe
 //! campaign_bench --profile         # per-dispatch-site time breakdown from
 //!                                  # the instrumented rep (no extra deps)
 //! options: --threads LIST (default 1,2,8,16)  --reps N  --duration S
 //!          --out FILE  --check FILE (>20% events/sec regression gate;
-//!          with --mega also gates the mega executor's events/sec and
-//!          the 64-session mega-vs-per-cell speedup ratio)
+//!          skipped, loudly, when FILE was recorded on a host with a
+//!          different core count)
 //! ```
 
 use laqa_bench::cli::Args;
@@ -135,12 +133,11 @@ fn measure(spec: &CampaignSpec, opts: CampaignOptions, mode: &'static str, reps:
 /// One extra instrumented rep with laqa-obs enabled, run outside the
 /// timed best-of reps: proves the instrumentation is inert (fingerprint
 /// unchanged vs. the timed cells) and harvests the latency histograms the
-/// hot paths feed — scheduler dispatch time, timer-wheel slack,
-/// per-session campaign wall time, and the mega executor's batch shape.
+/// hot paths feed — scheduler dispatch time, timer-wheel arming horizon
+/// and per-session campaign wall time.
 fn quantile_probe(
     spec: &CampaignSpec,
     threads: usize,
-    mega: bool,
     fp0: u64,
 ) -> Result<laqa_obs::Snapshot, AnyError> {
     laqa_obs::reset();
@@ -148,20 +145,10 @@ fn quantile_probe(
     let warm = run_campaign_opts(spec, CampaignOptions::new(threads));
     if warm.fingerprint() != fp0 {
         return Err(format!(
-            "OBS NOT INERT: instrumented per-cell fingerprint {:016x} != {fp0:016x}",
+            "OBS NOT INERT: instrumented fingerprint {:016x} != {fp0:016x}",
             warm.fingerprint()
         )
         .into());
-    }
-    if mega {
-        let mg = run_campaign_opts(spec, CampaignOptions::new(threads).mega());
-        if mg.fingerprint() != fp0 {
-            return Err(format!(
-                "OBS NOT INERT: instrumented mega fingerprint {:016x} != {fp0:016x}",
-                mg.fingerprint()
-            )
-            .into());
-        }
     }
     laqa_obs::set_enabled(false);
     let snap = laqa_obs::snapshot();
@@ -169,34 +156,24 @@ fn quantile_probe(
     Ok(snap)
 }
 
-/// `--profile`: per-dispatch-site time breakdown from the instrumented
-/// rep's snapshot — counts, total and mean wall time per site, plus the
-/// timer wheel's insert-path split. Zero external dependencies: every
-/// number is already in the laqa-obs registries.
+/// `--profile`: time breakdown from the instrumented rep's snapshot —
+/// count, total and mean wall time of event dispatch and of every span,
+/// plus the timer wheel's insert-path split. Zero external dependencies:
+/// every number is already in the laqa-obs registries.
 fn print_profile(snap: &laqa_obs::Snapshot) {
     println!(
         "{:<26} {:>12} {:>12} {:>10} {:>7}",
-        "dispatch site", "count", "total (ms)", "mean (ns)", "share"
+        "site", "count", "total (ms)", "mean (ns)", "share"
     );
-    // Timed sites, one per dispatch path: per-cell engine event dispatch,
-    // mega per-session event dispatch. Spans cover the enclosing scopes.
-    let hist_sites = ["sched.dispatch_ns", "mega.session_event_ns"];
-    let hist_total: f64 = hist_sites
-        .iter()
-        .filter_map(|n| snap.histogram(n))
-        .map(|h| h.sum)
-        .sum();
-    for name in hist_sites {
-        let Some(h) = snap.histogram(name) else {
-            continue;
-        };
+    // Engine event dispatch; the spans below cover the enclosing scopes.
+    if let Some(h) = snap.histogram("sched.dispatch_ns") {
         println!(
-            "{:<26} {:>12} {:>12.3} {:>10.1} {:>6.1}%",
-            name,
+            "{:<26} {:>12} {:>12.3} {:>10.1} {:>7}",
+            h.name,
             h.count,
             h.sum / 1e6,
             h.mean().unwrap_or(0.0),
-            100.0 * h.sum / hist_total.max(1e-9)
+            "-"
         );
     }
     for (name, s) in &snap.spans {
@@ -235,28 +212,6 @@ fn print_profile(snap: &laqa_obs::Snapshot) {
             100.0 * n as f64 / inserts.max(1) as f64
         );
     }
-    // Geometry-memo effectiveness: hits avoid a full state-path rebuild;
-    // admissions are the clones the warm path pays for them.
-    let geo = [
-        "qa.geometry_cache.hits",
-        "qa.geometry_cache.misses",
-        "qa.geometry_cache.admissions",
-    ];
-    let lookups: u64 = geo[..2]
-        .iter()
-        .map(|n| snap.counter(n).unwrap_or(0))
-        .sum();
-    for name in geo {
-        let n = snap.counter(name).unwrap_or(0);
-        println!(
-            "{:<26} {:>12} {:>12} {:>10} {:>6.1}%",
-            name,
-            n,
-            "-",
-            "-",
-            100.0 * n as f64 / lookups.max(1) as f64
-        );
-    }
 }
 
 /// Look up one quantile of a named histogram from the probe's snapshot.
@@ -264,13 +219,11 @@ fn probe_quantile(hists: &[laqa_obs::HistogramSnapshot], name: &str, q: f64) -> 
     hists.iter().find(|h| h.name == name)?.quantile(q)
 }
 
-/// Steady-state probe: allocations charged to a warm pool's successive
-/// sessions. The first pays world construction; the second still pays the
-/// geometry memo's two-touch admission clones (every key now on its
-/// second miss); from the third on, engine storage is recycled and every
-/// repeated derivation hits the memo. The third session is the number
+/// Steady-state probe: allocations charged to a warm pool's first two
+/// sessions. The first pays world construction; from the second on,
+/// engine storage is recycled — the number
 /// `crates/bench/tests/warm_alloc.rs` budgets.
-fn steady_state_allocs(duration: f64) -> (u64, u64, u64) {
+fn steady_state_allocs(duration: f64) -> (u64, u64) {
     let spec = SessionSpec {
         test: TestKind::T1,
         k_max: 2,
@@ -287,9 +240,7 @@ fn steady_state_allocs(duration: f64) -> (u64, u64, u64) {
         ALLOCS.load(Ordering::Relaxed) - a0
     };
     let first = session();
-    let second = session();
-    let third = session();
-    (first, second, third)
+    (first, session())
 }
 
 /// QA × transport interop probe: a small T1 grid run once per transport
@@ -325,11 +276,11 @@ fn interop_probe(duration: f64, reps: usize) -> Result<Vec<Cell>, AnyError> {
 
 /// Hostile-network probe: the smoke grid re-run once per trace family
 /// (LTE swings, bufferbloat, diurnal ramp, bonded two-path) on the warm
-/// executor, replayed at 2 threads and on the mega executor to prove
-/// trace-driven cells stay deterministic. Like the interop block this is
-/// deliberately OUTSIDE the `fp0` executor gate — a schedule-driven
-/// bottleneck legitimately produces a different trajectory per family, so
-/// these fingerprints must never be folded into the executor assertion.
+/// executor, replayed at 2 threads to prove trace-driven cells stay
+/// deterministic. Like the interop block this is deliberately OUTSIDE the
+/// `fp0` executor gate — a schedule-driven bottleneck legitimately
+/// produces a different trajectory per family, so these fingerprints must
+/// never be folded into the executor assertion.
 /// (`Cell::transport` carries the trace label here.)
 fn hostile_probe(duration: f64, reps: usize) -> Result<Vec<Cell>, AnyError> {
     let mut out = Vec::new();
@@ -342,14 +293,11 @@ fn hostile_probe(duration: f64, reps: usize) -> Result<Vec<Cell>, AnyError> {
         let mut cell = measure(&spec, CampaignOptions::new(1), "hostile", reps);
         cell.transport = t.label();
         let replay = measure_rep(&spec, CampaignOptions::new(2), "hostile");
-        let mega = measure_rep(&spec, CampaignOptions::new(1).mega(), "hostile");
-        if replay.fingerprint != cell.fingerprint || mega.fingerprint != cell.fingerprint {
+        if replay.fingerprint != cell.fingerprint {
             return Err(format!(
-                "HOSTILE DIVERGENCE: {} fingerprints {:016x} (2 threads) / {:016x} (mega) \
-                 != {:016x} (1 thread)",
+                "HOSTILE DIVERGENCE: {} fingerprint {:016x} at 2 threads != {:016x} at 1",
                 t.label(),
                 replay.fingerprint,
-                mega.fingerprint,
                 cell.fingerprint
             )
             .into());
@@ -378,10 +326,9 @@ fn scan_number(json: &str, key: &str) -> Option<f64> {
 
 fn run(args: &Args) -> Result<(), AnyError> {
     let smoke = args.flag("smoke");
-    let mega = args.flag("mega");
     let reps: usize = args.get("reps", if smoke { 1 } else { 3 })?;
     // Even the smoke duration stays past qa_start (5 s) so the QA
-    // controller — and with it the geometry memo — is actually exercised.
+    // controller is actually exercised.
     let duration: f64 = args.get("duration", if smoke { 6.0 } else { 8.0 })?;
     let thread_counts: Vec<usize> = args.get_list("threads", &[1, 2, 8, 16])?;
 
@@ -393,13 +340,10 @@ fn run(args: &Args) -> Result<(), AnyError> {
     let mut cells: Vec<Cell> = Vec::new();
     for &sched in SchedulerKind::ALL.iter() {
         for &threads in &thread_counts {
-            let mut modes = vec![
+            let modes = [
                 ("cold", CampaignOptions::new(threads).sched(sched).cold()),
                 ("warm", CampaignOptions::new(threads).sched(sched)),
             ];
-            if mega {
-                modes.push(("mega", CampaignOptions::new(threads).sched(sched).mega()));
-            }
             for (mode, opts) in modes {
                 eprintln!(
                     "measuring {mode}/{}/t{threads} ({} sessions, {reps} rep(s))...",
@@ -443,90 +387,12 @@ fn run(args: &Args) -> Result<(), AnyError> {
         .into());
     }
 
-    let (cold_first, warm_second, warm_third) = steady_state_allocs(duration);
+    let (cold_first, warm_second) = steady_state_allocs(duration);
 
     eprintln!("measuring instrumented quantile rep (obs enabled, untimed)...");
     let probe_threads = *thread_counts.iter().max().unwrap_or(&1);
-    let probe_snap = quantile_probe(&spec, probe_threads, mega, fp0)?;
+    let probe_snap = quantile_probe(&spec, probe_threads, fp0)?;
     let hists = &probe_snap.histograms;
-
-    // 64-session single-thread probe: the per-cell executor vs one
-    // MegaEngine multiplexing the whole grid in a single chunk. Reported
-    // as an honest ratio — the per-cell path is already warm-pooled and
-    // allocation-free in steady state, so the mega executor's win here is
-    // engine-reuse and batching, not a order-of-magnitude miracle.
-    let mut mega64: Option<(Cell, Cell, f64)> = None;
-    if mega {
-        let seeds64: Vec<u64> = (0..16).map(|i| 7 + 14 * i).collect();
-        let wide = CampaignSpec::grid(&[TestKind::T1, TestKind::T2], &[2, 4], &seeds64, duration);
-        eprintln!(
-            "measuring 64-session single-thread probe ({} sessions)...",
-            wide.len()
-        );
-        // Interleave the two executors' reps (A B A B ...) rather than
-        // best-of-N each in sequence: on a frequency-throttled container,
-        // drift between the two measurement windows can swing the
-        // reported ratio by ±10 %, and the ratio is what --check gates.
-        // The gated ratio is the MEDIAN of order-cancelled quads: each
-        // sample runs A B then B A and takes sqrt(ratio_AB * ratio_BA).
-        // The second rep of a pair sits higher on the host's frequency
-        // ramp, which multiplies one pair's ratio by some bias b and the
-        // flipped pair's by 1/b — the geometric mean cancels it exactly.
-        // Sequential best-of (and even one-order interleaving) swung the
-        // reported ratio 0.90–1.08x run to run on this container, enough
-        // to trip the ±10% --check gate on unchanged code. Best-of cells
-        // are still kept for the absolute events/s numbers in the table
-        // and JSON.
-        fn keep_best(best: &mut Option<Cell>, cell: Cell, what: &str) {
-            match best {
-                Some(prev) => {
-                    assert_eq!(prev.fingerprint, cell.fingerprint, "{what}: rep-to-rep divergence");
-                    if cell.wall_secs < prev.wall_secs {
-                        *best = Some(cell);
-                    }
-                }
-                None => *best = Some(cell),
-            }
-        }
-        let pc_opts = CampaignOptions::new(1);
-        // Default chunking (not one giant chunk): retiring a chunk banks
-        // its worlds' storage, so later chunks admit warm — the same
-        // salvage reuse the per-cell pool enjoys.
-        let mg_opts = CampaignOptions::new(1).mega();
-        let _ = measure_rep(&wide, pc_opts, "percell64");
-        let _ = measure_rep(&wide, mg_opts, "mega64");
-        let (mut pc_best, mut mg_best) = (None, None);
-        let mut quad_ratios: Vec<f64> = Vec::new();
-        for _ in 0..reps.max(3) {
-            let pc_a = measure_rep(&wide, pc_opts, "percell64");
-            let mg_a = measure_rep(&wide, mg_opts, "mega64");
-            let mg_b = measure_rep(&wide, mg_opts, "mega64");
-            let pc_b = measure_rep(&wide, pc_opts, "percell64");
-            let r_ab = mg_a.events_per_sec() / pc_a.events_per_sec().max(1e-9);
-            let r_ba = mg_b.events_per_sec() / pc_b.events_per_sec().max(1e-9);
-            quad_ratios.push((r_ab * r_ba).sqrt());
-            keep_best(&mut pc_best, pc_a, "percell64");
-            keep_best(&mut pc_best, pc_b, "percell64");
-            keep_best(&mut mg_best, mg_a, "mega64");
-            keep_best(&mut mg_best, mg_b, "mega64");
-        }
-        quad_ratios.sort_by(|a, b| a.total_cmp(b));
-        let median_ratio = quad_ratios[quad_ratios.len() / 2];
-        eprintln!(
-            "mega64 quad ratios (sorted): [{}] -> median {median_ratio:.3}",
-            quad_ratios.iter().map(|r| format!("{r:.3}")).collect::<Vec<_>>().join(", ")
-        );
-        let per_cell = pc_best.expect("reps >= 1");
-        let mega_wide = mg_best.expect("reps >= 1");
-        if per_cell.fingerprint != mega_wide.fingerprint {
-            return Err(format!(
-                "EXECUTOR DIVERGENCE: 64-session mega fingerprint {:016x} != per-cell {:016x}",
-                mega_wide.fingerprint, per_cell.fingerprint
-            )
-            .into());
-        }
-        mega64 = Some((per_cell, mega_wide, median_ratio));
-    }
 
     let interop = interop_probe(duration, reps)?;
     let hostile = hostile_probe(duration, reps)?;
@@ -562,45 +428,32 @@ fn run(args: &Args) -> Result<(), AnyError> {
         (Some(w), Some(c)) => w.events_per_sec() / c.events_per_sec().max(1e-9),
         _ => 1.0,
     };
+    // A thread-scaling number only exists when the 8-thread cell really
+    // ran on more than one worker; a 1-core host records none.
     let agg_8_vs_1 = match (
         find("warm", SchedulerKind::Wheel, 8),
         find("warm", SchedulerKind::Wheel, 1),
     ) {
-        (Some(w8), Some(w1)) => w8.events_per_sec() / w1.events_per_sec().max(1e-9),
-        _ => 1.0,
+        (Some(w8), Some(w1)) if w8.threads_effective > 1 => {
+            Some(w8.events_per_sec() / w1.events_per_sec().max(1e-9))
+        }
+        _ => None,
     };
-    // Overall events/sec over the cold+warm cells only — the number every
-    // historical baseline's `--check` gate compares against; mega cells
-    // get their own aggregate below so the two gates stay independent.
+    // Overall events/sec over every cell — the number the `--check` gate
+    // compares against.
     let overall: f64 = {
-        let base: Vec<&Cell> = cells.iter().filter(|c| c.mode != "mega").collect();
-        let events: u64 = base.iter().map(|c| c.events).sum();
-        let wall: f64 = base.iter().map(|c| c.wall_secs).sum();
+        let events: u64 = cells.iter().map(|c| c.events).sum();
+        let wall: f64 = cells.iter().map(|c| c.wall_secs).sum();
         events as f64 / wall.max(1e-9)
     };
-    let mega_overall: Option<f64> = mega.then(|| {
-        let m: Vec<&Cell> = cells.iter().filter(|c| c.mode == "mega").collect();
-        let events: u64 = m.iter().map(|c| c.events).sum();
-        let wall: f64 = m.iter().map(|c| c.wall_secs).sum();
-        events as f64 / wall.max(1e-9)
-    });
-    // Median of the interleaved per-pair ratios, not best-of vs best-of:
-    // the two best reps can come from different thermal windows, which
-    // is exactly the noise the pairing was built to cancel.
-    let mega_vs_percell_64 = mega64.as_ref().map(|(_, _, r)| *r);
+    let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     println!(
         "warm/cold @{base_threads} thread(s) (wheel): {warm_vs_cold:.2}x; \
-         warm 8-vs-1 threads: {agg_8_vs_1:.2}x; overall {overall:.0} events/s"
+         warm 8-vs-1 threads: {}; overall {overall:.0} events/s on {host_cores} core(s)",
+        agg_8_vs_1.map_or("n/a (one worker)".to_string(), |r| format!("{r:.2}x")),
     );
-    if let (Some(mo), Some(ratio)) = (mega_overall, mega_vs_percell_64) {
-        println!(
-            "mega executor: overall {mo:.0} events/s; \
-             64-session single-thread mega vs per-cell: {ratio:.2}x (quad median)"
-        );
-    }
     println!(
-        "steady-state allocs: first (cold) session {cold_first}, second (warm, memo \
-         admission) {warm_second}, third (steady) {warm_third}"
+        "steady-state allocs: first (cold) session {cold_first}, second (warm) {warm_second}"
     );
     for c in &interop {
         println!(
@@ -613,21 +466,19 @@ fn run(args: &Args) -> Result<(), AnyError> {
     for c in &hostile {
         println!(
             "hostile {:>7}: fingerprint {:016x}, {:.0} events/s \
-             (deterministic at 1/2 threads and mega)",
+             (deterministic at 1 and 2 threads)",
             c.transport,
             c.fingerprint,
             c.events_per_sec()
         );
     }
 
-    // Quantile table from the instrumented rep. Dispatch/horizon/event are
-    // nanoseconds, session wall is milliseconds, batch size is events.
+    // Quantile table from the instrumented rep. Dispatch and horizon are
+    // nanoseconds, session wall is milliseconds.
     let probe_names = [
         "sched.dispatch_ns",
         "sched.wheel_horizon_ns",
         "campaign.session_wall_ms",
-        "mega.session_event_ns",
-        "mega.batch_size",
     ];
     println!(
         "{:<26} {:>10} {:>12} {:>12} {:>12} {:>12}",
@@ -659,64 +510,32 @@ fn run(args: &Args) -> Result<(), AnyError> {
     if let Some(path) = args.options.get("check") {
         let baseline = std::fs::read_to_string(path)
             .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
-        match scan_number(&baseline, "events_per_sec_overall") {
-            Some(base_eps) if base_eps > 0.0 => {
-                let ratio = overall / base_eps;
-                println!(
-                    "regression gate: {overall:.0} events/s vs baseline {base_eps:.0} \
-                     ({ratio:.2}x)"
-                );
-                if ratio < 0.8 {
-                    return Err(format!(
-                        "PERF REGRESSION: events/sec dropped >20% vs {path} \
-                         ({overall:.0} vs {base_eps:.0})"
-                    )
-                    .into());
-                }
-            }
-            _ => return Err(format!("baseline {path} has no events_per_sec_overall").into()),
-        }
-        // Gate the mega executor too — but only when this run measured it
-        // and the baseline recorded it (older baselines predate the mega
-        // executor and must keep passing).
-        if let (Some(mo), Some(base_mega)) =
-            (mega_overall, scan_number(&baseline, "mega_events_per_sec"))
-        {
-            if base_mega > 0.0 {
-                let ratio = mo / base_mega;
-                println!(
-                    "mega regression gate: {mo:.0} events/s vs baseline {base_mega:.0} \
-                     ({ratio:.2}x)"
-                );
-                if ratio < 0.8 {
-                    return Err(format!(
-                        "PERF REGRESSION: mega events/sec dropped >20% vs {path} \
-                         ({mo:.0} vs {base_mega:.0})"
-                    )
-                    .into());
-                }
-            }
-        }
-        // Gate the 64-session mega-vs-per-cell speedup: the headline the
-        // mega hot-path work bought. Both sides are medians of interleaved
-        // per-pair ratios (see the probe above). Only enforced when the
-        // baseline recorded the ratio (older baselines predate the key); a
-        // 10% tolerance absorbs shared-hardware noise on the two probes.
-        if let (Some(ratio), Some(base_ratio)) = (
-            mega_vs_percell_64,
-            scan_number(&baseline, "mega_vs_percell_ratio"),
-        ) {
-            if base_ratio > 0.0 {
-                println!(
-                    "mega-vs-percell gate: {ratio:.2}x vs baseline {base_ratio:.2}x"
-                );
-                if ratio < base_ratio * 0.9 {
-                    return Err(format!(
-                        "PERF REGRESSION: mega-vs-percell speedup dropped >10% vs {path} \
-                         ({ratio:.2}x vs {base_ratio:.2}x)"
-                    )
-                    .into());
-                }
+        let base_eps = scan_number(&baseline, "events_per_sec_overall")
+            .filter(|&eps| eps > 0.0)
+            .ok_or_else(|| format!("baseline {path} has no events_per_sec_overall"))?;
+        // Events/sec is only comparable on the hardware that recorded it
+        // (baselines older than the field count as another host).
+        let base_cores = scan_number(&baseline, "host_cores").map(|c| c as usize);
+        if base_cores != Some(host_cores) {
+            let recorded = match base_cores {
+                Some(c) => format!("was recorded on {c} core(s)"),
+                None => "records no host_cores".to_string(),
+            };
+            println!(
+                "regression gate: SKIPPED — {path} {recorded}, this host has {host_cores}; \
+                 regenerate the baseline here to re-arm the gate"
+            );
+        } else {
+            let ratio = overall / base_eps;
+            println!(
+                "regression gate: {overall:.0} events/s vs baseline {base_eps:.0} ({ratio:.2}x)"
+            );
+            if ratio < 0.8 {
+                return Err(format!(
+                    "PERF REGRESSION: events/sec dropped >20% vs {path} \
+                     ({overall:.0} vs {base_eps:.0})"
+                )
+                .into());
             }
         }
     }
@@ -730,6 +549,7 @@ fn run(args: &Args) -> Result<(), AnyError> {
     json.push_str("  \"bench\": \"campaign\",\n");
     json.push_str(&format!("  \"reps\": {reps},\n"));
     json.push_str(&format!("  \"duration_secs\": {duration},\n"));
+    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str(&format!(
         "  \"grid\": {{\"tests\": [\"T1\"], \"k_values\": [2, 4], \"seeds\": {}, \
          \"sessions\": {}}},\n",
@@ -747,28 +567,13 @@ fn run(args: &Args) -> Result<(), AnyError> {
     json.push_str(&format!(
         "  \"speedup_warm_vs_cold_1thread\": {warm_vs_cold:.4},\n"
     ));
-    json.push_str(&format!(
-        "  \"speedup_warm_8_vs_1_threads\": {agg_8_vs_1:.4},\n"
-    ));
+    if let Some(r) = agg_8_vs_1 {
+        json.push_str(&format!("  \"speedup_warm_8_vs_1_threads\": {r:.4},\n"));
+    }
     json.push_str(&format!("  \"events_per_sec_overall\": {overall:.1},\n"));
-    if let Some(mo) = mega_overall {
-        json.push_str(&format!("  \"mega_events_per_sec\": {mo:.1},\n"));
-    }
-    if let (Some((p, m, _)), Some(ratio)) = (&mega64, mega_vs_percell_64) {
-        json.push_str(&format!(
-            "  \"mega_vs_percell_64sessions\": {{\"sessions\": {}, \"threads\": 1, \
-             \"percell_events_per_sec\": {:.1}, \"mega_events_per_sec\": {:.1}, \
-             \"speedup\": {ratio:.4}}},\n",
-            p.sessions,
-            p.events_per_sec(),
-            m.events_per_sec()
-        ));
-        // Flat copy of the speedup for the `--check` gate's string scan.
-        json.push_str(&format!("  \"mega_vs_percell_ratio\": {ratio:.4},\n"));
-    }
     json.push_str(&format!(
         "  \"steady_state_allocs\": {{\"first_session\": {cold_first}, \
-         \"second_session_warm\": {warm_second}, \"third_session_steady\": {warm_third}}},\n"
+         \"second_session_warm\": {warm_second}}},\n"
     ));
     // p99 latencies from the instrumented rep — tracked for trend-spotting
     // only, never gated: they are wall-clock noise on shared hardware.
@@ -786,8 +591,6 @@ fn run(args: &Args) -> Result<(), AnyError> {
         // legitimately sits around ~1 s — it was never delivery lateness.
         push("sched_wheel_horizon_p99_ns", q("sched.wheel_horizon_ns"));
         push("campaign_session_wall_p99_ms", q("campaign.session_wall_ms"));
-        push("mega_session_event_p99_ns", q("mega.session_event_ns"));
-        push("mega_batch_size_p99", q("mega.batch_size"));
         if !fields.is_empty() {
             json.push_str(&format!(
                 "  \"latency_p99\": {{{}}},\n",
@@ -861,7 +664,10 @@ fn main() {
     if raw.first().is_none_or(|a| a.starts_with("--")) {
         raw.insert(0, "run".to_string());
     }
-    let args = match Args::parse(raw) {
+    let allowed = [
+        "smoke", "profile", "threads", "reps", "duration", "out", "check",
+    ];
+    let args = match Args::parse(raw, &allowed) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -871,7 +677,7 @@ fn main() {
     if args.command != "run" {
         eprintln!(
             "error: unexpected argument '{}' — this binary takes options only \
-             (--smoke, --mega, --profile, --threads LIST, --duration S, --reps N, \
+             (--smoke, --profile, --threads LIST, --duration S, --reps N, \
              --out FILE, --check FILE)",
             args.command
         );

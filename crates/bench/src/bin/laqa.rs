@@ -19,7 +19,27 @@ use laqa_sim::{run_scenario, QueueKind, RedConfig, ScenarioConfig};
 use laqa_trace::{Recorder, Table};
 
 fn main() {
-    let args = match Args::parse(std::env::args().skip(1)) {
+    let raw: Vec<String> = std::env::args().skip(1).collect();
+    // Options per subcommand (the usage block above); anything else —
+    // including every option of an unknown subcommand — is rejected.
+    let allowed: &[&str] = match raw.first().map(String::as_str) {
+        Some("sim") => &[
+            "test",
+            "kmax",
+            "duration",
+            "seed",
+            "red",
+            "loss",
+            "retransmit",
+            "csv",
+        ],
+        Some("states") => &["rate", "layers", "c", "slope", "kmax"],
+        Some("bands") => &["deficit", "layers", "c", "slope", "exp-base", "exp-factor"],
+        Some("obs-report") => &["dir"],
+        Some("obs-trace") => &["dir", "out"],
+        _ => &[],
+    };
+    let args = match Args::parse(raw, allowed) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -137,7 +157,7 @@ fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
 /// `campaign --obs DIR` into Chrome trace-event JSON, then re-parse and
 /// validate the written file (span balance, one non-empty track per
 /// session) so a malformed or empty export fails loudly — this is the
-/// gate `verify.sh` step 10 runs.
+/// gate `verify.sh` step 9 runs.
 fn cmd_obs_trace(args: &Args) -> Result<(), AnyError> {
     let dir: String = args.get("dir", "target/obs".to_string())?;
     let out: String = args.get("out", format!("{dir}/trace.json"))?;

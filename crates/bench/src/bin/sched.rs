@@ -266,7 +266,8 @@ fn main() {
     if raw.first().is_none_or(|a| a.starts_with("--")) {
         raw.insert(0, "run".to_string());
     }
-    let args = match Args::parse(raw) {
+    let allowed = ["smoke", "threads", "reps", "duration", "kmax", "seeds", "out"];
+    let args = match Args::parse(raw, &allowed) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");

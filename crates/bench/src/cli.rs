@@ -18,6 +18,8 @@ pub enum ArgError {
     MissingCommand,
     /// A positional argument appeared after options.
     UnexpectedPositional(String),
+    /// An option the command does not take.
+    UnknownOption(String),
     /// An option value failed to parse.
     BadValue {
         /// Option name.
@@ -32,6 +34,7 @@ impl std::fmt::Display for ArgError {
         match self {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
+            ArgError::UnknownOption(key) => write!(f, "unknown option --{key}"),
             ArgError::BadValue { key, value } => {
                 write!(f, "invalid value '{value}' for --{key}")
             }
@@ -42,8 +45,13 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parse an iterator of arguments (excluding the program name).
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<Args, ArgError> {
+    /// Parse an iterator of arguments (excluding the program name),
+    /// rejecting any `--key` not named in `allowed` — a misspelt or retired
+    /// option must fail the run, not silently fall back to a default.
+    pub fn parse<I: IntoIterator<Item = String>>(
+        args: I,
+        allowed: &[&str],
+    ) -> Result<Args, ArgError> {
         let mut iter = args.into_iter().peekable();
         let command = iter.next().ok_or(ArgError::MissingCommand)?;
         if command.starts_with("--") {
@@ -52,6 +60,9 @@ impl Args {
         let mut options = BTreeMap::new();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
+                if !allowed.contains(&key) {
+                    return Err(ArgError::UnknownOption(key.to_string()));
+                }
                 let value = match iter.peek() {
                     Some(v) if !v.starts_with("--") => iter.next().unwrap(),
                     _ => "true".to_string(),
@@ -106,7 +117,17 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> Result<Args, ArgError> {
-        Args::parse(s.split_whitespace().map(String::from))
+        let allowed = [
+            "test", "kmax", "red", "duration", "seeds", "verbose", "rate",
+        ];
+        Args::parse(s.split_whitespace().map(String::from), &allowed)
+    }
+
+    #[test]
+    fn rejects_unknown_option_by_name() {
+        let err = parse("run --kmax 2 --turbo").unwrap_err();
+        assert_eq!(err, ArgError::UnknownOption("turbo".into()));
+        assert_eq!(err.to_string(), "unknown option --turbo");
     }
 
     #[test]

@@ -1,21 +1,15 @@
-//! Steady-state allocation guard for the warm-world campaign path.
+//! Steady-state allocation guard for the warm-world campaign path and the
+//! in-place state-sequence rebuild.
 //!
 //! PR 4 pinned the in-session allocator win (266k → 29k allocs per run);
-//! this pins the cross-session one: once a worker's [`WorldPool`] is warm,
-//! the next session must run within a small fixed allocation budget —
-//! engine storage (scheduler slab, link ring buffers, agents vector) is
-//! recycled and geometry derivations hit the shared memo, so only agent
-//! construction and result extraction still allocate.
-//!
-//! The geometry memo uses two-touch admission (see
-//! `laqa_core::GeometryCache`): a sequence is admitted on its *second*
-//! miss, so with a repeated spec the first session registers keys, the
-//! second pays the admissions, and the third is the steady state this
-//! test measures. Admission stores a flattened `CachedSeq` (two buffers
-//! per key) rather than a `StateSequence` clone (one `Vec` per state),
-//! which is what keeps the warm campaign path at or below cold-path
-//! allocation parity — the BENCH_campaign.json anomaly PR 10 fixed and
-//! the parity assertion below gates.
+//! this pins the two reuse paths that remain. Once a worker's
+//! [`WorldPool`] is warm, the next session must run within a small fixed
+//! allocation budget — engine storage (scheduler slab, link ring buffers,
+//! agents vector) is recycled, so only agent construction, trace growth
+//! and result extraction still allocate. And once a [`StateSequence`] has
+//! held as many states as an operating point needs, rebuilding it for
+//! that point allocates nothing: the per-tick rebuild is what made a
+//! geometry memo look worthwhile, and the memo is gone.
 //!
 //! Lives in `crates/bench/tests` because the laqa crates are
 //! `deny(unsafe_code)` and the counting `#[global_allocator]` is the one
@@ -23,6 +17,7 @@
 //! process-global, and sibling tests running on other threads would bleed
 //! into the measurement.
 
+use laqa_core::StateSequence;
 use laqa_sim::{
     run_campaign_opts, run_session_pooled, run_session_with, CampaignOptions, CampaignSpec,
     SchedulerKind, SessionSpec, TestKind, Transport, WorldPool,
@@ -51,28 +46,73 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations allowed for the third (steady-state warm) session.
-/// Measured: ~1 880 at 8 s (agent construction, trace growth, result
-/// extraction clones), against ~5 600 for the cold first session. The
-/// budget leaves slack for allocator-library drift without letting a
+/// Allocations allowed for a warm pool's second session. Measured: 1 880
+/// at 8 s (agent construction, trace growth, result extraction clones).
+/// The budget leaves slack for allocator-library drift without letting a
 /// cold-start regression sneak past.
-const WARM_SESSION_ALLOC_BUDGET: u64 = 2_200;
+const WARM_SESSION_ALLOC_BUDGET: u64 = 2_000;
 
-/// Amortized allocations per session for a warm single-thread mega
-/// campaign over *distinct* seeds — cold start and admissions included,
-/// which is exactly the regime where the pre-two-touch memo paid
-/// ~4 800 allocs/session. Measured: ~2 120 allocs/session over 8 seeds
-/// at 8 s.
-const MEGA_SESSION_ALLOC_BUDGET: u64 = 2_500;
+/// Same for the cold first session (measured: 1 957), so the in-session
+/// paths — the per-tick sequence rebuild above all — cannot quietly start
+/// allocating again.
+const COLD_SESSION_ALLOC_BUDGET: u64 = 2_100;
+
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let a0 = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCS.load(Ordering::Relaxed) - a0, out)
+}
+
+/// `rebuild_with` on a warmed sequence — one that already holds at least
+/// as many states and layers as the new operating point needs — allocates
+/// nothing while the path has at most 20 states (the stable sort's
+/// in-place range) and at most the sort's one scratch buffer above that.
+fn assert_warmed_rebuild_allocates_nothing() {
+    let mut seq = StateSequence::default();
+    let mut checked_above_20 = false;
+    // The default horizon of 16 yields up to 31 states; gentler decrease
+    // factors raise k1 and shrink the path.
+    for (k_horizon, factor) in [(8u32, 0.5), (16, 0.5), (16, 0.7), (16, 0.85), (32, 0.5)] {
+        for n in (1..=6usize).rev() {
+            for x in [0.6, 1.0, 1.7, 3.1] {
+                let rate = x * n as f64 * 10_000.0;
+                let mut rebuild = || {
+                    let held = (seq.states.len(), seq.n_active);
+                    let (allocs, ()) = allocs_during(|| {
+                        seq.rebuild_with(rate, n, 10_000.0, 25_000.0, k_horizon, factor)
+                    });
+                    (held, allocs)
+                };
+                // First visit may grow the sequence; the repeat never does.
+                let first = rebuild();
+                let repeat = rebuild();
+                let states = seq.states.len();
+                assert!(states > 0, "every point here has a draining phase");
+                checked_above_20 |= states > 20;
+                for ((held_states, held_layers), allocs) in [first, repeat] {
+                    if held_states >= states && held_layers >= n {
+                        assert!(
+                            allocs <= u64::from(states > 20),
+                            "warmed rebuild to {states} states x {n} layers \
+                             (k_h {k_horizon}, f {factor}) allocated {allocs} times"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked_above_20, "the walk must reach the sort-scratch range");
+}
 
 #[test]
-fn warm_and_mega_sessions_stay_under_alloc_budgets() {
+fn warm_sessions_and_rebuilds_stay_under_alloc_budgets() {
+    assert_warmed_rebuild_allocates_nothing();
+
     let spec = SessionSpec {
         test: TestKind::T1,
         k_max: 2,
         seed: 7,
-        // Past qa_start (5 s): the QA controller must actually tick, or
-        // the geometry-memo assertions below would pass vacuously.
+        // Past qa_start (5 s): the QA controller must actually tick.
         duration: 8.0,
         fault_intensity: None,
         transport: Transport::Rap,
@@ -80,85 +120,54 @@ fn warm_and_mega_sessions_stay_under_alloc_budgets() {
     };
     let mut pool = WorldPool::new();
 
-    // Session 1: cold — pays world construction, registers memo keys.
-    let first = run_session_pooled(&spec, SchedulerKind::Wheel, &mut pool);
+    // Session 1: cold — pays world construction.
+    let (cold_allocs, first) =
+        allocs_during(|| run_session_pooled(&spec, SchedulerKind::Wheel, &mut pool));
     assert!(pool.is_warm(), "pool must bank the retired world");
 
-    // Session 2: warm but pays the memo's two-touch admission clones.
-    let second = run_session_pooled(&spec, SchedulerKind::Wheel, &mut pool);
-
-    // Session 3: steady state — the guarded measurement.
-    let a0 = ALLOCS.load(Ordering::Relaxed);
-    let third = run_session_pooled(&spec, SchedulerKind::Wheel, &mut pool);
-    let warm_allocs = ALLOCS.load(Ordering::Relaxed) - a0;
+    // Session 2: steady state — the guarded measurement.
+    let (warm_allocs, second) =
+        allocs_during(|| run_session_pooled(&spec, SchedulerKind::Wheel, &mut pool));
 
     assert_eq!(
         first.trace_hash, second.trace_hash,
         "same spec through the same pool must replay bit-identically"
     );
-    assert_eq!(first.trace_hash, third.trace_hash);
     let standalone = run_session_with(&spec, SchedulerKind::Wheel);
     assert_eq!(
-        standalone.trace_hash, third.trace_hash,
+        standalone.trace_hash, second.trace_hash,
         "pooled session must match a cold standalone run"
     );
-    let (hits, misses) = pool.geometry_stats();
-    assert!(hits > 0, "repeated spec must hit the geometry memo");
-    assert!(misses > 0, "first session must have populated the memo");
 
     assert!(
         warm_allocs <= WARM_SESSION_ALLOC_BUDGET,
         "steady-state warm session allocated {warm_allocs} times \
          (budget {WARM_SESSION_ALLOC_BUDGET}); the warm-world reuse path regressed"
     );
-
-    // Mega executor: one engine, one warm pool, 8 distinct seeds in one
-    // chunk. Distinct seeds are the anti-memo case (most operating points
-    // never repeat); the amortized bound holds because two-touch admission
-    // keeps one-shot sequences out of the memo.
-    let grid = CampaignSpec::grid(
-        &[TestKind::T1],
-        &[2],
-        &[1, 2, 3, 4, 5, 6, 7, 8],
-        8.0,
-    );
-    let m0 = ALLOCS.load(Ordering::Relaxed);
-    let mega = run_campaign_opts(&grid, CampaignOptions::new(1).mega().mega_chunk(8));
-    let mega_allocs_per_session =
-        (ALLOCS.load(Ordering::Relaxed) - m0) / grid.len() as u64;
-    let per_cell = run_campaign_opts(&grid, CampaignOptions::new(1));
-    assert_eq!(
-        mega.fingerprint(),
-        per_cell.fingerprint(),
-        "mega executor must replay the per-cell campaign bit-identically"
-    );
     assert!(
-        mega_allocs_per_session <= MEGA_SESSION_ALLOC_BUDGET,
-        "mega campaign allocated {mega_allocs_per_session} times per session \
-         (budget {MEGA_SESSION_ALLOC_BUDGET}); the mega/warm reuse path regressed"
+        cold_allocs <= COLD_SESSION_ALLOC_BUDGET,
+        "cold session allocated {cold_allocs} times (budget {COLD_SESSION_ALLOC_BUDGET})"
     );
 
     // Bench-path parity: the exact comparison BENCH_campaign.json makes.
-    // A warm per-cell campaign (pooled worlds, shared memo — the default)
-    // must not allocate more per session than the same grid run cold.
-    // Before PR 10 flattened memo admissions this was inverted (warm
-    // ~2 500 vs cold ~2 170 per session in the bench cells); the counts
-    // are deterministic, so an exact <= holds and gates the anomaly.
+    // A warm campaign (pooled worlds — the default) must not allocate
+    // more per session than the same grid run cold; the counts are
+    // deterministic, so an exact <= holds.
     let parity = CampaignSpec::grid(&[TestKind::T1, TestKind::T2], &[2, 4], &[7, 21], 8.0);
-    let w0 = ALLOCS.load(Ordering::Relaxed);
-    let warm_campaign = run_campaign_opts(&parity, CampaignOptions::new(1));
-    let warm_per_session = (ALLOCS.load(Ordering::Relaxed) - w0) / parity.len() as u64;
-    let c0 = ALLOCS.load(Ordering::Relaxed);
-    let cold_campaign = run_campaign_opts(&parity, CampaignOptions::new(1).cold());
-    let cold_per_session = (ALLOCS.load(Ordering::Relaxed) - c0) / parity.len() as u64;
+    let (warm_total, warm_campaign) =
+        allocs_during(|| run_campaign_opts(&parity, CampaignOptions::new(1)));
+    let (cold_total, cold_campaign) =
+        allocs_during(|| run_campaign_opts(&parity, CampaignOptions::new(1).cold()));
+    let warm_per_session = warm_total / parity.len() as u64;
+    let cold_per_session = cold_total / parity.len() as u64;
     assert_eq!(warm_campaign.fingerprint(), cold_campaign.fingerprint());
     eprintln!(
-        "warm_alloc: steady={warm_allocs} mega/session={mega_allocs_per_session} \
+        "warm_alloc: cold={cold_allocs} warm={warm_allocs} \
          campaign warm/session={warm_per_session} cold/session={cold_per_session}"
     );
     assert!(
         warm_per_session <= cold_per_session,
         "warm campaign cells allocated {warm_per_session} times per session vs \
-         {cold_per_session} cold; the warm bench path lost alloc parity again"
+         {cold_per_session} cold; the warm bench path lost alloc parity"
     );
 }

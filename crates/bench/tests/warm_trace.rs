@@ -9,7 +9,7 @@
 //!
 //! - engine-level: after salvage + rebuild, the recycled link carries no
 //!   trace state until the new session attaches one;
-//! - campaign-level: warm, cold, and mega executors produce
+//! - campaign-level: warm and cold executors produce
 //!   fingerprint-identical results on a mixed traced/untraced grid, in
 //!   both interleavings (traced-then-steady and steady-then-traced).
 
@@ -71,7 +71,7 @@ fn traced_sessions_replay_identically_through_a_warm_pool() {
 }
 
 #[test]
-fn hostile_campaign_fingerprints_agree_warm_cold_and_mega() {
+fn hostile_campaign_fingerprints_agree_warm_and_cold() {
     // Mixed grid: every trace family plus an untraced control, same seed,
     // so executor shells get recycled across cell kinds.
     let mut sessions = vec![spec(11, None)];
@@ -80,15 +80,9 @@ fn hostile_campaign_fingerprints_agree_warm_cold_and_mega() {
 
     let warm = run_campaign_opts(&grid, CampaignOptions::new(1));
     let cold = run_campaign_opts(&grid, CampaignOptions::new(1).cold());
-    let mega = run_campaign_opts(&grid, CampaignOptions::new(1).mega());
     assert_eq!(
         warm.fingerprint(),
         cold.fingerprint(),
         "warm pools must not perturb hostile cells"
-    );
-    assert_eq!(
-        warm.fingerprint(),
-        mega.fingerprint(),
-        "mega executor must not perturb hostile cells"
     );
 }

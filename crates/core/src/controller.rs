@@ -98,11 +98,6 @@ pub struct QaController {
     alloc_rates: Vec<f64>,
     /// True once `now >= playout_delay`: consumption is being charged.
     playing: bool,
-    /// Optional shared memo for state-sequence derivations; when set,
-    /// every fill/drain rebuild goes through it (see
-    /// [`crate::GeometryCache`]). `None` keeps the standalone rebuild
-    /// path — results are bit-identical either way.
-    geo_cache: Option<crate::SharedGeometryCache>,
     metrics: MetricsCollector,
 }
 
@@ -126,7 +121,6 @@ impl QaController {
             credits: vec![0.0; n],
             alloc_rates: vec![0.0; n],
             playing: false,
-            geo_cache: None,
             metrics: MetricsCollector::new(),
         })
     }
@@ -356,7 +350,7 @@ impl QaController {
             // run every period on the transport's hot path, and recycling
             // the state vectors keeps the tick allocation-free.
             let mut seq = std::mem::take(&mut self.fill_scratch);
-            self.rebuild_fill(&mut seq, rate, self.n_active);
+            self.rebuild_seq(&mut seq, rate, self.n_active);
             let mut alloc = allocate_filling(
                 &seq,
                 &self.bufs,
@@ -369,7 +363,7 @@ impl QaController {
             // a time; rationing the ramp also keeps a startup rate
             // overestimate from instantiating the whole encoding at once).
             let mut next_seq = std::mem::take(&mut self.next_scratch);
-            self.rebuild_fill(&mut next_seq, rate, self.n_active + 1);
+            self.rebuild_seq(&mut next_seq, rate, self.n_active + 1);
             let check = check_add(
                 &seq,
                 &next_seq,
@@ -387,7 +381,7 @@ impl QaController {
                 self.add_layer(now);
                 added += 1;
                 if rate >= self.cfg.consumption(self.n_active) {
-                    self.rebuild_fill(&mut seq, rate, self.n_active);
+                    self.rebuild_seq(&mut seq, rate, self.n_active);
                     alloc = allocate_filling(
                         &seq,
                         &self.bufs,
@@ -496,48 +490,17 @@ impl QaController {
         }
     }
 
-    /// Rebuild `seq` in place as the filling path for `n_active` layers at
-    /// `rate` (scratch-reuse form of the old per-tick `StateSequence::build`).
-    fn rebuild_fill(&self, seq: &mut StateSequence, rate: f64, n_active: usize) {
-        self.rebuild_seq(seq, rate, n_active);
-    }
-
-    /// Route a rebuild through the shared geometry memo when one is
-    /// attached, falling back to a direct [`StateSequence::rebuild`]. The
-    /// resulting sequence is bit-identical on both paths (the cache keys
-    /// on exact float bit patterns), so attaching a cache can never
-    /// change a trajectory.
+    /// Rebuild `seq` in place as the state path for `n_active` layers at
+    /// `rate` under this controller's geometry parameters.
     fn rebuild_seq(&self, seq: &mut StateSequence, rate: f64, n_active: usize) {
-        if let Some(cache) = &self.geo_cache {
-            cache
-                .lock()
-                .expect("geometry cache poisoned")
-                .rebuild_memoized_with(
-                    seq,
-                    rate,
-                    n_active,
-                    self.cfg.layer_rate,
-                    self.slope,
-                    self.cfg.fill_horizon_backoffs,
-                    self.cfg.decrease_factor,
-                );
-        } else {
-            seq.rebuild_with(
-                rate,
-                n_active,
-                self.cfg.layer_rate,
-                self.slope,
-                self.cfg.fill_horizon_backoffs,
-                self.cfg.decrease_factor,
-            );
-        }
-    }
-
-    /// Attach a shared geometry memo cache (campaign workers share one per
-    /// worker across all sessions they run). Pass-through for results:
-    /// controller trajectories are unchanged by construction.
-    pub fn set_geometry_cache(&mut self, cache: crate::SharedGeometryCache) {
-        self.geo_cache = Some(cache);
+        seq.rebuild_with(
+            rate,
+            n_active,
+            self.cfg.layer_rate,
+            self.slope,
+            self.cfg.fill_horizon_backoffs,
+            self.cfg.decrease_factor,
+        );
     }
 
     /// Make `self.drain_seq` current for the present peak rate and layer

@@ -19,8 +19,6 @@
 //! available for the ablation benchmarks.
 
 use crate::scenario::{min_backoffs_below_with, per_layer_into_with, Scenario};
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, Mutex};
 
 /// One optimal buffer state `(scenario, k)` with its per-layer targets.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,6 +121,11 @@ impl StateSequence {
 
     /// [`rebuild`](Self::rebuild) generalized to an arbitrary multiplicative
     /// decrease factor (bit-identical at `0.5`, the AIMD halving).
+    ///
+    /// Rebuilds in place: candidate `n` is computed straight into slot `n`
+    /// of `states`, so once the sequence has held as many states as the new
+    /// operating point needs, nothing is allocated (beyond the stable
+    /// sort's scratch buffer above 20 states).
     pub fn rebuild_with(
         &mut self,
         rate: f64,
@@ -138,20 +141,24 @@ impl StateSequence {
         } else {
             1
         };
-        // Recycle every vector the previous contents owned.
-        let mut pool: Vec<Vec<f64>> = Vec::with_capacity(2 * self.states.len() + 1);
-        for st in self.states.drain(..) {
-            pool.push(st.raw_per_layer);
-            pool.push(st.per_layer);
-        }
-        let mut tmp = pool.pop().unwrap_or_default();
+        let mut n = 0;
         for k in 1..=k_horizon {
             for &scenario in &Scenario::ALL {
                 if scenario == Scenario::Two && k <= k1 {
                     // Identical to Scenario 1 with k = k1; skip duplicates.
                     continue;
                 }
-                let mut raw = pool.pop().unwrap_or_default();
+                if n == self.states.len() {
+                    self.states.push(BufferState {
+                        scenario,
+                        k,
+                        raw_per_layer: Vec::new(),
+                        per_layer: Vec::new(),
+                    });
+                }
+                let slot = &mut self.states[n];
+                // `per_layer` is overwritten below, so it serves as the
+                // Scenario-2 scratch in the meantime.
                 per_layer_into_with(
                     scenario,
                     k,
@@ -160,24 +167,20 @@ impl StateSequence {
                     layer_rate,
                     slope,
                     decrease_factor,
-                    &mut raw,
-                    &mut tmp,
+                    &mut slot.raw_per_layer,
+                    &mut slot.per_layer,
                 );
-                if raw.iter().sum::<f64>() <= 0.0 {
-                    pool.push(raw);
+                if slot.raw_total() <= 0.0 {
                     continue; // k < k1: no draining phase, nothing to protect.
                 }
-                let mut clamped = pool.pop().unwrap_or_default();
-                clamped.clear();
-                clamped.extend_from_slice(&raw);
-                self.states.push(BufferState {
-                    scenario,
-                    k,
-                    per_layer: clamped,
-                    raw_per_layer: raw,
-                });
+                slot.scenario = scenario;
+                slot.k = k;
+                slot.per_layer.clear();
+                slot.per_layer.extend_from_slice(&slot.raw_per_layer);
+                n += 1;
             }
         }
+        self.states.truncate(n);
         self.states.sort_by(|a, b| {
             a.raw_total()
                 .partial_cmp(&b.raw_total())
@@ -191,15 +194,14 @@ impl StateSequence {
                     rank(a).cmp(&rank(b))
                 })
         });
-        // Figure-10 monotonicity: running per-layer maximum.
-        tmp.clear();
-        tmp.resize(n_active, 0.0);
-        for state in &mut self.states {
-            for (target, run) in state.per_layer.iter_mut().zip(tmp.iter_mut()) {
-                if *target < *run {
-                    *target = *run;
-                } else {
-                    *run = *target;
+        // Figure-10 monotonicity: running per-layer maximum. Each state's
+        // clamped targets already dominate every earlier state's, so the
+        // maximum is taken pairwise against the previous state.
+        for i in 1..n {
+            let (done, rest) = self.states.split_at_mut(i);
+            for (target, prev) in rest[0].per_layer.iter_mut().zip(&done[i - 1].per_layer) {
+                if *target < *prev {
+                    *target = *prev;
                 }
             }
         }
@@ -208,31 +210,6 @@ impl StateSequence {
         self.layer_rate = layer_rate;
         self.slope = slope;
         self.k1 = k1;
-    }
-
-    /// Overwrite `self` with a copy of `src`, recycling every vector `self`
-    /// already owns. Equivalent to `self.clone_from(src)` except that no
-    /// allocation happens once `self` has the capacity. (The
-    /// [`GeometryCache`] hit path used to restore sequences this way; it
-    /// now rehydrates from flattened `CachedSeq` entries, but this remains
-    /// the allocation-free way to copy one live sequence into another.)
-    pub fn copy_from(&mut self, src: &StateSequence) {
-        self.rate = src.rate;
-        self.n_active = src.n_active;
-        self.layer_rate = src.layer_rate;
-        self.slope = src.slope;
-        self.k1 = src.k1;
-        self.states.truncate(src.states.len());
-        let copied = self.states.len();
-        for (dst, s) in self.states.iter_mut().zip(src.states.iter()) {
-            dst.scenario = s.scenario;
-            dst.k = s.k;
-            dst.raw_per_layer.clear();
-            dst.raw_per_layer.extend_from_slice(&s.raw_per_layer);
-            dst.per_layer.clear();
-            dst.per_layer.extend_from_slice(&s.per_layer);
-        }
-        self.states.extend(src.states.iter().skip(copied).cloned());
     }
 
     /// Index of the first state not yet satisfied by `bufs`, or `None` when
@@ -285,221 +262,6 @@ impl StateSequence {
             let want_total: f64 = s.per_layer.iter().take(existing).sum();
             have_base + eps >= want_base && have_total + eps >= want_total
         })
-    }
-}
-
-/// Exact operating-point key of a [`StateSequence`] derivation. Floats
-/// enter via their bit patterns, so a hit can only ever return a sequence
-/// that `rebuild` with the same arguments would have produced bit for bit
-/// — memoization is value-transparent by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct GeoKey {
-    rate_bits: u64,
-    n_active: usize,
-    layer_rate_bits: u64,
-    slope_bits: u64,
-    k_horizon: u32,
-    decrease_factor_bits: u64,
-}
-
-/// Flattened, immutable copy of a derived [`StateSequence`] as stored in
-/// the memo: per-state metadata plus one contiguous buffer holding every
-/// state's raw and clamped per-layer targets. Admitting an entry costs
-/// two allocations, where cloning the full `StateSequence` would pin two
-/// fresh `Vec`s per state — the difference is what pushed warm campaign
-/// cells above the cold baseline's allocs/session before PR 10 (the
-/// `warm_alloc` budgets gate it now).
-#[derive(Debug)]
-struct CachedSeq {
-    rate: f64,
-    n_active: usize,
-    layer_rate: f64,
-    slope: f64,
-    k1: u32,
-    /// `(scenario, k)` per state, in sequence order.
-    meta: Vec<(Scenario, u32)>,
-    /// `2 * n_active` floats per state: raw targets, then clamped.
-    flat: Vec<f64>,
-}
-
-impl CachedSeq {
-    fn from_seq(seq: &StateSequence) -> Self {
-        let n = seq.n_active;
-        let mut meta = Vec::with_capacity(seq.states.len());
-        let mut flat = Vec::with_capacity(2 * n * seq.states.len());
-        for st in &seq.states {
-            debug_assert_eq!(st.raw_per_layer.len(), n);
-            debug_assert_eq!(st.per_layer.len(), n);
-            meta.push((st.scenario, st.k));
-            flat.extend_from_slice(&st.raw_per_layer);
-            flat.extend_from_slice(&st.per_layer);
-        }
-        CachedSeq {
-            rate: seq.rate,
-            n_active: n,
-            layer_rate: seq.layer_rate,
-            slope: seq.slope,
-            k1: seq.k1,
-            meta,
-            flat,
-        }
-    }
-
-    /// Overwrite `seq` with this entry's contents, recycling the vectors
-    /// `seq` already owns — the exact floats [`StateSequence::copy_from`]
-    /// of the original would have written.
-    fn write_into(&self, seq: &mut StateSequence) {
-        seq.rate = self.rate;
-        seq.n_active = self.n_active;
-        seq.layer_rate = self.layer_rate;
-        seq.slope = self.slope;
-        seq.k1 = self.k1;
-        seq.states.truncate(self.meta.len());
-        while seq.states.len() < self.meta.len() {
-            seq.states.push(BufferState {
-                scenario: Scenario::One,
-                k: 0,
-                raw_per_layer: Vec::new(),
-                per_layer: Vec::new(),
-            });
-        }
-        let n = self.n_active;
-        for (i, (st, &(scenario, k))) in seq.states.iter_mut().zip(&self.meta).enumerate() {
-            let base = 2 * n * i;
-            st.scenario = scenario;
-            st.k = k;
-            st.raw_per_layer.clear();
-            st.raw_per_layer.extend_from_slice(&self.flat[base..base + n]);
-            st.per_layer.clear();
-            st.per_layer.extend_from_slice(&self.flat[base + n..base + 2 * n]);
-        }
-    }
-}
-
-/// Memo cache for [`StateSequence`] derivations, keyed by the exact
-/// operating point `(rate, n_active, C, S, k_horizon)`.
-///
-/// Grid sweeps re-derive identical sequences whenever two sessions (or two
-/// ticks) pass through the same operating point — replayed cells hit on
-/// every tick, first-run cells on repeated rates (rate caps, pre-start
-/// defaults, drain plateaus). One cache is meant to be shared per campaign
-/// *worker* (wrapped in `Arc<Mutex<_>>`, see [`SharedGeometryCache`]) and
-/// live as long as the worker's world pool; entries are immutable once
-/// inserted and the population is capped, so memory stays bounded on
-/// grids whose operating points never repeat.
-#[derive(Debug, Default)]
-pub struct GeometryCache {
-    map: HashMap<GeoKey, CachedSeq>,
-    /// Two-touch admission filter: keys missed exactly once so far. A
-    /// sequence is cloned into `map` only on its *second* miss — an
-    /// operating point seen once and never again (seed-dependent transient
-    /// rates make up most of a session's misses) costs one `HashSet` entry
-    /// instead of a full `StateSequence` clone. Warm campaign workers
-    /// previously cloned ~2.6k never-reused sequences per session into
-    /// the shared memo; admission-on-reuse removes those allocations
-    /// without changing any hit result.
-    seen_once: HashSet<GeoKey>,
-    hits: u64,
-    misses: u64,
-}
-
-/// Shared handle campaign workers hand to every [`crate::QaController`]
-/// they build: `Mutex` (not `RefCell`) so controllers stay `Send`.
-pub type SharedGeometryCache = Arc<Mutex<GeometryCache>>;
-
-impl GeometryCache {
-    /// Entries kept at most; past this population, misses still rebuild
-    /// correctly but are no longer inserted (the sweep's operating points
-    /// evidently do not repeat, so growing further buys nothing).
-    pub const MAX_ENTRIES: usize = 4096;
-
-    /// Admission-filter population cap. When the filter fills up it is
-    /// cleared wholesale — repeat keys then need two fresh misses to be
-    /// admitted, which only delays (never prevents) memoization of a
-    /// genuinely recurring operating point.
-    pub const MAX_SEEN_ONCE: usize = 4 * Self::MAX_ENTRIES;
-
-    /// Fresh empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Fresh shareable cache handle.
-    pub fn shared() -> SharedGeometryCache {
-        Arc::new(Mutex::new(Self::new()))
-    }
-
-    /// `(hits, misses)` since construction.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Cached operating points.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// True when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// [`StateSequence::rebuild`] through the memo: on a hit, `seq` is
-    /// overwritten from the cached copy (recycling its allocations); on a
-    /// miss it is rebuilt and the result memoized. The value of `seq`
-    /// afterwards is bit-identical to an uncached rebuild either way.
-    pub fn rebuild_memoized(
-        &mut self,
-        seq: &mut StateSequence,
-        rate: f64,
-        n_active: usize,
-        layer_rate: f64,
-        slope: f64,
-        k_horizon: u32,
-    ) {
-        self.rebuild_memoized_with(seq, rate, n_active, layer_rate, slope, k_horizon, 0.5);
-    }
-
-    /// [`rebuild_memoized`](Self::rebuild_memoized) generalized to an
-    /// arbitrary decrease factor; the factor's bit pattern is part of the
-    /// memo key so sessions with different controllers never share entries.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rebuild_memoized_with(
-        &mut self,
-        seq: &mut StateSequence,
-        rate: f64,
-        n_active: usize,
-        layer_rate: f64,
-        slope: f64,
-        k_horizon: u32,
-        decrease_factor: f64,
-    ) {
-        let key = GeoKey {
-            rate_bits: rate.to_bits(),
-            n_active,
-            layer_rate_bits: layer_rate.to_bits(),
-            slope_bits: slope.to_bits(),
-            k_horizon,
-            decrease_factor_bits: decrease_factor.to_bits(),
-        };
-        if let Some(cached) = self.map.get(&key) {
-            self.hits += 1;
-            laqa_obs::counter!("qa.geometry_cache.hits").inc();
-            cached.write_into(seq);
-            return;
-        }
-        self.misses += 1;
-        laqa_obs::counter!("qa.geometry_cache.misses").inc();
-        seq.rebuild_with(rate, n_active, layer_rate, slope, k_horizon, decrease_factor);
-        if self.map.len() < Self::MAX_ENTRIES && self.seen_once.remove(&key) {
-            laqa_obs::counter!("qa.geometry_cache.admissions").inc();
-            self.map.insert(key, CachedSeq::from_seq(seq));
-        } else if self.map.len() < Self::MAX_ENTRIES {
-            if self.seen_once.len() >= Self::MAX_SEEN_ONCE {
-                self.seen_once.clear();
-            }
-            self.seen_once.insert(key);
-        }
     }
 }
 
@@ -683,51 +445,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn geometry_cache_keys_on_decrease_factor() {
-        let mut cache = GeometryCache::new();
-        let mut seq = StateSequence::default();
-        // Two misses at f=0.5 admit the entry; a lookup at f=0.85 with the
-        // same (rate, n, C, S, k) must miss and rebuild, not alias.
-        cache.rebuild_memoized(&mut seq, 40_000.0, 3, C, S, 5);
-        cache.rebuild_memoized(&mut seq, 40_000.0, 3, C, S, 5);
-        assert_eq!(cache.len(), 1);
-        cache.rebuild_memoized_with(&mut seq, 40_000.0, 3, C, S, 5, 0.85);
-        assert_eq!(cache.stats().0, 0, "factor change must not hit");
-        let fresh = StateSequence::build_with(40_000.0, 3, C, S, 5, 0.85);
-        assert_eq!(seq.states.len(), fresh.states.len());
-        for (a, b) in seq.states.iter().zip(&fresh.states) {
-            assert_eq!(a.per_layer, b.per_layer);
-        }
-    }
-
-    #[test]
-    fn geometry_cache_admits_on_second_miss_only() {
-        let mut cache = GeometryCache::new();
-        let mut seq = StateSequence::default();
-        let probe = |cache: &mut GeometryCache, seq: &mut StateSequence, rate: f64| {
-            cache.rebuild_memoized(seq, rate, 3, C, S, 5);
-        };
-        // First miss: rebuilt but not memoized (one-shot keys stay out).
-        probe(&mut cache, &mut seq, 40_000.0);
-        assert_eq!(cache.stats(), (0, 1));
-        assert!(cache.is_empty());
-        // Second miss on the same key: admitted.
-        probe(&mut cache, &mut seq, 40_000.0);
-        assert_eq!(cache.stats(), (0, 2));
-        assert_eq!(cache.len(), 1);
-        // Third occurrence: a hit, bit-identical to a cold rebuild.
-        probe(&mut cache, &mut seq, 40_000.0);
-        assert_eq!(cache.stats(), (1, 2));
-        let fresh = StateSequence::build(40_000.0, 3, C, S, 5);
-        assert_eq!(seq.states.len(), fresh.states.len());
-        for (a, b) in seq.states.iter().zip(&fresh.states) {
-            assert_eq!(a.per_layer, b.per_layer);
-        }
-        // A different one-shot key still stays out of the memo.
-        probe(&mut cache, &mut seq, 41_000.0);
-        assert_eq!(cache.len(), 1);
     }
 }

@@ -143,6 +143,30 @@ fn state_sequence_monotone() {
 }
 
 #[test]
+fn rebuild_in_place_equals_fresh_build_along_random_walk() {
+    cases("rebuild_in_place_equals_fresh_build", DEFAULT_CASES, |g, _| {
+        // One sequence carried through a walk of operating points whose
+        // state counts grow and shrink (n, k_horizon and the rate all
+        // move), so every slot is reused with stale contents of another
+        // shape before being compared.
+        let mut seq = StateSequence::default();
+        for step in 0..12 {
+            let (rate, n, c, s) = op_point(g);
+            let k_h = g.u32_in(1, 10);
+            let f = *g.pick(&[0.5, 0.7, 0.85]);
+            seq.rebuild_with(rate, n, c, s, k_h, f);
+            let fresh = StateSequence::build_with(rate, n, c, s, k_h, f);
+            // Debug output separates -0.0 from 0.0, so this is bit equality.
+            assert_eq!(
+                format!("{seq:?}"),
+                format!("{fresh:?}"),
+                "step {step}: rate={rate} n={n} k_h={k_h} f={f}"
+            );
+        }
+    });
+}
+
+#[test]
 fn filling_conserves_rate() {
     cases("filling_conserves_rate", DEFAULT_CASES, |g, _| {
         let (rate, n, c, s) = op_point(g);

@@ -5,18 +5,17 @@
 //! "what happened", but neither can answer *why session 17 starved at
 //! t=31s* — that needs a timeline: QA state spans, layer add/drop
 //! instants, backoff markers and buffer-level samples, all attributed to
-//! the session that produced them no matter which worker thread or
-//! executor (solo world, warm pool, megasession engine) ran it.
+//! the session that produced them no matter which worker thread ran it
+//! or whether its world was warm or cold.
 //!
 //! ## Recording model
 //!
 //! Producers call [`state`], [`instant`] or [`sample`] with a static
 //! name, the session-local simulation time, and a value. The record is
 //! stamped with the calling thread's *current session* (set by the
-//! campaign workers and the megasession dispatcher via [`set_session`])
-//! and a **per-session sequence number**, then appended to the calling
-//! thread's bounded ring. Engine-global records that belong to no single
-//! session (megasession batch dispatches, stale-token drops) use the
+//! campaign workers via [`set_session`]) and a **per-session sequence
+//! number**, then appended to the calling thread's bounded ring.
+//! Executor-side records that belong to no single session use the
 //! reserved [`HOST_TRACK`] id.
 //!
 //! ## Determinism
@@ -187,10 +186,8 @@ thread_local! {
 }
 
 /// Attribute subsequent records on this thread to `session`. Campaign
-/// workers call this with the grid index before running a cell; the
-/// megasession dispatcher calls it per event with the session's flight
-/// id. Callers should gate on [`enabled`] to keep the disabled cost at
-/// one load.
+/// workers call this with the grid index before running a cell. Callers
+/// should gate on [`enabled`] to keep the disabled cost at one load.
 pub fn set_session(session: u64) {
     CURRENT_SESSION.with(|c| c.set(session));
 }
@@ -479,7 +476,7 @@ mod tests {
         set_session(3);
         sample("qa.buf_base", 0.25, 4096.0);
         set_session(HOST_TRACK);
-        instant("mega.batch", 0.1, 4.0);
+        instant("host.note", 0.1, 4.0);
         set_enabled(false);
 
         let trace = snapshot_flight();
@@ -488,7 +485,7 @@ mod tests {
         let names: Vec<&str> = trace.records.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
-            vec!["qa.buf_base", "filling", "qa.layer_add", "mega.batch"]
+            vec!["qa.buf_base", "filling", "qa.layer_add", "host.note"]
         );
         // Per-session sequence restarts per session, not per thread.
         assert_eq!(trace.records[1].seq, 0);

@@ -171,13 +171,6 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
         &self.qa
     }
 
-    /// Mutable controller access for pre-run wiring (e.g. attaching a
-    /// shared [`laqa_core::GeometryCache`] before the agent enters the
-    /// world).
-    pub fn qa_mut(&mut self) -> &mut QaController {
-        &mut self.qa
-    }
-
     fn drain_events(&mut self, now: f64) {
         let mut events = std::mem::take(&mut self.ev_scratch);
         self.rap.drain_events_into(&mut events);
@@ -426,11 +419,19 @@ mod tests {
     use super::*;
     use crate::engine::World;
     use crate::link::LinkConfig;
-    use laqa_rap::RapConfig;
+    use crate::packet::LinkId;
+    use laqa_rap::{RapConfig, WindowConfig, WindowSender};
 
-    /// One QA flow over a bottleneck; returns (world, src id, sink id).
-    fn qa_flow(bw: f64, queue: usize, dur: f64, protect: usize) -> (World, AgentId, AgentId) {
-        let mut w = World::new(17);
+    /// One QA flow over a bottleneck, its source built by `make_src` from
+    /// (sink id, forward link, QA config); returns (world, src id, sink id).
+    fn run_flow<T: RateController + 'static>(
+        seed: u64,
+        bw: f64,
+        queue: usize,
+        dur: f64,
+        make_src: impl FnOnce(AgentId, LinkId, QaConfig) -> QaSourceAgent<T>,
+    ) -> (World, AgentId, AgentId) {
+        let mut w = World::new(seed);
         let fwd = w.add_link(LinkConfig {
             bandwidth: bw,
             delay: 0.02,
@@ -459,36 +460,95 @@ mod tests {
             ))),
             sink_id
         );
-        let rap_cfg = RapConfig {
-            packet_size: 500.0,
-            initial_rate: 2_000.0,
-            initial_rtt: 0.08,
-            max_rate: 45_000.0,
-            ..RapConfig::default()
-        };
-        let mut src = QaSourceAgent::new(sink_id, vec![fwd], 1, rap_cfg, qa_cfg, 0.05);
-        src.retransmit_protect = protect;
-        assert_eq!(w.add_agent(Box::new(src)), src_id);
+        assert_eq!(
+            w.add_agent(Box::new(make_src(sink_id, fwd, qa_cfg))),
+            src_id
+        );
         w.run_until(dur);
         (w, src_id, sink_id)
     }
 
-    #[test]
-    fn single_qa_flow_adapts_to_bottleneck() {
-        let (w, src, sink) = qa_flow(25_000.0, 15, 25.0, 0);
-        let s: &QaSourceAgent = w.agent(src).unwrap();
-        // 25 KB/s bottleneck and 5 KB/s layers: should settle at 4-5
-        // layers, not pinned at 1 or 6.
+    /// [`run_flow`] over RAP.
+    fn qa_flow(bw: f64, queue: usize, dur: f64, protect: usize) -> (World, AgentId, AgentId) {
+        run_flow(17, bw, queue, dur, |sink, fwd, qa_cfg| {
+            let rap_cfg = RapConfig {
+                packet_size: 500.0,
+                initial_rate: 2_000.0,
+                initial_rtt: 0.08,
+                max_rate: 45_000.0,
+                ..RapConfig::default()
+            };
+            let mut src = QaSourceAgent::new(sink, vec![fwd], 1, rap_cfg, qa_cfg, 0.05);
+            src.retransmit_protect = protect;
+            src
+        })
+    }
+
+    /// [`run_flow`] over the ACK-clocked AIMD window (the paper's §7 "other
+    /// AIMD schemes" port).
+    fn window_flow(bw: f64, dur: f64) -> (World, AgentId, AgentId) {
+        run_flow(23, bw, 20, dur, |sink, fwd, qa_cfg| {
+            let cc = WindowSender::new(
+                WindowConfig {
+                    packet_size: 500.0,
+                    initial_rtt: 0.06,
+                    max_cwnd: 60.0,
+                    ..WindowConfig::default()
+                },
+                0.0,
+            );
+            QaSourceAgent::with_controller(sink, vec![fwd], 1, cc, 500, qa_cfg, 0.05)
+        })
+    }
+
+    /// Mean active-layer count after `after` seconds.
+    fn mean_layers<T: RateController + 'static>(w: &World, src: AgentId, after: f64) -> f64 {
+        let s: &QaSourceAgent<T> = w.agent(src).unwrap();
         let steady: Vec<f64> = s
             .traces
             .n_active
             .points
             .iter()
-            .filter(|&&(t, _)| t > 10.0)
+            .filter(|&&(t, _)| t > after)
             .map(|&(_, v)| v)
             .collect();
-        let mean = steady.iter().sum::<f64>() / steady.len() as f64;
+        steady.iter().sum::<f64>() / steady.len() as f64
+    }
+
+    #[test]
+    fn window_cc_qa_adapts_without_stalling() {
+        let (w, src, sink) = window_flow(25_000.0, 30.0);
+        let mean = mean_layers::<WindowSender>(&w, src, 12.0);
+        assert!((2.0..=5.9).contains(&mean), "mean layers {mean}");
+        let s: &QaSourceAgent<WindowSender> = w.agent(src).unwrap();
+        assert!(
+            s.backoffs > 0,
+            "ACK-clocked AIMD must back off at a bottleneck"
+        );
+        assert_eq!(s.qa().metrics().stalls(), 0);
+        let sk: &QaSinkAgent = w.agent(sink).unwrap();
+        assert_eq!(sk.receiver.stats().underflows[0], 0, "base never starves");
+    }
+
+    #[test]
+    fn window_cc_tracks_bandwidth_ordering() {
+        let (w_lo, src_lo, _) = window_flow(12_000.0, 25.0);
+        let (w_hi, src_hi, _) = window_flow(28_000.0, 25.0);
+        assert!(
+            mean_layers::<WindowSender>(&w_hi, src_hi, 10.0)
+                > mean_layers::<WindowSender>(&w_lo, src_lo, 10.0),
+            "more bandwidth must mean more layers"
+        );
+    }
+
+    #[test]
+    fn single_qa_flow_adapts_to_bottleneck() {
+        let (w, src, sink) = qa_flow(25_000.0, 15, 25.0, 0);
+        // 25 KB/s bottleneck and 5 KB/s layers: should settle at 4-5
+        // layers, not pinned at 1 or 6.
+        let mean = mean_layers::<RapSender>(&w, src, 10.0);
         assert!((2.5..=5.5).contains(&mean), "mean layers {mean}");
+        let s: &QaSourceAgent = w.agent(src).unwrap();
         assert!(s.backoffs > 0);
         let sk: &QaSinkAgent = w.agent(sink).unwrap();
         assert_eq!(sk.receiver.stats().underflows[0], 0, "base never starves");

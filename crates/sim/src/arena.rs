@@ -56,15 +56,6 @@ impl<T> Slab<T> {
         }
     }
 
-    /// Grow the backing vector so `additional` more records fit without
-    /// reallocating (free-list slots count toward the headroom). The
-    /// megasession engine pre-sizes its shared event arena this way before
-    /// absorbing a batch of sessions.
-    pub fn reserve(&mut self, additional: usize) {
-        let free = self.entries.len() - self.live;
-        self.entries.reserve(additional.saturating_sub(free));
-    }
-
     /// Number of live records.
     pub fn len(&self) -> usize {
         self.live

@@ -19,9 +19,8 @@
 //!
 //! **Warm worlds.** By default each worker keeps a [`WorldPool`]: the
 //! engine storage (scheduler slab, link ring buffers, agents vector) of
-//! every session it finishes is salvaged and recycled into the next one,
-//! and all its QA controllers share one geometry memo. This is purely an
-//! allocator optimisation — [`CampaignOptions::cold`] runs the identical
+//! every session it finishes is salvaged and recycled into the next one.
+//! This is purely an allocator optimisation — [`CampaignOptions::cold`] runs the identical
 //! simulation with fresh worlds and must produce the identical fingerprint
 //! (`laqa-bench campaign` gates this).
 
@@ -33,12 +32,10 @@ use std::time::Instant;
 use laqa_core::metrics::QaEvent;
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
-use crate::engine::World;
 use crate::faults::FaultPlan;
-use crate::mega::MegaEngine;
 use crate::scenarios::{
-    build_scenario, extract_outcome, run_scenario_pooled, run_scenario_with, ScenarioConfig,
-    ScenarioOutcome, TraceKind, Transport, WorldPool,
+    run_scenario_pooled, run_scenario_with, ScenarioConfig, ScenarioOutcome, TraceKind, Transport,
+    WorldPool,
 };
 use crate::sched::{ambient_scheduler, SchedulerKind};
 
@@ -634,8 +631,8 @@ pub fn run_session_with(spec: &SessionSpec, sched: SchedulerKind) -> SessionResu
 }
 
 /// Run one session through a worker's [`WorldPool`] (warm-world path):
-/// the pool's salvaged engine storage and shared geometry memo are reused
-/// and this session's world is banked back for the next call. Every
+/// the pool's salvaged engine storage is reused and this session's world
+/// is banked back for the next call. Every
 /// fingerprinted field is identical to [`run_session_with`].
 pub fn run_session_pooled(
     spec: &SessionSpec,
@@ -712,34 +709,15 @@ pub struct CampaignOptions {
     /// every session's world from scratch — the cold baseline the bench
     /// compares against.
     pub warm: bool,
-    /// Multiplex each worker's sessions on one [`MegaEngine`] instead of
-    /// running them one world at a time. Purely an executor choice: every
-    /// fingerprint is bit-identical to the per-cell path (the mega
-    /// differential suite pins this); only wall-clock and allocator
-    /// behaviour change.
-    pub mega: bool,
-    /// Sessions a mega worker steals and admits per batch (clamped to at
-    /// least 1; ignored unless `mega`). Larger chunks amortise engine
-    /// overhead across more concurrent sessions; smaller chunks steal more
-    /// fairly.
-    pub mega_chunk: usize,
-    /// Simulated-time service quantum for the mega executor's sliced
-    /// service loop (`None` keeps the engine default; ignored unless
-    /// `mega`). Purely a batching knob — every value yields bit-identical
-    /// fingerprints (see [`MegaEngine::set_service_slice`]).
-    pub mega_slice: Option<f64>,
 }
 
 impl CampaignOptions {
-    /// Defaults: ambient scheduler, warm world pools, per-cell executor.
+    /// Defaults: ambient scheduler, warm world pools.
     pub fn new(threads: usize) -> Self {
         CampaignOptions {
             threads,
             sched: ambient_scheduler(),
             warm: true,
-            mega: false,
-            mega_chunk: 32,
-            mega_slice: None,
         }
     }
 
@@ -752,26 +730,6 @@ impl CampaignOptions {
     /// Disable world reuse (cold worlds).
     pub fn cold(mut self) -> Self {
         self.warm = false;
-        self
-    }
-
-    /// Multiplex each worker's sessions on one [`MegaEngine`].
-    pub fn mega(mut self) -> Self {
-        self.mega = true;
-        self
-    }
-
-    /// Set the mega executor's steal-batch size (see
-    /// [`CampaignOptions::mega_chunk`]).
-    pub fn mega_chunk(mut self, chunk: usize) -> Self {
-        self.mega_chunk = chunk;
-        self
-    }
-
-    /// Set the mega executor's service slice in simulated seconds (see
-    /// [`CampaignOptions::mega_slice`]).
-    pub fn mega_slice(mut self, slice_secs: f64) -> Self {
-        self.mega_slice = Some(slice_secs);
         self
     }
 }
@@ -787,8 +745,8 @@ fn effective_threads(requested: usize, sessions: usize) -> usize {
     requested.max(1).min(sessions.max(1)).min(cores)
 }
 
-/// Per-worker steal-and-run loop shared by both executors. `deposit` is
-/// called with `(worker, index, result)` for every finished session.
+/// Per-worker steal-and-run loop. `deposit` is called with
+/// `(index, result)` for every finished session.
 fn worker_loop(
     spec: &CampaignSpec,
     opts: CampaignOptions,
@@ -796,9 +754,6 @@ fn worker_loop(
     next: &AtomicUsize,
     mut deposit: impl FnMut(usize, SessionResult),
 ) {
-    if opts.mega {
-        return mega_worker_loop(spec, opts, worker, next, deposit);
-    }
     let mut pool = opts.warm.then(WorldPool::new);
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -825,91 +780,6 @@ fn worker_loop(
             "events" => result.events_processed,
         );
         deposit(i, result);
-    }
-}
-
-/// Megasession worker: steal a *chunk* of session indices, build every
-/// world in the chunk, admit them all into this worker's persistent
-/// [`MegaEngine`] at the same global start time, run the whole batch on
-/// the one shared event queue, then extract, retire and deposit each
-/// session. The engine (and its banked session queues) survives across
-/// chunks, so steady-state chunks recycle all engine storage.
-///
-/// Per-session trajectories are bit-identical to the per-cell executor —
-/// sessions share only the event queue, and the queue's `(time, seq)`
-/// total order preserves each session's private dispatch order (see the
-/// equivalence argument in [`crate::mega`]). Wall-clock is measured per
-/// chunk and apportioned to sessions by their share of dispatched events,
-/// since individual sessions no longer run contiguously.
-fn mega_worker_loop(
-    spec: &CampaignSpec,
-    opts: CampaignOptions,
-    worker: usize,
-    next: &AtomicUsize,
-    mut deposit: impl FnMut(usize, SessionResult),
-) {
-    let mut pool = opts.warm.then(WorldPool::new);
-    let mut engine = MegaEngine::with_scheduler(opts.sched);
-    if let Some(slice) = opts.mega_slice {
-        engine.set_service_slice(slice);
-    }
-    let chunk = opts.mega_chunk.max(1);
-    loop {
-        let lo = next.fetch_add(chunk, Ordering::Relaxed);
-        if lo >= spec.sessions.len() {
-            break;
-        }
-        let hi = (lo + chunk).min(spec.sessions.len());
-        let started = Instant::now();
-        let t0 = engine.now();
-        engine.reserve(hi - lo, (hi - lo) * 64);
-        let mut admitted = Vec::with_capacity(hi - lo);
-        let mut t_end = t0;
-        for i in lo..hi {
-            laqa_obs::counter!("campaign.steals").inc();
-            let cfg = spec.sessions[i].scenario();
-            let world = match pool.as_mut().and_then(WorldPool::take_salvage) {
-                Some(salvage) => World::with_salvage(cfg.seed, opts.sched, salvage),
-                None => World::with_scheduler(cfg.seed, opts.sched),
-            };
-            let geometry = pool.as_ref().and_then(WorldPool::geometry);
-            let (mut world, handles) = build_scenario(&cfg, world, geometry);
-            // Same track id as the per-cell executor uses, so flight
-            // timelines line up across executors.
-            world.set_flight_id(i as u64);
-            let sid = engine.add_world(world, t0, cfg.duration);
-            t_end = t_end.max(t0 + cfg.duration);
-            admitted.push((i, cfg, handles, sid));
-        }
-        engine.run_until(t_end);
-        let wall = started.elapsed().as_secs_f64();
-        let total_events: u64 = admitted
-            .iter()
-            .map(|(_, _, _, sid)| engine.session(*sid).events_processed())
-            .sum();
-        for (i, cfg, handles, sid) in admitted {
-            let out = extract_outcome(&cfg, &engine.session(sid), &handles);
-            let wall_share = if total_events > 0 {
-                wall * out.events_processed as f64 / total_events as f64
-            } else {
-                wall / (hi - lo) as f64
-            };
-            let result = outcome_to_result(&spec.sessions[i], out, wall_share);
-            laqa_obs::event!(
-                laqa_obs::Level::Debug,
-                "campaign.cell",
-                0.0,
-                "worker" => worker,
-                "cell" => i,
-                "wall_ms" => result.wall_secs * 1e3,
-                "events" => result.events_processed,
-            );
-            let salvage = engine.retire(sid);
-            if let Some(pool) = pool.as_mut() {
-                pool.bank_salvage(salvage);
-            }
-            deposit(i, result);
-        }
     }
 }
 
@@ -984,8 +854,7 @@ pub struct CampaignFold<A> {
 /// order but are folded strictly by grid index, so the accumulator and the
 /// incremental fingerprint see the same sequence a single-threaded run
 /// would. Out-of-order results wait in `pending` — at most one in-flight
-/// session per other worker (one *chunk* per worker under the mega
-/// executor), so memory stays bounded by `threads × mega_chunk` rather
+/// session per other worker, so memory stays bounded by `threads` rather
 /// than the grid size.
 struct FoldState<A> {
     next_emit: usize,
@@ -1115,25 +984,6 @@ mod tests {
         assert_eq!(spec.sessions[2].label(), "T1/k2/seed7/f100");
         assert!(!spec.sessions[2].scenario().faults.is_none());
         assert!(spec.sessions[0].scenario().faults.is_none());
-    }
-
-    #[test]
-    fn mega_executor_matches_per_cell_fingerprints() {
-        let spec = tiny_spec();
-        let per_cell = run_campaign_opts(&spec, CampaignOptions::new(1));
-        for threads in [1, 4] {
-            for chunk in [1, 32] {
-                let mega = run_campaign_opts(
-                    &spec,
-                    CampaignOptions::new(threads).mega().mega_chunk(chunk),
-                );
-                assert_eq!(
-                    per_cell.fingerprint(),
-                    mega.fingerprint(),
-                    "mega executor diverged at threads={threads} chunk={chunk}"
-                );
-            }
-        }
     }
 
     #[test]

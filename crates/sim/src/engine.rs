@@ -16,7 +16,7 @@ use std::any::Any;
 
 /// Things that can happen.
 #[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Event {
+enum Event {
     /// The head-of-line packet of `link` finished serializing.
     LinkDone { link: LinkId },
     /// `pkt` arrives at its next hop (link or destination agent).
@@ -26,32 +26,27 @@ pub(crate) enum Event {
 }
 
 /// Everything one session owns except its agents and its event queue:
-/// local clock, links, RNG, uid and event counters. A solo [`World`]
-/// pairs one of these with its own queue; the megasession engine keeps a
-/// column of them sharing a single queue.
-pub(crate) struct SessionCore {
-    pub(crate) now_ns: u64,
-    pub(crate) links: Vec<Link>,
+/// local clock, links, RNG, uid and event counters — the part of a
+/// [`World`] an agent callback may touch through [`Ctx`] while the agent
+/// itself is borrowed out of the agents vector.
+struct SessionCore {
+    now_ns: u64,
+    links: Vec<Link>,
     /// Link shells salvaged from a retired world (warm-world reuse):
     /// [`World::add_link`] pops one and [`Link::reset`]s it instead of
     /// allocating, so the queues' ring buffers carry over. Stored in
     /// reverse creation order so `pop()` re-hands them out positionally.
-    pub(crate) spare_links: Vec<Link>,
-    pub(crate) next_uid: u64,
-    pub(crate) rng: SimRng,
+    spare_links: Vec<Link>,
+    next_uid: u64,
+    rng: SimRng,
     /// Events dispatched so far — a plain (always-on, deterministic)
     /// counter used for run throughput summaries.
-    pub(crate) events_processed: u64,
-    /// Track id for the `laqa_obs::flight` recorder: the campaign/mega
-    /// executors set it to the session's grid index so timeline records
-    /// are attributed to the same track no matter which worker or
-    /// executor ran the session. Never read by simulation logic.
-    pub(crate) flight_id: u64,
+    events_processed: u64,
 }
 
 impl SessionCore {
     /// Fresh per-session state seeded from `seed`, clock at zero.
-    pub(crate) fn fresh(seed: u64) -> Self {
+    fn fresh(seed: u64) -> Self {
         SessionCore {
             now_ns: 0,
             links: Vec::new(),
@@ -59,74 +54,50 @@ impl SessionCore {
             next_uid: 0,
             rng: SimRng::seed_from_u64(seed),
             events_processed: 0,
-            flight_id: 0,
         }
     }
 }
 
-/// A session's private event queue: the pluggable scheduler plus the
-/// session's own insertion-sequence counter, bundled so every schedule
-/// site pays exactly one direct call — no enum-of-queue-targets
-/// indirection on the hot path (the megasession engine used to route
-/// every insert through a `QueueRef` enum with session/epoch tagging;
-/// since PR 10 each multiplexed session owns one of these outright).
-///
-/// All times passed through [`EventQueue::schedule`] are *session-local*
-/// nanoseconds; the clamp to "not before now" happens in local time so a
-/// session behaves bit-identically whether it runs alone or multiplexed
-/// at an arbitrary start offset. `seq` is strictly increasing over this
-/// session's inserts, which is all the per-session `(time, seq)`
-/// dispatch order depends on.
-pub(crate) struct EventQueue {
-    pub(crate) sched: AnyScheduler<Event>,
-    pub(crate) seq: u64,
+/// A session's event queue: the pluggable scheduler plus the session's
+/// insertion-sequence counter, bundled so every schedule site pays exactly
+/// one direct call. `seq` is strictly increasing over this session's
+/// inserts, which is all the `(time, seq)` dispatch order depends on.
+struct EventQueue {
+    sched: AnyScheduler<Event>,
+    seq: u64,
 }
 
 impl EventQueue {
-    pub(crate) fn new(kind: SchedulerKind) -> Self {
+    fn new(kind: SchedulerKind) -> Self {
         EventQueue {
             sched: AnyScheduler::new(kind),
             seq: 0,
         }
     }
 
-    /// Schedule `event` at session-local `at_ns` (clamped to `now_ns`).
+    /// Schedule `event` at `at_ns` (clamped to `now_ns`).
     #[inline]
-    pub(crate) fn schedule(&mut self, now_ns: u64, at_ns: u64, event: Event) {
+    fn schedule(&mut self, now_ns: u64, at_ns: u64, event: Event) {
         self.sched.schedule(at_ns.max(now_ns), self.seq, event);
         self.seq += 1;
     }
 
     #[inline]
-    pub(crate) fn pop_next_at_or_before(&mut self, bound_ns: u64) -> Option<(u64, u64, Event)> {
+    fn pop_next_at_or_before(&mut self, bound_ns: u64) -> Option<(u64, u64, Event)> {
         self.sched.pop_next_at_or_before(bound_ns)
     }
 
-    pub(crate) fn len(&self) -> usize {
+    fn len(&self) -> usize {
         self.sched.len()
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.sched.len() == 0
-    }
-
-    /// `(time_ns, seq)` of the next event without consuming it.
-    #[inline]
-    pub(crate) fn peek_next(&mut self) -> Option<(u64, u64)> {
-        self.sched.peek_next()
-    }
-
-    pub(crate) fn kind(&self) -> SchedulerKind {
+    fn kind(&self) -> SchedulerKind {
         self.sched.kind()
-    }
-
-    pub(crate) fn reserve(&mut self, additional: usize) {
-        self.sched.reserve(additional);
     }
 
     /// Empty the queue keeping its capacity, and rewind `seq` for the
     /// next session (salvage path).
-    pub(crate) fn reset(&mut self) {
+    fn reset(&mut self) {
         self.sched.reset();
         self.seq = 0;
     }
@@ -309,22 +280,18 @@ pub trait Agent: 'static {
 /// a world built from salvage is observationally identical to a fresh
 /// one (pinned by the warm-vs-cold fingerprint tests).
 pub struct WorldSalvage {
-    pub(crate) queue: EventQueue,
-    pub(crate) links: Vec<Link>,
-    pub(crate) spare_links: Vec<Link>,
-    pub(crate) agents: Vec<Option<Box<dyn Agent>>>,
+    queue: EventQueue,
+    links: Vec<Link>,
+    spare_links: Vec<Link>,
+    agents: Vec<Option<Box<dyn Agent>>>,
 }
 
 /// The simulated world: links, agents, and the event loop.
-///
-/// Fields are crate-visible so the megasession engine
-/// ([`crate::mega::MegaEngine`]) can absorb an unstarted world's parts
-/// into its session table columns.
 pub struct World {
-    pub(crate) core: SessionCore,
-    pub(crate) queue: EventQueue,
-    pub(crate) agents: Vec<Option<Box<dyn Agent>>>,
-    pub(crate) started: bool,
+    core: SessionCore,
+    queue: EventQueue,
+    agents: Vec<Option<Box<dyn Agent>>>,
+    started: bool,
 }
 
 impl World {
@@ -374,7 +341,6 @@ impl World {
                 next_uid: 0,
                 rng: SimRng::seed_from_u64(seed),
                 events_processed: 0,
-                flight_id: 0,
             },
             queue,
             agents,
@@ -432,13 +398,6 @@ impl World {
     /// Current simulation time (seconds).
     pub fn now(&self) -> f64 {
         ns_to_secs(self.core.now_ns)
-    }
-
-    /// Attribute this world's `laqa_obs::flight` timeline records to
-    /// track `id` (the campaign executors pass the session's grid index).
-    /// Purely observational — never read by simulation logic.
-    pub fn set_flight_id(&mut self, id: u64) {
-        self.core.flight_id = id;
     }
 
     /// Total events dispatched by [`World::run_until`] so far.
@@ -525,11 +484,9 @@ impl World {
 /// Run one agent callback with a freshly assembled [`Ctx`]. The agent box
 /// is taken out of its slot for the duration of the call (so the agent
 /// can schedule, send, and mutate links through `ctx` while borrowed) and
-/// restored afterwards. Shared verbatim by solo worlds and the
-/// megasession engine — this is what makes a multiplexed session's
-/// dispatch bit-identical to an isolated one.
+/// restored afterwards.
 #[inline]
-pub(crate) fn dispatch_agent(
+fn dispatch_agent(
     agents: &mut [Option<Box<dyn Agent>>],
     core: &mut SessionCore,
     queue: &mut EventQueue,
@@ -553,9 +510,8 @@ pub(crate) fn dispatch_agent(
 }
 
 /// Call `start()` on every agent in slot order (the lazy-start sweep a
-/// solo world runs on its first `run_until`; the megasession engine runs
-/// the same sweep when a session's start offset comes due).
-pub(crate) fn start_agents(
+/// world runs on its first `run_until`).
+fn start_agents(
     agents: &mut Vec<Option<Box<dyn Agent>>>,
     core: &mut SessionCore,
     queue: &mut EventQueue,
@@ -566,11 +522,9 @@ pub(crate) fn start_agents(
 }
 
 /// Process one engine [`Event`] against a session's state. `core.now_ns`
-/// must already be set to the event's (session-local) time. Factored out
-/// of [`World::run_until`] so the megasession engine dispatches the exact
-/// same code path per event.
+/// must already be set to the event's time.
 #[inline]
-pub(crate) fn dispatch_event(
+fn dispatch_event(
     core: &mut SessionCore,
     agents: &mut [Option<Box<dyn Agent>>],
     queue: &mut EventQueue,

@@ -17,7 +17,6 @@ pub mod campaign;
 pub mod engine;
 pub mod faults;
 pub mod link;
-pub mod mega;
 pub mod packet;
 pub mod rng;
 pub mod scenarios;
@@ -32,7 +31,6 @@ pub mod agents {
     pub mod cbr;
     pub mod monitor;
     pub mod qa;
-    pub mod qa_window;
     pub mod rap;
     pub mod tcp;
 }
@@ -47,11 +45,10 @@ pub use faults::{FaultInjector, FaultPlan, FaultStats, FaultWiring};
 pub use link::{
     Link, LinkConfig, LinkStats, LinkTraceState, QueueKind, RedConfig, TraceDriver, TraceSchedule,
 };
-pub use mega::{MegaEngine, MegaSessionView, SessionId};
 pub use packet::{AgentId, LinkId, Packet, PacketKind, Route};
 pub use scenarios::{
-    run_scenario, run_scenario_pooled, run_scenario_with, run_scenarios_mega,
-    run_scenarios_mega_staggered, ScenarioConfig, ScenarioOutcome, TraceKind, Transport, WorldPool,
+    run_scenario, run_scenario_pooled, run_scenario_with, ScenarioConfig, ScenarioOutcome,
+    TraceKind, Transport, WorldPool,
 };
 pub use sched::{
     ambient_scheduler, set_ambient_scheduler, AnyScheduler, EventKey, HeapScheduler, Scheduler,

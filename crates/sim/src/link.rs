@@ -101,7 +101,7 @@ impl LinkConfig {
 /// plain value and replaying it never consumes world RNG. Advancement is
 /// driven off the event scheduler by a [`TraceDriver`] agent, which makes
 /// trace-driven runs bit-identical across heap-vs-wheel schedulers and
-/// solo-vs-mega executors (pinned by `tests/trace_differential.rs`).
+/// warm-vs-cold executors (pinned by `tests/trace_differential.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSchedule {
     points: Vec<LinkTracePoint>,
@@ -489,9 +489,9 @@ impl Link {
 ///
 /// Driving the schedule through ordinary timer events — rather than
 /// polling link state on some side channel — is what makes trace replay
-/// bit-identical across heap-vs-wheel schedulers, warm-vs-cold pools and
-/// solo-vs-mega executors: the `(time, seq)` event order fully determines
-/// when each point lands relative to every packet.
+/// bit-identical across heap-vs-wheel schedulers and warm-vs-cold pools:
+/// the `(time, seq)` event order fully determines when each point lands
+/// relative to every packet.
 ///
 /// The driver draws no world RNG (schedules are pre-materialized), so
 /// attaching it perturbs nothing but the link parameters it writes.

@@ -10,7 +10,6 @@ use crate::agents::rap::{RapFlowAgent, RapSinkAgent};
 use crate::agents::tcp::{TcpAgent, TcpSinkAgent};
 use crate::engine::{World, WorldSalvage};
 use crate::link::{LinkStats, TraceDriver, TraceSchedule, BOND_PATH_SALT};
-use crate::mega::{MegaEngine, MegaSessionView};
 use crate::packet::{AgentId, LinkId};
 use crate::sched::SchedulerKind;
 use crate::topology::{Dumbbell, DumbbellConfig};
@@ -314,125 +313,53 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
 /// every [`SchedulerKind`]; `tests/sched_differential.rs` pins this.
 pub fn run_scenario_with(cfg: &ScenarioConfig, sched: SchedulerKind) -> ScenarioOutcome {
     let world = World::with_scheduler(cfg.seed, sched);
-    run_scenario_core(cfg, world, None).0
+    run_scenario_core(cfg, world).0
 }
 
-/// Run several scenarios multiplexed on one [`MegaEngine`] (all starting
-/// at global time zero), returning outcomes in input order. Every outcome
-/// — including its [`crate::campaign::hash_outcome`] fingerprint — is
-/// bit-identical to [`run_scenario_with`] on the same config;
-/// `tests/mega_differential.rs` pins this.
-pub fn run_scenarios_mega(cfgs: &[ScenarioConfig], sched: SchedulerKind) -> Vec<ScenarioOutcome> {
-    let staggered: Vec<(ScenarioConfig, f64)> =
-        cfgs.iter().map(|cfg| (cfg.clone(), 0.0)).collect();
-    run_scenarios_mega_staggered(&staggered, sched)
-}
-
-/// [`run_scenarios_mega`] with a per-session global start offset
-/// (seconds): session `i` begins its local time zero at `offset_i`. The
-/// offset shifts when the session runs, never what it computes — each
-/// outcome stays bit-identical to an isolated [`run_scenario_with`].
-pub fn run_scenarios_mega_staggered(
-    cfgs: &[(ScenarioConfig, f64)],
-    sched: SchedulerKind,
-) -> Vec<ScenarioOutcome> {
-    let mut engine = MegaEngine::with_scheduler(sched);
-    engine.reserve(cfgs.len(), cfgs.len() * 64);
-    let mut admitted = Vec::with_capacity(cfgs.len());
-    let mut t_end = 0.0f64;
-    for (i, (cfg, offset)) in cfgs.iter().enumerate() {
-        let world = World::with_scheduler(cfg.seed, sched);
-        let (mut world, handles) = build_scenario(cfg, world, None);
-        // Flight-recorder track = input index, matching how the campaign
-        // executors label cells by grid index.
-        world.set_flight_id(i as u64);
-        let sid = engine.add_world(world, *offset, cfg.duration);
-        t_end = t_end.max(offset + cfg.duration);
-        admitted.push((cfg, handles, sid));
-    }
-    engine.run_until(t_end);
-    admitted
-        .into_iter()
-        .map(|(cfg, handles, sid)| extract_outcome(cfg, &engine.session(sid), &handles))
-        .collect()
-}
-
-/// Warm per-worker world state: salvaged engine storage of sessions this
-/// worker already ran plus a shared QA geometry memo. One pool lives on
-/// each campaign worker thread; from its second session onward the
-/// scheduler slab, link ring buffers and agents vector are recycled and
-/// geometry derivations hit the memo, which is where the warm-world
-/// speedup comes from. Results are bit-identical to the cold path — the
-/// pool is invisible to the simulation (pinned by replay tests and the
-/// `laqa-bench campaign` fingerprint gate). The bank holds multiple
-/// salvages because a mega worker retires a whole chunk of sessions at
-/// once before building the next chunk.
+/// Warm per-worker world state: the salvaged engine storage of the last
+/// session this worker ran. One pool lives on each campaign worker thread;
+/// from its second session onward the scheduler slab, link ring buffers
+/// and agents vector are recycled, which is where the warm-world speedup
+/// comes from. Results are bit-identical to the cold path — the pool is
+/// invisible to the simulation (pinned by replay tests and the
+/// `laqa-bench campaign` fingerprint gate).
 #[derive(Default)]
 pub struct WorldPool {
-    salvages: Vec<WorldSalvage>,
-    geometry: Option<laqa_core::SharedGeometryCache>,
+    salvage: Option<WorldSalvage>,
 }
 
 impl WorldPool {
     /// Fresh pool: first session is cold, everything after is warm.
     pub fn new() -> Self {
-        WorldPool {
-            salvages: Vec::new(),
-            geometry: Some(laqa_core::GeometryCache::shared()),
-        }
-    }
-
-    /// Geometry-memo `(hits, misses)` so far (zeros for a fresh pool).
-    pub fn geometry_stats(&self) -> (u64, u64) {
-        self.geometry
-            .as_ref()
-            .map(|g| g.lock().expect("geometry cache poisoned").stats())
-            .unwrap_or((0, 0))
+        Self::default()
     }
 
     /// True once a retired world's storage is banked for reuse.
     pub fn is_warm(&self) -> bool {
-        !self.salvages.is_empty()
-    }
-
-    /// Withdraw one banked salvage, if any (LIFO).
-    pub(crate) fn take_salvage(&mut self) -> Option<WorldSalvage> {
-        self.salvages.pop()
-    }
-
-    /// Bank a retired world's storage for the next session.
-    pub(crate) fn bank_salvage(&mut self, salvage: WorldSalvage) {
-        self.salvages.push(salvage);
-    }
-
-    /// The shared QA geometry memo, if this pool carries one.
-    pub(crate) fn geometry(&self) -> Option<&laqa_core::SharedGeometryCache> {
-        self.geometry.as_ref()
+        self.salvage.is_some()
     }
 }
 
 /// Run a scenario through a [`WorldPool`], recycling the pool's salvaged
-/// engine storage and shared geometry memo, then banking this session's
-/// world back into the pool. Bit-identical outcome to
-/// [`run_scenario_with`].
+/// engine storage, then banking this session's world back into the pool.
+/// Bit-identical outcome to [`run_scenario_with`].
 pub fn run_scenario_pooled(
     cfg: &ScenarioConfig,
     sched: SchedulerKind,
     pool: &mut WorldPool,
 ) -> ScenarioOutcome {
-    let world = match pool.take_salvage() {
+    let world = match pool.salvage.take() {
         Some(salvage) => World::with_salvage(cfg.seed, sched, salvage),
         None => World::with_scheduler(cfg.seed, sched),
     };
-    let (outcome, world) = run_scenario_core(cfg, world, pool.geometry());
-    pool.bank_salvage(world.salvage());
+    let (outcome, world) = run_scenario_core(cfg, world);
+    pool.salvage = Some(world.salvage());
     outcome
 }
 
 /// Agent ids and link handles recorded while building a scenario, so the
-/// outcome can be extracted later from whichever engine ran the world —
-/// solo [`World::run_until`] or a multiplexed [`MegaEngine`] slot.
-pub(crate) struct ScenarioHandles {
+/// outcome can be extracted once the world has run.
+struct ScenarioHandles {
     qa_sink: AgentId,
     qa_src: AgentId,
     /// Which [`QaSourceAgent`] instantiation sits at `qa_src` (extraction
@@ -449,53 +376,11 @@ pub(crate) struct ScenarioHandles {
     bond_leg: Option<LinkId>,
 }
 
-/// Read-only access to a finished session's state, abstracting over a
-/// solo [`World`] and a [`MegaSessionView`] into the megasession table.
-/// Both impls delegate to identically-shaped inherent methods, so
-/// extraction code is byte-for-byte the same on either path.
-pub(crate) trait OutcomeSource {
-    /// Downcast the agent at `id`, if present and of type `T`.
-    fn agent<T: 'static>(&self, id: AgentId) -> Option<&T>;
-    /// Counters of link `link`.
-    fn link_stats(&self, link: LinkId) -> LinkStats;
-    /// Events dispatched for this session.
-    fn events_processed(&self) -> u64;
-}
-
-impl OutcomeSource for World {
-    fn agent<T: 'static>(&self, id: AgentId) -> Option<&T> {
-        World::agent(self, id)
-    }
-    fn link_stats(&self, link: LinkId) -> LinkStats {
-        World::link_stats(self, link)
-    }
-    fn events_processed(&self) -> u64 {
-        World::events_processed(self)
-    }
-}
-
-impl OutcomeSource for MegaSessionView<'_> {
-    fn agent<T: 'static>(&self, id: AgentId) -> Option<&T> {
-        MegaSessionView::agent(self, id)
-    }
-    fn link_stats(&self, link: LinkId) -> LinkStats {
-        MegaSessionView::link_stats(self, link)
-    }
-    fn events_processed(&self) -> u64 {
-        MegaSessionView::events_processed(self)
-    }
-}
-
 /// Shared scenario body: populate `world` with the dumbbell and agents,
 /// run it, extract the outcome, and hand the world back so pooled callers
-/// can salvage its storage. `geometry`, when present, is attached to the
-/// QA controller so state-sequence derivations go through the shared memo.
-fn run_scenario_core(
-    cfg: &ScenarioConfig,
-    world: World,
-    geometry: Option<&laqa_core::SharedGeometryCache>,
-) -> (ScenarioOutcome, World) {
-    let (mut world, handles) = build_scenario(cfg, world, geometry);
+/// can salvage its storage.
+fn run_scenario_core(cfg: &ScenarioConfig, world: World) -> (ScenarioOutcome, World) {
+    let (mut world, handles) = build_scenario(cfg, world);
     world.run_until(cfg.duration);
     let outcome = extract_outcome(cfg, &world, &handles);
     (outcome, world)
@@ -506,11 +391,7 @@ fn run_scenario_core(
 /// find everything afterward. Construction order — and therefore every
 /// agent id, link id and RNG draw — is identical to what the monolithic
 /// scenario body always did, so trajectories stay bit-identical.
-pub(crate) fn build_scenario(
-    cfg: &ScenarioConfig,
-    world: World,
-    geometry: Option<&laqa_core::SharedGeometryCache>,
-) -> (World, ScenarioHandles) {
+fn build_scenario(cfg: &ScenarioConfig, world: World) -> (World, ScenarioHandles) {
     let mut d = Dumbbell::with_world(cfg.dumbbell, world);
     // The bonded corpus adds its second forward bottleneck *before* any
     // per-flow access links, so link numbering in every other scenario —
@@ -567,14 +448,10 @@ pub(crate) fn build_scenario(
             world: &mut World,
             mut src: QaSourceAgent<T>,
             cfg: &ScenarioConfig,
-            geometry: Option<&laqa_core::SharedGeometryCache>,
             expect_id: AgentId,
         ) {
             src.start_at = cfg.qa_start;
             src.retransmit_protect = cfg.retransmit_protect;
-            if let Some(cache) = geometry {
-                src.qa_mut().set_geometry_cache(cache.clone());
-            }
             assert_eq!(world.add_agent(Box::new(src)), expect_id);
         }
         match cfg.transport {
@@ -587,7 +464,7 @@ pub(crate) fn build_scenario(
                     cfg.qa.clone(),
                     cfg.tick_dt,
                 );
-                finish_qa_src(&mut d.world, src, cfg, geometry, qa_src_id);
+                finish_qa_src(&mut d.world, src, cfg, qa_src_id);
             }
             Transport::Bbr => {
                 let bbr = BbrSender::new(
@@ -610,7 +487,7 @@ pub(crate) fn build_scenario(
                     cfg.qa.clone(),
                     cfg.tick_dt,
                 );
-                finish_qa_src(&mut d.world, src, cfg, geometry, qa_src_id);
+                finish_qa_src(&mut d.world, src, cfg, qa_src_id);
             }
             Transport::Nada => {
                 let nada = NadaSender::new(
@@ -633,7 +510,7 @@ pub(crate) fn build_scenario(
                     cfg.qa.clone(),
                     cfg.tick_dt,
                 );
-                finish_qa_src(&mut d.world, src, cfg, geometry, qa_src_id);
+                finish_qa_src(&mut d.world, src, cfg, qa_src_id);
             }
             Transport::Tcp => {
                 let window = WindowSender::new(
@@ -658,7 +535,7 @@ pub(crate) fn build_scenario(
                     cfg.qa.clone(),
                     cfg.tick_dt,
                 );
-                finish_qa_src(&mut d.world, src, cfg, geometry, qa_src_id);
+                finish_qa_src(&mut d.world, src, cfg, qa_src_id);
             }
         }
     }
@@ -816,11 +693,10 @@ pub(crate) fn build_scenario(
     )
 }
 
-/// Collect a [`ScenarioOutcome`] from a finished session, whichever
-/// engine ran it (see [`OutcomeSource`]).
-pub(crate) fn extract_outcome<S: OutcomeSource>(
+/// Collect a [`ScenarioOutcome`] from a finished world.
+fn extract_outcome(
     cfg: &ScenarioConfig,
-    world: &S,
+    world: &World,
     handles: &ScenarioHandles,
 ) -> ScenarioOutcome {
     let pkt = cfg.rap.packet_size as u32;
@@ -871,8 +747,8 @@ pub(crate) fn extract_outcome<S: OutcomeSource>(
     let bond_leg = handles.bond_leg.map(|l| world.link_stats(l));
     // The QA source's concrete type depends on the transport; downcast to
     // the matching instantiation and pull out the identical field set.
-    fn qa_src_parts<S: OutcomeSource, T: RateController + 'static>(
-        world: &S,
+    fn qa_src_parts<T: RateController + 'static>(
+        world: &World,
         id: AgentId,
     ) -> (QaTraces, MetricsCollector, u64, Vec<f64>) {
         let src: &QaSourceAgent<T> = world.agent(id).unwrap();
@@ -884,10 +760,10 @@ pub(crate) fn extract_outcome<S: OutcomeSource>(
         )
     }
     let (traces, metrics, backoffs, final_buffers) = match handles.transport {
-        Transport::Rap => qa_src_parts::<S, RapSender>(world, handles.qa_src),
-        Transport::Bbr => qa_src_parts::<S, BbrSender>(world, handles.qa_src),
-        Transport::Nada => qa_src_parts::<S, NadaSender>(world, handles.qa_src),
-        Transport::Tcp => qa_src_parts::<S, WindowSender>(world, handles.qa_src),
+        Transport::Rap => qa_src_parts::<RapSender>(world, handles.qa_src),
+        Transport::Bbr => qa_src_parts::<BbrSender>(world, handles.qa_src),
+        Transport::Nada => qa_src_parts::<NadaSender>(world, handles.qa_src),
+        Transport::Tcp => qa_src_parts::<WindowSender>(world, handles.qa_src),
     };
     ScenarioOutcome {
         traces,

@@ -665,18 +665,6 @@ impl<T: PartialEq> AnyScheduler<T> {
             AnyScheduler::Wheel(_) => SchedulerKind::Wheel,
         }
     }
-
-    /// Pre-size backing storage for `additional` more in-flight events
-    /// (heap array or wheel slab). Purely an allocator hint: scheduling
-    /// order and capacity limits are unchanged. The megasession engine
-    /// calls this before absorbing a batch of sessions so the shared
-    /// arena grows once instead of doubling mid-run.
-    pub fn reserve(&mut self, additional: usize) {
-        match self {
-            AnyScheduler::Heap(s) => s.heap.reserve(additional),
-            AnyScheduler::Wheel(s) => s.slab.reserve(additional),
-        }
-    }
 }
 
 impl<T: PartialEq> Scheduler<T> for AnyScheduler<T> {

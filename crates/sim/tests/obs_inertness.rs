@@ -7,7 +7,7 @@
 //! process-global, and a single test body is the only way to guarantee
 //! the off-run really executes with obs off.
 
-use laqa_sim::{run_campaign, run_campaign_opts, CampaignOptions, CampaignSpec, TestKind};
+use laqa_sim::{run_campaign, CampaignSpec, TestKind};
 
 #[test]
 fn fingerprints_identical_with_obs_on_and_off() {
@@ -77,70 +77,13 @@ fn fingerprints_identical_with_obs_on_and_off() {
         );
     }
 
-    // Mega executor: the same inertness contract must hold with every
-    // session multiplexed on shared engines, including the mega.* sites.
-    // Chunk 2 forces several chunks per worker, so retired sessions leave
-    // stale timer tokens behind for later chunks to recycle.
-    let mega_opts = CampaignOptions::new(2).mega().mega_chunk(2);
-    laqa_obs::reset();
-    assert!(!laqa_obs::enabled());
-    let mega_off = run_campaign_opts(&spec, mega_opts);
-    assert!(
-        laqa_obs::snapshot().is_empty(),
-        "disabled instrumentation recorded state during mega run"
-    );
-
-    laqa_obs::reset();
-    laqa_obs::set_enabled(true);
-    let mega_on = run_campaign_opts(&spec, mega_opts);
-    laqa_obs::set_enabled(false);
-    let mega_snap = laqa_obs::snapshot();
-
-    assert_eq!(
-        off.fingerprint(),
-        mega_off.fingerprint(),
-        "mega executor changed the campaign fingerprint"
-    );
-    assert_eq!(
-        mega_off.fingerprint(),
-        mega_on.fingerprint(),
-        "enabling obs changed the mega campaign fingerprint"
-    );
-
-    // The mega instrumentation sites must actually have fired.
-    assert!(
-        mega_snap.histogram("mega.batch_size").map_or(0, |h| h.count) > 0,
-        "no mega.batch_size observations"
-    );
-    assert!(
-        mega_snap.gauge("mega.sessions_live").is_some(),
-        "no mega.sessions_live gauge"
-    );
-    assert!(
-        mega_snap.counter("mega.token_recycles").unwrap_or(0) > 0,
-        "no mega.token_recycles: chunked retirement should strand stale tokens"
-    );
-    assert_eq!(
-        mega_snap.counter("campaign.sessions"),
-        Some(spec.len() as u64),
-        "one campaign.sessions increment per mega session"
-    );
-    assert!(
-        mega_snap
-            .histogram("mega.session_event_ns")
-            .map_or(0, |h| h.count)
-            > 0,
-        "no mega.session_event_ns observations"
-    );
-
     // Flight recorder: same contract one level up. With the recorder (and
-    // obs) live on both executors the fingerprints still cannot move, and
-    // the trace must carry the per-session timeline sites.
+    // obs) live the fingerprint still cannot move, and the trace must
+    // carry the per-session timeline sites.
     laqa_obs::reset();
     laqa_obs::set_enabled(true);
     laqa_obs::flight::set_enabled(true);
     let flight_on = run_campaign(&spec, 2);
-    let flight_mega = run_campaign_opts(&spec, mega_opts);
     laqa_obs::flight::set_enabled(false);
     laqa_obs::set_enabled(false);
     let flight = laqa_obs::flight::snapshot_flight();
@@ -150,11 +93,6 @@ fn fingerprints_identical_with_obs_on_and_off() {
         off.fingerprint(),
         flight_on.fingerprint(),
         "enabling the flight recorder changed the campaign fingerprint"
-    );
-    assert_eq!(
-        off.fingerprint(),
-        flight_mega.fingerprint(),
-        "enabling the flight recorder changed the mega campaign fingerprint"
     );
     assert!(!flight.records.is_empty(), "no flight records");
     let has = |name: &str| flight.records.iter().any(|r| r.name == name);

@@ -6,9 +6,11 @@
 //! session computes*, because every session owns its seed-derived RNG and
 //! results land in spec-order slots.
 
+use laqa_check::{cases, Gen};
 use laqa_sim::{
-    run_campaign, run_campaign_fold, run_campaign_opts, run_session, CampaignOptions,
-    CampaignSpec, TestKind,
+    run_campaign, run_campaign_fold, run_campaign_opts, run_session, run_session_pooled,
+    run_session_with, CampaignOptions, CampaignSpec, SchedulerKind, SessionSpec, TestKind,
+    TraceKind, Transport, WorldPool,
 };
 
 fn sweep() -> CampaignSpec {
@@ -121,9 +123,9 @@ fn empty_campaign_runs_to_an_empty_result() {
 
 #[test]
 fn warm_and_cold_worlds_replay_identically() {
-    // The warm-world pool (engine salvage + geometry memo) is pure
-    // allocator recycling: against cold per-session worlds the campaign
-    // must be bit-identical, across thread counts.
+    // The warm-world pool (engine salvage) is pure allocator recycling:
+    // against cold per-session worlds the campaign must be bit-identical,
+    // across thread counts.
     let spec = sweep();
     let cold = run_campaign_opts(&spec, CampaignOptions::new(1).cold());
     let warm = run_campaign_opts(&spec, CampaignOptions::new(1));
@@ -133,6 +135,49 @@ fn warm_and_cold_worlds_replay_identically() {
     for (a, b) in cold.sessions.iter().zip(&warm.sessions) {
         assert_eq!(a.trace_hash, b.trace_hash, "warm diverged: {}", a.spec.label());
     }
+}
+
+/// Draw one random session: workload, smoothing, seed, duration (past the
+/// QA flow's 5 s join so the controller ticks), fault intensity, transport
+/// and link trace — bonded cells carry an extra bottleneck leg and a relay
+/// agent, faulted ones an injector and churn sink, so consecutive draws
+/// rarely share a topology.
+fn gen_session(g: &mut Gen) -> SessionSpec {
+    SessionSpec {
+        test: if g.bool(0.7) { TestKind::T1 } else { TestKind::T2 },
+        k_max: *g.pick(&[1, 2, 4]),
+        seed: g.u64_in(1, 1 << 40),
+        duration: g.f64_range(5.5, 7.5),
+        fault_intensity: g.bool(0.4).then(|| g.f64_range(0.3, 1.0)),
+        transport: *g.pick(&Transport::ALL),
+        trace: g.bool(0.5).then(|| *g.pick(&TraceKind::ALL)),
+    }
+}
+
+#[test]
+fn random_sessions_through_one_pool_match_isolated_cold_runs() {
+    // The fixed grids above only ever hand a pool same-shaped sessions.
+    // Here one pool sees independently drawn sessions (so their order is
+    // already a random shuffle) on randomly alternating schedulers: every
+    // salvage is rebuilt into a world with a different link count, agent
+    // count or queue kind — and each result must still equal the cold
+    // world built from nothing.
+    cases("warm_pool_random_sessions_match_cold", 4, |g, case| {
+        let mut pool = WorldPool::new();
+        for i in 0..g.usize_in(5, 8) {
+            let spec = gen_session(g);
+            let warm = run_session_pooled(&spec, *g.pick(&SchedulerKind::ALL), &mut pool);
+            let cold = run_session_with(&spec, *g.pick(&SchedulerKind::ALL));
+            assert_eq!(
+                warm.trace_hash,
+                cold.trace_hash,
+                "case {case}: session {i} ({}) diverged on a recycled world",
+                spec.label()
+            );
+            assert_eq!(warm.events_processed, cold.events_processed);
+        }
+        assert!(pool.is_warm());
+    });
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! A trace-driven cell is only usable as a regression anchor if its
 //! fingerprint survives every executor and scheduler choice. This suite
 //! runs a hostile grid — every [`TraceKind`] including the bonded
-//! two-path cell — through {heap, wheel} × {warm, cold, mega} × {1, 8
+//! two-path cell — through {heap, wheel} × {warm, cold} × {1, 8
 //! threads} and demands cell-by-cell trace-hash equality, then composes
 //! the full-intensity fault suite on top of an LTE/bufferbloat trace and
 //! demands the run both survives and replays bit-identically.
@@ -49,10 +49,9 @@ fn hostile_grid_is_invariant_across_schedulers_executors_and_threads() {
 
     for sched in [SchedulerKind::Reference, SchedulerKind::Wheel] {
         for threads in [1usize, 8] {
-            let variants: [(&str, CampaignOptions); 3] = [
+            let variants: [(&str, CampaignOptions); 2] = [
                 ("warm", CampaignOptions::new(threads).sched(sched)),
                 ("cold", CampaignOptions::new(threads).sched(sched).cold()),
-                ("mega", CampaignOptions::new(threads).sched(sched).mega()),
             ];
             for (name, opts) in variants {
                 let got = run_campaign_opts(&spec, opts);
@@ -120,7 +119,7 @@ fn faults_compose_with_traces_at_full_intensity() {
     // The hardest cell in the corpus: the complete fault suite at
     // intensity 1.0 running on top of a hostile trace. It must survive
     // with bounded base-layer damage and replay bit-identically, warm or
-    // mega.
+    // cold.
     let spec = CampaignSpec::hostile_grid(
         &[TestKind::T1],
         &[TraceKind::Lte, TraceKind::Bloat],
@@ -131,7 +130,7 @@ fn faults_compose_with_traces_at_full_intensity() {
         Some(1.0),
     );
     let a = run_campaign_opts(&spec, CampaignOptions::new(2));
-    let b = run_campaign_opts(&spec, CampaignOptions::new(2).mega());
+    let b = run_campaign_opts(&spec, CampaignOptions::new(2).cold());
     assert_eq!(
         a.fingerprint(),
         b.fingerprint(),

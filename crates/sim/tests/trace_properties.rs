@@ -103,9 +103,8 @@ fn seeded_generators_are_pure_functions_of_their_seed() {
 #[test]
 fn longer_horizon_extends_shorter_without_perturbing_the_prefix() {
     // Chunk-boundary identity: a schedule generated for 2×D seconds agrees
-    // point-for-point with the D-second schedule over [0, D). Megasession
-    // chunking and staggered admission both rely on this — the schedule a
-    // session sees must not depend on how far ahead it was materialized.
+    // point-for-point with the D-second schedule over [0, D): the schedule
+    // a session sees must not depend on how far ahead it was materialized.
     for seed in [7u64, 21] {
         let short = TraceSchedule::lte(seed, 100_000.0, 15.0);
         let long = TraceSchedule::lte(seed, 100_000.0, 30.0);

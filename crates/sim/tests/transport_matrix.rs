@@ -8,14 +8,9 @@
 //! - RAP cells keep byte-identical labels and summary parameters (the axis
 //!   must be invisible to every historical golden);
 //! - every transport completes the paper's scenarios with finite,
-//!   non-degenerate metrics and a per-seed deterministic trace;
-//! - the megasession executor reproduces the per-cell executor bit for bit
-//!   under every transport, not just RAP.
+//!   non-degenerate metrics and a per-seed deterministic trace.
 
-use laqa_sim::{
-    run_campaign, run_campaign_opts, CampaignOptions, CampaignSpec, ScenarioConfig, SessionSpec,
-    TestKind, Transport,
-};
+use laqa_sim::{run_campaign, CampaignSpec, ScenarioConfig, SessionSpec, TestKind, Transport};
 
 fn spec_for(transport: Transport) -> SessionSpec {
     SessionSpec {
@@ -172,18 +167,6 @@ fn transports_actually_diverge_from_rap() {
             transport.label()
         );
     }
-}
-
-#[test]
-fn mega_executor_matches_per_cell_for_every_transport() {
-    let spec = CampaignSpec::interop_grid(&[TestKind::T1], &Transport::ALL, &[2], &[7, 21], 8.0, None);
-    let per_cell = run_campaign_opts(&spec, CampaignOptions::new(1));
-    let mega = run_campaign_opts(&spec, CampaignOptions::new(1).mega());
-    assert_eq!(
-        per_cell.fingerprint(),
-        mega.fingerprint(),
-        "megasession executor must be invisible under every transport"
-    );
 }
 
 #[test]

@@ -346,7 +346,7 @@ impl<'a> Parser<'a> {
                     // inside a multi-byte sequence — the run is always
                     // char-boundary aligned. One validation per run keeps
                     // parsing linear; per-character validation of the tail
-                    // made multi-megabyte trace files take minutes.
+                    // made multi-MB trace files take minutes.
                     let start = self.pos;
                     while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
                         self.pos += 1;
