@@ -11,10 +11,7 @@
 //! * `nonlinear_layers` — quality adaptation over non-uniform layer rates;
 //! * `live_session` — a playback session against the simulated network.
 //!
-//! Run one with `cargo run -p laqa-apps --example quickstart`. (The
-//! tokio/UDP `streaming_session` example lives in the network-facing
-//! `laqa-net` crate, which builds separately from the hermetic default
-//! workspace — see DESIGN.md, "Hermetic offline builds".)
+//! Run one with `cargo run -p laqa-apps --example quickstart`.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -34,7 +34,7 @@
 //!
 //! `--obs` turns the workspace-wide instrumentation (and the flight
 //! recorder) on for the run and writes `metrics.json` / `spans.json` /
-//! `events.json` / `flight.json` to DIR afterwards (render with
+//! `flight.json` to DIR afterwards (render with
 //! `laqa obs-report --dir DIR`, convert the flight trace with
 //! `laqa obs-trace --dir DIR`). Observability is inert: fingerprints are
 //! bit-identical with and without it.
@@ -203,10 +203,12 @@ fn interop_table(result: &CampaignResult, transports: &[Transport]) -> String {
     tbl.render()
 }
 
-/// Every option this binary takes (see the module docs).
-const OPTIONS: &[&str] = &[
-    "smoke", "scaling", "faults", "threads", "duration", "kmax", "seeds", "intensity",
-    "transport", "trace", "out", "obs", "sched",
+/// Every option this binary takes (see the module docs): mode flags,
+/// then the options that carry a value.
+const FLAGS: &[&str] = &["smoke", "scaling", "faults"];
+const VALUED: &[&str] = &[
+    "threads", "duration", "kmax", "seeds", "intensity", "transport", "trace", "out", "obs",
+    "sched",
 ];
 
 fn main() {
@@ -214,7 +216,7 @@ fn main() {
     if raw.first().is_none_or(|a| a.starts_with("--")) {
         raw.insert(0, "run".to_string());
     }
-    let args = match Args::parse(raw, OPTIONS) {
+    let args = match Args::parse(raw, FLAGS, VALUED) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
@@ -266,20 +268,19 @@ fn main() {
     }
 }
 
-/// Write the accumulated obs snapshot to `dir` (metrics/spans/events
-/// JSON) plus the flight-recorder trace (`flight.json`).
+/// Write the accumulated obs snapshot to `dir` (metrics/spans JSON)
+/// plus the flight-recorder trace (`flight.json`).
 fn export_obs(dir: &std::path::Path) -> Result<(), AnyError> {
     laqa_obs::set_enabled(false);
     laqa_obs::flight::set_enabled(false);
     let snap = laqa_obs::snapshot();
     snap.write_dir(dir)?;
     println!(
-        "obs: wrote snapshot to {} ({} counters, {} spans, {} events kept) — \
+        "obs: wrote snapshot to {} ({} counters, {} spans) — \
          render with `laqa obs-report --dir {}`",
         dir.display(),
         snap.counters.len(),
         snap.spans.len(),
-        snap.events.len(),
         dir.display(),
     );
     let flight = laqa_obs::flight::snapshot_flight();

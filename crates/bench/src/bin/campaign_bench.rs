@@ -664,10 +664,8 @@ fn main() {
     if raw.first().is_none_or(|a| a.starts_with("--")) {
         raw.insert(0, "run".to_string());
     }
-    let allowed = [
-        "smoke", "profile", "threads", "reps", "duration", "out", "check",
-    ];
-    let args = match Args::parse(raw, &allowed) {
+    let valued = ["threads", "reps", "duration", "out", "check"];
+    let args = match Args::parse(raw, &["smoke", "profile"], &valued) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");

@@ -22,24 +22,30 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // Options per subcommand (the usage block above); anything else —
     // including every option of an unknown subcommand — is rejected.
-    let allowed: &[&str] = match raw.first().map(String::as_str) {
-        Some("sim") => &[
-            "test",
-            "kmax",
-            "duration",
-            "seed",
-            "red",
-            "loss",
-            "retransmit",
-            "csv",
-        ],
-        Some("states") => &["rate", "layers", "c", "slope", "kmax"],
-        Some("bands") => &["deficit", "layers", "c", "slope", "exp-base", "exp-factor"],
-        Some("obs-report") => &["dir"],
-        Some("obs-trace") => &["dir", "out"],
-        _ => &[],
+    // `sim --red` is the only bare flag; the rest carry a value.
+    let (flags, valued): (&[&str], &[&str]) = match raw.first().map(String::as_str) {
+        Some("sim") => (
+            &["red"],
+            &[
+                "test",
+                "kmax",
+                "duration",
+                "seed",
+                "loss",
+                "retransmit",
+                "csv",
+            ],
+        ),
+        Some("states") => (&[], &["rate", "layers", "c", "slope", "kmax"]),
+        Some("bands") => (
+            &[],
+            &["deficit", "layers", "c", "slope", "exp-base", "exp-factor"],
+        ),
+        Some("obs-report") => (&[], &["dir"]),
+        Some("obs-trace") => (&[], &["dir", "out"]),
+        _ => (&[], &[]),
     };
-    let args = match Args::parse(raw, allowed) {
+    let args = match Args::parse(raw, flags, valued) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}\n");
@@ -79,11 +85,7 @@ subcommands:
   bands       print the optimal per-layer buffer bands for a deficit
   obs-report  render an observability snapshot written by campaign --obs DIR
   obs-trace   convert a flight-recorder trace (flight.json in --obs DIR)
-              to Chrome trace-event JSON for Perfetto / chrome://tracing
-
-the real-socket streaming session lives in the standalone laqa-net
-crate (registry deps): cargo run --manifest-path crates/net/Cargo.toml
---bin net_experiment"
+              to Chrome trace-event JSON for Perfetto / chrome://tracing"
     );
 }
 
@@ -138,9 +140,8 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// Load the `metrics.json` / `spans.json` / `events.json` triple written
-/// by `campaign --obs DIR` and print it as aligned tables plus the merged
-/// event log.
+/// Load the `metrics.json` / `spans.json` pair written by
+/// `campaign --obs DIR` and print it as aligned tables.
 fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
     let dir: String = args.get("dir", "target/obs".to_string())?;
     let path = std::path::Path::new(&dir);

@@ -266,8 +266,8 @@ fn main() {
     if raw.first().is_none_or(|a| a.starts_with("--")) {
         raw.insert(0, "run".to_string());
     }
-    let allowed = ["smoke", "threads", "reps", "duration", "kmax", "seeds", "out"];
-    let args = match Args::parse(raw, &allowed) {
+    let valued = ["threads", "reps", "duration", "kmax", "seeds", "out"];
+    let args = match Args::parse(raw, &["smoke"], &valued) {
         Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");

@@ -20,7 +20,8 @@ pub enum ArgError {
     UnexpectedPositional(String),
     /// An option the command does not take.
     UnknownOption(String),
-    /// An option value failed to parse.
+    /// An option value failed to parse, a bare flag was given a value, or
+    /// a valued option was given none (`value` is then empty).
     BadValue {
         /// Option name.
         key: String,
@@ -35,6 +36,9 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
             ArgError::UnknownOption(key) => write!(f, "unknown option --{key}"),
+            ArgError::BadValue { key, value } if value.is_empty() => {
+                write!(f, "missing value for --{key}")
+            }
             ArgError::BadValue { key, value } => {
                 write!(f, "invalid value '{value}' for --{key}")
             }
@@ -45,12 +49,15 @@ impl std::fmt::Display for ArgError {
 impl std::error::Error for ArgError {}
 
 impl Args {
-    /// Parse an iterator of arguments (excluding the program name),
-    /// rejecting any `--key` not named in `allowed` — a misspelt or retired
-    /// option must fail the run, not silently fall back to a default.
+    /// Parse an iterator of arguments (excluding the program name).
+    /// `flags` take no value and `valued` options take exactly one; any
+    /// other `--key`, a flag followed by a value, or a valued option
+    /// without one is an error — a misspelt option or `--smoke 1` must
+    /// fail the run, not silently fall back to a default.
     pub fn parse<I: IntoIterator<Item = String>>(
         args: I,
-        allowed: &[&str],
+        flags: &[&str],
+        valued: &[&str],
     ) -> Result<Args, ArgError> {
         let mut iter = args.into_iter().peekable();
         let command = iter.next().ok_or(ArgError::MissingCommand)?;
@@ -60,12 +67,19 @@ impl Args {
         let mut options = BTreeMap::new();
         while let Some(arg) = iter.next() {
             if let Some(key) = arg.strip_prefix("--") {
-                if !allowed.contains(&key) {
+                let is_flag = flags.contains(&key);
+                if !is_flag && !valued.contains(&key) {
                     return Err(ArgError::UnknownOption(key.to_string()));
                 }
-                let value = match iter.peek() {
-                    Some(v) if !v.starts_with("--") => iter.next().unwrap(),
-                    _ => "true".to_string(),
+                let value = match iter.next_if(|v| !v.starts_with("--")) {
+                    None if is_flag => "true".to_string(),
+                    Some(value) if !is_flag => value,
+                    given => {
+                        return Err(ArgError::BadValue {
+                            key: key.to_string(),
+                            value: given.unwrap_or_default(),
+                        })
+                    }
                 };
                 options.insert(key.to_string(), value);
             } else {
@@ -117,10 +131,38 @@ mod tests {
     use super::*;
 
     fn parse(s: &str) -> Result<Args, ArgError> {
-        let allowed = [
-            "test", "kmax", "red", "duration", "seeds", "verbose", "rate",
-        ];
-        Args::parse(s.split_whitespace().map(String::from), &allowed)
+        let flags = ["red", "verbose"];
+        let valued = ["test", "kmax", "duration", "seeds", "rate"];
+        Args::parse(s.split_whitespace().map(String::from), &flags, &valued)
+    }
+
+    #[test]
+    fn rejects_flag_given_a_value() {
+        let err = parse("run --red 1 --kmax 2").unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::BadValue {
+                key: "red".into(),
+                value: "1".into()
+            }
+        );
+        assert_eq!(err.to_string(), "invalid value '1' for --red");
+    }
+
+    #[test]
+    fn rejects_valued_option_given_none() {
+        for line in ["run --kmax", "run --kmax --red"] {
+            let err = parse(line).unwrap_err();
+            assert_eq!(
+                err,
+                ArgError::BadValue {
+                    key: "kmax".into(),
+                    value: String::new()
+                },
+                "{line}"
+            );
+            assert_eq!(err.to_string(), "missing value for --kmax");
+        }
     }
 
     #[test]

@@ -72,7 +72,6 @@ impl std::error::Error for ConfigError {}
 /// per second** — the units used throughout the paper's Appendix A once its
 /// "one packet per RTT" increase is expressed as a rate slope.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct QaConfig {
     /// Per-layer consumption rate `C` (bytes/s). The paper's simulations use
     /// `C = 10 KB/s` (figure 11's consumption-rate gridlines).
@@ -282,25 +281,5 @@ mod tests {
         let cfg = QaConfig::default();
         assert_eq!(cfg.consumption(0), 0.0);
         assert_eq!(cfg.consumption(3), 3.0 * cfg.layer_rate);
-    }
-}
-
-#[cfg(all(test, feature = "serde"))]
-mod serde_tests {
-    use super::*;
-
-    #[test]
-    fn config_value_round_trip() {
-        let cfg = QaConfig {
-            layer_rate: 1_250.0,
-            max_layers: 7,
-            k_max: 3,
-            ..QaConfig::default()
-        };
-        let value = serde::Serialize::to_value(&cfg);
-        let back: QaConfig = serde::Deserialize::from_value(&value).unwrap();
-        assert_eq!(cfg, back);
-        let json = serde::to_string(&cfg);
-        assert!(json.contains("\"layer_rate\":1250"), "json: {json}");
     }
 }

@@ -3,7 +3,7 @@
 //! inter-layer bandwidth allocation (§2–§4).
 //!
 //! The controller is transport-agnostic. A congestion-controlled sender (the
-//! simulator's RAP agent, or the tokio RAP sender) drives it with:
+//! simulator's QA source agent) drives it with:
 //!
 //! * [`QaController::tick`] once per allocation period (typically one RTT or
 //!   a fixed short period) with the current transmission rate — the
@@ -32,7 +32,6 @@ use crate::states::StateSequence;
 
 /// Which side of the sawtooth the flow is on (figure 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Phase {
     /// Transmission rate at or above aggregate consumption: buffers fill.
     Filling,
@@ -201,12 +200,6 @@ impl QaController {
         }
     }
 
-    /// Record a detected loss of `bytes` that had been sent for `layer`.
-    /// With delivery-based crediting a lost packet was never credited, so
-    /// no debit is needed; the hook exists for transports that credit
-    /// optimistically (none of the bundled ones do) and for symmetry.
-    pub fn on_packet_lost(&mut self, _layer: usize, _bytes: f64) {}
-
     /// Congestion-control backoff: the transmission rate fell to
     /// `post_rate`. Runs the §2.2 drop rule and arms the draining path.
     pub fn on_backoff(&mut self, now: f64, post_rate: f64) {
@@ -302,12 +295,6 @@ impl QaController {
                     stalled = true;
                     self.metrics.record(QaEvent::BaseStall { time: now });
                     laqa_obs::counter!("qa.base_stalls").inc();
-                    laqa_obs::event!(
-                        laqa_obs::Level::Warn,
-                        "qa.base_stall",
-                        now,
-                        "rate" => rate,
-                    );
                     if laqa_obs::flight::enabled() {
                         laqa_obs::flight::instant("qa.base_stall", now, rate);
                     }
@@ -527,14 +514,6 @@ impl QaController {
                 // track (the exporter closes the previous one here).
                 laqa_obs::flight::state(self.phase.label(), now);
             }
-            laqa_obs::event!(
-                laqa_obs::Level::Info,
-                "qa.phase",
-                now,
-                "from" => before.label(),
-                "to" => self.phase.label(),
-                "n_active" => self.n_active,
-            );
         }
     }
 
@@ -552,12 +531,6 @@ impl QaController {
         if laqa_obs::flight::enabled() {
             laqa_obs::flight::instant("qa.layer_add", now, self.n_active as f64);
         }
-        laqa_obs::event!(
-            laqa_obs::Level::Info,
-            "qa.layer_add",
-            now,
-            "n_active" => self.n_active,
-        );
     }
 
     fn drop_top_layer(&mut self, now: f64, rate: f64, reason: DropReason) {
@@ -591,29 +564,25 @@ impl QaController {
             reason,
         });
         laqa_obs::counter!("qa.layer_drops").inc();
-        if laqa_obs::flight::enabled() {
-            laqa_obs::flight::instant("qa.layer_drop", now, layer as f64);
-        }
-        match reason {
+        // The timeline instant carries the reason in its static name,
+        // spelled like the per-reason counter beside it.
+        let instant = match reason {
             DropReason::InsufficientTotalBuffer => {
-                laqa_obs::counter!("qa.layer_drops.insufficient_total_buffer").inc()
+                laqa_obs::counter!("qa.layer_drops.insufficient_total_buffer").inc();
+                "qa.layer_drop.insufficient_total_buffer"
             }
             DropReason::DistributionShortfall => {
-                laqa_obs::counter!("qa.layer_drops.distribution_shortfall").inc()
+                laqa_obs::counter!("qa.layer_drops.distribution_shortfall").inc();
+                "qa.layer_drop.distribution_shortfall"
             }
-            DropReason::Underflow => laqa_obs::counter!("qa.layer_drops.underflow").inc(),
+            DropReason::Underflow => {
+                laqa_obs::counter!("qa.layer_drops.underflow").inc();
+                "qa.layer_drop.underflow"
+            }
+        };
+        if laqa_obs::flight::enabled() {
+            laqa_obs::flight::instant(instant, now, layer as f64);
         }
-        laqa_obs::event!(
-            laqa_obs::Level::Info,
-            "qa.layer_drop",
-            now,
-            "layer" => layer,
-            "n_active" => self.n_active,
-            "reason" => reason.label(),
-            "buf_total" => buf_total,
-            "buf_drop" => buf_drop,
-            "required" => required,
-        );
     }
 }
 
@@ -855,7 +824,6 @@ mod tests {
             for (layer, &r) in report.per_layer_rate.iter().enumerate() {
                 // 10% of the bytes are lost in transit: never delivered.
                 ctl.on_packet_delivered(layer, 0.9 * r * 0.1);
-                ctl.on_packet_lost(layer, 0.1 * r * 0.1);
             }
             now += 0.1;
         }

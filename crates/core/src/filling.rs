@@ -14,7 +14,7 @@
 //!   `SendPacket` pseudocode: which layer should own the next transmitted
 //!   packet's worth of buffering.
 //! * [`allocate_filling`] — a per-period rate split (consumption plus excess
-//!   shares), which is what the RAP/tokio senders consume; it produces the
+//!   shares), which is what the transport senders consume; it produces the
 //!   per-layer bandwidth "spikes" visible in the paper's figure 11.
 
 use crate::states::StateSequence;

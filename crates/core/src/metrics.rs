@@ -17,7 +17,6 @@
 
 /// Why a layer was dropped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum DropReason {
     /// §2.2 rule: total buffering below the recovery deficit at backoff.
     InsufficientTotalBuffer,
@@ -43,7 +42,6 @@ impl DropReason {
 
 /// One quality-adaptation event.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum QaEvent {
     /// A layer was added; `n_active` is the count *after* the add.
     LayerAdded {
@@ -79,7 +77,6 @@ pub enum QaEvent {
 
 /// Accumulates [`QaEvent`]s and derives the paper's evaluation metrics.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct MetricsCollector {
     events: Vec<QaEvent>,
 }

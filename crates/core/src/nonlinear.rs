@@ -20,7 +20,6 @@ use crate::scenario::Scenario;
 
 /// A heterogeneous layer stack (bytes/s per layer, base first).
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerRates {
     rates: Vec<f64>,
     /// Cumulative heights: `heights[i] = Σ_{j<i} rates[j]`, plus the total

@@ -32,7 +32,6 @@ use crate::geometry::{band_allocation_into, deficit, triangle_area};
 
 /// The two extremal multi-backoff loss patterns of §4.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Scenario {
     /// All `k` backoffs at once at the sawtooth peak.
     One,
@@ -184,26 +183,10 @@ pub fn per_layer_with(
     out
 }
 
-/// [`per_layer`] writing into caller-provided buffers so the per-tick
+/// [`per_layer_with`] writing into caller-provided buffers so the per-tick
 /// state-sequence rebuild can recycle allocations. `out` receives the
 /// targets (cleared first); `tmp` is scratch for the Scenario-2 recurring
 /// triangle. Values are identical to the allocating variant.
-#[allow(clippy::too_many_arguments)]
-pub fn per_layer_into(
-    scenario: Scenario,
-    k: u32,
-    rate: f64,
-    n_active: usize,
-    layer_rate: f64,
-    slope: f64,
-    out: &mut Vec<f64>,
-    tmp: &mut Vec<f64>,
-) {
-    per_layer_into_with(scenario, k, rate, n_active, layer_rate, slope, 0.5, out, tmp);
-}
-
-/// [`per_layer_into`] generalized to an arbitrary decrease factor (see
-/// [`buf_total_with`]); bit-identical to the ungeneralized form at `0.5`.
 #[allow(clippy::too_many_arguments)]
 pub fn per_layer_into_with(
     scenario: Scenario,

@@ -22,7 +22,6 @@ use crate::scenario::{min_backoffs_below_with, per_layer_into_with, Scenario};
 
 /// One optimal buffer state `(scenario, k)` with its per-layer targets.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufferState {
     /// Which extremal loss pattern this state protects against.
     pub scenario: Scenario,
@@ -57,7 +56,6 @@ impl BufferState {
 
 /// The ordered, monotone path of buffer states for a given operating point.
 #[derive(Debug, Clone, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct StateSequence {
     /// Transmission rate (bytes/s) the sequence was computed for — the rate
     /// from which the hypothetical backoffs occur.
@@ -104,23 +102,10 @@ impl StateSequence {
 
     /// Recompute the sequence in place for a new operating point, recycling
     /// the previous contents' allocations. Produces exactly the same value
-    /// as [`build`](Self::build) with the same arguments; the point is that
-    /// a caller ticking every period (the QA controller) reuses the state
-    /// and per-layer vectors instead of reallocating ~2 `Vec`s per state
-    /// per tick.
-    pub fn rebuild(
-        &mut self,
-        rate: f64,
-        n_active: usize,
-        layer_rate: f64,
-        slope: f64,
-        k_horizon: u32,
-    ) {
-        self.rebuild_with(rate, n_active, layer_rate, slope, k_horizon, 0.5);
-    }
-
-    /// [`rebuild`](Self::rebuild) generalized to an arbitrary multiplicative
-    /// decrease factor (bit-identical at `0.5`, the AIMD halving).
+    /// as [`build_with`](Self::build_with) with the same arguments; the
+    /// point is that a caller ticking every period (the QA controller)
+    /// reuses the state and per-layer vectors instead of reallocating ~2
+    /// `Vec`s per state per tick.
     ///
     /// Rebuilds in place: candidate `n` is computed straight into slot `n`
     /// of `states`, so once the sequence has held as many states as the new

@@ -10,7 +10,6 @@ use std::collections::VecDeque;
 
 /// One buffered chunk (usually one packet's payload).
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufferedChunk {
     /// Arrival time at the receiver (seconds).
     pub arrival: f64,
@@ -20,7 +19,6 @@ pub struct BufferedChunk {
 
 /// FIFO byte buffer for one layer.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerBuffer {
     chunks: VecDeque<BufferedChunk>,
     buffered: f64,

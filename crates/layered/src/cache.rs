@@ -21,7 +21,6 @@ use crate::stream::PacketId;
 
 /// Per-layer packet presence for one cached stream.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerCache {
     /// `present[layer][seq] == true` ⇔ the packet is cached. Vectors grow
     /// on demand.
@@ -127,7 +126,6 @@ impl LayerCache {
 /// Demand-driven prefetch policy (§7): fill holes lowest-layer-first, and
 /// within a layer in playout order, bounded by a per-round budget.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PrefetchPlanner {
     /// Highest layer any recent client asked for (+1 look-ahead layer —
     /// the "likely to be needed" piece: the next quality step up).

@@ -37,7 +37,6 @@ impl std::error::Error for EncodingError {}
 
 /// One layer of a hierarchical encoding.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayerSpec {
     /// Constant consumption rate of this layer (bytes/s).
     pub rate: f64,
@@ -45,7 +44,6 @@ pub struct LayerSpec {
 
 /// A hierarchical encoding: base layer plus enhancement layers.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayeredEncoding {
     layers: Vec<LayerSpec>,
 }

@@ -11,7 +11,6 @@ use crate::encoding::LayeredEncoding;
 
 /// Receiver-side statistics snapshot.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ReceiverStats {
     /// Bytes currently buffered per layer.
     pub buffered: Vec<f64>,
@@ -32,7 +31,6 @@ pub struct ReceiverStats {
 
 /// A receiving endpoint for a layered stream.
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayeredReceiver {
     encoding: LayeredEncoding,
     buffers: Vec<LayerBuffer>,

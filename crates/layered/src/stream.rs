@@ -5,14 +5,13 @@
 //! inter-layer timing. This module models exactly that: each layer is a
 //! byte stream consumed at its constant rate, packetized into fixed-size
 //! packets whose *playout deadline* follows from their byte offset. Packet
-//! payloads are generated deterministically so an end-to-end transfer (the
-//! tokio experiments) can verify integrity without shipping real video.
+//! payloads are generated deterministically so an end-to-end transfer can
+//! verify integrity without shipping real video.
 
 use crate::encoding::LayeredEncoding;
 
 /// Identifies one packet of one layer within a stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketId {
     /// Layer index (0 = base).
     pub layer: u8,
@@ -22,7 +21,6 @@ pub struct PacketId {
 
 /// A stored layered stream: an encoding, a duration, and a packetization.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LayeredStream {
     encoding: LayeredEncoding,
     /// Stream duration (seconds).

@@ -1,67 +1,18 @@
-//! Snapshot/export layer: everything the registry, spans and event rings
-//! have accumulated, frozen into one value and rendered through
+//! Snapshot/export layer: everything the registry and spans have
+//! accumulated, frozen into one value and rendered through
 //! `laqa-trace` — JSON files for `campaign --obs <dir>`, aligned text
 //! tables for `laqa obs-report`.
 
 use std::collections::BTreeMap;
-use std::fmt;
 use std::io;
 use std::path::Path;
 
 use laqa_trace::{JsonValue, Table};
 
-use crate::events::{self, Level};
 use crate::registry::{self, HistogramSnapshot};
 use crate::span::{self, SpanSnapshot};
 
-/// An exported event: like [`crate::LogEvent`] but with owned strings so
-/// it survives a JSON round-trip through [`Snapshot::read_dir`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct EventRecord {
-    /// Simulation-time stamp (seconds); `0.0` for host-side events.
-    pub time: f64,
-    /// Per-thread sequence number.
-    pub seq: u64,
-    /// Severity.
-    pub level: Level,
-    /// Dotted event name.
-    pub target: String,
-    /// `key=value` payload in declaration order.
-    pub fields: Vec<(String, JsonValue)>,
-}
-
-impl EventRecord {
-    /// Render as a single `[level] t=… target k=v …` line.
-    pub fn render(&self) -> String {
-        use std::fmt::Write as _;
-        let mut out = format!(
-            "[{:<5}] t={:<10.4} {}",
-            self.level.label(),
-            self.time,
-            self.target
-        );
-        for (k, v) in &self.fields {
-            match v {
-                JsonValue::Str(s) => {
-                    let _ = write!(out, " {k}={s}");
-                }
-                other => {
-                    let _ = write!(out, " {k}={}", other.to_compact());
-                }
-            }
-        }
-        out
-    }
-}
-
-impl fmt::Display for EventRecord {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.render())
-    }
-}
-
-/// Point-in-time copy of every registered metric, span accumulator and
-/// the deterministically merged event log.
+/// Point-in-time copy of every registered metric and span accumulator.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counters by name.
@@ -72,25 +23,19 @@ pub struct Snapshot {
     pub histograms: Vec<HistogramSnapshot>,
     /// Span accumulators by name.
     pub spans: BTreeMap<String, SpanSnapshot>,
-    /// Merged event log, ordered by `(time, seq, target)`.
-    pub events: Vec<EventRecord>,
-    /// Events evicted from the bounded rings before this snapshot.
+    /// Flight-recorder records evicted before this snapshot. Named for
+    /// the retired event ring because `benchmark/` reads this field.
     pub events_evicted: u64,
 }
 
 impl Snapshot {
     /// Freeze the current state of every registry.
     ///
-    /// Ring truncation is made visible rather than silent: nonzero
-    /// eviction totals surface as the synthetic `obs.ring_evicted`
-    /// (event rings) and `obs.flight_evicted` (flight-recorder rings)
-    /// counters.
+    /// Ring truncation is made visible rather than silent: a nonzero
+    /// flight-recorder eviction total surfaces as the synthetic
+    /// `obs.flight_evicted` counter.
     pub fn collect() -> Snapshot {
-        let (raw_events, evicted) = events::merged();
         let mut counters = registry::snapshot_counters();
-        if evicted > 0 {
-            counters.insert("obs.ring_evicted".to_string(), evicted);
-        }
         let flight_evicted = crate::flight::total_evicted();
         if flight_evicted > 0 {
             counters.insert("obs.flight_evicted".to_string(), flight_evicted);
@@ -100,28 +45,7 @@ impl Snapshot {
             gauges: registry::snapshot_gauges(),
             histograms: registry::snapshot_histograms(),
             spans: span::snapshot_spans(),
-            events: raw_events
-                .into_iter()
-                .map(|e| EventRecord {
-                    time: e.time,
-                    seq: e.seq,
-                    level: e.level,
-                    target: e.target.to_string(),
-                    fields: e
-                        .fields
-                        .into_iter()
-                        .map(|(k, v)| {
-                            let jv = match v {
-                                crate::Value::U64(n) => JsonValue::Num(n as f64),
-                                crate::Value::F64(x) => JsonValue::Num(x),
-                                crate::Value::Str(s) => JsonValue::Str(s.to_string()),
-                            };
-                            (k.to_string(), jv)
-                        })
-                        .collect(),
-                })
-                .collect(),
-            events_evicted: evicted,
+            events_evicted: flight_evicted,
         }
     }
 
@@ -145,12 +69,11 @@ impl Snapshot {
         self.spans.get(name).copied()
     }
 
-    /// True when nothing was recorded (all zeros, no events).
+    /// True when nothing was recorded (all zeros).
     pub fn is_empty(&self) -> bool {
         self.counters.values().all(|&v| v == 0)
             && self.histograms.iter().all(|h| h.count == 0)
             && self.spans.values().all(|s| s.count == 0)
-            && self.events.is_empty()
     }
 
     fn metrics_json(&self) -> JsonValue {
@@ -213,39 +136,12 @@ impl Snapshot {
         )
     }
 
-    fn events_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            (
-                "evicted".into(),
-                JsonValue::Num(self.events_evicted as f64),
-            ),
-            (
-                "events".into(),
-                JsonValue::Arr(
-                    self.events
-                        .iter()
-                        .map(|e| {
-                            JsonValue::Obj(vec![
-                                ("time".into(), JsonValue::Num(e.time)),
-                                ("seq".into(), JsonValue::Num(e.seq as f64)),
-                                ("level".into(), JsonValue::Str(e.level.label().into())),
-                                ("target".into(), JsonValue::Str(e.target.clone())),
-                                ("fields".into(), JsonValue::Obj(e.fields.clone())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-
-    /// Write `metrics.json`, `spans.json` and `events.json` into `dir`
-    /// (created if missing).
+    /// Write `metrics.json` and `spans.json` into `dir` (created if
+    /// missing).
     pub fn write_dir(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join("metrics.json"), self.metrics_json().to_pretty())?;
         std::fs::write(dir.join("spans.json"), self.spans_json().to_pretty())?;
-        std::fs::write(dir.join("events.json"), self.events_json().to_pretty())?;
         Ok(())
     }
 
@@ -320,42 +216,12 @@ impl Snapshot {
             );
         }
 
-        let events = parse("events.json")?;
-        snap.events_evicted = events
-            .get("evicted")
-            .and_then(JsonValue::as_num)
-            .unwrap_or(0.0) as u64;
-        for e in events
-            .get("events")
-            .and_then(JsonValue::as_arr)
-            .ok_or_else(|| bad("events.json: missing events"))?
-        {
-            let level_label = e
-                .get("level")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| bad("event missing level"))?;
-            snap.events.push(EventRecord {
-                time: e.get("time").and_then(JsonValue::as_num).unwrap_or(0.0),
-                seq: e.get("seq").and_then(JsonValue::as_num).unwrap_or(0.0) as u64,
-                level: Level::from_label(level_label)
-                    .ok_or_else(|| bad("event has unknown level"))?,
-                target: e
-                    .get("target")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| bad("event missing target"))?
-                    .to_string(),
-                fields: e
-                    .get("fields")
-                    .and_then(JsonValue::as_obj)
-                    .map(|fs| fs.to_vec())
-                    .unwrap_or_default(),
-            });
-        }
+        snap.events_evicted = snap.counter("obs.flight_evicted").unwrap_or(0);
         Ok(snap)
     }
 
-    /// Render counters, gauges, histograms, spans and the merged event
-    /// log as aligned text tables (the `laqa obs-report` format).
+    /// Render counters, gauges, histograms and spans as aligned text
+    /// tables (the `laqa obs-report` format).
     pub fn render(&self) -> String {
         let mut out = String::new();
 
@@ -414,16 +280,6 @@ impl Snapshot {
         }
         out.push_str(&spans.render());
         out.push('\n');
-
-        out.push_str(&format!(
-            "== Events ({} kept, {} evicted) ==\n",
-            self.events.len(),
-            self.events_evicted
-        ));
-        for e in &self.events {
-            out.push_str(&e.render());
-            out.push('\n');
-        }
         out
     }
 }
@@ -443,13 +299,6 @@ mod tests {
         gauge!("export.test.gauge").set(1.25);
         histogram!("export.test.hist", &[1.0, 4.0]).observe(2.0);
         crate::span!("export.test.span");
-        crate::event!(
-            Level::Info,
-            "export.test.ev",
-            3.5,
-            "n" => 2u64,
-            "why" => "round trip"
-        );
         crate::set_enabled(false);
 
         let snap = crate::snapshot();
@@ -463,13 +312,6 @@ mod tests {
         let h = back.histogram("export.test.hist").unwrap();
         assert_eq!(h.counts, vec![0, 1, 0]);
         assert_eq!(back.span("export.test.span").map(|s| s.count), Some(1));
-        let ev = back
-            .events
-            .iter()
-            .find(|e| e.target == "export.test.ev")
-            .unwrap();
-        assert_eq!(ev.time, 3.5);
-        assert!(ev.render().contains("why=round trip"));
         assert_eq!(back, snap);
     }
 
@@ -482,7 +324,6 @@ mod tests {
         {
             let _s = crate::span!("export.render.span");
         }
-        crate::event!(Level::Warn, "export.render.ev", 0.5, "x" => 1u64);
         crate::set_enabled(false);
 
         let text = crate::snapshot().render();
@@ -490,8 +331,6 @@ mod tests {
         assert!(text.contains("export.render.ctr"));
         assert!(text.contains("== Spans (wall time) =="));
         assert!(text.contains("export.render.span"));
-        assert!(text.contains("== Events (1 kept, 0 evicted) =="));
-        assert!(text.contains("[warn ]"));
     }
 
     #[test]
@@ -513,22 +352,22 @@ mod tests {
     fn ring_evictions_surface_as_counter() {
         let _g = TEST_LOCK.lock().unwrap();
         crate::reset();
-        crate::set_enabled(true);
-        for i in 0..(crate::events::ring_capacity() + 3) {
-            crate::event!(Level::Debug, "export.evict.flood", 0.0, "i" => i);
-        }
         crate::flight::set_enabled(true);
         for i in 0..(crate::flight::ring_capacity() + 2) {
             crate::flight::instant("export.evict.fl", i as f64, 0.0);
         }
         crate::flight::set_enabled(false);
-        crate::set_enabled(false);
         let snap = crate::snapshot();
-        assert_eq!(snap.counter("obs.ring_evicted"), Some(3));
         assert_eq!(snap.counter("obs.flight_evicted"), Some(2));
+        assert_eq!(snap.events_evicted, 2);
+        let dir = std::env::temp_dir().join("laqa-obs-export-evict-test");
+        snap.write_dir(&dir).unwrap();
+        let back = Snapshot::read_dir(&dir).unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(back, snap);
         crate::reset();
         let snap = crate::snapshot();
-        assert_eq!(snap.counter("obs.ring_evicted"), None);
         assert_eq!(snap.counter("obs.flight_evicted"), None);
+        assert_eq!(snap.events_evicted, 0);
     }
 }

@@ -1,9 +1,9 @@
 //! Flight recorder: bounded per-thread, sim-time-stamped timeline traces
 //! with per-session attribution.
 //!
-//! The metrics registry answers "how many" and the event ring answers
-//! "what happened", but neither can answer *why session 17 starved at
-//! t=31s* — that needs a timeline: QA state spans, layer add/drop
+//! The metrics registry answers "how many" and spans answer "how long",
+//! but neither can answer *why session 17 starved at t=31s* — that
+//! needs a timeline: QA state spans, layer add/drop
 //! instants, backoff markers and buffer-level samples, all attributed to
 //! the session that produced them no matter which worker thread ran it
 //! or whether its world was warm or cold.
@@ -306,6 +306,11 @@ pub(crate) fn total_evicted() -> u64 {
 /// The Chrome trace `pid` every track lives under.
 const CHROME_PID: u64 = 1;
 
+/// `x` as a count, if it is a non-negative integer.
+fn as_count(x: f64) -> Option<u64> {
+    (x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
+}
+
 impl FlightTrace {
     /// Distinct session ids in the trace, ascending ([`HOST_TRACK`] last
     /// when present).
@@ -345,45 +350,59 @@ impl FlightTrace {
     }
 
     /// Parse a trace previously serialized by [`FlightTrace::to_json`].
+    /// A missing or mistyped field is an error naming the record index
+    /// and the field.
     ///
     /// `u64::MAX` does not round-trip exactly through `f64`, so any
     /// session id at or beyond the `f64`-exact integer range is mapped
     /// back to [`HOST_TRACK`].
     pub fn from_json(v: &JsonValue) -> Result<FlightTrace, String> {
+        /// Largest integer `f64` holds exactly (2^53).
+        const F64_EXACT: f64 = 9_007_199_254_740_992.0;
         let records = v
             .get("records")
             .and_then(JsonValue::as_arr)
             .ok_or("flight trace: missing records array")?;
+        let evicted = v
+            .get("evicted")
+            .and_then(JsonValue::as_num)
+            .and_then(as_count)
+            .ok_or("flight trace: missing or non-integer evicted")?;
         let mut out = FlightTrace {
             records: Vec::with_capacity(records.len()),
-            evicted: v.get("evicted").and_then(JsonValue::as_num).unwrap_or(0.0) as u64,
+            evicted,
         };
-        for r in records {
-            let session_raw = r
-                .get("session")
-                .and_then(JsonValue::as_num)
-                .ok_or("flight record: missing session")?;
-            let session = if session_raw >= 9_007_199_254_740_992.0 {
+        for (i, r) in records.iter().enumerate() {
+            let num = |field: &str| {
+                r.get(field)
+                    .and_then(JsonValue::as_num)
+                    .ok_or_else(|| format!("flight record {i}: missing or non-numeric {field}"))
+            };
+            let int = |field: &str| {
+                let x = num(field)?;
+                as_count(x).ok_or_else(|| {
+                    format!("flight record {i}: {field} {x} is not a non-negative integer")
+                })
+            };
+            let text = |field: &str| {
+                r.get(field)
+                    .and_then(JsonValue::as_str)
+                    .ok_or_else(|| format!("flight record {i}: missing or non-string {field}"))
+            };
+            let session = if num("session")? >= F64_EXACT {
                 HOST_TRACK
             } else {
-                session_raw as u64
+                int("session")?
             };
-            let kind_label = r
-                .get("kind")
-                .and_then(JsonValue::as_str)
-                .ok_or("flight record: missing kind")?;
+            let kind_label = text("kind")?;
             out.records.push(FlightRecord {
                 session,
-                time: r.get("time").and_then(JsonValue::as_num).unwrap_or(0.0),
-                seq: r.get("seq").and_then(JsonValue::as_num).unwrap_or(0.0) as u64,
+                time: num("time")?,
+                seq: int("seq")?,
                 kind: FlightKind::from_label(kind_label)
-                    .ok_or_else(|| format!("flight record: unknown kind '{kind_label}'"))?,
-                name: r
-                    .get("name")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("flight record: missing name")?
-                    .to_string(),
-                value: r.get("value").and_then(JsonValue::as_num).unwrap_or(0.0),
+                    .ok_or_else(|| format!("flight record {i}: unknown kind '{kind_label}'"))?,
+                name: text("name")?.to_string(),
+                value: num("value")?,
             });
         }
         Ok(out)
@@ -496,6 +515,39 @@ mod tests {
         assert_eq!(back, trace);
         crate::reset();
         assert!(snapshot_flight().records.is_empty());
+    }
+
+    #[test]
+    fn from_json_rejects_malformed_records_by_index_and_field() {
+        let good = r#"{"session":3,"time":0.5,"seq":1,"kind":"instant","name":"x","value":2}"#;
+        let parse = |second: &str| {
+            let text = format!(r#"{{"evicted":0,"records":[{good},{second}]}}"#);
+            FlightTrace::from_json(&laqa_trace::json::parse(&text).unwrap())
+        };
+        assert_eq!(parse(good).unwrap().records.len(), 2);
+        // One mutation of the valid record per row: (from, to, field).
+        let cases = [
+            (r#""session":3"#, r#""session":-1"#, "session"),
+            (r#""session":3"#, r#""session":1.5"#, "session"),
+            (r#""session":3,"#, "", "session"),
+            (r#""time":0.5"#, r#""time":"soon""#, "time"),
+            (r#""time":0.5,"#, "", "time"),
+            (r#""seq":1"#, r#""seq":null"#, "seq"),
+            (r#""seq":1"#, r#""seq":-2"#, "seq"),
+            (r#""seq":1,"#, "", "seq"),
+            (r#""kind":"instant""#, r#""kind":"blip""#, "kind"),
+            (r#""name":"x""#, r#""name":7"#, "name"),
+            (r#""value":2"#, r#""value":true"#, "value"),
+            (r#","value":2"#, "", "value"),
+        ];
+        for (from, to, field) in cases {
+            assert!(good.contains(from), "stale case {from}");
+            let err = parse(&good.replacen(from, to, 1)).unwrap_err();
+            assert!(
+                err.contains("record 1") && err.contains(field),
+                "{from} -> {to}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -11,9 +11,6 @@
 //! * **span timing** ([`span`]) — RAII guards recording count / total /
 //!   max wall time per scope via `std::time::Instant` (the same clock
 //!   the `laqa-bench` harness times with);
-//! * a bounded **per-thread ring-buffer event log** ([`events`]) with
-//!   levels and `key=value` fields, merged deterministically by
-//!   `(sim-time, seq)` at export;
 //! * a **flight recorder** ([`flight`]) — per-session timeline traces
 //!   (QA state spans, layer add/drop and backoff instants, buffer-level
 //!   samples) behind its own enable flag, exportable as Chrome
@@ -43,8 +40,6 @@
 //!     let _guard = laqa_obs::span!("demo.work");
 //!     // ... timed scope ...
 //! }
-//! laqa_obs::event!(laqa_obs::Level::Info, "demo.tick", 1.5,
-//!                  "n" => 3u64, "rate" => 2.5f64);
 //! let snap = laqa_obs::snapshot();
 //! assert_eq!(snap.counter("demo.widgets"), Some(1));
 //! laqa_obs::set_enabled(false);
@@ -53,13 +48,11 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-pub mod events;
 pub mod export;
 pub mod flight;
 pub mod registry;
 pub mod span;
 
-pub use events::{log_event, Level, LogEvent, Value};
 pub use export::Snapshot;
 pub use flight::{FlightKind, FlightRecord, FlightTrace};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, LOG_MS_BOUNDS, LOG_NS_BOUNDS};
@@ -81,18 +74,17 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Snapshot every registered metric, span and the merged event log.
+/// Snapshot every registered metric and span.
 pub fn snapshot() -> Snapshot {
     Snapshot::collect()
 }
 
-/// Zero all counters/gauges/histograms/spans and clear the event and
+/// Zero all counters/gauges/histograms/spans and clear the
 /// flight-recorder rings. Intended for tests and for isolating
 /// consecutive `--obs` exports.
 pub fn reset() {
     registry::reset_metrics();
     span::reset_spans();
-    events::clear();
     flight::clear();
 }
 
@@ -115,13 +107,11 @@ mod tests {
         {
             let _s = span!("lib.test.span");
         }
-        event!(Level::Info, "lib.test.ev", 0.0, "k" => 1u64);
         let snap = snapshot();
         // Disabled sites return before registering, so the snapshot has
         // either no entry or a zeroed one (if a prior enabled test
         // registered the name).
         assert_eq!(snap.counter("lib.test.ctr").unwrap_or(0), 0);
-        assert!(snap.events.is_empty());
         assert_eq!(snap.span("lib.test.span").map_or(0, |s| s.count), 0);
         assert!(snap.is_empty());
     }
@@ -135,15 +125,13 @@ mod tests {
         {
             let _s = span!("lib.test2.span");
         }
-        event!(Level::Warn, "lib.test2.ev", 2.0, "x" => "y");
         set_enabled(false);
         let snap = snapshot();
         assert_eq!(snap.counter("lib.test2.ctr"), Some(3));
         assert_eq!(snap.span("lib.test2.span").map(|s| s.count), Some(1));
-        assert_eq!(snap.events.len(), 1);
         reset();
         let snap = snapshot();
         assert_eq!(snap.counter("lib.test2.ctr"), Some(0));
-        assert!(snap.events.is_empty());
+        assert_eq!(snap.span("lib.test2.span").map(|s| s.count), Some(0));
     }
 }

@@ -11,8 +11,8 @@
 //! Wall time comes from `std::time::Instant` — the same monotonic clock
 //! the `laqa-bench` timing harness calibrates with — so span totals are
 //! directly comparable with bench figures. Spans measure *host* time;
-//! simulation-time context belongs in the event log
-//! ([`crate::event!`]), which stamps entries with sim-time.
+//! simulation-time context belongs in the flight recorder
+//! ([`crate::flight`]), which stamps records with sim-time.
 //!
 //! When obs is disabled, starting a span is one relaxed atomic load and
 //! the guard's drop does nothing.

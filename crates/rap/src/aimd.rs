@@ -19,7 +19,6 @@
 
 /// AIMD rate state for a RAP flow.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AimdState {
     /// Payload bytes per packet (RAP adapts the gap, not the size).
     packet_size: f64,

@@ -52,7 +52,6 @@ const FULL_BW_THRESH: f64 = 1.25;
 
 /// BBR-style sender configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BbrConfig {
     /// Payload bytes per packet.
     pub packet_size: f64,

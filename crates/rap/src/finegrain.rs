@@ -11,7 +11,6 @@
 
 /// Short/long RTT ratio estimator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FineGrain {
     short: f64,
     long: f64,

@@ -14,7 +14,6 @@ use std::collections::VecDeque;
 
 /// Record of one transmitted, not-yet-resolved packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct PacketRecord {
     /// Transmission time (seconds).
     pub send_time: f64,
@@ -27,7 +26,6 @@ pub struct PacketRecord {
 
 /// A resolved loss.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct LostPacket {
     /// Sequence number of the lost packet.
     pub seq: u64,
@@ -47,7 +45,6 @@ pub struct LostPacket {
 /// reporting, byte summation) remain ascending-sequence, exactly as the
 /// previous `BTreeMap` implementation produced them.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TransmissionHistory {
     /// Window of sends, `window[i]` holding sequence `base + i`
     /// (`None` once resolved).

@@ -26,8 +26,8 @@
 //! * [`nada`] — a NADA-style delay-gradient sender (unified delay+loss
 //!   congestion signal with a proportional rate update).
 //!
-//! The same state machines drive both the packet-level simulator
-//! (`laqa-sim`) and the real tokio/UDP transport (`laqa-net`).
+//! The state machines own no clock and no socket: the packet-level
+//! simulator (`laqa-sim`) drives them.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -51,7 +51,6 @@ pub const NOMINAL_GAMMA: f64 = 0.75;
 
 /// NADA-style sender configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NadaConfig {
     /// Payload bytes per packet.
     pub packet_size: f64,

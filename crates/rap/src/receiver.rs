@@ -11,7 +11,6 @@ use std::collections::BTreeSet;
 
 /// Acknowledgement contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AckInfo {
     /// Sequence of the data packet that triggered this ACK.
     pub ack_seq: u64,
@@ -46,7 +45,6 @@ impl AckInfo {
 
 /// Receiver-side reception state that mints [`AckInfo`]s.
 #[derive(Debug, Clone, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RapReceiverState {
     /// Highest in-order sequence (None until seq 0 arrives).
     cum: Option<u64>,

@@ -7,7 +7,6 @@
 
 /// Jacobson/Karels RTT estimator.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RttEstimator {
     srtt: f64,
     rttvar: f64,

@@ -1,9 +1,9 @@
 //! The RAP sender state machine.
 //!
-//! Transport-agnostic: the owner (the simulator's RAP agent, or the tokio
-//! sender task) provides the clock and the wire; this type provides the
-//! protocol — pacing, per-SRTT additive increase, ACK processing, loss
-//! detection with cluster suppression, and timeout collapse.
+//! Transport-agnostic: the owner (the simulator's RAP agent) provides
+//! the clock and the wire; this type provides the protocol — pacing,
+//! per-SRTT additive increase, ACK processing, loss detection with
+//! cluster suppression, and timeout collapse.
 //!
 //! # Driving it
 //!
@@ -30,7 +30,6 @@ use crate::rtt::RttEstimator;
 
 /// RAP sender configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RapConfig {
     /// Payload bytes per packet.
     pub packet_size: f64,
@@ -63,7 +62,6 @@ impl Default for RapConfig {
 
 /// Why a backoff happened.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum BackoffCause {
     /// ACK-inferred packet loss.
     Loss,
@@ -73,7 +71,6 @@ pub enum BackoffCause {
 
 /// Protocol events for the owner to act on.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum RapEvent {
     /// Multiplicative decrease happened; `rate` is the post-backoff rate.
     Backoff {
@@ -360,13 +357,6 @@ impl RapSender {
             if laqa_obs::flight::enabled() {
                 laqa_obs::flight::instant("rap.backoff_timeout", now, rate);
             }
-            laqa_obs::event!(
-                laqa_obs::Level::Warn,
-                "rap.timeout",
-                now,
-                "rate" => rate,
-                "lost" => losses.len(),
-            );
         }
         while now >= self.next_step {
             self.aimd.increase_step(self.rtt.srtt());
@@ -412,13 +402,6 @@ impl RapSender {
             if laqa_obs::flight::enabled() {
                 laqa_obs::flight::instant("rap.backoff_loss", now, rate);
             }
-            laqa_obs::event!(
-                laqa_obs::Level::Info,
-                "rap.backoff",
-                now,
-                "rate" => rate,
-                "losses" => losses.len(),
-            );
         }
     }
 

@@ -18,7 +18,6 @@ use crate::sender::{BackoffCause, RapEvent};
 
 /// Window-sender configuration.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WindowConfig {
     /// Payload bytes per packet.
     pub packet_size: f64,

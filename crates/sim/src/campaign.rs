@@ -41,7 +41,6 @@ use crate::sched::{ambient_scheduler, SchedulerKind};
 
 /// Which of the paper's dumbbell workloads a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TestKind {
     /// T1: one QA-RAP source vs 9 RAP + 10 TCP flows.
     T1,
@@ -64,7 +63,6 @@ impl TestKind {
 
 /// One cell of the sweep grid: a fully-specified simulator session.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SessionSpec {
     /// Workload.
     pub test: TestKind,
@@ -81,13 +79,10 @@ pub struct SessionSpec {
     /// [`Transport::Rap`] reproduces the paper's system — and the label,
     /// scenario and fingerprint of every pre-existing RAP cell,
     /// byte-identical.
-    #[cfg_attr(feature = "serde", serde(default))]
     pub transport: Transport,
     /// Hostile link-condition trace on the bottleneck (the `hostile_grid`
-    /// axis). `None` — the default, and what every pre-existing spec
-    /// deserializes to — keeps the static dumbbell and its fingerprints
-    /// byte-identical.
-    #[cfg_attr(feature = "serde", serde(default))]
+    /// axis). `None` — the default — keeps the static dumbbell and its
+    /// fingerprints byte-identical.
     pub trace: Option<TraceKind>,
 }
 
@@ -132,7 +127,6 @@ impl SessionSpec {
 
 /// A full sweep: the list of sessions to run.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct CampaignSpec {
     /// Sessions in grid order (test-major, then `K_max`, then seed).
     pub sessions: Vec<SessionSpec>,
@@ -276,7 +270,6 @@ impl CampaignSpec {
 
 /// Paper metrics and the determinism fingerprint of one finished session.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SessionResult {
     /// The spec this session ran.
     pub spec: SessionSpec,
@@ -316,11 +309,9 @@ pub struct SessionResult {
     pub fault_transitions: u64,
     /// Link-condition schedule points applied by [`crate::TraceDriver`]s
     /// (0 for steady-link cells).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub trace_changes: u64,
     /// Bytes the second path of a bonded cell carried (`None` unless the
     /// cell runs [`TraceKind::Bonded`]).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub bond_leg_bytes: Option<u64>,
     /// FNV-1a fingerprint of the session's event trace (see
     /// [`hash_outcome`]).
@@ -750,7 +741,6 @@ fn effective_threads(requested: usize, sessions: usize) -> usize {
 fn worker_loop(
     spec: &CampaignSpec,
     opts: CampaignOptions,
-    worker: usize,
     next: &AtomicUsize,
     mut deposit: impl FnMut(usize, SessionResult),
 ) {
@@ -770,15 +760,6 @@ fn worker_loop(
             Some(pool) => run_session_pooled(session, opts.sched, pool),
             None => run_session_with(session, opts.sched),
         };
-        laqa_obs::event!(
-            laqa_obs::Level::Debug,
-            "campaign.cell",
-            0.0,
-            "worker" => worker,
-            "cell" => i,
-            "wall_ms" => result.wall_secs * 1e3,
-            "events" => result.events_processed,
-        );
         deposit(i, result);
     }
 }
@@ -798,10 +779,10 @@ pub fn run_campaign_opts(spec: &CampaignSpec, opts: CampaignOptions) -> Campaign
     let (buffers, wall_secs) = std::thread::scope(|scope| {
         let next = &next;
         let handles: Vec<_> = (0..threads)
-            .map(|worker| {
+            .map(|_| {
                 scope.spawn(move || {
                     let mut buf: Vec<(usize, SessionResult)> = Vec::new();
-                    worker_loop(spec, opts, worker, next, |i, r| buf.push((i, r)));
+                    worker_loop(spec, opts, next, |i, r| buf.push((i, r)));
                     buf
                 })
             })
@@ -894,9 +875,9 @@ where
     laqa_obs::gauge!("campaign.threads").set(threads as f64);
     std::thread::scope(|scope| {
         let (next, state, fold) = (&next, &state, &fold);
-        for worker in 0..threads {
+        for _ in 0..threads {
             scope.spawn(move || {
-                worker_loop(spec, opts, worker, next, |i, result| {
+                worker_loop(spec, opts, next, |i, result| {
                     let mut st = state.lock().expect("campaign fold lock");
                     st.pending.insert(i, result);
                     while let Some(ready) = {

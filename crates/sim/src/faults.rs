@@ -36,7 +36,6 @@ use std::any::Any;
 
 /// Link flapping: bandwidth outages on the forward bottleneck.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FlapPlan {
     /// Mean healthy time between outages (seconds, exponential).
     pub mean_up_secs: f64,
@@ -48,7 +47,6 @@ pub struct FlapPlan {
 
 /// RTT spikes: transient propagation-delay increases on the bottleneck.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SpikePlan {
     /// Mean time between spikes (seconds, exponential).
     pub mean_interval_secs: f64,
@@ -60,7 +58,6 @@ pub struct SpikePlan {
 
 /// Gilbert–Elliott burst loss on the forward bottleneck.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BurstLossPlan {
     /// Mean good-state sojourn (seconds, exponential).
     pub mean_good_secs: f64,
@@ -75,7 +72,6 @@ pub struct BurstLossPlan {
 
 /// Constant random loss on the reverse (ACK) bottleneck.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct AckLossPlan {
     /// ACK loss probability, applied from the plan's start time on.
     pub loss_rate: f64,
@@ -83,7 +79,6 @@ pub struct AckLossPlan {
 
 /// Cross-traffic churn: a CBR source with exponential on/off sojourns.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ChurnPlan {
     /// Mean absent time (seconds, exponential).
     pub mean_off_secs: f64,
@@ -95,7 +90,6 @@ pub struct ChurnPlan {
 
 /// A complete fault schedule; every family is optional and independent.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultPlan {
     /// Time the first fault of any family may fire (seconds) — lets the
     /// scenario ramp up cleanly before the weather turns.
@@ -168,7 +162,6 @@ impl FaultPlan {
 
 /// Transition counters accumulated by a [`FaultInjector`] over a run.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct FaultStats {
     /// Bandwidth outages started.
     pub flap_downs: u64,

@@ -61,31 +61,10 @@ impl FromIterator<LinkId> for Route {
     }
 }
 
-#[cfg(feature = "serde")]
-impl serde::Serialize for Route {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Arr(
-            self.0
-                .iter()
-                .map(|&l| serde::Value::Num(l as f64))
-                .collect(),
-        )
-    }
-}
-
-#[cfg(feature = "serde")]
-impl serde::Deserialize for Route {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let links = Vec::<usize>::from_value(v)?;
-        Ok(Route::from(links))
-    }
-}
-
 /// Protocol payload carried by a simulated packet. Header/payload bytes are
 /// abstracted into `size` on the [`Packet`]; this enum carries the fields
 /// the protocols actually read.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum PacketKind {
     /// RAP data packet carrying one layered-video packet.
     RapData {
@@ -120,7 +99,6 @@ pub enum PacketKind {
 
 /// A packet in flight through the simulated network.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Packet {
     /// Globally unique id (assigned by the world; diagnostics only).
     pub uid: u64,

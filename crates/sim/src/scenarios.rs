@@ -27,7 +27,6 @@ use laqa_trace::TimeSeries;
 /// axis isolates how the quality-adaptation machinery behaves over each
 /// controller family.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum Transport {
     /// Rate-paced AIMD (the paper's RAP). The default; every seed-pinned
     /// golden runs this transport.
@@ -86,7 +85,6 @@ impl std::str::FromStr for Transport {
 /// `(kind, seed)` by [`crate::link::TraceSchedule`]'s constructors and
 /// advanced by [`crate::link::TraceDriver`] agents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub enum TraceKind {
     /// LTE-style capacity random walk (100 ms – 1 s swings).
     Lte,

@@ -7,7 +7,8 @@
 //! process-global, and a single test body is the only way to guarantee
 //! the off-run really executes with obs off.
 
-use laqa_sim::{run_campaign, CampaignSpec, TestKind};
+use laqa_core::{DropReason, QaEvent};
+use laqa_sim::{run_campaign, run_scenario, CampaignSpec, TestKind};
 
 #[test]
 fn fingerprints_identical_with_obs_on_and_off() {
@@ -53,7 +54,6 @@ fn fingerprints_identical_with_obs_on_and_off() {
         snap.span("engine.step").map_or(0, |s| s.count) > 0,
         "no engine.step spans"
     );
-    assert!(!snap.events.is_empty(), "no events logged");
     let dispatch = snap
         .histogram("sched.dispatch_ns")
         .expect("no sched.dispatch_ns histogram");
@@ -105,4 +105,37 @@ fn fingerprints_identical_with_obs_on_and_off() {
             .any(|r| r.kind == laqa_obs::FlightKind::State),
         "no QA phase state records in flight trace"
     );
+
+    // The timeline carries every quality change: per session, each add
+    // and each drop (by reason) in the controller's own MetricsCollector
+    // has exactly one instant on that session's track.
+    assert_eq!(flight.evicted, 0, "eviction would make the counts vacuous");
+    let mut drops_checked = 0;
+    for (i, session) in spec.sessions.iter().enumerate() {
+        let metrics = run_scenario(&session.scenario()).metrics;
+        let instants = |name: &str| {
+            flight
+                .records
+                .iter()
+                .filter(|r| r.session == i as u64 && r.name == name)
+                .count()
+        };
+        let label = session.label();
+        assert_eq!(instants("qa.layer_add"), metrics.adds(), "{label}: adds");
+        for reason in [
+            DropReason::InsufficientTotalBuffer,
+            DropReason::DistributionShortfall,
+            DropReason::Underflow,
+        ] {
+            let logged = metrics
+                .events()
+                .iter()
+                .filter(|e| matches!(e, QaEvent::LayerDropped { reason: r, .. } if *r == reason))
+                .count();
+            let name = format!("qa.layer_drop.{}", reason.label());
+            assert_eq!(instants(&name), logged, "{label}: {name}");
+            drops_checked += logged;
+        }
+    }
+    assert!(drops_checked > 0, "grid never dropped a layer");
 }

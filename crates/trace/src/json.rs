@@ -1,10 +1,10 @@
 //! A small self-contained JSON value model with writer and parser.
 //!
-//! The tier-1 verify runs with zero registry access (DESIGN.md, "Hermetic
-//! offline builds"), so the trace crate cannot depend on `serde_json`.
-//! This module covers everything the workspace needs from it: building
-//! values, rendering compact or pretty text, and parsing text back —
-//! enough for [`crate::RunSummary`] files and the golden-trace fixtures.
+//! The workspace has no external dependency (DESIGN.md, "Hermetic offline
+//! builds"), so this is the one JSON model every file the repo reads or
+//! writes goes through: building values, rendering compact or pretty
+//! text, and parsing text back — enough for [`crate::RunSummary`] files,
+//! the obs exports and the golden-trace fixtures.
 
 use std::fmt;
 

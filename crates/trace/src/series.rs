@@ -3,7 +3,6 @@
 
 /// A named `(time, value)` series.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct TimeSeries {
     /// Series name (used as a CSV column header).
     pub name: String,

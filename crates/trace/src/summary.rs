@@ -9,7 +9,6 @@ use crate::json::JsonValue;
 
 /// Summary of one experiment run: scalar metrics plus free-form notes.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct RunSummary {
     /// Experiment id (e.g. "fig11", "table1/T1/kmax2").
     pub experiment: String,

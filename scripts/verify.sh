@@ -1,34 +1,54 @@
 #!/usr/bin/env bash
-# Tier-1 verification for the hermetic default workspace.
+# Tier-1 verification for the workspace.
 #
-# Runs entirely offline: the default workspace graph contains only local
-# path dependencies (see DESIGN.md, "Hermetic offline builds"), so every
-# step below must succeed with zero registry access. The network-facing
-# laqa-net crate is excluded from the workspace and is NOT covered here —
-# build it explicitly with `cargo build --manifest-path crates/net/Cargo.toml`
-# on a machine with registry access.
+# Runs entirely offline: the workspace has only local path dependencies,
+# no cargo feature and no excluded crate (see DESIGN.md, "Hermetic offline
+# builds"), so every step below must succeed with zero registry access
+# and together they compile and test all the code there is.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== 1/11 build (release) =="
-cargo build --release
+# No configuration may go unbuilt: --all-features compiles any feature a
+# later PR adds (steps 2-3 test and lint it too), nothing may be excluded
+# from the workspace, and the workspace is exactly these nine packages.
+cargo build --release --all-targets --all-features
+if grep -qE '^\s*exclude\s*=' Cargo.toml; then
+  echo "FAIL: root Cargo.toml excludes a crate from the workspace" >&2
+  exit 1
+fi
+want="laqa-apps laqa-bench laqa-check laqa-core laqa-layered laqa-obs laqa-rap laqa-sim laqa-trace"
+got=$(cargo metadata --offline --no-deps --format-version 1 \
+  | grep -oE '"workspace_members":\[[^]]*\]' | grep -oE '"[^"]+"' | tail -n +2 \
+  | sed -E 's/^"//; s/"$//; s/.*#//; s/[@ ].*//' | sort | tr '\n' ' ')
+if [ "$got" != "$want " ]; then
+  echo "FAIL: workspace packages changed" >&2
+  echo "  expected: $want" >&2
+  echo "  found   : $got" >&2
+  exit 1
+fi
 
 echo "== 2/11 tests =="
-cargo test -q
+cargo test -q --all-features
 
 echo "== 3/11 clippy (deny warnings) =="
-cargo clippy --all-targets -- -D warnings
+cargo clippy --all-targets --all-features -- -D warnings
 
 echo "== 4/11 campaign smoke sweep =="
 cargo run --release -p laqa-bench --bin campaign -- --smoke
-# An option the binary does not take must stop the run (exit 2), not fall
-# back to defaults and still print a fingerprint.
-rc=0
-cargo run --release -p laqa-bench --bin campaign -- --smoke --no-such-option || rc=$?
-if [ "$rc" -ne 2 ]; then
-  echo "FAIL: campaign --no-such-option exited $rc, expected usage error 2" >&2
-  exit 1
-fi
+# A command line the binary cannot honour must stop the run (exit 2), not
+# fall back to defaults and still print a fingerprint: an option it does
+# not take, a flag given a value (`--smoke 1` used to run the full
+# campaign), a valued option given none (`--obs` wrote to ./true).
+for bad in "--smoke --no-such-option" "--smoke 1" "--smoke --obs"; do
+  rc=0
+  # shellcheck disable=SC2086
+  cargo run --release -p laqa-bench --bin campaign -- $bad || rc=$?
+  if [ "$rc" -ne 2 ]; then
+    echo "FAIL: campaign $bad exited $rc, expected usage error 2" >&2
+    exit 1
+  fi
+done
 
 echo "== 5/11 observability inertness (fingerprints with --obs on vs off) =="
 # The smoke sweep prints one fingerprint line per replay check; enabling
