@@ -23,10 +23,10 @@
 //! debited by the layer's consumption rate once playout has started. Lost
 //! packets are simply never credited.
 
-use crate::adddrop::{check_add, drop_count, required_recovery_buffer_with, AddInputs};
+use crate::adddrop::{drop_count, required_recovery_buffer_with};
 use crate::config::{ConfigError, QaConfig};
-use crate::draining::plan_draining;
-use crate::filling::allocate_filling;
+use crate::draining::plan_draining_into;
+use crate::filling::allocate_filling_into;
 use crate::metrics::{DropReason, MetricsCollector, QaEvent};
 use crate::states::StateSequence;
 
@@ -86,14 +86,25 @@ pub struct QaController {
     /// state path.
     peak_rate: f64,
     phase: Phase,
-    drain_seq: Option<StateSequence>,
-    /// Scratch sequence reused by the per-tick filling-path rebuild.
-    fill_scratch: StateSequence,
-    /// Scratch sequence reused by the per-tick add-layer check.
-    next_scratch: StateSequence,
+    /// Draining path at `peak_rate`; current only while `!drain_stale`.
+    drain_seq: StateSequence,
+    /// Set by a backoff, add or drop: the floors must be re-derived (into
+    /// the storage `drain_seq` already owns) before the next draining plan.
+    drain_stale: bool,
+    /// Filling path at the tick's rate, rebuilt in place every filling tick.
+    fill_seq: StateSequence,
+    /// Post-add path (`n_active + 1` layers), rebuilt in place on the ticks
+    /// where the add rule's cheaper conditions all hold.
+    next_seq: StateSequence,
+    /// Working storage of the filling allocator (projected buffers, gains).
+    fill_projected: Vec<f64>,
+    fill_gain: Vec<f64>,
+    /// Working storage of the draining planner (bytes drained per layer).
+    drain_bytes: Vec<f64>,
     /// Byte credits per layer for the packet scheduler.
     credits: Vec<f64>,
-    /// Current per-layer allocation (bytes/s).
+    /// Current per-layer allocation (bytes/s), overwritten in place by the
+    /// allocators.
     alloc_rates: Vec<f64>,
     /// True once `now >= playout_delay`: consumption is being charged.
     playing: bool,
@@ -114,9 +125,13 @@ impl QaController {
             last_rate: 0.0,
             peak_rate: 0.0,
             phase: Phase::Filling,
-            drain_seq: None,
-            fill_scratch: StateSequence::default(),
-            next_scratch: StateSequence::default(),
+            drain_seq: StateSequence::default(),
+            drain_stale: true,
+            fill_seq: StateSequence::default(),
+            next_seq: StateSequence::default(),
+            fill_projected: Vec::new(),
+            fill_gain: Vec::new(),
+            drain_bytes: Vec::new(),
             credits: vec![0.0; n],
             alloc_rates: vec![0.0; n],
             playing: false,
@@ -218,7 +233,7 @@ impl QaController {
         }
         let phase_before = self.phase;
         self.peak_rate = self.last_rate.max(post_rate);
-        self.drain_seq = None; // floors must be re-derived at the new peak
+        self.drain_stale = true; // floors must be re-derived at the new peak
         let total = self.total_buffer();
         let n_drop = drop_count(
             self.n_active,
@@ -332,55 +347,48 @@ impl QaController {
         let protect = 0.75 * slack;
         if rate >= consumption {
             self.phase = Phase::Filling;
-            // Build the filling path at the current rate and allocate. The
-            // sequences are rebuilt in place into scratch storage: ticks
-            // run every period on the transport's hot path, and recycling
-            // the state vectors keeps the tick allocation-free.
-            let mut seq = std::mem::take(&mut self.fill_scratch);
-            self.rebuild_seq(&mut seq, rate, self.n_active);
-            let mut alloc = allocate_filling(
-                &seq,
-                &self.bufs,
-                rate,
-                dt,
-                self.cfg.k_max,
-                self.cfg.epsilon_bytes,
-            );
+            // Build the filling path at the current rate and allocate. Ticks
+            // run every period on the transport's hot path: the sequences
+            // are rebuilt in place and the allocators write into vectors
+            // the controller keeps, so once those have reached the
+            // session's sizes a tick allocates only the report's
+            // `per_layer_rate`, which the caller owns.
+            Self::rebuild_seq(&self.cfg, self.slope, &mut self.fill_seq, rate, self.n_active);
             // Add at most one layer per tick (the paper adds layers one at
             // a time; rationing the ramp also keeps a startup rate
             // overestimate from instantiating the whole encoding at once).
-            let mut next_seq = std::mem::take(&mut self.next_scratch);
-            self.rebuild_seq(&mut next_seq, rate, self.n_active + 1);
-            let check = check_add(
-                &seq,
-                &next_seq,
-                &AddInputs {
-                    bufs: &self.bufs,
-                    rate,
-                    n_active: self.n_active,
-                    max_layers: self.cfg.max_layers,
-                    k_max: self.cfg.k_max,
-                    eps: self.cfg.epsilon_bytes,
-                },
-            );
-            self.next_scratch = next_seq;
-            if check.all_ok() {
+            // This is `adddrop::check_add(..).all_ok()` with the conditions
+            // that need only the current path first: the post-add path is
+            // built just on the ticks where they all hold.
+            let k_max = self.cfg.k_max;
+            let eps = self.cfg.epsilon_bytes;
+            let can_add = rate >= (self.n_active as f64 + 1.0) * c
+                && self.n_active < self.cfg.max_layers
+                && self.fill_seq.satisfied_up_to_k(&self.bufs, k_max, eps)
+                && {
+                    let next_n = self.n_active + 1;
+                    Self::rebuild_seq(&self.cfg, self.slope, &mut self.next_seq, rate, next_n);
+                    self.next_seq
+                        .satisfied_up_to_k_post_add(&self.bufs, k_max, eps, self.n_active)
+                };
+            if can_add {
                 self.add_layer(now);
                 added += 1;
-                if rate >= self.cfg.consumption(self.n_active) {
-                    self.rebuild_seq(&mut seq, rate, self.n_active);
-                    alloc = allocate_filling(
-                        &seq,
-                        &self.bufs,
-                        rate,
-                        dt,
-                        self.cfg.k_max,
-                        self.cfg.epsilon_bytes,
-                    );
-                }
+                // The add required `rate ≥ (n_a+1)·C`: still filling, and
+                // the post-add path just built is the new filling path.
+                debug_assert!(rate >= self.cfg.consumption(self.n_active));
+                std::mem::swap(&mut self.fill_seq, &mut self.next_seq);
             }
-            self.fill_scratch = seq;
-            self.alloc_rates = alloc.per_layer_rate;
+            allocate_filling_into(
+                &self.fill_seq,
+                &self.bufs,
+                rate,
+                dt,
+                eps,
+                &mut self.fill_projected,
+                &mut self.fill_gain,
+                &mut self.alloc_rates,
+            );
             // Base-layer protection while filling: the state path invests
             // excess across all layers' targets, but with the base buffer
             // near empty (e.g. right after a deep drop cascade) the §2.3
@@ -414,10 +422,16 @@ impl QaController {
             let critical = (0.5 * c * dt).max(self.cfg.epsilon_bytes);
             loop {
                 self.ensure_drain_seq();
-                let seq = self.drain_seq.as_ref().expect("just built");
-                let plan = plan_draining(seq, &self.bufs, rate, dt, self.cfg.epsilon_bytes);
-                if plan.shortfall <= critical || self.n_active == 1 {
-                    self.alloc_rates = plan.per_layer_rate;
+                let shortfall = plan_draining_into(
+                    &self.drain_seq,
+                    &self.bufs,
+                    rate,
+                    dt,
+                    self.cfg.epsilon_bytes,
+                    &mut self.drain_bytes,
+                    &mut self.alloc_rates,
+                );
+                if shortfall <= critical || self.n_active == 1 {
                     break;
                 }
                 self.drop_top_layer(now, rate, DropReason::DistributionShortfall);
@@ -478,15 +492,21 @@ impl QaController {
     }
 
     /// Rebuild `seq` in place as the state path for `n_active` layers at
-    /// `rate` under this controller's geometry parameters.
-    fn rebuild_seq(&self, seq: &mut StateSequence, rate: f64, n_active: usize) {
+    /// `rate` under the controller's geometry parameters.
+    fn rebuild_seq(
+        cfg: &QaConfig,
+        slope: f64,
+        seq: &mut StateSequence,
+        rate: f64,
+        n_active: usize,
+    ) {
         seq.rebuild_with(
             rate,
             n_active,
-            self.cfg.layer_rate,
-            self.slope,
-            self.cfg.fill_horizon_backoffs,
-            self.cfg.decrease_factor,
+            cfg.layer_rate,
+            slope,
+            cfg.fill_horizon_backoffs,
+            cfg.decrease_factor,
         );
     }
 
@@ -494,14 +514,12 @@ impl QaController {
     /// count, rebuilding in place (reusing its allocations) when stale.
     fn ensure_drain_seq(&mut self) {
         let peak = self.peak_rate.max(self.cfg.consumption(self.n_active));
-        let stale = match &self.drain_seq {
-            Some(seq) => seq.n_active != self.n_active || (seq.rate - peak).abs() > 1e-9,
-            None => true,
-        };
-        if stale {
-            let mut seq = self.drain_seq.take().unwrap_or_default();
-            self.rebuild_seq(&mut seq, peak, self.n_active);
-            self.drain_seq = Some(seq);
+        if self.drain_stale
+            || self.drain_seq.n_active != self.n_active
+            || (self.drain_seq.rate - peak).abs() > 1e-9
+        {
+            Self::rebuild_seq(&self.cfg, self.slope, &mut self.drain_seq, peak, self.n_active);
+            self.drain_stale = false;
         }
     }
 
@@ -522,7 +540,7 @@ impl QaController {
         self.bufs.push(0.0);
         self.sent_acc.push(0.0);
         self.credits.push(0.0);
-        self.drain_seq = None;
+        self.drain_stale = true;
         self.metrics.record(QaEvent::LayerAdded {
             time: now,
             n_active: self.n_active,
@@ -553,7 +571,7 @@ impl QaController {
         self.bufs.truncate(self.n_active);
         self.sent_acc.truncate(self.n_active);
         self.credits.truncate(self.n_active);
-        self.drain_seq = None;
+        self.drain_stale = true;
         self.metrics.record(QaEvent::LayerDropped {
             time: now,
             layer,

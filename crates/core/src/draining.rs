@@ -21,8 +21,14 @@
 //! consumption rate `C`, and the plan reports any uncoverable remainder —
 //! a *critical situation* (§2.2) the controller resolves by dropping
 //! layers.
+//!
+//! [`plan_draining`] is a wrapper that allocates its result vectors; the
+//! body is [`plan_draining_into`], which writes into vectors the caller
+//! keeps (the controller calls it every period and allocates nothing). The
+//! floors are borrowed from the sequence's states, and the band profile is
+//! read one layer at a time.
 
-use crate::geometry::band_drain_rates;
+use crate::geometry::band_drain_rate;
 use crate::states::StateSequence;
 
 /// Outcome of planning one draining period.
@@ -46,15 +52,38 @@ pub struct DrainPlan {
 /// were being filled. `bufs` is the current per-layer buffer estimate
 /// (negative entries are fluid-model debt and treated as empty).
 pub fn plan_draining(seq: &StateSequence, bufs: &[f64], rate: f64, dt: f64, eps: f64) -> DrainPlan {
+    let mut drain = Vec::new();
+    let mut per_layer_rate = Vec::new();
+    let shortfall = plan_draining_into(seq, bufs, rate, dt, eps, &mut drain, &mut per_layer_rate);
+    DrainPlan {
+        drain,
+        per_layer_rate,
+        shortfall,
+    }
+}
+
+/// [`plan_draining`] into caller-owned vectors: `drain` and
+/// `per_layer_rate` receive the fields of the same names (whatever they
+/// held is discarded) and the shortfall is returned. Once the vectors have
+/// held `seq.n_active` entries nothing is allocated.
+pub fn plan_draining_into(
+    seq: &StateSequence,
+    bufs: &[f64],
+    rate: f64,
+    dt: f64,
+    eps: f64,
+    drain: &mut Vec<f64>,
+    per_layer_rate: &mut Vec<f64>,
+) -> f64 {
     let n = seq.n_active;
     let c = seq.layer_rate;
     let consumption = n as f64 * c;
+    drain.clear();
+    drain.resize(n, 0.0);
+    per_layer_rate.clear();
     if dt <= 0.0 {
-        return DrainPlan {
-            drain: vec![0.0; n],
-            per_layer_rate: vec![c; n],
-            shortfall: 0.0,
-        };
+        per_layer_rate.resize(n, c);
+        return 0.0;
     }
     // The rate recovers linearly (slope S) within the period, so the
     // period's true deficit is the midpoint value; planning on the
@@ -63,8 +92,16 @@ pub fn plan_draining(seq: &StateSequence, bufs: &[f64], rate: f64, dt: f64, eps:
     let deficit_rate = (consumption - rate - seq.slope * dt / 2.0).max(0.0);
     let mut need = deficit_rate * dt;
     let cap = c * dt;
-    let mut drain = vec![0.0f64; n];
     let avail = |i: usize| bufs.get(i).copied().unwrap_or(0.0).max(0.0);
+    // Layer `i`'s floor: its target in state `idx` of the path, nothing
+    // once the walk has stepped back past the first state.
+    let floor = |idx: isize, i: usize| {
+        if idx >= 0 {
+            seq.states[idx as usize].per_layer[i]
+        } else {
+            0.0
+        }
+    };
 
     if need > 0.0 {
         // Floors start at the predecessor of the most advanced state the
@@ -75,37 +112,24 @@ pub fn plan_draining(seq: &StateSequence, bufs: &[f64], rate: f64, dt: f64, eps:
         };
         // Pass A: the §2.4 band profile, bounded by caps, floors and
         // availability.
-        {
-            let floors: Vec<f64> = if floor_idx >= 0 {
-                seq.states[floor_idx as usize].per_layer.clone()
-            } else {
-                vec![0.0; n]
-            };
-            let desired = band_drain_rates(deficit_rate, c, n);
-            for i in 0..n {
-                let want = desired[i] * dt;
-                let room = (avail(i) - floors[i]).max(0.0);
-                let take = want.min(cap).min(room).min(need);
-                if take > 0.0 {
-                    drain[i] += take;
-                    need -= take;
-                }
+        for (i, drained) in drain.iter_mut().enumerate() {
+            let want = band_drain_rate(deficit_rate, c, i) * dt;
+            let room = (avail(i) - floor(floor_idx, i)).max(0.0);
+            let take = want.min(cap).min(room).min(need);
+            if take > 0.0 {
+                *drained += take;
+                need -= take;
             }
         }
         // Pass B: substitute the remainder from higher layers first
         // (higher-layer buffer may stand in for lower, §4), stepping the
         // floors back along the path until they vanish.
         while need > 0.0 {
-            let floors: Vec<f64> = if floor_idx >= 0 {
-                seq.states[floor_idx as usize].per_layer.clone()
-            } else {
-                vec![0.0; n]
-            };
             for i in (0..n).rev() {
                 if need <= 0.0 {
                     break;
                 }
-                let room = (avail(i) - drain[i] - floors[i]).max(0.0);
+                let room = (avail(i) - drain[i] - floor(floor_idx, i)).max(0.0);
                 let take = need.min(cap - drain[i]).min(room);
                 if take > 0.0 {
                     drain[i] += take;
@@ -119,12 +143,8 @@ pub fn plan_draining(seq: &StateSequence, bufs: &[f64], rate: f64, dt: f64, eps:
         }
     }
 
-    let per_layer_rate = drain.iter().map(|d| c - d / dt).collect();
-    DrainPlan {
-        drain,
-        per_layer_rate,
-        shortfall: need.max(0.0),
-    }
+    per_layer_rate.extend(drain.iter().map(|d| c - d / dt));
+    need.max(0.0)
 }
 
 #[cfg(test)]

@@ -16,6 +16,12 @@
 //! * [`allocate_filling`] — a per-period rate split (consumption plus excess
 //!   shares), which is what the transport senders consume; it produces the
 //!   per-layer bandwidth "spikes" visible in the paper's figure 11.
+//!
+//! [`allocate_filling`] is a wrapper that allocates its result vectors and
+//! evaluates the `K_max` predicate; the body is [`allocate_filling_into`],
+//! which writes into vectors the caller keeps (the controller calls it every
+//! period and allocates nothing). State targets are read in place from the
+//! sequence.
 
 use crate::states::StateSequence;
 
@@ -65,16 +71,50 @@ pub fn allocate_filling(
     k_max: u32,
     eps: f64,
 ) -> FillAllocation {
+    let mut projected = Vec::new();
+    let mut buffer_gain = Vec::new();
+    let mut per_layer_rate = Vec::new();
+    allocate_filling_into(
+        seq,
+        bufs,
+        rate,
+        dt,
+        eps,
+        &mut projected,
+        &mut buffer_gain,
+        &mut per_layer_rate,
+    );
+    FillAllocation {
+        per_layer_rate,
+        buffer_gain,
+        targets_met: seq.satisfied_up_to_k(bufs, k_max, eps),
+    }
+}
+
+/// [`allocate_filling`] into caller-owned vectors: `buffer_gain` and
+/// `per_layer_rate` receive the fields of the same names (whatever they
+/// held is discarded), `projected` is working storage. Once the vectors
+/// have held `seq.n_active` entries nothing is allocated.
+#[allow(clippy::too_many_arguments)]
+pub fn allocate_filling_into(
+    seq: &StateSequence,
+    bufs: &[f64],
+    rate: f64,
+    dt: f64,
+    eps: f64,
+    projected: &mut Vec<f64>,
+    buffer_gain: &mut Vec<f64>,
+    per_layer_rate: &mut Vec<f64>,
+) {
     let n = seq.n_active;
     let c = seq.layer_rate;
     let consumption = n as f64 * c;
-    let targets_met = seq.satisfied_up_to_k(bufs, k_max, eps);
+    buffer_gain.clear();
+    buffer_gain.resize(n, 0.0);
+    per_layer_rate.clear();
     if dt <= 0.0 {
-        return FillAllocation {
-            per_layer_rate: vec![c; n],
-            buffer_gain: vec![0.0; n],
-            targets_met,
-        };
+        per_layer_rate.resize(n, c);
+        return;
     }
 
     if rate < consumption {
@@ -85,18 +125,13 @@ pub fn allocate_filling(
         } else {
             0.0
         };
-        return FillAllocation {
-            per_layer_rate: vec![c * scale; n],
-            buffer_gain: vec![0.0; n],
-            targets_met,
-        };
+        per_layer_rate.resize(n, c * scale);
+        return;
     }
 
     let mut excess = (rate - consumption) * dt;
-    let mut projected: Vec<f64> = (0..n)
-        .map(|i| bufs.get(i).copied().unwrap_or(0.0))
-        .collect();
-    let mut gain = vec![0.0f64; n];
+    projected.clear();
+    projected.extend((0..n).map(|i| bufs.get(i).copied().unwrap_or(0.0)));
 
     'states: for state in &seq.states {
         for i in 0..n {
@@ -105,7 +140,7 @@ pub fn allocate_filling(
             if gap > eps {
                 let give = gap.min(excess);
                 projected[i] += give;
-                gain[i] += give;
+                buffer_gain[i] += give;
                 excess -= give;
                 if excess <= 0.0 {
                     break 'states;
@@ -116,15 +151,10 @@ pub fn allocate_filling(
     if excess > 0.0 {
         // Every state up to the horizon is satisfied; park the remainder in
         // the base layer — the most protective place for it (§2.3).
-        gain[0] += excess;
+        buffer_gain[0] += excess;
     }
 
-    let per_layer_rate = gain.iter().map(|g| c + g / dt).collect();
-    FillAllocation {
-        per_layer_rate,
-        buffer_gain: gain,
-        targets_met,
-    }
+    per_layer_rate.extend(buffer_gain.iter().map(|g| c + g / dt));
 }
 
 #[cfg(test)]

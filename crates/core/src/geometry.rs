@@ -178,12 +178,18 @@ pub fn band_drain_rates(deficit_rate: f64, layer_rate: f64, n_layers: usize) -> 
     if deficit_rate <= 0.0 {
         return rates;
     }
-    let c = layer_rate;
     for (i, rate) in rates.iter_mut().enumerate() {
-        let lo = i as f64 * c;
-        *rate = (deficit_rate - lo).clamp(0.0, c);
+        *rate = band_drain_rate(deficit_rate, layer_rate, i);
     }
     rates
+}
+
+/// Entry `layer` of [`band_drain_rates`] for a positive `deficit_rate`: the
+/// part of the deficit that falls inside the layer's bandwidth band. The
+/// draining planner reads the profile one layer at a time through this, so
+/// its hot path needs no vector.
+pub fn band_drain_rate(deficit_rate: f64, layer_rate: f64, layer: usize) -> f64 {
+    (deficit_rate - layer as f64 * layer_rate).clamp(0.0, layer_rate)
 }
 
 /// Solve the §2.2 drop rule: the largest number of layers `n` (`0 ≤ n ≤

@@ -157,6 +157,12 @@ pub fn per_layer(
 
 /// [`per_layer`] generalized to an arbitrary decrease factor (see
 /// [`buf_total_with`]); bit-identical to the ungeneralized form at `0.5`.
+///
+/// This is the one-state-at-a-time form. The per-tick path
+/// ([`crate::states::StateSequence::rebuild_with`]) needs every `k` of a
+/// path at once and composes the same two pieces — [`scenario_one_into`]
+/// and [`recurring_band_into`] — computing `k₁` and the two Scenario-2
+/// triangles once per path instead of once per state.
 #[allow(clippy::too_many_arguments)]
 pub fn per_layer_with(
     scenario: Scenario,
@@ -167,29 +173,39 @@ pub fn per_layer_with(
     slope: f64,
     decrease_factor: f64,
 ) -> Vec<f64> {
+    let consumption = n_active as f64 * layer_rate;
+    if consumption <= 0.0 || k == 0 {
+        return vec![0.0; n_active];
+    }
+    let k1 = min_backoffs_below_with(rate, consumption, decrease_factor);
+    if k < k1 {
+        return vec![0.0; n_active];
+    }
     let mut out = Vec::new();
-    let mut tmp = Vec::new();
-    per_layer_into_with(
-        scenario,
-        k,
-        rate,
-        n_active,
-        layer_rate,
-        slope,
-        decrease_factor,
-        &mut out,
-        &mut tmp,
-    );
+    match scenario {
+        Scenario::One => {
+            scenario_one_into(k, rate, n_active, layer_rate, slope, decrease_factor, &mut out);
+        }
+        Scenario::Two => {
+            scenario_one_into(k1, rate, n_active, layer_rate, slope, decrease_factor, &mut out);
+            if k > k1 {
+                let mut recurring = Vec::new();
+                recurring_band_into(n_active, layer_rate, slope, decrease_factor, &mut recurring);
+                let mult = (k - k1) as f64;
+                for (s, r) in out.iter_mut().zip(recurring.iter()) {
+                    *s += mult * r;
+                }
+            }
+        }
+    }
     out
 }
 
-/// [`per_layer_with`] writing into caller-provided buffers so the per-tick
-/// state-sequence rebuild can recycle allocations. `out` receives the
-/// targets (cleared first); `tmp` is scratch for the Scenario-2 recurring
-/// triangle. Values are identical to the allocating variant.
-#[allow(clippy::too_many_arguments)]
-pub fn per_layer_into_with(
-    scenario: Scenario,
+/// Scenario-1 targets for `k ≥ k₁` back-to-back backoffs, written into
+/// `out`: the band allocation of the single triangle left by the rate
+/// falling to `R·f^k`. At `k = k₁` this is also the initial triangle of
+/// every Scenario-2 state.
+pub(crate) fn scenario_one_into(
     k: u32,
     rate: f64,
     n_active: usize,
@@ -197,45 +213,30 @@ pub fn per_layer_into_with(
     slope: f64,
     decrease_factor: f64,
     out: &mut Vec<f64>,
-    tmp: &mut Vec<f64>,
 ) {
-    out.clear();
     let consumption = n_active as f64 * layer_rate;
-    if n_active == 0 {
-        return;
-    }
-    if consumption <= 0.0 || k == 0 {
-        out.resize(n_active, 0.0);
-        return;
-    }
-    let k1 = min_backoffs_below_with(rate, consumption, decrease_factor);
-    if k < k1 {
-        out.resize(n_active, 0.0);
-        return;
-    }
-    match scenario {
-        Scenario::One => {
-            let post = rate * decrease_factor.powi(k as i32);
-            band_allocation_into(deficit(consumption, post), layer_rate, slope, n_active, out);
-        }
-        Scenario::Two => {
-            let post = rate * decrease_factor.powi(k1 as i32);
-            band_allocation_into(deficit(consumption, post), layer_rate, slope, n_active, out);
-            if k > k1 {
-                band_allocation_into(
-                    consumption * (1.0 - decrease_factor),
-                    layer_rate,
-                    slope,
-                    n_active,
-                    tmp,
-                );
-                let mult = (k - k1) as f64;
-                for (s, r) in out.iter_mut().zip(tmp.iter()) {
-                    *s += mult * r;
-                }
-            }
-        }
-    }
+    let post = rate * decrease_factor.powi(k as i32);
+    band_allocation_into(deficit(consumption, post), layer_rate, slope, n_active, out);
+}
+
+/// Band allocation of the triangle each spread Scenario-2 backoff leaves
+/// (height `n_a·C·(1−f)`), written into `out`. A Scenario-2 state for `k`
+/// backoffs is the initial triangle plus `k − k₁` of these, per layer.
+pub(crate) fn recurring_band_into(
+    n_active: usize,
+    layer_rate: f64,
+    slope: f64,
+    decrease_factor: f64,
+    out: &mut Vec<f64>,
+) {
+    let consumption = n_active as f64 * layer_rate;
+    band_allocation_into(
+        consumption * (1.0 - decrease_factor),
+        layer_rate,
+        slope,
+        n_active,
+        out,
+    );
 }
 
 #[cfg(test)]

@@ -18,7 +18,8 @@
 //! state" and keeps the path drain-free; the pre-clamp targets are kept
 //! available for the ablation benchmarks.
 
-use crate::scenario::{min_backoffs_below_with, per_layer_into_with, Scenario};
+use crate::scenario::{min_backoffs_below_with, recurring_band_into, scenario_one_into, Scenario};
+use std::cmp::Ordering;
 
 /// One optimal buffer state `(scenario, k)` with its per-layer targets.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,6 +72,60 @@ pub struct StateSequence {
     /// States in increasing order of total required buffering, after the
     /// monotonicity clamp. Never empty for `n_active ≥ 1` and `k_horizon ≥ 1`.
     pub states: Vec<BufferState>,
+    /// Storage [`rebuild_with`](Self::rebuild_with) recycles between calls.
+    scratch: RebuildScratch,
+}
+
+/// Working storage of [`StateSequence::rebuild_with`]. It holds leftovers
+/// of the last rebuild, never part of the sequence's value: `Debug` prints
+/// a fixed token and every scratch equals every other, so the derived
+/// `Debug` / `PartialEq` of [`StateSequence`] still compare values only.
+#[derive(Clone, Default)]
+struct RebuildScratch {
+    /// Scenario-2 initial triangle (the Scenario-1 bands at `k₁`).
+    base: Vec<f64>,
+    /// Scenario-2 recurring triangle.
+    recurring: Vec<f64>,
+    /// One sort key per candidate state, in generation order.
+    keys: Vec<SortKey>,
+    /// States a shorter path had no use for, vectors intact, for the next
+    /// longer one.
+    spare: Vec<BufferState>,
+}
+
+impl std::fmt::Debug for RebuildScratch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("RebuildScratch")
+    }
+}
+
+impl PartialEq for RebuildScratch {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
+}
+
+/// What the path is ordered by, computed once per candidate.
+#[derive(Clone, Copy)]
+struct SortKey {
+    raw_total: f64,
+    scenario: Scenario,
+    /// Slot of `states` the candidate was generated into.
+    slot: usize,
+}
+
+impl SortKey {
+    /// Raw total ascending, Scenario 1 first on equal totals.
+    fn path_order(&self, other: &SortKey) -> Ordering {
+        let rank = |s: Scenario| match s {
+            Scenario::One => 0,
+            Scenario::Two => 1,
+        };
+        self.raw_total
+            .partial_cmp(&other.raw_total)
+            .unwrap_or(Ordering::Equal)
+            .then_with(|| rank(self.scenario).cmp(&rank(other.scenario)))
+    }
 }
 
 impl StateSequence {
@@ -107,10 +162,20 @@ impl StateSequence {
     /// reuses the state and per-layer vectors instead of reallocating ~2
     /// `Vec`s per state per tick.
     ///
-    /// Rebuilds in place: candidate `n` is computed straight into slot `n`
-    /// of `states`, so once the sequence has held as many states as the new
-    /// operating point needs, nothing is allocated (beyond the stable
-    /// sort's scratch buffer above 20 states).
+    /// Candidate `n` is computed straight into slot `n` of `states`, the
+    /// path order is found by an in-place insertion sort over one key per
+    /// candidate, the states are permuted by swaps, and the states a
+    /// shorter path leaves over are kept for the next longer one. So once
+    /// the sequence has held as many states as the new operating point
+    /// needs, each with that many layers, nothing is allocated at any path
+    /// length.
+    ///
+    /// What every state of a path shares is computed once: `k₁`, and the
+    /// two triangles each Scenario-2 state is a sum of. Each value is still
+    /// the result of the float operations [`per_layer_with`] performs for
+    /// that state, in the same order.
+    ///
+    /// [`per_layer_with`]: crate::scenario::per_layer_with
     pub fn rebuild_with(
         &mut self,
         rate: f64,
@@ -126,68 +191,121 @@ impl StateSequence {
         } else {
             1
         };
-        let mut n = 0;
-        for k in 1..=k_horizon {
-            for &scenario in &Scenario::ALL {
-                if scenario == Scenario::Two && k <= k1 {
-                    // Identical to Scenario 1 with k = k1; skip duplicates.
-                    continue;
-                }
-                if n == self.states.len() {
-                    self.states.push(BufferState {
+        let states = &mut self.states;
+        let RebuildScratch {
+            base,
+            recurring,
+            keys,
+            spare,
+        } = &mut self.scratch;
+        keys.clear();
+        // Fewer than k₁ backoffs leave no draining phase and nothing to
+        // protect, so candidates start at k₁; without consumption there
+        // are none at all.
+        if consumption > 0.0 && k1 <= k_horizon {
+            scenario_one_into(k1, rate, n_active, layer_rate, slope, decrease_factor, base);
+            recurring_band_into(n_active, layer_rate, slope, decrease_factor, recurring);
+            for k in k1..=k_horizon {
+                for &scenario in &Scenario::ALL {
+                    if scenario == Scenario::Two && k == k1 {
+                        // Identical to Scenario 1 with k = k1; skip duplicates.
+                        continue;
+                    }
+                    let slot = keys.len();
+                    if slot == states.len() {
+                        let state = spare.pop().unwrap_or_else(|| {
+                            // A state the sequence never owned. Make room
+                            // for every owned state in `spare` while
+                            // allocating anyway, so that retiring states
+                            // below never does.
+                            spare.reserve(states.len() + 1);
+                            BufferState {
+                                scenario,
+                                k,
+                                raw_per_layer: Vec::new(),
+                                per_layer: Vec::new(),
+                            }
+                        });
+                        states.push(state);
+                    }
+                    let state = &mut states[slot];
+                    let raw = &mut state.raw_per_layer;
+                    match scenario {
+                        Scenario::One if k == k1 => {
+                            raw.clear();
+                            raw.extend_from_slice(base);
+                        }
+                        Scenario::One => scenario_one_into(
+                            k,
+                            rate,
+                            n_active,
+                            layer_rate,
+                            slope,
+                            decrease_factor,
+                            raw,
+                        ),
+                        Scenario::Two => {
+                            let mult = (k - k1) as f64;
+                            raw.clear();
+                            raw.extend(base.iter().zip(recurring.iter()).map(|(b, r)| b + mult * r));
+                        }
+                    }
+                    let raw_total = state.raw_total();
+                    if raw_total <= 0.0 {
+                        // Float rounding at the k₁ boundary can leave an
+                        // empty triangle; the next candidate reuses the slot.
+                        continue;
+                    }
+                    state.scenario = scenario;
+                    state.k = k;
+                    keys.push(SortKey {
+                        raw_total,
                         scenario,
-                        k,
-                        raw_per_layer: Vec::new(),
-                        per_layer: Vec::new(),
+                        slot,
                     });
                 }
-                let slot = &mut self.states[n];
-                // `per_layer` is overwritten below, so it serves as the
-                // Scenario-2 scratch in the meantime.
-                per_layer_into_with(
-                    scenario,
-                    k,
-                    rate,
-                    n_active,
-                    layer_rate,
-                    slope,
-                    decrease_factor,
-                    &mut slot.raw_per_layer,
-                    &mut slot.per_layer,
-                );
-                if slot.raw_total() <= 0.0 {
-                    continue; // k < k1: no draining phase, nothing to protect.
-                }
-                slot.scenario = scenario;
-                slot.k = k;
-                slot.per_layer.clear();
-                slot.per_layer.extend_from_slice(&slot.raw_per_layer);
-                n += 1;
             }
         }
-        self.states.truncate(n);
-        self.states.sort_by(|a, b| {
-            a.raw_total()
-                .partial_cmp(&b.raw_total())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| {
-                    // Scenario 1 first on equal totals.
-                    let rank = |s: &BufferState| match s.scenario {
-                        Scenario::One => 0,
-                        Scenario::Two => 1,
-                    };
-                    rank(a).cmp(&rank(b))
-                })
-        });
+        let n = keys.len();
+        spare.extend(states.drain(n..));
+        // Stable insertion sort: candidates are generated nearly in path
+        // order, and unlike `sort_by` it never needs a scratch buffer.
+        for i in 1..n {
+            let mut j = i;
+            while j > 0 && keys[j - 1].path_order(&keys[j]) == Ordering::Greater {
+                keys.swap(j - 1, j);
+                j -= 1;
+            }
+        }
+        // Move the state generated into `keys[p].slot` to position `p`. A
+        // slot below `p` was swapped away when its own position was
+        // filled; the chain of keys leads to where its contents went.
+        for p in 0..n {
+            let mut from = keys[p].slot;
+            while from < p {
+                from = keys[from].slot;
+            }
+            states.swap(p, from);
+        }
         // Figure-10 monotonicity: running per-layer maximum. Each state's
         // clamped targets already dominate every earlier state's, so the
         // maximum is taken pairwise against the previous state.
-        for i in 1..n {
-            let (done, rest) = self.states.split_at_mut(i);
-            for (target, prev) in rest[0].per_layer.iter_mut().zip(&done[i - 1].per_layer) {
-                if *target < *prev {
-                    *target = *prev;
-                }
+        for i in 0..n {
+            let (done, rest) = states.split_at_mut(i);
+            let BufferState {
+                raw_per_layer,
+                per_layer,
+                ..
+            } = &mut rest[0];
+            per_layer.clear();
+            match done.last() {
+                Some(prev) => per_layer.extend(
+                    raw_per_layer
+                        .iter()
+                        .zip(&prev.per_layer)
+                        .map(|(&raw, &floor)| if raw < floor { floor } else { raw }),
+                ),
+                None => per_layer.extend_from_slice(raw_per_layer),
             }
         }
         self.rate = rate;

@@ -12,9 +12,9 @@
 #![allow(clippy::needless_range_loop)] // index-parallel asserts read clearer
 
 use laqa_check::{cases, Gen, DEFAULT_CASES};
-use laqa_core::adddrop::{drop_count, required_recovery_buffer};
-use laqa_core::draining::plan_draining;
-use laqa_core::filling::{allocate_filling, next_fill_layer};
+use laqa_core::adddrop::{check_add, drop_count, required_recovery_buffer, AddInputs};
+use laqa_core::draining::{plan_draining, plan_draining_into};
+use laqa_core::filling::{allocate_filling, allocate_filling_into, next_fill_layer};
 use laqa_core::geometry::{
     band_allocation, band_drain_rates, buffering_layer_count, deficit, sustainable_layers,
     triangle_area,
@@ -22,8 +22,10 @@ use laqa_core::geometry::{
 use laqa_core::nonlinear::{
     nl_band_allocation, nl_band_drain_rates, nl_buf_total, nl_per_layer, LayerRates,
 };
-use laqa_core::scenario::{buf_total, min_backoffs_below, per_layer, Scenario};
-use laqa_core::{QaConfig, QaController, StateSequence};
+use laqa_core::scenario::{
+    buf_total, min_backoffs_below, min_backoffs_below_with, per_layer, per_layer_with, Scenario,
+};
+use laqa_core::{Phase, QaConfig, QaController, StateSequence};
 
 /// Plausible operating point: (rate, n_active, layer rate C, slope S).
 fn op_point(g: &mut Gen) -> (f64, usize, f64, f64) {
@@ -164,6 +166,337 @@ fn rebuild_in_place_equals_fresh_build_along_random_walk() {
             );
         }
     });
+}
+
+/// One state of [`reference_path`]: `(scenario, k, raw targets, clamped
+/// targets)`.
+type ReferenceState = (Scenario, u32, Vec<f64>, Vec<f64>);
+
+/// The state path built the plain way, one [`per_layer_with`] call per
+/// candidate state, `sort_by` on totals summed inside the comparator, then
+/// the running per-layer maximum. `rebuild_with` shares work between
+/// states and sorts keys; this is what it has to keep equal to, bit for bit.
+fn reference_path(
+    rate: f64,
+    n: usize,
+    c: f64,
+    s: f64,
+    k_h: u32,
+    f: f64,
+) -> (u32, Vec<ReferenceState>) {
+    let consumption = n as f64 * c;
+    let k1 = if consumption > 0.0 {
+        min_backoffs_below_with(rate, consumption, f)
+    } else {
+        1
+    };
+    let mut states: Vec<ReferenceState> = Vec::new();
+    for k in 1..=k_h {
+        for &scenario in &Scenario::ALL {
+            if scenario == Scenario::Two && k <= k1 {
+                continue;
+            }
+            let raw = per_layer_with(scenario, k, rate, n, c, s, f);
+            if raw.iter().sum::<f64>() <= 0.0 {
+                continue;
+            }
+            states.push((scenario, k, raw.clone(), raw));
+        }
+    }
+    states.sort_by(|a, b| {
+        let total = |st: &ReferenceState| st.2.iter().sum::<f64>();
+        let rank = |st: &ReferenceState| match st.0 {
+            Scenario::One => 0,
+            Scenario::Two => 1,
+        };
+        total(a)
+            .partial_cmp(&total(b))
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| rank(a).cmp(&rank(b)))
+    });
+    for i in 1..states.len() {
+        let prev = states[i - 1].3.clone();
+        for (target, floor) in states[i].3.iter_mut().zip(prev) {
+            if *target < floor {
+                *target = floor;
+            }
+        }
+    }
+    (k1, states)
+}
+
+fn bits(v: &[f64]) -> Vec<u64> {
+    v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Rebuild `seq` in place for the operating point and hold the result
+/// against [`reference_path`], bit for bit. Returns the reference.
+fn rebuild_and_compare_with_reference(
+    seq: &mut StateSequence,
+    rate: f64,
+    n: usize,
+    c: f64,
+    s: f64,
+    k_h: u32,
+    f: f64,
+) -> Vec<ReferenceState> {
+    let at = format!("rate={rate} n={n} c={c} s={s} k_h={k_h} f={f}");
+    seq.rebuild_with(rate, n, c, s, k_h, f);
+    let (k1, want) = reference_path(rate, n, c, s, k_h, f);
+    assert_eq!(seq.k1, k1, "{at}");
+    assert_eq!(seq.states.len(), want.len(), "{at}");
+    for (i, (got, (scenario, k, raw, clamped))) in seq.states.iter().zip(&want).enumerate() {
+        assert_eq!((got.scenario, got.k), (*scenario, *k), "{at}: state {i}");
+        assert_eq!(bits(&got.raw_per_layer), bits(raw), "{at}: state {i} raw");
+        assert_eq!(bits(&got.per_layer), bits(clamped), "{at}: state {i}");
+    }
+    want
+}
+
+#[test]
+fn rebuild_equals_per_state_reference_bit_for_bit() {
+    // One sequence carried through the whole sweep, so every rebuild
+    // starts from another operating point's leftovers.
+    let mut seq = StateSequence::default();
+    let mut visited = 0usize;
+    let mut empty_paths = 0usize;
+    let mut same_scenario_ties = 0usize;
+    let mut cross_scenario_ties = 0usize;
+    let mut check = |rate: f64, n: usize, c: f64, s: f64, k_h: u32, f: f64| {
+        let want = rebuild_and_compare_with_reference(&mut seq, rate, n, c, s, k_h, f);
+        visited += 1;
+        empty_paths += usize::from(want.is_empty());
+        for w in want.windows(2) {
+            if w[0].2.iter().sum::<f64>() == w[1].2.iter().sum::<f64>() {
+                if w[0].0 == w[1].0 {
+                    same_scenario_ties += 1;
+                } else {
+                    cross_scenario_ties += 1;
+                }
+            }
+        }
+    };
+    const C: f64 = 10_000.0;
+    const S: f64 = 25_000.0;
+    for f in [0.5, 0.7, 0.85] {
+        for k_h in 1..=32u32 {
+            for n in 0..=12usize {
+                // Below, at and above consumption; 40x above puts k1 past
+                // short horizons (6 halvings, 24 steps of 0.85), and from a
+                // rate of zero every Scenario-1 total is the same.
+                for x in [0.0, 0.4, 1.0, 1.3, 2.0, 3.7, 40.0] {
+                    check(x * n.max(1) as f64 * C, n, C, S, k_h, f);
+                }
+            }
+            // No consumption with layers present.
+            check(30_000.0, 3, 0.0, S, k_h, f);
+        }
+    }
+    // A decrease factor one ulp short of 1: the recurring triangle is too
+    // small to register in the sums, so every Scenario-2 total equals the
+    // Scenario-1 total at k1 and only the scenario rank orders them.
+    for n in 1..=6usize {
+        check(0.75 * n as f64 * C, n, C, S, 12, 1.0 - f64::EPSILON / 2.0);
+    }
+    assert!(visited > 8_000 && empty_paths > 100, "{visited} {empty_paths}");
+    assert!(
+        same_scenario_ties > 0 && cross_scenario_ties > 0,
+        "the sweep must reach exact ties: {same_scenario_ties} {cross_scenario_ties}"
+    );
+}
+
+#[test]
+fn rebuild_equals_per_state_reference_at_random_operating_points() {
+    cases("rebuild_equals_per_state_reference", DEFAULT_CASES, |g, _| {
+        let mut seq = StateSequence::default();
+        for _ in 0..6 {
+            let (rate, n, c, s) = op_point(g);
+            let k_h = g.u32_in(1, 32);
+            let f = *g.pick(&[0.5, 0.7, 0.85]);
+            rebuild_and_compare_with_reference(&mut seq, rate, n, c, s, k_h, f);
+        }
+    });
+}
+
+/// Scratch vectors as a previous call on another layer count left them.
+fn dirty(g: &mut Gen) -> Vec<f64> {
+    g.vec_f64(-1e9, 1e9, 0, 15)
+}
+
+#[test]
+fn into_allocators_on_dirty_scratch_equal_the_allocating_forms() {
+    cases("into_allocators_on_dirty_scratch", DEFAULT_CASES, |g, _| {
+        let (peak, n, c, s) = op_point(g);
+        let peak = peak.max(n as f64 * c);
+        let seq = StateSequence::build(peak, n, c, s, 8);
+        let fill = g.f64_range(0.0, 1.5);
+        let mut bufs: Vec<f64> = seq
+            .states
+            .last()
+            .map(|st| st.per_layer.iter().map(|x| x * fill).collect())
+            .unwrap_or_else(|| vec![0.0; n]);
+        if g.bool(0.3) {
+            // A shorter slice reads as empty layers; a debt as empty.
+            bufs.truncate(g.usize_in(0, n));
+        }
+        if let Some(b) = bufs.first_mut().filter(|_| g.bool(0.2)) {
+            *b = -100.0;
+        }
+        // Both early returns and both sides of the consumption line.
+        let dt = *g.pick(&[0.0, -1.0, 0.02, 0.1, 0.7]);
+        let rate = g.f64_range(0.0, 2.0) * n as f64 * c;
+
+        let want = allocate_filling(&seq, &bufs, rate, dt, 2, 1.0);
+        let (mut projected, mut gain, mut rates) = (dirty(g), dirty(g), dirty(g));
+        allocate_filling_into(
+            &seq,
+            &bufs,
+            rate,
+            dt,
+            1.0,
+            &mut projected,
+            &mut gain,
+            &mut rates,
+        );
+        assert_eq!(bits(&gain), bits(&want.buffer_gain), "fill gain");
+        assert_eq!(bits(&rates), bits(&want.per_layer_rate), "fill rates");
+        assert_eq!(want.targets_met, seq.satisfied_up_to_k(&bufs, 2, 1.0));
+
+        let want = plan_draining(&seq, &bufs, rate, dt, 1.0);
+        let (mut drain, mut rates) = (dirty(g), dirty(g));
+        let shortfall = plan_draining_into(&seq, &bufs, rate, dt, 1.0, &mut drain, &mut rates);
+        assert_eq!(bits(&drain), bits(&want.drain), "drain");
+        assert_eq!(bits(&rates), bits(&want.per_layer_rate), "drain rates");
+        assert_eq!(shortfall.to_bits(), want.shortfall.to_bits());
+    });
+}
+
+#[test]
+fn draining_relaxes_floors_several_states_back_on_recycled_vectors() {
+    // Buffers exactly at the last of 15 states, then one period with the
+    // network gone: the band profile is held back by the floor one state
+    // down, and Pass B has to step the floors back state after state to
+    // find the rest.
+    let (n, c, s, dt) = (4usize, 10_000.0, 25_000.0, 0.25);
+    let seq = StateSequence::build(50_000.0, n, c, s, 8);
+    let top = seq.states.len() - 1;
+    let bufs = seq.states[top].per_layer.clone();
+    assert_eq!(seq.last_satisfied(&bufs, 1.0), Some(top));
+
+    let (mut drain, mut rates) = (vec![7.0; 9], vec![-3.0; 1]);
+    let shortfall = plan_draining_into(&seq, &bufs, 0.0, dt, 1.0, &mut drain, &mut rates);
+    assert_eq!(shortfall, 0.0);
+    let left: Vec<f64> = bufs.iter().zip(&drain).map(|(b, d)| b - d).collect();
+    let kept = seq.last_satisfied(&left, 1.0).map_or(-1, |i| i as isize);
+    // The floors start at `top - 1` and every relaxation gives up one more
+    // state, so a result below `top - 3` took at least three of them.
+    assert!(
+        kept < top as isize - 3,
+        "the plan kept state {kept} of {top}: Pass B barely relaxed"
+    );
+    let want = plan_draining(&seq, &bufs, 0.0, dt, 1.0);
+    assert_eq!(bits(&drain), bits(&want.drain));
+    assert_eq!(bits(&rates), bits(&want.per_layer_rate));
+    for d in &drain {
+        assert!(*d <= c * dt + 1e-9, "cap violated: {drain:?}");
+    }
+}
+
+#[test]
+fn lazy_add_decision_equals_eager_check_add_along_hostile_walk() {
+    // The controller builds the post-add path only when the add rule's
+    // cheaper conditions hold. Whatever it is fed — the hostile mix of
+    // `adversarial_inputs_never_panic_or_kill_base_layer` included — each
+    // tick must add a layer exactly when `check_add`, given both paths
+    // built from scratch, says all conditions hold. A filling tick drops
+    // nothing after settling the buffers and an add appends an empty
+    // layer, so the inputs of the decision can be read back afterwards.
+    // Over all cases: adds, then ticks refused for bandwidth, for buffers
+    // (with bandwidth to spare) and for capacity.
+    let (mut adds, mut refusals) = (0usize, [0usize; 3]);
+    cases("lazy_add_equals_eager_check_add", 48, |g, _| {
+        let cfg = QaConfig {
+            layer_rate: 10_000.0,
+            max_layers: g.usize_in(2, 8),
+            k_max: *g.pick(&[1, 2, 4, 16]),
+            decrease_factor: *g.pick(&[0.5, 0.7, 0.85]),
+            ..QaConfig::default()
+        };
+        let mut ctl = QaController::new(cfg.clone()).unwrap();
+        ctl.set_slope(25_000.0);
+        let hostile = |g: &mut Gen, scale: f64| match g.usize_in(0, 15) {
+            0 => f64::NAN,
+            1 => f64::INFINITY,
+            2 => f64::NEG_INFINITY,
+            3 => -scale,
+            4 => 0.0,
+            5 => scale * 1e9,
+            _ => g.f64_unit() * scale,
+        };
+        let mut now = 0.0;
+        for _ in 0..600 {
+            match g.usize_in(0, 9) {
+                0 => ctl.on_backoff(now, hostile(g, 90_000.0)),
+                1 => ctl.set_slope(hostile(g, 50_000.0)),
+                2 => ctl.on_packet_delivered(g.usize_in(0, 9), hostile(g, 20_000.0)),
+                _ => {
+                    let rate = hostile(g, 90_000.0);
+                    let dt = if g.bool(0.9) { 0.1 } else { hostile(g, 0.5) };
+                    let report = ctl.tick(now, rate, dt);
+                    now += 0.1;
+                    // A faithful transport most of the time, so buffers
+                    // build and adds do happen.
+                    if g.bool(0.9) {
+                        for (layer, &r) in report.per_layer_rate.iter().enumerate() {
+                            ctl.on_packet_delivered(layer, r * 0.1);
+                        }
+                    }
+                    if report.phase == Phase::Draining {
+                        assert_eq!(report.added, 0, "add while draining");
+                        continue;
+                    }
+                    let rate = if rate.is_finite() { rate.max(0.0) } else { 0.0 };
+                    let n = report.n_active - report.added;
+                    let path = |layers| {
+                        StateSequence::build_with(
+                            rate,
+                            layers,
+                            cfg.layer_rate,
+                            ctl.slope(),
+                            cfg.fill_horizon_backoffs,
+                            cfg.decrease_factor,
+                        )
+                    };
+                    let eager = check_add(
+                        &path(n),
+                        &path(n + 1),
+                        &AddInputs {
+                            bufs: &ctl.buffers()[..n],
+                            rate,
+                            n_active: n,
+                            max_layers: cfg.max_layers,
+                            k_max: cfg.k_max,
+                            eps: cfg.epsilon_bytes,
+                        },
+                    );
+                    assert_eq!(
+                        report.added == 1,
+                        eager.all_ok(),
+                        "t={now:.1} rate={rate} n={n}: {eager:?} vs {report:?}"
+                    );
+                    adds += report.added;
+                    refusals[0] += usize::from(!eager.bandwidth_ok);
+                    refusals[1] += usize::from(eager.bandwidth_ok && !eager.buffer_ok);
+                    refusals[2] += usize::from(!eager.capacity_ok);
+                }
+            }
+        }
+    });
+    eprintln!("lazy add walk: {adds} adds, refusals {refusals:?}");
+    assert!(
+        adds > 50 && refusals.iter().all(|&r| r > 50),
+        "the walk must reach every outcome: {adds} adds, refusals {refusals:?}"
+    );
 }
 
 #[test]
