@@ -9,7 +9,6 @@
 //! ```text
 //! campaign                 # full Table 1+2 sweep (50 sessions, 90 s each)
 //! campaign --smoke         # seconds-long sweep + 1-vs-2-thread replay check
-//! campaign --scaling       # 64-session speedup measurement (1 vs N threads)
 //! campaign --faults        # fault-injection intensity sweep (recovery time,
 //!                          # layer-change rate, base-layer starvation)
 //! campaign --faults --smoke  # seconds-long fault sweep + replay check
@@ -28,8 +27,6 @@
 //!                         # and --faults (default: steady links)
 //!          --obs DIR      # enable laqa-obs + the flight recorder and
 //!                         # export snapshot + flight trace to DIR
-//!          --sched heap|wheel    # event-scheduler implementation (default wheel;
-//!                                # fingerprints are identical either way)
 //! ```
 //!
 //! `--obs` turns the workspace-wide instrumentation (and the flight
@@ -48,13 +45,13 @@ use laqa_trace::{pct, Table};
 
 /// Parse `--transport rap,bbr,nada,tcp` (default: RAP only).
 fn parse_transports(args: &Args) -> Result<Vec<Transport>, AnyError> {
-    parse_list(args, "transport", &[Transport::Rap])
+    Ok(args.get_list("transport", &[Transport::Rap])?)
 }
 
 /// Parse `--trace lte,bloat,diurnal,bonded` (default: no trace axis —
 /// steady links, byte-identical to the historical sweeps).
 fn parse_traces(args: &Args) -> Result<Vec<TraceKind>, AnyError> {
-    parse_list(args, "trace", &[])
+    Ok(args.get_list("trace", &[])?)
 }
 
 /// Expand a sweep across the selected transports: every session of the
@@ -205,10 +202,9 @@ fn interop_table(result: &CampaignResult, transports: &[Transport]) -> String {
 
 /// Every option this binary takes (see the module docs): mode flags,
 /// then the options that carry a value.
-const FLAGS: &[&str] = &["smoke", "scaling", "faults"];
+const FLAGS: &[&str] = &["smoke", "faults"];
 const VALUED: &[&str] = &[
     "threads", "duration", "kmax", "seeds", "intensity", "transport", "trace", "out", "obs",
-    "sched",
 ];
 
 fn main() {
@@ -228,21 +224,12 @@ fn main() {
         // silently runs the full 50-session sweep instead.
         eprintln!(
             "error: unexpected argument '{}' — this binary takes options only \
-             (--smoke, --scaling, --faults, --threads N, --duration S, --kmax a,b, \
+             (--smoke, --faults, --threads N, --duration S, --kmax a,b, \
              --seeds a,b, --intensity a,b, --transport rap,bbr,nada,tcp, \
              --trace lte,bloat,diurnal,bonded, --out DIR, --obs DIR)",
             args.command
         );
         std::process::exit(2);
-    }
-    if let Some(raw) = args.options.get("sched") {
-        match raw.parse::<laqa_sim::SchedulerKind>() {
-            Ok(kind) => laqa_sim::set_ambient_scheduler(kind),
-            Err(e) => {
-                eprintln!("error: --sched {raw}: {e}");
-                std::process::exit(2);
-            }
-        }
     }
     let obs_dir = args.options.get("obs").map(std::path::PathBuf::from);
     if obs_dir.is_some() {
@@ -253,8 +240,6 @@ fn main() {
         cmd_faults(&args)
     } else if args.flag("smoke") {
         cmd_smoke(&args)
-    } else if args.flag("scaling") {
-        cmd_scaling(&args)
     } else {
         cmd_tables(&args)
     };
@@ -294,6 +279,13 @@ fn export_obs(dir: &std::path::Path) -> Result<(), AnyError> {
             flight.evicted,
             dir.display(),
         );
+        if flight.evicted > 0 {
+            eprintln!(
+                "warning: the flight recorder evicted {} records — the timeline is \
+                 truncated; re-run with a larger LAQA_OBS_FLIGHT_RING to keep them",
+                flight.evicted
+            );
+        }
     }
     Ok(())
 }
@@ -304,23 +296,6 @@ fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(4)
-}
-
-fn parse_list<T>(args: &Args, key: &str, default: &[T]) -> Result<Vec<T>, AnyError>
-where
-    T: std::str::FromStr + Copy,
-{
-    match args.options.get(key) {
-        None => Ok(default.to_vec()),
-        Some(raw) => raw
-            .split(',')
-            .map(|s| {
-                s.trim()
-                    .parse::<T>()
-                    .map_err(|_| format!("invalid --{key} entry '{s}'").into())
-            })
-            .collect(),
-    }
 }
 
 /// Assert the sweep reproduces bit-identically on a different thread count.
@@ -346,7 +321,7 @@ fn check_replay(spec: &CampaignSpec, reference: &CampaignResult, threads: usize)
     Ok(())
 }
 
-/// Seconds-long sweep wired into `scripts/verify.sh`.
+/// Seconds-long sweep with a cross-thread replay check.
 fn cmd_smoke(args: &Args) -> Result<(), AnyError> {
     let duration: f64 = args.get("duration", 8.0)?;
     let transports = parse_transports(args)?;
@@ -384,10 +359,10 @@ fn cmd_faults(args: &Args) -> Result<(), AnyError> {
     } else {
         &[0.0, 0.25, 0.5, 0.75, 1.0]
     };
-    let intensities: Vec<f64> = parse_list(args, "intensity", default_intensities)?;
+    let intensities: Vec<f64> = args.get_list("intensity", default_intensities)?;
     let default_seeds: &[u64] = if smoke { &[7] } else { &[7, 21, 42] };
-    let seeds: Vec<u64> = parse_list(args, "seeds", default_seeds)?;
-    let k_values: Vec<u32> = parse_list(args, "kmax", &[2])?;
+    let seeds: Vec<u64> = args.get_list("seeds", default_seeds)?;
+    let k_values: Vec<u32> = args.get_list("kmax", &[2])?;
     let transports = parse_transports(args)?;
     let traces = parse_traces(args)?;
     let spec = expand_traces(
@@ -465,27 +440,6 @@ fn cmd_faults(args: &Args) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// 64-session sweep timed at 1 worker and at `--threads` workers.
-fn cmd_scaling(args: &Args) -> Result<(), AnyError> {
-    let threads: usize = args.get("threads", default_threads().min(8))?;
-    let duration: f64 = args.get("duration", 12.0)?;
-    let seeds: Vec<u64> = parse_list(args, "seeds", &[7, 21, 42, 77, 99, 123, 256, 1024])?;
-    let k_values: Vec<u32> = parse_list(args, "kmax", &[2, 3, 4, 8])?;
-    let spec = CampaignSpec::grid(&TestKind::ALL, &k_values, &seeds, duration);
-    println!(
-        "scaling sweep: {} sessions of {duration:.0}s simulated time",
-        spec.len()
-    );
-    let serial = run_campaign(&spec, 1);
-    println!("  1 thread : {:>7.2}s wall", serial.wall_secs);
-    let parallel = run_campaign(&spec, threads);
-    println!("  {threads} threads: {:>7.2}s wall", parallel.wall_secs);
-    check_replay(&spec, &serial, threads)?;
-    let speedup = serial.wall_secs / parallel.wall_secs.max(1e-9);
-    println!("speedup: {speedup:.2}x with {threads} threads");
-    Ok(())
-}
-
 fn mean_over<T>(
     result: &CampaignResult,
     test: TestKind,
@@ -508,8 +462,8 @@ where
 fn cmd_tables(args: &Args) -> Result<(), AnyError> {
     let threads: usize = args.get("threads", default_threads())?;
     let duration: f64 = args.get("duration", 90.0)?;
-    let seeds: Vec<u64> = parse_list(args, "seeds", &[7, 21, 42, 77, 99])?;
-    let k_values: Vec<u32> = parse_list(args, "kmax", &[2, 3, 4, 5, 8])?;
+    let seeds: Vec<u64> = args.get_list("seeds", &[7, 21, 42, 77, 99])?;
+    let k_values: Vec<u32> = args.get_list("kmax", &[2, 3, 4, 5, 8])?;
     let transports = parse_transports(args)?;
     let traces = parse_traces(args)?;
     let spec = expand_traces(

@@ -140,6 +140,17 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
     Ok(())
 }
 
+/// A timeline that lost records must say so where it cannot be missed,
+/// not only as one field of a table.
+fn warn_if_evicted(evicted: u64) {
+    if evicted > 0 {
+        eprintln!(
+            "warning: the flight recorder evicted {evicted} records — the timeline is \
+             truncated; re-run with a larger LAQA_OBS_FLIGHT_RING to keep them"
+        );
+    }
+}
+
 /// Load the `metrics.json` / `spans.json` pair written by
 /// `campaign --obs DIR` and print it as aligned tables.
 fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
@@ -148,6 +159,7 @@ fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
     let snap = laqa_obs::Snapshot::read_dir(path)
         .map_err(|e| format!("reading obs snapshot from {dir}: {e}"))?;
     print!("{}", snap.render());
+    warn_if_evicted(snap.events_evicted);
     if snap.is_empty() {
         println!("(snapshot is empty — was the run executed with --obs and obs enabled?)");
     }
@@ -157,8 +169,8 @@ fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
 /// Convert the `flight.json` flight-recorder trace written by
 /// `campaign --obs DIR` into Chrome trace-event JSON, then re-parse and
 /// validate the written file (span balance, one non-empty track per
-/// session) so a malformed or empty export fails loudly — this is the
-/// gate `verify.sh` step 9 runs.
+/// session) so a malformed or empty export fails loudly
+/// (`crates/bench/tests/cli.rs` drives the round trip).
 fn cmd_obs_trace(args: &Args) -> Result<(), AnyError> {
     let dir: String = args.get("dir", "target/obs".to_string())?;
     let out: String = args.get("out", format!("{dir}/trace.json"))?;
@@ -193,6 +205,7 @@ fn cmd_obs_trace(args: &Args) -> Result<(), AnyError> {
         stats.tracks.len(),
         trace.evicted,
     );
+    warn_if_evicted(trace.evicted);
     if stats.session_tracks() == 0 {
         return Err("export has no non-empty session track — \
                     was the flight recorder enabled during the run?"

@@ -5,7 +5,6 @@ use laqa_trace::TimeSeries;
 use std::path::PathBuf;
 
 pub mod cli;
-pub mod timing;
 
 /// Directory where experiment `id` writes its CSVs/JSON:
 /// `<workspace>/results/<id>/`.

@@ -1,0 +1,118 @@
+//! The command-line contract of the `campaign` and `laqa` binaries that
+//! no library test can see: exit code 2 for a command line the binary
+//! cannot honour, the `campaign --obs DIR` → `laqa obs-report` /
+//! `laqa obs-trace` round trip over real files, and the stderr warning
+//! when the flight recorder's rings overflowed.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const CAMPAIGN: &str = env!("CARGO_BIN_EXE_campaign");
+const LAQA: &str = env!("CARGO_BIN_EXE_laqa");
+
+fn run(bin: &str, args: &[&str], ring: Option<&str>) -> Output {
+    let mut cmd = Command::new(bin);
+    cmd.args(args).env_remove("LAQA_OBS_FLIGHT_RING");
+    if let Some(ring) = ring {
+        cmd.env("LAQA_OBS_FLIGHT_RING", ring);
+    }
+    cmd.output().expect("spawn binary")
+}
+
+fn stderr(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn assert_has(text: &str, want: &str) {
+    assert!(text.contains(want), "{text:?} lacks {want:?}");
+}
+
+/// A fresh directory under cargo's per-target scratch space.
+fn scratch(name: &str) -> PathBuf {
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+#[test]
+fn bad_command_lines_exit_2_and_name_the_problem() {
+    // Each of these once ran a sweep on defaults instead: an option the
+    // binary does not take, a flag given a value (`--smoke 1` ran the full
+    // campaign), a valued option given none (`--obs` wrote to ./true), a
+    // stray positional.
+    let cases: [(&str, &[&str], &str); 7] = [
+        (CAMPAIGN, &["--smoke", "--nope"], "unknown option --nope"),
+        (CAMPAIGN, &["--smoke", "1"], "invalid value '1' for --smoke"),
+        (CAMPAIGN, &["--smoke", "--obs"], "missing value for --obs"),
+        (CAMPAIGN, &["smoke"], "unexpected argument 'smoke'"),
+        (LAQA, &["sim", "--nope", "1"], "unknown option --nope"),
+        (LAQA, &["frobnicate"], "unknown subcommand 'frobnicate'"),
+        (LAQA, &[], "missing subcommand"),
+    ];
+    for (bin, args, want) in cases {
+        let out = run(bin, args, None);
+        assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
+        assert_has(&stderr(&out), want);
+        let ran = stdout(&out).contains("fingerprint");
+        assert!(!ran, "{bin} {args:?} must not run anything");
+    }
+}
+
+/// `campaign --faults --smoke --obs DIR`, then both `laqa` readers over
+/// what it wrote. Returns the three outputs.
+fn obs_round_trip(dir: &Path, ring: Option<&str>) -> [Output; 3] {
+    let dir_arg = dir.to_str().expect("utf-8 scratch path");
+    let campaign = run(CAMPAIGN, &["--faults", "--smoke", "--obs", dir_arg], ring);
+    assert!(campaign.status.success(), "campaign: {}", stderr(&campaign));
+    for file in ["metrics.json", "spans.json", "flight.json"] {
+        assert!(dir.join(file).is_file(), "campaign --obs wrote no {file}");
+    }
+    let report = run(LAQA, &["obs-report", "--dir", dir_arg], None);
+    assert!(report.status.success(), "obs-report: {}", stderr(&report));
+    let trace = run(LAQA, &["obs-trace", "--dir", dir_arg], None);
+    assert!(trace.status.success(), "obs-trace: {}", stderr(&trace));
+    [campaign, report, trace]
+}
+
+#[test]
+fn obs_export_round_trips_through_report_and_trace() {
+    let dir = scratch("cli-obs");
+    let [campaign, report, trace] = obs_round_trip(&dir, None);
+
+    assert_has(&stdout(&campaign), "replay check:");
+    assert_has(&stdout(&report), "campaign.sessions");
+    // obs-trace re-parses and validates what it wrote; check the file is
+    // there and that the default rings held the whole smoke timeline.
+    assert!(dir.join("trace.json").is_file());
+    assert_has(&stdout(&trace), "0 records evicted");
+    for out in [&campaign, &report, &trace] {
+        assert!(!stderr(out).contains("warning:"), "{}", stderr(out));
+    }
+}
+
+#[test]
+fn truncated_timelines_warn_on_stderr() {
+    let dir = scratch("cli-obs-tiny-ring");
+    let outputs = obs_round_trip(&dir, Some("64"));
+
+    let flight = std::fs::read_to_string(dir.join("flight.json")).expect("flight.json");
+    let evicted = laqa_trace::parse_json(&flight)
+        .expect("flight.json parses")
+        .get("evicted")
+        .and_then(laqa_trace::JsonValue::as_num)
+        .expect("evicted field") as u64;
+    assert!(evicted > 0, "a 64-record ring must overflow on the sweep");
+
+    // campaign --obs, obs-report, obs-trace: each must say so.
+    for out in &outputs {
+        let err = stderr(out);
+        let warning = err.lines().find(|l| l.starts_with("warning:"));
+        let warning = warning.unwrap_or_else(|| panic!("no warning line in {err:?}"));
+        assert_has(warning, &format!("evicted {evicted} records"));
+        assert_has(warning, "LAQA_OBS_FLIGHT_RING");
+    }
+}

@@ -35,7 +35,7 @@
 //! The recorder has its own enable flag, off by default: a disabled site
 //! costs one relaxed atomic load. Enabled, it only copies values it is
 //! handed — fingerprints are bit-identical with the recorder on and off
-//! (`obs_inertness.rs` and `verify.sh` enforce this).
+//! (`crates/sim/tests/obs_inertness.rs` enforces this).
 //!
 //! ## Capacity
 //!

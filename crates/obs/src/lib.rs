@@ -28,8 +28,8 @@
 //! * **Enabled**, instrumentation only *reads* simulation state; it
 //!   never touches `SimRng`, never schedules events, and never feeds
 //!   back into any control path. Campaign trace fingerprints are
-//!   bit-identical with obs on and off (`crates/sim/tests/`
-//!   `obs_inertness.rs` and `scripts/verify.sh` step 5 enforce this).
+//!   bit-identical with obs on and off
+//!   (`crates/sim/tests/obs_inertness.rs` enforces this).
 //!
 //! ## Usage
 //!

@@ -14,8 +14,6 @@
 //! * [`history`] — transmission history and ACK-inferred loss detection;
 //! * [`receiver`] — the receiver's reception state and redundant ACKs;
 //! * [`sender`] — [`sender::RapSender`], the full sender state machine;
-//! * [`finegrain`] — the optional delay-based fine-grain adaptation (the
-//!   paper evaluates the variant without it; kept for ablation);
 //! * [`window`] — an ACK-clocked (TCP-like) AIMD sender with the same
 //!   event interface, for the paper's "other AIMD schemes" future work;
 //! * [`controller`] — the [`controller::RateController`] trait: the exact
@@ -35,7 +33,6 @@
 pub mod aimd;
 pub mod bbr;
 pub mod controller;
-pub mod finegrain;
 pub mod history;
 pub mod nada;
 pub mod receiver;
@@ -46,7 +43,6 @@ pub mod window;
 pub use aimd::AimdState;
 pub use bbr::{BbrConfig, BbrSender};
 pub use controller::RateController;
-pub use finegrain::FineGrain;
 pub use history::{LostPacket, PacketRecord, TransmissionHistory};
 pub use nada::{NadaConfig, NadaSender};
 pub use receiver::{AckInfo, RapReceiverState};

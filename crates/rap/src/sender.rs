@@ -23,7 +23,6 @@
 //! they belong to the same congestion event (cluster-loss suppression).
 
 use crate::aimd::AimdState;
-use crate::finegrain::FineGrain;
 use crate::history::{LostPacket, PacketRecord, TransmissionHistory};
 use crate::receiver::AckInfo;
 use crate::rtt::RttEstimator;
@@ -40,9 +39,6 @@ pub struct RapConfig {
     pub initial_rtt: f64,
     /// Packets after a hole before it is declared lost.
     pub reorder_threshold: u64,
-    /// Enable the fine-grain (delay-based) IPG modulation. The paper's
-    /// evaluation uses `false`.
-    pub fine_grain: bool,
     /// Optional rate ceiling (bytes/s), `INFINITY` for none.
     pub max_rate: f64,
 }
@@ -54,7 +50,6 @@ impl Default for RapConfig {
             initial_rate: 2_000.0,
             initial_rtt: 0.2,
             reorder_threshold: 3,
-            fine_grain: false,
             max_rate: f64::INFINITY,
         }
     }
@@ -133,7 +128,6 @@ pub struct RapSender {
     aimd: AimdState,
     rtt: RttEstimator,
     history: TransmissionHistory,
-    fine: Option<FineGrain>,
     next_seq: u64,
     next_send: f64,
     next_step: f64,
@@ -156,7 +150,6 @@ impl RapSender {
         let rtt = RttEstimator::new(cfg.initial_rtt);
         let srtt = rtt.srtt();
         RapSender {
-            fine: cfg.fine_grain.then(FineGrain::new),
             history: TransmissionHistory::new(cfg.reorder_threshold),
             aimd,
             rtt,
@@ -243,10 +236,7 @@ impl RapSender {
                 tag,
             },
         );
-        let mut ipg = self.aimd.ipg();
-        if let Some(f) = &self.fine {
-            ipg *= f.ipg_factor();
-        }
+        let ipg = self.aimd.ipg();
         // Pace from the scheduled time, not `now`, so jitter in the owner's
         // loop does not accumulate rate error; but never fall behind by more
         // than one gap.
@@ -276,9 +266,6 @@ impl RapSender {
                 &[10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0]
             )
             .observe(sample * 1e3);
-            if let Some(f) = &mut self.fine {
-                f.sample(sample);
-            }
             self.events.push(RapEvent::PacketAcked {
                 time: now,
                 seq: ack.ack_seq,

@@ -16,13 +16,6 @@
 //! across thread counts; `tests/replay.rs` pins this with 1, 2, 8 and 16
 //! workers. Wall-clock fields are the one exception and are excluded from
 //! every fingerprint.
-//!
-//! **Warm worlds.** By default each worker keeps a [`WorldPool`]: the
-//! engine storage (scheduler slab, link ring buffers, agents vector) of
-//! every session it finishes is salvaged and recycled into the next one.
-//! This is purely an allocator optimisation — [`CampaignOptions::cold`] runs the identical
-//! simulation with fresh worlds and must produce the identical fingerprint
-//! (`laqa-bench campaign` gates this).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -33,11 +26,8 @@ use laqa_core::metrics::QaEvent;
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
 use crate::faults::FaultPlan;
-use crate::scenarios::{
-    run_scenario_pooled, run_scenario_with, ScenarioConfig, ScenarioOutcome, TraceKind, Transport,
-    WorldPool,
-};
-use crate::sched::{ambient_scheduler, SchedulerKind};
+use crate::scenarios::{run_scenario_with, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};
+use crate::sched::SchedulerKind;
 
 /// Which of the paper's dumbbell workloads a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -607,9 +597,9 @@ pub fn mean_recovery_secs(events: &[QaEvent]) -> Option<f64> {
 }
 
 /// Run one session to a result (synchronously, on the calling thread),
-/// using the ambient event-scheduler kind.
+/// on the default event scheduler.
 pub fn run_session(spec: &SessionSpec) -> SessionResult {
-    run_session_with(spec, ambient_scheduler())
+    run_session_with(spec, SchedulerKind::default())
 }
 
 /// Run one session on an explicit event-scheduler implementation. Every
@@ -618,20 +608,6 @@ pub fn run_session(spec: &SessionSpec) -> SessionResult {
 pub fn run_session_with(spec: &SessionSpec, sched: SchedulerKind) -> SessionResult {
     let started = Instant::now();
     let out = run_scenario_with(&spec.scenario(), sched);
-    outcome_to_result(spec, out, started.elapsed().as_secs_f64())
-}
-
-/// Run one session through a worker's [`WorldPool`] (warm-world path):
-/// the pool's salvaged engine storage is reused and this session's world
-/// is banked back for the next call. Every
-/// fingerprinted field is identical to [`run_session_with`].
-pub fn run_session_pooled(
-    spec: &SessionSpec,
-    sched: SchedulerKind,
-    pool: &mut WorldPool,
-) -> SessionResult {
-    let started = Instant::now();
-    let out = run_scenario_pooled(&spec.scenario(), sched, pool);
     outcome_to_result(spec, out, started.elapsed().as_secs_f64())
 }
 
@@ -666,7 +642,7 @@ fn outcome_to_result(spec: &SessionSpec, out: ScenarioOutcome, wall_secs: f64) -
 }
 
 /// Run the sweep on `threads` worker threads (clamped to at least 1),
-/// using the ambient event-scheduler kind.
+/// on the default event scheduler.
 ///
 /// Workers steal session indices from a shared atomic counter — no
 /// per-thread pre-partitioning, so a slow session never idles the other
@@ -674,53 +650,33 @@ fn outcome_to_result(spec: &SessionSpec, out: ScenarioOutcome, wall_secs: f64) -
 /// grid index. The returned order (and every fingerprint) is therefore
 /// identical for any thread count.
 pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignResult {
-    run_campaign_with(spec, threads, ambient_scheduler())
-}
-
-/// [`run_campaign`] on an explicit event-scheduler implementation. The
-/// campaign fingerprint is bit-identical for every `sched` and every
-/// thread count.
-pub fn run_campaign_with(
-    spec: &CampaignSpec,
-    threads: usize,
-    sched: SchedulerKind,
-) -> CampaignResult {
-    run_campaign_opts(spec, CampaignOptions::new(threads).sched(sched))
+    run_campaign_opts(spec, CampaignOptions::new(threads))
 }
 
 /// How a campaign executes. Everything here is invisible to the simulated
-/// results — only wall-clock and allocator behaviour change.
+/// results — only wall-clock behaviour changes.
 #[derive(Debug, Clone, Copy)]
 pub struct CampaignOptions {
     /// Worker threads (clamped to `[1, sessions]` at run time).
     pub threads: usize,
-    /// Event-scheduler implementation every session runs on.
+    /// Event-scheduler implementation every session runs on. The default
+    /// is the timer wheel; [`SchedulerKind::Reference`] is the oracle the
+    /// differential tests compare it against.
     pub sched: SchedulerKind,
-    /// Keep a warm [`WorldPool`] per worker (the default). `false` builds
-    /// every session's world from scratch — the cold baseline the bench
-    /// compares against.
-    pub warm: bool,
 }
 
 impl CampaignOptions {
-    /// Defaults: ambient scheduler, warm world pools.
+    /// `threads` workers on the default event scheduler.
     pub fn new(threads: usize) -> Self {
         CampaignOptions {
             threads,
-            sched: ambient_scheduler(),
-            warm: true,
+            sched: SchedulerKind::default(),
         }
     }
 
     /// Select the event-scheduler implementation.
     pub fn sched(mut self, sched: SchedulerKind) -> Self {
         self.sched = sched;
-        self
-    }
-
-    /// Disable world reuse (cold worlds).
-    pub fn cold(mut self) -> Self {
-        self.warm = false;
         self
     }
 }
@@ -744,7 +700,6 @@ fn worker_loop(
     next: &AtomicUsize,
     mut deposit: impl FnMut(usize, SessionResult),
 ) {
-    let mut pool = opts.warm.then(WorldPool::new);
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(session) = spec.sessions.get(i) else {
@@ -756,11 +711,7 @@ fn worker_loop(
             // grid index, regardless of which worker stole it.
             laqa_obs::flight::set_session(i as u64);
         }
-        let result = match pool.as_mut() {
-            Some(pool) => run_session_pooled(session, opts.sched, pool),
-            None => run_session_with(session, opts.sched),
-        };
-        deposit(i, result);
+        deposit(i, run_session_with(session, opts.sched));
     }
 }
 
@@ -769,7 +720,7 @@ fn worker_loop(
 /// their own private buffers — no shared lock anywhere on the hot path —
 /// and a deterministic index-ordered merge assembles the final vector
 /// after the last worker exits. The fingerprint is bit-identical for
-/// every thread count, scheduler kind, and warm/cold setting.
+/// every thread count and scheduler kind.
 pub fn run_campaign_opts(spec: &CampaignSpec, opts: CampaignOptions) -> CampaignResult {
     let threads = effective_threads(opts.threads, spec.sessions.len());
     let started = Instant::now();

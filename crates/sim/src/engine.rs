@@ -9,7 +9,7 @@
 
 use crate::link::{Link, LinkConfig, LinkStats};
 use crate::packet::{AgentId, LinkId, Packet};
-use crate::sched::{ambient_scheduler, AnyScheduler, Scheduler, SchedulerKind};
+use crate::sched::{AnyScheduler, Scheduler, SchedulerKind};
 use crate::time::{ns_to_secs, secs_to_ns, tx_time_ns};
 use crate::rng::SimRng;
 use std::any::Any;
@@ -32,11 +32,6 @@ enum Event {
 struct SessionCore {
     now_ns: u64,
     links: Vec<Link>,
-    /// Link shells salvaged from a retired world (warm-world reuse):
-    /// [`World::add_link`] pops one and [`Link::reset`]s it instead of
-    /// allocating, so the queues' ring buffers carry over. Stored in
-    /// reverse creation order so `pop()` re-hands them out positionally.
-    spare_links: Vec<Link>,
     next_uid: u64,
     rng: SimRng,
     /// Events dispatched so far — a plain (always-on, deterministic)
@@ -50,7 +45,6 @@ impl SessionCore {
         SessionCore {
             now_ns: 0,
             links: Vec::new(),
-            spare_links: Vec::new(),
             next_uid: 0,
             rng: SimRng::seed_from_u64(seed),
             events_processed: 0,
@@ -89,17 +83,6 @@ impl EventQueue {
 
     fn len(&self) -> usize {
         self.sched.len()
-    }
-
-    fn kind(&self) -> SchedulerKind {
-        self.sched.kind()
-    }
-
-    /// Empty the queue keeping its capacity, and rewind `seq` for the
-    /// next session (salvage path).
-    fn reset(&mut self) {
-        self.sched.reset();
-        self.seq = 0;
     }
 }
 
@@ -272,20 +255,6 @@ pub trait Agent: 'static {
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
-/// The reusable carcass of a retired [`World`]: the scheduler (reset but
-/// with slab/heap capacity intact), the emptied links vector, the link
-/// shells themselves, and the cleared agents vector. Feed it to
-/// [`World::with_salvage`] to build the next session's world without
-/// repaying those allocations. Purely an allocation-recycling vehicle —
-/// a world built from salvage is observationally identical to a fresh
-/// one (pinned by the warm-vs-cold fingerprint tests).
-pub struct WorldSalvage {
-    queue: EventQueue,
-    links: Vec<Link>,
-    spare_links: Vec<Link>,
-    agents: Vec<Option<Box<dyn Agent>>>,
-}
-
 /// The simulated world: links, agents, and the event loop.
 pub struct World {
     core: SessionCore,
@@ -295,10 +264,10 @@ pub struct World {
 }
 
 impl World {
-    /// New world with a deterministic RNG seed, using the ambient
-    /// scheduler kind (see [`crate::sched::ambient_scheduler`]).
+    /// New world with a deterministic RNG seed, on the default event
+    /// scheduler (the timer wheel).
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, ambient_scheduler())
+        Self::with_scheduler(seed, SchedulerKind::default())
     }
 
     /// New world with an explicit event-scheduler implementation. The
@@ -313,79 +282,9 @@ impl World {
         }
     }
 
-    /// New world recycling the storage of a retired one (see
-    /// [`World::salvage`]). The salvaged scheduler is reused only when its
-    /// kind matches `kind`; trajectory-relevant state (time, seq, RNG,
-    /// uid counter, event counter) always starts fresh from `seed`.
-    pub fn with_salvage(seed: u64, kind: SchedulerKind, salvage: WorldSalvage) -> Self {
-        let WorldSalvage {
-            queue,
-            links,
-            mut spare_links,
-            agents,
-        } = salvage;
-        let queue = if queue.kind() == kind {
-            queue
-        } else {
-            EventQueue::new(kind)
-        };
-        // `links` arrives emptied with capacity; the shells live in
-        // `spare_links`. A mismatched topology is harmless — leftover
-        // shells are dropped with the world, missing ones are allocated.
-        spare_links.reverse();
-        World {
-            core: SessionCore {
-                now_ns: 0,
-                links,
-                spare_links,
-                next_uid: 0,
-                rng: SimRng::seed_from_u64(seed),
-                events_processed: 0,
-            },
-            queue,
-            agents,
-            started: false,
-        }
-    }
-
-    /// Retire this world, keeping its reusable storage: the scheduler is
-    /// [`Scheduler::reset`] (capacity kept), link shells move to the spare
-    /// pool in creation order, and the agents vector is emptied (the boxed
-    /// agents themselves are dropped — their internal state is per-session
-    /// and cheap relative to the engine structures).
-    pub fn salvage(mut self) -> WorldSalvage {
-        self.queue.reset();
-        let mut links = std::mem::take(&mut self.core.links);
-        let mut spare_links = std::mem::take(&mut self.core.spare_links);
-        spare_links.clear();
-        spare_links.append(&mut links);
-        let mut agents = self.agents;
-        agents.clear();
-        WorldSalvage {
-            queue: self.queue,
-            links,
-            spare_links,
-            agents,
-        }
-    }
-
-    /// Which event-scheduler implementation this world runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
-    }
-
-    /// Add a link; returns its id. Reuses a salvaged link shell when one
-    /// is available (warm-world path), which keeps the queue's ring
-    /// buffer allocation from the previous session.
+    /// Add a link; returns its id.
     pub fn add_link(&mut self, cfg: LinkConfig) -> LinkId {
-        let link = match self.core.spare_links.pop() {
-            Some(mut shell) => {
-                shell.reset(cfg);
-                shell
-            }
-            None => Link::new(cfg),
-        };
-        self.core.links.push(link);
+        self.core.links.push(Link::new(cfg));
         self.core.links.len() - 1
     }
 
@@ -420,13 +319,6 @@ impl World {
     /// [`crate::link::TraceDriver`] agent must be added to advance it.
     pub fn set_link_trace(&mut self, link: LinkId, schedule: crate::link::TraceSchedule) {
         self.core.links[link].set_trace(schedule);
-    }
-
-    /// The link's trace-replay state, if it is trace-driven — lets the
-    /// warm-pool regression tests prove a recycled link shell starts the
-    /// next session with no stale schedule or mid-trace cursor.
-    pub fn link_trace(&self, link: LinkId) -> Option<&crate::link::LinkTraceState> {
-        self.core.links[link].trace.as_ref()
     }
 
     /// Typed view of an agent (e.g. to pull stats after a run).

@@ -36,23 +36,21 @@ pub mod agents {
 }
 
 pub use campaign::{
-    hash_outcome, run_campaign, run_campaign_fold, run_campaign_opts, run_campaign_with,
-    run_session, run_session_pooled, run_session_with, CampaignFold, CampaignOptions,
-    CampaignResult, CampaignSpec, SessionResult, SessionSpec, TestKind,
+    hash_outcome, run_campaign, run_campaign_fold, run_campaign_opts, run_session,
+    run_session_with, CampaignFold, CampaignOptions, CampaignResult, CampaignSpec, SessionResult,
+    SessionSpec, TestKind,
 };
-pub use engine::{Agent, Ctx, World, WorldSalvage};
+pub use engine::{Agent, Ctx, World};
 pub use faults::{FaultInjector, FaultPlan, FaultStats, FaultWiring};
 pub use link::{
     Link, LinkConfig, LinkStats, LinkTraceState, QueueKind, RedConfig, TraceDriver, TraceSchedule,
 };
 pub use packet::{AgentId, LinkId, Packet, PacketKind, Route};
 pub use scenarios::{
-    run_scenario, run_scenario_pooled, run_scenario_with, ScenarioConfig, ScenarioOutcome,
-    TraceKind, Transport, WorldPool,
+    run_scenario, run_scenario_with, ScenarioConfig, ScenarioOutcome, TraceKind, Transport,
 };
 pub use sched::{
-    ambient_scheduler, set_ambient_scheduler, AnyScheduler, EventKey, HeapScheduler, Scheduler,
-    SchedulerKind, TimerWheelScheduler,
+    AnyScheduler, EventKey, HeapScheduler, Scheduler, SchedulerKind, TimerWheelScheduler,
 };
 pub use stats::{jain_fairness, summarize_sharing, SharingSummary};
 pub use topology::{Dumbbell, DumbbellConfig};

@@ -101,7 +101,7 @@ impl LinkConfig {
 /// plain value and replaying it never consumes world RNG. Advancement is
 /// driven off the event scheduler by a [`TraceDriver`] agent, which makes
 /// trace-driven runs bit-identical across heap-vs-wheel schedulers and
-/// warm-vs-cold executors (pinned by `tests/trace_differential.rs`).
+/// thread counts (pinned by `tests/trace_differential.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSchedule {
     points: Vec<LinkTracePoint>,
@@ -278,11 +278,8 @@ impl TraceSchedule {
 ///
 /// The cursor counts points applied since the last (re)wind; for looping
 /// schedules it keeps increasing across cycles (`cursor / len` is the
-/// cycle number). It lives *on the link* — not in the driver agent — so
-/// warm-pool salvage can prove it is rewound: [`Link::reset`] discards
-/// it, which is what keeps a recycled link shell from replaying the
-/// previous session's schedule mid-trace (pinned by
-/// `crates/bench/tests/warm_trace.rs`).
+/// cycle number). It lives *on the link* — not in the driver agent — next
+/// to the configuration it rewrites.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkTraceState {
     schedule: TraceSchedule,
@@ -403,23 +400,6 @@ impl Link {
         }
     }
 
-    /// Reconfigure an idle-again link shell for a new session, keeping the
-    /// queue's backing ring buffer allocated. State afterwards is
-    /// indistinguishable from `Link::new(cfg)` apart from capacity.
-    pub fn reset(&mut self, cfg: LinkConfig) {
-        self.cfg = cfg;
-        self.queue.clear();
-        self.busy = false;
-        self.red_avg = 0.0;
-        self.stats = LinkStats::default();
-        // Warm-pool correctness for stateful (trace-driven) links: a
-        // salvaged shell must not carry the previous session's schedule
-        // or a mid-trace cursor into the next session — the new session
-        // attaches its own schedule (rewound by construction) if it wants
-        // one. `crates/bench/tests/warm_trace.rs` pins warm == cold.
-        self.trace = None;
-    }
-
     /// Attach a trace schedule, making this a trace-driven link. The
     /// replay cursor starts at the first point; a [`TraceDriver`] agent
     /// advances it off the event scheduler.
@@ -489,7 +469,7 @@ impl Link {
 ///
 /// Driving the schedule through ordinary timer events — rather than
 /// polling link state on some side channel — is what makes trace replay
-/// bit-identical across heap-vs-wheel schedulers and warm-vs-cold pools:
+/// bit-identical across heap-vs-wheel schedulers and thread counts:
 /// the `(time, seq)` event order fully determines when each point lands
 /// relative to every packet.
 ///
@@ -804,19 +784,5 @@ mod tests {
         st.rewind();
         assert_eq!(st.cursor(), 0);
         assert_eq!(st.next_change_at(), Some(0.0));
-    }
-
-    #[test]
-    fn link_reset_discards_trace_state() {
-        // Warm-pool contract: a recycled link shell must not carry the
-        // previous session's schedule or mid-trace cursor
-        // (crates/bench/tests/warm_trace.rs pins the end-to-end version).
-        let mut l = Link::new(LinkConfig::default());
-        l.set_trace(TraceSchedule::lte(7, 1e5, 10.0));
-        let mut cfg = LinkConfig::default();
-        l.trace.as_mut().unwrap().apply_next(&mut cfg);
-        assert!(l.trace.as_ref().unwrap().cursor() > 0);
-        l.reset(LinkConfig::default());
-        assert!(l.trace.is_none(), "reset must clear trace-replay state");
     }
 }

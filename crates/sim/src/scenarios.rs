@@ -8,7 +8,7 @@ use crate::faults::{FaultInjector, FaultPlan, FaultStats, FaultWiring};
 use crate::agents::qa::{QaSinkAgent, QaSourceAgent, QaTraces};
 use crate::agents::rap::{RapFlowAgent, RapSinkAgent};
 use crate::agents::tcp::{TcpAgent, TcpSinkAgent};
-use crate::engine::{World, WorldSalvage};
+use crate::engine::World;
 use crate::link::{LinkStats, TraceDriver, TraceSchedule, BOND_PATH_SALT};
 use crate::packet::{AgentId, LinkId};
 use crate::sched::SchedulerKind;
@@ -299,10 +299,10 @@ pub struct ScenarioOutcome {
     pub bond_leg: Option<LinkStats>,
 }
 
-/// Build and run a scenario, returning the collected outcome. Uses the
-/// ambient event-scheduler kind (see [`crate::sched::ambient_scheduler`]).
+/// Build and run a scenario on the default event scheduler, returning
+/// the collected outcome.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
-    run_scenario_with(cfg, crate::sched::ambient_scheduler())
+    run_scenario_with(cfg, SchedulerKind::default())
 }
 
 /// Build and run a scenario on an explicit event-scheduler
@@ -310,49 +310,9 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
 /// [`crate::campaign::hash_outcome`] fingerprint — is bit-identical for
 /// every [`SchedulerKind`]; `tests/sched_differential.rs` pins this.
 pub fn run_scenario_with(cfg: &ScenarioConfig, sched: SchedulerKind) -> ScenarioOutcome {
-    let world = World::with_scheduler(cfg.seed, sched);
-    run_scenario_core(cfg, world).0
-}
-
-/// Warm per-worker world state: the salvaged engine storage of the last
-/// session this worker ran. One pool lives on each campaign worker thread;
-/// from its second session onward the scheduler slab, link ring buffers
-/// and agents vector are recycled, which is where the warm-world speedup
-/// comes from. Results are bit-identical to the cold path — the pool is
-/// invisible to the simulation (pinned by replay tests and the
-/// `laqa-bench campaign` fingerprint gate).
-#[derive(Default)]
-pub struct WorldPool {
-    salvage: Option<WorldSalvage>,
-}
-
-impl WorldPool {
-    /// Fresh pool: first session is cold, everything after is warm.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// True once a retired world's storage is banked for reuse.
-    pub fn is_warm(&self) -> bool {
-        self.salvage.is_some()
-    }
-}
-
-/// Run a scenario through a [`WorldPool`], recycling the pool's salvaged
-/// engine storage, then banking this session's world back into the pool.
-/// Bit-identical outcome to [`run_scenario_with`].
-pub fn run_scenario_pooled(
-    cfg: &ScenarioConfig,
-    sched: SchedulerKind,
-    pool: &mut WorldPool,
-) -> ScenarioOutcome {
-    let world = match pool.salvage.take() {
-        Some(salvage) => World::with_salvage(cfg.seed, sched, salvage),
-        None => World::with_scheduler(cfg.seed, sched),
-    };
-    let (outcome, world) = run_scenario_core(cfg, world);
-    pool.salvage = Some(world.salvage());
-    outcome
+    let (mut world, handles) = build_scenario(cfg, sched);
+    world.run_until(cfg.duration);
+    extract_outcome(cfg, &world, &handles)
 }
 
 /// Agent ids and link handles recorded while building a scenario, so the
@@ -374,23 +334,13 @@ struct ScenarioHandles {
     bond_leg: Option<LinkId>,
 }
 
-/// Shared scenario body: populate `world` with the dumbbell and agents,
-/// run it, extract the outcome, and hand the world back so pooled callers
-/// can salvage its storage.
-fn run_scenario_core(cfg: &ScenarioConfig, world: World) -> (ScenarioOutcome, World) {
-    let (mut world, handles) = build_scenario(cfg, world);
-    world.run_until(cfg.duration);
-    let outcome = extract_outcome(cfg, &world, &handles);
-    (outcome, world)
-}
-
-/// Populate `world` with the scenario's dumbbell and agents without
+/// Build a world holding the scenario's dumbbell and agents without
 /// running it; the returned [`ScenarioHandles`] lets [`extract_outcome`]
 /// find everything afterward. Construction order — and therefore every
 /// agent id, link id and RNG draw — is identical to what the monolithic
 /// scenario body always did, so trajectories stay bit-identical.
-fn build_scenario(cfg: &ScenarioConfig, world: World) -> (World, ScenarioHandles) {
-    let mut d = Dumbbell::with_world(cfg.dumbbell, world);
+fn build_scenario(cfg: &ScenarioConfig, sched: SchedulerKind) -> (World, ScenarioHandles) {
+    let mut d = Dumbbell::with_scheduler(cfg.dumbbell, cfg.seed, sched);
     // The bonded corpus adds its second forward bottleneck *before* any
     // per-flow access links, so link numbering in every other scenario —
     // and therefore every pre-existing golden — is untouched.

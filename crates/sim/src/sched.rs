@@ -26,8 +26,6 @@
 use crate::arena::Slab;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
 
 /// Handle to a scheduled event, for cancellation.
 ///
@@ -78,13 +76,6 @@ pub trait Scheduler<T> {
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drop every event and return to the just-constructed logical state
-    /// (cursor at time zero, no tombstones) while keeping backing storage
-    /// — slab capacity, drain buffer, heap array — allocated for reuse.
-    /// The warm-world pool resets a retired session's scheduler this way
-    /// instead of rebuilding one from scratch.
-    fn reset(&mut self);
 }
 
 // ---------------------------------------------------------------------------
@@ -179,11 +170,6 @@ impl<T: PartialEq> Scheduler<T> for HeapScheduler<T> {
 
     fn len(&self) -> usize {
         self.heap.len().saturating_sub(self.tombstones.len())
-    }
-
-    fn reset(&mut self) {
-        self.heap.clear();
-        self.tombstones.clear();
     }
 }
 
@@ -587,16 +573,6 @@ impl<T> Scheduler<T> for TimerWheelScheduler<T> {
     fn len(&self) -> usize {
         self.live
     }
-
-    fn reset(&mut self) {
-        self.slab.clear();
-        self.slots.fill(NONE_IDX);
-        self.occupied = [0u64; BITMAP_WORDS];
-        self.cursor_tick = 0;
-        self.drain.clear();
-        self.overflow.clear();
-        self.live = 0;
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -626,19 +602,6 @@ impl SchedulerKind {
     }
 }
 
-impl std::str::FromStr for SchedulerKind {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "heap" | "reference" | "binheap" => Ok(SchedulerKind::Reference),
-            "wheel" | "timer-wheel" => Ok(SchedulerKind::Wheel),
-            other => Err(format!(
-                "unknown scheduler '{other}' (expected 'heap' or 'wheel')"
-            )),
-        }
-    }
-}
-
 /// Either scheduler behind one enum, so the engine's hot loop uses a
 /// two-way match instead of virtual dispatch.
 #[derive(Debug)]
@@ -655,14 +618,6 @@ impl<T: PartialEq> AnyScheduler<T> {
         match kind {
             SchedulerKind::Reference => AnyScheduler::Heap(HeapScheduler::new()),
             SchedulerKind::Wheel => AnyScheduler::Wheel(Box::default()),
-        }
-    }
-
-    /// Which kind this is.
-    pub fn kind(&self) -> SchedulerKind {
-        match self {
-            AnyScheduler::Heap(_) => SchedulerKind::Reference,
-            AnyScheduler::Wheel(_) => SchedulerKind::Wheel,
         }
     }
 }
@@ -708,48 +663,6 @@ impl<T: PartialEq> Scheduler<T> for AnyScheduler<T> {
             AnyScheduler::Wheel(s) => s.len(),
         }
     }
-    fn reset(&mut self) {
-        match self {
-            AnyScheduler::Heap(s) => s.reset(),
-            AnyScheduler::Wheel(s) => s.reset(),
-        }
-    }
-}
-
-/// Ambient default used by [`crate::engine::World::new`]:
-/// 0 = unset (read `LAQA_SCHED` once), 1 = Reference, 2 = Wheel.
-static AMBIENT: AtomicU8 = AtomicU8::new(0);
-static ENV_KIND: OnceLock<SchedulerKind> = OnceLock::new();
-
-fn env_kind() -> SchedulerKind {
-    *ENV_KIND.get_or_init(|| {
-        std::env::var("LAQA_SCHED")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_default()
-    })
-}
-
-/// The ambient scheduler kind new worlds are built with: whatever
-/// [`set_ambient_scheduler`] last installed, else the `LAQA_SCHED`
-/// environment variable (`heap` or `wheel`), else [`SchedulerKind::Wheel`].
-pub fn ambient_scheduler() -> SchedulerKind {
-    match AMBIENT.load(Ordering::Relaxed) {
-        1 => SchedulerKind::Reference,
-        2 => SchedulerKind::Wheel,
-        _ => env_kind(),
-    }
-}
-
-/// Override the ambient scheduler kind process-wide (differential
-/// harnesses flip this between runs; per-world control is
-/// [`crate::engine::World::with_scheduler`]).
-pub fn set_ambient_scheduler(kind: SchedulerKind) {
-    let v = match kind {
-        SchedulerKind::Reference => 1,
-        SchedulerKind::Wheel => 2,
-    };
-    AMBIENT.store(v, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -963,13 +876,14 @@ mod tests {
     }
 
     #[test]
-    fn kind_parsing_and_labels() {
-        assert_eq!("heap".parse::<SchedulerKind>(), Ok(SchedulerKind::Reference));
-        assert_eq!("wheel".parse::<SchedulerKind>(), Ok(SchedulerKind::Wheel));
-        assert!("nope".parse::<SchedulerKind>().is_err());
+    fn kind_labels_and_default() {
+        assert_eq!(SchedulerKind::default(), SchedulerKind::Wheel);
         assert_eq!(SchedulerKind::Reference.label(), "heap");
         assert_eq!(SchedulerKind::Wheel.label(), "wheel");
-        assert_eq!(AnyScheduler::<u32>::new(SchedulerKind::Wheel).kind(), SchedulerKind::Wheel);
+        assert!(matches!(
+            AnyScheduler::<u32>::new(SchedulerKind::default()),
+            AnyScheduler::Wheel(_)
+        ));
     }
 }
 

@@ -4,7 +4,7 @@
 use crate::engine::World;
 use crate::link::{LinkConfig, QueueKind};
 use crate::packet::{LinkId, Route};
-use crate::sched::{ambient_scheduler, SchedulerKind};
+use crate::sched::SchedulerKind;
 
 /// Dumbbell parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -65,21 +65,16 @@ pub struct Dumbbell {
 }
 
 impl Dumbbell {
-    /// Create the shared links in a fresh world (ambient scheduler kind).
+    /// Create the shared links in a fresh world on the default event
+    /// scheduler.
     pub fn new(cfg: DumbbellConfig, seed: u64) -> Self {
-        Self::with_scheduler(cfg, seed, ambient_scheduler())
+        Self::with_scheduler(cfg, seed, SchedulerKind::default())
     }
 
     /// Create the shared links in a fresh world driven by an explicit
     /// event-scheduler implementation.
     pub fn with_scheduler(cfg: DumbbellConfig, seed: u64, kind: SchedulerKind) -> Self {
-        Self::with_world(cfg, World::with_scheduler(seed, kind))
-    }
-
-    /// Create the shared links in a caller-supplied world — the hook the
-    /// warm-world pool uses to pass a [`World::with_salvage`] world whose
-    /// scheduler and link storage carry over from the previous session.
-    pub fn with_world(cfg: DumbbellConfig, mut world: World) -> Self {
+        let mut world = World::with_scheduler(seed, kind);
         let fwd_bottleneck = world.add_link(LinkConfig {
             bandwidth: cfg.bottleneck_bw,
             delay: cfg.bottleneck_delay,

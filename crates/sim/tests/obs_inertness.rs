@@ -1,7 +1,7 @@
 //! Observability must be inert: enabling `laqa-obs` instrumentation may
-//! not change a single bit of any campaign fingerprint. This is the
-//! in-tree half of the contract; `scripts/verify.sh` step 5 checks the
-//! same property end-to-end through the `campaign --obs` CLI.
+//! not change a single bit of any campaign fingerprint. The
+//! `campaign --obs` CLI path that switches it on is driven by
+//! `crates/bench/tests/cli.rs`.
 //!
 //! One test function on purpose: the obs enabled flag and registries are
 //! process-global, and a single test body is the only way to guarantee

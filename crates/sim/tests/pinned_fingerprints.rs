@@ -1,0 +1,107 @@
+//! The repo's pinned campaign digests, asserted exactly.
+//!
+//! Every behaviour-preserving PR claims "fp0 and the interop / hostile
+//! digests are unchanged"; this is the test that holds it to that. The
+//! nine campaigns below are recomputed and compared bit for bit with the
+//! constants in this file — under default options, through the streaming
+//! fold, and on the heap oracle at another thread count — so a change
+//! that moves a simulated trajectory fails `cargo test`, and one that
+//! moves it on purpose has to edit a constant in the same diff.
+
+use laqa_sim::{
+    run_campaign_fold, run_campaign_opts, CampaignOptions, CampaignSpec, SchedulerKind, TestKind,
+    TraceKind, Transport,
+};
+
+/// T1 × K{2,4} × seeds {7,21,35,49,63,77,91,105} × 8 s, RAP, steady links.
+const FP0: u64 = 0xf4a4_0c57_8d4c_39c8;
+
+/// T1 × K2 × seeds {7,21} × 8 s per transport, in [`Transport::ALL`] order.
+const INTEROP: [u64; 4] = [
+    0xb89d_8b99_0c73_b861, // rap
+    0x0437_deb8_c295_653b, // bbr
+    0x9ae4_95b6_5bad_265d, // nada
+    0x47dd_5aaa_0e7d_cc11, // tcp
+];
+
+/// The same grid per hostile trace family, in [`TraceKind::ALL`] order.
+const HOSTILE: [u64; 4] = [
+    0xeaf2_2ef9_d9a0_92a6, // lte
+    0xa411_6560_e56d_4593, // bloat
+    0x357c_3dca_3dd9_51e8, // diurnal
+    0x4601_75e6_970a_4a9b, // bonded
+];
+
+/// Past `qa_start` (5 s), so the QA controller ticks in every session.
+const DURATION: f64 = 8.0;
+
+/// `(name, campaign, pinned digest)` for all nine pins.
+fn pins() -> Vec<(String, CampaignSpec, u64)> {
+    let seeds = [7, 21, 35, 49, 63, 77, 91, 105];
+    let small = || CampaignSpec::grid(&[TestKind::T1], &[2], &[7, 21], DURATION);
+    let mut pins = vec![(
+        "fp0".to_string(),
+        CampaignSpec::grid(&[TestKind::T1], &[2, 4], &seeds, DURATION),
+        FP0,
+    )];
+    for (transport, want) in Transport::ALL.into_iter().zip(INTEROP) {
+        let mut spec = small();
+        for s in &mut spec.sessions {
+            s.transport = transport;
+        }
+        pins.push((format!("interop/{}", transport.label()), spec, want));
+    }
+    for (trace, want) in TraceKind::ALL.into_iter().zip(HOSTILE) {
+        let mut spec = small();
+        for s in &mut spec.sessions {
+            s.trace = Some(trace);
+        }
+        pins.push((format!("hostile/{}", trace.label()), spec, want));
+    }
+    pins
+}
+
+/// Recompute every pin with `fingerprint` and fail, listing all nine, if
+/// any differs from its constant.
+fn assert_pinned(how: &str, fingerprint: impl Fn(&CampaignSpec) -> u64) {
+    let mut moved = 0;
+    let mut report = String::new();
+    for (name, spec, want) in pins() {
+        let got = fingerprint(&spec);
+        moved += usize::from(got != want);
+        report.push_str(&format!(
+            "  {name:<16} expected {want:016x}  actual {got:016x}  {}\n",
+            if got == want { "ok" } else { "MOVED" }
+        ));
+    }
+    assert!(
+        moved == 0,
+        "{moved} pinned fingerprint(s) moved ({how}):\n{report}\
+         If the simulated behaviour was meant to change, copy the `actual` values into the \
+         constants in crates/sim/tests/pinned_fingerprints.rs and say why in CHANGES.md."
+    );
+}
+
+#[test]
+fn pinned_under_default_options() {
+    assert_pinned("default options, 1 thread", |spec| {
+        run_campaign_opts(spec, CampaignOptions::new(1)).fingerprint()
+    });
+}
+
+#[test]
+fn pinned_under_the_streaming_fold() {
+    assert_pinned("run_campaign_fold, 2 threads", |spec| {
+        let folded = run_campaign_fold(spec, CampaignOptions::new(2), 0usize, |n, _| *n += 1);
+        assert_eq!(folded.acc, spec.len(), "the fold must see every session");
+        folded.fingerprint
+    });
+}
+
+#[test]
+fn pinned_under_the_heap_oracle_at_another_thread_count() {
+    assert_pinned("heap oracle, 2 threads", |spec| {
+        let opts = CampaignOptions::new(2).sched(SchedulerKind::Reference);
+        run_campaign_opts(spec, opts).fingerprint()
+    });
+}

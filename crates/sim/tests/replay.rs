@@ -8,9 +8,8 @@
 
 use laqa_check::{cases, Gen};
 use laqa_sim::{
-    run_campaign, run_campaign_fold, run_campaign_opts, run_session, run_session_pooled,
-    run_session_with, CampaignOptions, CampaignSpec, SchedulerKind, SessionSpec, TestKind,
-    TraceKind, Transport, WorldPool,
+    run_campaign, run_campaign_fold, run_campaign_opts, run_session, run_session_with,
+    CampaignOptions, CampaignSpec, SchedulerKind, SessionSpec, TestKind, TraceKind, Transport,
 };
 
 fn sweep() -> CampaignSpec {
@@ -121,22 +120,6 @@ fn empty_campaign_runs_to_an_empty_result() {
     assert_eq!(folded.fingerprint, r.fingerprint());
 }
 
-#[test]
-fn warm_and_cold_worlds_replay_identically() {
-    // The warm-world pool (engine salvage) is pure allocator recycling:
-    // against cold per-session worlds the campaign must be bit-identical,
-    // across thread counts.
-    let spec = sweep();
-    let cold = run_campaign_opts(&spec, CampaignOptions::new(1).cold());
-    let warm = run_campaign_opts(&spec, CampaignOptions::new(1));
-    assert_eq!(cold.fingerprint(), warm.fingerprint());
-    let warm4 = run_campaign_opts(&spec, CampaignOptions::new(4));
-    assert_eq!(cold.fingerprint(), warm4.fingerprint());
-    for (a, b) in cold.sessions.iter().zip(&warm.sessions) {
-        assert_eq!(a.trace_hash, b.trace_hash, "warm diverged: {}", a.spec.label());
-    }
-}
-
 /// Draw one random session: workload, smoothing, seed, duration (past the
 /// QA flow's 5 s join so the controller ticks), fault intensity, transport
 /// and link trace — bonded cells carry an extra bottleneck leg and a relay
@@ -155,28 +138,28 @@ fn gen_session(g: &mut Gen) -> SessionSpec {
 }
 
 #[test]
-fn random_sessions_through_one_pool_match_isolated_cold_runs() {
-    // The fixed grids above only ever hand a pool same-shaped sessions.
-    // Here one pool sees independently drawn sessions (so their order is
-    // already a random shuffle) on randomly alternating schedulers: every
-    // salvage is rebuilt into a world with a different link count, agent
-    // count or queue kind — and each result must still equal the cold
-    // world built from nothing.
-    cases("warm_pool_random_sessions_match_cold", 4, |g, case| {
-        let mut pool = WorldPool::new();
-        for i in 0..g.usize_in(5, 8) {
-            let spec = gen_session(g);
-            let warm = run_session_pooled(&spec, *g.pick(&SchedulerKind::ALL), &mut pool);
-            let cold = run_session_with(&spec, *g.pick(&SchedulerKind::ALL));
+fn random_campaign_cells_match_isolated_sessions() {
+    // The fixed grids above only ever hand a worker same-shaped sessions.
+    // Here a campaign is a list of independently drawn sessions (so their
+    // order is already a random shuffle): consecutive cells on one worker
+    // differ in link count, agent count or queue kind — and each cell
+    // must still equal the same spec run alone, on either scheduler.
+    cases("random_campaign_cells_match_isolated", 4, |g, case| {
+        let spec = CampaignSpec {
+            sessions: (0..g.usize_in(5, 8)).map(|_| gen_session(g)).collect(),
+        };
+        let opts = CampaignOptions::new(g.usize_in(1, 2)).sched(*g.pick(&SchedulerKind::ALL));
+        let campaign = run_campaign_opts(&spec, opts);
+        for (i, (spec, cell)) in spec.sessions.iter().zip(&campaign.sessions).enumerate() {
+            let alone = run_session_with(spec, *g.pick(&SchedulerKind::ALL));
             assert_eq!(
-                warm.trace_hash,
-                cold.trace_hash,
-                "case {case}: session {i} ({}) diverged on a recycled world",
+                cell.trace_hash,
+                alone.trace_hash,
+                "case {case}: cell {i} ({}) differs from its isolated run",
                 spec.label()
             );
-            assert_eq!(warm.events_processed, cold.events_processed);
+            assert_eq!(cell.events_processed, alone.events_processed);
         }
-        assert!(pool.is_warm());
     });
 }
 

@@ -8,7 +8,7 @@
 //! surface: the goldens' scenario configs (T1/T2 across `K_max`), the
 //! fault suite across intensities, and the threaded campaign grid.
 
-use laqa_sim::campaign::{run_campaign_with, CampaignSpec, TestKind};
+use laqa_sim::campaign::{run_campaign_opts, CampaignOptions, CampaignSpec, TestKind};
 use laqa_sim::faults::FaultPlan;
 use laqa_sim::{hash_outcome, run_scenario_with, ScenarioConfig, SchedulerKind};
 
@@ -69,11 +69,12 @@ fn campaign_grid_agrees_between_schedulers_and_thread_counts() {
     // independence and thread-count independence — and guards their
     // interaction (per-thread worlds each build their own scheduler).
     let spec = CampaignSpec::grid(&[TestKind::T1, TestKind::T2], &[2, 4], &[7, 21], 6.0);
-    let reference = run_campaign_with(&spec, 1, SchedulerKind::Reference);
+    let oracle = CampaignOptions::new(1).sched(SchedulerKind::Reference);
+    let reference = run_campaign_opts(&spec, oracle);
     let fp = reference.fingerprint();
     for kind in SchedulerKind::ALL {
         for threads in [1, 2, 8] {
-            let got = run_campaign_with(&spec, threads, kind);
+            let got = run_campaign_opts(&spec, CampaignOptions::new(threads).sched(kind));
             assert_eq!(
                 got.fingerprint(),
                 fp,
@@ -87,8 +88,9 @@ fn campaign_grid_agrees_between_schedulers_and_thread_counts() {
 #[test]
 fn faulted_campaign_agrees_between_schedulers() {
     let spec = CampaignSpec::faults_grid(&[TestKind::T1], &[2], &[0.0, 1.0], &[7], 12.0);
-    let heap = run_campaign_with(&spec, 2, SchedulerKind::Reference);
-    let wheel = run_campaign_with(&spec, 2, SchedulerKind::Wheel);
+    let two = CampaignOptions::new(2);
+    let heap = run_campaign_opts(&spec, two.sched(SchedulerKind::Reference));
+    let wheel = run_campaign_opts(&spec, two.sched(SchedulerKind::Wheel));
     assert_eq!(heap.fingerprint(), wheel.fingerprint());
     for (a, b) in heap.sessions.iter().zip(&wheel.sessions) {
         assert_eq!(a.trace_hash, b.trace_hash, "cell {} diverged", a.spec.label());

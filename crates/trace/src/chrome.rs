@@ -5,9 +5,9 @@
 //! load: a `{"traceEvents": [...]}` object whose entries carry a phase
 //! (`ph`), microsecond timestamp (`ts`), name, and `pid`/`tid` track
 //! coordinates. The flight recorder (`laqa-obs`) exports per-session
-//! timelines through [`ChromeTrace`]; `laqa obs-trace` and `verify.sh`
-//! gate the export through [`validate`], which reuses [`crate::json`] so
-//! the check stays registry-free.
+//! timelines through [`ChromeTrace`]; `laqa obs-trace` gates the export
+//! through [`validate`] (`crates/bench/tests/cli.rs` runs it), which
+//! reuses [`crate::json`] so the check stays registry-free.
 //!
 //! Only the event phases the workspace emits are modeled: `M` metadata
 //! (process/thread names), `B`/`E` duration spans, `i` instants, `C`
@@ -166,8 +166,8 @@ fn field_num(ev: &JsonValue, key: &str, i: usize) -> Result<u64, String> {
 /// `traceEvents` array whose entries all carry a known phase, numeric
 /// `pid`/`tid`/`ts`, and a string `name`; every `B` on a track must be
 /// closed by an `E` (and never under-closed). Returns per-track tallies
-/// on success. This is the zero-dependency gate `verify.sh` runs on the
-/// smoke trace export.
+/// on success. This is the zero-dependency gate `laqa obs-trace` runs on
+/// every export it writes.
 pub fn validate(v: &JsonValue) -> Result<ChromeStats, String> {
     let events = v
         .get("traceEvents")
