@@ -326,9 +326,11 @@ fn cmd_smoke(args: &Args) -> Result<(), AnyError> {
     let duration: f64 = args.get("duration", 8.0)?;
     let transports = parse_transports(args)?;
     let traces = parse_traces(args)?;
+    let k_values: Vec<u32> = args.get_list("kmax", &[2, 4])?;
+    let seeds: Vec<u64> = args.get_list("seeds", &[7, 21])?;
     let spec = expand_traces(
         expand_transports(
-            CampaignSpec::grid(&[TestKind::T1], &[2, 4], &[7, 21], duration),
+            CampaignSpec::grid(&[TestKind::T1], &k_values, &seeds, duration),
             &transports,
         ),
         &traces,

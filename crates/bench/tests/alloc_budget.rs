@@ -1,14 +1,17 @@
 //! Allocation guard for a simulator session, the in-place
-//! state-sequence rebuild and the QA controller's tick.
+//! state-sequence rebuild, the QA controller's tick and the transport's
+//! packet round.
 //!
 //! PR 4 pinned the in-session allocator win (266k → 29k allocs per run);
 //! this pins what keeps it. A session runs within a small fixed
 //! allocation budget: world and agent construction, trace growth and
 //! result extraction allocate, the per-event and per-tick paths do not.
 //! Once a [`StateSequence`] has held as many states as an operating point
-//! needs, rebuilding it for that point allocates nothing. And once a
+//! needs, rebuilding it for that point allocates nothing. Once a
 //! [`QaController`] has been through its session's layer counts, a tick
-//! allocates only the report it returns and a backoff nothing.
+//! allocates only the report it returns and a backoff nothing. And once a
+//! [`RateController`] and its receiver have seen a flight of packets, a
+//! packet's round through them allocates nothing, lost packets included.
 //!
 //! Lives in `crates/bench/tests` because the laqa crates are
 //! `deny(unsafe_code)` and the counting `#[global_allocator]` is the one
@@ -18,9 +21,14 @@
 //! assertion.
 
 use laqa_core::{QaConfig, QaController, StateSequence};
+use laqa_rap::{
+    BbrConfig, BbrSender, NadaConfig, NadaSender, RapConfig, RapEvent, RapReceiverState, RapSender,
+    RateController, WindowConfig, WindowSender,
+};
 use laqa_sim::{run_session, SessionSpec, TestKind, Transport};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::VecDeque;
 
 struct CountingAlloc;
 
@@ -50,12 +58,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations allowed for one 8 s session (measured: 1 640 — world and
+/// Allocations allowed for one 8 s session (measured: 1 098 — world and
 /// agent construction, trace growth, result extraction clones). The
 /// budget leaves slack for allocator-library drift without letting the
 /// in-session paths — the per-tick sequence rebuild above all — quietly
 /// start allocating again.
-const SESSION_ALLOC_BUDGET: u64 = 1_760;
+const SESSION_ALLOC_BUDGET: u64 = 1_175;
 
 fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let a0 = ALLOCS.get();
@@ -169,10 +177,68 @@ fn assert_warmed_controller_tick_allocates_only_its_report() {
     );
 }
 
+/// A packet's round through a warmed controller and receiver —
+/// `register_send`, the receiver's `on_data`, `on_ack` a round trip later,
+/// `poll_timers`, `drain_events_into` — allocates nothing. Every 200th
+/// packet is lost for good, so the reorder set holds a run per loss, the
+/// mask has a hole in it, and loss detection, cluster suppression and the
+/// backoff all run inside the measured stretch.
+fn assert_warmed_packet_round_allocates_nothing<C: RateController>(name: &str, mut ctl: C) {
+    /// ACKs arrive this many sends (milliseconds) after their packet.
+    const RTT_ROUNDS: u64 = 20;
+    // The receiver keeps one run per standing hole in a ring that doubles:
+    // the 65th loss (round 13 000) grows it to 128 slots, and the 120
+    // losses of the whole walk fit in those.
+    const WARM_UP: u64 = 14_000;
+    const MEASURED: u64 = 10_000;
+    let mut rx = RapReceiverState::new();
+    let mut acks = VecDeque::new();
+    let mut events: Vec<RapEvent> = Vec::new();
+    let (mut lost, mut backoffs) = (0u32, 0u32);
+    for round in 0..WARM_UP + MEASURED {
+        let now = round as f64 * 1e-3;
+        let (allocs, ()) = allocs_during(|| {
+            let seq = ctl.register_send(now, 100.0, (round % 5) as u32);
+            if seq % 200 != 199 {
+                acks.push_back((round + RTT_ROUNDS, rx.on_data(seq)));
+            }
+            while acks.front().is_some_and(|&(due, _)| due <= round) {
+                let (_, ack) = acks.pop_front().expect("front checked");
+                ctl.on_ack(now, ack);
+            }
+            ctl.poll_timers(now);
+            ctl.drain_events_into(&mut events);
+        });
+        if round >= WARM_UP {
+            assert_eq!(allocs, 0, "{name}: packet round {round} allocated");
+            for e in &events {
+                lost += u32::from(matches!(e, RapEvent::PacketLost { .. }));
+                backoffs += u32::from(matches!(e, RapEvent::Backoff { .. }));
+            }
+        }
+        events.clear();
+    }
+    eprintln!("alloc_budget: {name} packet rounds (lost, backoffs) = ({lost}, {backoffs})");
+    assert!(
+        lost == (MEASURED / 200) as u32 && backoffs >= 10,
+        "{name}: the measured stretch must lose packets and back off: {lost} {backoffs}"
+    );
+}
+
 #[test]
 fn sessions_and_rebuilds_stay_under_alloc_budgets() {
     assert_warmed_rebuild_allocates_nothing();
     assert_warmed_controller_tick_allocates_only_its_report();
+    assert_warmed_packet_round_allocates_nothing("rap", RapSender::new(RapConfig::default(), 0.0));
+    assert_warmed_packet_round_allocates_nothing("bbr", BbrSender::new(BbrConfig::default(), 0.0));
+    assert_warmed_packet_round_allocates_nothing(
+        "nada",
+        NadaSender::new(NadaConfig::default(), 0.0),
+    );
+    assert_warmed_packet_round_allocates_nothing(
+        "tcp",
+        WindowSender::new(WindowConfig::default(), 0.0),
+    );
 
     let spec = SessionSpec {
         test: TestKind::T1,

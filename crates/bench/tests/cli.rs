@@ -1,8 +1,9 @@
 //! The command-line contract of the `campaign` and `laqa` binaries that
 //! no library test can see: exit code 2 for a command line the binary
-//! cannot honour, the `campaign --obs DIR` → `laqa obs-report` /
-//! `laqa obs-trace` round trip over real files, and the stderr warning
-//! when the flight recorder's rings overflowed.
+//! cannot honour, `--smoke` reading its grid from the command line, the
+//! `campaign --obs DIR` → `laqa obs-report` / `laqa obs-trace` round trip
+//! over real files, and the stderr warning when the flight recorder's
+//! rings overflowed.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -60,6 +61,24 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
         let ran = stdout(&out).contains("fingerprint");
         assert!(!ran, "{bin} {args:?} must not run anything");
     }
+}
+
+#[test]
+fn smoke_honours_kmax_and_seeds() {
+    // `--smoke` once hard-coded K_max {2, 4} x seeds {7, 21} and ran eight
+    // cells here whatever the command line said.
+    let args = "--smoke --kmax 3 --seeds 5 --transport rap,tcp";
+    let out = run(CAMPAIGN, &args.split(' ').collect::<Vec<_>>(), None);
+    assert!(out.status.success(), "campaign: {}", stderr(&out));
+    let text = stdout(&out);
+    let cells: Vec<&str> = text
+        .lines()
+        .map(str::trim_start)
+        .filter(|l| l.starts_with("T1/"))
+        .filter_map(|l| l.split_whitespace().next())
+        .collect();
+    assert_eq!(cells, ["T1/k3/seed5", "T1/k3/seed5/tcp"], "{text}");
+    assert_has(&text, "smoke ok: 2 sessions");
 }
 
 /// `campaign --faults --smoke --obs DIR`, then both `laqa` readers over

@@ -30,7 +30,7 @@ use crate::controller::RateController;
 use crate::history::{PacketRecord, TransmissionHistory};
 use crate::receiver::AckInfo;
 use crate::rtt::RttEstimator;
-use crate::sender::{BackoffCause, RapEvent};
+use crate::sender::{report_losses, BackoffCause, RapEvent};
 use std::collections::VecDeque;
 
 /// Multiplicative discount applied to the bandwidth model on a loss
@@ -308,46 +308,29 @@ impl BbrSender {
         }
     }
 
-    fn handle_losses(
-        &mut self,
-        now: f64,
-        losses: Vec<crate::history::LostPacket>,
-        cause: BackoffCause,
-    ) {
-        if losses.is_empty() {
+    /// Report ACK-inferred losses; a new congestion event discounts the
+    /// bandwidth model.
+    fn handle_losses(&mut self, now: f64) {
+        if !report_losses(&mut self.history, &mut self.events, self.recovery_seq, now) {
             return;
         }
-        let mut new_event = false;
-        for l in &losses {
-            self.events.push(RapEvent::PacketLost {
-                time: now,
-                seq: l.seq,
-                size: l.record.size,
-                tag: l.record.tag,
-            });
-            if self.recovery_seq.is_none_or(|r| l.seq > r) {
-                new_event = true;
-            }
+        let pre_rate = self.paced_rate();
+        // Discount the whole model, not just the current max — the
+        // shadowed samples would otherwise resurface undiscounted as
+        // the front expires.
+        for (_, s) in self.bw_filter.iter_mut() {
+            *s *= LOSS_BETA;
         }
-        if new_event {
-            let pre_rate = self.paced_rate();
-            // Discount the whole model, not just the current max — the
-            // shadowed samples would otherwise resurface undiscounted as
-            // the front expires.
-            for (_, s) in self.bw_filter.iter_mut() {
-                *s *= LOSS_BETA;
-            }
-            self.fallback_bw = (self.fallback_bw * LOSS_BETA).max(self.min_rate());
-            self.loss_ends_startup = true;
-            self.recovery_seq = self.next_seq.checked_sub(1);
-            self.events.push(RapEvent::Backoff {
-                time: now,
-                rate: self.paced_rate(),
-                pre_rate,
-                slope: RateController::slope(self),
-                cause,
-            });
-        }
+        self.fallback_bw = (self.fallback_bw * LOSS_BETA).max(self.min_rate());
+        self.loss_ends_startup = true;
+        self.recovery_seq = self.next_seq.checked_sub(1);
+        self.events.push(RapEvent::Backoff {
+            time: now,
+            rate: self.paced_rate(),
+            pre_rate,
+            slope: RateController::slope(self),
+            cause: BackoffCause::Loss,
+        });
     }
 }
 
@@ -394,55 +377,22 @@ impl RateController for BbrSender {
         self.last_progress = now;
         self.timeouts_in_row = 0;
         self.rtt.reset_backoff();
-        let mut resolved: Vec<(u64, PacketRecord)> = Vec::new();
-        if let Some(record) = self.history.mark_received(ack.ack_seq) {
-            let sample = now - record.send_time;
-            self.sample_rtt(now, sample);
-            resolved.push((ack.ack_seq, record));
-        }
-        if ack.cum_seq != u64::MAX {
-            resolved.extend(self.history.mark_received_upto(ack.cum_seq));
-        }
-        if ack.highest >= 1 {
-            let valid = if ack.highest >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << ack.highest) - 1
-            };
-            let mut bits = ack.mask & valid;
-            while bits != 0 {
-                let i = u64::from(bits.trailing_zeros());
-                bits &= bits - 1;
-                if let Some(r) = self.history.mark_received(ack.highest - 1 - i) {
-                    resolved.push((ack.highest - 1 - i, r));
-                }
-            }
-        }
-        for (seq, record) in resolved {
+        let trigger = self.history.resolve_ack(&ack, |seq, record| {
             self.delivered += record.size;
-            self.events.push(RapEvent::PacketAcked {
-                time: now,
-                seq,
-                size: record.size,
-                tag: record.tag,
-            });
+            self.events.push(RapEvent::acked(now, seq, record));
+        });
+        if let Some(record) = trigger {
+            self.sample_rtt(now, now - record.send_time);
         }
         self.sample_delivery_rate(now);
-        let losses = self.history.detect_losses();
-        self.handle_losses(now, losses, BackoffCause::Loss);
+        self.handle_losses(now);
     }
 
     fn poll_timers(&mut self, now: f64) {
         if now >= self.timeout_deadline() {
-            let losses = self.history.flush_all_as_lost();
-            for l in &losses {
-                self.events.push(RapEvent::PacketLost {
-                    time: now,
-                    seq: l.seq,
-                    size: l.record.size,
-                    tag: l.record.tag,
-                });
-            }
+            self.history.flush_all_as_lost(|seq, record| {
+                self.events.push(RapEvent::lost(now, seq, record));
+            });
             self.rtt.on_timeout();
             self.timeouts_in_row = self.timeouts_in_row.saturating_add(1);
             let pre_rate = self.paced_rate();

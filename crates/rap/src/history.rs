@@ -9,7 +9,12 @@
 //! RAP does not retransmit — the stream is loss-tolerant — but the loss
 //! report feeds both the AIMD backoff and the quality-adaptation buffer
 //! accounting.
+//!
+//! Every sender in this crate reads an ACK through the one walk in
+//! [`TransmissionHistory::resolve_ack`], so the order in which an ACK's
+//! three proofs resolve packets is decided here and nowhere else.
 
+use crate::receiver::AckInfo;
 use std::collections::VecDeque;
 
 /// Record of one transmitted, not-yet-resolved packet.
@@ -24,15 +29,6 @@ pub struct PacketRecord {
     pub tag: u32,
 }
 
-/// A resolved loss.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LostPacket {
-    /// Sequence number of the lost packet.
-    pub seq: u64,
-    /// Its record.
-    pub record: PacketRecord,
-}
-
 /// Outstanding-packet table with loss inference.
 ///
 /// Sequence numbers from a RAP sender are assigned consecutively, so the
@@ -41,9 +37,10 @@ pub struct LostPacket {
 /// operation O(1) amortized with **zero steady-state allocation** (the
 /// ring's buffer is reused as the window slides). Resolved slots become
 /// `None` in place; the front is trimmed so the window never grows past
-/// the true in-flight span. All observable orders (resolution, loss
-/// reporting, byte summation) remain ascending-sequence, exactly as the
-/// previous `BTreeMap` implementation produced them.
+/// the true in-flight span. Records leave through visitors
+/// ([`resolve_ack`](Self::resolve_ack), [`detect_losses`](Self::detect_losses),
+/// [`flush_all_as_lost`](Self::flush_all_as_lost)) in ascending sequence
+/// order, so an ACK or a loss report costs its sender no allocation either.
 #[derive(Debug, Clone, Default)]
 pub struct TransmissionHistory {
     /// Window of sends, `window[i]` holding sequence `base + i`
@@ -74,25 +71,6 @@ impl TransmissionHistory {
     /// Number of unresolved packets.
     pub fn outstanding(&self) -> usize {
         self.live
-    }
-
-    /// Bytes in flight (unresolved).
-    pub fn outstanding_bytes(&self) -> f64 {
-        // Summed in ascending-sequence order (same order the tree
-        // iterated), so accumulated floating point is bit-identical.
-        self.window
-            .iter()
-            .filter_map(|slot| slot.as_ref().map(|r| r.size))
-            .sum()
-    }
-
-    /// Send time of the oldest unresolved packet.
-    pub fn oldest_send_time(&self) -> Option<f64> {
-        // The front slot is live whenever the window is non-empty (the
-        // trim invariant), but scan defensively rather than rely on it.
-        self.window
-            .iter()
-            .find_map(|slot| slot.as_ref().map(|r| r.send_time))
     }
 
     /// Drop resolved slots off the front so `window[0]` is live (or the
@@ -138,10 +116,9 @@ impl TransmissionHistory {
         self.live += 1;
     }
 
-    /// Mark `seq` as received; returns its record (for RTT sampling) when it
-    /// was outstanding.
-    pub fn mark_received(&mut self, seq: u64) -> Option<PacketRecord> {
-        self.highest_received = Some(self.highest_received.map_or(seq, |h| h.max(seq)));
+    /// Mark `seq` as received; returns its record when it was outstanding.
+    fn mark_received(&mut self, seq: u64) -> Option<PacketRecord> {
+        self.highest_received = self.highest_received.max(Some(seq));
         if seq < self.base {
             return None;
         }
@@ -152,77 +129,76 @@ impl TransmissionHistory {
         Some(record)
     }
 
-    /// Mark every sequence `<= cum` as received (cumulative ACK), calling
-    /// `resolved` once per record in ascending sequence order. The
-    /// allocation-free core of [`mark_received_upto`].
-    pub fn for_each_received_upto(
-        &mut self,
-        cum: u64,
-        mut resolved: impl FnMut(u64, PacketRecord),
-    ) {
-        self.highest_received = Some(self.highest_received.map_or(cum, |h| h.max(cum)));
-        while !self.window.is_empty() && self.base <= cum {
+    /// Pop every slot at or below `limit` off the front, calling `visit`
+    /// once per unresolved record in ascending sequence order.
+    fn pop_through(&mut self, limit: u64, mut visit: impl FnMut(u64, PacketRecord)) {
+        while !self.window.is_empty() && self.base <= limit {
             let seq = self.base;
             let slot = self.window.pop_front().expect("checked non-empty");
             self.base += 1;
             if let Some(record) = slot {
                 self.live -= 1;
-                resolved(seq, record);
+                visit(seq, record);
             }
         }
         self.trim_front();
     }
 
-    /// Mark every sequence `<= cum` as received (cumulative ACK); returns
-    /// the records resolved by this call (for delivery accounting).
-    pub fn mark_received_upto(&mut self, cum: u64) -> Vec<(u64, PacketRecord)> {
-        let mut out = Vec::new();
-        self.for_each_received_upto(cum, |seq, record| out.push((seq, record)));
-        out
+    /// Resolve every outstanding packet `ack` proves received — the one
+    /// ACK walk all senders share. `resolved` sees each record once:
+    /// `ack_seq` first, then the cumulative prefix in ascending sequence
+    /// order, then the mask's set bits in ascending bit order. Returns
+    /// `ack_seq`'s record when it was still outstanding: the one whose
+    /// send time makes an RTT sample.
+    pub fn resolve_ack(
+        &mut self,
+        ack: &AckInfo,
+        mut resolved: impl FnMut(u64, PacketRecord),
+    ) -> Option<PacketRecord> {
+        let trigger = self.mark_received(ack.ack_seq);
+        if let Some(record) = trigger {
+            resolved(ack.ack_seq, record);
+        }
+        if ack.cum_seq != u64::MAX {
+            self.highest_received = self.highest_received.max(Some(ack.cum_seq));
+            self.pop_through(ack.cum_seq, &mut resolved);
+        }
+        // Bit `i` names sequence `highest - 1 - i`; bits at or above
+        // `highest` would name negative sequences.
+        if let Some(top) = ack.highest.checked_sub(1) {
+            let mut bits = ack.mask & (u64::MAX >> 63u64.saturating_sub(top));
+            while bits != 0 {
+                let seq = top - u64::from(bits.trailing_zeros());
+                bits &= bits - 1;
+                if let Some(record) = self.mark_received(seq) {
+                    resolved(seq, record);
+                }
+            }
+        }
+        trigger
     }
 
     /// Infer losses: every outstanding packet that precedes the highest
-    /// received sequence by at least `reorder_threshold` is declared lost
-    /// and removed. Returns the losses in sequence order.
-    pub fn detect_losses(&mut self) -> Vec<LostPacket> {
-        let Some(h) = self.highest_received else {
-            return Vec::new();
-        };
-        if h < self.reorder_threshold {
-            return Vec::new();
+    /// received sequence by at least `reorder_threshold` is declared lost,
+    /// removed, and handed to `lost` in ascending sequence order.
+    pub fn detect_losses(&mut self, lost: impl FnMut(u64, PacketRecord)) {
+        if let Some(cutoff) = self
+            .highest_received
+            .and_then(|h| h.checked_sub(self.reorder_threshold))
+        {
+            self.pop_through(cutoff, lost);
         }
-        let cutoff = h - self.reorder_threshold;
-        let mut lost = Vec::new();
-        while !self.window.is_empty() && self.base <= cutoff {
-            let seq = self.base;
-            let slot = self.window.pop_front().expect("checked non-empty");
-            self.base += 1;
-            if let Some(record) = slot {
-                self.live -= 1;
-                lost.push(LostPacket { seq, record });
-            }
-        }
-        self.trim_front();
-        lost
     }
 
-    /// Declare every outstanding packet lost (timeout). Returns them in
-    /// sequence order.
-    pub fn flush_all_as_lost(&mut self) -> Vec<LostPacket> {
-        let base = self.base;
-        let out = self
-            .window
-            .drain(..)
-            .enumerate()
-            .filter_map(|(i, slot)| {
-                slot.map(|record| LostPacket {
-                    seq: base + i as u64,
-                    record,
-                })
-            })
-            .collect();
+    /// Declare every outstanding packet lost (timeout), handing each to
+    /// `lost` in ascending sequence order.
+    pub fn flush_all_as_lost(&mut self, mut lost: impl FnMut(u64, PacketRecord)) {
+        for (seq, slot) in (self.base..).zip(self.window.drain(..)) {
+            if let Some(record) = slot {
+                lost(seq, record);
+            }
+        }
         self.live = 0;
-        out
     }
 }
 
@@ -236,6 +212,13 @@ mod tests {
             size: 1_000.0,
             tag: 0,
         }
+    }
+
+    /// Sequences `detect_losses` reports, in the order it reports them.
+    fn losses(h: &mut TransmissionHistory) -> Vec<u64> {
+        let mut out = Vec::new();
+        h.detect_losses(|seq, _| out.push(seq));
+        out
     }
 
     #[test]
@@ -259,11 +242,9 @@ mod tests {
         h.mark_received(1);
         h.mark_received(3);
         h.mark_received(4);
-        assert!(h.detect_losses().is_empty(), "only 2 packets past the hole");
+        assert!(losses(&mut h).is_empty(), "only 2 packets past the hole");
         h.mark_received(5);
-        let lost = h.detect_losses();
-        assert_eq!(lost.len(), 1);
-        assert_eq!(lost[0].seq, 2);
+        assert_eq!(losses(&mut h), [2]);
         assert_eq!(h.outstanding(), 1); // seq 6 still in flight
     }
 
@@ -271,11 +252,65 @@ mod tests {
     fn cumulative_ack_clears_prefix() {
         let mut h = TransmissionHistory::new(3);
         for seq in 1..=10 {
+            h.on_send(seq, rec(seq as f64));
+        }
+        let ack = AckInfo {
+            ack_seq: 7,
+            cum_seq: 7,
+            highest: 7,
+            mask: 0,
+        };
+        let mut seen = Vec::new();
+        let trigger = h.resolve_ack(&ack, |seq, _| seen.push(seq));
+        assert_eq!(trigger, Some(rec(7.0)));
+        assert_eq!(seen, [7, 1, 2, 3, 4, 5, 6]);
+        assert_eq!(h.outstanding(), 3);
+        assert_eq!(h.base, 8, "the front of the window is the oldest live send");
+    }
+
+    #[test]
+    fn ack_walk_visits_trigger_then_prefix_then_mask_bits_once_each() {
+        let mut h = TransmissionHistory::new(3);
+        for seq in 0..80 {
+            h.on_send(seq, rec(seq as f64));
+        }
+        // Bit i names 70 - 1 - i: bits 0, 2, 9, 63 are 69, 67, 60, 6; 6
+        // also lies under the prefix, 67 is the trigger. Bit 5 (64) was
+        // resolved by an earlier ACK.
+        h.mark_received(64);
+        let ack = AckInfo {
+            ack_seq: 67,
+            cum_seq: 9,
+            highest: 70,
+            mask: 1 | 1 << 2 | 1 << 5 | 1 << 9 | 1 << 63,
+        };
+        let mut seen = Vec::new();
+        let trigger = h.resolve_ack(&ack, |seq, record| {
+            assert_eq!(record.send_time, seq as f64, "record of another packet");
+            seen.push(seq);
+        });
+        assert_eq!(trigger.map(|r| r.send_time), Some(67.0));
+        assert_eq!(seen, [67, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 69, 60]);
+        assert_eq!(h.outstanding(), 80 - 1 - seen.len());
+        // The same ACK again (a duplicate on the wire) resolves nothing.
+        let again = h.resolve_ack(&ack, |seq, _| panic!("{seq} resolved twice"));
+        assert_eq!(again, None);
+        // Below 64 the mask's upper bits name no sequence: highest = 3
+        // leaves bits 0..3 (sequences 2, 1, 0) valid.
+        let mut h = TransmissionHistory::new(3);
+        for seq in 0..5 {
             h.on_send(seq, rec(0.0));
         }
-        h.mark_received_upto(7);
-        assert_eq!(h.outstanding(), 3);
-        assert!(h.oldest_send_time().is_some());
+        let ack = AckInfo {
+            ack_seq: 3,
+            cum_seq: u64::MAX,
+            highest: 3,
+            mask: u64::MAX,
+        };
+        let mut seen = Vec::new();
+        h.resolve_ack(&ack, |seq, _| seen.push(seq));
+        assert_eq!(seen, [3, 2, 1, 0]);
+        assert_eq!(h.outstanding(), 1);
     }
 
     #[test]
@@ -287,7 +322,7 @@ mod tests {
         // Receive out of order: 2, 1, 4, 3 — no losses.
         for seq in [2, 1, 4, 3] {
             h.mark_received(seq);
-            assert!(h.detect_losses().is_empty());
+            assert!(losses(&mut h).is_empty());
         }
         assert_eq!(h.outstanding(), 0);
     }
@@ -299,52 +334,34 @@ mod tests {
             h.on_send(seq, rec(seq as f64));
         }
         h.mark_received(3);
-        let lost = h.flush_all_as_lost();
-        assert_eq!(lost.len(), 4);
-        assert_eq!(
-            lost.iter().map(|l| l.seq).collect::<Vec<_>>(),
-            vec![1, 2, 4, 5]
-        );
+        let mut lost = Vec::new();
+        h.flush_all_as_lost(|seq, record| lost.push((seq, record.send_time)));
+        assert_eq!(lost, [(1, 1.0), (2, 2.0), (4, 4.0), (5, 5.0)]);
         assert_eq!(h.outstanding(), 0);
-    }
-
-    #[test]
-    fn outstanding_bytes_tracks_sizes() {
-        let mut h = TransmissionHistory::new(3);
-        h.on_send(
-            1,
-            PacketRecord {
-                send_time: 0.0,
-                size: 700.0,
-                tag: 1,
-            },
-        );
-        h.on_send(
-            2,
-            PacketRecord {
-                send_time: 0.0,
-                size: 300.0,
-                tag: 2,
-            },
-        );
-        assert_eq!(h.outstanding_bytes(), 1_000.0);
-        h.mark_received(1);
-        assert_eq!(h.outstanding_bytes(), 300.0);
+        h.flush_all_as_lost(|seq, _| panic!("{seq} reported twice"));
+        // The emptied window restarts wherever the next send lands.
+        h.on_send(6, rec(6.0));
+        assert_eq!(h.outstanding(), 1);
+        assert_eq!(h.mark_received(6), Some(rec(6.0)));
     }
 
     #[test]
     fn tags_preserved_through_loss() {
         let mut h = TransmissionHistory::new(1);
-        h.on_send(
-            1,
-            PacketRecord {
-                send_time: 0.0,
-                size: 1.0,
-                tag: 42,
-            },
-        );
+        for seq in 1..=3 {
+            h.on_send(
+                seq,
+                PacketRecord {
+                    send_time: 0.0,
+                    size: 1.0,
+                    tag: 40 + seq as u32,
+                },
+            );
+        }
         h.mark_received(5);
-        let lost = h.detect_losses();
-        assert_eq!(lost[0].record.tag, 42);
+        let mut lost = Vec::new();
+        h.detect_losses(|seq, record| lost.push((seq, record.tag)));
+        assert_eq!(lost, [(1, 41), (2, 42), (3, 43)]);
+        assert!(losses(&mut h).is_empty(), "a loss is reported once");
     }
 }

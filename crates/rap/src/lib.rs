@@ -43,9 +43,9 @@ pub mod window;
 pub use aimd::AimdState;
 pub use bbr::{BbrConfig, BbrSender};
 pub use controller::RateController;
-pub use history::{LostPacket, PacketRecord, TransmissionHistory};
+pub use history::{PacketRecord, TransmissionHistory};
 pub use nada::{NadaConfig, NadaSender};
-pub use receiver::{AckInfo, RapReceiverState};
+pub use receiver::{AckInfo, RapReceiverState, RunSet};
 pub use rtt::RttEstimator;
 pub use sender::{BackoffCause, RapConfig, RapEvent, RapSender};
 pub use window::{WindowConfig, WindowSender};

@@ -36,7 +36,7 @@ use crate::controller::RateController;
 use crate::history::{PacketRecord, TransmissionHistory};
 use crate::receiver::AckInfo;
 use crate::rtt::RttEstimator;
-use crate::sender::{BackoffCause, RapEvent};
+use crate::sender::{report_losses, BackoffCause, RapEvent};
 
 /// Softest permitted multiplicative decrease.
 pub const GAMMA_MAX: f64 = 0.95;
@@ -203,38 +203,25 @@ impl NadaSender {
         }
     }
 
-    /// Fold one resolved-packet outcome into the loss EWMA.
-    fn observe(&mut self, lost: bool) {
+    /// Fold the outcome of `packets` resolved packets, one at a time,
+    /// into the loss EWMA.
+    fn observe(&mut self, lost: bool, packets: usize) {
         let y = if lost { 1.0 } else { 0.0 };
-        self.loss_ewma += self.cfg.loss_alpha * (y - self.loss_ewma);
+        for _ in 0..packets {
+            self.loss_ewma += self.cfg.loss_alpha * (y - self.loss_ewma);
+        }
     }
 
-    fn handle_losses(
-        &mut self,
-        now: f64,
-        losses: Vec<crate::history::LostPacket>,
-        cause: BackoffCause,
-    ) {
-        if losses.is_empty() {
-            return;
-        }
+    /// Report ACK-inferred losses; a new congestion event backs off by the
+    /// loss-adaptive γ.
+    fn handle_losses(&mut self, now: f64) {
         // γ reflects the loss level *standing at event time*: folding the
         // current cluster into the EWMA first would let any single loss
         // saturate the formula at the hard clamp.
         let p_at_event = self.loss_ewma;
-        let mut new_event = false;
-        for l in &losses {
-            self.observe(true);
-            self.events.push(RapEvent::PacketLost {
-                time: now,
-                seq: l.seq,
-                size: l.record.size,
-                tag: l.record.tag,
-            });
-            if self.recovery_seq.is_none_or(|r| l.seq > r) {
-                new_event = true;
-            }
-        }
+        let reported = self.events.len();
+        let new_event = report_losses(&mut self.history, &mut self.events, self.recovery_seq, now);
+        self.observe(true, self.events.len() - reported);
         if new_event {
             let pre_rate = self.rate;
             let gamma =
@@ -246,7 +233,7 @@ impl NadaSender {
                 rate: self.rate,
                 pre_rate,
                 slope: RateController::slope(self),
-                cause,
+                cause: BackoffCause::Loss,
             });
         }
     }
@@ -296,58 +283,28 @@ impl RateController for NadaSender {
         self.last_progress = now;
         self.timeouts_in_row = 0;
         self.rtt.reset_backoff();
-        let mut resolved: Vec<(u64, PacketRecord)> = Vec::new();
-        if let Some(record) = self.history.mark_received(ack.ack_seq) {
+        let acked = self.events.len();
+        let trigger = self.history.resolve_ack(&ack, |seq, record| {
+            self.events.push(RapEvent::acked(now, seq, record));
+        });
+        if let Some(record) = trigger {
             let sample = now - record.send_time;
             self.rtt.sample(sample);
             if sample > 0.0 && sample < self.min_rtt {
                 self.min_rtt = sample;
             }
-            resolved.push((ack.ack_seq, record));
         }
-        if ack.cum_seq != u64::MAX {
-            resolved.extend(self.history.mark_received_upto(ack.cum_seq));
-        }
-        if ack.highest >= 1 {
-            let valid = if ack.highest >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << ack.highest) - 1
-            };
-            let mut bits = ack.mask & valid;
-            while bits != 0 {
-                let i = u64::from(bits.trailing_zeros());
-                bits &= bits - 1;
-                if let Some(r) = self.history.mark_received(ack.highest - 1 - i) {
-                    resolved.push((ack.highest - 1 - i, r));
-                }
-            }
-        }
-        for (seq, record) in resolved {
-            self.observe(false);
-            self.events.push(RapEvent::PacketAcked {
-                time: now,
-                seq,
-                size: record.size,
-                tag: record.tag,
-            });
-        }
-        let losses = self.history.detect_losses();
-        self.handle_losses(now, losses, BackoffCause::Loss);
+        self.observe(false, self.events.len() - acked);
+        self.handle_losses(now);
     }
 
     fn poll_timers(&mut self, now: f64) {
         if now >= self.timeout_deadline() {
-            let losses = self.history.flush_all_as_lost();
-            for l in &losses {
-                self.observe(true);
-                self.events.push(RapEvent::PacketLost {
-                    time: now,
-                    seq: l.seq,
-                    size: l.record.size,
-                    tag: l.record.tag,
-                });
-            }
+            let flushed = self.events.len();
+            self.history.flush_all_as_lost(|seq, record| {
+                self.events.push(RapEvent::lost(now, seq, record));
+            });
+            self.observe(true, self.events.len() - flushed);
             self.rtt.on_timeout();
             self.timeouts_in_row = self.timeouts_in_row.saturating_add(1);
             let pre_rate = self.rate;
@@ -461,18 +418,14 @@ mod tests {
         // far above the floor so no clamp obscures γ itself.
         let gamma_at = |p: f64| {
             let mut s = sender(f64::INFINITY);
+            for i in 0..10u64 {
+                RateController::register_send(&mut s, i as f64 * 0.01, 1_000.0, 0);
+            }
             s.loss_ewma = p;
             s.rate = 100_000.0;
-            s.next_seq = 10;
-            let losses = vec![crate::history::LostPacket {
-                seq: 5,
-                record: PacketRecord {
-                    send_time: 0.0,
-                    size: 1_000.0,
-                    tag: 0,
-                },
-            }];
-            s.handle_losses(1.0, losses, BackoffCause::Loss);
+            // Only the last of the ten arrives: everything more than the
+            // reorder threshold below it is one loss cluster.
+            s.on_ack(1.0, RapReceiverState::new().on_data(9));
             let mut events = Vec::new();
             s.drain_events_into(&mut events);
             events

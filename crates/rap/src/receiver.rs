@@ -6,8 +6,15 @@
 //! the highest received sequence. The redundancy makes loss detection
 //! robust to ACK loss on the reverse path — any later ACK repairs the
 //! sender's view.
+//!
+//! What has arrived is kept as a [`RunSet`]: the in-order prefix plus
+//! run-length-coded receptions above it. RAP never re-sends a sequence
+//! number, so a flow's first loss freezes the prefix for the rest of the
+//! session; a run per loss event keeps the state O(losses), not
+//! O(packets), and the usual arrival — one past the last run — is a
+//! compare and an increment.
 
-use std::collections::BTreeSet;
+use std::collections::VecDeque;
 
 /// Acknowledgement contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,15 +50,109 @@ impl AckInfo {
     }
 }
 
+/// The set of sequence numbers received so far, for reassembly: every
+/// sequence below [`next_expected`](Self::next_expected), plus an
+/// ascending list of disjoint, non-adjacent inclusive runs `(lo, hi)`
+/// above it. Memory is one run per standing hole, however many packets
+/// arrive. Sequences stay below `u64::MAX` (which [`AckInfo::cum_seq`]
+/// reserves).
+#[derive(Debug, Clone, Default)]
+pub struct RunSet {
+    /// Lowest sequence not yet received.
+    next: u64,
+    /// Receptions above `next`; every `lo > next`, every gap between
+    /// neighbours at least one sequence wide.
+    runs: VecDeque<(u64, u64)>,
+}
+
+impl RunSet {
+    /// Lowest sequence not yet received (everything below it has arrived).
+    pub fn next_expected(&self) -> u64 {
+        self.next
+    }
+
+    /// Highest sequence received, if any.
+    pub fn highest(&self) -> Option<u64> {
+        match self.runs.back() {
+            Some(&(_, hi)) => Some(hi),
+            None => self.next.checked_sub(1),
+        }
+    }
+
+    /// Record the arrival of `seq`; `false` when it had arrived before.
+    pub fn insert(&mut self, seq: u64) -> bool {
+        if seq < self.next {
+            return false;
+        }
+        if seq == self.next {
+            // In order, or the hole at the cumulative point filled: the
+            // prefix swallows the front run when it now touches it.
+            self.next += 1;
+            if let Some(&(lo, hi)) = self.runs.front() {
+                if lo == self.next {
+                    self.next = hi + 1;
+                    self.runs.pop_front();
+                }
+            }
+            return true;
+        }
+        match self.runs.back_mut() {
+            Some(last) if seq - 1 == last.1 => last.1 = seq,
+            Some(last) if seq <= last.1 => return self.insert_below_last(seq),
+            _ => self.runs.push_back((seq, seq)),
+        }
+        true
+    }
+
+    /// Reordered arrival: `next < seq <= ` the last run's `hi`.
+    fn insert_below_last(&mut self, seq: u64) -> bool {
+        // First run ending at or after `seq`; the last run does.
+        let i = self.runs.partition_point(|&(_, hi)| hi < seq);
+        let (lo, hi) = self.runs[i];
+        if lo <= seq {
+            return false;
+        }
+        let joins_left = i > 0 && self.runs[i - 1].1 == seq - 1;
+        match (joins_left, seq + 1 == lo) {
+            (true, true) => {
+                self.runs[i - 1].1 = hi;
+                self.runs.remove(i);
+            }
+            (true, false) => self.runs[i - 1].1 = seq,
+            (false, true) => self.runs[i].0 = seq,
+            (false, false) => self.runs.insert(i, (seq, seq)),
+        }
+        true
+    }
+
+    /// Reception bitmask of the 64 sequences ending at `top` (bit `i` ⇔
+    /// sequence `top − i`), walking runs from the back.
+    fn mask_ending_at(&self, top: u64) -> u64 {
+        let floor = top.saturating_sub(63);
+        // Bits of the inclusive run `lo..=hi`, clipped to `floor..=top`.
+        let bits = |lo: u64, hi: u64| {
+            let (lo, hi) = (lo.max(floor), hi.min(top));
+            if lo > hi {
+                0
+            } else {
+                (u64::MAX >> (63 - (hi - lo))) << (top - hi)
+            }
+        };
+        let mut mask = self.next.checked_sub(1).map_or(0, |cum| bits(0, cum));
+        for &(lo, hi) in self.runs.iter().rev() {
+            if hi < floor {
+                break;
+            }
+            mask |= bits(lo, hi);
+        }
+        mask
+    }
+}
+
 /// Receiver-side reception state that mints [`AckInfo`]s.
 #[derive(Debug, Clone, Default)]
 pub struct RapReceiverState {
-    /// Highest in-order sequence (None until seq 0 arrives).
-    cum: Option<u64>,
-    /// Out-of-order receptions above `cum`.
-    pending: BTreeSet<u64>,
-    /// Highest sequence seen.
-    highest: Option<u64>,
+    seen: RunSet,
     /// Count of received packets (including duplicates).
     received: u64,
     /// Count of duplicate receptions.
@@ -76,60 +177,24 @@ impl RapReceiverState {
 
     /// Highest in-order sequence, if any.
     pub fn cumulative(&self) -> Option<u64> {
-        self.cum
+        self.seen.next.checked_sub(1)
     }
 
     /// Process an arriving data packet and mint the ACK to send back.
     pub fn on_data(&mut self, seq: u64) -> AckInfo {
         self.received += 1;
-        let already = match self.cum {
-            Some(c) if seq <= c => true,
-            _ => self.pending.contains(&seq),
-        };
-        if already {
+        if !self.seen.insert(seq) {
             self.duplicates += 1;
-        } else {
-            self.pending.insert(seq);
-            // Advance the cumulative pointer through any now-contiguous run.
-            loop {
-                let next = self.cum.map_or(0, |c| c + 1);
-                if self.pending.remove(&next) {
-                    self.cum = Some(next);
-                } else {
-                    break;
-                }
-            }
         }
-        self.highest = Some(self.highest.map_or(seq, |h| h.max(seq)));
-        let highest = self.highest.unwrap();
-        // Build the mask for highest-1 down to highest-64: bit `i` covers
-        // sequence `highest - 1 - i`, received iff at/below the cumulative
-        // pointer or parked in `pending`. Both sources translate to bit
-        // runs directly — the cumulative prefix is one shifted all-ones
-        // word, and `pending` (out-of-order holes only, normally empty)
-        // contributes one bit per member in window — so no per-bit probe
-        // loop is needed on this per-packet path.
-        let mut mask = 0u64;
-        if let (Some(c), true) = (self.cum, highest >= 1) {
-            let lo = highest - 1; // sequence covered by bit 0
-            if c >= lo {
-                mask = u64::MAX;
-            } else if lo - c < 64 {
-                mask = u64::MAX << (lo - c);
-            }
-        }
-        for &p in self.pending.range(highest.saturating_sub(64)..highest) {
-            mask |= 1 << (highest - 1 - p);
-        }
-        if highest < 64 {
-            // Bits at and above `highest` would name negative sequences.
-            mask &= (1u64 << highest) - 1;
-        }
+        let highest = self.seen.highest().expect("a sequence was just inserted");
         AckInfo {
             ack_seq: seq,
-            cum_seq: self.cum.unwrap_or(u64::MAX),
+            cum_seq: self.cumulative().unwrap_or(u64::MAX),
             highest,
-            mask,
+            // Bit 0 names `highest − 1`; at `highest == 0` nothing does.
+            mask: highest
+                .checked_sub(1)
+                .map_or(0, |top| self.seen.mask_ending_at(top)),
         }
     }
 }
@@ -217,5 +282,42 @@ mod tests {
         assert!(!ack.proves_received(50));
         assert!(ack.proves_received(0));
         assert!(ack.proves_received(100));
+    }
+
+    #[test]
+    fn permanent_holes_cost_one_run_each() {
+        // RAP never re-sends: 10 000 packets with 40 permanent holes must
+        // leave at most 41 runs behind, not one entry per packet.
+        let mut r = RapReceiverState::new();
+        let (n, every) = (10_000u64, 250u64);
+        for seq in (0..n).filter(|s| s % every != every - 1) {
+            r.on_data(seq);
+        }
+        let holes = (n / every) as usize;
+        assert!(r.seen.runs.len() <= holes + 1, "{} runs", r.seen.runs.len());
+        assert_eq!(r.cumulative(), Some(every - 2));
+        assert_eq!(r.unique_received(), n - holes as u64);
+    }
+
+    #[test]
+    fn reordered_arrivals_merge_runs() {
+        let mut s = RunSet::default();
+        for seq in [2, 4, 8, 6] {
+            assert!(s.insert(seq));
+        }
+        assert_eq!(s.runs, [(2, 2), (4, 4), (6, 6), (8, 8)]);
+        assert!(s.insert(3), "joins both neighbours");
+        assert!(s.insert(7));
+        assert_eq!(s.runs, [(2, 4), (6, 8)]);
+        assert!(s.insert(9), "extends the last run");
+        assert!(s.insert(5));
+        assert_eq!(s.runs, [(2, 9)]);
+        assert!(!s.insert(6), "inside a run");
+        assert!(s.insert(0));
+        assert_eq!((s.next_expected(), s.runs.len()), (1, 1));
+        assert!(s.insert(1), "the prefix swallows the front run");
+        assert_eq!((s.next_expected(), s.highest()), (10, Some(9)));
+        assert!(s.runs.is_empty());
+        assert!(!s.insert(9), "below the prefix");
     }
 }

@@ -23,7 +23,7 @@
 //! they belong to the same congestion event (cluster-loss suppression).
 
 use crate::aimd::AimdState;
-use crate::history::{LostPacket, PacketRecord, TransmissionHistory};
+use crate::history::{PacketRecord, TransmissionHistory};
 use crate::receiver::AckInfo;
 use crate::rtt::RttEstimator;
 
@@ -119,6 +119,44 @@ pub enum RapEvent {
         /// Application tag attached at send time.
         tag: u32,
     },
+}
+
+impl RapEvent {
+    pub(crate) fn acked(time: f64, seq: u64, record: PacketRecord) -> Self {
+        RapEvent::PacketAcked {
+            time,
+            seq,
+            size: record.size,
+            tag: record.tag,
+        }
+    }
+
+    pub(crate) fn lost(time: f64, seq: u64, record: PacketRecord) -> Self {
+        RapEvent::PacketLost {
+            time,
+            seq,
+            size: record.size,
+            tag: record.tag,
+        }
+    }
+}
+
+/// Report the losses `history` infers from the ACKs so far as
+/// [`RapEvent::PacketLost`]. Returns whether any of them lies beyond
+/// `recovery_seq` — a new congestion event; losses at or below it were in
+/// flight at the last backoff and belong to the event it answered.
+pub(crate) fn report_losses(
+    history: &mut TransmissionHistory,
+    events: &mut Vec<RapEvent>,
+    recovery_seq: Option<u64>,
+    now: f64,
+) -> bool {
+    let mut new_event = false;
+    history.detect_losses(|seq, record| {
+        events.push(RapEvent::lost(now, seq, record));
+        new_event |= recovery_seq.is_none_or(|r| seq > r);
+    });
+    new_event
 }
 
 /// RAP sender. See module docs for the driving loop.
@@ -256,8 +294,11 @@ impl RapSender {
         // has always applied to its consecutive-timeout counter — the
         // exponent merely lives in the estimator now).
         self.rtt.reset_backoff();
+        let trigger = self.history.resolve_ack(&ack, |seq, record| {
+            self.events.push(RapEvent::acked(now, seq, record));
+        });
         // RTT sample from the acked packet, if it was still outstanding.
-        if let Some(record) = self.history.mark_received(ack.ack_seq) {
+        if let Some(record) = trigger {
             let sample = now - record.send_time;
             self.rtt.sample(sample);
             laqa_obs::counter!("rap.rtt_samples").inc();
@@ -266,51 +307,24 @@ impl RapSender {
                 &[10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0]
             )
             .observe(sample * 1e3);
-            self.events.push(RapEvent::PacketAcked {
+        }
+        if report_losses(&mut self.history, &mut self.events, self.recovery_seq, now) {
+            let pre_rate = self.aimd.rate();
+            let rate = self.aimd.backoff();
+            // Everything already in flight belongs to this congestion event.
+            self.recovery_seq = self.next_seq.checked_sub(1);
+            self.events.push(RapEvent::Backoff {
                 time: now,
-                seq: ack.ack_seq,
-                size: record.size,
-                tag: record.tag,
+                rate,
+                pre_rate,
+                slope: self.aimd.slope(self.rtt.srtt()),
+                cause: BackoffCause::Loss,
             });
-        }
-        if ack.cum_seq != u64::MAX {
-            let events = &mut self.events;
-            self.history
-                .for_each_received_upto(ack.cum_seq, |seq, record| {
-                    events.push(RapEvent::PacketAcked {
-                        time: now,
-                        seq,
-                        size: record.size,
-                        tag: record.tag,
-                    });
-                });
-        }
-        // Mask-proven receptions: walk set bits only (bit `i` names
-        // sequence `highest - 1 - i`; bits at or above `highest` are
-        // invalid and masked off). Ascending bit order, same as the old
-        // 0..64 scan.
-        if ack.highest >= 1 {
-            let valid = if ack.highest >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << ack.highest) - 1
-            };
-            let mut bits = ack.mask & valid;
-            while bits != 0 {
-                let i = u64::from(bits.trailing_zeros());
-                bits &= bits - 1;
-                if let Some(record) = self.history.mark_received(ack.highest - 1 - i) {
-                    self.events.push(RapEvent::PacketAcked {
-                        time: now,
-                        seq: ack.highest - 1 - i,
-                        size: record.size,
-                        tag: record.tag,
-                    });
-                }
+            laqa_obs::counter!("rap.backoffs_loss").inc();
+            if laqa_obs::flight::enabled() {
+                laqa_obs::flight::instant("rap.backoff_loss", now, rate);
             }
         }
-        let losses = self.history.detect_losses();
-        self.handle_losses(now, losses, BackoffCause::Loss);
     }
 
     /// Poll the per-SRTT increase timer and the timeout clock. Call at
@@ -318,15 +332,9 @@ impl RapSender {
     pub fn poll_timers(&mut self, now: f64) {
         // Timeout first: a dead flow must not keep increasing.
         if now >= self.timeout_deadline() {
-            let losses = self.history.flush_all_as_lost();
-            for l in &losses {
-                self.events.push(RapEvent::PacketLost {
-                    time: now,
-                    seq: l.seq,
-                    size: l.record.size,
-                    tag: l.record.tag,
-                });
-            }
+            self.history.flush_all_as_lost(|seq, record| {
+                self.events.push(RapEvent::lost(now, seq, record));
+            });
             self.rtt.on_timeout();
             self.timeouts_in_row = self.timeouts_in_row.saturating_add(1);
             let pre_rate = self.aimd.rate();
@@ -353,42 +361,6 @@ impl RapSender {
                 rate: self.aimd.rate(),
             });
             self.next_step += self.rtt.srtt().max(1e-3);
-        }
-    }
-
-    fn handle_losses(&mut self, now: f64, losses: Vec<LostPacket>, cause: BackoffCause) {
-        if losses.is_empty() {
-            return;
-        }
-        let mut new_event = false;
-        for l in &losses {
-            self.events.push(RapEvent::PacketLost {
-                time: now,
-                seq: l.seq,
-                size: l.record.size,
-                tag: l.record.tag,
-            });
-            let suppressed = self.recovery_seq.is_some_and(|r| l.seq <= r);
-            if !suppressed {
-                new_event = true;
-            }
-        }
-        if new_event {
-            let pre_rate = self.aimd.rate();
-            let rate = self.aimd.backoff();
-            // Everything already in flight belongs to this congestion event.
-            self.recovery_seq = self.next_seq.checked_sub(1);
-            self.events.push(RapEvent::Backoff {
-                time: now,
-                rate,
-                pre_rate,
-                slope: self.aimd.slope(self.rtt.srtt()),
-                cause,
-            });
-            laqa_obs::counter!("rap.backoffs_loss").inc();
-            if laqa_obs::flight::enabled() {
-                laqa_obs::flight::instant("rap.backoff_loss", now, rate);
-            }
         }
     }
 

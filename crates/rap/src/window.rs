@@ -11,10 +11,10 @@
 //! to RAP's — one packet per RTT per RTT), and the same [`RapEvent`]
 //! stream.
 
-use crate::history::{LostPacket, PacketRecord, TransmissionHistory};
+use crate::history::{PacketRecord, TransmissionHistory};
 use crate::receiver::AckInfo;
 use crate::rtt::RttEstimator;
-use crate::sender::{BackoffCause, RapEvent};
+use crate::sender::{report_losses, BackoffCause, RapEvent};
 
 /// Window-sender configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -168,39 +168,8 @@ impl WindowSender {
     pub fn on_ack(&mut self, now: f64, ack: AckInfo) {
         self.last_progress = now;
         self.timeouts_in_row = 0;
-        let mut resolved: Vec<(u64, PacketRecord)> = Vec::new();
-        if let Some(record) = self.history.mark_received(ack.ack_seq) {
-            self.rtt.sample(now - record.send_time);
-            resolved.push((ack.ack_seq, record));
-        }
-        if ack.cum_seq != u64::MAX {
-            resolved.extend(self.history.mark_received_upto(ack.cum_seq));
-        }
-        if ack.highest >= 1 {
-            // Set bits only; bit `i` names sequence `highest - 1 - i` and
-            // bits at or above `highest` are invalid. Ascending bit order,
-            // same as the old 0..64 scan.
-            let valid = if ack.highest >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << ack.highest) - 1
-            };
-            let mut bits = ack.mask & valid;
-            while bits != 0 {
-                let i = u64::from(bits.trailing_zeros());
-                bits &= bits - 1;
-                if let Some(r) = self.history.mark_received(ack.highest - 1 - i) {
-                    resolved.push((ack.highest - 1 - i, r));
-                }
-            }
-        }
-        for (seq, record) in resolved {
-            self.events.push(RapEvent::PacketAcked {
-                time: now,
-                seq,
-                size: record.size,
-                tag: record.tag,
-            });
+        let trigger = self.history.resolve_ack(&ack, |seq, record| {
+            self.events.push(RapEvent::acked(now, seq, record));
             // Per-ACK growth: slow start below ssthresh, else CA.
             if self.cwnd < self.ssthresh {
                 self.cwnd += 1.0;
@@ -208,23 +177,34 @@ impl WindowSender {
                 self.cwnd += 1.0 / self.cwnd.max(1.0);
             }
             self.cwnd = self.cwnd.min(self.cfg.max_cwnd);
+        });
+        if let Some(record) = trigger {
+            self.rtt.sample(now - record.send_time);
         }
         self.smoothed_rate += RATE_SMOOTHING * (self.rate() - self.smoothed_rate);
-        let losses = self.history.detect_losses();
-        self.handle_losses(now, losses);
+        if report_losses(&mut self.history, &mut self.events, self.recovery_seq, now) {
+            let pre_rate = self.rate();
+            self.ssthresh = (self.cwnd / 2.0).max(2.0);
+            self.cwnd = self.ssthresh;
+            self.recovery_seq = self.next_seq.checked_sub(1);
+            let rate = self.rate();
+            self.smoothed_rate = rate;
+            self.events.push(RapEvent::Backoff {
+                time: now,
+                rate,
+                pre_rate,
+                slope: self.slope(),
+                cause: BackoffCause::Loss,
+            });
+        }
     }
 
     /// Poll the timeout clock.
     pub fn poll_timers(&mut self, now: f64) {
         if now >= self.next_timer() {
-            for l in self.history.flush_all_as_lost() {
-                self.events.push(RapEvent::PacketLost {
-                    time: now,
-                    seq: l.seq,
-                    size: l.record.size,
-                    tag: l.record.tag,
-                });
-            }
+            self.history.flush_all_as_lost(|seq, record| {
+                self.events.push(RapEvent::lost(now, seq, record));
+            });
             self.rtt.on_timeout();
             self.timeouts_in_row = self.timeouts_in_row.saturating_add(1);
             let pre_rate = self.rate();
@@ -240,39 +220,6 @@ impl WindowSender {
                 pre_rate,
                 slope: self.slope(),
                 cause: BackoffCause::Timeout,
-            });
-        }
-    }
-
-    fn handle_losses(&mut self, now: f64, losses: Vec<LostPacket>) {
-        if losses.is_empty() {
-            return;
-        }
-        let mut new_event = false;
-        for l in &losses {
-            self.events.push(RapEvent::PacketLost {
-                time: now,
-                seq: l.seq,
-                size: l.record.size,
-                tag: l.record.tag,
-            });
-            if self.recovery_seq.is_none_or(|r| l.seq > r) {
-                new_event = true;
-            }
-        }
-        if new_event {
-            let pre_rate = self.rate();
-            self.ssthresh = (self.cwnd / 2.0).max(2.0);
-            self.cwnd = self.ssthresh;
-            self.recovery_seq = self.next_seq.checked_sub(1);
-            let rate = self.rate();
-            self.smoothed_rate = rate;
-            self.events.push(RapEvent::Backoff {
-                time: now,
-                rate,
-                pre_rate,
-                slope: self.slope(),
-                cause: BackoffCause::Loss,
             });
         }
     }

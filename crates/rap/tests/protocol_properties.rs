@@ -7,6 +7,7 @@
 
 use laqa_check::{cases, Gen};
 use laqa_rap::{AckInfo, RapConfig, RapEvent, RapReceiverState, RapSender};
+use std::collections::BTreeSet;
 
 /// Random per-packet fate codes in `0..=3` (see `run_fates`).
 fn fate_vec(g: &mut Gen, len_lo: usize, len_hi: usize) -> Vec<u8> {
@@ -154,6 +155,136 @@ fn receiver_ack_info_is_self_consistent() {
             last = Some(ack);
         }
     });
+}
+
+/// The receiver as it stood before the run set: one `BTreeSet` key per
+/// out-of-order reception, probed per packet. Kept here, verbatim, as the
+/// reference the run-length receiver must match ACK for ACK.
+#[derive(Default)]
+struct TreeReceiver {
+    cum: Option<u64>,
+    pending: BTreeSet<u64>,
+    highest: Option<u64>,
+    received: u64,
+    duplicates: u64,
+}
+
+impl TreeReceiver {
+    fn on_data(&mut self, seq: u64) -> AckInfo {
+        self.received += 1;
+        let already = match self.cum {
+            Some(c) if seq <= c => true,
+            _ => self.pending.contains(&seq),
+        };
+        if already {
+            self.duplicates += 1;
+        } else {
+            self.pending.insert(seq);
+            loop {
+                let next = self.cum.map_or(0, |c| c + 1);
+                if self.pending.remove(&next) {
+                    self.cum = Some(next);
+                } else {
+                    break;
+                }
+            }
+        }
+        self.highest = Some(self.highest.map_or(seq, |h| h.max(seq)));
+        let highest = self.highest.unwrap();
+        let mut mask = 0u64;
+        if let (Some(c), true) = (self.cum, highest >= 1) {
+            let lo = highest - 1;
+            if c >= lo {
+                mask = u64::MAX;
+            } else if lo - c < 64 {
+                mask = u64::MAX << (lo - c);
+            }
+        }
+        for &p in self.pending.range(highest.saturating_sub(64)..highest) {
+            mask |= 1 << (highest - 1 - p);
+        }
+        if highest < 64 {
+            mask &= (1u64 << highest) - 1;
+        }
+        AckInfo {
+            ack_seq: seq,
+            cum_seq: self.cum.unwrap_or(u64::MAX),
+            highest,
+            mask,
+        }
+    }
+}
+
+/// Feed `arrivals` to both receivers; every ACK and every counter must
+/// agree after every packet.
+fn assert_receivers_agree(arrivals: &[u64]) {
+    let mut rx = RapReceiverState::new();
+    let mut reference = TreeReceiver::default();
+    for (i, &seq) in arrivals.iter().enumerate() {
+        let at = || format!("arrival {i} (seq {seq}) of {arrivals:?}");
+        assert_eq!(rx.on_data(seq), reference.on_data(seq), "{}", at());
+        assert_eq!(rx.duplicates(), reference.duplicates, "{}", at());
+        assert_eq!(
+            rx.unique_received(),
+            reference.received - reference.duplicates,
+            "{}",
+            at()
+        );
+        assert_eq!(rx.cumulative(), reference.cum, "{}", at());
+    }
+}
+
+#[test]
+fn run_set_receiver_matches_the_tree_receiver_on_random_paths() {
+    cases("run_set_matches_tree_receiver", 400, |g, case| {
+        let sent = g.u64_in(1, 600);
+        // A quarter of the paths lose nothing, so the prefix keeps moving.
+        let loss = g.f64_range(0.0, 0.2);
+        let loss = if case % 4 == 0 { 0.0 } else { loss };
+        let dup = g.f64_range(0.0, 0.1);
+        let depth = g.usize_in(0, 70);
+        let mut wire: Vec<u64> = Vec::new();
+        for seq in 0..sent {
+            if g.bool(loss) {
+                continue;
+            }
+            wire.push(seq);
+            if g.bool(dup) {
+                wire.push(seq);
+            }
+        }
+        // Bounded reordering: a packet may overtake up to `depth` others,
+        // which also carries duplicates far from their originals and fills
+        // holes late.
+        let mut arrivals = Vec::with_capacity(wire.len());
+        while !wire.is_empty() {
+            let reach = depth.min(wire.len() - 1);
+            let take = if g.bool(0.3) { g.usize_in(0, reach) } else { 0 };
+            arrivals.push(wire.remove(take));
+        }
+        assert_receivers_agree(&arrivals);
+    });
+}
+
+#[test]
+fn run_set_receiver_matches_the_tree_receiver_on_directed_paths() {
+    let cases: [(&str, Vec<u64>); 8] = [
+        ("seq 0 missing, then filled last", vec![1, 2, 3, 5, 4, 0, 6]),
+        ("a jump past the mask", vec![0, 1, 2, 200, 201, 100, 3]),
+        ("highest below 64, holes", vec![0, 1, 5, 9, 62, 63, 64, 65]),
+        ("a late fill merges two runs", vec![0, 2, 3, 5, 6, 4, 8, 1]),
+        ("a late fill at cum + 1", vec![0, 2, 3, 4, 7, 1, 5, 6]),
+        ("duplicates everywhere", vec![0, 2, 3, 4, 3, 0, 4, 4, 1, 2]),
+        ("descending arrival", (0..70).rev().collect()),
+        (
+            "a hole every third packet across two mask windows",
+            (0..200).filter(|s| s % 3 != 1).chain([100, 1, 4]).collect(),
+        ),
+    ];
+    for (what, arrivals) in cases {
+        eprintln!("directed: {what}");
+        assert_receivers_agree(&arrivals);
+    }
 }
 
 #[test]

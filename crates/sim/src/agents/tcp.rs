@@ -11,9 +11,8 @@
 
 use crate::engine::{Agent, Ctx};
 use crate::packet::{AgentId, Packet, PacketKind, Route};
-use laqa_rap::RttEstimator;
+use laqa_rap::{RttEstimator, RunSet};
 use std::any::Any;
-use std::collections::BTreeSet;
 
 const ACK_SIZE: u32 = 40;
 /// Timer token: RTO check; the token payload carries an epoch so stale
@@ -287,6 +286,8 @@ impl Agent for TcpAgent {
 }
 
 /// TCP sink: cumulative ACKs with a high-water hint, one ACK per segment.
+/// Reassembly state is the same [`RunSet`] the RAP receiver keeps: the
+/// next expected sequence plus one run per hole still open above it.
 pub struct TcpSinkAgent {
     /// Sender agent id.
     pub src: AgentId,
@@ -294,9 +295,8 @@ pub struct TcpSinkAgent {
     pub reverse_route: Route,
     /// Flow id.
     pub flow: u32,
-    /// Next expected sequence.
-    cum: u64,
-    ooo: BTreeSet<u64>,
+    /// Segments received; `next_expected` is the cumulative ACK.
+    seen: RunSet,
     /// Bytes of data received (including duplicates).
     pub bytes_received: u64,
     /// Segments received in order (goodput packets).
@@ -310,8 +310,7 @@ impl TcpSinkAgent {
             src,
             reverse_route: reverse_route.into(),
             flow,
-            cum: 0,
-            ooo: BTreeSet::new(),
+            seen: RunSet::default(),
             bytes_received: 0,
             delivered: 0,
         }
@@ -324,23 +323,18 @@ impl Agent for TcpSinkAgent {
             return;
         };
         self.bytes_received += pkt.size as u64;
-        if seq >= self.cum {
-            self.ooo.insert(seq);
-            while self.ooo.remove(&self.cum) {
-                self.cum += 1;
-                self.delivered += 1;
-            }
-        }
-        let high = self.ooo.iter().next_back().copied().unwrap_or(self.cum);
+        let before = self.seen.next_expected();
+        self.seen.insert(seq);
+        let cum = self.seen.next_expected();
+        self.delivered += cum - before;
+        // Highest out-of-order segment held, else the cumulative point.
+        let high = self.seen.highest().map_or(cum, |h| h.max(cum));
         let uid = ctx.alloc_uid();
         ctx.send(Packet {
             uid,
             flow: self.flow,
             size: ACK_SIZE,
-            kind: PacketKind::TcpAck {
-                cum: self.cum,
-                high,
-            },
+            kind: PacketKind::TcpAck { cum, high },
             dst: self.src,
             route: self.reverse_route.clone(),
             hop: 0,
@@ -407,7 +401,7 @@ mod tests {
         let s: &TcpSinkAgent = w.agent(sinks[0]).unwrap();
         // Everything delivered below cum is a contiguous prefix by
         // construction; sanity: delivered == cum.
-        assert_eq!(s.delivered, s.cum);
+        assert_eq!(s.delivered, s.seen.next_expected());
         assert!(s.delivered > 500);
     }
 
