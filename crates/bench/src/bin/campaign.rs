@@ -30,7 +30,7 @@
 //! ```
 //!
 //! `--obs` turns the workspace-wide instrumentation (and the flight
-//! recorder) on for the run and writes `metrics.json` / `spans.json` /
+//! recorder) on for the run and writes `metrics.json` and
 //! `flight.json` to DIR afterwards (render with
 //! `laqa obs-report --dir DIR`, convert the flight trace with
 //! `laqa obs-trace --dir DIR`). Observability is inert: fingerprints are
@@ -253,19 +253,19 @@ fn main() {
     }
 }
 
-/// Write the accumulated obs snapshot to `dir` (metrics/spans JSON)
-/// plus the flight-recorder trace (`flight.json`).
+/// Write the accumulated obs snapshot to `dir` (`metrics.json`) plus
+/// the flight-recorder trace (`flight.json`).
 fn export_obs(dir: &std::path::Path) -> Result<(), AnyError> {
     laqa_obs::set_enabled(false);
     laqa_obs::flight::set_enabled(false);
     let snap = laqa_obs::snapshot();
     snap.write_dir(dir)?;
     println!(
-        "obs: wrote snapshot to {} ({} counters, {} spans) — \
+        "obs: wrote snapshot to {} ({} counters, {} histograms) — \
          render with `laqa obs-report --dir {}`",
         dir.display(),
         snap.counters.len(),
-        snap.spans.len(),
+        snap.histograms.len(),
         dir.display(),
     );
     let flight = laqa_obs::flight::snapshot_flight();

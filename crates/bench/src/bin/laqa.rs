@@ -151,8 +151,8 @@ fn warn_if_evicted(evicted: u64) {
     }
 }
 
-/// Load the `metrics.json` / `spans.json` pair written by
-/// `campaign --obs DIR` and print it as aligned tables.
+/// Load the `metrics.json` written by `campaign --obs DIR` and print
+/// it as aligned tables.
 fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
     let dir: String = args.get("dir", "target/obs".to_string())?;
     let path = std::path::Path::new(&dir);

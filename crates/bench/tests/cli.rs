@@ -87,9 +87,16 @@ fn obs_round_trip(dir: &Path, ring: Option<&str>) -> [Output; 3] {
     let dir_arg = dir.to_str().expect("utf-8 scratch path");
     let campaign = run(CAMPAIGN, &["--faults", "--smoke", "--obs", dir_arg], ring);
     assert!(campaign.status.success(), "campaign: {}", stderr(&campaign));
-    for file in ["metrics.json", "spans.json", "flight.json"] {
-        assert!(dir.join(file).is_file(), "campaign --obs wrote no {file}");
-    }
+    let mut written: Vec<_> = std::fs::read_dir(dir)
+        .expect("campaign --obs created the directory")
+        .map(|e| e.expect("dir entry").file_name())
+        .collect();
+    written.sort();
+    assert_eq!(
+        written,
+        ["flight.json", "metrics.json"],
+        "campaign --obs writes exactly these"
+    );
     let report = run(LAQA, &["obs-report", "--dir", dir_arg], None);
     assert!(report.status.success(), "obs-report: {}", stderr(&report));
     let trace = run(LAQA, &["obs-trace", "--dir", dir_arg], None);

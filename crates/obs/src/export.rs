@@ -1,7 +1,6 @@
-//! Snapshot/export layer: everything the registry and spans have
-//! accumulated, frozen into one value and rendered through
-//! `laqa-trace` — JSON files for `campaign --obs <dir>`, aligned text
-//! tables for `laqa obs-report`.
+//! Snapshot/export layer: everything the registry has accumulated,
+//! frozen into one value and rendered through `laqa-trace` — JSON for
+//! `campaign --obs <dir>`, aligned text tables for `laqa obs-report`.
 
 use std::collections::BTreeMap;
 use std::io;
@@ -10,9 +9,8 @@ use std::path::Path;
 use laqa_trace::{JsonValue, Table};
 
 use crate::registry::{self, HistogramSnapshot};
-use crate::span::{self, SpanSnapshot};
 
-/// Point-in-time copy of every registered metric and span accumulator.
+/// Point-in-time copy of every registered metric.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Snapshot {
     /// Counters by name.
@@ -21,8 +19,6 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, f64>,
     /// Histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Span accumulators by name.
-    pub spans: BTreeMap<String, SpanSnapshot>,
     /// Flight-recorder records evicted before this snapshot. Named for
     /// the retired event ring because `benchmark/` reads this field.
     pub events_evicted: u64,
@@ -44,7 +40,6 @@ impl Snapshot {
             counters,
             gauges: registry::snapshot_gauges(),
             histograms: registry::snapshot_histograms(),
-            spans: span::snapshot_spans(),
             events_evicted: flight_evicted,
         }
     }
@@ -64,16 +59,9 @@ impl Snapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// Span accumulators by name, `None` if never registered.
-    pub fn span(&self, name: &str) -> Option<SpanSnapshot> {
-        self.spans.get(name).copied()
-    }
-
     /// True when nothing was recorded (all zeros).
     pub fn is_empty(&self) -> bool {
-        self.counters.values().all(|&v| v == 0)
-            && self.histograms.iter().all(|h| h.count == 0)
-            && self.spans.values().all(|s| s.count == 0)
+        self.counters.values().all(|&v| v == 0) && self.histograms.iter().all(|h| h.count == 0)
     }
 
     fn metrics_json(&self) -> JsonValue {
@@ -118,43 +106,20 @@ impl Snapshot {
         ])
     }
 
-    fn spans_json(&self) -> JsonValue {
-        JsonValue::Obj(
-            self.spans
-                .iter()
-                .map(|(name, s)| {
-                    (
-                        name.clone(),
-                        JsonValue::Obj(vec![
-                            ("count".into(), JsonValue::Num(s.count as f64)),
-                            ("total_ns".into(), JsonValue::Num(s.total_ns as f64)),
-                            ("max_ns".into(), JsonValue::Num(s.max_ns as f64)),
-                        ]),
-                    )
-                })
-                .collect(),
-        )
-    }
-
-    /// Write `metrics.json` and `spans.json` into `dir` (created if
-    /// missing).
+    /// Write `metrics.json` into `dir` (created if missing).
     pub fn write_dir(&self, dir: &Path) -> io::Result<()> {
         std::fs::create_dir_all(dir)?;
         std::fs::write(dir.join("metrics.json"), self.metrics_json().to_pretty())?;
-        std::fs::write(dir.join("spans.json"), self.spans_json().to_pretty())?;
         Ok(())
     }
 
     /// Read a snapshot previously written by [`Snapshot::write_dir`].
     pub fn read_dir(dir: &Path) -> io::Result<Snapshot> {
-        let parse = |name: &str| -> io::Result<JsonValue> {
-            let text = std::fs::read_to_string(dir.join(name))?;
-            laqa_trace::json::parse(&text)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, format!("{name}: {e}")))
-        };
         let bad = |what: &str| io::Error::new(io::ErrorKind::InvalidData, what.to_string());
 
-        let metrics = parse("metrics.json")?;
+        let text = std::fs::read_to_string(dir.join("metrics.json"))?;
+        let metrics =
+            laqa_trace::json::parse(&text).map_err(|e| bad(&format!("metrics.json: {e}")))?;
         let mut snap = Snapshot::default();
         for (k, v) in metrics
             .get("counters")
@@ -201,27 +166,12 @@ impl Snapshot {
             });
         }
 
-        let spans = parse("spans.json")?;
-        for (name, s) in spans
-            .as_obj()
-            .ok_or_else(|| bad("spans.json: expected an object"))?
-        {
-            snap.spans.insert(
-                name.clone(),
-                SpanSnapshot {
-                    count: s.get("count").and_then(JsonValue::as_num).unwrap_or(0.0) as u64,
-                    total_ns: s.get("total_ns").and_then(JsonValue::as_num).unwrap_or(0.0) as u64,
-                    max_ns: s.get("max_ns").and_then(JsonValue::as_num).unwrap_or(0.0) as u64,
-                },
-            );
-        }
-
         snap.events_evicted = snap.counter("obs.flight_evicted").unwrap_or(0);
         Ok(snap)
     }
 
-    /// Render counters, gauges, histograms and spans as aligned text
-    /// tables (the `laqa obs-report` format).
+    /// Render counters, gauges and histograms as aligned text tables
+    /// (the `laqa obs-report` format).
     pub fn render(&self) -> String {
         let mut out = String::new();
 
@@ -264,22 +214,6 @@ impl Snapshot {
             out.push('\n');
         }
 
-        let mut spans = Table::new(
-            "Spans (wall time)",
-            &["span", "count", "total ms", "mean us", "max us"],
-        );
-        for (name, s) in &self.spans {
-            spans.row(vec![
-                name.clone(),
-                s.count.to_string(),
-                format!("{:.3}", s.total_ns as f64 / 1e6),
-                s.mean_ns()
-                    .map_or_else(|| "-".into(), |m| format!("{:.2}", m / 1e3)),
-                format!("{:.2}", s.max_ns as f64 / 1e3),
-            ]);
-        }
-        out.push_str(&spans.render());
-        out.push('\n');
         out
     }
 }
@@ -298,7 +232,6 @@ mod tests {
         counter!("export.test.ctr").add(7);
         gauge!("export.test.gauge").set(1.25);
         histogram!("export.test.hist", &[1.0, 4.0]).observe(2.0);
-        crate::span!("export.test.span");
         crate::set_enabled(false);
 
         let snap = crate::snapshot();
@@ -311,7 +244,6 @@ mod tests {
         assert_eq!(back.gauge("export.test.gauge"), Some(1.25));
         let h = back.histogram("export.test.hist").unwrap();
         assert_eq!(h.counts, vec![0, 1, 0]);
-        assert_eq!(back.span("export.test.span").map(|s| s.count), Some(1));
         assert_eq!(back, snap);
     }
 
@@ -321,16 +253,14 @@ mod tests {
         crate::reset();
         crate::set_enabled(true);
         counter!("export.render.ctr").inc();
-        {
-            let _s = crate::span!("export.render.span");
-        }
+        histogram!("export.render.all", &[1.0]).observe(0.5);
         crate::set_enabled(false);
 
         let text = crate::snapshot().render();
         assert!(text.contains("== Counters =="));
         assert!(text.contains("export.render.ctr"));
-        assert!(text.contains("== Spans (wall time) =="));
-        assert!(text.contains("export.render.span"));
+        assert!(text.contains("== Histograms =="));
+        assert!(text.contains("export.render.all"));
     }
 
     #[test]

@@ -8,9 +8,6 @@
 //!
 //! * a **metrics registry** ([`registry`]) of named counters, gauges and
 //!   fixed-bucket histograms backed by relaxed atomics;
-//! * **span timing** ([`span`]) — RAII guards recording count / total /
-//!   max wall time per scope via `std::time::Instant` (the same clock
-//!   the `laqa-bench` harness times with);
 //! * a **flight recorder** ([`flight`]) — per-session timeline traces
 //!   (QA state spans, layer add/drop and backoff instants, buffer-level
 //!   samples) behind its own enable flag, exportable as Chrome
@@ -36,10 +33,6 @@
 //! ```
 //! laqa_obs::set_enabled(true);
 //! laqa_obs::counter!("demo.widgets").inc();
-//! {
-//!     let _guard = laqa_obs::span!("demo.work");
-//!     // ... timed scope ...
-//! }
 //! let snap = laqa_obs::snapshot();
 //! assert_eq!(snap.counter("demo.widgets"), Some(1));
 //! laqa_obs::set_enabled(false);
@@ -51,12 +44,10 @@
 pub mod export;
 pub mod flight;
 pub mod registry;
-pub mod span;
 
 pub use export::Snapshot;
 pub use flight::{FlightKind, FlightRecord, FlightTrace};
 pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, LOG_MS_BOUNDS, LOG_NS_BOUNDS};
-pub use span::{Span, SpanGuard};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -74,17 +65,16 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Snapshot every registered metric and span.
+/// Snapshot every registered metric.
 pub fn snapshot() -> Snapshot {
     Snapshot::collect()
 }
 
-/// Zero all counters/gauges/histograms/spans and clear the
+/// Zero all counters/gauges/histograms and clear the
 /// flight-recorder rings. Intended for tests and for isolating
 /// consecutive `--obs` exports.
 pub fn reset() {
     registry::reset_metrics();
-    span::reset_spans();
     flight::clear();
 }
 
@@ -104,15 +94,11 @@ mod tests {
         set_enabled(false);
         counter!("lib.test.ctr").inc();
         gauge!("lib.test.gauge").set(4.0);
-        {
-            let _s = span!("lib.test.span");
-        }
         let snap = snapshot();
         // Disabled sites return before registering, so the snapshot has
         // either no entry or a zeroed one (if a prior enabled test
         // registered the name).
         assert_eq!(snap.counter("lib.test.ctr").unwrap_or(0), 0);
-        assert_eq!(snap.span("lib.test.span").map_or(0, |s| s.count), 0);
         assert!(snap.is_empty());
     }
 
@@ -122,16 +108,11 @@ mod tests {
         reset();
         set_enabled(true);
         counter!("lib.test2.ctr").add(3);
-        {
-            let _s = span!("lib.test2.span");
-        }
         set_enabled(false);
         let snap = snapshot();
         assert_eq!(snap.counter("lib.test2.ctr"), Some(3));
-        assert_eq!(snap.span("lib.test2.span").map(|s| s.count), Some(1));
         reset();
         let snap = snapshot();
         assert_eq!(snap.counter("lib.test2.ctr"), Some(0));
-        assert_eq!(snap.span("lib.test2.span").map(|s| s.count), Some(0));
     }
 }

@@ -328,7 +328,6 @@ impl BbrSender {
             time: now,
             rate: self.paced_rate(),
             pre_rate,
-            slope: RateController::slope(self),
             cause: BackoffCause::Loss,
         });
     }
@@ -415,7 +414,6 @@ impl RateController for BbrSender {
                 time: now,
                 rate: self.paced_rate(),
                 pre_rate,
-                slope: RateController::slope(self),
                 cause: BackoffCause::Timeout,
             });
         }

@@ -154,11 +154,6 @@ impl NadaSender {
         }
     }
 
-    /// EWMA loss fraction.
-    pub fn loss_fraction(&self) -> f64 {
-        self.loss_ewma
-    }
-
     /// The unified congestion signal `x = d_queue + DLOSS·(p/p_ref)²`.
     pub fn signal(&self) -> f64 {
         let p_term = self.loss_ewma / self.cfg.p_ref;
@@ -232,7 +227,6 @@ impl NadaSender {
                 time: now,
                 rate: self.rate,
                 pre_rate,
-                slope: RateController::slope(self),
                 cause: BackoffCause::Loss,
             });
         }
@@ -315,7 +309,6 @@ impl RateController for NadaSender {
                 time: now,
                 rate: self.rate,
                 pre_rate,
-                slope: RateController::slope(self),
                 cause: BackoffCause::Timeout,
             });
         }

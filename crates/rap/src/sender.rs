@@ -78,11 +78,6 @@ pub enum RapEvent {
         /// controllers other than RAP do not halve, and even RAP's floor
         /// clamp makes the realized factor differ from the nominal ½.
         pre_rate: f64,
-        /// Additive-increase slope at the moment of the backoff
-        /// (bytes/s²). The QA drop rule runs against the slope *now*, not
-        /// the one sampled at the last allocation tick; an SRTT swing
-        /// inside a tick would otherwise skew the recovery geometry.
-        slope: f64,
         /// What triggered it.
         cause: BackoffCause,
     },
@@ -317,7 +312,6 @@ impl RapSender {
                 time: now,
                 rate,
                 pre_rate,
-                slope: self.aimd.slope(self.rtt.srtt()),
                 cause: BackoffCause::Loss,
             });
             laqa_obs::counter!("rap.backoffs_loss").inc();
@@ -345,7 +339,6 @@ impl RapSender {
                 time: now,
                 rate,
                 pre_rate,
-                slope: self.aimd.slope(self.rtt.srtt()),
                 cause: BackoffCause::Timeout,
             });
             laqa_obs::counter!("rap.backoffs_timeout").inc();

@@ -193,7 +193,6 @@ impl WindowSender {
                 time: now,
                 rate,
                 pre_rate,
-                slope: self.slope(),
                 cause: BackoffCause::Loss,
             });
         }
@@ -218,7 +217,6 @@ impl WindowSender {
                 time: now,
                 rate,
                 pre_rate,
-                slope: self.slope(),
                 cause: BackoffCause::Timeout,
             });
         }

@@ -13,7 +13,7 @@ use std::any::Any;
 const ACK_SIZE: u32 = 40;
 
 /// Per-run traces recorded by the QA source (the figure-11 panels).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct QaTraces {
     /// Total transmission rate (bytes/s) per tick.
     pub tx_rate: TimeSeries,
@@ -75,12 +75,6 @@ pub struct QaSourceAgent<T: RateController = RapSender> {
     /// "opportunity for selective retransmission of the more important
     /// information"); `0` disables it (the paper's evaluation setting).
     pub retransmit_protect: usize,
-    /// When set, a backoff's drop rule runs against the slope the sender
-    /// observed *at the backoff* instead of the (up to one tick stale)
-    /// slope from the last allocation tick. Off by default: the paper's
-    /// trajectories — and every seed-pinned golden — were produced with
-    /// the per-tick slope refresh only.
-    pub fresh_slope_on_backoff: bool,
     /// Pending retransmissions: (layer, size).
     retx_queue: std::collections::VecDeque<(usize, f64)>,
     /// Recorded traces (figure panels).
@@ -151,7 +145,6 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
             armed_at: f64::NEG_INFINITY,
             start_at: 0.0,
             retransmit_protect: 0,
-            fresh_slope_on_backoff: false,
             retx_queue: std::collections::VecDeque::new(),
             traces: QaTraces::new(max_layers),
             sent_per_layer: vec![0; max_layers],
@@ -171,19 +164,18 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
         &self.qa
     }
 
+    /// Mutable controller access, for moving its metrics out after a run.
+    pub fn qa_mut(&mut self) -> &mut QaController {
+        &mut self.qa
+    }
+
     fn drain_events(&mut self, now: f64) {
         let mut events = std::mem::take(&mut self.ev_scratch);
         self.rap.drain_events_into(&mut events);
         for e in events.drain(..) {
             match e {
-                RapEvent::Backoff { rate, slope, .. } => {
+                RapEvent::Backoff { rate, .. } => {
                     self.backoffs += 1;
-                    if self.fresh_slope_on_backoff {
-                        // The drop rule compares buffering against a
-                        // recovery triangle whose slope is S; use the
-                        // value the sender saw at the backoff itself.
-                        self.qa.set_slope(slope);
-                    }
                     self.qa.on_backoff(now, rate);
                 }
                 RapEvent::PacketAcked { size, tag, .. } => {
@@ -580,41 +572,6 @@ mod tests {
         assert!(
             starved_on <= starved_off,
             "retransmission should not increase base starvation: {starved_on} vs {starved_off}"
-        );
-    }
-
-    /// Drive a timeout backoff through the drain path with a deliberately
-    /// wrong tick-time slope planted in the QA controller; returns the QA
-    /// slope after the backoff plus the sender's own slope.
-    fn backoff_slope(fresh: bool) -> (f64, f64, u64) {
-        let mut src =
-            QaSourceAgent::new(0, vec![], 1, RapConfig::default(), QaConfig::default(), 0.1);
-        src.fresh_slope_on_backoff = fresh;
-        src.rap.restart(0.0);
-        let _ = src.rap.register_send(0.0, 1000.0, 0);
-        // Way past the RTO: the sender times out and queues a Backoff
-        // event carrying the slope it saw at that instant.
-        src.rap.poll_timers(10.0);
-        src.qa.set_slope(999_999.0);
-        src.drain_events(10.0);
-        (src.qa.slope(), src.rap.slope(), src.backoffs)
-    }
-
-    #[test]
-    fn fresh_slope_opt_in_refreshes_drop_rule_slope_at_backoff() {
-        // Default (off): the QA machine keeps whatever slope the last tick
-        // installed — the historical, golden-pinned behaviour.
-        let (stale, _, backoffs) = backoff_slope(false);
-        assert!(backoffs > 0, "the timeout must actually produce a backoff");
-        assert_eq!(stale, 999_999.0, "default keeps the tick-time slope");
-        // Opt-in: the Backoff event's own slope overwrites the stale one,
-        // so the drop rule's recovery triangle uses the value the sender
-        // saw at the backoff itself.
-        let (fresh, sender_slope, _) = backoff_slope(true);
-        assert_ne!(fresh, 999_999.0, "opt-in must replace the stale slope");
-        assert!(
-            (fresh - sender_slope).abs() < 1e-9,
-            "fresh slope {fresh} should match the sender's {sender_slope}"
         );
     }
 

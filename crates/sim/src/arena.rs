@@ -47,15 +47,6 @@ impl<T> Slab<T> {
         }
     }
 
-    /// New slab with room for `cap` records before reallocating.
-    pub fn with_capacity(cap: usize) -> Self {
-        Slab {
-            entries: Vec::with_capacity(cap),
-            free_head: NO_SLOT,
-            live: 0,
-        }
-    }
-
     /// Number of live records.
     pub fn len(&self) -> usize {
         self.live
@@ -124,14 +115,6 @@ impl<T> Slab<T> {
             _ => None,
         }
     }
-
-    /// Drop every record and reset to the empty state, keeping the backing
-    /// allocation for reuse.
-    pub fn clear(&mut self) {
-        self.entries.clear();
-        self.free_head = NO_SLOT;
-        self.live = 0;
-    }
 }
 
 #[cfg(test)]
@@ -179,17 +162,5 @@ mod tests {
             handles.push(s.insert(0));
         }
         assert_eq!(s.entries.len(), footprint, "churn must not grow the slab");
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut s = Slab::new();
-        s.insert(1);
-        s.insert(2);
-        s.clear();
-        assert!(s.is_empty());
-        assert_eq!(s.get(0), None);
-        let h = s.insert(9);
-        assert_eq!(s.get(h), Some(&9));
     }
 }

@@ -17,9 +17,7 @@
 //! workers. Wall-clock fields are the one exception and are excluded from
 //! every fingerprint.
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 use laqa_core::metrics::QaEvent;
@@ -692,18 +690,18 @@ fn effective_threads(requested: usize, sessions: usize) -> usize {
     requested.max(1).min(sessions.max(1)).min(cores)
 }
 
-/// Per-worker steal-and-run loop. `deposit` is called with
-/// `(index, result)` for every finished session.
+/// Per-worker steal-and-run loop: `(index, result)` for every session
+/// this worker stole, in steal order.
 fn worker_loop(
     spec: &CampaignSpec,
     opts: CampaignOptions,
     next: &AtomicUsize,
-    mut deposit: impl FnMut(usize, SessionResult),
-) {
+) -> Vec<(usize, SessionResult)> {
+    let mut buf = Vec::new();
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         let Some(session) = spec.sessions.get(i) else {
-            break;
+            return buf;
         };
         laqa_obs::counter!("campaign.steals").inc();
         if laqa_obs::flight::enabled() {
@@ -711,7 +709,7 @@ fn worker_loop(
             // grid index, regardless of which worker stole it.
             laqa_obs::flight::set_session(i as u64);
         }
-        deposit(i, run_session_with(session, opts.sched));
+        buf.push((i, run_session_with(session, opts.sched)));
     }
 }
 
@@ -730,13 +728,7 @@ pub fn run_campaign_opts(spec: &CampaignSpec, opts: CampaignOptions) -> Campaign
     let (buffers, wall_secs) = std::thread::scope(|scope| {
         let next = &next;
         let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut buf: Vec<(usize, SessionResult)> = Vec::new();
-                    worker_loop(spec, opts, next, |i, r| buf.push((i, r)));
-                    buf
-                })
-            })
+            .map(|_| scope.spawn(move || worker_loop(spec, opts, next)))
             .collect();
         let buffers: Vec<Vec<(usize, SessionResult)>> = handles
             .into_iter()
@@ -763,98 +755,6 @@ pub fn run_campaign_opts(spec: &CampaignSpec, opts: CampaignOptions) -> Campaign
         threads,
         wall_secs,
         merge_secs: merge_started.elapsed().as_secs_f64(),
-    }
-}
-
-/// Result of a streaming [`run_campaign_fold`] sweep.
-#[derive(Debug, Clone)]
-pub struct CampaignFold<A> {
-    /// The fold accumulator after every session was applied in grid order.
-    pub acc: A,
-    /// Same 64-bit digest [`CampaignResult::fingerprint`] would have
-    /// produced for this sweep — bit-identical to the full-result mode.
-    pub fingerprint: u64,
-    /// Sessions executed (== the spec's length).
-    pub sessions_run: usize,
-    /// Worker threads used.
-    pub threads: usize,
-    /// Wall-clock seconds for the whole sweep.
-    pub wall_secs: f64,
-}
-
-/// Reorder buffer behind [`run_campaign_fold`]: results arrive in steal
-/// order but are folded strictly by grid index, so the accumulator and the
-/// incremental fingerprint see the same sequence a single-threaded run
-/// would. Out-of-order results wait in `pending` — at most one in-flight
-/// session per other worker, so memory stays bounded by `threads` rather
-/// than the grid size.
-struct FoldState<A> {
-    next_emit: usize,
-    pending: BTreeMap<usize, SessionResult>,
-    acc: A,
-    hasher: TraceHasher,
-}
-
-/// Streaming/bounded-memory campaign execution: instead of materialising
-/// every [`SessionResult`], fold each one into `acc` in strict grid order
-/// and keep only the accumulator. The returned fingerprint is
-/// bit-identical to [`CampaignResult::fingerprint`] on the same spec (the
-/// replay suite pins this), so grids too large to hold in memory still
-/// verify against full-mode runs.
-pub fn run_campaign_fold<A, F>(
-    spec: &CampaignSpec,
-    opts: CampaignOptions,
-    init: A,
-    fold: F,
-) -> CampaignFold<A>
-where
-    A: Send,
-    F: Fn(&mut A, SessionResult) + Sync,
-{
-    let threads = effective_threads(opts.threads, spec.sessions.len());
-    let started = Instant::now();
-    let next = AtomicUsize::new(0);
-    let mut hasher = TraceHasher::new();
-    hasher.u64(spec.sessions.len() as u64);
-    let state = Mutex::new(FoldState {
-        next_emit: 0,
-        pending: BTreeMap::new(),
-        acc: init,
-        hasher,
-    });
-
-    laqa_obs::gauge!("campaign.threads").set(threads as f64);
-    std::thread::scope(|scope| {
-        let (next, state, fold) = (&next, &state, &fold);
-        for _ in 0..threads {
-            scope.spawn(move || {
-                worker_loop(spec, opts, next, |i, result| {
-                    let mut st = state.lock().expect("campaign fold lock");
-                    st.pending.insert(i, result);
-                    while let Some(ready) = {
-                        let at = st.next_emit;
-                        st.pending.remove(&at)
-                    } {
-                        ready.fingerprint_into(&mut st.hasher);
-                        fold(&mut st.acc, ready);
-                        st.next_emit += 1;
-                    }
-                });
-            });
-        }
-    });
-
-    let state = state.into_inner().expect("campaign fold lock");
-    assert!(
-        state.pending.is_empty() && state.next_emit == spec.sessions.len(),
-        "fold executor finished with unconsumed results"
-    );
-    CampaignFold {
-        acc: state.acc,
-        fingerprint: state.hasher.finish(),
-        sessions_run: state.next_emit,
-        threads,
-        wall_secs: started.elapsed().as_secs_f64(),
     }
 }
 

@@ -351,7 +351,6 @@ impl World {
         while let Some((time_ns, _, event)) = self.queue.pop_next_at_or_before(end_ns) {
             self.core.now_ns = time_ns;
             self.core.events_processed += 1;
-            let _step = laqa_obs::span!("engine.step");
             let timed = if laqa_obs::enabled() {
                 laqa_obs::counter!("engine.events").inc();
                 laqa_obs::histogram!(

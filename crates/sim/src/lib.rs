@@ -36,9 +36,8 @@ pub mod agents {
 }
 
 pub use campaign::{
-    hash_outcome, run_campaign, run_campaign_fold, run_campaign_opts, run_session,
-    run_session_with, CampaignFold, CampaignOptions, CampaignResult, CampaignSpec, SessionResult,
-    SessionSpec, TestKind,
+    hash_outcome, run_campaign, run_campaign_opts, run_session, run_session_with, CampaignOptions,
+    CampaignResult, CampaignSpec, SessionResult, SessionSpec, TestKind,
 };
 pub use engine::{Agent, Ctx, World};
 pub use faults::{FaultInjector, FaultPlan, FaultStats, FaultWiring};
@@ -49,8 +48,6 @@ pub use packet::{AgentId, LinkId, Packet, PacketKind, Route};
 pub use scenarios::{
     run_scenario, run_scenario_with, ScenarioConfig, ScenarioOutcome, TraceKind, Transport,
 };
-pub use sched::{
-    AnyScheduler, EventKey, HeapScheduler, Scheduler, SchedulerKind, TimerWheelScheduler,
-};
+pub use sched::{AnyScheduler, HeapScheduler, Scheduler, SchedulerKind, TimerWheelScheduler};
 pub use stats::{jain_fairness, summarize_sharing, SharingSummary};
 pub use topology::{Dumbbell, DumbbellConfig};

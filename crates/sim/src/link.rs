@@ -276,10 +276,10 @@ impl TraceSchedule {
 
 /// Replay cursor of a [`TraceSchedule`] attached to a [`Link`].
 ///
-/// The cursor counts points applied since the last (re)wind; for looping
-/// schedules it keeps increasing across cycles (`cursor / len` is the
-/// cycle number). It lives *on the link* — not in the driver agent — next
-/// to the configuration it rewrites.
+/// The cursor counts points applied; for looping schedules it keeps
+/// increasing across cycles (`cursor / len` is the cycle number). It
+/// lives *on the link* — not in the driver agent — next to the
+/// configuration it rewrites.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkTraceState {
     schedule: TraceSchedule,
@@ -298,16 +298,6 @@ impl LinkTraceState {
     /// The schedule being replayed.
     pub fn schedule(&self) -> &TraceSchedule {
         &self.schedule
-    }
-
-    /// Points applied since the last (re)wind.
-    pub fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
-    /// Rewind to the first point (what a fresh session must see).
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
     }
 
     /// Absolute time (seconds) the next point takes effect, or `None`
@@ -750,7 +740,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_state_applies_in_order_and_rewinds() {
+    fn trace_state_applies_in_order() {
         use laqa_trace::LinkTracePoint;
         let pts = vec![
             LinkTracePoint {
@@ -781,8 +771,5 @@ mod tests {
         assert_eq!(cfg.loss_rate, 0.01);
         // Looping: the next cycle starts one period later.
         assert_eq!(st.next_change_at(), Some(2.0));
-        st.rewind();
-        assert_eq!(st.cursor(), 0);
-        assert_eq!(st.next_change_at(), Some(0.0));
     }
 }

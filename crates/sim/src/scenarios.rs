@@ -312,7 +312,7 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
 pub fn run_scenario_with(cfg: &ScenarioConfig, sched: SchedulerKind) -> ScenarioOutcome {
     let (mut world, handles) = build_scenario(cfg, sched);
     world.run_until(cfg.duration);
-    extract_outcome(cfg, &world, &handles)
+    extract_outcome(cfg, &mut world, &handles)
 }
 
 /// Agent ids and link handles recorded while building a scenario, so the
@@ -641,10 +641,12 @@ fn build_scenario(cfg: &ScenarioConfig, sched: SchedulerKind) -> (World, Scenari
     )
 }
 
-/// Collect a [`ScenarioOutcome`] from a finished world.
+/// Collect a [`ScenarioOutcome`] from a finished world. The recorded
+/// traces and the event log are moved out, not copied: the caller drops
+/// the world next.
 fn extract_outcome(
     cfg: &ScenarioConfig,
-    world: &World,
+    world: &mut World,
     handles: &ScenarioHandles,
 ) -> ScenarioOutcome {
     let pkt = cfg.rap.packet_size as u32;
@@ -663,13 +665,13 @@ fn extract_outcome(
 
     let bottleneck_stats = world.link_stats(handles.bottleneck);
     let (rx_buffers, rx_underflows, rx_base_underflows, base_starved_bytes, discarded_bytes) = {
-        let sink: &QaSinkAgent = world.agent(handles.qa_sink).unwrap();
+        let sink: &mut QaSinkAgent = world.agent_mut(handles.qa_sink).unwrap();
         let stats = sink.receiver.stats();
         let base = stats.underflows.first().copied().unwrap_or(0);
         let starved = stats.starved.first().copied().unwrap_or(0.0);
         let discarded = sink.receiver.total_discarded();
         (
-            sink.buffer_trace.clone(),
+            std::mem::take(&mut sink.buffer_trace),
             sink.underflows,
             base,
             starved,
@@ -682,8 +684,8 @@ fn extract_outcome(
         .map(|f| f.stats)
         .unwrap_or_default();
     let queue_trace = world
-        .agent::<QueueMonitor>(handles.monitor)
-        .map(|m| m.series[0].clone())
+        .agent_mut::<QueueMonitor>(handles.monitor)
+        .map(|m| std::mem::take(&mut m.series[0]))
         .unwrap_or_default();
     let events_processed = world.events_processed();
     let trace_changes = handles
@@ -696,13 +698,13 @@ fn extract_outcome(
     // The QA source's concrete type depends on the transport; downcast to
     // the matching instantiation and pull out the identical field set.
     fn qa_src_parts<T: RateController + 'static>(
-        world: &World,
+        world: &mut World,
         id: AgentId,
     ) -> (QaTraces, MetricsCollector, u64, Vec<f64>) {
-        let src: &QaSourceAgent<T> = world.agent(id).unwrap();
+        let src: &mut QaSourceAgent<T> = world.agent_mut(id).unwrap();
         (
-            src.traces.clone(),
-            src.qa().metrics().clone(),
+            std::mem::take(&mut src.traces),
+            std::mem::take(src.qa_mut().metrics_mut()),
             src.backoffs,
             src.qa().buffers().to_vec(),
         )

@@ -21,58 +21,31 @@
 //! `now` before scheduling). Under that contract the two implementations
 //! are *bit-identical*: `crates/sim/tests/sched_differential.rs` proves
 //! it over every golden, fault and campaign workload, and the
-//! `sched_properties` suite over randomized insert/pop/cancel traces.
+//! `sched_properties` suite over randomized insert / bounded-pop traces.
+//!
+//! There is no cancellation: the agents re-arm soft timers and ignore
+//! stale fires (`armed_at` in `agents/{qa,rap}.rs`), so an event, once
+//! scheduled, is popped exactly once.
 
 use crate::arena::Slab;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap, HashSet};
-
-/// Handle to a scheduled event, for cancellation.
-///
-/// Keys are validated by the globally unique `seq`, so cancelling an
-/// event that already fired (or was already cancelled) is a safe no-op.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EventKey {
-    /// The unique sequence number passed to [`Scheduler::schedule`].
-    pub seq: u64,
-    /// Implementation-private slot hint (slab index for the wheel).
-    slot: u32,
-}
+use std::collections::{BTreeMap, BinaryHeap};
 
 /// The engine's event-queue abstraction (min-queue on `(time_ns, seq)`).
 pub trait Scheduler<T> {
     /// Insert `item` to fire at `time_ns`. `seq` must be unique and
     /// strictly increasing across calls on this scheduler.
-    fn schedule(&mut self, time_ns: u64, seq: u64, item: T) -> EventKey;
+    fn schedule(&mut self, time_ns: u64, seq: u64, item: T);
 
-    /// Cancel a scheduled event. Returns `true` when a live event was
-    /// removed; cancelling an already-popped or already-cancelled key is
-    /// a no-op returning `false` (the reference heap, which cannot check
-    /// liveness cheaply, may return `true` for such keys — callers that
-    /// need the strict answer track liveness themselves).
-    fn cancel(&mut self, key: EventKey) -> bool;
+    /// Remove and return the next event as `(time_ns, seq, item)` if it
+    /// fires at or before `bound_ns` (the engine hot loop's only entry
+    /// point).
+    fn pop_next_at_or_before(&mut self, bound_ns: u64) -> Option<(u64, u64, T)>;
 
-    /// `(time_ns, seq)` of the next event without removing it.
-    fn peek_next(&mut self) -> Option<(u64, u64)>;
-
-    /// Remove and return the next event as `(time_ns, seq, item)`.
-    fn pop_next(&mut self) -> Option<(u64, u64, T)>;
-
-    /// Pop the next event only if it fires at or before `bound_ns`.
-    /// Behaviourally `peek_next` + conditional `pop_next`; implementations
-    /// override it to do the head search once (this is the engine hot
-    /// loop's only entry point).
-    fn pop_next_at_or_before(&mut self, bound_ns: u64) -> Option<(u64, u64, T)> {
-        match self.peek_next() {
-            Some((t, _)) if t <= bound_ns => self.pop_next(),
-            _ => None,
-        }
-    }
-
-    /// Number of live (scheduled, not yet popped or cancelled) events.
+    /// Number of scheduled, not yet popped events.
     fn len(&self) -> usize;
 
-    /// True when no live events remain.
+    /// True when no events remain.
     fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -103,14 +76,10 @@ impl<T: PartialEq> Ord for HeapEntry<T> {
 
 /// The original engine queue — a `BinaryHeap` min-ordered by
 /// `(time_ns, seq)` — kept as the reference oracle the timer wheel is
-/// differentially tested against. Cancellation is by tombstone: the
-/// entry stays in the heap and is skipped at pop.
+/// differentially tested against.
 #[derive(Debug, Default)]
 pub struct HeapScheduler<T> {
     heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-    /// Seqs cancelled but not yet popped-over (empty in engine use; the
-    /// engine never cancels).
-    tombstones: HashSet<u64>,
 }
 
 impl<T: PartialEq> HeapScheduler<T> {
@@ -118,47 +87,18 @@ impl<T: PartialEq> HeapScheduler<T> {
     pub fn new() -> Self {
         HeapScheduler {
             heap: BinaryHeap::new(),
-            tombstones: HashSet::new(),
-        }
-    }
-
-    fn skip_tombstones(&mut self) {
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if self.tombstones.is_empty() || !self.tombstones.remove(&head.seq) {
-                break;
-            }
-            self.heap.pop();
         }
     }
 }
 
 impl<T: PartialEq> Scheduler<T> for HeapScheduler<T> {
     #[inline]
-    fn schedule(&mut self, time_ns: u64, seq: u64, item: T) -> EventKey {
+    fn schedule(&mut self, time_ns: u64, seq: u64, item: T) {
         self.heap.push(Reverse(HeapEntry { time_ns, seq, item }));
-        EventKey {
-            seq,
-            slot: u32::MAX,
-        }
-    }
-
-    fn cancel(&mut self, key: EventKey) -> bool {
-        self.tombstones.insert(key.seq)
-    }
-
-    fn peek_next(&mut self) -> Option<(u64, u64)> {
-        self.skip_tombstones();
-        self.heap.peek().map(|Reverse(e)| (e.time_ns, e.seq))
-    }
-
-    fn pop_next(&mut self) -> Option<(u64, u64, T)> {
-        self.skip_tombstones();
-        self.heap.pop().map(|Reverse(e)| (e.time_ns, e.seq, e.item))
     }
 
     #[inline]
     fn pop_next_at_or_before(&mut self, bound_ns: u64) -> Option<(u64, u64, T)> {
-        self.skip_tombstones();
         match self.heap.peek() {
             Some(Reverse(e)) if e.time_ns <= bound_ns => self
                 .heap
@@ -169,7 +109,7 @@ impl<T: PartialEq> Scheduler<T> for HeapScheduler<T> {
     }
 
     fn len(&self) -> usize {
-        self.heap.len().saturating_sub(self.tombstones.len())
+        self.heap.len()
     }
 }
 
@@ -200,12 +140,6 @@ struct WheelKey {
     seq: u64,
     idx: u32,
 }
-
-/// Sentinel stored into a record's `seq` by [`TimerWheelScheduler::cancel`]:
-/// the record is dead and is reclaimed lazily by whichever structure holds
-/// its sole reference (slot chain, drain, or overflow). Engine
-/// sequence numbers count up from zero and can never reach it.
-const DEAD_SEQ: u64 = u64::MAX;
 
 /// Index sentinel terminating a slot's intrusive chain.
 const NONE_IDX: u32 = u32::MAX;
@@ -240,8 +174,8 @@ struct Rec<T> {
 ///   `(time_ns, seq)` order without a side heap.
 #[derive(Debug)]
 pub struct TimerWheelScheduler<T> {
-    /// Event records, addressed by the `idx` of a [`WheelKey`]. The
-    /// record's `seq` is stored alongside so stale keys are detectable.
+    /// Event records, addressed by the `idx` of a [`WheelKey`]; one per
+    /// scheduled event, so `slab.len()` is the queue length.
     slab: Slab<Rec<T>>,
     /// Near-future buckets: head index of each slot's intrusive chain
     /// (`NONE_IDX` when empty).
@@ -255,8 +189,6 @@ pub struct TimerWheelScheduler<T> {
     drain: Vec<WheelKey>,
     /// Far-future events beyond the wheel horizon, exact-keyed.
     overflow: BTreeMap<(u64, u64), u32>,
-    /// Live events (excludes cancelled).
-    live: usize,
 }
 
 impl<T> Default for TimerWheelScheduler<T> {
@@ -275,7 +207,6 @@ impl<T> TimerWheelScheduler<T> {
             cursor_tick: 0,
             drain: Vec::new(),
             overflow: BTreeMap::new(),
-            live: 0,
         }
     }
 
@@ -287,21 +218,6 @@ impl<T> TimerWheelScheduler<T> {
     #[inline]
     fn clear_bit(&mut self, slot: usize) {
         self.occupied[slot >> 6] &= !(1u64 << (slot & 63));
-    }
-
-    /// True when `key` still references its live slab record.
-    #[inline]
-    fn is_live(&self, key: &WheelKey) -> bool {
-        matches!(self.slab.get(key.idx), Some(rec) if rec.seq == key.seq)
-    }
-
-    /// Reclaim the slab slot behind a pruned key. Keys staged in `drain`
-    /// are their record's sole reference, so a dead record found here can
-    /// only be freed here.
-    fn reclaim_if_dead(&mut self, idx: u32) {
-        if matches!(self.slab.get(idx), Some(rec) if rec.seq == DEAD_SEQ) {
-            self.slab.remove(idx);
-        }
     }
 
     /// First tick in `(from, from + SLOT_COUNT]` whose slot list is
@@ -332,18 +248,9 @@ impl<T> TimerWheelScheduler<T> {
     }
 
     /// Move the cursor to the next tick holding events and load them into
-    /// `drain`. Returns `false` when the wheel holds no live events.
+    /// `drain`. Returns `false` when the wheel holds no events.
     fn advance_cursor(&mut self) -> bool {
-        if self.live == 0 {
-            // Everything left (if anything) is cancelled debris; reset so
-            // the backing storage is reclaimed and scans stay short.
-            if !self.slab.is_empty() || !self.overflow.is_empty() {
-                self.slab.clear();
-                self.overflow.clear();
-                self.slots.fill(NONE_IDX);
-                self.occupied = [0u64; BITMAP_WORDS];
-                self.drain.clear();
-            }
+        if self.slab.is_empty() {
             return false;
         }
         let mut from = self.cursor_tick;
@@ -357,16 +264,15 @@ impl<T> TimerWheelScheduler<T> {
                 (Some(a), Some(b)) => a.min(b),
                 (Some(a), None) => a,
                 (None, Some(b)) => b,
-                // live > 0 but nothing in slots within a lap or in the
-                // overflow: the remaining events sit in slots more than a
-                // full lap behind their fire tick, which cannot happen —
-                // every slot insert targets a tick within one lap.
-                (None, None) => unreachable!("live events but no occupied slot or overflow"),
+                // Events parked but nothing in slots within a lap or in
+                // the overflow: the remaining events sit in slots more
+                // than a full lap behind their fire tick, which cannot
+                // happen — every slot insert targets a tick within one lap.
+                (None, None) => unreachable!("parked events but no occupied slot or overflow"),
             };
             // Collect the target tick's events by walking the slot chain;
-            // dead records are reclaimed here, future-lap residents are
-            // relinked (bucket order is irrelevant — the drain sort below
-            // restores exact order).
+            // future-lap residents are relinked (bucket order is
+            // irrelevant — the drain sort below restores exact order).
             let slot = (target & SLOT_MASK) as usize;
             if slot_tick == Some(target) {
                 let mut idx = self.slots[slot];
@@ -374,12 +280,10 @@ impl<T> TimerWheelScheduler<T> {
                 while idx != NONE_IDX {
                     let rec = self.slab.get(idx).expect("slot chain entry is parked");
                     let (time_ns, seq, next) = (rec.time_ns, rec.seq, rec.next);
-                    if seq == DEAD_SEQ {
-                        self.slab.remove(idx);
-                    } else if time_ns >> GRAN_SHIFT == target {
+                    if time_ns >> GRAN_SHIFT == target {
                         self.drain.push(WheelKey { time_ns, seq, idx });
                     } else {
-                        self.slab.get_mut(idx).expect("checked live").next = kept;
+                        self.slab.get_mut(idx).expect("just read").next = kept;
                         kept = idx;
                     }
                     idx = next;
@@ -395,15 +299,11 @@ impl<T> TimerWheelScheduler<T> {
                     break;
                 }
                 self.overflow.remove(&(t, s));
-                if matches!(self.slab.get(idx), Some(rec) if rec.seq == DEAD_SEQ) {
-                    self.slab.remove(idx);
-                } else {
-                    self.drain.push(WheelKey {
-                        time_ns: t,
-                        seq: s,
-                        idx,
-                    });
-                }
+                self.drain.push(WheelKey {
+                    time_ns: t,
+                    seq: s,
+                    idx,
+                });
             }
             self.cursor_tick = target;
             if self.drain.is_empty() {
@@ -417,34 +317,11 @@ impl<T> TimerWheelScheduler<T> {
             return true;
         }
     }
-
-    /// Drop cancelled keys from the drain tail, then ensure at least one
-    /// live event is staged (advancing the cursor as needed).
-    /// Returns `false` when the scheduler is out of live events.
-    #[inline]
-    fn settle(&mut self) -> bool {
-        loop {
-            while let Some(&k) = self.drain.last() {
-                if self.is_live(&k) {
-                    break;
-                }
-                self.reclaim_if_dead(k.idx);
-                self.drain.pop();
-            }
-            if !self.drain.is_empty() {
-                return true;
-            }
-            if !self.advance_cursor() {
-                return false;
-            }
-        }
-    }
 }
 
 impl<T> Scheduler<T> for TimerWheelScheduler<T> {
     #[inline]
-    fn schedule(&mut self, time_ns: u64, seq: u64, item: T) -> EventKey {
-        debug_assert_ne!(seq, DEAD_SEQ, "sequence space exhausted");
+    fn schedule(&mut self, time_ns: u64, seq: u64, item: T) {
         let tick = time_ns >> GRAN_SHIFT;
         if laqa_obs::enabled() {
             // Arming horizon: how far ahead of the cursor the event lands.
@@ -465,14 +342,13 @@ impl<T> Scheduler<T> for TimerWheelScheduler<T> {
                 laqa_obs::counter!("sched.wheel_insert_overflow").inc();
             }
         }
-        let idx;
         if tick <= self.cursor_tick {
             // At (or — for clamped times — behind) the active tick: merge
             // into the sorted drain vector so ordering against the
             // partially drained tick stays exact. Such events fire nearly
             // immediately, so the insertion point is at or near the pop
             // end and the shift is a few keys at most.
-            idx = self.slab.insert(Rec {
+            let idx = self.slab.insert(Rec {
                 time_ns,
                 seq,
                 next: NONE_IDX,
@@ -484,7 +360,7 @@ impl<T> Scheduler<T> for TimerWheelScheduler<T> {
             self.drain.insert(pos, WheelKey { time_ns, seq, idx });
         } else if tick - self.cursor_tick < SLOT_COUNT as u64 {
             let slot = (tick & SLOT_MASK) as usize;
-            idx = self.slab.insert(Rec {
+            let idx = self.slab.insert(Rec {
                 time_ns,
                 seq,
                 next: self.slots[slot],
@@ -493,7 +369,7 @@ impl<T> Scheduler<T> for TimerWheelScheduler<T> {
             self.slots[slot] = idx;
             self.set_bit(slot);
         } else {
-            idx = self.slab.insert(Rec {
+            let idx = self.slab.insert(Rec {
                 time_ns,
                 seq,
                 next: NONE_IDX,
@@ -501,77 +377,27 @@ impl<T> Scheduler<T> for TimerWheelScheduler<T> {
             });
             self.overflow.insert((time_ns, seq), idx);
         }
-        self.live += 1;
-        EventKey { seq, slot: idx }
-    }
-
-    fn cancel(&mut self, key: EventKey) -> bool {
-        match self.slab.get_mut(key.slot) {
-            Some(rec) if rec.seq == key.seq => {
-                // Mark dead in place; the record (and its payload) is
-                // reclaimed lazily by whichever structure holds its sole
-                // reference — unlinking a chain interior here would cost
-                // a walk, and correctness only needs the seq mismatch.
-                rec.seq = DEAD_SEQ;
-                self.live -= 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    fn peek_next(&mut self) -> Option<(u64, u64)> {
-        if !self.settle() {
-            return None;
-        }
-        self.drain.last().map(|k| (k.time_ns, k.seq))
-    }
-
-    fn pop_next(&mut self) -> Option<(u64, u64, T)> {
-        if !self.settle() {
-            return None;
-        }
-        let key = self.drain.pop().expect("settle staged a head");
-        let rec = self.slab.remove(key.idx).expect("head key is live");
-        self.live -= 1;
-        Some((key.time_ns, key.seq, rec.item))
     }
 
     #[inline]
     fn pop_next_at_or_before(&mut self, bound_ns: u64) -> Option<(u64, u64, T)> {
-        // Fused peek + pop — the engine hot loop's only entry point. Unlike
-        // `pop_next` this skips the up-front liveness checks: a staged key
-        // is its record's sole reference, so `slab.remove` returns either
-        // the live record (seq matches) or the same record marked dead —
-        // in which case the removal *is* the reclaim and we retry. A dead
-        // candidate losing the head race only delays a live event behind
-        // an even-smaller dead key, never reorders live events.
-        loop {
-            let Some(&key) = self.drain.last() else {
-                if !self.advance_cursor() {
-                    return None;
-                }
-                continue;
-            };
-            if key.time_ns > bound_ns {
-                // A dead candidate here stays staged for a later settle;
-                // any live head fires no earlier, so None stands.
-                return None;
-            }
-            self.drain.pop();
-            match self.slab.remove(key.idx) {
-                Some(rec) if rec.seq == key.seq => {
-                    self.live -= 1;
-                    return Some((key.time_ns, key.seq, rec.item));
-                }
-                // Cancelled while staged; the remove above reclaimed it.
-                _ => continue,
-            }
+        if self.drain.is_empty() && !self.advance_cursor() {
+            return None;
         }
+        let key = *self.drain.last().expect("advance_cursor staged a head");
+        if key.time_ns > bound_ns {
+            return None;
+        }
+        self.drain.pop();
+        let rec = self
+            .slab
+            .remove(key.idx)
+            .expect("a staged key is its record's sole reference");
+        Some((key.time_ns, key.seq, rec.item))
     }
 
     fn len(&self) -> usize {
-        self.live
+        self.slab.len()
     }
 }
 
@@ -624,29 +450,10 @@ impl<T: PartialEq> AnyScheduler<T> {
 
 impl<T: PartialEq> Scheduler<T> for AnyScheduler<T> {
     #[inline]
-    fn schedule(&mut self, time_ns: u64, seq: u64, item: T) -> EventKey {
+    fn schedule(&mut self, time_ns: u64, seq: u64, item: T) {
         match self {
             AnyScheduler::Heap(s) => s.schedule(time_ns, seq, item),
             AnyScheduler::Wheel(s) => s.schedule(time_ns, seq, item),
-        }
-    }
-    fn cancel(&mut self, key: EventKey) -> bool {
-        match self {
-            AnyScheduler::Heap(s) => s.cancel(key),
-            AnyScheduler::Wheel(s) => s.cancel(key),
-        }
-    }
-    #[inline]
-    fn peek_next(&mut self) -> Option<(u64, u64)> {
-        match self {
-            AnyScheduler::Heap(s) => s.peek_next(),
-            AnyScheduler::Wheel(s) => s.peek_next(),
-        }
-    }
-    fn pop_next(&mut self) -> Option<(u64, u64, T)> {
-        match self {
-            AnyScheduler::Heap(s) => s.pop_next(),
-            AnyScheduler::Wheel(s) => s.pop_next(),
         }
     }
     #[inline]
@@ -669,12 +476,12 @@ impl<T: PartialEq> Scheduler<T> for AnyScheduler<T> {
 mod tests {
     use super::*;
 
+    fn pop<S: Scheduler<u32>>(s: &mut S) -> Option<(u64, u64, u32)> {
+        s.pop_next_at_or_before(u64::MAX)
+    }
+
     fn drain_all<S: Scheduler<u32>>(s: &mut S) -> Vec<(u64, u64, u32)> {
-        let mut out = Vec::new();
-        while let Some(next) = s.pop_next() {
-            out.push(next);
-        }
-        out
+        std::iter::from_fn(|| pop(s)).collect()
     }
 
     fn both() -> (HeapScheduler<u32>, TimerWheelScheduler<u32>) {
@@ -734,56 +541,13 @@ mod tests {
         let mut w: TimerWheelScheduler<u32> = TimerWheelScheduler::new();
         w.schedule(100, 0, 0);
         w.schedule(200, 1, 1);
-        assert_eq!(w.pop_next(), Some((100, 0, 0)));
+        assert_eq!(pop(&mut w), Some((100, 0, 0)));
         // The engine's "deliver now" path: schedule at the popped time.
         w.schedule(100, 2, 2);
         w.schedule(150, 3, 3);
-        assert_eq!(w.pop_next(), Some((100, 2, 2)));
-        assert_eq!(w.pop_next(), Some((150, 3, 3)));
-        assert_eq!(w.pop_next(), Some((200, 1, 1)));
-    }
-
-    #[test]
-    fn peek_matches_pop_and_does_not_consume() {
-        let (mut h, mut w) = both();
-        for s in [
-            &mut h as &mut dyn Scheduler<u32>,
-            &mut w as &mut dyn Scheduler<u32>,
-        ] {
-            s.schedule(9, 0, 0);
-            s.schedule(4, 1, 1);
-            assert_eq!(s.peek_next(), Some((4, 1)));
-            assert_eq!(s.peek_next(), Some((4, 1)), "peek is idempotent");
-            assert_eq!(s.pop_next(), Some((4, 1, 1)));
-            assert_eq!(s.peek_next(), Some((9, 0)));
-        }
-    }
-
-    #[test]
-    fn cancel_removes_event_everywhere() {
-        let horizon = (SLOT_COUNT as u64) << GRAN_SHIFT;
-        let mut w: TimerWheelScheduler<u32> = TimerWheelScheduler::new();
-        let near = w.schedule(50, 0, 0);
-        let far = w.schedule(horizon * 2, 1, 1);
-        let keep = w.schedule(60, 2, 2);
-        assert_eq!(w.len(), 3);
-        assert!(w.cancel(near));
-        assert!(w.cancel(far));
-        assert!(!w.cancel(near), "double cancel is a no-op");
-        assert_eq!(w.len(), 1);
-        assert_eq!(drain_all(&mut w), vec![(60, 2, 2)]);
-        assert!(!w.cancel(keep), "cancel after pop is a no-op");
-    }
-
-    #[test]
-    fn cancelled_slab_slot_reuse_does_not_resurrect() {
-        let mut w: TimerWheelScheduler<u32> = TimerWheelScheduler::new();
-        let a = w.schedule(100, 0, 0);
-        assert!(w.cancel(a));
-        // Reuses a's slab slot with a different seq; the stale key in the
-        // slot list must not surface b twice nor resurrect a.
-        w.schedule(100, 1, 1);
-        assert_eq!(drain_all(&mut w), vec![(100, 1, 1)]);
+        assert_eq!(pop(&mut w), Some((100, 2, 2)));
+        assert_eq!(pop(&mut w), Some((150, 3, 3)));
+        assert_eq!(pop(&mut w), Some((200, 1, 1)));
     }
 
     #[test]
@@ -791,7 +555,7 @@ mod tests {
         let mut w: TimerWheelScheduler<u32> = TimerWheelScheduler::new();
         w.schedule(1 << 20, 0, 0);
         assert_eq!(drain_all(&mut w), vec![(1 << 20, 0, 0)]);
-        assert_eq!(w.pop_next(), None);
+        assert_eq!(pop(&mut w), None);
         // Restart after empty, at a later time (monotone contract).
         w.schedule(1 << 21, 1, 1);
         w.schedule((1 << 20) + 5, 2, 2);
@@ -802,17 +566,6 @@ mod tests {
     }
 
     #[test]
-    fn heap_tombstone_cancel_skips_at_pop() {
-        let mut h: HeapScheduler<u32> = HeapScheduler::new();
-        let a = h.schedule(10, 0, 0);
-        h.schedule(20, 1, 1);
-        assert!(h.cancel(a));
-        assert_eq!(h.len(), 1);
-        assert_eq!(h.pop_next(), Some((20, 1, 1)));
-        assert_eq!(h.pop_next(), None);
-    }
-
-    #[test]
     fn slot_collision_across_laps_resolves() {
         // Two events a whole lap apart share a slot; the earlier must
         // drain first and the later must survive in the slot.
@@ -820,12 +573,12 @@ mod tests {
         let mut w: TimerWheelScheduler<u32> = TimerWheelScheduler::new();
         let t0 = 7 << GRAN_SHIFT;
         w.schedule(t0, 0, 0);
-        assert_eq!(w.pop_next(), Some((t0, 0, 0)));
+        assert_eq!(pop(&mut w), Some((t0, 0, 0)));
         // Cursor now at tick 7; same slot, next lap, is within horizon.
         w.schedule(t0 + lap, 1, 1);
         w.schedule(t0 + 5, 2, 2); // active tick
-        assert_eq!(w.pop_next(), Some((t0 + 5, 2, 2)));
-        assert_eq!(w.pop_next(), Some((t0 + lap, 1, 1)));
+        assert_eq!(pop(&mut w), Some((t0 + 5, 2, 2)));
+        assert_eq!(pop(&mut w), Some((t0 + lap, 1, 1)));
     }
 
     #[test]
@@ -842,9 +595,9 @@ mod tests {
         assert!(w.overflow.is_empty(), "a ~1 s timer must use a wheel slot");
         w.schedule(window + 1, 1, 2);
         assert_eq!(w.overflow.len(), 1, "a past-window timer must overflow");
-        assert_eq!(w.pop_next(), Some((one_sec, 0, 1)));
-        assert_eq!(w.pop_next(), Some((window + 1, 1, 2)));
-        assert_eq!(w.pop_next(), None);
+        assert_eq!(pop(&mut w), Some((one_sec, 0, 1)));
+        assert_eq!(pop(&mut w), Some((window + 1, 1, 2)));
+        assert_eq!(pop(&mut w), None);
     }
 
     #[test]
@@ -872,7 +625,7 @@ mod tests {
             bucket(&after) > bucket(&before),
             "the 1.03e9-horizon bucket did not advance"
         );
-        assert_eq!(w.pop_next(), Some((d, 0, 0)), "delivery is still exact");
+        assert_eq!(pop(&mut w), Some((d, 0, 0)), "delivery is still exact");
     }
 
     #[test]

@@ -50,14 +50,14 @@ fn fingerprints_identical_with_obs_on_and_off() {
         Some(spec.len() as u64),
         "one campaign.sessions increment per session"
     );
-    assert!(
-        snap.span("engine.step").map_or(0, |s| s.count) > 0,
-        "no engine.step spans"
-    );
     let dispatch = snap
         .histogram("sched.dispatch_ns")
         .expect("no sched.dispatch_ns histogram");
-    assert!(dispatch.count > 0, "no dispatch latency observations");
+    assert_eq!(
+        Some(dispatch.count),
+        snap.counter("engine.events"),
+        "every event is timed exactly once"
+    );
     assert!(
         dispatch.quantile(0.99).is_some(),
         "dispatch p99 unavailable despite observations"

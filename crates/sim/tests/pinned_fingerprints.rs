@@ -3,14 +3,13 @@
 //! Every behaviour-preserving PR claims "fp0 and the interop / hostile
 //! digests are unchanged"; this is the test that holds it to that. The
 //! nine campaigns below are recomputed and compared bit for bit with the
-//! constants in this file — under default options, through the streaming
-//! fold, and on the heap oracle at another thread count — so a change
-//! that moves a simulated trajectory fails `cargo test`, and one that
-//! moves it on purpose has to edit a constant in the same diff.
+//! constants in this file — under default options, and on the heap
+//! oracle at another thread count — so a change that moves a simulated
+//! trajectory fails `cargo test`, and one that moves it on purpose has
+//! to edit a constant in the same diff.
 
 use laqa_sim::{
-    run_campaign_fold, run_campaign_opts, CampaignOptions, CampaignSpec, SchedulerKind, TestKind,
-    TraceKind, Transport,
+    run_campaign_opts, CampaignOptions, CampaignSpec, SchedulerKind, TestKind, TraceKind, Transport,
 };
 
 /// T1 × K{2,4} × seeds {7,21,35,49,63,77,91,105} × 8 s, RAP, steady links.
@@ -86,15 +85,6 @@ fn assert_pinned(how: &str, fingerprint: impl Fn(&CampaignSpec) -> u64) {
 fn pinned_under_default_options() {
     assert_pinned("default options, 1 thread", |spec| {
         run_campaign_opts(spec, CampaignOptions::new(1)).fingerprint()
-    });
-}
-
-#[test]
-fn pinned_under_the_streaming_fold() {
-    assert_pinned("run_campaign_fold, 2 threads", |spec| {
-        let folded = run_campaign_fold(spec, CampaignOptions::new(2), 0usize, |n, _| *n += 1);
-        assert_eq!(folded.acc, spec.len(), "the fold must see every session");
-        folded.fingerprint
     });
 }
 

@@ -8,8 +8,8 @@
 
 use laqa_check::{cases, Gen};
 use laqa_sim::{
-    run_campaign, run_campaign_fold, run_campaign_opts, run_session, run_session_with,
-    CampaignOptions, CampaignSpec, SchedulerKind, SessionSpec, TestKind, TraceKind, Transport,
+    run_campaign, run_campaign_opts, run_session, run_session_with, CampaignOptions, CampaignSpec,
+    SchedulerKind, SessionSpec, TestKind, TraceKind, Transport,
 };
 
 fn sweep() -> CampaignSpec {
@@ -115,9 +115,6 @@ fn empty_campaign_runs_to_an_empty_result() {
     assert_eq!(r.threads, 1, "an empty sweep still clamps to one worker");
     // The fingerprint of emptiness is still well-defined and stable.
     assert_eq!(r.fingerprint(), run_campaign(&spec, 1).fingerprint());
-    let folded = run_campaign_fold(&spec, CampaignOptions::new(4), 0usize, |n, _| *n += 1);
-    assert_eq!(folded.acc, 0);
-    assert_eq!(folded.fingerprint, r.fingerprint());
 }
 
 /// Draw one random session: workload, smoothing, seed, duration (past the
@@ -161,23 +158,6 @@ fn random_campaign_cells_match_isolated_sessions() {
             assert_eq!(cell.events_processed, alone.events_processed);
         }
     });
-}
-
-#[test]
-fn streaming_fold_matches_full_fingerprint_in_grid_order() {
-    let spec = sweep();
-    let full = run_campaign(&spec, 1);
-    let folded = run_campaign_fold(
-        &spec,
-        CampaignOptions::new(8),
-        Vec::new(),
-        |labels: &mut Vec<String>, r| labels.push(r.spec.label()),
-    );
-    assert_eq!(folded.fingerprint, full.fingerprint());
-    assert_eq!(folded.sessions_run, spec.len());
-    // The fold saw sessions in grid order regardless of steal order.
-    let expected: Vec<String> = spec.sessions.iter().map(|s| s.label()).collect();
-    assert_eq!(folded.acc, expected);
 }
 
 #[test]

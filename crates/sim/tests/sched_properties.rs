@@ -1,27 +1,33 @@
 //! Property tests for the event schedulers, driven by `laqa_check`'s
-//! seeded generator: random insert/pop/cancel workloads must drain in
-//! strict `(time_ns, seq)` order on both implementations, and the two
-//! implementations must agree item-for-item on every workload.
+//! seeded generator. The contract has three operations — insert, pop
+//! bounded by a time, length — so a workload is random inserts and
+//! pops with random *finite* bounds (the engine's `run_until` entry
+//! point): a pop never returns an event past its bound, events drain in
+//! strict `(time_ns, seq)` order across `None`s, and the two
+//! implementations agree item-for-item, `None`s included.
 
 use laqa_check::{cases, Gen};
-use laqa_sim::{EventKey, HeapScheduler, Scheduler, SchedulerKind, TimerWheelScheduler};
+use laqa_sim::{AnyScheduler, HeapScheduler, Scheduler, SchedulerKind, TimerWheelScheduler};
+
+/// The wheel's slot window, `SLOT_COUNT << GRAN_SHIFT` in `sched.rs`
+/// (4096 slots of 2.1 ms ≈ 8.6 s): a deadline at least this far ahead of
+/// the cursor goes to the overflow tree.
+const WHEEL_HORIZON_NS: u64 = 1 << 33;
 
 /// One scripted step of a scheduler workload.
 #[derive(Debug, Clone, Copy)]
 enum Op {
     /// Schedule at `now + delta_ns`.
     Insert { delta_ns: u64 },
-    /// Pop the head (if any), advancing `now` to its deadline.
-    Pop,
-    /// Cancel the pending key at `index % pending.len()` (if any).
-    Cancel { index: usize },
+    /// Pop the head if it fires at or before `now + ahead_ns`, advancing
+    /// `now` to its deadline.
+    Pop { ahead_ns: u64 },
 }
 
 /// Generate a workload mixing near-future inserts, same-tick bursts,
-/// far-future (overflow-tree) deadlines, pops, and cancels.
+/// in-window and far-future (overflow-tree) deadlines, and pops whose
+/// bounds fall short of, inside and beyond the pending events.
 fn gen_ops(g: &mut Gen, len: usize) -> Vec<Op> {
-    // ~268 ms of wheel horizon at 65.5 µs granularity; anything past
-    // `1 << 28` ns lands in the overflow tree.
     const FAR: u64 = 40_000_000_000; // 40 s — deep overflow territory
     (0..len)
         .map(|_| match g.u32_in(0, 9) {
@@ -32,76 +38,72 @@ fn gen_ops(g: &mut Gen, len: usize) -> Vec<Op> {
             },
             // Same-tick burst: identical deadline, seq must break the tie.
             3 => Op::Insert { delta_ns: 65_536 },
-            // Mid-range: within the wheel's slot horizon.
+            // Mid-range: within the wheel's 8.6 s slot window.
             4 => Op::Insert {
-                delta_ns: g.u64_in(0, 200_000_000),
+                delta_ns: g.u64_in(0, WHEEL_HORIZON_NS - 1),
             },
-            // Far future: overflow tree, up to a max-horizon outlier.
+            // Far future: a full window or more ahead of `now`, so the
+            // overflow tree unless the cursor has run ahead of `now`.
             5 => Op::Insert {
-                delta_ns: g.u64_in(1 << 28, FAR),
+                delta_ns: g.u64_in(WHEEL_HORIZON_NS, FAR),
             },
-            6 | 7 => Op::Pop,
-            _ => Op::Cancel {
-                index: g.usize_in(0, 63),
+            // Bounds from "due right now" to past every pending deadline.
+            6 => Op::Pop { ahead_ns: 0 },
+            7 => Op::Pop {
+                ahead_ns: g.u64_in(0, 2_000_000),
+            },
+            8 => Op::Pop {
+                ahead_ns: g.u64_in(0, 200_000_000),
+            },
+            _ => Op::Pop {
+                ahead_ns: g.u64_in(0, 2 * FAR),
             },
         })
         .collect()
 }
 
-/// Replay `ops` against `sched`, checking the strict drain order as we
-/// go. Returns the popped `(time_ns, seq, item)` triples.
-fn replay(sched: &mut dyn Scheduler<u64>, ops: &[Op]) -> Vec<(u64, u64, u64)> {
+/// Replay `ops` against `sched`, checking the bound and the strict drain
+/// order as we go. Returns every pop's answer, `None`s included.
+fn replay(sched: &mut dyn Scheduler<u64>, ops: &[Op]) -> Vec<Option<(u64, u64, u64)>> {
     let mut now = 0u64;
     let mut seq = 0u64;
-    let mut pending: Vec<EventKey> = Vec::new();
-    let mut popped = Vec::new();
+    let mut answers = Vec::new();
     let mut last: Option<(u64, u64)> = None;
+    let mut pop = |sched: &mut dyn Scheduler<u64>, now: &mut u64, bound: u64| {
+        let answer = sched.pop_next_at_or_before(bound);
+        if let Some((t, s, item)) = answer {
+            assert!(t <= bound, "popped {t} past the bound {bound}");
+            assert!(t >= *now, "time went backwards: {t} < {now}");
+            assert!(
+                last.is_none_or(|prev| (t, s) > prev),
+                "drain order violated: {:?} after {last:?}",
+                (t, s)
+            );
+            assert_eq!(item, s, "item/seq pairing corrupted");
+            last = Some((t, s));
+            *now = t;
+        }
+        answers.push(answer);
+        answer.is_some()
+    };
     for op in ops {
         match *op {
             Op::Insert { delta_ns } => {
-                let key = sched.schedule(now + delta_ns, seq, seq);
-                pending.push(key);
+                sched.schedule(now + delta_ns, seq, seq);
                 seq += 1;
             }
-            Op::Pop => {
-                let peeked = sched.peek_next();
-                if let Some((t, s, item)) = sched.pop_next() {
-                    assert_eq!(peeked, Some((t, s)), "peek/pop disagree");
-                    assert!(t >= now, "time went backwards: {t} < {now}");
-                    if let Some(prev) = last {
-                        assert!(
-                            (t, s) > prev,
-                            "drain order violated: {:?} after {prev:?}",
-                            (t, s)
-                        );
-                    }
-                    assert_eq!(item, s, "item/seq pairing corrupted");
-                    last = Some((t, s));
-                    now = t;
-                    popped.push((t, s, item));
-                }
-            }
-            Op::Cancel { index } => {
-                if !pending.is_empty() {
-                    let key = pending.swap_remove(index % pending.len());
-                    // May be false if the event already popped — both
-                    // impls must agree on that via the popped list.
-                    sched.cancel(key);
-                }
+            Op::Pop { ahead_ns } => {
+                let bound = now + ahead_ns;
+                pop(sched, &mut now, bound);
             }
         }
     }
     // Drain the rest; order must stay strict.
-    while let Some((t, s, item)) = sched.pop_next() {
-        if let Some(prev) = last {
-            assert!((t, s) > prev, "tail drain order violated");
-        }
-        assert_eq!(item, s);
-        last = Some((t, s));
-        popped.push((t, s, item));
-    }
+    while pop(sched, &mut now, u64::MAX) {}
+    let popped = answers.iter().flatten().count() as u64;
+    assert_eq!(popped, seq, "every scheduled event pops exactly once");
     assert!(sched.is_empty(), "drained scheduler reports len {}", sched.len());
-    popped
+    answers
 }
 
 #[test]
@@ -113,7 +115,7 @@ fn random_workloads_drain_identically_on_both_schedulers() {
         let mut wheel = TimerWheelScheduler::<u64>::new();
         let a = replay(&mut heap, &ops);
         let b = replay(&mut wheel, &ops);
-        assert_eq!(a, b, "case {case}: wheel drain differs from heap oracle");
+        assert_eq!(a, b, "case {case}: wheel answers differ from heap oracle");
     });
 }
 
@@ -123,15 +125,19 @@ fn same_tick_bursts_drain_in_seq_order() {
         let n = g.usize_in(2, 300);
         let t = g.u64_in(0, 1 << 40);
         for kind in SchedulerKind::ALL {
-            let mut s = laqa_sim::AnyScheduler::<u64>::new(kind);
+            let mut s = AnyScheduler::<u64>::new(kind);
             for seq in 0..n as u64 {
                 s.schedule(t, seq, seq);
             }
-            for expect in 0..n as u64 {
-                let (pt, ps, item) = s.pop_next().expect("burst entry");
-                assert_eq!((pt, ps, item), (t, expect, expect), "{}", kind.label());
+            assert_eq!(s.len(), n, "{}", kind.label());
+            if t > 0 {
+                assert_eq!(s.pop_next_at_or_before(t - 1), None, "{}", kind.label());
             }
-            assert!(s.pop_next().is_none());
+            for expect in 0..n as u64 {
+                let popped = s.pop_next_at_or_before(t);
+                assert_eq!(popped, Some((t, expect, expect)), "{}", kind.label());
+            }
+            assert!(s.pop_next_at_or_before(u64::MAX).is_none());
         }
     });
 }
@@ -151,41 +157,8 @@ fn max_horizon_far_future_events_survive_round_trip() {
         }
         expect.sort_unstable();
         for &(t, s) in &expect {
-            assert_eq!(wheel.pop_next(), Some((t, s, s)));
+            assert_eq!(wheel.pop_next_at_or_before(u64::MAX), Some((t, s, s)));
         }
         assert!(wheel.is_empty());
-    });
-}
-
-#[test]
-fn cancel_is_exact_on_both_schedulers() {
-    cases("sched_cancel", 100, |g, _case| {
-        let n = g.usize_in(4, 100);
-        let drop_mask: Vec<bool> = (0..n).map(|_| g.bool(0.5)).collect();
-        // One shared deadline script so both scheduler kinds see the
-        // exact same workload.
-        let times: Vec<u64> = (0..n).map(|_| g.u64_in(0, 1 << 34)).collect();
-        for kind in SchedulerKind::ALL {
-            let mut s = laqa_sim::AnyScheduler::<u64>::new(kind);
-            let mut keys = Vec::new();
-            for seq in 0..n as u64 {
-                let t = times[seq as usize];
-                keys.push((s.schedule(t, seq, seq), t, seq));
-            }
-            let mut survivors: Vec<(u64, u64)> = Vec::new();
-            for (i, (key, t, seq)) in keys.into_iter().enumerate() {
-                if drop_mask[i] {
-                    assert!(s.cancel(key), "{}: live cancel failed", kind.label());
-                } else {
-                    survivors.push((t, seq));
-                }
-            }
-            survivors.sort_unstable();
-            assert_eq!(s.len(), survivors.len(), "{}", kind.label());
-            for (t, seq) in survivors {
-                assert_eq!(s.pop_next(), Some((t, seq, seq)), "{}", kind.label());
-            }
-            assert!(s.pop_next().is_none());
-        }
     });
 }

@@ -74,35 +74,6 @@ impl Recorder {
         }
         Ok(())
     }
-
-    /// Write every series into a single wide CSV (union of time stamps,
-    /// step-interpolated). Best for series sampled on a shared clock.
-    pub fn write_csv_wide(&self, path: impl AsRef<Path>, w: &mut impl Write) -> io::Result<()> {
-        let _ = path; // reserved for error messages
-        let mut times: Vec<f64> = self
-            .series
-            .values()
-            .flat_map(|s| s.points.iter().map(|&(t, _)| t))
-            .collect();
-        times.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        times.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-        write!(w, "time")?;
-        for name in self.series.keys() {
-            write!(w, ",{name}")?;
-        }
-        writeln!(w)?;
-        for &t in &times {
-            write!(w, "{t}")?;
-            for s in self.series.values() {
-                match s.at(t) {
-                    Some(v) => write!(w, ",{v}")?,
-                    None => write!(w, ",")?,
-                }
-            }
-            writeln!(w)?;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -132,19 +103,5 @@ mod tests {
         assert!(content.contains("0,1.5"));
         assert!(content.contains("1,2.5"));
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn wide_csv_aligns_series() {
-        let mut r = Recorder::new();
-        r.record("a", 0.0, 1.0);
-        r.record("b", 1.0, 2.0);
-        let mut buf = Vec::new();
-        r.write_csv_wide("x", &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines[0], "time,a,b");
-        assert_eq!(lines[1], "0,1,");
-        assert_eq!(lines[2], "1,1,2");
     }
 }

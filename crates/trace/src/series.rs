@@ -77,25 +77,6 @@ impl TimeSeries {
         (span > 0.0).then(|| area / span)
     }
 
-    /// Fraction of (time-weighted) span where the value satisfies `pred`.
-    pub fn fraction_where(&self, pred: impl Fn(f64) -> bool) -> Option<f64> {
-        if self.points.len() < 2 {
-            return None;
-        }
-        let mut hit = 0.0;
-        let mut span = 0.0;
-        for w in self.points.windows(2) {
-            let dt = w[1].0 - w[0].0;
-            if dt > 0.0 {
-                span += dt;
-                if pred(w[0].1) {
-                    hit += dt;
-                }
-            }
-        }
-        (span > 0.0).then(|| hit / span)
-    }
-
     /// Value at time `t` (step interpolation; `None` before the first
     /// sample).
     pub fn at(&self, t: f64) -> Option<f64> {
@@ -190,16 +171,6 @@ mod tests {
         s.push(9.0, 0.0); // held for 1 s
         s.push(10.0, 99.0); // terminal sample, zero weight
         assert_eq!(s.time_weighted_mean(), Some(9.0));
-    }
-
-    #[test]
-    fn fraction_where_counts_span() {
-        let mut s = TimeSeries::new("x");
-        s.push(0.0, 3.0);
-        s.push(4.0, 2.0);
-        s.push(10.0, 3.0);
-        let f = s.fraction_where(|v| v >= 3.0).unwrap();
-        assert!((f - 0.4).abs() < 1e-12);
     }
 
     #[test]

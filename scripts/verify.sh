@@ -13,6 +13,10 @@ echo "== 1/3 build (release) =="
 # later PR adds (steps 2-3 test and lint it too), nothing may be excluded
 # from the workspace, and the workspace is exactly these nine packages.
 cargo build --release --all-targets --all-features
+# benchmark/ is its own workspace with path dependencies on crates/*: an
+# API deleted there can break the only perf harness while `cargo test`
+# stays green, so build it here.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
 if grep -qE '^\s*exclude\s*=' Cargo.toml; then
   echo "FAIL: root Cargo.toml excludes a crate from the workspace" >&2
   exit 1
