@@ -1,10 +1,9 @@
 //! `campaign` — parallel sweep driver over the paper's T1/T2 workloads.
 //!
-//! Re-derives Tables 1 and 2 as one multi-threaded campaign instead of
-//! the one-cell-at-a-time loops in `table1_efficiency`/`table2_drop_quality`,
-//! and doubles as the determinism harness: every mode cross-checks the
-//! campaign fingerprint across thread counts and fails loudly on any
-//! divergence.
+//! Derives Tables 1 and 2 as one multi-threaded campaign (the repo's only
+//! regenerator for them) and doubles as the determinism harness: every
+//! mode cross-checks the campaign fingerprint across thread counts and
+//! fails loudly on any divergence.
 //!
 //! ```text
 //! campaign                 # full Table 1+2 sweep (50 sessions, 90 s each)

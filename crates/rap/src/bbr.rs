@@ -27,10 +27,9 @@
 //! stream and the polled clock.
 
 use crate::controller::RateController;
-use crate::history::{PacketRecord, TransmissionHistory};
 use crate::receiver::AckInfo;
-use crate::rtt::RttEstimator;
-use crate::sender::{report_losses, BackoffCause, RapEvent};
+use crate::sender::{BackoffCause, RapEvent};
+use crate::shell::SenderShell;
 use std::collections::VecDeque;
 
 /// Multiplicative discount applied to the bandwidth model on a loss
@@ -88,8 +87,7 @@ impl Default for BbrConfig {
 #[derive(Debug, Clone)]
 pub struct BbrSender {
     cfg: BbrConfig,
-    rtt: RttEstimator,
-    history: TransmissionHistory,
+    shell: SenderShell,
     /// Windowed max over delivery-rate samples: `(round, sample)` kept
     /// monotone decreasing in `sample`.
     bw_filter: VecDeque<(u64, f64)>,
@@ -116,40 +114,26 @@ pub struct BbrSender {
     loss_ends_startup: bool,
     /// Index into [`GAIN_CYCLE`] once out of startup.
     cycle_idx: usize,
-    next_seq: u64,
-    next_send: f64,
-    recovery_seq: Option<u64>,
-    last_progress: f64,
-    timeouts_in_row: u32,
-    events: Vec<RapEvent>,
 }
 
 impl BbrSender {
     /// New sender whose clock starts at `now`.
     pub fn new(cfg: BbrConfig, now: f64) -> Self {
-        let rtt = RttEstimator::new(cfg.initial_rtt);
-        let srtt = rtt.srtt();
+        let shell = SenderShell::new(cfg.initial_rtt, cfg.reorder_threshold, now);
         BbrSender {
-            history: TransmissionHistory::new(cfg.reorder_threshold),
-            rtt,
             bw_filter: VecDeque::new(),
             fallback_bw: cfg.initial_rate.max(cfg.packet_size),
             rtprop_filter: VecDeque::new(),
             delivered: 0.0,
             delivery_samples: VecDeque::new(),
             round: 0,
-            next_round: now + srtt,
+            next_round: now + shell.rtt.srtt(),
             startup: true,
             full_bw: 0.0,
             full_bw_count: 0,
             loss_ends_startup: false,
             cycle_idx: 0,
-            next_seq: 0,
-            next_send: now,
-            recovery_seq: None,
-            last_progress: now,
-            timeouts_in_row: 0,
-            events: Vec::new(),
+            shell,
             cfg,
         }
     }
@@ -177,7 +161,7 @@ impl BbrSender {
 
     /// Smoothed RTT (seconds).
     pub fn srtt(&self) -> f64 {
-        self.rtt.srtt()
+        self.shell.rtt.srtt()
     }
 
     /// Current pacing gain.
@@ -193,32 +177,13 @@ impl BbrSender {
         (self.gain() * self.btlbw()).clamp(self.min_rate(), self.cfg.max_rate)
     }
 
-    /// Consecutive timeouts without intervening ACK progress.
-    pub fn timeouts_in_row(&self) -> u32 {
-        self.timeouts_in_row
-    }
-
-    /// Configured packet size (bytes).
-    pub fn packet_size(&self) -> f64 {
-        self.cfg.packet_size
-    }
-
     /// The configuration this sender was built with.
     pub fn config(&self) -> &BbrConfig {
         &self.cfg
     }
 
-    fn timeout_deadline(&self) -> f64 {
-        if self.history.outstanding() == 0 {
-            return f64::INFINITY;
-        }
-        self.last_progress + self.rtt.rto()
-    }
-
-    /// Record an RTT sample into both the smoothed estimator and the
-    /// windowed min-filter.
-    fn sample_rtt(&mut self, now: f64, sample: f64) {
-        self.rtt.sample(sample);
+    /// Fold an RTT sample into the windowed min-filter.
+    fn sample_rtprop(&mut self, now: f64, sample: f64) {
         while self
             .rtprop_filter
             .back()
@@ -263,7 +228,7 @@ impl BbrSender {
     /// Update the delivery-rate estimate after `delivered` grew.
     fn sample_delivery_rate(&mut self, now: f64) {
         self.delivery_samples.push_back((now, self.delivered));
-        let horizon = now - self.rtt.srtt().max(1e-3);
+        let horizon = now - self.shell.rtt.srtt().max(1e-3);
         while self.delivery_samples.len() > 2
             && self.delivery_samples[1].0 <= horizon
         {
@@ -304,14 +269,14 @@ impl BbrSender {
         }
         let rate = self.paced_rate();
         if rate > rate_before {
-            self.events.push(RapEvent::RateIncrease { time: at, rate });
+            self.shell.events.push(RapEvent::RateIncrease { time: at, rate });
         }
     }
 
     /// Report ACK-inferred losses; a new congestion event discounts the
     /// bandwidth model.
     fn handle_losses(&mut self, now: f64) {
-        if !report_losses(&mut self.history, &mut self.events, self.recovery_seq, now) {
+        if !self.shell.report_losses(now) {
             return;
         }
         let pre_rate = self.paced_rate();
@@ -323,13 +288,8 @@ impl BbrSender {
         }
         self.fallback_bw = (self.fallback_bw * LOSS_BETA).max(self.min_rate());
         self.loss_ends_startup = true;
-        self.recovery_seq = self.next_seq.checked_sub(1);
-        self.events.push(RapEvent::Backoff {
-            time: now,
-            rate: self.paced_rate(),
-            pre_rate,
-            cause: BackoffCause::Loss,
-        });
+        self.shell
+            .backoff(now, pre_rate, self.paced_rate(), BackoffCause::Loss);
     }
 }
 
@@ -339,61 +299,38 @@ impl RateController for BbrSender {
     }
 
     fn slope(&self) -> f64 {
-        let srtt = self.rtt.srtt().max(1e-6);
+        let srtt = self.shell.rtt.srtt().max(1e-6);
         self.cfg.packet_size / (srtt * srtt)
     }
 
     fn next_send_time(&self, _now: f64) -> f64 {
-        self.next_send
+        self.shell.next_send
     }
 
     fn next_timer(&self) -> f64 {
-        self.next_round.min(self.timeout_deadline())
+        self.next_round.min(self.shell.timeout_deadline())
     }
 
     fn register_send(&mut self, now: f64, size: f64, tag: u32) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.history.on_send(
-            seq,
-            PacketRecord {
-                send_time: now,
-                size,
-                tag,
-            },
-        );
-        let ipg = self.cfg.packet_size / self.paced_rate();
-        // Pace from the scheduled time (same rule as RAP) so owner-loop
-        // jitter does not accumulate rate error.
-        self.next_send = self.next_send.max(now - ipg) + ipg;
-        if self.history.outstanding() == 1 {
-            self.last_progress = now;
-        }
+        let seq = self.shell.register_send(now, size, tag);
+        self.shell
+            .pace(now, self.cfg.packet_size / self.paced_rate());
         seq
     }
 
     fn on_ack(&mut self, now: f64, ack: AckInfo) {
-        self.last_progress = now;
-        self.timeouts_in_row = 0;
-        self.rtt.reset_backoff();
-        let trigger = self.history.resolve_ack(&ack, |seq, record| {
-            self.delivered += record.size;
-            self.events.push(RapEvent::acked(now, seq, record));
-        });
-        if let Some(record) = trigger {
-            self.sample_rtt(now, now - record.send_time);
+        let sample = self
+            .shell
+            .on_ack(now, &ack, |record| self.delivered += record.size);
+        if let Some(sample) = sample {
+            self.sample_rtprop(now, sample);
         }
         self.sample_delivery_rate(now);
         self.handle_losses(now);
     }
 
     fn poll_timers(&mut self, now: f64) {
-        if now >= self.timeout_deadline() {
-            self.history.flush_all_as_lost(|seq, record| {
-                self.events.push(RapEvent::lost(now, seq, record));
-            });
-            self.rtt.on_timeout();
-            self.timeouts_in_row = self.timeouts_in_row.saturating_add(1);
+        if self.shell.timed_out(now, self.shell.timeout_deadline()) {
             let pre_rate = self.paced_rate();
             // Collapse the model: the path stopped answering, so nothing
             // it learned is trustworthy. Cruise gain (not startup) so the
@@ -408,24 +345,18 @@ impl RateController for BbrSender {
             self.full_bw = 0.0;
             self.full_bw_count = 0;
             self.loss_ends_startup = false;
-            self.recovery_seq = self.next_seq.checked_sub(1);
-            self.last_progress = now;
-            self.events.push(RapEvent::Backoff {
-                time: now,
-                rate: self.paced_rate(),
-                pre_rate,
-                cause: BackoffCause::Timeout,
-            });
+            self.shell
+                .backoff(now, pre_rate, self.paced_rate(), BackoffCause::Timeout);
         }
         while now >= self.next_round {
             let at = self.next_round;
             self.advance_round(at);
-            self.next_round += self.rtt.srtt().max(1e-3);
+            self.next_round += self.shell.rtt.srtt().max(1e-3);
         }
     }
 
     fn drain_events_into(&mut self, out: &mut Vec<RapEvent>) {
-        out.append(&mut self.events);
+        out.append(&mut self.shell.events);
     }
 
     fn restart(&mut self, start_at: f64) {
@@ -441,6 +372,7 @@ impl RateController for BbrSender {
 mod tests {
     use super::*;
     use crate::receiver::RapReceiverState;
+    use crate::shell::tests::{drive, echo, flight};
 
     fn sender(max_rate: f64) -> BbrSender {
         BbrSender::new(
@@ -454,40 +386,9 @@ mod tests {
         )
     }
 
-    /// Echo path with one-way delay `owd` dropping every `loss_every`-th
-    /// packet (0 = lossless). Returns (sender, backoff list as
-    /// `(pre, post)` pairs).
-    fn run(
-        mut s: BbrSender,
-        dur: f64,
-        owd: f64,
-        loss_every: u64,
-    ) -> (BbrSender, Vec<(f64, f64)>) {
-        let mut rx = RapReceiverState::new();
-        let mut now = 0.0;
-        let mut pipe: Vec<(f64, u64)> = Vec::new();
-        let mut backoffs = Vec::new();
-        let mut events = Vec::new();
-        while now < dur {
-            s.poll_timers(now);
-            while !pipe.is_empty() && pipe[0].0 <= now {
-                let (_, seq) = pipe.remove(0);
-                s.on_ack(now, rx.on_data(seq));
-            }
-            while now >= RateController::next_send_time(&s, now) {
-                let seq = RateController::register_send(&mut s, now, 1_000.0, 0);
-                if loss_every == 0 || seq % loss_every != loss_every - 1 {
-                    pipe.push((now + 2.0 * owd, seq));
-                }
-            }
-            s.drain_events_into(&mut events);
-            for e in events.drain(..) {
-                if let RapEvent::Backoff { rate, pre_rate, .. } = e {
-                    backoffs.push((pre_rate, rate));
-                }
-            }
-            now += 0.001;
-        }
+    /// [`drive`] over [`echo`]. Returns (sender, `(pre, post)` backoffs).
+    fn run(mut s: BbrSender, dur: f64, loss_every: u64) -> (BbrSender, Vec<(f64, f64)>) {
+        let backoffs = drive(&mut s, dur, echo(loss_every));
         (s, backoffs)
     }
 
@@ -495,7 +396,7 @@ mod tests {
     fn learns_the_path_without_loss() {
         // Unlimited echo path: startup must ramp the model well past the
         // initial rate, and rtprop must find the 40 ms path RTT.
-        let (s, backoffs) = run(sender(f64::INFINITY), 3.0, 0.02, 0);
+        let (s, backoffs) = run(sender(f64::INFINITY), 3.0, 0);
         assert!(s.btlbw() > 100_000.0, "btlbw {}", s.btlbw());
         assert!((s.rtprop() - 0.04).abs() < 0.02, "rtprop {}", s.rtprop());
         assert!(backoffs.is_empty());
@@ -503,33 +404,18 @@ mod tests {
 
     #[test]
     fn respects_max_rate_bound() {
-        let (s, _) = run(sender(50_000.0), 3.0, 0.02, 0);
-        assert!(RateController::rate(&s) <= 50_000.0 + 1e-9);
+        let (s, _) = run(sender(50_000.0), 3.0, 0);
+        assert!(s.rate() <= 50_000.0 + 1e-9);
     }
 
     #[test]
     fn loss_discounts_model_once_per_cluster() {
+        // 3 and 5 lost from the same flight: one congestion event, and
+        // BBR's answer to it is the nominal discount.
         let mut s = sender(f64::INFINITY);
-        let mut rx = RapReceiverState::new();
-        for i in 0..10u64 {
-            RateController::register_send(&mut s, i as f64 * 0.01, 1_000.0, 0);
-        }
-        // Lose 3 and 5 from the same flight: one congestion event.
-        for seq in (0..10u64).filter(|q| *q != 3 && *q != 5) {
-            s.on_ack(0.3, rx.on_data(seq));
-        }
-        let mut events = Vec::new();
-        s.drain_events_into(&mut events);
-        let backoffs: Vec<_> = events
-            .iter()
-            .filter_map(|e| match e {
-                RapEvent::Backoff { rate, pre_rate, .. } => Some((*pre_rate, *rate)),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(backoffs.len(), 1, "cluster suppression");
-        let (pre, post) = backoffs[0];
-        let ratio = post / pre;
+        let pre = s.rate();
+        flight(&mut s, &mut RapReceiverState::new(), 0.0, 10, &[3, 5]);
+        let ratio = s.rate() / pre;
         assert!(
             (ratio - LOSS_BETA).abs() < 1e-9,
             "realized factor {ratio} vs nominal {LOSS_BETA}"
@@ -538,46 +424,31 @@ mod tests {
 
     #[test]
     fn every_backoff_ratio_in_unit_interval() {
-        let (s, backoffs) = run(sender(f64::INFINITY), 10.0, 0.02, 40);
+        let (s, backoffs) = run(sender(f64::INFINITY), 10.0, 40);
         assert!(!backoffs.is_empty(), "periodic loss must back off");
         for (pre, post) in backoffs {
             assert!(pre > 0.0 && post > 0.0);
             let ratio = post / pre;
-            assert!(
-                ratio > 0.0 && ratio <= 1.0,
-                "ratio {ratio} out of (0, 1]"
-            );
+            assert!(ratio > 0.0 && ratio <= 1.0, "ratio {ratio} out of (0, 1]");
         }
-        assert!(RateController::rate(&s) >= s.packet_size());
+        assert!(s.rate() >= s.config().packet_size);
     }
 
     #[test]
     fn timeout_collapses_to_floor() {
         let mut s = sender(f64::INFINITY);
         for i in 0..5u64 {
-            RateController::register_send(&mut s, i as f64 * 0.01, 1_000.0, 0);
+            s.register_send(i as f64 * 0.01, 1_000.0, 0);
         }
         s.poll_timers(30.0);
-        assert_eq!(RateController::rate(&s), s.packet_size());
-        let mut events = Vec::new();
-        s.drain_events_into(&mut events);
-        assert!(events.iter().any(|e| matches!(
-            e,
-            RapEvent::Backoff {
-                cause: BackoffCause::Timeout,
-                ..
-            }
-        )));
+        assert_eq!(s.rate(), s.config().packet_size);
     }
 
     #[test]
     fn deterministic_across_identical_runs() {
-        let (a, _) = run(sender(f64::INFINITY), 5.0, 0.02, 60);
-        let (b, _) = run(sender(f64::INFINITY), 5.0, 0.02, 60);
+        let (a, _) = run(sender(f64::INFINITY), 5.0, 60);
+        let (b, _) = run(sender(f64::INFINITY), 5.0, 60);
         assert_eq!(a.btlbw().to_bits(), b.btlbw().to_bits());
-        assert_eq!(
-            RateController::rate(&a).to_bits(),
-            RateController::rate(&b).to_bits()
-        );
+        assert_eq!(a.rate().to_bits(), b.rate().to_bits());
     }
 }

@@ -25,8 +25,7 @@
 //! [`next_send_time`]: RateController::next_send_time
 
 use crate::receiver::AckInfo;
-use crate::sender::{RapEvent, RapSender};
-use crate::window::WindowSender;
+use crate::sender::RapEvent;
 
 /// A congestion controller usable underneath the quality-adaptation layer.
 ///
@@ -87,170 +86,22 @@ pub trait RateController {
     }
 }
 
-impl RateController for RapSender {
-    fn rate(&self) -> f64 {
-        RapSender::rate(self)
-    }
-
-    fn slope(&self) -> f64 {
-        RapSender::slope(self)
-    }
-
-    fn next_send_time(&self, _now: f64) -> f64 {
-        RapSender::next_send_time(self)
-    }
-
-    fn next_timer(&self) -> f64 {
-        RapSender::next_timer(self)
-    }
-
-    fn register_send(&mut self, now: f64, size: f64, tag: u32) -> u64 {
-        RapSender::register_send(self, now, size, tag)
-    }
-
-    fn on_ack(&mut self, now: f64, ack: AckInfo) {
-        RapSender::on_ack(self, now, ack)
-    }
-
-    fn poll_timers(&mut self, now: f64) {
-        RapSender::poll_timers(self, now)
-    }
-
-    fn drain_events_into(&mut self, out: &mut Vec<RapEvent>) {
-        RapSender::drain_events_into(self, out)
-    }
-
-    fn restart(&mut self, start_at: f64) {
-        *self = RapSender::new(self.config().clone(), start_at);
-    }
-}
-
-impl RateController for WindowSender {
-    fn rate(&self) -> f64 {
-        WindowSender::rate(self)
-    }
-
-    fn slope(&self) -> f64 {
-        WindowSender::slope(self)
-    }
-
-    fn next_send_time(&self, now: f64) -> f64 {
-        if self.can_send() {
-            now
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn next_timer(&self) -> f64 {
-        WindowSender::next_timer(self)
-    }
-
-    fn register_send(&mut self, now: f64, size: f64, tag: u32) -> u64 {
-        WindowSender::register_send(self, now, size, tag)
-    }
-
-    fn on_ack(&mut self, now: f64, ack: AckInfo) {
-        WindowSender::on_ack(self, now, ack)
-    }
-
-    fn poll_timers(&mut self, now: f64) {
-        WindowSender::poll_timers(self, now)
-    }
-
-    fn drain_events_into(&mut self, out: &mut Vec<RapEvent>) {
-        WindowSender::drain_events_into(self, out)
-    }
-
-    fn restart(&mut self, start_at: f64) {
-        *self = WindowSender::new(self.config().clone(), start_at);
-    }
-
-    fn tick_rate(&self) -> f64 {
-        self.smoothed_rate()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::receiver::RapReceiverState;
-    use crate::sender::RapConfig;
-    use crate::window::WindowConfig;
-
-    /// Drive any controller through a lossless echo path for `dur` seconds
-    /// with one-way delay `owd`, using only the trait surface.
-    fn run_clean<T: RateController>(ctl: &mut T, dur: f64, owd: f64) {
-        let mut rx = RapReceiverState::new();
-        let mut now = 0.0;
-        let mut pipe: Vec<(f64, u64)> = Vec::new();
-        while now < dur {
-            ctl.poll_timers(now);
-            while !pipe.is_empty() && pipe[0].0 <= now {
-                let (_, seq) = pipe.remove(0);
-                ctl.on_ack(now, rx.on_data(seq));
-            }
-            while now >= ctl.next_send_time(now) {
-                let seq = ctl.register_send(now, 1_000.0, 0);
-                pipe.push((now + 2.0 * owd, seq));
-            }
-            now += 0.001;
-        }
-    }
-
-    #[test]
-    fn rap_behind_trait_matches_direct_driving() {
-        // The exact driving loop from the sender's own tests, expressed
-        // through the trait, must leave the sender in the same state.
-        let cfg = RapConfig {
-            initial_rate: 10_000.0,
-            initial_rtt: 0.1,
-            ..RapConfig::default()
-        };
-        let mut via_trait = RapSender::new(cfg.clone(), 0.0);
-        run_clean(&mut via_trait, 2.0, 0.05);
-
-        let mut direct = RapSender::new(cfg, 0.0);
-        let mut rx = RapReceiverState::new();
-        let mut now = 0.0;
-        let mut pipe: Vec<(f64, u64)> = Vec::new();
-        while now < 2.0 {
-            direct.poll_timers(now);
-            while !pipe.is_empty() && pipe[0].0 <= now {
-                let (_, seq) = pipe.remove(0);
-                direct.on_ack(now, rx.on_data(seq));
-            }
-            while now >= direct.next_send_time() {
-                let seq = direct.register_send(now, 1_000.0, 0);
-                pipe.push((now + 0.1, seq));
-            }
-            now += 0.001;
-        }
-        assert_eq!(via_trait.rate().to_bits(), direct.rate().to_bits());
-        assert_eq!(
-            RateController::slope(&via_trait).to_bits(),
-            direct.slope().to_bits()
-        );
-        assert_eq!(via_trait.srtt().to_bits(), direct.srtt().to_bits());
-    }
+    use crate::shell::tests::{drive, echo};
+    use crate::{RapConfig, RapSender, WindowConfig, WindowSender};
 
     #[test]
     fn window_sender_clocks_on_acks() {
-        let mut w = WindowSender::new(
-            WindowConfig {
-                initial_rtt: 0.05,
-                ..WindowConfig::default()
-            },
-            0.0,
-        );
-        // Window open → send now; exhausted → never.
-        assert_eq!(RateController::next_send_time(&w, 1.0), 1.0);
-        let cap = w.cwnd().floor() as usize;
-        for _ in 0..cap {
-            RateController::register_send(&mut w, 1.0, 1_000.0, 0);
-        }
-        assert_eq!(RateController::next_send_time(&w, 1.0), f64::INFINITY);
-        run_clean(&mut w, 2.0, 0.02);
+        // The owner's `while now >= next_send_time(now)` loop, correct for
+        // paced senders, must also open an ACK-clocked window.
+        let cfg = WindowConfig {
+            initial_rtt: 0.05,
+            ..WindowConfig::default()
+        };
+        let mut w = WindowSender::new(cfg, 0.0);
+        drive(&mut w, 2.0, echo(0));
         assert!(w.rate() > 100_000.0, "window must open: {}", w.rate());
         assert!(w.tick_rate() > 0.0 && w.tick_rate().is_finite());
     }
@@ -258,21 +109,12 @@ mod tests {
     #[test]
     fn restart_resets_to_fresh_state() {
         let mut s = RapSender::new(RapConfig::default(), 0.0);
-        run_clean(&mut s, 1.0, 0.02);
-        let mut drained = Vec::new();
-        RateController::drain_events_into(&mut s, &mut drained);
-        RateController::restart(&mut s, 5.0);
+        drive(&mut s, 1.0, echo(0));
+        s.restart(5.0);
         let fresh = RapSender::new(RapConfig::default(), 5.0);
         assert_eq!(s.rate().to_bits(), fresh.rate().to_bits());
-        assert_eq!(
-            RateController::next_send_time(&s, 5.0).to_bits(),
-            fresh.next_send_time().to_bits()
-        );
-        let mut w = WindowSender::new(WindowConfig::default(), 0.0);
-        run_clean(&mut w, 1.0, 0.02);
-        RateController::restart(&mut w, 5.0);
-        let fresh = WindowSender::new(WindowConfig::default(), 0.0);
-        assert_eq!(w.cwnd().to_bits(), fresh.cwnd().to_bits());
+        assert_eq!(s.next_send_time(5.0), 5.0);
+        assert_eq!(s.next_timer().to_bits(), fresh.next_timer().to_bits());
     }
 
     #[test]

@@ -13,16 +13,15 @@
 //! * [`rtt`] — Jacobson/Karels RTT estimation and RTO;
 //! * [`history`] — transmission history and ACK-inferred loss detection;
 //! * [`receiver`] — the receiver's reception state and redundant ACKs;
-//! * [`sender`] — [`sender::RapSender`], the full sender state machine;
-//! * [`window`] — an ACK-clocked (TCP-like) AIMD sender with the same
-//!   event interface, for the paper's "other AIMD schemes" future work;
-//! * [`controller`] — the [`controller::RateController`] trait: the exact
-//!   surface the quality-adaptation layer consumes, so any of the senders
-//!   here (and the [`bbr`]/[`nada`] controllers) can sit underneath it;
-//! * [`bbr`] — a BBR-style delivery-rate-model sender (windowed max
-//!   bandwidth filter, min-RTT filter, pacing-gain probe cycle);
-//! * [`nada`] — a NADA-style delay-gradient sender (unified delay+loss
-//!   congestion signal with a proportional rate update).
+//! * [`controller`] — the [`controller::RateController`] trait: the
+//!   surface the quality-adaptation layer consumes, and the only one the
+//!   four senders are driven through;
+//! * `shell` (private) — what is not a control law, written once: sequence
+//!   numbers, history, RTT, the timeout clock, one backoff per loss event;
+//! * [`sender`] — [`sender::RapSender`], the paper's rate-paced AIMD;
+//! * [`window`] — an ACK-clocked (TCP-like) AIMD window (§7 future work);
+//! * [`bbr`] — a BBR-style delivery-rate model with a pacing-gain cycle;
+//! * [`nada`] — a NADA-style unified delay+loss signal.
 //!
 //! The state machines own no clock and no socket: the packet-level
 //! simulator (`laqa-sim`) drives them.
@@ -38,6 +37,7 @@ pub mod nada;
 pub mod receiver;
 pub mod rtt;
 pub mod sender;
+mod shell;
 pub mod window;
 
 pub use aimd::AimdState;

@@ -11,10 +11,10 @@
 //! to RAP's — one packet per RTT per RTT), and the same [`RapEvent`]
 //! stream.
 
-use crate::history::{PacketRecord, TransmissionHistory};
+use crate::controller::RateController;
 use crate::receiver::AckInfo;
-use crate::rtt::RttEstimator;
-use crate::sender::{report_losses, BackoffCause, RapEvent};
+use crate::sender::{BackoffCause, RapEvent};
+use crate::shell::SenderShell;
 
 /// Window-sender configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,17 +53,11 @@ pub struct WindowSender {
     cfg: WindowConfig,
     cwnd: f64,
     ssthresh: f64,
-    rtt: RttEstimator,
-    history: TransmissionHistory,
-    next_seq: u64,
-    recovery_seq: Option<u64>,
-    last_progress: f64,
-    timeouts_in_row: u32,
+    shell: SenderShell,
     /// EWMA of the derived rate. `cwnd/srtt` jumps a whole packet's worth
     /// per ACK in slow start; the QA allocation tick wants something
     /// steadier than that, so the trait's `tick_rate` reads this instead.
     smoothed_rate: f64,
-    events: Vec<RapEvent>,
 }
 
 /// EWMA gain for the smoothed tick rate.
@@ -77,14 +71,8 @@ impl WindowSender {
         WindowSender {
             cwnd,
             ssthresh: cfg.initial_ssthresh,
-            rtt: RttEstimator::new(cfg.initial_rtt),
-            history: TransmissionHistory::new(cfg.reorder_threshold),
-            next_seq: 0,
-            recovery_seq: None,
-            last_progress: now,
-            timeouts_in_row: 0,
+            shell: SenderShell::new(cfg.initial_rtt, cfg.reorder_threshold, now),
             smoothed_rate,
-            events: Vec::new(),
             cfg,
         }
     }
@@ -96,40 +84,24 @@ impl WindowSender {
 
     /// Smoothed RTT (seconds).
     pub fn srtt(&self) -> f64 {
-        self.rtt.srtt()
-    }
-
-    /// Derived transmission rate (bytes/s): `cwnd · pkt / srtt`.
-    pub fn rate(&self) -> f64 {
-        self.cwnd * self.cfg.packet_size / self.rtt.srtt().max(1e-6)
+        self.shell.rtt.srtt()
     }
 
     /// EWMA-smoothed transmission rate (bytes/s) — a steadier signal than
-    /// [`rate`](Self::rate) for per-tick consumers like the QA allocator.
+    /// [`rate`](RateController::rate) for per-tick consumers like the QA
+    /// allocator.
     pub fn smoothed_rate(&self) -> f64 {
         self.smoothed_rate
     }
 
-    /// AIMD slope `S = pkt/srtt²` (bytes/s²) — one packet per RTT gained
-    /// each RTT, exactly like RAP's.
-    pub fn slope(&self) -> f64 {
-        let srtt = self.rtt.srtt().max(1e-6);
-        self.cfg.packet_size / (srtt * srtt)
-    }
-
     /// Packets in flight.
     pub fn in_flight(&self) -> usize {
-        self.history.outstanding()
+        self.shell.in_flight()
     }
 
     /// Whether the window permits a transmission right now.
     pub fn can_send(&self) -> bool {
-        (self.history.outstanding() as f64) < self.cwnd.floor().max(1.0)
-    }
-
-    /// Configured packet size.
-    pub fn packet_size(&self) -> f64 {
-        self.cfg.packet_size
+        (self.shell.in_flight() as f64) < self.cwnd.floor().max(1.0)
     }
 
     /// The configuration this sender was built with.
@@ -137,39 +109,69 @@ impl WindowSender {
         &self.cfg
     }
 
-    /// Next timer deadline (timeout clock) the owner should poll at.
-    pub fn next_timer(&self) -> f64 {
-        if self.history.outstanding() == 0 {
+    /// Drain accumulated events.
+    pub fn take_events(&mut self) -> Vec<RapEvent> {
+        std::mem::take(&mut self.shell.events)
+    }
+
+    /// Multiplicative decrease: `ssthresh` is half the window; a loss
+    /// continues from there, a timeout from one packet.
+    fn shrink(&mut self, now: f64, cause: BackoffCause) {
+        let pre_rate = self.rate();
+        self.ssthresh = (self.cwnd / 2.0).max(2.0);
+        self.cwnd = match cause {
+            BackoffCause::Loss => self.ssthresh,
+            BackoffCause::Timeout => 1.0,
+        };
+        let rate = self.rate();
+        self.smoothed_rate = rate;
+        self.shell.backoff(now, pre_rate, rate, cause);
+    }
+}
+
+impl RateController for WindowSender {
+    // Derived: `cwnd · pkt / srtt`.
+    fn rate(&self) -> f64 {
+        self.cwnd * self.cfg.packet_size / self.shell.rtt.srtt().max(1e-6)
+    }
+
+    // `S = pkt/srtt²` — one packet per RTT gained each RTT, exactly like
+    // RAP's.
+    fn slope(&self) -> f64 {
+        let srtt = self.shell.rtt.srtt().max(1e-6);
+        self.cfg.packet_size / (srtt * srtt)
+    }
+
+    fn next_send_time(&self, now: f64) -> f64 {
+        if self.can_send() {
+            now
+        } else {
+            f64::INFINITY
+        }
+    }
+
+    // The timeout clock is the only timer. Pinned divergence 1 of 2 from
+    // the shell (ROADMAP, "WindowSender's compounded RTO"): the
+    // estimator's `rto()` already carries the capped backoff, and this
+    // multiplies it by `2^timeouts_in_row` again — 4ⁿ growth. The interop
+    // `tcp` digest and the four hostile digests pin it.
+    fn next_timer(&self) -> f64 {
+        if self.shell.in_flight() == 0 {
             return f64::INFINITY;
         }
-        let rto = self.rtt.rto() * 2f64.powi(self.timeouts_in_row.min(6) as i32);
-        self.last_progress + rto
+        let rto = self.shell.rtt.rto() * 2f64.powi(self.shell.timeouts_in_row.min(6) as i32);
+        self.shell.last_progress + rto
     }
 
-    /// Register a transmission; returns the sequence number.
-    pub fn register_send(&mut self, now: f64, size: f64, tag: u32) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.history.on_send(
-            seq,
-            PacketRecord {
-                send_time: now,
-                size,
-                tag,
-            },
-        );
-        if self.history.outstanding() == 1 {
-            self.last_progress = now;
-        }
-        seq
+    fn register_send(&mut self, now: f64, size: f64, tag: u32) -> u64 {
+        self.shell.register_send(now, size, tag)
     }
 
-    /// Process an ACK: RTT sampling, per-ACK window growth, loss handling.
-    pub fn on_ack(&mut self, now: f64, ack: AckInfo) {
-        self.last_progress = now;
-        self.timeouts_in_row = 0;
-        let trigger = self.history.resolve_ack(&ack, |seq, record| {
-            self.events.push(RapEvent::acked(now, seq, record));
+    fn on_ack(&mut self, now: f64, ack: AckInfo) {
+        // Pinned divergence 2 of 2 (same ROADMAP note): no eager
+        // `reset_backoff()` on ACK progress — only a valid RTT sample
+        // clears the estimator's backoff.
+        self.shell.on_ack_keeping_backoff(now, &ack, |_| {
             // Per-ACK growth: slow start below ssthresh, else CA.
             if self.cwnd < self.ssthresh {
                 self.cwnd += 1.0;
@@ -178,60 +180,28 @@ impl WindowSender {
             }
             self.cwnd = self.cwnd.min(self.cfg.max_cwnd);
         });
-        if let Some(record) = trigger {
-            self.rtt.sample(now - record.send_time);
-        }
         self.smoothed_rate += RATE_SMOOTHING * (self.rate() - self.smoothed_rate);
-        if report_losses(&mut self.history, &mut self.events, self.recovery_seq, now) {
-            let pre_rate = self.rate();
-            self.ssthresh = (self.cwnd / 2.0).max(2.0);
-            self.cwnd = self.ssthresh;
-            self.recovery_seq = self.next_seq.checked_sub(1);
-            let rate = self.rate();
-            self.smoothed_rate = rate;
-            self.events.push(RapEvent::Backoff {
-                time: now,
-                rate,
-                pre_rate,
-                cause: BackoffCause::Loss,
-            });
+        if self.shell.report_losses(now) {
+            self.shrink(now, BackoffCause::Loss);
         }
     }
 
-    /// Poll the timeout clock.
-    pub fn poll_timers(&mut self, now: f64) {
-        if now >= self.next_timer() {
-            self.history.flush_all_as_lost(|seq, record| {
-                self.events.push(RapEvent::lost(now, seq, record));
-            });
-            self.rtt.on_timeout();
-            self.timeouts_in_row = self.timeouts_in_row.saturating_add(1);
-            let pre_rate = self.rate();
-            self.ssthresh = (self.cwnd / 2.0).max(2.0);
-            self.cwnd = 1.0;
-            self.recovery_seq = self.next_seq.checked_sub(1);
-            self.last_progress = now;
-            let rate = self.rate();
-            self.smoothed_rate = rate;
-            self.events.push(RapEvent::Backoff {
-                time: now,
-                rate,
-                pre_rate,
-                cause: BackoffCause::Timeout,
-            });
+    fn poll_timers(&mut self, now: f64) {
+        if self.shell.timed_out(now, self.next_timer()) {
+            self.shrink(now, BackoffCause::Timeout);
         }
     }
 
-    /// Drain accumulated events.
-    pub fn take_events(&mut self) -> Vec<RapEvent> {
-        std::mem::take(&mut self.events)
+    fn drain_events_into(&mut self, out: &mut Vec<RapEvent>) {
+        out.append(&mut self.shell.events);
     }
 
-    /// Drain accumulated events into `out`, preserving both buffers'
-    /// capacity — the zero-allocation alternative to
-    /// [`take_events`](Self::take_events) for per-tick polling loops.
-    pub fn drain_events_into(&mut self, out: &mut Vec<RapEvent>) {
-        out.append(&mut self.events);
+    fn restart(&mut self, start_at: f64) {
+        *self = WindowSender::new(self.cfg.clone(), start_at);
+    }
+
+    fn tick_rate(&self) -> f64 {
+        self.smoothed_rate
     }
 }
 
@@ -239,6 +209,7 @@ impl WindowSender {
 mod tests {
     use super::*;
     use crate::receiver::RapReceiverState;
+    use crate::shell::tests::{backoffs_and_losses, drive, echo, flight};
 
     fn sender() -> WindowSender {
         WindowSender::new(
@@ -250,63 +221,42 @@ mod tests {
         )
     }
 
-    /// Lossless echo path with one-way delay `owd`.
-    fn run_clean(mut s: WindowSender, dur: f64, owd: f64) -> WindowSender {
-        let mut rx = RapReceiverState::new();
-        let mut now = 0.0;
-        let mut pipe: Vec<(f64, u64)> = Vec::new();
-        while now < dur {
-            s.poll_timers(now);
-            while !pipe.is_empty() && pipe[0].0 <= now {
-                let (_, seq) = pipe.remove(0);
-                s.on_ack(now, rx.on_data(seq));
-            }
-            while s.can_send() {
-                let seq = s.register_send(now, s.packet_size(), 0);
-                pipe.push((now + 2.0 * owd, seq));
-            }
-            now += 0.001;
-        }
+    /// Lossless echo path of 40 ms round trip.
+    fn run_clean(mut s: WindowSender, dur: f64) -> WindowSender {
+        drive(&mut s, dur, echo(0));
         s
     }
 
     #[test]
     fn window_opens_without_loss() {
-        let s = run_clean(sender(), 2.0, 0.02);
+        let s = run_clean(sender(), 2.0);
         assert!(s.cwnd() > 30.0, "cwnd {}", s.cwnd());
         assert!(s.rate() > 100_000.0);
+        assert!(s.tick_rate() > 0.0 && s.tick_rate().is_finite());
     }
 
     #[test]
     fn can_send_respects_window() {
+        // ACK-clocked: window open → send now; exhausted → never.
         let mut s = sender();
-        assert!(s.can_send());
-        let w = s.cwnd().floor() as usize;
-        for _ in 0..w {
+        for _ in 0..s.cwnd().floor() as usize {
             assert!(s.can_send());
-            s.register_send(0.0, 1_000.0, 0);
+            assert_eq!(s.next_send_time(1.0), 1.0);
+            s.register_send(1.0, 1_000.0, 0);
         }
         assert!(!s.can_send(), "window exhausted");
+        assert_eq!(s.next_send_time(1.0), f64::INFINITY);
     }
 
     #[test]
     fn loss_halves_window_once_per_cluster() {
+        // 2 and 4 lost from the same flight: one congestion event. Four
+        // ACKs open the window from 2 to 6, the first loss halves it to 3,
+        // and the last two ACKs add congestion avoidance's 1/cwnd each.
         let mut s = sender();
-        let mut rx = RapReceiverState::new();
-        // Open the window a little first.
-        for i in 0..8u64 {
-            s.register_send(i as f64 * 0.01, 1_000.0, 0);
-        }
-        // Lose 2 and 4 from the same flight.
-        for seq in [0u64, 1, 3, 5, 6, 7] {
-            s.on_ack(0.2, rx.on_data(seq));
-        }
-        let backoffs = s
-            .take_events()
-            .iter()
-            .filter(|e| matches!(e, RapEvent::Backoff { .. }))
-            .count();
-        assert_eq!(backoffs, 1, "one backoff per congestion event");
+        flight(&mut s, &mut RapReceiverState::new(), 0.0, 8, &[2, 4]);
+        assert!((3.0..4.0).contains(&s.cwnd()), "cwnd {}", s.cwnd());
+        assert_eq!(backoffs_and_losses(&mut s), (1, 2));
     }
 
     #[test]
@@ -317,19 +267,36 @@ mod tests {
         }
         s.poll_timers(10.0);
         assert_eq!(s.cwnd(), 1.0);
-        let events = s.take_events();
-        assert_eq!(
-            events
-                .iter()
-                .filter(|e| matches!(e, RapEvent::PacketLost { .. }))
-                .count(),
-            5
-        );
+        assert_eq!(backoffs_and_losses(&mut s), (1, 5));
+    }
+
+    #[test]
+    fn timeout_deadline_compounds_and_only_a_sample_resets_the_estimator() {
+        // Pinned, not endorsed — the two divergences from the shell that
+        // ROADMAP's "WindowSender's compounded RTO" note records.
+        // 1: after n consecutive timeouts the estimator's RTO is already
+        // 2ⁿ × base and the deadline multiplies it by 2ⁿ again. Base RTO
+        // from the 50 ms seed: max(0.05 + 4·0.025, min_rto) = 0.2 s.
+        let mut s = sender();
+        for (n, rto) in [0.2, 0.2 * 4.0, 0.2 * 16.0].into_iter().enumerate() {
+            let now = n as f64 * 10.0;
+            s.register_send(now, 1_000.0, 0);
+            assert!((s.next_timer() - (now + rto)).abs() < 1e-12, "timeout {n}");
+            s.poll_timers(s.next_timer());
+            assert_eq!(backoffs_and_losses(&mut s), (1, 1), "timeout {n}");
+        }
+        // 2: a late ACK for a packet the timeout already wrote off is
+        // progress (the window's own exponent clears) but yields no RTT
+        // sample, so the estimator's 2³ stands where the shell's eager
+        // reset would have cleared it.
+        s.on_ack(30.0, RapReceiverState::new().on_data(0));
+        s.register_send(30.0, 1_000.0, 0);
+        assert!((s.next_timer() - (30.0 + 0.2 * 8.0)).abs() < 1e-12);
     }
 
     #[test]
     fn slope_matches_rap_formula() {
-        let s = run_clean(sender(), 1.0, 0.02);
+        let s = run_clean(sender(), 1.0);
         let srtt = s.srtt();
         assert!((s.slope() - 1_000.0 / (srtt * srtt)).abs() < 1e-6);
     }

@@ -6,36 +6,128 @@
 //! than proptest, so the suite runs with zero registry access.
 
 use laqa_check::{cases, Gen};
-use laqa_rap::{AckInfo, RapConfig, RapEvent, RapReceiverState, RapSender};
+use laqa_rap::{
+    AckInfo, BbrConfig, BbrSender, NadaConfig, NadaSender, RapConfig, RapEvent, RapReceiverState,
+    RapSender, RateController, WindowConfig, WindowSender,
+};
 use std::collections::BTreeSet;
+use std::sync::Mutex;
 
-/// Random per-packet fate codes in `0..=3` (see `run_fates`).
+/// Random per-packet fate codes in `0..=3` (see [`drive`]).
 fn fate_vec(g: &mut Gen, len_lo: usize, len_hi: usize) -> Vec<u8> {
     let len = g.usize_in(len_lo, len_hi);
     (0..len).map(|_| g.u32_in(0, 3) as u8).collect()
 }
 
-/// Replay a randomized path: per-packet fates (delivered / lost /
-/// duplicated) and a bounded reorder depth.
-fn run_fates(fates: &[u8], reorder: usize) -> (RapSender, u64, u64) {
-    let mut s = RapSender::new(
-        RapConfig {
-            initial_rate: 10_000.0,
-            initial_rtt: 0.05,
-            ..RapConfig::default()
-        },
-        0.0,
-    );
+/// The four controllers, fresh, labelled.
+fn controllers() -> [(&'static str, Box<dyn RateController>); 4] {
+    let (initial_rate, initial_rtt) = (10_000.0, 0.05);
+    [
+        (
+            "rap",
+            Box::new(RapSender::new(
+                RapConfig {
+                    initial_rate,
+                    initial_rtt,
+                    ..RapConfig::default()
+                },
+                0.0,
+            )),
+        ),
+        (
+            "bbr",
+            Box::new(BbrSender::new(
+                BbrConfig {
+                    initial_rate,
+                    initial_rtt,
+                    ..BbrConfig::default()
+                },
+                0.0,
+            )),
+        ),
+        (
+            "nada",
+            Box::new(NadaSender::new(
+                NadaConfig {
+                    initial_rate,
+                    initial_rtt,
+                    ..NadaConfig::default()
+                },
+                0.0,
+            )),
+        ),
+        (
+            "tcp",
+            Box::new(WindowSender::new(
+                WindowConfig {
+                    initial_rtt,
+                    ..WindowConfig::default()
+                },
+                0.0,
+            )),
+        ),
+    ]
+}
+
+/// What a sender reported over one [`drive`].
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct Tally {
+    acked: u64,
+    lost: u64,
+    backoffs: u64,
+    /// ACKs whose own packet was still outstanding: the ones that time
+    /// the path.
+    rtt_samples: u64,
+}
+
+impl Tally {
+    /// Drain `ctl` into the tally. `ack_seq` names the packet whose ACK
+    /// was just processed, if one was.
+    fn absorb(&mut self, ctl: &mut dyn RateController, ack_seq: Option<u64>) {
+        let mut events = Vec::new();
+        ctl.drain_events_into(&mut events);
+        for e in events {
+            match e {
+                RapEvent::PacketAcked { seq, .. } => {
+                    self.acked += 1;
+                    self.rtt_samples += u64::from(ack_seq == Some(seq));
+                }
+                RapEvent::PacketLost { .. } => self.lost += 1,
+                RapEvent::Backoff { .. } => self.backoffs += 1,
+                RapEvent::RateIncrease { .. } => {}
+            }
+        }
+    }
+}
+
+/// The one sender driver of this file: replay a randomized path through
+/// the trait surface — per-packet fates (0 | 1 delivered, 2 duplicated,
+/// 3 lost) and a bounded reorder depth — in 1 ms steps, then keep the
+/// clock running until every packet sent is resolved.
+fn drive(ctl: &mut dyn RateController, fates: &[u8], reorder: usize) -> Tally {
     let mut rx = RapReceiverState::new();
     let owd = 0.02;
     let mut now = 0.0;
     let mut pipeline: Vec<(f64, u64)> = Vec::new();
-    let mut acked = 0u64;
-    let mut lost = 0u64;
+    let mut tally = Tally::default();
     let mut i = 0usize;
-    while i < fates.len() {
+    while tally.acked + tally.lost < fates.len() as u64 {
+        assert!(
+            now < 1e4,
+            "sender wedged: {tally:?} of {} sent",
+            fates.len()
+        );
         now += 0.001;
-        s.poll_timers(now);
+        if pipeline.is_empty() {
+            // Nothing happens before the sender's next deadline: jump to
+            // it (a window sender backed off 4ⁿ would otherwise idle for
+            // minutes of 1 ms steps).
+            let unsent = i < fates.len();
+            let next_send = if unsent { ctl.next_send_time(now) } else { 1e4 };
+            now = now.max(ctl.next_timer().min(next_send));
+        }
+        ctl.poll_timers(now);
+        tally.absorb(ctl, None);
         // Deliver due packets (allowing bounded reordering).
         while !pipeline.is_empty() && pipeline[0].0 <= now {
             let take = if pipeline.len() > reorder
@@ -47,86 +139,104 @@ fn run_fates(fates: &[u8], reorder: usize) -> (RapSender, u64, u64) {
                 0
             };
             let (_, seq) = pipeline.remove(take);
-            let ack = rx.on_data(seq);
-            s.on_ack(now, ack);
+            ctl.on_ack(now, rx.on_data(seq));
+            tally.absorb(ctl, Some(seq));
         }
-        if now >= s.next_send_time() {
-            let seq = s.register_send(now, 1_000.0, (seq_tag(i)) as u32);
-            match fates[i] % 4 {
-                0 | 1 => pipeline.push((now + owd, seq)), // delivered
+        if i < fates.len() && now >= ctl.next_send_time(now) {
+            let seq = ctl.register_send(now, 1_000.0, (i % 5) as u32);
+            match fates[i] {
+                0 | 1 => pipeline.push((now + owd, seq)),
                 2 => {
-                    // duplicated
                     pipeline.push((now + owd, seq));
                     pipeline.push((now + owd + 0.001, seq));
                 }
-                _ => {} // lost
+                _ => {}
             }
             i += 1;
         }
-        for e in s.take_events() {
-            match e {
-                RapEvent::PacketAcked { .. } => acked += 1,
-                RapEvent::PacketLost { .. } => lost += 1,
-                _ => {}
-            }
-        }
     }
-    // Drain the tail of the pipeline.
-    for _ in 0..10_000 {
-        now += 0.001;
-        s.poll_timers(now);
-        while !pipeline.is_empty() && pipeline[0].0 <= now {
-            let (_, seq) = pipeline.remove(0);
-            let ack = rx.on_data(seq);
-            s.on_ack(now, ack);
-        }
-        if pipeline.is_empty() && s.in_flight() == 0 {
-            break;
-        }
-    }
-    for e in s.take_events() {
-        match e {
-            RapEvent::PacketAcked { .. } => acked += 1,
-            RapEvent::PacketLost { .. } => lost += 1,
-            _ => {}
-        }
-    }
-    (s, acked, lost)
+    tally
 }
 
-fn seq_tag(i: usize) -> u8 {
-    (i % 5) as u8
-}
+/// The obs registry is process-global: tests that drive a sender take
+/// this so the one that reads the `rap.*` counters sees only its own.
+static SENDERS: Mutex<()> = Mutex::new(());
 
 #[test]
 fn every_packet_resolves_exactly_once() {
+    let _serial = SENDERS.lock().unwrap();
     cases("every_packet_resolves_exactly_once", 24, |g, _| {
         let fates = fate_vec(g, 50, 199);
         let reorder = g.usize_in(0, 2);
-        let (s, acked, lost) = run_fates(&fates, reorder);
-        // After the drain loop, nothing is in flight and the sum of
-        // resolutions equals the number of sends (duplicates resolve once).
-        assert_eq!(s.in_flight(), 0, "unresolved packets remain");
-        assert_eq!(
-            (acked + lost) as usize,
-            fates.len(),
-            "acked {acked} + lost {lost} != sent {}",
-            fates.len()
-        );
-        // Rate stays within sane bounds.
-        assert!(s.rate() >= 1_000.0 - 1e-9);
-        assert!(s.rate().is_finite());
+        for (name, mut ctl) in controllers() {
+            // The sum of resolutions equals the number of sends
+            // (duplicates resolve once), however the path misbehaved.
+            let t = drive(ctl.as_mut(), &fates, reorder);
+            assert_eq!(
+                (t.acked + t.lost) as usize,
+                fates.len(),
+                "{name}: {t:?} != sent {}",
+                fates.len()
+            );
+            assert!(ctl.rate() > 0.0 && ctl.rate().is_finite(), "{name}");
+        }
     });
 }
 
 #[test]
 fn srtt_stays_positive_and_finite() {
+    let _serial = SENDERS.lock().unwrap();
     cases("srtt_stays_positive_and_finite", 24, |g, _| {
         let fates = fate_vec(g, 50, 149);
-        let (s, _, _) = run_fates(&fates, 0);
-        assert!(s.srtt() > 0.0 && s.srtt().is_finite());
-        assert!(s.slope() > 0.0 && s.slope().is_finite());
+        for (name, mut ctl) in controllers() {
+            drive(ctl.as_mut(), &fates, 0);
+            // Every slope is a positive multiple of packet_size / srtt².
+            assert!(ctl.slope() > 0.0 && ctl.slope().is_finite(), "{name}");
+        }
     });
+}
+
+#[test]
+fn backoffs_never_exceed_loss_events() {
+    let _serial = SENDERS.lock().unwrap();
+    cases("backoffs_never_exceed_loss_events", 24, |g, _| {
+        let fates = fate_vec(g, 80, 199);
+        for (name, mut ctl) in controllers() {
+            // Cluster suppression: every backoff, loss or timeout, answers
+            // at least one loss of its own.
+            let t = drive(ctl.as_mut(), &fates, 0);
+            assert!(t.backoffs <= t.lost, "{name}: {t:?}");
+        }
+    });
+}
+
+#[test]
+fn obs_counters_match_the_drained_events_under_every_controller() {
+    let _serial = SENDERS.lock().unwrap();
+    cases("obs_counters_match_drained_events", 8, |g, _| {
+        let fates = fate_vec(g, 80, 199);
+        for (name, mut ctl) in controllers() {
+            laqa_obs::reset();
+            laqa_obs::set_enabled(true);
+            let t = drive(ctl.as_mut(), &fates, 0);
+            laqa_obs::set_enabled(false);
+            let snap = laqa_obs::snapshot();
+            let count = |c: &str| snap.counter(c).unwrap_or(0);
+            assert_eq!(
+                count("rap.backoffs_loss") + count("rap.backoffs_timeout"),
+                t.backoffs,
+                "{name}: one count per Backoff event"
+            );
+            assert_eq!(count("rap.rtt_samples"), t.rtt_samples, "{name}");
+            assert_eq!(
+                snap.histogram("rap.rtt_ms").map_or(0, |h| h.count),
+                t.rtt_samples,
+                "{name}: one rap.rtt_ms observation per sample"
+            );
+            assert!(t.backoffs > 0 && t.rtt_samples > 0, "{name}: vacuous");
+        }
+    });
+    laqa_obs::reset();
 }
 
 #[test]
@@ -285,50 +395,4 @@ fn run_set_receiver_matches_the_tree_receiver_on_directed_paths() {
         eprintln!("directed: {what}");
         assert_receivers_agree(&arrivals);
     }
-}
-
-#[test]
-fn backoffs_never_exceed_loss_events() {
-    cases("backoffs_never_exceed_loss_events", 24, |g, _| {
-        let fates = fate_vec(g, 80, 199);
-        // Count backoffs vs distinct losses: cluster suppression means
-        // backoffs <= losses (and also <= sends).
-        let mut s = RapSender::new(
-            RapConfig {
-                initial_rate: 20_000.0,
-                initial_rtt: 0.05,
-                ..RapConfig::default()
-            },
-            0.0,
-        );
-        let mut rx = RapReceiverState::new();
-        let mut now = 0.0;
-        let mut pipeline: Vec<(f64, u64)> = Vec::new();
-        let mut backoffs = 0u64;
-        let mut losses = 0u64;
-        let mut i = 0;
-        while i < fates.len() {
-            now += 0.001;
-            s.poll_timers(now);
-            while !pipeline.is_empty() && pipeline[0].0 <= now {
-                let (_, seq) = pipeline.remove(0);
-                s.on_ack(now, rx.on_data(seq));
-            }
-            if now >= s.next_send_time() {
-                let seq = s.register_send(now, 1_000.0, 0);
-                if fates[i] != 3 {
-                    pipeline.push((now + 0.02, seq));
-                }
-                i += 1;
-            }
-            for e in s.take_events() {
-                match e {
-                    RapEvent::Backoff { .. } => backoffs += 1,
-                    RapEvent::PacketLost { .. } => losses += 1,
-                    _ => {}
-                }
-            }
-        }
-        assert!(backoffs <= losses + 1, "backoffs {backoffs} losses {losses}");
-    });
 }

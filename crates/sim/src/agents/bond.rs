@@ -17,7 +17,6 @@
 
 use crate::engine::{Agent, Ctx};
 use crate::packet::{AgentId, Packet, Route};
-use std::any::Any;
 
 /// Deterministic round-robin striping relay (see the module docs).
 pub struct BondAgent {
@@ -54,14 +53,6 @@ impl Agent for BondAgent {
         pkt.hop = 0;
         ctx.send(pkt);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -81,12 +72,6 @@ mod tests {
         fn on_packet(&mut self, _ctx: &mut Ctx, pkt: Packet) {
             let first = pkt.route.first().copied().unwrap_or(usize::MAX);
             *self.by_first_link.entry(first).or_insert(0) += 1;
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -114,12 +99,6 @@ mod tests {
             }
         }
         fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     #[test]

@@ -3,7 +3,6 @@
 
 use crate::engine::{Agent, Ctx};
 use crate::packet::{AgentId, Packet, PacketKind, Route};
-use std::any::Any;
 
 /// Unresponsive CBR traffic source.
 pub struct CbrAgent {
@@ -79,13 +78,6 @@ impl Agent for CbrAgent {
         self.sent += 1;
         ctx.set_timer_after(self.interval(), 0);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// Counts arriving packets; shared null sink for CBR and diagnostics.
@@ -101,12 +93,6 @@ impl Agent for CountingSink {
     fn on_packet(&mut self, _ctx: &mut Ctx, pkt: Packet) {
         self.packets += 1;
         self.bytes += pkt.size as u64;
-    }
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -4,7 +4,6 @@
 use crate::engine::{Agent, Ctx};
 use crate::packet::{LinkId, Packet};
 use laqa_trace::TimeSeries;
-use std::any::Any;
 
 /// Samples the queue length of a set of links on a fixed period.
 pub struct QueueMonitor {
@@ -42,13 +41,6 @@ impl Agent for QueueMonitor {
             self.series[i].push(ctx.now, ctx.link_queue_len(link) as f64);
         }
         ctx.set_timer_after(self.period, 0);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -2,15 +2,13 @@
 //! [`laqa_core::QaController`] and a layered-receiver sink — the system
 //! under test in every figure of the paper's §5.
 
+use super::rap::{rearm, send_ack};
 use crate::engine::{Agent, Ctx};
 use crate::packet::{AgentId, Packet, PacketKind, Route};
 use laqa_core::{QaConfig, QaController};
 use laqa_layered::{LayeredEncoding, LayeredReceiver};
 use laqa_rap::{RapConfig, RapEvent, RapReceiverState, RapSender, RateController};
 use laqa_trace::TimeSeries;
-use std::any::Any;
-
-const ACK_SIZE: u32 = 40;
 
 /// Per-run traces recorded by the QA source (the figure-11 panels).
 #[derive(Debug, Clone, Default)]
@@ -256,23 +254,12 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
                 sent_at: ctx.now,
             });
         }
-        self.arm(ctx);
-    }
-
-    fn arm(&mut self, ctx: &mut Ctx) {
         let next = self
             .rap
             .next_send_time(ctx.now)
             .min(self.rap.next_timer())
-            .min(self.next_tick)
-            .max(ctx.now + 1e-6);
-        // Tolerance absorbs f64->ns rounding of the event clock; without
-        // it a fired timer can leave armed_at a hair in the future and the
-        // chain dies.
-        if next < self.armed_at - 1e-9 || self.armed_at <= ctx.now + 1e-7 {
-            ctx.set_timer_at(next, 0);
-            self.armed_at = next;
-        }
+            .min(self.next_tick);
+        rearm(ctx, &mut self.armed_at, next);
     }
 }
 
@@ -297,13 +284,6 @@ impl<T: RateController + 'static> Agent for QaSourceAgent<T> {
 
     fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
         self.pump(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -373,18 +353,8 @@ impl Agent for QaSinkAgent {
             self.receiver
                 .on_data(ctx.now, layer as usize, pkt.size as f64);
             self.receiver.set_active_layers(n_active as usize);
-            let info = self.rap_rx.on_data(seq);
-            let uid = ctx.alloc_uid();
-            ctx.send(Packet {
-                uid,
-                flow: self.flow,
-                size: ACK_SIZE,
-                kind: PacketKind::RapAck(info),
-                dst: self.src,
-                route: self.reverse_route.clone(),
-                hop: 0,
-                sent_at: ctx.now,
-            });
+            let ack = PacketKind::RapAck(self.rap_rx.on_data(seq));
+            send_ack(ctx, self.flow, ack, self.src, &self.reverse_route);
         }
     }
 
@@ -396,13 +366,6 @@ impl Agent for QaSinkAgent {
             }
             ctx.set_timer_after(self.adv_dt, 1);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

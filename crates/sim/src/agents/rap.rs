@@ -1,18 +1,48 @@
 //! Plain RAP flow agents (sender and sink) — the "9 additional RAP flows"
-//! of the paper's tests, and the single flow of figure 1.
+//! of the paper's tests, and the single flow of figure 1 — plus the two
+//! helpers every sender/sink pair in [`crate::agents`] shares.
 
 use crate::engine::{Agent, Ctx};
 use crate::packet::{AgentId, Packet, PacketKind, Route};
-use laqa_rap::{RapConfig, RapEvent, RapReceiverState, RapSender};
+use laqa_rap::{RapConfig, RapEvent, RapReceiverState, RapSender, RateController};
 use laqa_trace::TimeSeries;
-use std::any::Any;
 
 const ACK_SIZE: u32 = 40;
+
+/// Send an acknowledgement carrying `kind` from a sink back to its source
+/// `dst` along `route`.
+pub(super) fn send_ack(ctx: &mut Ctx, flow: u32, kind: PacketKind, dst: AgentId, route: &Route) {
+    let uid = ctx.alloc_uid();
+    ctx.send(Packet {
+        uid,
+        flow,
+        size: ACK_SIZE,
+        kind,
+        dst,
+        route: route.clone(),
+        hop: 0,
+        sent_at: ctx.now,
+    });
+}
+
+/// Re-arm a source's soft timer (token 0) for `next`, never closer than a
+/// microsecond ahead. `armed_at` is when the timer last armed will fire:
+/// a new one is set only when `next` is earlier or that one has fired —
+/// the scheduler has no cancel, so sources ignore stale fires instead.
+pub(super) fn rearm(ctx: &mut Ctx, armed_at: &mut f64, next: f64) {
+    let next = next.max(ctx.now + 1e-6);
+    // Tolerance absorbs f64->ns rounding of the event clock; without
+    // it a fired timer can leave armed_at a hair in the future and the
+    // chain dies.
+    if next < *armed_at - 1e-9 || *armed_at <= ctx.now + 1e-7 {
+        ctx.set_timer_at(next, 0);
+        *armed_at = next;
+    }
+}
 
 /// A greedy RAP source (always has data to send).
 pub struct RapFlowAgent {
     sender: RapSender,
-    sender_config: RapConfig,
     /// Destination (sink) agent.
     pub dst: AgentId,
     /// Forward route.
@@ -41,14 +71,12 @@ pub struct RapFlowAgent {
 impl RapFlowAgent {
     /// New RAP source with default protocol parameters.
     pub fn new(dst: AgentId, route: impl Into<Route>, flow: u32, cfg: RapConfig) -> Self {
-        let packet_size = cfg.packet_size as u32;
         RapFlowAgent {
-            sender: RapSender::new(cfg.clone(), 0.0),
-            sender_config: cfg,
+            packet_size: cfg.packet_size as u32,
+            sender: RapSender::new(cfg, 0.0),
             dst,
             route: route.into(),
             flow,
-            packet_size,
             armed_at: f64::NEG_INFINITY,
             start_at: 0.0,
             rate_trace: TimeSeries::new("rap_rate"),
@@ -90,7 +118,7 @@ impl RapFlowAgent {
 
     fn pump(&mut self, ctx: &mut Ctx) {
         self.sender.poll_timers(ctx.now);
-        while ctx.now >= self.sender.next_send_time() {
+        while ctx.now >= self.sender.next_send_time(ctx.now) {
             let seq = self
                 .sender
                 .register_send(ctx.now, self.packet_size as f64, 0);
@@ -112,29 +140,18 @@ impl RapFlowAgent {
             self.sent += 1;
         }
         self.drain_events(ctx.now);
-        self.arm(ctx);
-    }
-
-    fn arm(&mut self, ctx: &mut Ctx) {
         let next = self
             .sender
-            .next_send_time()
-            .min(self.sender.next_timer())
-            .max(ctx.now + 1e-6);
-        // Tolerance absorbs f64->ns rounding of the event clock; without
-        // it a fired timer can leave armed_at a hair in the future and the
-        // chain dies.
-        if next < self.armed_at - 1e-9 || self.armed_at <= ctx.now + 1e-7 {
-            ctx.set_timer_at(next, 0);
-            self.armed_at = next;
-        }
+            .next_send_time(ctx.now)
+            .min(self.sender.next_timer());
+        rearm(ctx, &mut self.armed_at, next);
     }
 }
 
 impl Agent for RapFlowAgent {
     fn start(&mut self, ctx: &mut Ctx) {
         if self.start_at > 0.0 {
-            self.sender = RapSender::new(self.sender_config.clone(), self.start_at);
+            self.sender.restart(self.start_at);
             ctx.set_timer_at(self.start_at, 0);
         } else {
             self.pump(ctx);
@@ -151,13 +168,6 @@ impl Agent for RapFlowAgent {
 
     fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
         self.pump(ctx);
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 
@@ -191,26 +201,9 @@ impl Agent for RapSinkAgent {
     fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
         if let PacketKind::RapData { seq, .. } = pkt.kind {
             self.bytes_received += pkt.size as u64;
-            let info = self.rx.on_data(seq);
-            let uid = ctx.alloc_uid();
-            ctx.send(Packet {
-                uid,
-                flow: self.flow,
-                size: ACK_SIZE,
-                kind: PacketKind::RapAck(info),
-                dst: self.src,
-                route: self.reverse_route.clone(),
-                hop: 0,
-                sent_at: ctx.now,
-            });
+            let ack = PacketKind::RapAck(self.rx.on_data(seq));
+            send_ack(ctx, self.flow, ack, self.src, &self.reverse_route);
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -9,12 +9,11 @@
 //! through the shared drop-tail bottleneck; per-byte fidelity is not
 //! needed.
 
+use super::rap::send_ack;
 use crate::engine::{Agent, Ctx};
 use crate::packet::{AgentId, Packet, PacketKind, Route};
 use laqa_rap::{RttEstimator, RunSet};
-use std::any::Any;
 
-const ACK_SIZE: u32 = 40;
 /// Timer token: RTO check; the token payload carries an epoch so stale
 /// timers can be ignored.
 const RTO_BASE: u64 = 1 << 32;
@@ -276,13 +275,6 @@ impl Agent for TcpAgent {
         self.next_seq = self.cum;
         self.try_send(ctx);
     }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
 }
 
 /// TCP sink: cumulative ACKs with a high-water hint, one ACK per segment.
@@ -329,24 +321,8 @@ impl Agent for TcpSinkAgent {
         self.delivered += cum - before;
         // Highest out-of-order segment held, else the cumulative point.
         let high = self.seen.highest().map_or(cum, |h| h.max(cum));
-        let uid = ctx.alloc_uid();
-        ctx.send(Packet {
-            uid,
-            flow: self.flow,
-            size: ACK_SIZE,
-            kind: PacketKind::TcpAck { cum, high },
-            dst: self.src,
-            route: self.reverse_route.clone(),
-            hop: 0,
-            sent_at: ctx.now,
-        });
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
+        let ack = PacketKind::TcpAck { cum, high };
+        send_ack(ctx, self.flow, ack, self.src, &self.reverse_route);
     }
 }
 

@@ -242,17 +242,16 @@ impl<'a> Ctx<'a> {
 }
 
 /// A network endpoint or middlebox with protocol behaviour.
-pub trait Agent: 'static {
+///
+/// `Any` is a supertrait so [`World::agent`] can downcast a `dyn Agent` to
+/// its concrete type (stats extraction after a run).
+pub trait Agent: Any {
     /// Called once when the simulation starts.
     fn start(&mut self, _ctx: &mut Ctx) {}
     /// A packet addressed to this agent arrived.
     fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet);
     /// A timer armed by this agent fired.
     fn on_timer(&mut self, _ctx: &mut Ctx, _token: u64) {}
-    /// Downcast support (stats extraction after a run).
-    fn as_any(&self) -> &dyn Any;
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
 }
 
 /// The simulated world: links, agents, and the event loop.
@@ -323,16 +322,14 @@ impl World {
 
     /// Typed view of an agent (e.g. to pull stats after a run).
     pub fn agent<T: 'static>(&self, id: AgentId) -> Option<&T> {
-        self.agents.get(id)?.as_ref()?.as_any().downcast_ref::<T>()
+        let agent: &dyn Any = self.agents.get(id)?.as_deref()?;
+        agent.downcast_ref()
     }
 
     /// Typed mutable view of an agent.
     pub fn agent_mut<T: 'static>(&mut self, id: AgentId) -> Option<&mut T> {
-        self.agents
-            .get_mut(id)?
-            .as_mut()?
-            .as_any_mut()
-            .downcast_mut::<T>()
+        let agent: &mut dyn Any = self.agents.get_mut(id)?.as_deref_mut()?;
+        agent.downcast_mut()
     }
 
     fn ensure_started(&mut self) {
@@ -501,23 +498,11 @@ mod tests {
             self.sent += 1;
             ctx.set_timer_after(self.interval, 0);
         }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
-        }
     }
 
     impl Agent for Sink {
         fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
             self.arrivals.push((ctx.now, pkt.uid));
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 
@@ -697,12 +682,6 @@ mod tests {
             ctx.set_link_bandwidth(self.link, self.bandwidth);
             ctx.set_link_delay(self.link, self.delay);
             ctx.set_link_loss_rate(self.link, 2.0); // clamps to 1.0
-        }
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn Any {
-            self
         }
     }
 

@@ -32,7 +32,6 @@
 use crate::engine::{Agent, Ctx};
 use crate::packet::{AgentId, LinkId, Packet, PacketKind, Route};
 use crate::rng::SimRng;
-use std::any::Any;
 
 /// Link flapping: bandwidth outages on the forward bottleneck.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -427,13 +426,6 @@ impl Agent for FaultInjector {
             TOK_CHURN_SEND => self.on_churn_send(ctx, token >> 8),
             other => unreachable!("unknown fault timer token {other}"),
         }
-    }
-
-    fn as_any(&self) -> &dyn Any {
-        self
-    }
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 }
 

@@ -499,14 +499,6 @@ impl crate::engine::Agent for TraceDriver {
             ctx.set_timer_at(at, TOK_TRACE);
         }
     }
-
-    fn as_any(&self) -> &dyn std::any::Any {
-        self
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-        self
-    }
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@ use crate::agents::rap::{RapFlowAgent, RapSinkAgent};
 use crate::agents::tcp::{TcpAgent, TcpSinkAgent};
 use crate::engine::World;
 use crate::link::{LinkStats, TraceDriver, TraceSchedule, BOND_PATH_SALT};
-use crate::packet::{AgentId, LinkId};
+use crate::packet::{AgentId, LinkId, Route};
 use crate::sched::SchedulerKind;
 use crate::topology::{Dumbbell, DumbbellConfig};
 use laqa_core::{MetricsCollector, QaConfig};
@@ -390,110 +390,85 @@ fn build_scenario(cfg: &ScenarioConfig, sched: SchedulerKind) -> (World, Scenari
         } else {
             d.forward_route()
         };
-        // Finalize whichever QaSourceAgent<T> instantiation the transport
-        // selects; identical wiring for every controller family.
-        fn finish_qa_src<T: RateController + 'static>(
+        // Wrap the transport's controller (clock at zero) in its
+        // QaSourceAgent<T> instantiation; identical wiring for every
+        // controller family.
+        fn add_qa_src<T: RateController + 'static>(
             world: &mut World,
-            mut src: QaSourceAgent<T>,
+            controller: T,
             cfg: &ScenarioConfig,
-            expect_id: AgentId,
-        ) {
+            dst: AgentId,
+            fwd: Route,
+        ) -> AgentId {
+            let pkt = cfg.rap.packet_size as u32;
+            let mut src = QaSourceAgent::with_controller(
+                dst,
+                fwd,
+                0,
+                controller,
+                pkt,
+                cfg.qa.clone(),
+                cfg.tick_dt,
+            );
             src.start_at = cfg.qa_start;
             src.retransmit_protect = cfg.retransmit_protect;
-            assert_eq!(world.add_agent(Box::new(src)), expect_id);
+            world.add_agent(Box::new(src))
         }
-        match cfg.transport {
-            Transport::Rap => {
-                let src = QaSourceAgent::new(
-                    qa_dst,
-                    fwd,
-                    0,
-                    cfg.rap.clone(),
-                    cfg.qa.clone(),
-                    cfg.tick_dt,
-                );
-                finish_qa_src(&mut d.world, src, cfg, qa_src_id);
-            }
+        let RapConfig {
+            packet_size,
+            initial_rate,
+            initial_rtt,
+            reorder_threshold,
+            max_rate,
+        } = cfg.rap;
+        let w = &mut d.world;
+        let id = match cfg.transport {
+            Transport::Rap => add_qa_src(w, RapSender::new(cfg.rap.clone(), 0.0), cfg, qa_dst, fwd),
             Transport::Bbr => {
-                let bbr = BbrSender::new(
-                    BbrConfig {
-                        packet_size: cfg.rap.packet_size,
-                        initial_rate: cfg.rap.initial_rate,
-                        initial_rtt: cfg.rap.initial_rtt,
-                        reorder_threshold: cfg.rap.reorder_threshold,
-                        max_rate: cfg.rap.max_rate,
-                        ..BbrConfig::default()
-                    },
-                    0.0,
-                );
-                let src = QaSourceAgent::with_controller(
-                    qa_dst,
-                    fwd,
-                    0,
-                    bbr,
-                    pkt,
-                    cfg.qa.clone(),
-                    cfg.tick_dt,
-                );
-                finish_qa_src(&mut d.world, src, cfg, qa_src_id);
+                let bbr = BbrConfig {
+                    packet_size,
+                    initial_rate,
+                    initial_rtt,
+                    reorder_threshold,
+                    max_rate,
+                    ..BbrConfig::default()
+                };
+                add_qa_src(w, BbrSender::new(bbr, 0.0), cfg, qa_dst, fwd)
             }
             Transport::Nada => {
-                let nada = NadaSender::new(
-                    NadaConfig {
-                        packet_size: cfg.rap.packet_size,
-                        initial_rate: cfg.rap.initial_rate,
-                        initial_rtt: cfg.rap.initial_rtt,
-                        reorder_threshold: cfg.rap.reorder_threshold,
-                        max_rate: cfg.rap.max_rate,
-                        ..NadaConfig::default()
-                    },
-                    0.0,
-                );
-                let src = QaSourceAgent::with_controller(
-                    qa_dst,
-                    fwd,
-                    0,
-                    nada,
-                    pkt,
-                    cfg.qa.clone(),
-                    cfg.tick_dt,
-                );
-                finish_qa_src(&mut d.world, src, cfg, qa_src_id);
+                let nada = NadaConfig {
+                    packet_size,
+                    initial_rate,
+                    initial_rtt,
+                    reorder_threshold,
+                    max_rate,
+                    ..NadaConfig::default()
+                };
+                add_qa_src(w, NadaSender::new(nada, 0.0), cfg, qa_dst, fwd)
             }
             Transport::Tcp => {
-                let window = WindowSender::new(
-                    WindowConfig {
-                        packet_size: cfg.rap.packet_size,
-                        initial_rtt: cfg.rap.initial_rtt,
-                        reorder_threshold: cfg.rap.reorder_threshold,
-                        // Flow-control cap equivalent to RAP's max_rate at
-                        // a generous queueing-inclusive RTT of 0.5 s; the
-                        // floor keeps the window usable on fast paths.
-                        max_cwnd: (cfg.rap.max_rate * 0.5 / cfg.rap.packet_size).max(8.0),
-                        ..WindowConfig::default()
-                    },
-                    0.0,
-                );
-                let src = QaSourceAgent::with_controller(
-                    qa_dst,
-                    fwd,
-                    0,
-                    window,
-                    pkt,
-                    cfg.qa.clone(),
-                    cfg.tick_dt,
-                );
-                finish_qa_src(&mut d.world, src, cfg, qa_src_id);
+                let window = WindowConfig {
+                    packet_size,
+                    initial_rtt,
+                    reorder_threshold,
+                    // Flow-control cap equivalent to RAP's max_rate at
+                    // a generous queueing-inclusive RTT of 0.5 s; the
+                    // floor keeps the window usable on fast paths.
+                    max_cwnd: (max_rate * 0.5 / packet_size).max(8.0),
+                    ..WindowConfig::default()
+                };
+                add_qa_src(w, WindowSender::new(window, 0.0), cfg, qa_dst, fwd)
             }
-        }
+        };
+        assert_eq!(id, qa_src_id);
     }
 
     if let Some(leg_b) = bond_leg {
         let relay = d.world.add_agent(Box::new(crate::agents::bond::BondAgent::new(
             qa_sink_id,
             vec![
-                crate::packet::Route::from(vec![d.bottleneck()]),
-                crate::packet::Route::from(vec![leg_b]),
+                Route::from(vec![d.bottleneck()]),
+                Route::from(vec![leg_b]),
             ],
         )));
         assert_eq!(Some(relay), bond_relay_id, "relay id predicted above");

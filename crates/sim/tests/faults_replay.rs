@@ -183,12 +183,6 @@ fn trace_points_reassert_link_params_over_fault_mutations() {
             // Stand-in for a FaultInjector degradation transition.
             ctx.set_link_bandwidth(self.link, 12_345.0);
         }
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
     }
 
     let pt = |at, bandwidth| LinkTracePoint {

@@ -8,13 +8,19 @@
 //! the off-run really executes with obs off.
 
 use laqa_core::{DropReason, QaEvent};
-use laqa_sim::{run_campaign, run_scenario, CampaignSpec, TestKind};
+use laqa_sim::{run_campaign, run_scenario, CampaignSpec, SessionSpec, TestKind, Transport};
 
 #[test]
 fn fingerprints_identical_with_obs_on_and_off() {
     // 8 s per session: the QA flow joins at t = 5 s (ScenarioConfig
     // default), so anything shorter never exercises the qa.* sites.
-    let spec = CampaignSpec::grid(&[TestKind::T1, TestKind::T2], &[2, 4], &[7, 21], 8.0);
+    let mut spec = CampaignSpec::grid(&[TestKind::T1, TestKind::T2], &[2, 4], &[7, 21], 8.0);
+    // One cell over a non-RAP controller: the `rap.*` sites sit in the
+    // shell all four senders share, so they fire under BBR too.
+    spec.sessions.push(SessionSpec {
+        transport: Transport::Bbr,
+        ..spec.sessions[0].clone()
+    });
 
     // Reference sweep with observability off (the default).
     assert!(!laqa_obs::enabled(), "obs must start disabled");

@@ -38,4 +38,7 @@ cargo test -q --all-features
 echo "== 3/3 clippy (deny warnings) =="
 cargo clippy --all-targets --all-features -- -D warnings
 
+echo "== non-test Rust lines per crate (scripts/loc.sh) =="
+bash scripts/loc.sh
+
 echo "verify OK"

@@ -3,7 +3,7 @@
 //! contract directly.
 
 use laqa_core::{QaConfig, QaController};
-use laqa_rap::{RapConfig, RapEvent, RapReceiverState, RapSender};
+use laqa_rap::{RapConfig, RapEvent, RapReceiverState, RapSender, RateController};
 
 /// A scripted path: constant one-way delay, drops every `loss_period`-th
 /// packet. Returns (controller, sender, receiver-side delivered bytes per
@@ -70,7 +70,7 @@ fn run_path(loss_period: u64, duration: f64) -> (QaController, RapSender, Vec<f6
             let _ = qa.tick(now, rap.rate(), dt);
             next_tick += dt;
         }
-        if now >= rap.next_send_time() {
+        if now >= rap.next_send_time(now) {
             let layer = qa.next_packet_layer(500.0);
             let seq = rap.register_send(now, 500.0, layer as u32);
             if loss_period == 0 || seq % loss_period != loss_period - 1 {
