@@ -108,7 +108,6 @@ fn run_rap(bw: f64, dur: f64) -> Outcome {
         initial_rate: 2_000.0,
         initial_rtt: 0.06,
         max_rate: 1.25 * 30_000.0,
-        ..RapConfig::default()
     };
     run(bw, dur, |sink, fwd| {
         QaSourceAgent::new(sink, vec![fwd], 1, rap, qa_cfg(), 0.05)
@@ -120,7 +119,6 @@ fn run_window(bw: f64, dur: f64) -> Outcome {
         packet_size: 500.0,
         initial_rtt: 0.06,
         max_cwnd: 80.0,
-        ..WindowConfig::default()
     };
     run(bw, dur, |sink, fwd| {
         let cc = WindowSender::new(cc, 0.0);

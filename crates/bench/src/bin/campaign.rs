@@ -11,8 +11,10 @@
 //! campaign --faults        # fault-injection intensity sweep (recovery time,
 //!                          # layer-change rate, base-layer starvation)
 //! campaign --faults --smoke  # seconds-long fault sweep + replay check
-//! options: --threads N  --duration S  --kmax 2,3,4  --seeds 7,21  --out DIR
-//!          --intensity 0,0.5,1   # fault-suite intensities (with --faults)
+//! options: --duration S  --kmax 2,3,4  --seeds 7,21
+//!          --threads N  --out DIR   # every mode but plain --smoke (2 threads
+//!                         # checked against 1, nothing written)
+//!          --intensity 0,0.5,1   # fault-suite intensities (--faults only)
 //!          --transport rap,bbr,nada,tcp  # QA-flow congestion controllers:
 //!                         # every selected transport runs the full grid,
 //!                         # turning the sweep into the QA × transport
@@ -230,14 +232,27 @@ fn main() {
         );
         std::process::exit(2);
     }
+    // An option the selected mode never reads is a usage error, not a
+    // silent fallback: `--smoke` alone always checks 2 threads against 1
+    // and writes no summaries, and only `--faults` sweeps intensities.
+    let (faults, smoke) = (args.flag("faults"), args.flag("smoke"));
+    let (mode, unread): (&str, &[&str]) = match (faults, smoke) {
+        (true, _) => ("--faults", &[]),
+        (false, true) => ("--smoke", &["threads", "out", "intensity"]),
+        (false, false) => ("the default Table 1+2", &["intensity"]),
+    };
+    if let Some(key) = unread.iter().find(|k| args.options.contains_key(**k)) {
+        eprintln!("error: --{key} is not read in {mode} mode");
+        std::process::exit(2);
+    }
     let obs_dir = args.options.get("obs").map(std::path::PathBuf::from);
     if obs_dir.is_some() {
         laqa_obs::set_enabled(true);
         laqa_obs::flight::set_enabled(true);
     }
-    let result = if args.flag("faults") {
+    let result = if faults {
         cmd_faults(&args)
-    } else if args.flag("smoke") {
+    } else if smoke {
         cmd_smoke(&args)
     } else {
         cmd_tables(&args)

@@ -8,6 +8,7 @@
 //! per-layer accumulated buffering.
 
 use laqa_bench::{ascii_plot, outdir, window_mean};
+use laqa_sim::scenarios::{N_RAP, N_TCP, QA_START};
 use laqa_sim::{run_scenario, ScenarioConfig};
 use laqa_trace::{Recorder, RunSummary};
 
@@ -17,10 +18,7 @@ fn main() {
     let out = run_scenario(&cfg);
 
     println!("== Figure 11: first 40 s of the K_max=2 T1 trace ==");
-    println!(
-        "(QA flow joins at t={}s; panels below start there)\n",
-        cfg.qa_start
-    );
+    println!("(QA flow joins at t={QA_START}s; panels below start there)\n");
     println!("total tx rate   : {}", ascii_plot(&out.traces.tx_rate, 72));
     println!(
         "consumption     : {}",
@@ -132,8 +130,8 @@ fn main() {
         .param("k_max", 2)
         .param("duration", duration)
         .param("bottleneck_bw", cfg.dumbbell.bottleneck_bw)
-        .param("n_rap", cfg.n_rap)
-        .param("n_tcp", cfg.n_tcp)
+        .param("n_rap", N_RAP)
+        .param("n_tcp", N_TCP)
         .metric("mean_rate_steady", mean_rate)
         .metric("mean_layers_steady", mean_layers)
         .metric("peak_layer_buffer", max_buf)

@@ -44,12 +44,27 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
     // Each of these once ran a sweep on defaults instead: an option the
     // binary does not take, a flag given a value (`--smoke 1` ran the full
     // campaign), a valued option given none (`--obs` wrote to ./true), a
-    // stray positional.
-    let cases: [(&str, &[&str], &str); 7] = [
+    // stray positional, an option the selected mode never reads.
+    let cases: [(&str, &[&str], &str); 10] = [
         (CAMPAIGN, &["--smoke", "--nope"], "unknown option --nope"),
         (CAMPAIGN, &["--smoke", "1"], "invalid value '1' for --smoke"),
         (CAMPAIGN, &["--smoke", "--obs"], "missing value for --obs"),
         (CAMPAIGN, &["smoke"], "unexpected argument 'smoke'"),
+        (
+            CAMPAIGN,
+            &["--smoke", "--threads", "8"],
+            "--threads is not read in --smoke mode",
+        ),
+        (
+            CAMPAIGN,
+            &["--smoke", "--out", "d"],
+            "--out is not read in --smoke mode",
+        ),
+        (
+            CAMPAIGN,
+            &["--intensity", "0.5"],
+            "--intensity is not read in the default",
+        ),
         (LAQA, &["sim", "--nope", "1"], "unknown option --nope"),
         (LAQA, &["frobnicate"], "unknown subcommand 'frobnicate'"),
         (LAQA, &[], "missing subcommand"),

@@ -19,12 +19,8 @@ pub enum ConfigError {
     /// `k_max` (the smoothing factor) must be at least 1; `K_max = 1` is the
     /// un-smoothed single-backoff mechanism of §2.
     ZeroKMax,
-    /// `initial_layers` must be between 1 and `max_layers`.
-    BadInitialLayers,
-    /// `fill_horizon_backoffs` must be at least `k_max`.
-    HorizonBelowKMax,
-    /// `min_slope` must be finite and strictly positive.
-    NonPositiveMinSlope,
+    /// `k_max` must not exceed [`FILL_HORIZON_BACKOFFS`].
+    KMaxAboveHorizon,
     /// `startup_buffer_secs` must be finite and non-negative.
     NegativeStartupBuffer,
     /// `underflow_slack_bytes` must be finite and non-negative.
@@ -41,14 +37,11 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroMaxLayers => write!(f, "max_layers must be >= 1"),
             ConfigError::ZeroKMax => write!(f, "k_max (smoothing factor) must be >= 1"),
-            ConfigError::BadInitialLayers => {
-                write!(f, "initial_layers must be in 1..=max_layers")
-            }
-            ConfigError::HorizonBelowKMax => {
-                write!(f, "fill_horizon_backoffs must be >= k_max")
-            }
-            ConfigError::NonPositiveMinSlope => {
-                write!(f, "min_slope must be finite and > 0 bytes/s^2")
+            ConfigError::KMaxAboveHorizon => {
+                write!(
+                    f,
+                    "k_max must be <= {FILL_HORIZON_BACKOFFS} (the fill horizon)"
+                )
             }
             ConfigError::NegativeStartupBuffer => {
                 write!(f, "startup_buffer_secs must be finite and >= 0")
@@ -64,6 +57,13 @@ impl fmt::Display for ConfigError {
 }
 
 impl std::error::Error for ConfigError {}
+
+/// When every `k <= k_max` state is satisfied but the add conditions do
+/// not hold (e.g. the 2.9-layer modem link of §3.1), filling continues
+/// toward states with `k` up to this horizon so spare bandwidth is still
+/// invested in protective buffering rather than discarded. It is also the
+/// largest `k_max` a [`QaConfig`] may ask for.
+pub const FILL_HORIZON_BACKOFFS: u32 = 16;
 
 /// Parameters of the quality-adaptation mechanism.
 ///
@@ -82,19 +82,6 @@ pub struct QaConfig {
     /// buffer must be able to absorb, in both extremal scenarios, before a
     /// new layer may be added.
     pub k_max: u32,
-    /// Number of layers transmitted at session start (the paper starts with
-    /// the base layer only; figure 2 shows layers coming up one at a time).
-    pub initial_layers: usize,
-    /// When every `k <= k_max` state is satisfied but the add conditions do
-    /// not hold (e.g. the 2.9-layer modem link of §3.1), filling continues
-    /// toward states with `k` up to this horizon so spare bandwidth is still
-    /// invested in protective buffering rather than discarded.
-    pub fill_horizon_backoffs: u32,
-    /// Lower bound applied to the estimated additive-increase slope `S`
-    /// before it is used in the deficit geometry. Guards against division by
-    /// a near-zero slope when the RTT estimate spikes (§2.2 lists a wrong
-    /// slope estimate as a source of "critical situations").
-    pub min_slope: f64,
     /// Slack (bytes) used when comparing a buffer level against a target, so
     /// floating-point dust does not flap add/drop decisions.
     pub epsilon_bytes: f64,
@@ -127,9 +114,6 @@ impl Default for QaConfig {
             layer_rate: 10_000.0,
             max_layers: 10,
             k_max: 2,
-            initial_layers: 1,
-            fill_horizon_backoffs: 16,
-            min_slope: 1.0,
             epsilon_bytes: 1.0,
             startup_buffer_secs: 0.5,
             underflow_slack_bytes: 2_000.0,
@@ -150,14 +134,8 @@ impl QaConfig {
         if self.k_max == 0 {
             return Err(ConfigError::ZeroKMax);
         }
-        if self.initial_layers == 0 || self.initial_layers > self.max_layers {
-            return Err(ConfigError::BadInitialLayers);
-        }
-        if self.fill_horizon_backoffs < self.k_max {
-            return Err(ConfigError::HorizonBelowKMax);
-        }
-        if !(self.min_slope.is_finite() && self.min_slope > 0.0) {
-            return Err(ConfigError::NonPositiveMinSlope);
+        if self.k_max > FILL_HORIZON_BACKOFFS {
+            return Err(ConfigError::KMaxAboveHorizon);
         }
         if !(self.startup_buffer_secs.is_finite() && self.startup_buffer_secs >= 0.0) {
             return Err(ConfigError::NegativeStartupBuffer);
@@ -228,30 +206,24 @@ mod tests {
     fn rejects_zero_max_layers() {
         let cfg = QaConfig {
             max_layers: 0,
-            initial_layers: 0,
             ..QaConfig::default()
         };
         assert_eq!(cfg.validated().unwrap_err(), ConfigError::ZeroMaxLayers);
     }
 
     #[test]
-    fn rejects_initial_layers_above_max() {
-        let cfg = QaConfig {
-            max_layers: 3,
-            initial_layers: 4,
-            ..QaConfig::default()
-        };
-        assert_eq!(cfg.validated().unwrap_err(), ConfigError::BadInitialLayers);
-    }
-
-    #[test]
     fn rejects_horizon_below_k_max() {
-        let cfg = QaConfig {
-            k_max: 8,
-            fill_horizon_backoffs: 4,
+        let with_k_max = |k_max| QaConfig {
+            k_max,
             ..QaConfig::default()
         };
-        assert_eq!(cfg.validated().unwrap_err(), ConfigError::HorizonBelowKMax);
+        // The boundary is `FILL_HORIZON_BACKOFFS`; the benchmark's
+        // `qa_fluid` workload runs at exactly 16.
+        assert!(with_k_max(16).validated().is_ok());
+        assert_eq!(
+            with_k_max(17).validated().unwrap_err(),
+            ConfigError::KMaxAboveHorizon
+        );
     }
 
     #[test]

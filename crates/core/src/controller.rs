@@ -24,11 +24,21 @@
 //! packets are simply never credited.
 
 use crate::adddrop::{drop_count, required_recovery_buffer_with};
-use crate::config::{ConfigError, QaConfig};
+use crate::config::{ConfigError, QaConfig, FILL_HORIZON_BACKOFFS};
 use crate::draining::plan_draining_into;
 use crate::filling::allocate_filling_into;
 use crate::metrics::{DropReason, MetricsCollector, QaEvent};
 use crate::states::StateSequence;
+
+/// Layers transmitted at session start: the paper starts with the base
+/// layer only (figure 2 shows layers coming up one at a time).
+const INITIAL_LAYERS: usize = 1;
+
+/// Lower bound (bytes/s²) on the additive-increase slope `S` before it is
+/// used in the deficit geometry. Guards against division by a near-zero
+/// slope when the RTT estimate spikes (§2.2 lists a wrong slope estimate
+/// as a source of "critical situations").
+const MIN_SLOPE: f64 = 1.0;
 
 /// Which side of the sawtooth the flow is on (figure 3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -115,9 +125,9 @@ impl QaController {
     /// Build a controller from a validated configuration.
     pub fn new(cfg: QaConfig) -> Result<Self, ConfigError> {
         let cfg = cfg.validated()?;
-        let n = cfg.initial_layers;
+        let n = INITIAL_LAYERS;
         Ok(QaController {
-            slope: cfg.min_slope,
+            slope: MIN_SLOPE,
             cfg,
             n_active: n,
             bufs: vec![0.0; n],
@@ -192,9 +202,9 @@ impl QaController {
     /// slope is one packet per RTT per RTT: `S = packet_size / srtt²`.
     pub fn set_slope(&mut self, slope: f64) {
         self.slope = if slope.is_finite() {
-            slope.max(self.cfg.min_slope)
+            slope.max(MIN_SLOPE)
         } else {
-            self.cfg.min_slope
+            MIN_SLOPE
         };
     }
 
@@ -505,7 +515,7 @@ impl QaController {
             n_active,
             cfg.layer_rate,
             slope,
-            cfg.fill_horizon_backoffs,
+            FILL_HORIZON_BACKOFFS,
             cfg.decrease_factor,
         );
     }

@@ -13,6 +13,7 @@
 
 use laqa_check::{cases, Gen, DEFAULT_CASES};
 use laqa_core::adddrop::{check_add, drop_count, required_recovery_buffer, AddInputs};
+use laqa_core::config::FILL_HORIZON_BACKOFFS;
 use laqa_core::draining::{plan_draining, plan_draining_into};
 use laqa_core::filling::{allocate_filling, allocate_filling_into, next_fill_layer};
 use laqa_core::geometry::{
@@ -463,7 +464,7 @@ fn lazy_add_decision_equals_eager_check_add_along_hostile_walk() {
                             layers,
                             cfg.layer_rate,
                             ctl.slope(),
-                            cfg.fill_horizon_backoffs,
+                            FILL_HORIZON_BACKOFFS,
                             cfg.decrease_factor,
                         )
                     };

@@ -68,11 +68,6 @@ impl LayerBuffer {
         self.discarded
     }
 
-    /// Arrival time of the oldest buffered chunk, if any.
-    pub fn oldest_arrival(&self) -> Option<f64> {
-        self.chunks.front().map(|c| c.arrival)
-    }
-
     /// Consume up to `bytes` from the head of the buffer; returns the bytes
     /// actually supplied. A short supply is recorded as an underflow.
     pub fn consume(&mut self, bytes: f64) -> f64 {
@@ -163,7 +158,6 @@ mod tests {
         }
         assert_eq!(b.consume(950.0), 950.0);
         assert!((b.buffered() - 50.0).abs() < 1e-9);
-        assert_eq!(b.oldest_arrival(), Some(9.0));
     }
 
     #[test]
@@ -196,7 +190,6 @@ mod tests {
         b.clear();
         assert_eq!(b.buffered(), 0.0);
         assert_eq!(b.underflow_events(), 1);
-        assert_eq!(b.oldest_arrival(), None);
     }
 
     #[test]

@@ -105,14 +105,6 @@ impl LayerCache {
         }
     }
 
-    /// How many layers can be served *entirely* from cache for packets
-    /// `0..horizon` — the locally replayable quality.
-    pub fn serviceable_layers(&self, horizon: u64) -> usize {
-        (0..self.present.len())
-            .take_while(|&l| self.contiguous_prefix(l) >= horizon)
-            .count()
-    }
-
     /// Holes (missing sequences below `horizon`) in `layer`.
     pub fn holes(&self, layer: usize, horizon: u64) -> Vec<u64> {
         let empty = Vec::new();
@@ -210,24 +202,6 @@ mod tests {
     }
 
     #[test]
-    fn serviceable_layers_requires_full_prefixes_bottom_up() {
-        let mut c = LayerCache::new(3);
-        for seq in 0..10 {
-            c.insert(id(0, seq));
-            c.insert(id(1, seq));
-        }
-        c.insert(id(2, 0)); // partial top layer
-        assert_eq!(c.serviceable_layers(10), 2);
-        assert_eq!(c.serviceable_layers(1), 3);
-        // A hole in L0 caps everything, regardless of upper layers.
-        let mut c2 = LayerCache::new(2);
-        for seq in 0..10 {
-            c2.insert(id(1, seq));
-        }
-        assert_eq!(c2.serviceable_layers(10), 0);
-    }
-
-    #[test]
     fn prefetch_fills_lowest_layer_first() {
         let mut c = LayerCache::new(3);
         // L0 has a hole at 2; L1 missing entirely.
@@ -273,7 +247,7 @@ mod tests {
         assert_eq!(c.hits(), 0);
         let planner = PrefetchPlanner::new(2, 25);
         let mut rounds = 0;
-        while c.serviceable_layers(horizon) < 3 {
+        while (0..3).any(|layer| c.contiguous_prefix(layer) < horizon) {
             for p in planner.plan(&c, horizon) {
                 c.insert(p);
             }

@@ -101,19 +101,6 @@ impl LayeredEncoding {
         self.layers.iter().take(n).map(|l| l.rate).sum()
     }
 
-    /// Aggregate consumption rate of the full encoding.
-    pub fn total_rate(&self) -> f64 {
-        self.cumulative_rate(self.n_layers())
-    }
-
-    /// True when every layer has the same rate (the controller's closed
-    /// forms require this).
-    pub fn is_linear(&self) -> bool {
-        self.layers
-            .windows(2)
-            .all(|w| (w[0].rate - w[1].rate).abs() < 1e-9 * w[0].rate.max(1.0))
-    }
-
     /// The largest number of layers whose cumulative rate fits within
     /// `bandwidth` bytes/s.
     pub fn layers_within(&self, bandwidth: f64) -> usize {
@@ -138,8 +125,7 @@ mod tests {
     fn linear_encoding_has_equal_rates() {
         let e = LayeredEncoding::linear(4, 10_000.0).unwrap();
         assert_eq!(e.n_layers(), 4);
-        assert!(e.is_linear());
-        assert_eq!(e.total_rate(), 40_000.0);
+        assert_eq!(e.cumulative_rate(4), 40_000.0);
         assert_eq!(e.cumulative_rate(2), 20_000.0);
     }
 
@@ -149,8 +135,7 @@ mod tests {
         assert_eq!(e.rate(0), 8_000.0);
         assert_eq!(e.rate(1), 16_000.0);
         assert_eq!(e.rate(2), 32_000.0);
-        assert!(!e.is_linear());
-        assert_eq!(e.total_rate(), 56_000.0);
+        assert_eq!(e.cumulative_rate(3), 56_000.0);
     }
 
     #[test]
@@ -176,10 +161,5 @@ mod tests {
         assert_eq!(e.layers_within(10_000.0), 1);
         assert_eq!(e.layers_within(29_000.0), 2);
         assert_eq!(e.layers_within(1e9), 5);
-    }
-
-    #[test]
-    fn single_layer_is_linear() {
-        assert!(LayeredEncoding::linear(1, 5_000.0).unwrap().is_linear());
     }
 }

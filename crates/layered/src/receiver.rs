@@ -65,11 +65,6 @@ impl LayeredReceiver {
         &self.encoding
     }
 
-    /// Number of layers currently decoded.
-    pub fn active_layers(&self) -> usize {
-        self.active
-    }
-
     /// Change the decoded layer count (server adds/drops are signalled in
     /// the data stream; the receiver follows).
     pub fn set_active_layers(&mut self, n: usize) {
@@ -89,11 +84,6 @@ impl LayeredReceiver {
     /// Bytes buffered for `layer`.
     pub fn buffered(&self, layer: usize) -> f64 {
         self.buffers[layer].buffered()
-    }
-
-    /// Total bytes buffered across layers.
-    pub fn total_buffered(&self) -> f64 {
-        self.buffers.iter().map(|b| b.buffered()).sum()
     }
 
     /// Deliver `bytes` of `layer` data arriving at time `now`.
@@ -130,15 +120,6 @@ impl LayeredReceiver {
         }
         self.position += dt;
         underflows
-    }
-
-    /// Write off a dropped layer's remaining buffer (it will still render,
-    /// but it no longer counts toward recovery; §5's efficiency metric).
-    pub fn discard_layer_buffer(&mut self, layer: usize) -> f64 {
-        if layer >= self.buffers.len() {
-            return 0.0;
-        }
-        self.buffers[layer].clear()
     }
 
     /// Total bytes written off across all layers by buffer discards.
@@ -213,19 +194,9 @@ mod tests {
     fn set_active_layers_clamped() {
         let mut r = receiver(2);
         r.set_active_layers(0);
-        assert_eq!(r.active_layers(), 1);
+        assert_eq!(r.active, 1);
         r.set_active_layers(99);
-        assert_eq!(r.active_layers(), 4);
-    }
-
-    #[test]
-    fn discard_layer_buffer_returns_stranded_bytes() {
-        let mut r = receiver(3);
-        r.on_data(0.0, 2, 7_500.0);
-        assert_eq!(r.discard_layer_buffer(2), 7_500.0);
-        assert_eq!(r.buffered(2), 0.0);
-        assert_eq!(r.discard_layer_buffer(2), 0.0);
-        assert_eq!(r.discard_layer_buffer(99), 0.0);
+        assert_eq!(r.active, 4);
     }
 
     #[test]
@@ -233,10 +204,10 @@ mod tests {
         let mut r = receiver(3);
         r.on_data(0.0, 1, 2_000.0);
         r.on_data(0.0, 2, 7_500.0);
-        r.discard_layer_buffer(2);
-        r.discard_layer_buffer(1);
+        r.buffers[2].clear();
+        r.buffers[1].clear();
         r.on_data(1.0, 2, 500.0);
-        r.discard_layer_buffer(2);
+        r.buffers[2].clear();
         let stats = r.stats();
         assert_eq!(stats.discarded, vec![0.0, 2_000.0, 8_000.0, 0.0]);
         assert_eq!(r.total_discarded(), 10_000.0);
@@ -248,7 +219,7 @@ mod tests {
     fn data_for_unknown_layer_ignored() {
         let mut r = receiver(1);
         r.on_data(0.0, 9, 1_000.0);
-        assert_eq!(r.total_buffered(), 0.0);
+        assert_eq!(r.stats().buffered, vec![0.0; 4]);
     }
 
     #[test]

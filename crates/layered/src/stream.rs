@@ -57,24 +57,11 @@ impl LayeredStream {
         self.packet_size
     }
 
-    /// Total packets stored for `layer`.
-    pub fn packets_in_layer(&self, layer: usize) -> u64 {
-        let bytes = self.encoding.rate(layer) * self.duration;
-        (bytes / self.packet_size as f64).ceil() as u64
-    }
-
     /// Playout deadline of a packet: the media time (seconds from stream
     /// start) at which its first byte is consumed.
     pub fn deadline(&self, id: PacketId) -> f64 {
         let offset = id.seq as f64 * self.packet_size as f64;
         offset / self.encoding.rate(id.layer as usize)
-    }
-
-    /// Inverse of [`deadline`](Self::deadline): the next packet of `layer`
-    /// whose deadline is at or after `media_time`.
-    pub fn packet_at(&self, layer: usize, media_time: f64) -> u64 {
-        let bytes = self.encoding.rate(layer) * media_time.max(0.0);
-        (bytes / self.packet_size as f64).ceil() as u64
     }
 
     /// Deterministic payload for a packet: a cheap keyed pattern that lets
@@ -112,35 +99,11 @@ mod tests {
     }
 
     #[test]
-    fn packets_cover_duration() {
-        let s = stream();
-        // 10 KB/s for 60 s = 600 KB = 600 packets of 1000 B.
-        assert_eq!(s.packets_in_layer(0), 600);
-    }
-
-    #[test]
     fn deadline_is_offset_over_rate() {
         let s = stream();
         assert_eq!(s.deadline(PacketId { layer: 0, seq: 0 }), 0.0);
         // Packet 100: offset 100_000 B at 10 KB/s → 10 s.
         assert!((s.deadline(PacketId { layer: 0, seq: 100 }) - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn packet_at_inverts_deadline() {
-        let s = stream();
-        for &t in &[0.0, 1.0, 9.99, 10.0, 59.9] {
-            let seq = s.packet_at(1, t);
-            assert!(s.deadline(PacketId { layer: 1, seq }) >= t - 1e-9);
-            if seq > 0 {
-                assert!(
-                    s.deadline(PacketId {
-                        layer: 1,
-                        seq: seq - 1
-                    }) < t + 1e-9
-                );
-            }
-        }
     }
 
     #[test]

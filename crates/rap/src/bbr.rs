@@ -2,8 +2,7 @@
 //!
 //! Where RAP probes with a blind AIMD sawtooth, this sender builds an
 //! explicit model of the path — a windowed **max-filter over delivery-rate
-//! samples** (the bottleneck bandwidth estimate `BtlBw`) and a windowed
-//! **min-filter over RTT samples** (`RTprop`) — and paces at
+//! samples** (the bottleneck bandwidth estimate `BtlBw`) — and paces at
 //! `pacing_gain · BtlBw`. The gain follows the classic probe cycle: one
 //! round at 1.25× to look for newly-free bandwidth, one at 0.75× to drain
 //! the queue the probe built, then six rounds at 1× to cruise.
@@ -28,7 +27,7 @@
 
 use crate::controller::RateController;
 use crate::receiver::AckInfo;
-use crate::sender::{BackoffCause, RapEvent};
+use crate::sender::{BackoffCause, RapConfig, RapEvent};
 use crate::shell::SenderShell;
 use std::collections::VecDeque;
 
@@ -49,38 +48,12 @@ const FULL_BW_ROUNDS: u32 = 3;
 /// Per-round growth that still counts as "filling the pipe".
 const FULL_BW_THRESH: f64 = 1.25;
 
-/// BBR-style sender configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BbrConfig {
-    /// Payload bytes per packet.
-    pub packet_size: f64,
-    /// Initial transmission rate (bytes/s) before the model has samples.
-    pub initial_rate: f64,
-    /// Initial RTT guess (seconds).
-    pub initial_rtt: f64,
-    /// Packets after a hole before it is declared lost.
-    pub reorder_threshold: u64,
-    /// Rate ceiling (bytes/s), `INFINITY` for none.
-    pub max_rate: f64,
-    /// Bandwidth max-filter window (probe rounds).
-    pub btlbw_rounds: u64,
-    /// Min-RTT filter window (seconds).
-    pub rtprop_window: f64,
-}
+/// Bandwidth max-filter window (probe rounds).
+const BTLBW_ROUNDS: u64 = 10;
 
-impl Default for BbrConfig {
-    fn default() -> Self {
-        BbrConfig {
-            packet_size: 1_000.0,
-            initial_rate: 2_000.0,
-            initial_rtt: 0.2,
-            reorder_threshold: 3,
-            max_rate: f64::INFINITY,
-            btlbw_rounds: 10,
-            rtprop_window: 10.0,
-        }
-    }
-}
+/// BBR-style sender configuration: the same four parameters as RAP's
+/// (`initial_rate` seeds the model before it has samples).
+pub type BbrConfig = RapConfig;
 
 /// BBR-style delivery-rate-model sender. Paced, like RAP; drive it with
 /// the same loop (see [`RateController`]).
@@ -94,9 +67,6 @@ pub struct BbrSender {
     /// Model fallback when the filter is empty (initial rate, or the
     /// floor after a timeout collapse).
     fallback_bw: f64,
-    /// Windowed min over RTT samples: `(time, rtt)` kept monotone
-    /// increasing in `rtt`.
-    rtprop_filter: VecDeque<(f64, f64)>,
     /// Cumulative acked bytes (delivery-rate numerator).
     delivered: f64,
     /// Recent `(time, delivered)` checkpoints spanning about one SRTT.
@@ -119,11 +89,10 @@ pub struct BbrSender {
 impl BbrSender {
     /// New sender whose clock starts at `now`.
     pub fn new(cfg: BbrConfig, now: f64) -> Self {
-        let shell = SenderShell::new(cfg.initial_rtt, cfg.reorder_threshold, now);
+        let shell = SenderShell::new(cfg.initial_rtt, now);
         BbrSender {
             bw_filter: VecDeque::new(),
             fallback_bw: cfg.initial_rate.max(cfg.packet_size),
-            rtprop_filter: VecDeque::new(),
             delivered: 0.0,
             delivery_samples: VecDeque::new(),
             round: 0,
@@ -151,14 +120,6 @@ impl BbrSender {
             .map_or(self.fallback_bw, |&(_, s)| s)
     }
 
-    /// Path propagation-delay estimate (seconds): the windowed RTT min,
-    /// or the initial guess before any sample exists.
-    pub fn rtprop(&self) -> f64 {
-        self.rtprop_filter
-            .front()
-            .map_or(self.cfg.initial_rtt, |&(_, r)| r)
-    }
-
     /// Smoothed RTT (seconds).
     pub fn srtt(&self) -> f64 {
         self.shell.rtt.srtt()
@@ -182,26 +143,6 @@ impl BbrSender {
         &self.cfg
     }
 
-    /// Fold an RTT sample into the windowed min-filter.
-    fn sample_rtprop(&mut self, now: f64, sample: f64) {
-        while self
-            .rtprop_filter
-            .back()
-            .is_some_and(|&(_, r)| r >= sample)
-        {
-            self.rtprop_filter.pop_back();
-        }
-        self.rtprop_filter.push_back((now, sample));
-        while self
-            .rtprop_filter
-            .front()
-            .is_some_and(|&(t, _)| t < now - self.cfg.rtprop_window)
-            && self.rtprop_filter.len() > 1
-        {
-            self.rtprop_filter.pop_front();
-        }
-    }
-
     /// Fold a delivery-rate sample into the windowed max-filter.
     fn push_bw_sample(&mut self, sample: f64) {
         if !(sample.is_finite() && sample > 0.0) {
@@ -218,7 +159,7 @@ impl BbrSender {
         while self
             .bw_filter
             .front()
-            .is_some_and(|&(r, _)| self.round.saturating_sub(r) > self.cfg.btlbw_rounds)
+            .is_some_and(|&(r, _)| self.round.saturating_sub(r) > BTLBW_ROUNDS)
             && self.bw_filter.len() > 1
         {
             self.bw_filter.pop_front();
@@ -319,12 +260,8 @@ impl RateController for BbrSender {
     }
 
     fn on_ack(&mut self, now: f64, ack: AckInfo) {
-        let sample = self
-            .shell
+        self.shell
             .on_ack(now, &ack, |record| self.delivered += record.size);
-        if let Some(sample) = sample {
-            self.sample_rtprop(now, sample);
-        }
         self.sample_delivery_rate(now);
         self.handle_losses(now);
     }
@@ -395,10 +332,10 @@ mod tests {
     #[test]
     fn learns_the_path_without_loss() {
         // Unlimited echo path: startup must ramp the model well past the
-        // initial rate, and rtprop must find the 40 ms path RTT.
+        // initial rate, and the RTT estimate must find the 40 ms path.
         let (s, backoffs) = run(sender(f64::INFINITY), 3.0, 0);
         assert!(s.btlbw() > 100_000.0, "btlbw {}", s.btlbw());
-        assert!((s.rtprop() - 0.04).abs() < 0.02, "rtprop {}", s.rtprop());
+        assert!((s.srtt() - 0.04).abs() < 0.02, "srtt {}", s.srtt());
         assert!(backoffs.is_empty());
     }
 

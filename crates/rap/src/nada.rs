@@ -34,7 +34,7 @@
 
 use crate::controller::RateController;
 use crate::receiver::AckInfo;
-use crate::sender::{BackoffCause, RapEvent};
+use crate::sender::{BackoffCause, RapConfig, RapEvent};
 use crate::shell::SenderShell;
 
 /// Softest permitted multiplicative decrease.
@@ -48,47 +48,23 @@ pub const GAMMA_MIN: f64 = 0.5;
 /// between the clamps.
 pub const NOMINAL_GAMMA: f64 = 0.75;
 
-/// NADA-style sender configuration.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NadaConfig {
-    /// Payload bytes per packet.
-    pub packet_size: f64,
-    /// Initial transmission rate (bytes/s).
-    pub initial_rate: f64,
-    /// Initial RTT guess (seconds).
-    pub initial_rtt: f64,
-    /// Packets after a hole before it is declared lost.
-    pub reorder_threshold: u64,
-    /// Rate ceiling (bytes/s), `INFINITY` for none.
-    pub max_rate: f64,
-    /// Target congestion signal (seconds of equivalent delay).
-    pub x_ref: f64,
-    /// Reference loss fraction (the level that costs `d_loss`).
-    pub p_ref: f64,
-    /// Delay-units penalty of reference-level loss (seconds).
-    pub d_loss: f64,
-    /// Rate-update gain: packets per SRTT gained when uncongested.
-    pub eta: f64,
-    /// EWMA gain for the loss-fraction estimate.
-    pub loss_alpha: f64,
-}
+/// Target congestion signal (seconds of equivalent delay).
+const X_REF: f64 = 0.02;
 
-impl Default for NadaConfig {
-    fn default() -> Self {
-        NadaConfig {
-            packet_size: 1_000.0,
-            initial_rate: 2_000.0,
-            initial_rtt: 0.2,
-            reorder_threshold: 3,
-            max_rate: f64::INFINITY,
-            x_ref: 0.02,
-            p_ref: 0.01,
-            d_loss: 0.1,
-            eta: 1.0,
-            loss_alpha: 0.01,
-        }
-    }
-}
+/// Reference loss fraction (the level that costs [`D_LOSS`]).
+const P_REF: f64 = 0.01;
+
+/// Delay-units penalty of reference-level loss (seconds).
+const D_LOSS: f64 = 0.1;
+
+/// Rate-update gain: packets per SRTT gained when uncongested.
+const ETA: f64 = 1.0;
+
+/// EWMA gain for the loss-fraction estimate.
+const LOSS_ALPHA: f64 = 0.01;
+
+/// NADA-style sender configuration: the same four parameters as RAP's.
+pub type NadaConfig = RapConfig;
 
 /// NADA-style unified-congestion-signal sender. Paced, like RAP; drive it
 /// with the same loop (see [`RateController`]).
@@ -108,7 +84,7 @@ pub struct NadaSender {
 impl NadaSender {
     /// New sender whose clock starts at `now`.
     pub fn new(cfg: NadaConfig, now: f64) -> Self {
-        let shell = SenderShell::new(cfg.initial_rtt, cfg.reorder_threshold, now);
+        let shell = SenderShell::new(cfg.initial_rtt, now);
         NadaSender {
             rate: cfg.initial_rate.max(cfg.packet_size),
             min_rtt: f64::INFINITY,
@@ -140,8 +116,8 @@ impl NadaSender {
 
     /// The unified congestion signal `x = d_queue + DLOSS·(p/p_ref)²`.
     pub fn signal(&self) -> f64 {
-        let p_term = self.loss_ewma / self.cfg.p_ref;
-        self.d_queue() + self.cfg.d_loss * p_term * p_term
+        let p_term = self.loss_ewma / P_REF;
+        self.d_queue() + D_LOSS * p_term * p_term
     }
 
     /// The configuration this sender was built with.
@@ -153,8 +129,7 @@ impl NadaSender {
     fn rate_update(&mut self, at: f64) {
         let srtt = self.shell.rtt.srtt().max(1e-3);
         let x = self.signal();
-        let step =
-            self.cfg.eta * (self.cfg.x_ref - x) / self.cfg.x_ref * self.cfg.packet_size / srtt;
+        let step = ETA * (X_REF - x) / X_REF * self.cfg.packet_size / srtt;
         let before = self.rate;
         self.rate = (self.rate + step).clamp(self.min_rate(), self.cfg.max_rate);
         if self.rate > before {
@@ -170,7 +145,7 @@ impl NadaSender {
     fn observe(&mut self, lost: bool, packets: usize) {
         let y = if lost { 1.0 } else { 0.0 };
         for _ in 0..packets {
-            self.loss_ewma += self.cfg.loss_alpha * (y - self.loss_ewma);
+            self.loss_ewma += LOSS_ALPHA * (y - self.loss_ewma);
         }
     }
 
@@ -186,8 +161,7 @@ impl NadaSender {
         self.observe(true, self.shell.events.len() - reported);
         if new_event {
             let pre_rate = self.rate;
-            let gamma =
-                (1.0 / (1.0 + p_at_event / self.cfg.p_ref)).clamp(GAMMA_MIN, GAMMA_MAX);
+            let gamma = (1.0 / (1.0 + p_at_event / P_REF)).clamp(GAMMA_MIN, GAMMA_MAX);
             self.rate = (self.rate * gamma).max(self.min_rate());
             self.shell
                 .backoff(now, pre_rate, self.rate, BackoffCause::Loss);
@@ -204,7 +178,7 @@ impl RateController for NadaSender {
         // The uncongested increase is η packets per SRTT per SRTT — RAP's
         // slope scaled by the gain.
         let srtt = self.shell.rtt.srtt().max(1e-6);
-        self.cfg.eta * self.cfg.packet_size / (srtt * srtt)
+        ETA * self.cfg.packet_size / (srtt * srtt)
     }
 
     fn next_send_time(&self, _now: f64) -> f64 {

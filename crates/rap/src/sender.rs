@@ -38,8 +38,6 @@ pub struct RapConfig {
     pub initial_rate: f64,
     /// Initial RTT guess (seconds) before the first sample.
     pub initial_rtt: f64,
-    /// Packets after a hole before it is declared lost.
-    pub reorder_threshold: u64,
     /// Optional rate ceiling (bytes/s), `INFINITY` for none.
     pub max_rate: f64,
 }
@@ -50,7 +48,6 @@ impl Default for RapConfig {
             packet_size: 1_000.0,
             initial_rate: 2_000.0,
             initial_rtt: 0.2,
-            reorder_threshold: 3,
             max_rate: f64::INFINITY,
         }
     }
@@ -131,7 +128,7 @@ impl RapSender {
     pub fn new(cfg: RapConfig, now: f64) -> Self {
         let mut aimd = AimdState::new(cfg.packet_size, cfg.initial_rate);
         aimd.set_max_rate(cfg.max_rate);
-        let shell = SenderShell::new(cfg.initial_rtt, cfg.reorder_threshold, now);
+        let shell = SenderShell::new(cfg.initial_rtt, now);
         RapSender {
             next_step: now + shell.rtt.srtt(),
             aimd,

@@ -18,6 +18,9 @@ use crate::receiver::AckInfo;
 use crate::rtt::RttEstimator;
 use crate::sender::{BackoffCause, RapEvent};
 
+/// Packets after a hole before it is declared lost.
+const REORDER_THRESHOLD: u64 = 3;
+
 /// Transport bookkeeping shared by the four senders.
 #[derive(Debug, Clone)]
 pub(crate) struct SenderShell {
@@ -39,10 +42,10 @@ pub(crate) struct SenderShell {
 
 impl SenderShell {
     /// Fresh shell whose clock starts at `now`.
-    pub(crate) fn new(initial_rtt: f64, reorder_threshold: u64, now: f64) -> Self {
+    pub(crate) fn new(initial_rtt: f64, now: f64) -> Self {
         SenderShell {
             rtt: RttEstimator::new(initial_rtt),
-            history: TransmissionHistory::new(reorder_threshold),
+            history: TransmissionHistory::new(REORDER_THRESHOLD),
             next_seq: 0,
             next_send: now,
             recovery_seq: None,

@@ -21,14 +21,8 @@ use crate::shell::SenderShell;
 pub struct WindowConfig {
     /// Payload bytes per packet.
     pub packet_size: f64,
-    /// Initial congestion window (packets).
-    pub initial_cwnd: f64,
-    /// Slow-start threshold (packets).
-    pub initial_ssthresh: f64,
     /// Initial RTT guess (seconds).
     pub initial_rtt: f64,
-    /// Packets after a hole before it is declared lost.
-    pub reorder_threshold: u64,
     /// Window ceiling (packets).
     pub max_cwnd: f64,
 }
@@ -37,10 +31,7 @@ impl Default for WindowConfig {
     fn default() -> Self {
         WindowConfig {
             packet_size: 1_000.0,
-            initial_cwnd: 2.0,
-            initial_ssthresh: 32.0,
             initial_rtt: 0.2,
-            reorder_threshold: 3,
             max_cwnd: 10_000.0,
         }
     }
@@ -63,15 +54,20 @@ pub struct WindowSender {
 /// EWMA gain for the smoothed tick rate.
 const RATE_SMOOTHING: f64 = 0.25;
 
+/// Initial congestion window (packets).
+const INITIAL_CWND: f64 = 2.0;
+
+/// Initial slow-start threshold (packets).
+const INITIAL_SSTHRESH: f64 = 32.0;
+
 impl WindowSender {
     /// New sender whose clock starts at `now`.
     pub fn new(cfg: WindowConfig, now: f64) -> Self {
-        let cwnd = cfg.initial_cwnd.max(1.0);
-        let smoothed_rate = cwnd * cfg.packet_size / cfg.initial_rtt.max(1e-6);
+        let smoothed_rate = INITIAL_CWND * cfg.packet_size / cfg.initial_rtt.max(1e-6);
         WindowSender {
-            cwnd,
-            ssthresh: cfg.initial_ssthresh,
-            shell: SenderShell::new(cfg.initial_rtt, cfg.reorder_threshold, now),
+            cwnd: INITIAL_CWND,
+            ssthresh: INITIAL_SSTHRESH,
+            shell: SenderShell::new(cfg.initial_rtt, now),
             smoothed_rate,
             cfg,
         }

@@ -109,11 +109,6 @@ impl QaSourceAgent<RapSender> {
             tick_dt,
         )
     }
-
-    /// The RAP sender, for post-run inspection.
-    pub fn rap(&self) -> &RapSender {
-        &self.rap
-    }
 }
 
 impl<T: RateController + 'static> QaSourceAgent<T> {
@@ -150,11 +145,6 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
             backoffs: 0,
             ev_scratch: Vec::new(),
         }
-    }
-
-    /// The congestion controller, for post-run inspection.
-    pub fn controller(&self) -> &T {
-        &self.rap
     }
 
     /// The controller (metrics, buffers) for post-run inspection.
@@ -431,7 +421,6 @@ mod tests {
                 initial_rate: 2_000.0,
                 initial_rtt: 0.08,
                 max_rate: 45_000.0,
-                ..RapConfig::default()
             };
             let mut src = QaSourceAgent::new(sink, vec![fwd], 1, rap_cfg, qa_cfg, 0.05);
             src.retransmit_protect = protect;
@@ -448,7 +437,6 @@ mod tests {
                     packet_size: 500.0,
                     initial_rtt: 0.06,
                     max_cwnd: 60.0,
-                    ..WindowConfig::default()
                 },
                 0.0,
             );

@@ -121,26 +121,57 @@ pub struct CampaignSpec {
 }
 
 impl CampaignSpec {
-    /// Cartesian grid `tests × k_values × seeds`, each of `duration`
-    /// simulated seconds.
-    pub fn grid(tests: &[TestKind], k_values: &[u32], seeds: &[u64], duration: f64) -> Self {
-        let mut sessions = Vec::with_capacity(tests.len() * k_values.len() * seeds.len());
+    /// The one product under the four grids: test → trace → transport →
+    /// `K_max` → fault intensity → seed, outermost first. A grid without
+    /// an axis passes a singleton for it.
+    fn product(
+        tests: &[TestKind],
+        traces: &[Option<TraceKind>],
+        transports: &[Transport],
+        k_values: &[u32],
+        intensities: &[Option<f64>],
+        seeds: &[u64],
+        duration: f64,
+    ) -> Self {
+        let cells = tests.len() * traces.len() * transports.len();
+        let cells = cells * k_values.len() * intensities.len() * seeds.len();
+        let mut sessions = Vec::with_capacity(cells);
         for &test in tests {
-            for &k_max in k_values {
-                for &seed in seeds {
-                    sessions.push(SessionSpec {
-                        test,
-                        k_max,
-                        seed,
-                        duration,
-                        fault_intensity: None,
-                        transport: Transport::Rap,
-                        trace: None,
-                    });
+            for &trace in traces {
+                for &transport in transports {
+                    for &k_max in k_values {
+                        for &fault_intensity in intensities {
+                            for &seed in seeds {
+                                sessions.push(SessionSpec {
+                                    test,
+                                    k_max,
+                                    seed,
+                                    duration,
+                                    fault_intensity,
+                                    transport,
+                                    trace,
+                                });
+                            }
+                        }
+                    }
                 }
             }
         }
         CampaignSpec { sessions }
+    }
+
+    /// Cartesian grid `tests × k_values × seeds`, each of `duration`
+    /// simulated seconds.
+    pub fn grid(tests: &[TestKind], k_values: &[u32], seeds: &[u64], duration: f64) -> Self {
+        Self::product(
+            tests,
+            &[None],
+            &[Transport::Rap],
+            k_values,
+            &[None],
+            seeds,
+            duration,
+        )
     }
 
     /// QA × transport interop matrix: `tests × transports × k_values ×
@@ -155,25 +186,16 @@ impl CampaignSpec {
         duration: f64,
         fault_intensity: Option<f64>,
     ) -> Self {
-        let mut sessions = Vec::new();
-        for &test in tests {
-            for &transport in transports {
-                for &k_max in k_values {
-                    for &seed in seeds {
-                        sessions.push(SessionSpec {
-                            test,
-                            k_max,
-                            seed,
-                            duration,
-                            fault_intensity,
-                            transport,
-                            trace: None,
-                        });
-                    }
-                }
-            }
-        }
-        CampaignSpec { sessions }
+        let intensities = [fault_intensity];
+        Self::product(
+            tests,
+            &[None],
+            transports,
+            k_values,
+            &intensities,
+            seeds,
+            duration,
+        )
     }
 
     /// Fault-intensity sweep: `tests × k_values × intensities × seeds`.
@@ -186,25 +208,19 @@ impl CampaignSpec {
         seeds: &[u64],
         duration: f64,
     ) -> Self {
-        let mut sessions = Vec::new();
-        for &test in tests {
-            for &k_max in k_values {
-                for &intensity in intensities {
-                    for &seed in seeds {
-                        sessions.push(SessionSpec {
-                            test,
-                            k_max,
-                            seed,
-                            duration,
-                            fault_intensity: (intensity > 0.0).then_some(intensity),
-                            transport: Transport::Rap,
-                            trace: None,
-                        });
-                    }
-                }
-            }
-        }
-        CampaignSpec { sessions }
+        let intensities: Vec<Option<f64>> = intensities
+            .iter()
+            .map(|&i| (i > 0.0).then_some(i))
+            .collect();
+        Self::product(
+            tests,
+            &[None],
+            &[Transport::Rap],
+            k_values,
+            &intensities,
+            seeds,
+            duration,
+        )
     }
 
     /// Hostile-network corpus: `tests × traces × transports × k_values ×
@@ -222,27 +238,17 @@ impl CampaignSpec {
         duration: f64,
         fault_intensity: Option<f64>,
     ) -> Self {
-        let mut sessions = Vec::new();
-        for &test in tests {
-            for &trace in traces {
-                for &transport in transports {
-                    for &k_max in k_values {
-                        for &seed in seeds {
-                            sessions.push(SessionSpec {
-                                test,
-                                k_max,
-                                seed,
-                                duration,
-                                fault_intensity,
-                                transport,
-                                trace: Some(trace),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        CampaignSpec { sessions }
+        let traces: Vec<Option<TraceKind>> = traces.iter().copied().map(Some).collect();
+        let intensities = [fault_intensity];
+        Self::product(
+            tests,
+            &traces,
+            transports,
+            k_values,
+            &intensities,
+            seeds,
+            duration,
+        )
     }
 
     /// Number of sessions.

@@ -205,40 +205,6 @@ impl<'a> Ctx<'a> {
         );
         self.core.links[link].cfg.loss_rate = loss_rate.clamp(0.0, 1.0);
     }
-
-    /// Next time (seconds, session-local) the link's trace schedule has a
-    /// point to apply; `None` for untraced links and exhausted schedules.
-    pub fn link_trace_next(&self, link: LinkId) -> Option<f64> {
-        self.core.links[link]
-            .trace
-            .as_ref()
-            .and_then(|t| t.next_change_at())
-    }
-
-    /// Apply every trace schedule point due at or before the current time
-    /// to the link's live configuration (see
-    /// [`crate::link::LinkTraceState::apply_next`] for the fault-
-    /// composition precedence). Returns how many points were applied. The
-    /// sub-nanosecond tolerance absorbs the timer's integer-nanosecond
-    /// quantization of the point's f64 time.
-    pub fn apply_link_trace(&mut self, link: LinkId) -> u64 {
-        let now = self.now;
-        let l = &mut self.core.links[link];
-        let Some(trace) = l.trace.as_mut() else {
-            return 0;
-        };
-        let mut applied = 0;
-        while trace.next_change_at().is_some_and(|at| at <= now + 1e-9) {
-            if !trace.apply_next(&mut l.cfg) {
-                break;
-            }
-            applied += 1;
-        }
-        if applied > 0 {
-            laqa_obs::counter!("trace.points_applied").add(applied);
-        }
-        applied
-    }
 }
 
 /// A network endpoint or middlebox with protocol behaviour.
@@ -312,12 +278,6 @@ impl World {
     /// through [`Ctx::set_link_bandwidth`] and friends).
     pub fn link_config(&self, link: LinkId) -> LinkConfig {
         self.core.links[link].cfg
-    }
-
-    /// Attach a trace schedule to a link (see [`Link::set_trace`]); a
-    /// [`crate::link::TraceDriver`] agent must be added to advance it.
-    pub fn set_link_trace(&mut self, link: LinkId, schedule: crate::link::TraceSchedule) {
-        self.core.links[link].set_trace(schedule);
     }
 
     /// Typed view of an agent (e.g. to pull stats after a run).

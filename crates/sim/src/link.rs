@@ -274,12 +274,11 @@ impl TraceSchedule {
     }
 }
 
-/// Replay cursor of a [`TraceSchedule`] attached to a [`Link`].
+/// Replay cursor of a [`TraceSchedule`], owned by the [`TraceDriver`]
+/// that advances it.
 ///
 /// The cursor counts points applied; for looping schedules it keeps
-/// increasing across cycles (`cursor / len` is the cycle number). It
-/// lives *on the link* — not in the driver agent — next to the
-/// configuration it rewrites.
+/// increasing across cycles (`cursor / len` is the cycle number).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkTraceState {
     schedule: TraceSchedule,
@@ -357,9 +356,6 @@ pub struct Link {
     pub red_avg: f64,
     /// Counters.
     pub stats: LinkStats,
-    /// Trace-replay cursor when this is a trace-driven link (see
-    /// [`TraceSchedule`]); `None` for ordinary static links.
-    pub trace: Option<LinkTraceState>,
 }
 
 /// Per-link counters.
@@ -386,15 +382,7 @@ impl Link {
             busy: false,
             red_avg: 0.0,
             stats: LinkStats::default(),
-            trace: None,
         }
-    }
-
-    /// Attach a trace schedule, making this a trace-driven link. The
-    /// replay cursor starts at the first point; a [`TraceDriver`] agent
-    /// advances it off the event scheduler.
-    pub fn set_trace(&mut self, schedule: TraceSchedule) {
-        self.trace = Some(LinkTraceState::new(schedule));
     }
 
     /// Offer a packet to the link. `u_loss` and `u_red` are uniform
@@ -451,11 +439,12 @@ impl Link {
     }
 }
 
-/// Agent that advances one trace-driven link's schedule off the event
+/// Agent that replays one [`TraceSchedule`] onto a link off the event
 /// scheduler: it arms a timer for each schedule point and applies the
-/// point when the timer fires (through [`crate::engine::Ctx`], with the
-/// same runtime-mutation semantics as fault injection — bandwidth read at
-/// serialize start, delay at serialize finish).
+/// point when the timer fires, through the same [`crate::engine::Ctx`]
+/// setters — and so with the same runtime-mutation semantics — as fault
+/// injection: bandwidth read at serialize start, delay at serialize
+/// finish.
 ///
 /// Driving the schedule through ordinary timer events — rather than
 /// polling link state on some side channel — is what makes trace replay
@@ -466,38 +455,65 @@ impl Link {
 /// The driver draws no world RNG (schedules are pre-materialized), so
 /// attaching it perturbs nothing but the link parameters it writes.
 pub struct TraceDriver {
-    /// The trace-driven link this driver advances.
+    /// The trace-driven link this driver writes.
     pub link: crate::packet::LinkId,
     /// Schedule points applied so far (diagnostics + outcome hashing).
     pub changes: u64,
+    state: LinkTraceState,
 }
 
 const TOK_TRACE: u64 = 0x7_ACE;
 
 impl TraceDriver {
-    /// Driver for `link` (which must have a schedule attached via
-    /// [`Link::set_trace`] before the world starts).
-    pub fn new(link: crate::packet::LinkId) -> Self {
-        TraceDriver { link, changes: 0 }
+    /// Driver replaying `schedule` onto `link` from its first point.
+    pub fn new(link: crate::packet::LinkId, schedule: TraceSchedule) -> Self {
+        TraceDriver {
+            link,
+            changes: 0,
+            state: LinkTraceState::new(schedule),
+        }
+    }
+
+    fn arm(&self, ctx: &mut crate::engine::Ctx) {
+        if let Some(at) = self.state.next_change_at() {
+            ctx.set_timer_at(at, TOK_TRACE);
+        }
     }
 }
 
 impl crate::engine::Agent for TraceDriver {
     fn start(&mut self, ctx: &mut crate::engine::Ctx) {
-        if let Some(at) = ctx.link_trace_next(self.link) {
-            ctx.set_timer_at(at, TOK_TRACE);
-        }
+        self.arm(ctx);
     }
 
     fn on_packet(&mut self, _ctx: &mut crate::engine::Ctx, _pkt: Packet) {
         // Nothing routes to the driver; ignore strays defensively.
     }
 
+    /// Fold every point due at or before now into the link's live
+    /// configuration (see [`LinkTraceState::apply_next`] for the fault-
+    /// composition precedence) and write it back. The sub-nanosecond
+    /// tolerance absorbs the timer's integer-nanosecond quantization of
+    /// the point's f64 time.
     fn on_timer(&mut self, ctx: &mut crate::engine::Ctx, _token: u64) {
-        self.changes += ctx.apply_link_trace(self.link);
-        if let Some(at) = ctx.link_trace_next(self.link) {
-            ctx.set_timer_at(at, TOK_TRACE);
+        let mut cfg = ctx.link_config(self.link);
+        let mut applied = 0;
+        while self
+            .state
+            .next_change_at()
+            .is_some_and(|at| at <= ctx.now + 1e-9)
+            && self.state.apply_next(&mut cfg)
+        {
+            applied += 1;
         }
+        if applied > 0 {
+            ctx.set_link_bandwidth(self.link, cfg.bandwidth);
+            ctx.set_link_delay(self.link, cfg.delay);
+            ctx.set_link_loss_rate(self.link, cfg.loss_rate);
+            laqa_obs::counter!("trace.points_applied").add(applied);
+            self.changes += applied;
+        }
+        self.arm(ctx);
     }
 }
 

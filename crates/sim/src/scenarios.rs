@@ -16,8 +16,7 @@ use crate::topology::{Dumbbell, DumbbellConfig};
 use laqa_core::{MetricsCollector, QaConfig};
 use laqa_layered::LayeredEncoding;
 use laqa_rap::{
-    BbrConfig, BbrSender, NadaConfig, NadaSender, RapConfig, RapSender, RateController,
-    WindowConfig, WindowSender,
+    BbrSender, NadaSender, RapConfig, RapSender, RateController, WindowConfig, WindowSender,
 };
 use laqa_trace::TimeSeries;
 
@@ -133,15 +132,22 @@ impl std::str::FromStr for TraceKind {
     }
 }
 
+/// Background RAP flows competing with the QA flow (the paper uses 9).
+pub const N_RAP: usize = 9;
+
+/// Background TCP flows competing with the QA flow (the paper uses 10).
+pub const N_TCP: usize = 10;
+
+/// When the QA flow joins (seconds). Letting the background flows
+/// saturate the bottleneck first gives the QA flow the gentle ramp of
+/// the paper's figure 11 instead of an empty-network rate overshoot.
+pub const QA_START: f64 = 5.0;
+
 /// Scenario parameters (defaults = the paper's T1 at `K_max = 2`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
     /// Dumbbell parameters.
     pub dumbbell: DumbbellConfig,
-    /// Background RAP flows (the paper uses 9).
-    pub n_rap: usize,
-    /// Background TCP flows (the paper uses 10).
-    pub n_tcp: usize,
     /// Optional CBR burst `(start, stop, rate_bytes_per_sec)` — T2's
     /// half-bottleneck burst.
     pub cbr: Option<(f64, f64, f64)>,
@@ -155,10 +161,6 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// QA allocation period (seconds).
     pub tick_dt: f64,
-    /// When the QA flow joins (seconds). Letting the background flows
-    /// saturate the bottleneck first gives the QA flow the gentle ramp of
-    /// the paper's figure 11 instead of an empty-network rate overshoot.
-    pub qa_start: f64,
     /// Layers `0..n` protected by selective retransmission (§1.3);
     /// 0 = off (the paper's evaluation setting).
     pub retransmit_protect: usize,
@@ -187,8 +189,6 @@ impl ScenarioConfig {
     pub fn t1(k_max: u32, duration: f64, seed: u64) -> Self {
         ScenarioConfig {
             dumbbell: DumbbellConfig::paper_base(),
-            n_rap: 9,
-            n_tcp: 10,
             cbr: None,
             qa: QaConfig {
                 layer_rate: 1_250.0,
@@ -208,12 +208,10 @@ impl ScenarioConfig {
                 // control); the cap also keeps RAP's pre-loss startup ramp
                 // from instantiating the whole layer stack at once.
                 max_rate: 1.25 * 10.0 * 1_250.0,
-                ..RapConfig::default()
             },
             duration,
             seed,
             tick_dt: 0.05,
-            qa_start: 5.0,
             retransmit_protect: 0,
             faults: FaultPlan::none(),
             transport: Transport::Rap,
@@ -410,52 +408,25 @@ fn build_scenario(cfg: &ScenarioConfig, sched: SchedulerKind) -> (World, Scenari
                 cfg.qa.clone(),
                 cfg.tick_dt,
             );
-            src.start_at = cfg.qa_start;
+            src.start_at = QA_START;
             src.retransmit_protect = cfg.retransmit_protect;
             world.add_agent(Box::new(src))
         }
-        let RapConfig {
-            packet_size,
-            initial_rate,
-            initial_rtt,
-            reorder_threshold,
-            max_rate,
-        } = cfg.rap;
         let w = &mut d.world;
         let id = match cfg.transport {
             Transport::Rap => add_qa_src(w, RapSender::new(cfg.rap.clone(), 0.0), cfg, qa_dst, fwd),
-            Transport::Bbr => {
-                let bbr = BbrConfig {
-                    packet_size,
-                    initial_rate,
-                    initial_rtt,
-                    reorder_threshold,
-                    max_rate,
-                    ..BbrConfig::default()
-                };
-                add_qa_src(w, BbrSender::new(bbr, 0.0), cfg, qa_dst, fwd)
-            }
+            Transport::Bbr => add_qa_src(w, BbrSender::new(cfg.rap.clone(), 0.0), cfg, qa_dst, fwd),
             Transport::Nada => {
-                let nada = NadaConfig {
-                    packet_size,
-                    initial_rate,
-                    initial_rtt,
-                    reorder_threshold,
-                    max_rate,
-                    ..NadaConfig::default()
-                };
-                add_qa_src(w, NadaSender::new(nada, 0.0), cfg, qa_dst, fwd)
+                add_qa_src(w, NadaSender::new(cfg.rap.clone(), 0.0), cfg, qa_dst, fwd)
             }
             Transport::Tcp => {
                 let window = WindowConfig {
-                    packet_size,
-                    initial_rtt,
-                    reorder_threshold,
+                    packet_size: cfg.rap.packet_size,
+                    initial_rtt: cfg.rap.initial_rtt,
                     // Flow-control cap equivalent to RAP's max_rate at
                     // a generous queueing-inclusive RTT of 0.5 s; the
                     // floor keeps the window usable on fast paths.
-                    max_cwnd: (max_rate * 0.5 / packet_size).max(8.0),
-                    ..WindowConfig::default()
+                    max_cwnd: (cfg.rap.max_rate * 0.5 / cfg.rap.packet_size).max(8.0),
                 };
                 add_qa_src(w, WindowSender::new(window, 0.0), cfg, qa_dst, fwd)
             }
@@ -475,7 +446,7 @@ fn build_scenario(cfg: &ScenarioConfig, sched: SchedulerKind) -> (World, Scenari
     }
 
     let mut rap_sinks = Vec::new();
-    for i in 0..cfg.n_rap {
+    for i in 0..N_RAP {
         let flow = 1 + i as u32;
         let sink_id = d.world.add_agent(Box::new(RapSinkAgent::new(
             0, // fixed up immediately below: source id is sink_id + 1
@@ -500,7 +471,7 @@ fn build_scenario(cfg: &ScenarioConfig, sched: SchedulerKind) -> (World, Scenari
     }
 
     let mut tcp_sinks = Vec::new();
-    for i in 0..cfg.n_tcp {
+    for i in 0..N_TCP {
         let flow = 100 + i as u32;
         let sink_id = d
             .world
@@ -567,9 +538,9 @@ fn build_scenario(cfg: &ScenarioConfig, sched: SchedulerKind) -> (World, Scenari
         cfg.tick_dt * 4.0,
     )));
 
-    // Trace-driven links last: attach each schedule (pre-materialized
-    // from its own salted RNG — no world RNG is consumed) and add one
-    // driver agent per traced link. Baseline scenarios skip this entirely.
+    // Trace-driven links last: one driver agent per traced link, each
+    // owning its schedule (pre-materialized from its own salted RNG — no
+    // world RNG is consumed). Baseline scenarios skip this entirely.
     let mut trace_drivers = Vec::new();
     if let Some(kind) = cfg.trace {
         let nominal = cfg.dumbbell.bottleneck_bw;
@@ -595,8 +566,8 @@ fn build_scenario(cfg: &ScenarioConfig, sched: SchedulerKind) -> (World, Scenari
             }
         }
         for (link, schedule) in traced {
-            d.world.set_link_trace(link, schedule);
-            trace_drivers.push(d.world.add_agent(Box::new(TraceDriver::new(link))));
+            let driver = TraceDriver::new(link, schedule);
+            trace_drivers.push(d.world.add_agent(Box::new(driver)));
         }
     }
     (

@@ -6,19 +6,23 @@ use crate::link::{LinkConfig, QueueKind};
 use crate::packet::{LinkId, Route};
 use crate::sched::SchedulerKind;
 
+/// Bottleneck propagation delay (seconds). With [`ACCESS_DELAY`] each way
+/// the propagation RTT is the paper's 40 ms.
+const BOTTLENECK_DELAY: f64 = 0.010;
+
+/// Per-flow access-link bandwidth (bytes/s) — fast enough not to be the
+/// bottleneck.
+const ACCESS_BW: f64 = 12_500_000.0;
+
+/// Per-flow access-link propagation delay (seconds).
+const ACCESS_DELAY: f64 = 0.005;
+
 /// Dumbbell parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DumbbellConfig {
     /// Bottleneck bandwidth (bytes/s). The paper's T1/T2 use 800 Kb/s
     /// = 100 000 B/s.
     pub bottleneck_bw: f64,
-    /// Bottleneck propagation delay (seconds).
-    pub bottleneck_delay: f64,
-    /// Per-flow access-link bandwidth (bytes/s) — fast enough not to be the
-    /// bottleneck.
-    pub access_bw: f64,
-    /// Per-flow access-link propagation delay (seconds).
-    pub access_delay: f64,
     /// Bottleneck queue capacity (packets).
     pub queue_packets: usize,
     /// Bottleneck queueing discipline (the paper uses drop-tail; RED is
@@ -38,18 +42,10 @@ impl DumbbellConfig {
     pub fn paper_base() -> Self {
         DumbbellConfig {
             bottleneck_bw: 100_000.0,
-            bottleneck_delay: 0.010,
-            access_bw: 12_500_000.0,
-            access_delay: 0.005,
             queue_packets: 150,
             queue_kind: QueueKind::DropTail,
             loss_rate: 0.0,
         }
-    }
-
-    /// Round-trip propagation time of the dumbbell (seconds).
-    pub fn rtt(&self) -> f64 {
-        2.0 * (self.bottleneck_delay + 2.0 * self.access_delay)
     }
 }
 
@@ -77,7 +73,7 @@ impl Dumbbell {
         let mut world = World::with_scheduler(seed, kind);
         let fwd_bottleneck = world.add_link(LinkConfig {
             bandwidth: cfg.bottleneck_bw,
-            delay: cfg.bottleneck_delay,
+            delay: BOTTLENECK_DELAY,
             queue_packets: cfg.queue_packets,
             queue_kind: cfg.queue_kind,
             loss_rate: cfg.loss_rate,
@@ -86,7 +82,7 @@ impl Dumbbell {
         // but with the same propagation delay so RTTs are symmetric.
         let rev_bottleneck = world.add_link(LinkConfig {
             bandwidth: cfg.bottleneck_bw.max(12_500_000.0),
-            delay: cfg.bottleneck_delay,
+            delay: BOTTLENECK_DELAY,
             queue_packets: 10_000,
             ..LinkConfig::default()
         });
@@ -109,7 +105,7 @@ impl Dumbbell {
     pub fn add_bond_path(&mut self) -> LinkId {
         let id = self.world.add_link(LinkConfig {
             bandwidth: self.cfg.bottleneck_bw,
-            delay: self.cfg.bottleneck_delay,
+            delay: BOTTLENECK_DELAY,
             queue_packets: self.cfg.queue_packets,
             queue_kind: self.cfg.queue_kind,
             loss_rate: self.cfg.loss_rate,
@@ -143,8 +139,8 @@ impl Dumbbell {
     /// `[access, bottleneck]` for one flow.
     pub fn forward_route(&mut self) -> Route {
         let access = self.world.add_link(LinkConfig {
-            bandwidth: self.cfg.access_bw,
-            delay: self.cfg.access_delay,
+            bandwidth: ACCESS_BW,
+            delay: ACCESS_DELAY,
             queue_packets: 10_000,
             ..LinkConfig::default()
         });
@@ -158,8 +154,8 @@ impl Dumbbell {
     /// takes.
     pub fn access_route(&mut self) -> Route {
         let access = self.world.add_link(LinkConfig {
-            bandwidth: self.cfg.access_bw,
-            delay: self.cfg.access_delay,
+            bandwidth: ACCESS_BW,
+            delay: ACCESS_DELAY,
             queue_packets: 10_000,
             ..LinkConfig::default()
         });
@@ -169,8 +165,8 @@ impl Dumbbell {
     /// Reverse route `[rev_bottleneck, rev_access]` for one flow's ACKs.
     pub fn reverse_route(&mut self) -> Route {
         let access = self.world.add_link(LinkConfig {
-            bandwidth: self.cfg.access_bw,
-            delay: self.cfg.access_delay,
+            bandwidth: ACCESS_BW,
+            delay: ACCESS_DELAY,
             queue_packets: 10_000,
             ..LinkConfig::default()
         });
@@ -184,9 +180,9 @@ mod tests {
 
     #[test]
     fn paper_base_has_40ms_rtt() {
-        let cfg = DumbbellConfig::paper_base();
-        assert!((cfg.rtt() - 0.040).abs() < 1e-12);
-        assert_eq!(cfg.bottleneck_bw, 100_000.0); // 800 Kb/s
+        let rtt = 2.0 * (BOTTLENECK_DELAY + 2.0 * ACCESS_DELAY);
+        assert!((rtt - 0.040).abs() < 1e-12);
+        assert_eq!(DumbbellConfig::paper_base().bottleneck_bw, 100_000.0); // 800 Kb/s
     }
 
     #[test]

@@ -195,8 +195,7 @@ fn trace_points_reassert_link_params_over_fault_mutations() {
     let link = w.add_link(LinkConfig::default());
     let schedule =
         TraceSchedule::from_points(vec![pt(0.0, 100_000.0), pt(1.5, 50_000.0)], None).unwrap();
-    w.set_link_trace(link, schedule);
-    w.add_agent(Box::new(TraceDriver::new(link)));
+    w.add_agent(Box::new(TraceDriver::new(link, schedule)));
     w.add_agent(Box::new(Meddler { link }));
 
     w.run_until(1.2);

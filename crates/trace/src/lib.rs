@@ -21,7 +21,6 @@ pub mod json;
 pub mod linktrace;
 pub mod recorder;
 pub mod series;
-pub mod stats;
 pub mod summary;
 pub mod table;
 
@@ -32,6 +31,5 @@ pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use linktrace::{parse_link_trace, LinkTracePoint};
 pub use recorder::Recorder;
 pub use series::{RateBinner, TimeSeries};
-pub use stats::{histogram, percentile, summarize, SeriesStats};
 pub use summary::RunSummary;
 pub use table::{pct, Table};

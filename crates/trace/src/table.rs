@@ -27,11 +27,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows.
-    pub fn n_rows(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render to an aligned text block.
     pub fn render(&self) -> String {
         let n_cols = self
@@ -153,6 +148,5 @@ mod tests {
         let mut t = Table::new("", &["a"]);
         t.row(vec!["1".into(), "extra".into()]);
         assert!(t.render().contains("extra"));
-        assert_eq!(t.n_rows(), 1);
     }
 }

@@ -6,6 +6,7 @@
 //! cargo run --release -p laqa-apps --example congested_backbone
 //! ```
 
+use laqa_sim::scenarios::{N_RAP, N_TCP};
 use laqa_sim::{run_scenario, ScenarioConfig};
 
 /// Tiny terminal sparkline.
@@ -31,8 +32,8 @@ fn main() {
     let duration = 40.0;
     let cfg = ScenarioConfig::t1(2, duration, 42);
     println!(
-        "simulating {duration:.0} s: 1 QA flow + {} RAP + {} TCP over {:.0} B/s...",
-        cfg.n_rap, cfg.n_tcp, cfg.dumbbell.bottleneck_bw
+        "simulating {duration:.0} s: 1 QA flow + {N_RAP} RAP + {N_TCP} TCP over {:.0} B/s...",
+        cfg.dumbbell.bottleneck_bw
     );
     let out = run_scenario(&cfg);
 

@@ -41,4 +41,7 @@ cargo clippy --all-targets --all-features -- -D warnings
 echo "== non-test Rust lines per crate (scripts/loc.sh) =="
 bash scripts/loc.sh
 
+echo "== files assigning each config field, fewest first (scripts/knobs.sh) =="
+bash scripts/knobs.sh
+
 echo "verify OK"

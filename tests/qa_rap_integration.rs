@@ -14,7 +14,6 @@ fn run_path(loss_period: u64, duration: f64) -> (QaController, RapSender, Vec<f6
         initial_rate: 5_000.0,
         initial_rtt: 0.1,
         max_rate: 80_000.0,
-        ..RapConfig::default()
     };
     let qa_cfg = QaConfig {
         layer_rate: 5_000.0,
