@@ -1,6 +1,6 @@
-//! Allocation guard for a simulator session, the in-place
-//! state-sequence rebuild, the QA controller's tick and the transport's
-//! packet round.
+//! Allocation guard for a simulator session, the engine's forwarding
+//! path, the in-place state-sequence rebuild, the QA controller's tick and
+//! the transport's packet round.
 //!
 //! PR 4 pinned the in-session allocator win (266k → 29k allocs per run);
 //! this pins what keeps it. A session runs within a small fixed
@@ -12,6 +12,9 @@
 //! allocates only the report it returns and a backoff nothing. And once a
 //! [`RateController`] and its receiver have seen a flight of packets, a
 //! packet's round through them allocates nothing, lost packets included.
+//! And once a [`World`] has forwarded a second of traffic, its packet
+//! arena, link queue and timer wheel have their footprint: forwarding
+//! more allocates nothing.
 //!
 //! Lives in `crates/bench/tests` because the laqa crates are
 //! `deny(unsafe_code)` and the counting `#[global_allocator]` is the one
@@ -25,7 +28,8 @@ use laqa_rap::{
     BbrConfig, BbrSender, NadaConfig, NadaSender, RapConfig, RapEvent, RapReceiverState, RapSender,
     RateController, WindowConfig, WindowSender,
 };
-use laqa_sim::{run_session, SessionSpec, TestKind, Transport};
+use laqa_sim::agents::cbr::{CbrAgent, CountingSink};
+use laqa_sim::{run_session, LinkConfig, SessionSpec, TestKind, Transport, World};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::VecDeque;
@@ -58,9 +62,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations allowed for one 8 s session (measured: 1 005 — world and
-/// agent construction, trace growth; result extraction moves the traces
-/// out). The 7 % budget leaves slack for allocator-library drift without
+/// Allocations allowed for one 8 s session (measured: 1 012 — world and
+/// agent construction, packet-arena and trace growth; result extraction
+/// moves the traces out). The 7 % budget leaves slack for allocator-library drift without
 /// letting the in-session paths — the per-tick sequence rebuild above
 /// all — quietly start allocating again.
 const SESSION_ALLOC_BUDGET: u64 = 1_075;
@@ -225,8 +229,40 @@ fn assert_warmed_packet_round_allocates_nothing<C: RateController>(name: &str, m
     );
 }
 
+/// CBR → one link → sink at 4 000 packets per second (half the link's
+/// rate, the `engine.forward_ns_per_pkt` kernel's shape): after a warm-up
+/// second, ten more seconds of sends, serializations and deliveries
+/// allocate nothing.
+fn assert_warmed_forwarding_allocates_nothing() {
+    let mut world = World::new(1);
+    let link = world.add_link(LinkConfig {
+        bandwidth: 2_000_000.0,
+        delay: 0.001,
+        queue_packets: 64,
+        ..LinkConfig::default()
+    });
+    let sink = world.add_agent(Box::new(CountingSink::default()));
+    world.add_agent(Box::new(CbrAgent::new(
+        sink,
+        vec![link],
+        1,
+        1_000_000.0,
+        250,
+        0.0,
+        f64::INFINITY,
+    )));
+    let delivered = |w: &World| w.agent::<CountingSink>(sink).unwrap().packets;
+    world.run_until(1.0);
+    let warm = delivered(&world);
+    let (allocs, ()) = allocs_during(|| world.run_until(11.0));
+    let packets = delivered(&world) - warm;
+    assert!(packets >= 39_000, "only {packets} packets forwarded");
+    assert_eq!(allocs, 0, "forwarding {packets} packets allocated {allocs} times");
+}
+
 #[test]
 fn sessions_and_rebuilds_stay_under_alloc_budgets() {
+    assert_warmed_forwarding_allocates_nothing();
     assert_warmed_rebuild_allocates_nothing();
     assert_warmed_controller_tick_allocates_only_its_report();
     assert_warmed_packet_round_allocates_nothing("rap", RapSender::new(RapConfig::default(), 0.0));

@@ -85,16 +85,13 @@ mod tests {
     impl Agent for Burst {
         fn start(&mut self, ctx: &mut Ctx) {
             for _ in 0..self.n {
-                let uid = ctx.alloc_uid();
                 ctx.send(Packet {
-                    uid,
                     flow: 0,
                     size: 100,
                     kind: PacketKind::Cbr,
                     dst: self.relay,
                     route: self.route.clone(),
                     hop: 0,
-                    sent_at: 0.0,
                 });
             }
         }

@@ -64,16 +64,13 @@ impl Agent for CbrAgent {
         if ctx.now >= self.stop_at {
             return;
         }
-        let uid = ctx.alloc_uid();
         ctx.send(Packet {
-            uid,
             flow: self.flow,
             size: self.packet_size,
             kind: PacketKind::Cbr,
             dst: self.dst,
             route: self.route.clone(),
             hop: 0,
-            sent_at: ctx.now,
         });
         self.sent += 1;
         ctx.set_timer_after(self.interval(), 0);

@@ -228,9 +228,7 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
             if let Some(cnt) = self.sent_per_layer.get_mut(layer) {
                 *cnt += 1;
             }
-            let uid = ctx.alloc_uid();
             ctx.send(Packet {
-                uid,
                 flow: self.flow,
                 size: self.packet_size,
                 kind: PacketKind::RapData {
@@ -241,7 +239,6 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
                 dst: self.dst,
                 route: self.route.clone(),
                 hop: 0,
-                sent_at: ctx.now,
             });
         }
         let next = self

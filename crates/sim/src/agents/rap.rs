@@ -12,16 +12,13 @@ const ACK_SIZE: u32 = 40;
 /// Send an acknowledgement carrying `kind` from a sink back to its source
 /// `dst` along `route`.
 pub(super) fn send_ack(ctx: &mut Ctx, flow: u32, kind: PacketKind, dst: AgentId, route: &Route) {
-    let uid = ctx.alloc_uid();
     ctx.send(Packet {
-        uid,
         flow,
         size: ACK_SIZE,
         kind,
         dst,
         route: route.clone(),
         hop: 0,
-        sent_at: ctx.now,
     });
 }
 
@@ -122,9 +119,7 @@ impl RapFlowAgent {
             let seq = self
                 .sender
                 .register_send(ctx.now, self.packet_size as f64, 0);
-            let uid = ctx.alloc_uid();
             ctx.send(Packet {
-                uid,
                 flow: self.flow,
                 size: self.packet_size,
                 kind: PacketKind::RapData {
@@ -135,7 +130,6 @@ impl RapFlowAgent {
                 dst: self.dst,
                 route: self.route.clone(),
                 hop: 0,
-                sent_at: ctx.now,
             });
             self.sent += 1;
         }

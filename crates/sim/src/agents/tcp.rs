@@ -106,16 +106,13 @@ impl TcpAgent {
     }
 
     fn transmit(&mut self, ctx: &mut Ctx, seq: u64, retx: bool) {
-        let uid = ctx.alloc_uid();
         ctx.send(Packet {
-            uid,
             flow: self.flow,
             size: self.packet_size,
             kind: PacketKind::TcpData { seq, retx },
             dst: self.dst,
             route: self.route.clone(),
             hop: 0,
-            sent_at: ctx.now,
         });
         self.sent += 1;
         if retx {

@@ -1,11 +1,12 @@
 //! A slab arena: stable `u32` handles into a growable vector with an
 //! intrusive free list.
 //!
-//! The event engine allocates one record per scheduled event (a timer, a
-//! packet arrival, a link-done marker). Pushing those records through a
-//! global `BinaryHeap` both heap-allocates on growth and moves the full
-//! record on every sift; the timer-wheel scheduler instead parks each
-//! record here once and circulates only `(time_ns, seq, slot)` keys.
+//! One type, two uses in the engine. The timer-wheel scheduler parks each
+//! scheduled event record (a timer, a packet arrival, a link-done marker)
+//! here once and circulates only `(time_ns, seq, slot)` keys. Each world
+//! keeps its packets in a second slab: a packet is inserted once when
+//! sent, travels through link queues and `Arrive` events as its `u32`
+//! handle, and leaves the arena when it is dropped or delivered.
 //! Freed slots are recycled in LIFO order, so a steady-state simulation
 //! reaches a fixed footprint and stops allocating entirely.
 //!
@@ -55,6 +56,11 @@ impl<T> Slab<T> {
     /// True when no records are live.
     pub fn is_empty(&self) -> bool {
         self.live == 0
+    }
+
+    /// Slots allocated, live or free: the most records ever held at once.
+    pub fn footprint(&self) -> usize {
+        self.entries.len()
     }
 
     /// Store `item`, returning its handle. Recycles a freed slot when one

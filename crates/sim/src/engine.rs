@@ -7,36 +7,51 @@
 //! reference `BinaryHeap` drain in exactly the same `(time_ns, seq)`
 //! order, so a world's trajectory is bit-identical under either.
 
-use crate::link::{Link, LinkConfig, LinkStats};
+use crate::arena::Slab;
+use crate::link::{Link, LinkConfig, LinkStats, QueueSlot};
 use crate::packet::{AgentId, LinkId, Packet};
 use crate::sched::{AnyScheduler, Scheduler, SchedulerKind};
 use crate::time::{ns_to_secs, secs_to_ns, tx_time_ns};
 use crate::rng::SimRng;
 use std::any::Any;
 
-/// Things that can happen.
-#[derive(Debug, Clone, PartialEq)]
+/// Things that can happen. Packets travel as handles into the session's
+/// packet arena, so a wheel record carries 16 bytes of event, not a
+/// whole [`Packet`].
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
     /// The head-of-line packet of `link` finished serializing.
-    LinkDone { link: LinkId },
-    /// `pkt` arrives at its next hop (link or destination agent).
-    Arrive { pkt: Packet },
+    LinkDone { link: u32 },
+    /// Packet `pkt` arrives at its next hop (link or destination agent).
+    Arrive { pkt: u32 },
     /// Agent timer with an agent-defined token.
-    Timer { agent: AgentId, token: u64 },
+    Timer { agent: u32, token: u64 },
 }
 
+// A field that re-bloats either per-event record must fail the build.
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
+const _: () = assert!(std::mem::size_of::<QueueSlot>() == 8);
+
 /// Everything one session owns except its agents and its event queue:
-/// local clock, links, RNG, uid and event counters — the part of a
-/// [`World`] an agent callback may touch through [`Ctx`] while the agent
+/// local clock, links, packet arena, RNG and event counters — the part of
+/// a [`World`] an agent callback may touch through [`Ctx`] while the agent
 /// itself is borrowed out of the agents vector.
+///
+/// Ownership rule of the arena: a live packet handle is in exactly one of
+/// a link queue or a pending `Arrive` event. A drop frees it at the offer
+/// site; delivery moves the packet out to the callee.
 struct SessionCore {
     now_ns: u64,
     links: Vec<Link>,
-    next_uid: u64,
+    packets: Slab<Packet>,
     rng: SimRng,
     /// Events dispatched so far — a plain (always-on, deterministic)
-    /// counter used for run throughput summaries.
+    /// counter used for run throughput summaries — and its split by kind.
     events_processed: u64,
+    link_done: u64,
+    forward: u64,
+    deliver: u64,
+    timer: u64,
 }
 
 impl SessionCore {
@@ -45,9 +60,13 @@ impl SessionCore {
         SessionCore {
             now_ns: 0,
             links: Vec::new(),
-            next_uid: 0,
+            packets: Slab::new(),
             rng: SimRng::seed_from_u64(seed),
             events_processed: 0,
+            link_done: 0,
+            forward: 0,
+            deliver: 0,
+            timer: 0,
         }
     }
 }
@@ -86,27 +105,29 @@ impl EventQueue {
     }
 }
 
-/// Put `pkt` onto its next link (or deliver directly when routeless).
+/// Put the packet with arena handle `pkt` onto its next link (or deliver
+/// directly when routeless). A dropped packet's slot is freed here.
 #[inline]
-fn route_packet(core: &mut SessionCore, queue: &mut EventQueue, pkt: Packet) {
-    match pkt.next_link() {
+fn route_packet(core: &mut SessionCore, queue: &mut EventQueue, pkt: u32) {
+    let p = core.packets.get(pkt).expect("routed packet is live");
+    match p.next_link() {
         None => {
             // Already at the destination: deliver immediately.
             queue.schedule(core.now_ns, core.now_ns, Event::Arrive { pkt });
         }
         Some(link_id) => {
-            let was_busy = core.links[link_id].busy;
+            let size = p.size;
+            let link = &mut core.links[link_id];
+            let was_busy = link.busy;
             let (u_loss, u_red) = (core.rng.next_f64(), core.rng.next_f64());
-            if core.links[link_id].offer(pkt, u_loss, u_red) && !was_busy {
-                core.links[link_id].busy = true;
-                let head_size = core.links[link_id]
-                    .queue
-                    .front()
-                    .map(|p| p.size)
-                    .expect("offer accepted");
-                let bw = core.links[link_id].cfg.bandwidth;
-                let done = core.now_ns.saturating_add(tx_time_ns(head_size, bw));
-                queue.schedule(core.now_ns, done, Event::LinkDone { link: link_id });
+            if !link.offer(pkt, size, u_loss, u_red) {
+                core.packets.remove(pkt);
+            } else if !was_busy {
+                // An idle link's queue was empty: this packet is its head.
+                link.busy = true;
+                let done = core.now_ns.saturating_add(tx_time_ns(size, link.cfg.bandwidth));
+                let link = link_id as u32;
+                queue.schedule(core.now_ns, done, Event::LinkDone { link });
             }
         }
     }
@@ -123,17 +144,10 @@ pub struct Ctx<'a> {
 }
 
 impl<'a> Ctx<'a> {
-    /// Allocate a globally unique packet id.
-    pub fn alloc_uid(&mut self) -> u64 {
-        let uid = self.core.next_uid;
-        self.core.next_uid += 1;
-        uid
-    }
-
     /// Transmit a packet along its route.
     #[inline]
-    pub fn send(&mut self, mut pkt: Packet) {
-        pkt.sent_at = self.now;
+    pub fn send(&mut self, pkt: Packet) {
+        let pkt = self.core.packets.insert(pkt);
         route_packet(self.core, self.queue, pkt);
     }
 
@@ -145,7 +159,7 @@ impl<'a> Ctx<'a> {
             self.core.now_ns,
             at_ns,
             Event::Timer {
-                agent: self.agent_id,
+                agent: self.agent_id as u32,
                 token,
             },
         );
@@ -305,11 +319,12 @@ impl World {
     pub fn run_until(&mut self, t_end: f64) {
         self.ensure_started();
         let end_ns = secs_to_ns(t_end);
+        let c = &self.core;
+        let start = [c.events_processed, c.link_done, c.forward, c.deliver, c.timer];
         while let Some((time_ns, _, event)) = self.queue.pop_next_at_or_before(end_ns) {
             self.core.now_ns = time_ns;
             self.core.events_processed += 1;
             let timed = if laqa_obs::enabled() {
-                laqa_obs::counter!("engine.events").inc();
                 laqa_obs::histogram!(
                     "engine.queue_depth",
                     &[8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0]
@@ -326,6 +341,14 @@ impl World {
             }
         }
         self.core.now_ns = self.core.now_ns.max(end_ns);
+        if laqa_obs::enabled() {
+            let c = &self.core;
+            laqa_obs::counter!("engine.events").add(c.events_processed - start[0]);
+            laqa_obs::counter!("engine.events.link_done").add(c.link_done - start[1]);
+            laqa_obs::counter!("engine.events.forward").add(c.forward - start[2]);
+            laqa_obs::counter!("engine.events.deliver").add(c.deliver - start[3]);
+            laqa_obs::counter!("engine.events.timer").add(c.timer - start[4]);
+        }
     }
 }
 
@@ -380,39 +403,41 @@ fn dispatch_event(
 ) {
     match event {
         Event::LinkDone { link } => {
-            let (pkt, next_busy) = {
-                let l = &mut core.links[link];
-                let mut pkt = l.queue.pop_front().expect("busy link has head");
-                l.stats.bytes_out += pkt.size as u64;
-                pkt.advance_hop();
-                let next = l.queue.front().map(|p| p.size);
-                l.busy = next.is_some();
-                (pkt, next)
-            };
-            let delay_ns = secs_to_ns(core.links[link].cfg.delay);
-            let arrive = core.now_ns.saturating_add(delay_ns);
+            core.link_done += 1;
+            let l = &mut core.links[link as usize];
+            let (pkt, size) = l.queue.pop_front().expect("busy link has head");
+            l.stats.bytes_out += size as u64;
+            let next = l.queue.front().map(|&(_, size)| size);
+            l.busy = next.is_some();
+            let (delay, bw) = (l.cfg.delay, l.cfg.bandwidth);
+            core.packets.get_mut(pkt).expect("queued packet is live").advance_hop();
+            let arrive = core.now_ns.saturating_add(secs_to_ns(delay));
             queue.schedule(core.now_ns, arrive, Event::Arrive { pkt });
-            if let Some(size) = next_busy {
-                let bw = core.links[link].cfg.bandwidth;
+            if let Some(size) = next {
                 let done = core.now_ns.saturating_add(tx_time_ns(size, bw));
                 queue.schedule(core.now_ns, done, Event::LinkDone { link });
             }
         }
         Event::Arrive { pkt } => {
-            if pkt.at_destination() {
+            let p = core.packets.get(pkt).expect("arriving packet is live");
+            if p.at_destination() {
+                core.deliver += 1;
+                let pkt = core.packets.remove(pkt).expect("checked live");
                 let id = pkt.dst;
                 dispatch_agent(agents, core, queue, id, |a, ctx| a.on_packet(ctx, pkt));
             } else {
+                core.forward += 1;
                 route_packet(core, queue, pkt);
             }
         }
         Event::Timer { agent, token } => {
+            core.timer += 1;
             // Flight-record timer fires only (LinkDone/Arrive would swamp
             // the bounded rings at per-packet volume).
             if laqa_obs::flight::enabled() {
                 laqa_obs::flight::instant("timer.fire", ns_to_secs(core.now_ns), token as f64);
             }
-            dispatch_agent(agents, core, queue, agent, |a, ctx| a.on_timer(ctx, token));
+            dispatch_agent(agents, core, queue, agent as usize, |a, ctx| a.on_timer(ctx, token));
         }
     }
 }
@@ -420,6 +445,8 @@ fn dispatch_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::agents::cbr::{CbrAgent, CountingSink};
+    use crate::link::{QueueKind, RedConfig};
     use crate::packet::{PacketKind, Route};
 
     /// Test agent: sends `count` packets to `peer` at `interval`, records
@@ -432,7 +459,7 @@ mod tests {
         sent: u32,
     }
     struct Sink {
-        arrivals: Vec<(f64, u64)>,
+        arrivals: Vec<f64>,
     }
 
     impl Agent for Pinger {
@@ -444,16 +471,13 @@ mod tests {
             if self.sent >= self.count {
                 return;
             }
-            let uid = ctx.alloc_uid();
             ctx.send(Packet {
-                uid,
                 flow: 1,
                 size: 1_000,
                 kind: PacketKind::Cbr,
                 dst: self.peer,
                 route: self.route.clone(),
                 hop: 0,
-                sent_at: ctx.now,
             });
             self.sent += 1;
             ctx.set_timer_after(self.interval, 0);
@@ -461,8 +485,8 @@ mod tests {
     }
 
     impl Agent for Sink {
-        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
-            self.arrivals.push((ctx.now, pkt.uid));
+        fn on_packet(&mut self, ctx: &mut Ctx, _pkt: Packet) {
+            self.arrivals.push(ctx.now);
         }
     }
 
@@ -488,9 +512,9 @@ mod tests {
         let s: &Sink = w.agent(sink).unwrap();
         assert_eq!(s.arrivals.len(), 1);
         assert!(
-            (s.arrivals[0].0 - 0.02).abs() < 1e-9,
+            (s.arrivals[0] - 0.02).abs() < 1e-9,
             "arrival {}",
-            s.arrivals[0].0
+            s.arrivals[0]
         );
     }
 
@@ -515,7 +539,7 @@ mod tests {
         let s: &Sink = w.agent(sink).unwrap();
         assert_eq!(s.arrivals.len(), 3);
         // 10 ms serialization each: arrivals at 10, 20, 30 ms.
-        for (i, &(t, _)) in s.arrivals.iter().enumerate() {
+        for (i, &t) in s.arrivals.iter().enumerate() {
             assert!(
                 (t - 0.01 * (i + 1) as f64).abs() < 1e-9,
                 "arrival {i} at {t}"
@@ -574,7 +598,7 @@ mod tests {
         let s: &Sink = w.agent(sink).unwrap();
         assert_eq!(s.arrivals.len(), 1);
         // 2 × (1 ms tx + 5 ms prop) = 12 ms.
-        assert!((s.arrivals[0].0 - 0.012).abs() < 1e-9);
+        assert!((s.arrivals[0] - 0.012).abs() < 1e-9);
     }
 
     #[test]
@@ -676,7 +700,7 @@ mod tests {
         w.run_until(1.0);
         let s: &Sink = w.agent(sink).unwrap();
         assert_eq!(s.arrivals.len(), 1, "second packet randomly lost");
-        assert!((s.arrivals[0].0 - 0.02).abs() < 1e-9);
+        assert!((s.arrivals[0] - 0.02).abs() < 1e-9);
         assert_eq!(w.link_stats(l).random_losses, 1);
         let cfg = w.link_config(l);
         assert_eq!(cfg.bandwidth, 50_000.0);
@@ -685,5 +709,173 @@ mod tests {
         let m: &Mutator = w.agent(m).unwrap();
         let before = m.observed_before.expect("mutator ran");
         assert_eq!(before.bandwidth, 100_000.0, "pre-mutation view intact");
+    }
+
+    /// Records every callback as `(now, what)`: the arriving packet's
+    /// flow, or 0 for its own timer, armed at `timer_at`.
+    struct Log {
+        timer_at: f64,
+        seen: Vec<(f64, u32)>,
+    }
+
+    impl Agent for Log {
+        fn start(&mut self, ctx: &mut Ctx) {
+            ctx.set_timer_at(self.timer_at, 0);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            self.seen.push((ctx.now, pkt.flow));
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+            self.seen.push((ctx.now, 0));
+        }
+    }
+
+    /// Sends one 1000-byte packet per `(flow, route)` at start, in order.
+    struct Burst {
+        dst: AgentId,
+        sends: Vec<(u32, Route)>,
+    }
+
+    impl Agent for Burst {
+        fn start(&mut self, ctx: &mut Ctx) {
+            for (flow, route) in &self.sends {
+                ctx.send(Packet {
+                    flow: *flow,
+                    size: 1_000,
+                    kind: PacketKind::Cbr,
+                    dst: self.dst,
+                    route: route.clone(),
+                    hop: 0,
+                });
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
+    }
+
+    #[test]
+    fn same_ns_ties_break_by_event_creation_order() {
+        let link = |bandwidth, delay| LinkConfig {
+            bandwidth,
+            delay,
+            ..LinkConfig::default()
+        };
+        for kind in SchedulerKind::ALL {
+            let mut w = World::with_scheduler(1, kind);
+            // 10 ms serialization + 10 ms propagation: arrives at 20 ms.
+            let l20 = w.add_link(link(100_000.0, 0.010));
+            // 10 + 15 ms and 20 + 5 ms: both arrive at 25 ms, but the
+            // first link finishes serializing 10 ms earlier.
+            let early_done = w.add_link(link(100_000.0, 0.015));
+            let late_done = w.add_link(link(50_000.0, 0.005));
+            // The sender starts first, so the 20 ms packet is *sent*
+            // before the log arms its 20 ms timer — but its `Arrive` is
+            // created only at link-done (10 ms), after the timer.
+            let log = Log {
+                timer_at: 0.020,
+                seen: vec![],
+            };
+            let log_id = w.agents.len() + 1;
+            w.add_agent(Box::new(Burst {
+                dst: log_id,
+                // The late link-done packet is sent (and allocated) first.
+                sends: vec![
+                    (2, vec![late_done].into()),
+                    (1, vec![l20].into()),
+                    (3, vec![early_done].into()),
+                ],
+            }));
+            assert_eq!(w.add_agent(Box::new(log)), log_id);
+            w.run_until(1.0);
+            let seen = &w.agent::<Log>(log_id).unwrap().seen;
+            assert_eq!(
+                seen,
+                &[(0.020, 0), (0.020, 1), (0.025, 3), (0.025, 2)],
+                "{}",
+                kind.label()
+            );
+        }
+    }
+
+    /// A 1000-byte CBR source at five times the 100 KB/s rate of a
+    /// 50 ms bottleneck (`cfg` supplies its queue and drop processes),
+    /// followed by a fast second hop, sending for 10 s.
+    fn overload(cfg: LinkConfig) -> World {
+        let mut w = World::new(3);
+        let bottleneck = w.add_link(LinkConfig {
+            bandwidth: 100_000.0,
+            delay: 0.05,
+            queue_packets: 20,
+            ..cfg
+        });
+        let fast = w.add_link(LinkConfig::uncongested());
+        let sink = w.add_agent(Box::new(CountingSink::default()));
+        w.add_agent(Box::new(CbrAgent::new(
+            sink,
+            vec![bottleneck, fast],
+            1,
+            500_000.0,
+            1_000,
+            0.0,
+            10.0,
+        )));
+        w
+    }
+
+    /// At a pause every live packet slot is in a link queue or in a
+    /// pending `Arrive` (drains the event queue to count the latter).
+    fn assert_conserved(mut w: World) {
+        let queued: usize = w.core.links.iter().map(|l| l.queue.len()).sum();
+        let live = w.core.packets.len();
+        let mut arriving = 0;
+        while let Some((_, _, event)) = w.queue.pop_next_at_or_before(u64::MAX) {
+            arriving += usize::from(matches!(event, Event::Arrive { .. }));
+        }
+        assert!(live > 0, "pause with nothing in flight");
+        assert_eq!(live, queued + arriving);
+    }
+
+    #[test]
+    fn packet_arena_holds_only_packets_in_flight() {
+        let red = RedConfig {
+            min_th: 5.0,
+            max_th: 10.0,
+            max_p: 0.5,
+            wq: 1.0,
+        };
+        let cases = [
+            ("tail drops", LinkConfig::default()),
+            ("random losses", LinkConfig {
+                loss_rate: 0.9,
+                ..LinkConfig::default()
+            }),
+            ("RED drops", LinkConfig {
+                queue_kind: QueueKind::Red(red),
+                ..LinkConfig::default()
+            }),
+        ];
+        for (what, cfg) in cases {
+            for pause in [0.5, 3.3, 9.99] {
+                let mut w = overload(cfg);
+                w.run_until(pause);
+                assert_conserved(w);
+            }
+            let mut w = overload(cfg);
+            w.run_until(20.0);
+            let stats = w.link_stats(0);
+            let (tail_or_red, lost) = (stats.dropped, stats.random_losses);
+            match what {
+                "random losses" => assert!(lost > 0 && tail_or_red == 0, "{what}: {stats:?}"),
+                _ => assert!(tail_or_red > 0 && lost == 0, "{what}: {stats:?}"),
+            }
+            if what == "RED drops" {
+                assert!(stats.peak_queue <= 10, "RED, not the tail, dropped");
+            }
+            assert_eq!(w.core.packets.len(), 0, "{what}: quiescent world holds packets");
+            // Queue bound + the one in service + 5 propagating on the
+            // bottleneck (50 ms at one per 10 ms) + 1 on the fast hop;
+            // 5 000 packets were offered.
+            let footprint = w.core.packets.footprint();
+            assert!(footprint <= 20 + 1 + 6 + 1, "{what}: arena grew to {footprint}");
+        }
     }
 }

@@ -362,16 +362,13 @@ impl FaultInjector {
         if !self.churn_on || epoch != self.churn_epoch {
             return; // stale timer from a previous on-period
         }
-        let uid = ctx.alloc_uid();
         ctx.send(Packet {
-            uid,
             flow: self.wiring.churn_flow,
             size: self.wiring.churn_packet,
             kind: PacketKind::Cbr,
             dst: self.wiring.churn_dst,
             route: self.wiring.churn_route.clone(),
             hop: 0,
-            sent_at: ctx.now,
         });
         self.stats.churn_packets += 1;
         ctx.set_timer_after(self.churn_interval(), TOK_CHURN_SEND | (epoch << 8));

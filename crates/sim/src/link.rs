@@ -343,13 +343,17 @@ impl LinkTraceState {
     }
 }
 
+/// One waiting packet: its handle in the world's packet arena and its
+/// wire size, so serialization never touches the packet itself.
+pub type QueueSlot = (u32, u32);
+
 /// Runtime state of a link.
 #[derive(Debug)]
 pub struct Link {
     /// Static configuration.
     pub cfg: LinkConfig,
     /// Waiting packets (head is next to transmit).
-    pub queue: VecDeque<Packet>,
+    pub queue: VecDeque<QueueSlot>,
     /// True while a packet is being serialized.
     pub busy: bool,
     /// RED average-queue estimate (packets).
@@ -385,11 +389,12 @@ impl Link {
         }
     }
 
-    /// Offer a packet to the link. `u_loss` and `u_red` are uniform
-    /// `[0, 1)` samples consumed by the loss and RED processes. Returns
-    /// `true` when accepted (caller schedules the dequeue when the link
-    /// was idle), `false` when dropped.
-    pub fn offer(&mut self, pkt: Packet, u_loss: f64, u_red: f64) -> bool {
+    /// Offer the packet with arena handle `pkt` and wire `size` to the
+    /// link. `u_loss` and `u_red` are uniform `[0, 1)` samples consumed by
+    /// the loss and RED processes. Returns `true` when accepted (caller
+    /// schedules the dequeue when the link was idle), `false` when dropped
+    /// (caller frees the handle).
+    pub fn offer(&mut self, pkt: u32, size: u32, u_loss: f64, u_red: f64) -> bool {
         // The head of a non-empty queue is in (or about to enter) service;
         // only the packets behind it occupy queue slots. This deliberately
         // ignores `busy`: in the window between an enqueue and its dequeue
@@ -425,7 +430,7 @@ impl Link {
             self.stats.dropped += 1;
             return false;
         }
-        self.queue.push_back(pkt);
+        self.queue.push_back((pkt, size));
         self.stats.enqueued += 1;
         // Peak counts *waiting* packets (excluding the head in service),
         // consistent with the admission bound above.
@@ -520,23 +525,11 @@ impl crate::engine::Agent for TraceDriver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::PacketKind;
 
-    fn pkt(uid: u64) -> Packet {
-        Packet {
-            uid,
-            flow: 0,
-            size: 1000,
-            kind: PacketKind::Cbr,
-            dst: 0,
-            route: vec![].into(),
-            hop: 0,
-            sent_at: 0.0,
-        }
-    }
-
-    fn offer(l: &mut Link, p: Packet) -> bool {
-        l.offer(p, 0.99, 0.99)
+    /// Offer a 1000-byte packet with handle `h`; neither the loss nor the
+    /// RED sample fires.
+    fn offer(l: &mut Link, h: u32) -> bool {
+        l.offer(h, 1000, 0.99, 0.99)
     }
 
     #[test]
@@ -547,12 +540,12 @@ mod tests {
             queue_packets: 2,
             ..LinkConfig::default()
         });
-        assert!(offer(&mut l, pkt(1)));
+        assert!(offer(&mut l, 1));
         l.busy = true; // first packet entered service
-        assert!(offer(&mut l, pkt(2)));
-        assert!(offer(&mut l, pkt(3)));
+        assert!(offer(&mut l, 2));
+        assert!(offer(&mut l, 3));
         assert!(
-            !offer(&mut l, pkt(4)),
+            !offer(&mut l, 4),
             "third queued packet must be dropped"
         );
         assert_eq!(l.stats.dropped, 1);
@@ -568,7 +561,7 @@ mod tests {
             ..LinkConfig::default()
         });
         assert!(
-            offer(&mut l, pkt(1)),
+            offer(&mut l, 1),
             "idle link accepts even with zero queue"
         );
     }
@@ -582,7 +575,7 @@ mod tests {
             ..LinkConfig::default()
         });
         for i in 0..5 {
-            offer(&mut l, pkt(i));
+            offer(&mut l, i);
         }
         // Five in the queue = one in (or entering) service + four waiting;
         // peak counts the waiting packets, same as the admission bound.
@@ -600,10 +593,10 @@ mod tests {
             queue_packets: 2,
             ..LinkConfig::default()
         });
-        assert!(offer(&mut l, pkt(1)), "empty queue accepts into service");
-        assert!(offer(&mut l, pkt(2)));
-        assert!(offer(&mut l, pkt(3)));
-        assert!(!offer(&mut l, pkt(4)), "bound applies while busy is false");
+        assert!(offer(&mut l, 1), "empty queue accepts into service");
+        assert!(offer(&mut l, 2));
+        assert!(offer(&mut l, 3));
+        assert!(!offer(&mut l, 4), "bound applies while busy is false");
         assert_eq!(l.queue.len(), 3);
         assert_eq!(l.stats.dropped, 1);
         assert_eq!(l.stats.peak_queue, 2);
@@ -615,8 +608,8 @@ mod tests {
             loss_rate: 0.5,
             ..LinkConfig::default()
         });
-        assert!(!l.offer(pkt(1), 0.4, 0.9), "u < p drops");
-        assert!(l.offer(pkt(2), 0.6, 0.9), "u >= p passes");
+        assert!(!l.offer(1, 1000, 0.4, 0.9), "u < p drops");
+        assert!(l.offer(2, 1000, 0.6, 0.9), "u >= p passes");
         assert_eq!(l.stats.random_losses, 1);
         assert_eq!(l.stats.dropped, 0, "random losses counted separately");
     }
@@ -637,11 +630,11 @@ mod tests {
         // Build the queue to avg = 3 (wq = 1 tracks instantaneously):
         l.busy = true;
         for i in 0..4 {
-            assert!(l.offer(pkt(i), 0.9, 0.99), "low avg accepts");
+            assert!(l.offer(i, 1000, 0.9, 0.99), "low avg accepts");
         }
         // avg now 3 → p = 0.5 * (3-1)/(5-1) = 0.25.
-        assert!(!l.offer(pkt(10), 0.9, 0.2), "u_red < p drops early");
-        assert!(l.offer(pkt(11), 0.9, 0.3), "u_red >= p accepts");
+        assert!(!l.offer(10, 1000, 0.9, 0.2), "u_red < p drops early");
+        assert!(l.offer(11, 1000, 0.9, 0.3), "u_red >= p accepts");
     }
 
     #[test]
@@ -659,10 +652,10 @@ mod tests {
         });
         l.busy = true;
         for i in 0..3 {
-            l.offer(pkt(i), 0.9, 0.99);
+            l.offer(i, 1000, 0.9, 0.99);
         }
         // avg >= 2 now: unconditional drop regardless of u_red.
-        assert!(!l.offer(pkt(10), 0.9, 0.999));
+        assert!(!l.offer(10, 1000, 0.9, 0.999));
     }
 
     #[test]
@@ -682,11 +675,11 @@ mod tests {
             loss_rate: 1.0, // every offer is randomly lost
             ..LinkConfig::default()
         });
-        l.queue.push_back(pkt(0));
-        l.queue.push_back(pkt(1));
-        l.queue.push_back(pkt(2));
+        l.queue.push_back((0, 1000));
+        l.queue.push_back((1, 1000));
+        l.queue.push_back((2, 1000));
         l.busy = true;
-        assert!(!l.offer(pkt(10), 0.0, 0.99), "randomly lost");
+        assert!(!l.offer(10, 1000, 0.0, 0.99), "randomly lost");
         assert_eq!(l.stats.random_losses, 1);
         assert!(
             (l.red_avg - 2.0).abs() < 1e-12,

@@ -14,7 +14,7 @@ pub type LinkId = usize;
 /// send. Backed by a shared `Rc<[LinkId]>`, so the per-packet cost is a
 /// refcount bump instead of a fresh `Vec` allocation — in a long
 /// campaign that removes one heap allocation and free per packet sent
-/// (measured by `laqa-bench sched`'s allocation counters).
+/// (`crates/bench/tests/alloc_budget.rs` pins the per-packet zero).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Route(Rc<[LinkId]>);
 
@@ -100,8 +100,6 @@ pub enum PacketKind {
 /// A packet in flight through the simulated network.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Packet {
-    /// Globally unique id (assigned by the world; diagnostics only).
-    pub uid: u64,
     /// Flow number (for per-flow stats).
     pub flow: u32,
     /// Wire size in bytes (headers included).
@@ -114,8 +112,6 @@ pub struct Packet {
     pub route: Route,
     /// Index of the next link in `route`.
     pub hop: usize,
-    /// Time the packet entered the network (seconds).
-    pub sent_at: f64,
 }
 
 impl Packet {
@@ -141,14 +137,12 @@ mod tests {
 
     fn pkt(route: Vec<LinkId>) -> Packet {
         Packet {
-            uid: 1,
             flow: 0,
             size: 1000,
             kind: PacketKind::Cbr,
             dst: 5,
             route: route.into(),
             hop: 0,
-            sent_at: 0.0,
         }
     }
 

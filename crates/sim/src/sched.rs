@@ -11,7 +11,7 @@
 //!   events hash into integer-nanosecond bucket slots (O(1) insert),
 //!   far-future events overflow into a `BTreeMap` ordered by exact key,
 //!   and every record is parked once in a [`Slab`](crate::arena::Slab)
-//!   arena so only 20-byte keys circulate.
+//!   arena so only 24-byte `WheelKey`s circulate.
 //!
 //! **Ordering contract.** Events drain in strictly increasing
 //! `(time_ns, seq)` order — exactly the tie-break the engine has always
