@@ -2,7 +2,7 @@
 //! [`laqa_core::QaController`] and a layered-receiver sink — the system
 //! under test in every figure of the paper's §5.
 
-use super::rap::{rearm, send_ack};
+use super::rap::{count_fire, rearm, send_ack};
 use crate::engine::{Agent, Ctx};
 use crate::packet::{AgentId, Packet, PacketKind, Route};
 use laqa_core::{QaConfig, QaController};
@@ -270,6 +270,7 @@ impl<T: RateController + 'static> Agent for QaSourceAgent<T> {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+        count_fire(ctx, self.armed_at);
         self.pump(ctx);
     }
 }

@@ -1,5 +1,5 @@
 //! Plain RAP flow agents (sender and sink) — the "9 additional RAP flows"
-//! of the paper's tests, and the single flow of figure 1 — plus the two
+//! of the paper's tests, and the single flow of figure 1 — plus the
 //! helpers every sender/sink pair in [`crate::agents`] shares.
 
 use crate::engine::{Agent, Ctx};
@@ -34,6 +34,16 @@ pub(super) fn rearm(ctx: &mut Ctx, armed_at: &mut f64, next: f64) {
     if next < *armed_at - 1e-9 || *armed_at <= ctx.now + 1e-7 {
         ctx.set_timer_at(next, 0);
         *armed_at = next;
+    }
+}
+
+/// Count a fire that is no longer the armed one (stale), or is but lands
+/// below its f64 target, rounded to the nearest ns (early).
+pub(super) fn count_fire(ctx: &mut Ctx, armed_at: f64) {
+    if armed_at > ctx.now + 1e-7 {
+        ctx.count_stale_timer();
+    } else if ctx.now < armed_at {
+        ctx.count_early_timer();
     }
 }
 
@@ -161,6 +171,7 @@ impl Agent for RapFlowAgent {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
+        count_fire(ctx, self.armed_at);
         self.pump(ctx);
     }
 }

@@ -10,12 +10,12 @@
 //! needed.
 
 use super::rap::send_ack;
-use crate::engine::{Agent, Ctx};
+use crate::engine::{Agent, Ctx, TimerKey};
 use crate::packet::{AgentId, Packet, PacketKind, Route};
 use laqa_rap::{RttEstimator, RunSet};
 
-/// Timer token: RTO check; the token payload carries an epoch so stale
-/// timers can be ignored.
+/// Timer token: RTO check; the payload is the epoch of the arm whose
+/// reserved key the event sits at (see `arm_rto`).
 const RTO_BASE: u64 = 1 << 32;
 
 /// TCP sender (greedy: always has data).
@@ -47,7 +47,9 @@ pub struct TcpAgent {
     /// clears once the cumulative ACK passes this point (all data that
     /// was in flight when the timer fired has been delivered).
     rto_recover: u64,
-    rto_epoch: u64,
+    /// The latest RTO arm and the live RTO event, as (key, epoch).
+    rto_armed: Option<(TimerKey, u64)>,
+    rto_live: Option<(TimerKey, u64)>,
     start_at: f64,
     /// Stats: segments sent (incl. retransmissions).
     pub sent: u64,
@@ -88,7 +90,8 @@ impl TcpAgent {
             rtt: RttEstimator::new(0.2),
             timed: None,
             rto_recover: 0,
-            rto_epoch: 0,
+            rto_armed: None,
+            rto_live: None,
             start_at,
             sent: 0,
             retransmits: 0,
@@ -141,12 +144,20 @@ impl TcpAgent {
         if self.flight() == 0 {
             return;
         }
-        self.rto_epoch += 1;
-        // The estimator's RTO already carries the capped exponential
-        // backoff; multiplying by a second local exponent compounded the
-        // two into 4^n growth under repeated timeouts.
-        let rto = self.rtt.rto();
-        ctx.set_timer_after(rto, RTO_BASE | self.rto_epoch);
+        let epoch = self.rto_armed.map_or(0, |(_, e)| e) + 1;
+        // Reserve the key an eager schedule would take: no other key moves.
+        // (The estimator's RTO already carries the Karn backoff.)
+        self.rto_armed = Some((ctx.reserve_timer_at(ctx.now + self.rtt.rto()), epoch));
+        self.push_rto(ctx);
+    }
+
+    /// Queue the latest arm's event unless the live one fires first.
+    fn push_rto(&mut self, ctx: &mut Ctx) {
+        let armed @ (key, epoch) = self.rto_armed.expect("an RTO was armed");
+        if self.rto_live.is_none_or(|(live, _)| key < live) {
+            ctx.set_timer_key(key, RTO_BASE | epoch);
+            self.rto_live = Some(armed);
+        }
     }
 
     fn on_new_ack(&mut self, ctx: &mut Ctx, cum: u64) {
@@ -231,8 +242,14 @@ impl Agent for TcpAgent {
             return;
         }
         let epoch = token & (RTO_BASE - 1);
-        if epoch != self.rto_epoch || self.flight() == 0 {
-            return; // stale timer
+        let latest = self.rto_armed.is_some_and(|(_, e)| e == epoch);
+        // A live fire at an older key re-pushes at the latest, which is ahead.
+        if self.rto_live.take_if(|(_, e)| *e == epoch).is_some() && !latest {
+            self.push_rto(ctx);
+        }
+        if !latest || self.flight() == 0 {
+            ctx.count_stale_timer();
+            return;
         }
         // Retransmission timeout.
         self.timeouts += 1;
@@ -390,5 +407,7 @@ mod tests {
         assert!(s.delivered > 300, "delivered {}", s.delivered);
         let a: &TcpAgent = w.agent(src).unwrap();
         assert!(a.retransmits > 0);
+        // The one live RTO event still reaches the latest key.
+        assert!(a.timeouts > 0, "no real timeout fired");
     }
 }

@@ -45,13 +45,15 @@ struct SessionCore {
     links: Vec<Link>,
     packets: Slab<Packet>,
     rng: SimRng,
-    /// Events dispatched so far — a plain (always-on, deterministic)
-    /// counter used for run throughput summaries — and its split by kind.
+    /// Events dispatched (a plain, always-on counter for throughput), their
+    /// split by kind, and the timer fires agents report stale or early.
     events_processed: u64,
     link_done: u64,
     forward: u64,
     deliver: u64,
     timer: u64,
+    timer_stale: u64,
+    timer_early: u64,
 }
 
 impl SessionCore {
@@ -67,14 +69,19 @@ impl SessionCore {
             forward: 0,
             deliver: 0,
             timer: 0,
+            timer_stale: 0,
+            timer_early: 0,
         }
     }
 }
 
+/// A reserved `(time_ns, seq)`: where an event scheduled at reservation dispatches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub struct TimerKey(u64, u64);
+
 /// A session's event queue: the pluggable scheduler plus the session's
-/// insertion-sequence counter, bundled so every schedule site pays exactly
-/// one direct call. `seq` is strictly increasing over this session's
-/// inserts, which is all the `(time, seq)` dispatch order depends on.
+/// insertion-sequence counter. Every event's `(time, seq)` dispatch key
+/// comes from [`EventQueue::reserve`], which hands out each `seq` once.
 struct EventQueue {
     sched: AnyScheduler<Event>,
     seq: u64,
@@ -88,11 +95,24 @@ impl EventQueue {
         }
     }
 
+    /// Take the next `seq` for a deadline of `at_ns` (clamped to `now_ns`).
+    #[inline]
+    fn reserve(&mut self, now_ns: u64, at_ns: u64) -> TimerKey {
+        self.seq += 1;
+        TimerKey(at_ns.max(now_ns), self.seq - 1)
+    }
+
+    /// Insert `event` at a reserved key not behind the last pop.
+    #[inline]
+    fn push(&mut self, TimerKey(time_ns, seq): TimerKey, event: Event) {
+        self.sched.schedule(time_ns, seq, event);
+    }
+
     /// Schedule `event` at `at_ns` (clamped to `now_ns`).
     #[inline]
     fn schedule(&mut self, now_ns: u64, at_ns: u64, event: Event) {
-        self.sched.schedule(at_ns.max(now_ns), self.seq, event);
-        self.seq += 1;
+        let key = self.reserve(now_ns, at_ns);
+        self.push(key, event);
     }
 
     #[inline]
@@ -154,25 +174,36 @@ impl<'a> Ctx<'a> {
     /// Arm a timer to fire at absolute time `at` seconds.
     #[inline]
     pub fn set_timer_at(&mut self, at: f64, token: u64) {
+        let key = self.reserve_timer_at(at);
+        self.set_timer_key(key, token);
+    }
+
+    /// Reserve now the key a timer for `at` seconds would take, unscheduled.
+    pub fn reserve_timer_at(&mut self, at: f64) -> TimerKey {
         let at_ns = secs_to_ns(at.max(0.0));
-        self.queue.schedule(
-            self.core.now_ns,
-            at_ns,
-            Event::Timer {
-                agent: self.agent_id as u32,
-                token,
-            },
-        );
+        self.queue.reserve(self.core.now_ns, at_ns)
+    }
+
+    /// Schedule timer `token` at a reserved key not behind the clock.
+    pub fn set_timer_key(&mut self, key: TimerKey, token: u64) {
+        debug_assert!(key.0 >= self.core.now_ns, "timer key behind the clock");
+        let agent = self.agent_id as u32;
+        self.queue.push(key, Event::Timer { agent, token });
+    }
+
+    /// Count a timer fire that did nothing (`engine.events.timer_stale`).
+    pub fn count_stale_timer(&mut self) {
+        self.core.timer_stale += 1;
+    }
+
+    /// Count a soft-timer fire before its f64 target (`engine.events.timer_early`).
+    pub fn count_early_timer(&mut self) {
+        self.core.timer_early += 1;
     }
 
     /// Arm a timer to fire `delay` seconds from now.
     pub fn set_timer_after(&mut self, delay: f64, token: u64) {
         self.set_timer_at(self.now + delay.max(0.0), token);
-    }
-
-    /// Uniform random number in `[0, 1)` from the world's seeded RNG.
-    pub fn rand(&mut self) -> f64 {
-        self.core.rng.next_f64()
     }
 
     /// Queue length of a link (packets), for diagnostics.
@@ -311,7 +342,10 @@ impl World {
             return;
         }
         self.started = true;
-        start_agents(&mut self.agents, &mut self.core, &mut self.queue);
+        for id in 0..self.agents.len() {
+            let (agents, core, queue) = (&mut self.agents, &mut self.core, &mut self.queue);
+            dispatch_agent(agents, core, queue, id, |a, ctx| a.start(ctx));
+        }
     }
 
     /// Run the event loop until simulated time `t_end` seconds (events at
@@ -321,6 +355,7 @@ impl World {
         let end_ns = secs_to_ns(t_end);
         let c = &self.core;
         let start = [c.events_processed, c.link_done, c.forward, c.deliver, c.timer];
+        let idle = [c.timer_stale, c.timer_early];
         while let Some((time_ns, _, event)) = self.queue.pop_next_at_or_before(end_ns) {
             self.core.now_ns = time_ns;
             self.core.events_processed += 1;
@@ -348,6 +383,8 @@ impl World {
             laqa_obs::counter!("engine.events.forward").add(c.forward - start[2]);
             laqa_obs::counter!("engine.events.deliver").add(c.deliver - start[3]);
             laqa_obs::counter!("engine.events.timer").add(c.timer - start[4]);
+            laqa_obs::counter!("engine.events.timer_stale").add(c.timer_stale - idle[0]);
+            laqa_obs::counter!("engine.events.timer_early").add(c.timer_early - idle[1]);
         }
     }
 }
@@ -378,18 +415,6 @@ fn dispatch_agent(
         f(agent.as_mut(), &mut ctx);
     }
     agents[id] = Some(agent);
-}
-
-/// Call `start()` on every agent in slot order (the lazy-start sweep a
-/// world runs on its first `run_until`).
-fn start_agents(
-    agents: &mut Vec<Option<Box<dyn Agent>>>,
-    core: &mut SessionCore,
-    queue: &mut EventQueue,
-) {
-    for id in 0..agents.len() {
-        dispatch_agent(agents, core, queue, id, |a, ctx| a.start(ctx));
-    }
 }
 
 /// Process one engine [`Event`] against a session's state. `core.now_ns`
@@ -793,6 +818,164 @@ mod tests {
                 "{}",
                 kind.label()
             );
+        }
+    }
+
+    /// Callbacks of the exactness worlds, in dispatch order: (time, who,
+    /// what), shared by every agent of one world.
+    type Shared = std::rc::Rc<std::cell::RefCell<Vec<(f64, &'static str, u64)>>>;
+
+    /// Timer `j` at `j · 10 ms`, each armed `ahead` ticks early: its key
+    /// is reserved at a feeder send, before or after the watchdog reserves
+    /// a deadline on the same ns.
+    struct Metronome {
+        ahead: u64,
+        until: u64,
+        log: Shared,
+    }
+
+    impl Agent for Metronome {
+        fn start(&mut self, ctx: &mut Ctx) {
+            for j in 1..=self.ahead {
+                ctx.set_timer_at(j as f64 * 0.01, j);
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, j: u64) {
+            self.log.borrow_mut().push((ctx.now, "tick", j));
+            if j + self.ahead <= self.until {
+                ctx.set_timer_at((j + self.ahead) as f64 * 0.01, j + self.ahead);
+            }
+        }
+    }
+
+    /// Delivers packet `k` to `dst` at `k · 10 ms` in bursts of 9 with
+    /// gaps of 8 ticks, long enough for the watchdog to time out.
+    struct Feeder {
+        dst: AgentId,
+        until: u64,
+    }
+
+    impl Agent for Feeder {
+        fn start(&mut self, ctx: &mut Ctx) {
+            ctx.set_timer_at(0.0, 0);
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, k: u64) {
+            if k % 17 < 9 {
+                ctx.send(Packet {
+                    flow: k as u32,
+                    size: 100,
+                    kind: PacketKind::Cbr,
+                    dst: self.dst,
+                    route: vec![].into(),
+                    hop: 0,
+                });
+            }
+            if k < self.until {
+                ctx.set_timer_at((k + 1) as f64 * 0.01, k + 1);
+            }
+        }
+    }
+
+    /// Re-arms a timeout on every callback: 30 ms after every third
+    /// packet (the deadline moves earlier), 50 ms otherwise. `lazy` keeps
+    /// one live event at reserved keys, as `TcpAgent`'s RTO does; else
+    /// every arm schedules and stale fires are ignored by epoch.
+    struct Watchdog {
+        lazy: bool,
+        epoch: u64,
+        key: Option<TimerKey>,
+        live: Option<(TimerKey, u64)>,
+        log: Shared,
+    }
+
+    impl Watchdog {
+        fn arm(&mut self, ctx: &mut Ctx, after: f64) {
+            self.epoch += 1;
+            if !self.lazy {
+                ctx.set_timer_at(ctx.now + after, self.epoch);
+                return;
+            }
+            let key = ctx.reserve_timer_at(ctx.now + after);
+            self.key = Some(key);
+            if self.live.is_none_or(|(live, _)| key < live) {
+                self.push(ctx, key);
+            }
+        }
+        fn push(&mut self, ctx: &mut Ctx, key: TimerKey) {
+            ctx.set_timer_key(key, self.epoch);
+            self.live = Some((key, self.epoch));
+        }
+    }
+
+    impl Agent for Watchdog {
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            let flow = pkt.flow as u64;
+            self.log.borrow_mut().push((ctx.now, "packet", flow));
+            self.arm(ctx, if flow.is_multiple_of(3) { 0.03 } else { 0.05 });
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, epoch: u64) {
+            if self.lazy {
+                if self.live.take_if(|(_, live)| *live == epoch).is_none() {
+                    return;
+                }
+                if epoch != self.epoch {
+                    self.push(ctx, self.key.unwrap());
+                    return;
+                }
+            } else if epoch != self.epoch {
+                return;
+            }
+            self.log.borrow_mut().push((ctx.now, "timeout", epoch));
+            self.arm(ctx, 0.05);
+        }
+    }
+
+    /// Metronome, feeder and watchdog for 3 s; returns the callback log
+    /// and the number of timer events dispatched.
+    fn watchdog_world(kind: SchedulerKind, lazy: bool) -> (Vec<(f64, &'static str, u64)>, u64) {
+        let log = Shared::default();
+        let mut w = World::with_scheduler(1, kind);
+        let (ahead, until) = (3, 300);
+        w.add_agent(Box::new(Metronome {
+            ahead,
+            until,
+            log: log.clone(),
+        }));
+        let dog = w.add_agent(Box::new(Watchdog {
+            lazy,
+            epoch: 0,
+            key: None,
+            live: None,
+            log: log.clone(),
+        }));
+        w.add_agent(Box::new(Feeder { dst: dog, until }));
+        w.run_until(4.0);
+        let seen = log.borrow().clone();
+        (seen, w.core.timer)
+    }
+
+    #[test]
+    fn lazy_rearm_at_reserved_keys_dispatches_like_eager_rearm() {
+        for kind in SchedulerKind::ALL {
+            let label = kind.label();
+            let (eager, eager_timers) = watchdog_world(kind, false);
+            let (lazy, lazy_timers) = watchdog_world(kind, true);
+            assert_eq!(lazy, eager, "{label}");
+            assert!(
+                lazy_timers < eager_timers,
+                "{label}: {lazy_timers} vs {eager_timers}"
+            );
+            // The worlds are only a test if timeouts share their ns with
+            // ticks, on either side of them.
+            let ties = |first, second| {
+                let tie =
+                    |p: &&[(f64, &str, u64)]| (p[0].0, p[0].1, p[1].1) == (p[1].0, first, second);
+                lazy.windows(2).filter(tie).count()
+            };
+            let both_ways = ties("timeout", "tick") > 0 && ties("tick", "timeout") > 0;
+            assert!(both_ways, "{label}: no same-ns tie on one side");
         }
     }
 

@@ -39,7 +39,7 @@ pub use campaign::{
     hash_outcome, run_campaign, run_campaign_opts, run_session, run_session_with, CampaignOptions,
     CampaignResult, CampaignSpec, SessionResult, SessionSpec, TestKind,
 };
-pub use engine::{Agent, Ctx, World};
+pub use engine::{Agent, Ctx, TimerKey, World};
 pub use faults::{FaultInjector, FaultPlan, FaultStats, FaultWiring};
 pub use link::{
     Link, LinkConfig, LinkStats, LinkTraceState, QueueKind, RedConfig, TraceDriver, TraceSchedule,

@@ -15,17 +15,18 @@
 //!
 //! **Ordering contract.** Events drain in strictly increasing
 //! `(time_ns, seq)` order — exactly the tie-break the engine has always
-//! used. `seq` values must be unique and strictly increasing across
-//! [`Scheduler::schedule`] calls, and `time_ns` must never be below the
-//! time of the most recently popped event (the engine clamps times to
-//! `now` before scheduling). Under that contract the two implementations
-//! are *bit-identical*: `crates/sim/tests/sched_differential.rs` proves
-//! it over every golden, fault and campaign workload, and the
-//! `sched_properties` suite over randomized insert / bounded-pop traces.
+//! used. `seq` values must be unique and a scheduled `(time_ns, seq)`
+//! never behind the last pop; `seq` need not grow call to call, since the
+//! engine may push a timer at a key reserved when it was armed. Under that
+//! contract the two implementations are *bit-identical*:
+//! `sched_differential.rs` proves it over every golden, fault and campaign
+//! workload, and `sched_properties.rs` over random insert / bounded-pop
+//! traces with out-of-order reserved `seq`s.
 //!
-//! There is no cancellation: the agents re-arm soft timers and ignore
-//! stale fires (`armed_at` in `agents/{qa,rap}.rs`), so an event, once
-//! scheduled, is popped exactly once.
+//! There is no cancellation: an event, once scheduled, is popped exactly
+//! once. The TCP RTO keeps one live event and re-pushes it at its latest
+//! reserved key; RAP/QA soft timers (`armed_at`) re-arm only earlier and
+//! ignore the stale fire.
 
 use crate::arena::Slab;
 use std::cmp::Reverse;
@@ -33,8 +34,8 @@ use std::collections::{BTreeMap, BinaryHeap};
 
 /// The engine's event-queue abstraction (min-queue on `(time_ns, seq)`).
 pub trait Scheduler<T> {
-    /// Insert `item` to fire at `time_ns`. `seq` must be unique and
-    /// strictly increasing across calls on this scheduler.
+    /// Insert `item` to fire at `time_ns`. `seq` must be unique on this
+    /// scheduler, and `(time_ns, seq)` not behind the last pop.
     fn schedule(&mut self, time_ns: u64, seq: u64, item: T);
 
     /// Remove and return the next event as `(time_ns, seq, item)` if it
@@ -324,14 +325,9 @@ impl<T> Scheduler<T> for TimerWheelScheduler<T> {
     fn schedule(&mut self, time_ns: u64, seq: u64, item: T) {
         let tick = time_ns >> GRAN_SHIFT;
         if laqa_obs::enabled() {
-            // Arming horizon: how far ahead of the cursor the event lands.
-            // This metric shipped as `sched.wheel_slack_ns` before PR 10
-            // and its ~1 s p99 was misread as delivery lateness; it is
-            // simply RTO / QA-join-grade timers armed ~1 s out — ~477
-            // ticks into the 4096-slot window, nowhere near the overflow
-            // tree. The per-path counters below make the split explicit;
-            // delivery exactness is pinned by `sched_differential` and
-            // `far_future_timer_stays_in_window_and_fires_on_time`.
+            // Arming horizon (its ~1 s p99 is RTO / QA-join timers, well
+            // inside the window, not lateness: DESIGN §6c), and which of
+            // the three insert paths the event takes.
             laqa_obs::histogram!("sched.wheel_horizon_ns", laqa_obs::LOG_NS_BOUNDS)
                 .observe(time_ns.saturating_sub(self.cursor_tick << GRAN_SHIFT) as f64);
             if tick <= self.cursor_tick {
@@ -548,6 +544,25 @@ mod tests {
         assert_eq!(pop(&mut w), Some((100, 2, 2)));
         assert_eq!(pop(&mut w), Some((150, 3, 3)));
         assert_eq!(pop(&mut w), Some((200, 1, 1)));
+    }
+
+    #[test]
+    fn reserved_key_below_a_staged_seq_drains_in_key_order() {
+        let (mut h, mut w) = both();
+        for s in [&mut h as &mut dyn Scheduler<u32>, &mut w] {
+            s.schedule(100, 5, 5);
+            s.schedule(300, 7, 7);
+            assert_eq!(s.pop_next_at_or_before(u64::MAX), Some((100, 5, 5)));
+            // Keys reserved before (300, 7) and pushed only now, while it
+            // is staged: both seqs are below 7 and 3 is below the last
+            // pop's, yet neither key is behind that pop.
+            s.schedule(300, 3, 3);
+            s.schedule(200, 6, 6);
+        }
+        assert_eq!(w.drain.len(), 3, "all in the active tick's drain");
+        let expect = vec![(200, 6, 6), (300, 3, 3), (300, 7, 7)];
+        assert_eq!(drain_all(&mut h), expect);
+        assert_eq!(drain_all(&mut w), expect);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //! pops with random *finite* bounds (the engine's `run_until` entry
 //! point): a pop never returns an event past its bound, events drain in
 //! strict `(time_ns, seq)` order across `None`s, and the two
-//! implementations agree item-for-item, `None`s included.
+//! implementations agree item-for-item, `None`s included. Some inserts
+//! use a key reserved earlier, as a lazily re-armed timer does, so
+//! `seq`s arrive out of order; the contract only asks that `seq` be
+//! unique and a key never be behind the last pop.
 
 use laqa_check::{cases, Gen};
 use laqa_sim::{AnyScheduler, HeapScheduler, Scheduler, SchedulerKind, TimerWheelScheduler};
@@ -19,18 +22,24 @@ const WHEEL_HORIZON_NS: u64 = 1 << 33;
 enum Op {
     /// Schedule at `now + delta_ns`.
     Insert { delta_ns: u64 },
+    /// Reserve the key `(now + delta_ns, next seq)` without scheduling.
+    Reserve { delta_ns: u64 },
+    /// Schedule the `pick`-th held reservation (modulo their number), or
+    /// drop it if its key is now behind the last pop.
+    PushReserved { pick: usize },
     /// Pop the head if it fires at or before `now + ahead_ns`, advancing
     /// `now` to its deadline.
     Pop { ahead_ns: u64 },
 }
 
 /// Generate a workload mixing near-future inserts, same-tick bursts,
-/// in-window and far-future (overflow-tree) deadlines, and pops whose
-/// bounds fall short of, inside and beyond the pending events.
+/// in-window and far-future (overflow-tree) deadlines, reservations
+/// scheduled later, and pops whose bounds fall short of, inside and
+/// beyond the pending events.
 fn gen_ops(g: &mut Gen, len: usize) -> Vec<Op> {
     const FAR: u64 = 40_000_000_000; // 40 s — deep overflow territory
     (0..len)
-        .map(|_| match g.u32_in(0, 9) {
+        .map(|_| match g.u32_in(0, 11) {
             // Dense near-future inserts, including zero-delay (same tick
             // as `now` — must still pop after already-due earlier seqs).
             0..=2 => Op::Insert {
@@ -55,6 +64,19 @@ fn gen_ops(g: &mut Gen, len: usize) -> Vec<Op> {
             8 => Op::Pop {
                 ahead_ns: g.u64_in(0, 200_000_000),
             },
+            // An RTO-like deadline, often pushed after later inserts and
+            // pops; half of them tie with a same-tick burst, so a lower
+            // `seq` lands beside higher ones already staged.
+            9 => Op::Reserve {
+                delta_ns: match g.u32_in(0, 3) {
+                    0 => 0,
+                    1 => 65_536,
+                    _ => g.u64_in(0, 400_000_000),
+                },
+            },
+            10 => Op::PushReserved {
+                pick: g.usize_in(0, 7),
+            },
             _ => Op::Pop {
                 ahead_ns: g.u64_in(0, 2 * FAR),
             },
@@ -67,9 +89,11 @@ fn gen_ops(g: &mut Gen, len: usize) -> Vec<Op> {
 fn replay(sched: &mut dyn Scheduler<u64>, ops: &[Op]) -> Vec<Option<(u64, u64, u64)>> {
     let mut now = 0u64;
     let mut seq = 0u64;
+    let mut scheduled = 0u64;
+    let mut held: Vec<(u64, u64)> = Vec::new();
     let mut answers = Vec::new();
     let mut last: Option<(u64, u64)> = None;
-    let mut pop = |sched: &mut dyn Scheduler<u64>, now: &mut u64, bound: u64| {
+    let mut pop = |sched: &mut dyn Scheduler<u64>, now: &mut u64, last: &mut Option<_>, bound| {
         let answer = sched.pop_next_at_or_before(bound);
         if let Some((t, s, item)) = answer {
             assert!(t <= bound, "popped {t} past the bound {bound}");
@@ -80,7 +104,7 @@ fn replay(sched: &mut dyn Scheduler<u64>, ops: &[Op]) -> Vec<Option<(u64, u64, u
                 (t, s)
             );
             assert_eq!(item, s, "item/seq pairing corrupted");
-            last = Some((t, s));
+            *last = Some((t, s));
             *now = t;
         }
         answers.push(answer);
@@ -91,17 +115,32 @@ fn replay(sched: &mut dyn Scheduler<u64>, ops: &[Op]) -> Vec<Option<(u64, u64, u
             Op::Insert { delta_ns } => {
                 sched.schedule(now + delta_ns, seq, seq);
                 seq += 1;
+                scheduled += 1;
+            }
+            Op::Reserve { delta_ns } => {
+                held.push((now + delta_ns, seq));
+                seq += 1;
+            }
+            Op::PushReserved { pick } => {
+                if held.is_empty() {
+                    continue;
+                }
+                let (t, s) = held.swap_remove(pick % held.len());
+                if last.is_none_or(|prev| (t, s) > prev) {
+                    sched.schedule(t, s, s);
+                    scheduled += 1;
+                }
             }
             Op::Pop { ahead_ns } => {
                 let bound = now + ahead_ns;
-                pop(sched, &mut now, bound);
+                pop(sched, &mut now, &mut last, bound);
             }
         }
     }
     // Drain the rest; order must stay strict.
-    while pop(sched, &mut now, u64::MAX) {}
+    while pop(sched, &mut now, &mut last, u64::MAX) {}
     let popped = answers.iter().flatten().count() as u64;
-    assert_eq!(popped, seq, "every scheduled event pops exactly once");
+    assert_eq!(popped, scheduled, "every scheduled event pops exactly once");
     assert!(sched.is_empty(), "drained scheduler reports len {}", sched.len());
     answers
 }
