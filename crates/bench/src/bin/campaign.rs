@@ -7,6 +7,7 @@
 //!
 //! ```text
 //! campaign                 # full Table 1+2 sweep (50 sessions, 90 s each)
+//!                          # + replay check on another thread count
 //! campaign --smoke         # seconds-long sweep + 1-vs-2-thread replay check
 //! campaign --faults        # fault-injection intensity sweep (recovery time,
 //!                          # layer-change rate, base-layer starvation)
@@ -312,9 +313,10 @@ fn default_threads() -> usize {
         .unwrap_or(4)
 }
 
-/// Assert the sweep reproduces bit-identically on a different thread count.
-fn check_replay(spec: &CampaignSpec, reference: &CampaignResult, threads: usize) -> Result<(), AnyError> {
-    let replay = run_campaign(spec, threads);
+/// Assert the sweep reproduces bit-identically on a different thread
+/// count: 2 when `reference` ran on 1, else 1.
+fn check_replay(spec: &CampaignSpec, reference: &CampaignResult) -> Result<(), AnyError> {
+    let replay = run_campaign(spec, if reference.threads == 1 { 2 } else { 1 });
     if replay.fingerprint() != reference.fingerprint() {
         return Err(format!(
             "NON-DETERMINISM: fingerprint {:016x} with {} threads vs {:016x} with {}",
@@ -357,7 +359,7 @@ fn cmd_smoke(args: &Args) -> Result<(), AnyError> {
     if !traces.is_empty() {
         println!("{}", hostile_table(&result, &traces));
     }
-    check_replay(&spec, &result, 1)?;
+    check_replay(&spec, &result)?;
     println!("smoke ok: {} sessions in {:.2}s", spec.len(), result.wall_secs);
     Ok(())
 }
@@ -438,7 +440,7 @@ fn cmd_faults(args: &Args) -> Result<(), AnyError> {
     if !traces.is_empty() {
         println!("{}", hostile_table(&result, &traces));
     }
-    check_replay(&spec, &result, if threads == 1 { 2 } else { 1 })?;
+    check_replay(&spec, &result)?;
 
     if let Some(dir) = args.options.get("out") {
         let dir = std::path::PathBuf::from(dir);
@@ -454,24 +456,6 @@ fn cmd_faults(args: &Args) -> Result<(), AnyError> {
         result.wall_secs
     );
     Ok(())
-}
-
-fn mean_over<T>(
-    result: &CampaignResult,
-    test: TestKind,
-    k: u32,
-    f: impl Fn(&SessionResult) -> T,
-) -> f64
-where
-    T: Into<f64>,
-{
-    let vals: Vec<f64> = result
-        .sessions
-        .iter()
-        .filter(|s| s.spec.test == test && s.spec.k_max == k)
-        .map(|s| f(s).into())
-        .collect();
-    vals.iter().sum::<f64>() / vals.len().max(1) as f64
 }
 
 /// The full Table 1 + Table 2 sweep as one campaign.
@@ -525,8 +509,8 @@ fn cmd_tables(args: &Args) -> Result<(), AnyError> {
             let mut row = vec![test.label().to_string()];
             for &k in &k_values {
                 let avoid = pct(sub.mean_metric(test, k, |s| s.avoidable_drops));
-                let changes = mean_over(sub, test, k, |s| s.quality_changes as f64);
-                row.push(format!("{avoid} / {changes:.1}"));
+                let changes = sub.mean_metric(test, k, |s| Some(s.quality_changes as f64));
+                row.push(format!("{avoid} / {:.1}", changes.unwrap_or(0.0)));
             }
             t2.row(row);
         }
@@ -554,6 +538,7 @@ fn cmd_tables(args: &Args) -> Result<(), AnyError> {
     if !traces.is_empty() {
         println!("{}", hostile_table(&result, &traces));
     }
+    check_replay(&spec, &result)?;
 
     let dir = match args.options.get("out") {
         Some(d) => std::path::PathBuf::from(d),

@@ -62,7 +62,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations allowed for one 8 s session (measured: 1 012 — world and
+/// Allocations allowed for one 8 s session (measured: 1 009 — world and
 /// agent construction, packet-arena and trace growth; result extraction
 /// moves the traces out). The 7 % budget leaves slack for allocator-library drift without
 /// letting the in-session paths — the per-tick sequence rebuild above

@@ -1,6 +1,7 @@
 //! The command-line contract of the `campaign` and `laqa` binaries that
 //! no library test can see: exit code 2 for a command line the binary
 //! cannot honour, `--smoke` reading its grid from the command line, the
+//! default tables mode's replay check, the
 //! `campaign --obs DIR` → `laqa obs-report` / `laqa obs-trace` round trip
 //! over real files, and the stderr warning when the flight recorder's
 //! rings overflowed.
@@ -94,6 +95,19 @@ fn smoke_honours_kmax_and_seeds() {
         .collect();
     assert_eq!(cells, ["T1/k3/seed5", "T1/k3/seed5/tcp"], "{text}");
     assert_has(&text, "smoke ok: 2 sessions");
+}
+
+#[test]
+fn tables_mode_checks_replay() {
+    // The default Table 1+2 mode once skipped the cross-thread replay
+    // check every other mode runs.
+    let dir = scratch("cli-tables");
+    let dir_arg = dir.to_str().expect("utf-8 scratch path");
+    let mut args: Vec<&str> = "--duration 2 --kmax 2 --seeds 7 --out".split(' ').collect();
+    args.push(dir_arg);
+    let out = run(CAMPAIGN, &args, None);
+    assert!(out.status.success(), "campaign: {}", stderr(&out));
+    assert_has(&stdout(&out), "replay check: 2 sessions");
 }
 
 /// `campaign --faults --smoke --obs DIR`, then both `laqa` readers over

@@ -15,8 +15,6 @@ use crate::registry::{self, HistogramSnapshot};
 pub struct Snapshot {
     /// Counters by name.
     pub counters: BTreeMap<String, u64>,
-    /// Gauges by name.
-    pub gauges: BTreeMap<String, f64>,
     /// Histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
     /// Flight-recorder records evicted before this snapshot. Named for
@@ -38,7 +36,6 @@ impl Snapshot {
         }
         Snapshot {
             counters,
-            gauges: registry::snapshot_gauges(),
             histograms: registry::snapshot_histograms(),
             events_evicted: flight_evicted,
         }
@@ -47,11 +44,6 @@ impl Snapshot {
     /// Counter value by name, `None` if never registered.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
-    }
-
-    /// Gauge value by name, `None` if never registered.
-    pub fn gauge(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
     }
 
     /// Histogram by name, `None` if never registered.
@@ -69,12 +61,6 @@ impl Snapshot {
             self.counters
                 .iter()
                 .map(|(k, v)| (k.clone(), JsonValue::Num(*v as f64)))
-                .collect(),
-        );
-        let gauges = JsonValue::Obj(
-            self.gauges
-                .iter()
-                .map(|(k, v)| (k.clone(), JsonValue::Num(*v)))
                 .collect(),
         );
         let histograms = JsonValue::Arr(
@@ -101,7 +87,6 @@ impl Snapshot {
         );
         JsonValue::Obj(vec![
             ("counters".into(), counters),
-            ("gauges".into(), gauges),
             ("histograms".into(), histograms),
         ])
     }
@@ -128,13 +113,6 @@ impl Snapshot {
         {
             snap.counters
                 .insert(k.clone(), v.as_num().unwrap_or(0.0) as u64);
-        }
-        for (k, v) in metrics
-            .get("gauges")
-            .and_then(JsonValue::as_obj)
-            .ok_or_else(|| bad("metrics.json: missing gauges"))?
-        {
-            snap.gauges.insert(k.clone(), v.as_num().unwrap_or(0.0));
         }
         for h in metrics
             .get("histograms")
@@ -170,7 +148,7 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// Render counters, gauges and histograms as aligned text tables
+    /// Render counters and histograms as aligned text tables
     /// (the `laqa obs-report` format).
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -181,15 +159,6 @@ impl Snapshot {
         }
         out.push_str(&counters.render());
         out.push('\n');
-
-        if !self.gauges.is_empty() {
-            let mut gauges = Table::new("Gauges", &["gauge", "value"]);
-            for (name, v) in &self.gauges {
-                gauges.row(vec![name.clone(), format!("{v:.4}")]);
-            }
-            out.push_str(&gauges.render());
-            out.push('\n');
-        }
 
         if !self.histograms.is_empty() {
             let fmt_q = |h: &HistogramSnapshot, q: f64| {
@@ -222,7 +191,7 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::tests::TEST_LOCK;
-    use crate::{counter, gauge, histogram};
+    use crate::{counter, histogram};
 
     #[test]
     fn snapshot_write_read_round_trip() {
@@ -230,7 +199,6 @@ mod tests {
         crate::reset();
         crate::set_enabled(true);
         counter!("export.test.ctr").add(7);
-        gauge!("export.test.gauge").set(1.25);
         histogram!("export.test.hist", &[1.0, 4.0]).observe(2.0);
         crate::set_enabled(false);
 
@@ -241,7 +209,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
 
         assert_eq!(back.counter("export.test.ctr"), Some(7));
-        assert_eq!(back.gauge("export.test.gauge"), Some(1.25));
         let h = back.histogram("export.test.hist").unwrap();
         assert_eq!(h.counts, vec![0, 1, 0]);
         assert_eq!(back, snap);

@@ -6,7 +6,7 @@
 //! through figure CSVs and campaign fingerprints. `laqa-obs` provides
 //! the runtime substrate:
 //!
-//! * a **metrics registry** ([`registry`]) of named counters, gauges and
+//! * a **metrics registry** ([`registry`]) of named counters and
 //!   fixed-bucket histograms backed by relaxed atomics;
 //! * a **flight recorder** ([`flight`]) — per-session timeline traces
 //!   (QA state spans, layer add/drop and backoff instants, buffer-level
@@ -47,7 +47,7 @@ pub mod registry;
 
 pub use export::Snapshot;
 pub use flight::{FlightKind, FlightRecord, FlightTrace};
-pub use registry::{Counter, Gauge, Histogram, HistogramSnapshot, LOG_MS_BOUNDS, LOG_NS_BOUNDS};
+pub use registry::{Counter, Histogram, HistogramSnapshot, LOG_MS_BOUNDS, LOG_NS_BOUNDS};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -70,7 +70,7 @@ pub fn snapshot() -> Snapshot {
     Snapshot::collect()
 }
 
-/// Zero all counters/gauges/histograms and clear the
+/// Zero all counters and histograms and clear the
 /// flight-recorder rings. Intended for tests and for isolating
 /// consecutive `--obs` exports.
 pub fn reset() {
@@ -93,7 +93,6 @@ mod tests {
         reset();
         set_enabled(false);
         counter!("lib.test.ctr").inc();
-        gauge!("lib.test.gauge").set(4.0);
         let snap = snapshot();
         // Disabled sites return before registering, so the snapshot has
         // either no entry or a zeroed one (if a prior enabled test

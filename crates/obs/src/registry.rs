@@ -1,5 +1,4 @@
-//! Named counters, gauges and fixed-bucket histograms behind relaxed
-//! atomics.
+//! Named counters and fixed-bucket histograms behind relaxed atomics.
 //!
 //! Handles are `const`-constructible so an instrumentation site is one
 //! `static` plus one method call. The first touch of a handle registers
@@ -8,10 +7,7 @@
 //! return after a single relaxed atomic load.
 //!
 //! If two sites declare the same metric name, snapshots merge them
-//! (counters and histogram buckets sum; for gauges the **last written**
-//! cell wins — each `set` takes a global write stamp, so the snapshot
-//! reflects the most recent value regardless of which call site stored
-//! it or in what order the sites first registered).
+//! (counters and histogram buckets sum).
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,17 +61,6 @@ pub(crate) struct CounterCell {
     value: AtomicU64,
 }
 
-/// Strictly increasing stamp handed to every gauge write so duplicate
-/// gauge names merge by most-recent-write, not registration order.
-static GAUGE_STAMP: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) struct GaugeCell {
-    name: &'static str,
-    bits: AtomicU64,
-    /// Stamp of this cell's latest `set` (0 = never written).
-    stamp: AtomicU64,
-}
-
 pub(crate) struct HistogramCell {
     name: &'static str,
     bounds: &'static [f64],
@@ -88,7 +73,6 @@ pub(crate) struct HistogramCell {
 #[derive(Default)]
 struct Store {
     counters: Mutex<Vec<Arc<CounterCell>>>,
-    gauges: Mutex<Vec<Arc<GaugeCell>>>,
     histograms: Mutex<Vec<Arc<HistogramCell>>>,
 }
 
@@ -142,51 +126,6 @@ impl Counter {
     /// Current value (reads regardless of the enabled flag).
     pub fn get(&self) -> u64 {
         self.cell().value.load(Ordering::Relaxed)
-    }
-}
-
-/// A last-write-wins instantaneous value (e.g. a queue depth).
-pub struct Gauge {
-    name: &'static str,
-    cell: OnceLock<Arc<GaugeCell>>,
-}
-
-impl Gauge {
-    /// Const handle; the cell registers on first use.
-    pub const fn new(name: &'static str) -> Self {
-        Gauge {
-            name,
-            cell: OnceLock::new(),
-        }
-    }
-
-    fn cell(&self) -> &Arc<GaugeCell> {
-        self.cell.get_or_init(|| {
-            let cell = Arc::new(GaugeCell {
-                name: self.name,
-                bits: AtomicU64::new(0f64.to_bits()),
-                stamp: AtomicU64::new(0),
-            });
-            store().gauges.lock().expect("obs store").push(cell.clone());
-            cell
-        })
-    }
-
-    /// Store `v`. No-op (one relaxed load) while obs is disabled.
-    #[inline]
-    pub fn set(&self, v: f64) {
-        if !crate::enabled() {
-            return;
-        }
-        let cell = self.cell();
-        cell.bits.store(v.to_bits(), Ordering::Relaxed);
-        let stamp = GAUGE_STAMP.fetch_add(1, Ordering::Relaxed) + 1;
-        cell.stamp.store(stamp, Ordering::Relaxed);
-    }
-
-    /// Current value (reads regardless of the enabled flag).
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.cell().bits.load(Ordering::Relaxed))
     }
 }
 
@@ -328,22 +267,6 @@ pub(crate) fn snapshot_counters() -> BTreeMap<String, u64> {
     out
 }
 
-/// Snapshot all gauges. Duplicate names merge by **most recent write**:
-/// the cell with the highest write stamp supplies the value (cells that
-/// were never written all carry stamp 0 and report the 0.0 default).
-pub(crate) fn snapshot_gauges() -> BTreeMap<String, f64> {
-    let mut out: BTreeMap<String, (u64, f64)> = BTreeMap::new();
-    for cell in store().gauges.lock().expect("obs store").iter() {
-        let stamp = cell.stamp.load(Ordering::Relaxed);
-        let value = f64::from_bits(cell.bits.load(Ordering::Relaxed));
-        let entry = out.entry(cell.name.to_string()).or_insert((stamp, value));
-        if stamp > entry.0 {
-            *entry = (stamp, value);
-        }
-    }
-    out.into_iter().map(|(k, (_, v))| (k, v)).collect()
-}
-
 /// Snapshot all histograms (merged by name when bounds agree).
 pub(crate) fn snapshot_histograms() -> Vec<HistogramSnapshot> {
     let mut by_name: BTreeMap<String, HistogramSnapshot> = BTreeMap::new();
@@ -387,10 +310,6 @@ pub(crate) fn reset_metrics() {
     for cell in s.counters.lock().expect("obs store").iter() {
         cell.value.store(0, Ordering::Relaxed);
     }
-    for cell in s.gauges.lock().expect("obs store").iter() {
-        cell.bits.store(0f64.to_bits(), Ordering::Relaxed);
-        cell.stamp.store(0, Ordering::Relaxed);
-    }
     for cell in s.histograms.lock().expect("obs store").iter() {
         for c in &cell.counts {
             c.store(0, Ordering::Relaxed);
@@ -410,15 +329,6 @@ macro_rules! counter {
     }};
 }
 
-/// Declare (or reuse) a [`Gauge`] named by a string literal.
-#[macro_export]
-macro_rules! gauge {
-    ($name:literal) => {{
-        static __LAQA_OBS_GAUGE: $crate::Gauge = $crate::Gauge::new($name);
-        &__LAQA_OBS_GAUGE
-    }};
-}
-
 /// Declare (or reuse) a [`Histogram`] with const bucket bounds.
 #[macro_export]
 macro_rules! histogram {
@@ -433,7 +343,7 @@ mod tests {
     use crate::tests::TEST_LOCK;
 
     #[test]
-    fn counter_gauge_histogram_round_trip() {
+    fn counter_histogram_round_trip() {
         let _g = TEST_LOCK.lock().unwrap();
         crate::reset();
         crate::set_enabled(true);
@@ -441,10 +351,6 @@ mod tests {
         c.inc();
         c.add(4);
         assert_eq!(c.get(), 5);
-
-        let g = gauge!("registry.test.gauge");
-        g.set(2.5);
-        assert_eq!(g.get(), 2.5);
 
         let h = histogram!("registry.test.hist", &[1.0, 10.0, 100.0]);
         for v in [0.5, 5.0, 50.0, 500.0, 7.0] {
@@ -489,22 +395,6 @@ mod tests {
         crate::set_enabled(false);
         let counters = super::snapshot_counters();
         assert_eq!(counters.get("registry.test.dup"), Some(&5));
-    }
-
-    #[test]
-    fn duplicate_gauge_names_merge_by_last_write_not_registration() {
-        let _g = TEST_LOCK.lock().unwrap();
-        crate::reset();
-        crate::set_enabled(true);
-        // Two call sites share one name; writes interleave. The snapshot
-        // must report the most recent write even though it landed in the
-        // FIRST-registered cell.
-        gauge!("registry.test.dupg").set(1.0);
-        gauge!("registry.test.dupg").set(2.0); // second site registers later
-        gauge!("registry.test.dupg").set(3.0); // back to the first site
-        crate::set_enabled(false);
-        let gauges = super::snapshot_gauges();
-        assert_eq!(gauges.get("registry.test.dupg"), Some(&3.0));
     }
 
     #[test]

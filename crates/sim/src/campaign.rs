@@ -15,7 +15,9 @@
 //! index, so the aggregate [`CampaignResult::fingerprint`] is bit-identical
 //! across thread counts; `tests/replay.rs` pins this with 1, 2, 8 and 16
 //! workers. Wall-clock fields are the one exception and are excluded from
-//! every fingerprint.
+//! every fingerprint. The worker count is the only execution choice
+//! ([`CampaignOptions`]): every session runs on the engine's one event
+//! queue.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -24,8 +26,7 @@ use laqa_core::metrics::QaEvent;
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
 use crate::faults::FaultPlan;
-use crate::scenarios::{run_scenario_with, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};
-use crate::sched::SchedulerKind;
+use crate::scenarios::{run_scenario, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};
 
 /// Which of the paper's dumbbell workloads a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -600,18 +601,10 @@ pub fn mean_recovery_secs(events: &[QaEvent]) -> Option<f64> {
     }
 }
 
-/// Run one session to a result (synchronously, on the calling thread),
-/// on the default event scheduler.
+/// Run one session to a result (synchronously, on the calling thread).
 pub fn run_session(spec: &SessionSpec) -> SessionResult {
-    run_session_with(spec, SchedulerKind::default())
-}
-
-/// Run one session on an explicit event-scheduler implementation. Every
-/// fingerprinted field of the result is independent of `sched`; only
-/// `wall_secs` (excluded from fingerprints) may differ.
-pub fn run_session_with(spec: &SessionSpec, sched: SchedulerKind) -> SessionResult {
     let started = Instant::now();
-    let out = run_scenario_with(&spec.scenario(), sched);
+    let out = run_scenario(&spec.scenario());
     outcome_to_result(spec, out, started.elapsed().as_secs_f64())
 }
 
@@ -645,8 +638,7 @@ fn outcome_to_result(spec: &SessionSpec, out: ScenarioOutcome, wall_secs: f64) -
     }
 }
 
-/// Run the sweep on `threads` worker threads (clamped to at least 1),
-/// on the default event scheduler.
+/// Run the sweep on `threads` worker threads (clamped to at least 1).
 ///
 /// Workers steal session indices from a shared atomic counter — no
 /// per-thread pre-partitioning, so a slow session never idles the other
@@ -663,25 +655,12 @@ pub fn run_campaign(spec: &CampaignSpec, threads: usize) -> CampaignResult {
 pub struct CampaignOptions {
     /// Worker threads (clamped to `[1, sessions]` at run time).
     pub threads: usize,
-    /// Event-scheduler implementation every session runs on. The default
-    /// is the timer wheel; [`SchedulerKind::Reference`] is the oracle the
-    /// differential tests compare it against.
-    pub sched: SchedulerKind,
 }
 
 impl CampaignOptions {
-    /// `threads` workers on the default event scheduler.
+    /// `threads` workers.
     pub fn new(threads: usize) -> Self {
-        CampaignOptions {
-            threads,
-            sched: SchedulerKind::default(),
-        }
-    }
-
-    /// Select the event-scheduler implementation.
-    pub fn sched(mut self, sched: SchedulerKind) -> Self {
-        self.sched = sched;
-        self
+        CampaignOptions { threads }
     }
 }
 
@@ -698,11 +677,7 @@ fn effective_threads(requested: usize, sessions: usize) -> usize {
 
 /// Per-worker steal-and-run loop: `(index, result)` for every session
 /// this worker stole, in steal order.
-fn worker_loop(
-    spec: &CampaignSpec,
-    opts: CampaignOptions,
-    next: &AtomicUsize,
-) -> Vec<(usize, SessionResult)> {
+fn worker_loop(spec: &CampaignSpec, next: &AtomicUsize) -> Vec<(usize, SessionResult)> {
     let mut buf = Vec::new();
     loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
@@ -715,7 +690,7 @@ fn worker_loop(
             // grid index, regardless of which worker stole it.
             laqa_obs::flight::set_session(i as u64);
         }
-        buf.push((i, run_session_with(session, opts.sched)));
+        buf.push((i, run_session(session)));
     }
 }
 
@@ -724,17 +699,15 @@ fn worker_loop(
 /// their own private buffers — no shared lock anywhere on the hot path —
 /// and a deterministic index-ordered merge assembles the final vector
 /// after the last worker exits. The fingerprint is bit-identical for
-/// every thread count and scheduler kind.
+/// every thread count.
 pub fn run_campaign_opts(spec: &CampaignSpec, opts: CampaignOptions) -> CampaignResult {
     let threads = effective_threads(opts.threads, spec.sessions.len());
     let started = Instant::now();
     let next = AtomicUsize::new(0);
-
-    laqa_obs::gauge!("campaign.threads").set(threads as f64);
     let (buffers, wall_secs) = std::thread::scope(|scope| {
         let next = &next;
         let handles: Vec<_> = (0..threads)
-            .map(|_| scope.spawn(move || worker_loop(spec, opts, next)))
+            .map(|_| scope.spawn(move || worker_loop(spec, next)))
             .collect();
         let buffers: Vec<Vec<(usize, SessionResult)>> = handles
             .into_iter()

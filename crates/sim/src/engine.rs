@@ -2,15 +2,14 @@
 //!
 //! Deterministic by construction: time is integer nanoseconds, ties are
 //! broken by insertion sequence, and the only randomness flows through the
-//! world's seeded RNG. The event queue itself is pluggable (see
-//! [`crate::sched`]): the default hierarchical timer wheel and the
-//! reference `BinaryHeap` drain in exactly the same `(time_ns, seq)`
-//! order, so a world's trajectory is bit-identical under either.
+//! world's seeded RNG. Every world holds one event queue, a
+//! [`TimerWheelScheduler`] inline; its `(time_ns, seq)` drain order is
+//! checked op by op against the `BinaryHeap` oracle in [`crate::sched`].
 
 use crate::arena::Slab;
 use crate::link::{Link, LinkConfig, LinkStats, QueueSlot};
 use crate::packet::{AgentId, LinkId, Packet};
-use crate::sched::{AnyScheduler, Scheduler, SchedulerKind};
+use crate::sched::{Scheduler, TimerWheelScheduler};
 use crate::time::{ns_to_secs, secs_to_ns, tx_time_ns};
 use crate::rng::SimRng;
 use std::any::Any;
@@ -79,22 +78,16 @@ impl SessionCore {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TimerKey(u64, u64);
 
-/// A session's event queue: the pluggable scheduler plus the session's
+/// A session's event queue: the timer wheel plus the session's
 /// insertion-sequence counter. Every event's `(time, seq)` dispatch key
 /// comes from [`EventQueue::reserve`], which hands out each `seq` once.
+#[derive(Default)]
 struct EventQueue {
-    sched: AnyScheduler<Event>,
+    sched: TimerWheelScheduler<Event>,
     seq: u64,
 }
 
 impl EventQueue {
-    fn new(kind: SchedulerKind) -> Self {
-        EventQueue {
-            sched: AnyScheduler::new(kind),
-            seq: 0,
-        }
-    }
-
     /// Take the next `seq` for a deadline of `at_ns` (clamped to `now_ns`).
     #[inline]
     fn reserve(&mut self, now_ns: u64, at_ns: u64) -> TimerKey {
@@ -113,15 +106,6 @@ impl EventQueue {
     fn schedule(&mut self, now_ns: u64, at_ns: u64, event: Event) {
         let key = self.reserve(now_ns, at_ns);
         self.push(key, event);
-    }
-
-    #[inline]
-    fn pop_next_at_or_before(&mut self, bound_ns: u64) -> Option<(u64, u64, Event)> {
-        self.sched.pop_next_at_or_before(bound_ns)
-    }
-
-    fn len(&self) -> usize {
-        self.sched.len()
     }
 }
 
@@ -274,19 +258,11 @@ pub struct World {
 }
 
 impl World {
-    /// New world with a deterministic RNG seed, on the default event
-    /// scheduler (the timer wheel).
+    /// New world with a deterministic RNG seed.
     pub fn new(seed: u64) -> Self {
-        Self::with_scheduler(seed, SchedulerKind::default())
-    }
-
-    /// New world with an explicit event-scheduler implementation. The
-    /// simulated trajectory is bit-identical for every kind; the choice
-    /// only affects wall-clock speed.
-    pub fn with_scheduler(seed: u64, kind: SchedulerKind) -> Self {
         World {
             core: SessionCore::fresh(seed),
-            queue: EventQueue::new(kind),
+            queue: EventQueue::default(),
             agents: Vec::new(),
             started: false,
         }
@@ -356,7 +332,7 @@ impl World {
         let c = &self.core;
         let start = [c.events_processed, c.link_done, c.forward, c.deliver, c.timer];
         let idle = [c.timer_stale, c.timer_early];
-        while let Some((time_ns, _, event)) = self.queue.pop_next_at_or_before(end_ns) {
+        while let Some((time_ns, _, event)) = self.queue.sched.pop_next_at_or_before(end_ns) {
             self.core.now_ns = time_ns;
             self.core.events_processed += 1;
             let timed = if laqa_obs::enabled() {
@@ -364,7 +340,7 @@ impl World {
                     "engine.queue_depth",
                     &[8.0, 32.0, 128.0, 512.0, 2048.0, 8192.0]
                 )
-                .observe(self.queue.len() as f64);
+                .observe(self.queue.sched.len() as f64);
                 Some(std::time::Instant::now())
             } else {
                 None
@@ -784,41 +760,34 @@ mod tests {
             delay,
             ..LinkConfig::default()
         };
-        for kind in SchedulerKind::ALL {
-            let mut w = World::with_scheduler(1, kind);
-            // 10 ms serialization + 10 ms propagation: arrives at 20 ms.
-            let l20 = w.add_link(link(100_000.0, 0.010));
-            // 10 + 15 ms and 20 + 5 ms: both arrive at 25 ms, but the
-            // first link finishes serializing 10 ms earlier.
-            let early_done = w.add_link(link(100_000.0, 0.015));
-            let late_done = w.add_link(link(50_000.0, 0.005));
-            // The sender starts first, so the 20 ms packet is *sent*
-            // before the log arms its 20 ms timer — but its `Arrive` is
-            // created only at link-done (10 ms), after the timer.
-            let log = Log {
-                timer_at: 0.020,
-                seen: vec![],
-            };
-            let log_id = w.agents.len() + 1;
-            w.add_agent(Box::new(Burst {
-                dst: log_id,
-                // The late link-done packet is sent (and allocated) first.
-                sends: vec![
-                    (2, vec![late_done].into()),
-                    (1, vec![l20].into()),
-                    (3, vec![early_done].into()),
-                ],
-            }));
-            assert_eq!(w.add_agent(Box::new(log)), log_id);
-            w.run_until(1.0);
-            let seen = &w.agent::<Log>(log_id).unwrap().seen;
-            assert_eq!(
-                seen,
-                &[(0.020, 0), (0.020, 1), (0.025, 3), (0.025, 2)],
-                "{}",
-                kind.label()
-            );
-        }
+        let mut w = World::new(1);
+        // 10 ms serialization + 10 ms propagation: arrives at 20 ms.
+        let l20 = w.add_link(link(100_000.0, 0.010));
+        // 10 + 15 ms and 20 + 5 ms: both arrive at 25 ms, but the
+        // first link finishes serializing 10 ms earlier.
+        let early_done = w.add_link(link(100_000.0, 0.015));
+        let late_done = w.add_link(link(50_000.0, 0.005));
+        // The sender starts first, so the 20 ms packet is *sent*
+        // before the log arms its 20 ms timer — but its `Arrive` is
+        // created only at link-done (10 ms), after the timer.
+        let log = Log {
+            timer_at: 0.020,
+            seen: vec![],
+        };
+        let log_id = w.agents.len() + 1;
+        w.add_agent(Box::new(Burst {
+            dst: log_id,
+            // The late link-done packet is sent (and allocated) first.
+            sends: vec![
+                (2, vec![late_done].into()),
+                (1, vec![l20].into()),
+                (3, vec![early_done].into()),
+            ],
+        }));
+        assert_eq!(w.add_agent(Box::new(log)), log_id);
+        w.run_until(1.0);
+        let seen = &w.agent::<Log>(log_id).unwrap().seen;
+        assert_eq!(seen, &[(0.020, 0), (0.020, 1), (0.025, 3), (0.025, 2)]);
     }
 
     /// Callbacks of the exactness worlds, in dispatch order: (time, who,
@@ -934,9 +903,9 @@ mod tests {
 
     /// Metronome, feeder and watchdog for 3 s; returns the callback log
     /// and the number of timer events dispatched.
-    fn watchdog_world(kind: SchedulerKind, lazy: bool) -> (Vec<(f64, &'static str, u64)>, u64) {
+    fn watchdog_world(lazy: bool) -> (Vec<(f64, &'static str, u64)>, u64) {
         let log = Shared::default();
-        let mut w = World::with_scheduler(1, kind);
+        let mut w = World::new(1);
         let (ahead, until) = (3, 300);
         w.add_agent(Box::new(Metronome {
             ahead,
@@ -958,25 +927,21 @@ mod tests {
 
     #[test]
     fn lazy_rearm_at_reserved_keys_dispatches_like_eager_rearm() {
-        for kind in SchedulerKind::ALL {
-            let label = kind.label();
-            let (eager, eager_timers) = watchdog_world(kind, false);
-            let (lazy, lazy_timers) = watchdog_world(kind, true);
-            assert_eq!(lazy, eager, "{label}");
-            assert!(
-                lazy_timers < eager_timers,
-                "{label}: {lazy_timers} vs {eager_timers}"
-            );
-            // The worlds are only a test if timeouts share their ns with
-            // ticks, on either side of them.
-            let ties = |first, second| {
-                let tie =
-                    |p: &&[(f64, &str, u64)]| (p[0].0, p[0].1, p[1].1) == (p[1].0, first, second);
-                lazy.windows(2).filter(tie).count()
-            };
-            let both_ways = ties("timeout", "tick") > 0 && ties("tick", "timeout") > 0;
-            assert!(both_ways, "{label}: no same-ns tie on one side");
-        }
+        let (eager, eager_timers) = watchdog_world(false);
+        let (lazy, lazy_timers) = watchdog_world(true);
+        assert_eq!(lazy, eager);
+        assert!(
+            lazy_timers < eager_timers,
+            "{lazy_timers} vs {eager_timers}"
+        );
+        // The worlds are only a test if timeouts share their ns with
+        // ticks, on either side of them.
+        let ties = |first, second| {
+            let tie = |p: &&[(f64, &str, u64)]| (p[0].0, p[0].1, p[1].1) == (p[1].0, first, second);
+            lazy.windows(2).filter(tie).count()
+        };
+        let both_ways = ties("timeout", "tick") > 0 && ties("tick", "timeout") > 0;
+        assert!(both_ways, "no same-ns tie on one side");
     }
 
     /// A 1000-byte CBR source at five times the 100 KB/s rate of a
@@ -1010,7 +975,7 @@ mod tests {
         let queued: usize = w.core.links.iter().map(|l| l.queue.len()).sum();
         let live = w.core.packets.len();
         let mut arriving = 0;
-        while let Some((_, _, event)) = w.queue.pop_next_at_or_before(u64::MAX) {
+        while let Some((_, _, event)) = w.queue.sched.pop_next_at_or_before(u64::MAX) {
             arriving += usize::from(matches!(event, Event::Arrive { .. }));
         }
         assert!(live > 0, "pause with nothing in flight");

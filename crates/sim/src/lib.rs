@@ -36,18 +36,17 @@ pub mod agents {
 }
 
 pub use campaign::{
-    hash_outcome, run_campaign, run_campaign_opts, run_session, run_session_with, CampaignOptions,
-    CampaignResult, CampaignSpec, SessionResult, SessionSpec, TestKind,
+    hash_outcome, run_campaign, run_campaign_opts, run_session, CampaignOptions, CampaignResult,
+    CampaignSpec, SessionResult, SessionSpec, TestKind,
 };
 pub use engine::{Agent, Ctx, TimerKey, World};
 pub use faults::{FaultInjector, FaultPlan, FaultStats, FaultWiring};
 pub use link::{
-    Link, LinkConfig, LinkStats, LinkTraceState, QueueKind, RedConfig, TraceDriver, TraceSchedule,
+    Link, LinkConfig, LinkStats, LinkTracePoint, LinkTraceState, QueueKind, RedConfig, TraceDriver,
+    TraceSchedule,
 };
 pub use packet::{AgentId, LinkId, Packet, PacketKind, Route};
-pub use scenarios::{
-    run_scenario, run_scenario_with, ScenarioConfig, ScenarioOutcome, TraceKind, Transport,
-};
-pub use sched::{AnyScheduler, HeapScheduler, Scheduler, SchedulerKind, TimerWheelScheduler};
+pub use scenarios::{run_scenario, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};
+pub use sched::{HeapScheduler, Scheduler, TimerWheelScheduler};
 pub use stats::{jain_fairness, summarize_sharing, SharingSummary};
 pub use topology::{Dumbbell, DumbbellConfig};

@@ -9,7 +9,6 @@
 
 use crate::packet::Packet;
 use crate::rng::SimRng;
-use laqa_trace::LinkTracePoint;
 use std::collections::VecDeque;
 
 /// Random Early Detection parameters (Floyd/Jacobson '93, simplified:
@@ -88,20 +87,35 @@ impl LinkConfig {
     }
 }
 
+/// One schedule point of a link-condition trace.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LinkTracePoint {
+    /// Time the point takes effect (seconds from trace start).
+    pub at: f64,
+    /// Link bandwidth from `at` onward (bytes/s).
+    pub bandwidth: f64,
+    /// Propagation delay from `at` onward (seconds); `None` keeps the
+    /// link's current delay.
+    pub delay: Option<f64>,
+    /// Random per-packet loss probability from `at` onward; `None` keeps
+    /// the link's current loss rate.
+    pub loss: Option<f64>,
+}
+
 /// A piecewise link-condition schedule: the *TraceLink* machinery.
 ///
 /// Each [`LinkTracePoint`] names a time and the bandwidth (plus optional
 /// delay and loss) the link switches to at that time — step changes, the
-/// way recorded cellular traces and shaped links actually behave. Points
-/// are strictly increasing in time; an optional `period` makes the
-/// schedule loop forever (point times then repeat every period).
+/// way cellular links and shaped links actually behave. Points are
+/// strictly increasing in time; an optional `period` makes the schedule
+/// loop forever (point times then repeat every period).
 ///
 /// Schedules are *pre-materialized*: the seeded generators below draw
 /// from their own salted [`SimRng`] at construction, so a schedule is a
 /// plain value and replaying it never consumes world RNG. Advancement is
-/// driven off the event scheduler by a [`TraceDriver`] agent, which makes
-/// trace-driven runs bit-identical across heap-vs-wheel schedulers and
-/// thread counts (pinned by `tests/trace_differential.rs`).
+/// driven off the event queue by a [`TraceDriver`] agent, which makes
+/// trace-driven runs bit-identical across thread counts (pinned by
+/// `tests/trace_differential.rs`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSchedule {
     points: Vec<LinkTracePoint>,
@@ -116,10 +130,10 @@ const BLOAT_SALT: u64 = 0xB10A_75EE_DBAD_0000;
 pub const BOND_PATH_SALT: u64 = 0xB0D0_5A17_0000_0000;
 
 impl TraceSchedule {
-    /// Schedule from explicit points. Validates what
-    /// [`laqa_trace::parse_link_trace`] validates (strictly increasing
-    /// non-negative times, positive bandwidth, loss in `[0, 1]`) plus
-    /// that a looping `period` strictly exceeds the last point's time.
+    /// Schedule from explicit points. Validates strictly increasing
+    /// non-negative times, finite positive bandwidth, finite non-negative
+    /// delay, loss in `[0, 1]`, and that a looping `period` strictly
+    /// exceeds the last point's time.
     pub fn from_points(
         points: Vec<LinkTracePoint>,
         period: Option<f64>,
@@ -155,12 +169,6 @@ impl TraceSchedule {
             }
         }
         Ok(TraceSchedule { points, period })
-    }
-
-    /// Schedule parsed from a recorded trace file (the
-    /// [`laqa_trace::linktrace`] format).
-    pub fn from_recorded(text: &str, period: Option<f64>) -> Result<Self, String> {
-        Self::from_points(laqa_trace::parse_link_trace(text)?, period)
     }
 
     /// LTE-style capacity trace: a multiplicative random walk around
@@ -453,9 +461,8 @@ impl Link {
 ///
 /// Driving the schedule through ordinary timer events — rather than
 /// polling link state on some side channel — is what makes trace replay
-/// bit-identical across heap-vs-wheel schedulers and thread counts:
-/// the `(time, seq)` event order fully determines when each point lands
-/// relative to every packet.
+/// bit-identical across thread counts: the `(time, seq)` event order
+/// fully determines when each point lands relative to every packet.
 ///
 /// The driver draws no world RNG (schedules are pre-materialized), so
 /// attaching it perturbs nothing but the link parameters it writes.
@@ -697,7 +704,6 @@ mod tests {
 
     #[test]
     fn trace_schedule_rejects_degenerate_inputs() {
-        use laqa_trace::LinkTracePoint;
         let p = |at, bandwidth| LinkTracePoint {
             at,
             bandwidth,
@@ -722,7 +728,6 @@ mod tests {
 
     #[test]
     fn trace_sample_steps_and_wraps() {
-        use laqa_trace::LinkTracePoint;
         let p = |at, bandwidth| LinkTracePoint {
             at,
             bandwidth,
@@ -742,7 +747,6 @@ mod tests {
 
     #[test]
     fn trace_state_applies_in_order() {
-        use laqa_trace::LinkTracePoint;
         let pts = vec![
             LinkTracePoint {
                 at: 0.0,

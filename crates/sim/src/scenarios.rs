@@ -11,7 +11,6 @@ use crate::agents::tcp::{TcpAgent, TcpSinkAgent};
 use crate::engine::World;
 use crate::link::{LinkStats, TraceDriver, TraceSchedule, BOND_PATH_SALT};
 use crate::packet::{AgentId, LinkId, Route};
-use crate::sched::SchedulerKind;
 use crate::topology::{Dumbbell, DumbbellConfig};
 use laqa_core::{MetricsCollector, QaConfig};
 use laqa_layered::LayeredEncoding;
@@ -297,18 +296,9 @@ pub struct ScenarioOutcome {
     pub bond_leg: Option<LinkStats>,
 }
 
-/// Build and run a scenario on the default event scheduler, returning
-/// the collected outcome.
+/// Build and run a scenario, returning the collected outcome.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
-    run_scenario_with(cfg, SchedulerKind::default())
-}
-
-/// Build and run a scenario on an explicit event-scheduler
-/// implementation. The outcome — including its
-/// [`crate::campaign::hash_outcome`] fingerprint — is bit-identical for
-/// every [`SchedulerKind`]; `tests/sched_differential.rs` pins this.
-pub fn run_scenario_with(cfg: &ScenarioConfig, sched: SchedulerKind) -> ScenarioOutcome {
-    let (mut world, handles) = build_scenario(cfg, sched);
+    let (mut world, handles) = build_scenario(cfg);
     world.run_until(cfg.duration);
     extract_outcome(cfg, &mut world, &handles)
 }
@@ -337,8 +327,8 @@ struct ScenarioHandles {
 /// find everything afterward. Construction order — and therefore every
 /// agent id, link id and RNG draw — is identical to what the monolithic
 /// scenario body always did, so trajectories stay bit-identical.
-fn build_scenario(cfg: &ScenarioConfig, sched: SchedulerKind) -> (World, ScenarioHandles) {
-    let mut d = Dumbbell::with_scheduler(cfg.dumbbell, cfg.seed, sched);
+fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
+    let mut d = Dumbbell::new(cfg.dumbbell, cfg.seed);
     // The bonded corpus adds its second forward bottleneck *before* any
     // per-flow access links, so link numbering in every other scenario —
     // and therefore every pre-existing golden — is untouched.

@@ -1,17 +1,17 @@
-//! Event schedulers: the priority queue at the heart of the engine,
-//! behind a trait so the optimized implementation can always be checked
-//! against a reference oracle.
+//! Event schedulers: the engine's priority queue and the oracle it is
+//! checked against, behind one trait.
 //!
-//! Two implementations share one contract:
-//!
+//! * [`TimerWheelScheduler`] — the engine's only event queue
+//!   ([`crate::engine`] holds one per world, inline): a hierarchical
+//!   timer wheel. Near-future events hash into integer-nanosecond bucket
+//!   slots (O(1) insert), far-future events overflow into a `BTreeMap`
+//!   ordered by exact key, and every record is parked once in a
+//!   [`Slab`](crate::arena::Slab) arena so only 24-byte `WheelKey`s
+//!   circulate.
 //! * [`HeapScheduler`] — the original `BinaryHeap` queue, kept verbatim
-//!   as the **reference oracle**. O(log n) per operation, moves the full
-//!   event record on every sift.
-//! * [`TimerWheelScheduler`] — a hierarchical timer wheel: near-future
-//!   events hash into integer-nanosecond bucket slots (O(1) insert),
-//!   far-future events overflow into a `BTreeMap` ordered by exact key,
-//!   and every record is parked once in a [`Slab`](crate::arena::Slab)
-//!   arena so only 24-byte `WheelKey`s circulate.
+//!   as the **op-level oracle**. No world runs on it; it exists so
+//!   `sched_properties.rs` can compare the wheel against it answer for
+//!   answer.
 //!
 //! **Ordering contract.** Events drain in strictly increasing
 //! `(time_ns, seq)` order — exactly the tie-break the engine has always
@@ -19,9 +19,10 @@
 //! never behind the last pop; `seq` need not grow call to call, since the
 //! engine may push a timer at a key reserved when it was armed. Under that
 //! contract the two implementations are *bit-identical*:
-//! `sched_differential.rs` proves it over every golden, fault and campaign
-//! workload, and `sched_properties.rs` over random insert / bounded-pop
-//! traces with out-of-order reserved `seq`s.
+//! `sched_properties.rs` checks it op by op over random insert /
+//! bounded-pop traces with out-of-order reserved `seq`s, and the digests
+//! pinned in `pinned_fingerprints.rs` — which the heap itself produced
+//! before the wheel existed — hold it at the world level.
 //!
 //! There is no cancellation: an event, once scheduled, is popped exactly
 //! once. The TCP RTO keeps one live event and re-pushes it at its latest
@@ -32,7 +33,8 @@ use crate::arena::Slab;
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-/// The engine's event-queue abstraction (min-queue on `(time_ns, seq)`).
+/// The event-queue contract (min-queue on `(time_ns, seq)`) the wheel and
+/// its oracle share.
 pub trait Scheduler<T> {
     /// Insert `item` to fire at `time_ns`. `seq` must be unique on this
     /// scheduler, and `(time_ns, seq)` not behind the last pop.
@@ -76,8 +78,8 @@ impl<T: PartialEq> Ord for HeapEntry<T> {
 }
 
 /// The original engine queue — a `BinaryHeap` min-ordered by
-/// `(time_ns, seq)` — kept as the reference oracle the timer wheel is
-/// differentially tested against.
+/// `(time_ns, seq)` — kept as the op-level oracle the timer wheel is
+/// property-tested against.
 #[derive(Debug, Default)]
 pub struct HeapScheduler<T> {
     heap: BinaryHeap<Reverse<HeapEntry<T>>>,
@@ -397,77 +399,6 @@ impl<T> Scheduler<T> for TimerWheelScheduler<T> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Scheduler selection.
-// ---------------------------------------------------------------------------
-
-/// Which event-queue implementation a [`crate::engine::World`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// The original `BinaryHeap` queue (the differential-testing oracle).
-    Reference,
-    /// The hierarchical timer wheel (the default).
-    #[default]
-    Wheel,
-}
-
-impl SchedulerKind {
-    /// Both kinds, reference first (the order differential harnesses use).
-    pub const ALL: [SchedulerKind; 2] = [SchedulerKind::Reference, SchedulerKind::Wheel];
-
-    /// Short label for tables and JSON.
-    pub fn label(&self) -> &'static str {
-        match self {
-            SchedulerKind::Reference => "heap",
-            SchedulerKind::Wheel => "wheel",
-        }
-    }
-}
-
-/// Either scheduler behind one enum, so the engine's hot loop uses a
-/// two-way match instead of virtual dispatch.
-#[derive(Debug)]
-pub enum AnyScheduler<T> {
-    /// Reference `BinaryHeap` queue.
-    Heap(HeapScheduler<T>),
-    /// Timer wheel.
-    Wheel(Box<TimerWheelScheduler<T>>),
-}
-
-impl<T: PartialEq> AnyScheduler<T> {
-    /// New empty scheduler of the requested kind.
-    pub fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Reference => AnyScheduler::Heap(HeapScheduler::new()),
-            SchedulerKind::Wheel => AnyScheduler::Wheel(Box::default()),
-        }
-    }
-}
-
-impl<T: PartialEq> Scheduler<T> for AnyScheduler<T> {
-    #[inline]
-    fn schedule(&mut self, time_ns: u64, seq: u64, item: T) {
-        match self {
-            AnyScheduler::Heap(s) => s.schedule(time_ns, seq, item),
-            AnyScheduler::Wheel(s) => s.schedule(time_ns, seq, item),
-        }
-    }
-    #[inline]
-    fn pop_next_at_or_before(&mut self, bound_ns: u64) -> Option<(u64, u64, T)> {
-        match self {
-            AnyScheduler::Heap(s) => s.pop_next_at_or_before(bound_ns),
-            AnyScheduler::Wheel(s) => s.pop_next_at_or_before(bound_ns),
-        }
-    }
-    #[inline]
-    fn len(&self) -> usize {
-        match self {
-            AnyScheduler::Heap(s) => s.len(),
-            AnyScheduler::Wheel(s) => s.len(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -642,16 +573,4 @@ mod tests {
         );
         assert_eq!(pop(&mut w), Some((d, 0, 0)), "delivery is still exact");
     }
-
-    #[test]
-    fn kind_labels_and_default() {
-        assert_eq!(SchedulerKind::default(), SchedulerKind::Wheel);
-        assert_eq!(SchedulerKind::Reference.label(), "heap");
-        assert_eq!(SchedulerKind::Wheel.label(), "wheel");
-        assert!(matches!(
-            AnyScheduler::<u32>::new(SchedulerKind::default()),
-            AnyScheduler::Wheel(_)
-        ));
-    }
 }
-

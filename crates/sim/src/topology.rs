@@ -4,7 +4,6 @@
 use crate::engine::World;
 use crate::link::{LinkConfig, QueueKind};
 use crate::packet::{LinkId, Route};
-use crate::sched::SchedulerKind;
 
 /// Bottleneck propagation delay (seconds). With [`ACCESS_DELAY`] each way
 /// the propagation RTT is the paper's 40 ms.
@@ -61,16 +60,9 @@ pub struct Dumbbell {
 }
 
 impl Dumbbell {
-    /// Create the shared links in a fresh world on the default event
-    /// scheduler.
+    /// Create the shared links in a fresh world.
     pub fn new(cfg: DumbbellConfig, seed: u64) -> Self {
-        Self::with_scheduler(cfg, seed, SchedulerKind::default())
-    }
-
-    /// Create the shared links in a fresh world driven by an explicit
-    /// event-scheduler implementation.
-    pub fn with_scheduler(cfg: DumbbellConfig, seed: u64, kind: SchedulerKind) -> Self {
-        let mut world = World::with_scheduler(seed, kind);
+        let mut world = World::new(seed);
         let fwd_bottleneck = world.add_link(LinkConfig {
             bandwidth: cfg.bottleneck_bw,
             delay: BOTTLENECK_DELAY,

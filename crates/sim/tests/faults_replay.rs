@@ -168,8 +168,9 @@ fn trace_points_reassert_link_params_over_fault_mutations() {
     // the link's bandwidth between schedule points holds exactly until the
     // trace's next point reasserts its own absolute value — the trace
     // never "remembers" the fault, and the fault never survives a point.
-    use laqa_sim::{Agent, Ctx, LinkConfig, LinkId, Packet, TraceDriver, TraceSchedule, World};
-    use laqa_trace::LinkTracePoint;
+    use laqa_sim::{
+        Agent, Ctx, LinkConfig, LinkId, LinkTracePoint, Packet, TraceDriver, TraceSchedule, World,
+    };
 
     struct Meddler {
         link: LinkId,

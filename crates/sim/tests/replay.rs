@@ -8,8 +8,7 @@
 
 use laqa_check::{cases, Gen};
 use laqa_sim::{
-    run_campaign, run_campaign_opts, run_session, run_session_with, CampaignOptions, CampaignSpec,
-    SchedulerKind, SessionSpec, TestKind, TraceKind, Transport,
+    run_campaign, run_session, CampaignSpec, SessionSpec, TestKind, TraceKind, Transport,
 };
 
 fn sweep() -> CampaignSpec {
@@ -140,15 +139,14 @@ fn random_campaign_cells_match_isolated_sessions() {
     // Here a campaign is a list of independently drawn sessions (so their
     // order is already a random shuffle): consecutive cells on one worker
     // differ in link count, agent count or queue kind — and each cell
-    // must still equal the same spec run alone, on either scheduler.
+    // must still equal the same spec run alone.
     cases("random_campaign_cells_match_isolated", 4, |g, case| {
         let spec = CampaignSpec {
             sessions: (0..g.usize_in(5, 8)).map(|_| gen_session(g)).collect(),
         };
-        let opts = CampaignOptions::new(g.usize_in(1, 2)).sched(*g.pick(&SchedulerKind::ALL));
-        let campaign = run_campaign_opts(&spec, opts);
+        let campaign = run_campaign(&spec, g.usize_in(1, 2));
         for (i, (spec, cell)) in spec.sessions.iter().zip(&campaign.sessions).enumerate() {
-            let alone = run_session_with(spec, *g.pick(&SchedulerKind::ALL));
+            let alone = run_session(spec);
             assert_eq!(
                 cell.trace_hash,
                 alone.trace_hash,

@@ -1,16 +1,15 @@
 //! Differential suite for the hostile-network (TraceLink) campaign axis.
 //!
 //! A trace-driven cell is only usable as a regression anchor if its
-//! fingerprint survives every scheduler and thread-count choice. This
-//! suite runs a hostile grid — every [`TraceKind`] including the bonded
-//! two-path cell — through {heap, wheel} × {1, 8 threads} and demands
-//! cell-by-cell trace-hash equality, then composes
+//! fingerprint survives every thread-count choice. This suite runs a
+//! hostile grid — every [`TraceKind`] including the bonded two-path
+//! cell — on 1, 2 and 8 threads and demands cell-by-cell trace-hash
+//! equality, then composes
 //! the full-intensity fault suite on top of an LTE/bufferbloat trace and
 //! demands the run both survives and replays bit-identically.
 
 use laqa_sim::{
-    run_campaign_opts, CampaignOptions, CampaignSpec, SchedulerKind, SessionResult, TestKind,
-    TraceKind, Transport,
+    run_campaign_opts, CampaignOptions, CampaignSpec, SessionResult, TestKind, TraceKind, Transport,
 };
 
 fn hostile_spec(duration: f64, fault_intensity: Option<f64>) -> CampaignSpec {
@@ -33,7 +32,7 @@ fn cell_hashes(results: &[SessionResult]) -> Vec<(String, u64)> {
 }
 
 #[test]
-fn hostile_grid_is_invariant_across_schedulers_executors_and_threads() {
+fn hostile_grid_is_invariant_across_thread_counts() {
     let spec = hostile_spec(6.0, None);
     assert_eq!(spec.sessions.len(), TraceKind::ALL.len());
 
@@ -47,20 +46,18 @@ fn hostile_grid_is_invariant_across_schedulers_executors_and_threads() {
     }
     let want = cell_hashes(&baseline.sessions);
 
-    for sched in [SchedulerKind::Reference, SchedulerKind::Wheel] {
-        for threads in [1usize, 8] {
-            let got = run_campaign_opts(&spec, CampaignOptions::new(threads).sched(sched));
-            assert_eq!(
-                cell_hashes(&got.sessions),
-                want,
-                "{sched:?}/{threads} threads diverged cell-by-cell"
-            );
-            assert_eq!(
-                got.fingerprint(),
-                baseline.fingerprint(),
-                "{sched:?}/{threads} threads: campaign fingerprint drifted"
-            );
-        }
+    for threads in [2usize, 8] {
+        let got = run_campaign_opts(&spec, CampaignOptions::new(threads));
+        assert_eq!(
+            cell_hashes(&got.sessions),
+            want,
+            "{threads} threads diverged cell-by-cell"
+        );
+        assert_eq!(
+            got.fingerprint(),
+            baseline.fingerprint(),
+            "{threads} threads: campaign fingerprint drifted"
+        );
     }
 }
 
@@ -112,8 +109,8 @@ fn hostile_cells_diverge_from_the_steady_baseline_and_each_other() {
 fn faults_compose_with_traces_at_full_intensity() {
     // The hardest cell in the corpus: the complete fault suite at
     // intensity 1.0 running on top of a hostile trace. It must survive
-    // with bounded base-layer damage and replay bit-identically on the
-    // heap oracle at another thread count.
+    // with bounded base-layer damage and replay bit-identically at
+    // another thread count.
     let spec = CampaignSpec::hostile_grid(
         &[TestKind::T1],
         &[TraceKind::Lte, TraceKind::Bloat],
@@ -124,14 +121,11 @@ fn faults_compose_with_traces_at_full_intensity() {
         Some(1.0),
     );
     let a = run_campaign_opts(&spec, CampaignOptions::new(2));
-    let b = run_campaign_opts(
-        &spec,
-        CampaignOptions::new(1).sched(SchedulerKind::Reference),
-    );
+    let b = run_campaign_opts(&spec, CampaignOptions::new(1));
     assert_eq!(
         a.fingerprint(),
         b.fingerprint(),
-        "faults-on-trace must stay scheduler- and thread-invariant"
+        "faults-on-trace must stay thread-invariant"
     );
     for s in &a.sessions {
         assert!(

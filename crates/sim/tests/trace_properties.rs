@@ -10,8 +10,7 @@
 //! - replaying a schedule through [`LinkTraceState`] visits the same values
 //!   as direct sampling, across cycle boundaries.
 
-use laqa_sim::{LinkTraceState, TraceSchedule};
-use laqa_trace::LinkTracePoint;
+use laqa_sim::{LinkTracePoint, LinkTraceState, TraceSchedule};
 
 fn pt(at: f64, bandwidth: f64) -> LinkTracePoint {
     LinkTracePoint {
@@ -153,19 +152,4 @@ fn state_replay_matches_direct_sampling_across_cycles() {
         );
     }
     assert_eq!(applied, 6, "3 points x 2 cycles inside 8s");
-}
-
-#[test]
-fn recorded_traces_round_trip_through_the_parser() {
-    let text = "# t  bw  delay  loss\n0.0 100000 0.02 -\n2.0 50000 - 0.01\n4.5 75000 - -\n";
-    let pts = laqa_trace::parse_link_trace(text).unwrap();
-    let s = TraceSchedule::from_recorded(text, Some(6.0)).unwrap();
-    assert_eq!(s.points(), &pts[..]);
-    assert_eq!(s.sample(3.0).bandwidth, 50_000.0);
-    assert_eq!(s.sample(3.0).loss, Some(0.01));
-    assert_eq!(s.sample(6.5).bandwidth, 100_000.0, "wraps");
-    assert!(
-        TraceSchedule::from_recorded("0 1000\n0 2000\n", None).is_err(),
-        "parser errors must propagate"
-    );
 }

@@ -6,10 +6,8 @@
 //! paper-style aligned text tables, [`summary`] for machine-readable run
 //! summaries, [`json`] for the self-contained JSON reader/writer behind
 //! them, [`chrome`] for Chrome trace-event (Perfetto) documents and their
-//! zero-dependency validator, [`hash`] for stable 64-bit trace
-//! fingerprints used by the campaign engine's reproducibility checks, and
-//! [`linktrace`] for the recorded link-condition traces that drive the
-//! simulator's trace-driven links.
+//! zero-dependency validator, and [`hash`] for stable 64-bit trace
+//! fingerprints used by the campaign engine's reproducibility checks.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
@@ -18,7 +16,6 @@ pub mod chrome;
 pub mod gnuplot;
 pub mod hash;
 pub mod json;
-pub mod linktrace;
 pub mod recorder;
 pub mod series;
 pub mod summary;
@@ -28,7 +25,6 @@ pub use chrome::{validate as validate_chrome, ChromeStats, ChromeTrace};
 pub use gnuplot::{render_script, write_figure, Panel};
 pub use hash::TraceHasher;
 pub use json::{parse as parse_json, JsonError, JsonValue};
-pub use linktrace::{parse_link_trace, LinkTracePoint};
 pub use recorder::Recorder;
 pub use series::{RateBinner, TimeSeries};
 pub use summary::RunSummary;
