@@ -33,12 +33,15 @@ pub struct PacketRecord {
 ///
 /// Sequence numbers from a RAP sender are assigned consecutively, so the
 /// unresolved set is a dense sliding window: it lives in a `VecDeque`
-/// ring indexed by `seq - base` rather than a tree, making every hot-path
-/// operation O(1) amortized with **zero steady-state allocation** (the
-/// ring's buffer is reused as the window slides). Resolved slots become
-/// `None` in place; the front is trimmed so the window never grows past
-/// the true in-flight span. Records leave through visitors
-/// ([`resolve_ack`](Self::resolve_ack), [`detect_losses`](Self::detect_losses),
+/// ring indexed by `seq - base` rather than a tree, with **zero
+/// steady-state allocation** (the ring's buffer is reused as the window
+/// slides). A send and a single-seq resolve are O(1) amortized; an ACK
+/// costs O(1) plus the records it resolves plus its mask bits that name
+/// sequences in `[base, highest)` — at most 64, and no more than the live
+/// window spans, since bits below `base` are cleared before the walk.
+/// Resolved slots become `None` in place; the front is trimmed so the
+/// window never grows past the true in-flight span. Records leave through
+/// visitors ([`resolve_ack`](Self::resolve_ack), [`detect_losses`](Self::detect_losses),
 /// [`flush_all_as_lost`](Self::flush_all_as_lost)) in ascending sequence
 /// order, so an ACK or a loss report costs its sender no allocation either.
 #[derive(Debug, Clone, Default)]
@@ -167,6 +170,19 @@ impl TransmissionHistory {
         // `highest` would name negative sequences.
         if let Some(top) = ack.highest.checked_sub(1) {
             let mut bits = ack.mask & (u64::MAX >> 63u64.saturating_sub(top));
+            // A seq below `base` is resolved: marking it would only raise
+            // `highest_received`. So raise that once, to the highest seq
+            // the mask names, and walk only the bits at or above `base`
+            // (`base` only grows during the walk, so no live seq is cut).
+            if bits != 0 {
+                let named = top - u64::from(bits.trailing_zeros());
+                self.highest_received = self.highest_received.max(Some(named));
+            }
+            if top < self.base {
+                bits = 0;
+            } else if top - self.base < 63 {
+                bits &= u64::MAX >> (63 - (top - self.base));
+            }
             while bits != 0 {
                 let seq = top - u64::from(bits.trailing_zeros());
                 bits &= bits - 1;
@@ -363,5 +379,183 @@ mod tests {
         h.detect_losses(|seq, record| lost.push((seq, record.tag)));
         assert_eq!(lost, [(1, 41), (2, 42), (3, 43)]);
         assert!(losses(&mut h).is_empty(), "a loss is reported once");
+    }
+
+    /// The ACK walk before it cleared the mask bits below `base`: every
+    /// seq the mask names goes through `mark_received`. Reference for
+    /// [`TransmissionHistory::resolve_ack`].
+    fn resolve_ack_full_mask(
+        h: &mut TransmissionHistory,
+        ack: &AckInfo,
+        mut resolved: impl FnMut(u64, PacketRecord),
+    ) -> Option<PacketRecord> {
+        let trigger = h.mark_received(ack.ack_seq);
+        if let Some(record) = trigger {
+            resolved(ack.ack_seq, record);
+        }
+        if ack.cum_seq != u64::MAX {
+            h.highest_received = h.highest_received.max(Some(ack.cum_seq));
+            h.pop_through(ack.cum_seq, &mut resolved);
+        }
+        if let Some(top) = ack.highest.checked_sub(1) {
+            let mut bits = ack.mask & (u64::MAX >> 63u64.saturating_sub(top));
+            while bits != 0 {
+                let seq = top - u64::from(bits.trailing_zeros());
+                bits &= bits - 1;
+                if let Some(record) = h.mark_received(seq) {
+                    resolved(seq, record);
+                }
+            }
+        }
+        trigger
+    }
+
+    /// Which edges of the walk one ACK exercises, counted over a run.
+    #[derive(Debug, Default)]
+    struct Edges {
+        no_cum: u64,
+        highest_zero: u64,
+        top_below_base: u64,
+        span_63_plus: u64,
+        duplicate: u64,
+        bits_cleared: u64,
+    }
+
+    /// Feed `ack` to both histories and require the same visits, trigger,
+    /// outstanding count, `highest_received` and loss report.
+    fn ack_both(
+        fast: &mut TransmissionHistory,
+        full: &mut TransmissionHistory,
+        ack: &AckInfo,
+        edges: &mut Edges,
+    ) {
+        if let Some(top) = ack.highest.checked_sub(1) {
+            // Bits `0..=top - base` name seqs at or above `base`.
+            let at_or_above_base = match top.checked_sub(fast.base) {
+                None => 0,
+                Some(span) if span < 63 => u64::MAX >> (63 - span),
+                Some(_) => u64::MAX,
+            };
+            let named = ack.mask & (u64::MAX >> 63u64.saturating_sub(top));
+            edges.top_below_base += u64::from(top < fast.base);
+            edges.span_63_plus += u64::from(at_or_above_base == u64::MAX);
+            edges.bits_cleared += u64::from(named & !at_or_above_base != 0);
+        }
+        edges.no_cum += u64::from(ack.cum_seq == u64::MAX);
+        edges.highest_zero += u64::from(ack.highest == 0);
+        let (mut seen_fast, mut seen_full) = (Vec::new(), Vec::new());
+        let trigger_fast = fast.resolve_ack(ack, |seq, r| seen_fast.push((seq, r)));
+        let trigger_full = resolve_ack_full_mask(full, ack, |seq, r| seen_full.push((seq, r)));
+        assert_eq!(seen_fast, seen_full, "visits for {ack:?}");
+        assert_eq!(trigger_fast, trigger_full, "trigger for {ack:?}");
+        assert_eq!(
+            fast.outstanding(),
+            full.outstanding(),
+            "outstanding after {ack:?}"
+        );
+        assert_eq!(
+            fast.highest_received, full.highest_received,
+            "highest after {ack:?}"
+        );
+        assert_eq!(losses(fast), losses(full), "losses after {ack:?}");
+    }
+
+    #[test]
+    fn ack_walk_matches_the_full_mask_walk() {
+        use crate::receiver::RapReceiverState;
+        let mut edges = Edges::default();
+        laqa_check::cases("ack walk = full mask walk", 300, |g, _| {
+            let mut fast = TransmissionHistory::new(g.u64_in(1, 4));
+            let mut full = fast.clone();
+            let mut rx = RapReceiverState::new();
+            // Sends on the wire, ACKs on the way back, data already ACKed.
+            let (mut wire, mut acks, mut arrived) = (Vec::new(), Vec::new(), Vec::new());
+            let mut next = if g.bool(0.5) { 0 } else { g.u64_in(1, 500) };
+            let (data_loss, ack_loss) = (g.f64_range(0.0, 0.3), g.f64_range(0.0, 0.3));
+            for _ in 0..g.usize_in(50, 400) {
+                // Mostly small bursts, now and then more than the mask spans.
+                let burst = if g.bool(0.05) {
+                    g.usize_in(60, 150)
+                } else {
+                    g.usize_in(0, 3)
+                };
+                for _ in 0..burst {
+                    let record = PacketRecord {
+                        send_time: next as f64,
+                        size: 100.0,
+                        tag: next as u32,
+                    };
+                    fast.on_send(next, record);
+                    full.on_send(next, record);
+                    if !g.bool(data_loss) {
+                        wire.push(next);
+                    }
+                    next += 1;
+                }
+                // Deliver one packet: the oldest, or any (reordering), or
+                // one already delivered again (a duplicate).
+                if !wire.is_empty() && g.bool(0.9) {
+                    let i = if g.bool(0.7) {
+                        0
+                    } else {
+                        g.usize_in(0, wire.len() - 1)
+                    };
+                    let seq = wire.remove(i);
+                    arrived.push(seq);
+                    acks.push(rx.on_data(seq));
+                } else if !arrived.is_empty() {
+                    edges.duplicate += 1;
+                    acks.push(rx.on_data(*g.pick(&arrived)));
+                }
+                // Return one ACK, oldest first or out of order, or lose it.
+                if !acks.is_empty() && g.bool(0.8) {
+                    let i = if g.bool(0.7) {
+                        0
+                    } else {
+                        g.usize_in(0, acks.len() - 1)
+                    };
+                    let ack = acks.remove(i);
+                    if !g.bool(ack_loss) {
+                        ack_both(&mut fast, &mut full, &ack, &mut edges);
+                    }
+                }
+                // A forged ACK naming anything near the window.
+                if g.bool(0.05) {
+                    let near = |g: &mut laqa_check::Gen| next.saturating_sub(g.u64_in(0, 200));
+                    let ack = AckInfo {
+                        ack_seq: near(g),
+                        cum_seq: if g.bool(0.5) { u64::MAX } else { near(g) },
+                        highest: if g.bool(0.2) { 0 } else { near(g) },
+                        mask: g.next_u64(),
+                    };
+                    ack_both(&mut fast, &mut full, &ack, &mut edges);
+                }
+                // An out-of-pattern send behind the window re-opens it
+                // below `base`, where a stale `highest_received` shows.
+                if g.bool(0.02) {
+                    let seq = fast.base.saturating_sub(g.u64_in(1, 100));
+                    fast.on_send(seq, rec(seq as f64));
+                    full.on_send(seq, rec(seq as f64));
+                }
+                // A timeout empties both windows.
+                if g.bool(0.01) {
+                    let (mut a, mut b) = (Vec::new(), Vec::new());
+                    fast.flush_all_as_lost(|seq, r| a.push((seq, r)));
+                    full.flush_all_as_lost(|seq, r| b.push((seq, r)));
+                    assert_eq!(a, b);
+                }
+            }
+        });
+        // The run is only a test if it reached every edge of the walk.
+        for (what, n) in [
+            ("cum_seq == u64::MAX", edges.no_cum),
+            ("highest == 0", edges.highest_zero),
+            ("top < base", edges.top_below_base),
+            ("top - base >= 63", edges.span_63_plus),
+            ("a duplicate", edges.duplicate),
+            ("bits below base", edges.bits_cleared),
+        ] {
+            assert!(n > 0, "no ACK with {what}: {edges:?}");
+        }
     }
 }

@@ -10,7 +10,7 @@ use crate::arena::Slab;
 use crate::link::{Link, LinkConfig, LinkStats, QueueSlot};
 use crate::packet::{AgentId, LinkId, Packet};
 use crate::sched::{Scheduler, TimerWheelScheduler};
-use crate::time::{ns_to_secs, secs_to_ns, tx_time_ns};
+use crate::time::{ns_to_secs, secs_to_ns};
 use crate::rng::SimRng;
 use std::any::Any;
 
@@ -129,7 +129,7 @@ fn route_packet(core: &mut SessionCore, queue: &mut EventQueue, pkt: u32) {
             } else if !was_busy {
                 // An idle link's queue was empty: this packet is its head.
                 link.busy = true;
-                let done = core.now_ns.saturating_add(tx_time_ns(size, link.cfg.bandwidth));
+                let done = core.now_ns.saturating_add(link.tx_ns(size));
                 let link = link_id as u32;
                 queue.schedule(core.now_ns, done, Event::LinkDone { link });
             }
@@ -192,12 +192,12 @@ impl<'a> Ctx<'a> {
 
     /// Queue length of a link (packets), for diagnostics.
     pub fn link_queue_len(&self, link: LinkId) -> usize {
-        self.core.links[link].queue_len()
+        self.core.links[link].queue.len()
     }
 
     /// Current configuration of a link.
     pub fn link_config(&self, link: LinkId) -> LinkConfig {
-        self.core.links[link].cfg
+        *self.core.links[link].cfg()
     }
 
     /// Change a link's bandwidth at runtime (fault injection). The engine
@@ -205,11 +205,7 @@ impl<'a> Ctx<'a> {
     /// packet already in flight finishes at its old speed — exactly the
     /// physical behaviour of a rate change mid-transmission.
     pub fn set_link_bandwidth(&mut self, link: LinkId, bandwidth: f64) {
-        assert!(
-            bandwidth.is_finite() && bandwidth > 0.0,
-            "link bandwidth must be finite and positive, got {bandwidth}"
-        );
-        self.core.links[link].cfg.bandwidth = bandwidth;
+        self.core.links[link].set_bandwidth(bandwidth);
     }
 
     /// Change a link's propagation delay at runtime (RTT-spike injection).
@@ -218,21 +214,13 @@ impl<'a> Ctx<'a> {
     /// order on the wire can invert during a spike — as on a real rerouted
     /// path.
     pub fn set_link_delay(&mut self, link: LinkId, delay: f64) {
-        assert!(
-            delay.is_finite() && delay >= 0.0,
-            "link delay must be finite and non-negative, got {delay}"
-        );
-        self.core.links[link].cfg.delay = delay;
+        self.core.links[link].set_delay(delay);
     }
 
     /// Change a link's random (non-congestive) loss probability at runtime
     /// (burst-loss injection). Clamped to `[0, 1]`.
     pub fn set_link_loss_rate(&mut self, link: LinkId, loss_rate: f64) {
-        assert!(
-            loss_rate.is_finite(),
-            "link loss rate must be finite, got {loss_rate}"
-        );
-        self.core.links[link].cfg.loss_rate = loss_rate.clamp(0.0, 1.0);
+        self.core.links[link].set_loss_rate(loss_rate);
     }
 }
 
@@ -298,7 +286,7 @@ impl World {
     /// Current configuration of a link (reflects any runtime mutation done
     /// through [`Ctx::set_link_bandwidth`] and friends).
     pub fn link_config(&self, link: LinkId) -> LinkConfig {
-        self.core.links[link].cfg
+        *self.core.links[link].cfg()
     }
 
     /// Typed view of an agent (e.g. to pull stats after a run).
@@ -410,12 +398,11 @@ fn dispatch_event(
             l.stats.bytes_out += size as u64;
             let next = l.queue.front().map(|&(_, size)| size);
             l.busy = next.is_some();
-            let (delay, bw) = (l.cfg.delay, l.cfg.bandwidth);
+            let arrive = core.now_ns.saturating_add(l.delay_ns());
+            let next_done = next.map(|size| core.now_ns.saturating_add(l.tx_ns(size)));
             core.packets.get_mut(pkt).expect("queued packet is live").advance_hop();
-            let arrive = core.now_ns.saturating_add(secs_to_ns(delay));
             queue.schedule(core.now_ns, arrive, Event::Arrive { pkt });
-            if let Some(size) = next {
-                let done = core.now_ns.saturating_add(tx_time_ns(size, bw));
+            if let Some(done) = next_done {
                 queue.schedule(core.now_ns, done, Event::LinkDone { link });
             }
         }
@@ -447,7 +434,8 @@ fn dispatch_event(
 mod tests {
     use super::*;
     use crate::agents::cbr::{CbrAgent, CountingSink};
-    use crate::link::{QueueKind, RedConfig};
+    use crate::link::{LinkTracePoint, QueueKind, RedConfig, TraceDriver, TraceSchedule};
+    use crate::time::tx_time_ns;
     use crate::packet::{PacketKind, Route};
 
     /// Test agent: sends `count` packets to `peer` at `interval`, records
@@ -648,28 +636,62 @@ mod tests {
         assert!((w.now() - 3.5).abs() < 1e-9);
     }
 
-    /// Agent that rewrites a link's configuration when its timer fires.
+    /// Agent that rewrites a link's configuration at each step's time:
+    /// `(at, bandwidth, delay, loss rate)`, recording the configuration it
+    /// found before each step.
     struct Mutator {
         link: LinkId,
-        at: f64,
-        bandwidth: f64,
-        delay: f64,
-        observed_before: Option<LinkConfig>,
+        steps: Vec<(f64, f64, f64, f64)>,
+        observed: Vec<LinkConfig>,
     }
 
     impl Agent for Mutator {
         fn start(&mut self, ctx: &mut Ctx) {
-            ctx.set_timer_at(self.at, 0);
+            for (i, step) in self.steps.iter().enumerate() {
+                ctx.set_timer_at(step.0, i as u64);
+            }
         }
         fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
-        fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
-            self.observed_before = Some(ctx.link_config(self.link));
-            ctx.set_link_bandwidth(self.link, self.bandwidth);
-            ctx.set_link_delay(self.link, self.delay);
-            ctx.set_link_loss_rate(self.link, 2.0); // clamps to 1.0
+        fn on_timer(&mut self, ctx: &mut Ctx, i: u64) {
+            let (_, bandwidth, delay, loss_rate) = self.steps[i as usize];
+            self.observed.push(ctx.link_config(self.link));
+            ctx.set_link_bandwidth(self.link, bandwidth);
+            ctx.set_link_delay(self.link, delay);
+            ctx.set_link_loss_rate(self.link, loss_rate);
         }
     }
 
+    /// Sends one packet of each `(at, size)` to `peer` over `route`.
+    struct Script {
+        peer: AgentId,
+        route: Route,
+        sends: Vec<(f64, u32)>,
+    }
+
+    impl Agent for Script {
+        fn start(&mut self, ctx: &mut Ctx) {
+            for (i, &(at, _)) in self.sends.iter().enumerate() {
+                ctx.set_timer_at(at, i as u64);
+            }
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
+        fn on_timer(&mut self, ctx: &mut Ctx, i: u64) {
+            ctx.send(Packet {
+                flow: i as u32,
+                size: self.sends[i as usize].1,
+                kind: PacketKind::Cbr,
+                dst: self.peer,
+                route: self.route.clone(),
+                hop: 0,
+            });
+        }
+    }
+
+    /// Bandwidth is read when a packet starts serializing and delay when it
+    /// finishes, so every arrival lands at exactly `start + tx_time_ns(size,
+    /// bandwidth) + secs_to_ns(delay)` of the values current then — also
+    /// when the bandwidth returns to an earlier value, the size changes, or
+    /// a trace point rewrites the delay.
     #[test]
     fn runtime_link_mutation_applies_to_later_packets() {
         let mut w = World::new(1);
@@ -680,36 +702,93 @@ mod tests {
             ..LinkConfig::default()
         });
         let sink = w.add_agent(Box::new(Sink { arrivals: vec![] }));
-        // One packet at t=0 (old config: 10 ms tx + 10 ms prop = 0.020),
-        // one at t=0.1 — after the mutator halves bandwidth and grows the
-        // delay, so it takes 20 ms tx + 50 ms prop = arrival at 0.170...
-        // except loss_rate is now 1.0, so it never arrives at all.
-        let _src = w.add_agent(Box::new(Pinger {
+        w.add_agent(Box::new(Script {
             peer: sink,
             route: vec![l].into(),
-            count: 2,
-            interval: 0.1,
-            sent: 0,
+            sends: vec![
+                (0.0, 1_000), // 100 KB/s, 10 ms
+                (0.1, 1_000), // lost: loss rate 1
+                (0.2, 1_000), // 50 KB/s, 50 ms
+                (0.4, 1_000), // back to 100 KB/s
+                (0.5, 400),   // a new size, starting at the idle link...
+                (0.5, 1_000), // ...and the old one behind it, at link-done
+                (0.7, 400),   // the trace's 2 ms delay
+                (0.8, 1_000), // serializing while the trace sets 30 ms
+            ],
         }));
         let m = w.add_agent(Box::new(Mutator {
             link: l,
-            at: 0.05,
-            bandwidth: 50_000.0,
-            delay: 0.05,
-            observed_before: None,
+            steps: vec![
+                (0.05, 50_000.0, 0.05, 2.0), // loss clamps to 1
+                (0.15, 50_000.0, 0.05, 0.0),
+                (0.3, 100_000.0, 0.05, 0.0),
+            ],
+            observed: vec![],
         }));
+        let point = |at, delay| LinkTracePoint {
+            at,
+            bandwidth: 100_000.0,
+            delay: Some(delay),
+            loss: None,
+        };
+        let trace = TraceSchedule::from_points(vec![point(0.6, 0.002), point(0.805, 0.03)], None);
+        w.add_agent(Box::new(TraceDriver::new(l, trace.unwrap())));
         w.run_until(1.0);
-        let s: &Sink = w.agent(sink).unwrap();
-        assert_eq!(s.arrivals.len(), 1, "second packet randomly lost");
-        assert!((s.arrivals[0] - 0.02).abs() < 1e-9);
+        let ms = |t: u64| t * 1_000_000;
+        let hop = |start_ns, size, bw, delay| start_ns + tx_time_ns(size, bw) + secs_to_ns(delay);
+        let second_start = ms(500) + tx_time_ns(400, 100_000.0);
+        let want: Vec<f64> = [
+            hop(0, 1_000, 100_000.0, 0.01),
+            hop(ms(200), 1_000, 50_000.0, 0.05),
+            hop(ms(400), 1_000, 100_000.0, 0.05),
+            hop(ms(500), 400, 100_000.0, 0.05),
+            hop(second_start, 1_000, 100_000.0, 0.05),
+            hop(ms(700), 400, 100_000.0, 0.002),
+            hop(ms(800), 1_000, 100_000.0, 0.03),
+        ]
+        .into_iter()
+        .map(ns_to_secs)
+        .collect();
+        assert_eq!(w.agent::<Sink>(sink).unwrap().arrivals, want);
         assert_eq!(w.link_stats(l).random_losses, 1);
         let cfg = w.link_config(l);
-        assert_eq!(cfg.bandwidth, 50_000.0);
-        assert_eq!(cfg.delay, 0.05);
-        assert_eq!(cfg.loss_rate, 1.0, "loss rate clamped to 1");
+        assert_eq!(
+            (cfg.bandwidth, cfg.delay, cfg.loss_rate),
+            (100_000.0, 0.03, 0.0)
+        );
         let m: &Mutator = w.agent(m).unwrap();
-        let before = m.observed_before.expect("mutator ran");
-        assert_eq!(before.bandwidth, 100_000.0, "pre-mutation view intact");
+        assert_eq!(
+            m.observed[0].bandwidth, 100_000.0,
+            "pre-mutation view intact"
+        );
+        assert_eq!(m.observed[1].loss_rate, 1.0, "loss rate clamped to 1");
+    }
+
+    #[test]
+    #[should_panic(expected = "link bandwidth must be finite and positive")]
+    fn add_link_rejects_a_bandwidth_of_zero() {
+        World::new(1).add_link(LinkConfig {
+            bandwidth: 0.0,
+            ..LinkConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "link delay must be finite and non-negative")]
+    fn add_link_rejects_a_nan_delay() {
+        World::new(1).add_link(LinkConfig {
+            delay: f64::NAN,
+            ..LinkConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "link loss rate must be finite")]
+    fn add_link_rejects_an_infinite_loss_rate() {
+        World::new(1).add_link(LinkConfig {
+            loss_rate: f64::INFINITY,
+            ..LinkConfig::default()
+        });
     }
 
     /// Records every callback as `(now, what)`: the arriving packet's

@@ -9,6 +9,7 @@
 
 use crate::packet::Packet;
 use crate::rng::SimRng;
+use crate::time::{secs_to_ns, tx_time_ns};
 use std::collections::VecDeque;
 
 /// Random Early Detection parameters (Floyd/Jacobson '93, simplified:
@@ -83,6 +84,31 @@ impl LinkConfig {
             delay: 0.001,
             queue_packets: 10_000,
             ..LinkConfig::default()
+        }
+    }
+
+    /// The configuration a link runs on: panics unless bandwidth is finite
+    /// and positive, delay finite and non-negative and loss rate finite;
+    /// clamps the loss rate to `[0, 1]`.
+    fn checked(self) -> Self {
+        assert!(
+            self.bandwidth.is_finite() && self.bandwidth > 0.0,
+            "link bandwidth must be finite and positive, got {}",
+            self.bandwidth
+        );
+        assert!(
+            self.delay.is_finite() && self.delay >= 0.0,
+            "link delay must be finite and non-negative, got {}",
+            self.delay
+        );
+        assert!(
+            self.loss_rate.is_finite(),
+            "link loss rate must be finite, got {}",
+            self.loss_rate
+        );
+        LinkConfig {
+            loss_rate: self.loss_rate.clamp(0.0, 1.0),
+            ..self
         }
     }
 }
@@ -358,8 +384,12 @@ pub type QueueSlot = (u32, u32);
 /// Runtime state of a link.
 #[derive(Debug)]
 pub struct Link {
-    /// Static configuration.
-    pub cfg: LinkConfig,
+    /// Configuration; only the `set_*` methods write it.
+    cfg: LinkConfig,
+    /// `secs_to_ns(cfg.delay)`.
+    delay_ns: u64,
+    /// The last serialization time computed: `(size, bandwidth bits, ns)`.
+    tx_memo: (u32, u64, u64),
     /// Waiting packets (head is next to transmit).
     pub queue: VecDeque<QueueSlot>,
     /// True while a packet is being serialized.
@@ -386,15 +416,56 @@ pub struct LinkStats {
 }
 
 impl Link {
-    /// New idle link.
+    /// New idle link; panics on a configuration no link can run.
     pub fn new(cfg: LinkConfig) -> Self {
+        let cfg = cfg.checked();
         Link {
             cfg,
+            delay_ns: secs_to_ns(cfg.delay),
+            tx_memo: (0, cfg.bandwidth.to_bits(), 0), // 0 bytes take 0 ns
             queue: VecDeque::new(),
             busy: false,
             red_avg: 0.0,
             stats: LinkStats::default(),
         }
+    }
+
+    /// Current configuration.
+    pub fn cfg(&self) -> &LinkConfig {
+        &self.cfg
+    }
+
+    /// Set the bandwidth (bytes/s); panics unless finite and positive.
+    pub(crate) fn set_bandwidth(&mut self, bandwidth: f64) {
+        self.cfg = LinkConfig { bandwidth, ..self.cfg }.checked();
+    }
+
+    /// Set the delay (seconds); panics unless finite and non-negative.
+    pub(crate) fn set_delay(&mut self, delay: f64) {
+        self.cfg = LinkConfig { delay, ..self.cfg }.checked();
+        self.delay_ns = secs_to_ns(delay);
+    }
+
+    /// Set the random loss probability; panics unless finite, clamps to `[0, 1]`.
+    pub(crate) fn set_loss_rate(&mut self, loss_rate: f64) {
+        self.cfg = LinkConfig { loss_rate, ..self.cfg }.checked();
+    }
+
+    /// Propagation delay in ns: `secs_to_ns(cfg().delay)`.
+    #[inline]
+    pub(crate) fn delay_ns(&self) -> u64 {
+        self.delay_ns
+    }
+
+    /// `tx_time_ns(size, cfg().bandwidth)`, memoized for the last size and
+    /// bandwidth asked.
+    #[inline]
+    pub(crate) fn tx_ns(&mut self, size: u32) -> u64 {
+        let bits = self.cfg.bandwidth.to_bits();
+        if (self.tx_memo.0, self.tx_memo.1) != (size, bits) {
+            self.tx_memo = (size, bits, tx_time_ns(size, self.cfg.bandwidth));
+        }
+        self.tx_memo.2
     }
 
     /// Offer the packet with arena handle `pkt` and wire `size` to the
@@ -444,11 +515,6 @@ impl Link {
         // consistent with the admission bound above.
         self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len() - 1);
         true
-    }
-
-    /// Current queue length in packets (including the one in service).
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
     }
 }
 
