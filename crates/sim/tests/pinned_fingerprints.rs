@@ -1,8 +1,8 @@
 //! The repo's pinned campaign digests, asserted exactly.
 //!
 //! Every behaviour-preserving PR claims "fp0 and the interop / hostile
-//! digests are unchanged"; this is the test that holds it to that. The
-//! nine campaigns below are recomputed and compared bit for bit with the
+//! / fault digests are unchanged"; this is the test that holds it to
+//! that. The eleven campaigns below are recomputed and compared bit for bit with the
 //! constants in this file — under default options, and at another
 //! thread count — so a change that moves a simulated trajectory fails
 //! `cargo test`, and one that moves it on purpose has to edit a constant
@@ -31,10 +31,18 @@ const HOSTILE: [u64; 4] = [
     0x4601_75e6_970a_4a9b, // bonded
 ];
 
+/// T1 × K2 × intensities {0.5, 1.0} × seeds {7,21} × 30 s: past the
+/// suite's 8 s start, so every fault family fires.
+const FAULTS: u64 = 0x58f5_e62b_7b5e_cc3b;
+
+/// T1 × every hostile trace × RAP × K2 × seeds {7,21} × 20 s with the
+/// full fault suite composed on top.
+const HOSTILE_FAULTS: u64 = 0xeda0_3b94_e498_0f46;
+
 /// Past `qa_start` (5 s), so the QA controller ticks in every session.
 const DURATION: f64 = 8.0;
 
-/// `(name, campaign, pinned digest)` for all nine pins.
+/// `(name, campaign, pinned digest)` for all eleven pins.
 fn pins() -> Vec<(String, CampaignSpec, u64)> {
     let seeds = [7, 21, 35, 49, 63, 77, 91, 105];
     let small = || CampaignSpec::grid(&[TestKind::T1], &[2], &[7, 21], DURATION);
@@ -57,10 +65,28 @@ fn pins() -> Vec<(String, CampaignSpec, u64)> {
         }
         pins.push((format!("hostile/{}", trace.label()), spec, want));
     }
+    pins.push((
+        "faults".to_string(),
+        CampaignSpec::faults_grid(&[TestKind::T1], &[2], &[0.5, 1.0], &[7, 21], 30.0),
+        FAULTS,
+    ));
+    pins.push((
+        "hostile+faults".to_string(),
+        CampaignSpec::hostile_grid(
+            &[TestKind::T1],
+            &TraceKind::ALL,
+            &[Transport::Rap],
+            &[2],
+            &[7, 21],
+            20.0,
+            Some(1.0),
+        ),
+        HOSTILE_FAULTS,
+    ));
     pins
 }
 
-/// Recompute every pin with `fingerprint` and fail, listing all nine, if
+/// Recompute every pin with `fingerprint` and fail, listing all eleven, if
 /// any differs from its constant.
 fn assert_pinned(how: &str, fingerprint: impl Fn(&CampaignSpec) -> u64) {
     let mut moved = 0;
