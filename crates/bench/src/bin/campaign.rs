@@ -15,7 +15,7 @@
 //! options: --duration S  --kmax 2,3,4  --seeds 7,21
 //!          --threads N  --out DIR   # every mode but plain --smoke (2 threads
 //!                         # checked against 1, nothing written)
-//!          --intensity 0,0.5,1   # fault-suite intensities (--faults only)
+//!          --intensity 0,0.5,1   # fault-suite intensities in [0, 1] (--faults only)
 //!          --transport rap,bbr,nada,tcp  # QA-flow congestion controllers:
 //!                         # every selected transport runs the full grid,
 //!                         # turning the sweep into the QA × transport
@@ -244,6 +244,15 @@ fn main() {
     };
     if let Some(key) = unread.iter().find(|k| args.options.contains_key(**k)) {
         eprintln!("error: --{key} is not read in {mode} mode");
+        std::process::exit(2);
+    }
+    // Each intensity is one cell of the suite, whose domain is [0, 1]:
+    // anything above clamps onto the 1.0 cell and anything else runs the
+    // baseline, under labels that claim otherwise.
+    let outside = |v: &&str| v.parse::<f64>().is_ok_and(|i| !(0.0..=1.0).contains(&i));
+    let intensities = args.options.get("intensity").map_or("", String::as_str);
+    if let Some(bad) = intensities.split(',').map(str::trim).find(outside) {
+        eprintln!("error: --intensity {bad} is outside [0, 1]");
         std::process::exit(2);
     }
     let obs_dir = args.options.get("obs").map(std::path::PathBuf::from);

@@ -45,8 +45,9 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
     // Each of these once ran a sweep on defaults instead: an option the
     // binary does not take, a flag given a value (`--smoke 1` ran the full
     // campaign), a valued option given none (`--obs` wrote to ./true), a
-    // stray positional, an option the selected mode never reads.
-    let cases: [(&str, &[&str], &str); 10] = [
+    // stray positional, an option the selected mode never reads. A fault
+    // intensity outside [0, 1] ran a duplicate cell under its own label.
+    let cases: [(&str, &[&str], &str); 13] = [
         (CAMPAIGN, &["--smoke", "--nope"], "unknown option --nope"),
         (CAMPAIGN, &["--smoke", "1"], "invalid value '1' for --smoke"),
         (CAMPAIGN, &["--smoke", "--obs"], "missing value for --obs"),
@@ -65,6 +66,21 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
             CAMPAIGN,
             &["--intensity", "0.5"],
             "--intensity is not read in the default",
+        ),
+        (
+            CAMPAIGN,
+            &["--faults", "--intensity", "0.5,2"],
+            "--intensity 2 is outside [0, 1]",
+        ),
+        (
+            CAMPAIGN,
+            &["--faults", "--intensity", "nan"],
+            "--intensity nan is outside [0, 1]",
+        ),
+        (
+            CAMPAIGN,
+            &["--faults", "--intensity", "-0.5"],
+            "--intensity -0.5 is outside [0, 1]",
         ),
         (LAQA, &["sim", "--nope", "1"], "unknown option --nope"),
         (LAQA, &["frobnicate"], "unknown subcommand 'frobnicate'"),

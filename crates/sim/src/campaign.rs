@@ -25,7 +25,6 @@ use std::time::Instant;
 use laqa_core::metrics::QaEvent;
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
-use crate::faults::FaultPlan;
 use crate::scenarios::{run_scenario, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};
 
 /// Which of the paper's dumbbell workloads a session runs.
@@ -62,7 +61,7 @@ pub struct SessionSpec {
     /// Simulated duration (seconds).
     pub duration: f64,
     /// Fault-suite intensity in `(0, 1]`; `None` runs the scenario with
-    /// no fault injection at all (see [`FaultPlan::suite`]).
+    /// no fault injection at all (see [`crate::faults`]).
     pub fault_intensity: Option<f64>,
     /// Congestion controller under the QA flow (the interop-matrix axis).
     /// [`Transport::Rap`] reproduces the paper's system — and the label,
@@ -82,9 +81,7 @@ impl SessionSpec {
             TestKind::T1 => ScenarioConfig::t1(self.k_max, self.duration, self.seed),
             TestKind::T2 => ScenarioConfig::t2(self.k_max, self.duration, self.seed),
         };
-        if let Some(i) = self.fault_intensity {
-            cfg.faults = FaultPlan::suite(i);
-        }
+        cfg.fault_intensity = self.fault_intensity;
         let cfg = cfg.with_transport(self.transport);
         match self.trace {
             Some(trace) => cfg.with_trace(trace),
@@ -227,9 +224,10 @@ impl CampaignSpec {
     /// Hostile-network corpus: `tests × traces × transports × k_values ×
     /// seeds`, with an optional fault suite composed on top of every cell
     /// (faults mutate the same links the traces drive; the trace's next
-    /// schedule point overwrites whatever a fault set — see
-    /// `tests/faults_replay.rs` for the pinned precedence). Trace-major
-    /// ordering keeps each corpus condition's cells contiguous in tables.
+    /// schedule point overwrites a fault's bandwidth, never its delay or
+    /// loss — see `tests/faults_replay.rs` for the pinned precedence).
+    /// Trace-major ordering keeps each corpus condition's cells contiguous
+    /// in tables.
     pub fn hostile_grid(
         tests: &[TestKind],
         traces: &[TraceKind],
@@ -793,8 +791,8 @@ mod tests {
         assert_eq!(spec.sessions[0].fault_intensity, None, "0.0 = baseline");
         assert_eq!(spec.sessions[1].label(), "T1/k2/seed7/f050");
         assert_eq!(spec.sessions[2].label(), "T1/k2/seed7/f100");
-        assert!(!spec.sessions[2].scenario().faults.is_none());
-        assert!(spec.sessions[0].scenario().faults.is_none());
+        assert_eq!(spec.sessions[2].scenario().fault_intensity, Some(1.0));
+        assert_eq!(spec.sessions[0].scenario().fault_intensity, None);
     }
 
     #[test]

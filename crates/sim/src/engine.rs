@@ -691,7 +691,7 @@ mod tests {
     /// finishes, so every arrival lands at exactly `start + tx_time_ns(size,
     /// bandwidth) + secs_to_ns(delay)` of the values current then — also
     /// when the bandwidth returns to an earlier value, the size changes, or
-    /// a trace point rewrites the delay.
+    /// a trace point rewrites the bandwidth and leaves the delay alone.
     #[test]
     fn runtime_link_mutation_applies_to_later_packets() {
         let mut w = World::new(1);
@@ -709,11 +709,11 @@ mod tests {
                 (0.0, 1_000), // 100 KB/s, 10 ms
                 (0.1, 1_000), // lost: loss rate 1
                 (0.2, 1_000), // 50 KB/s, 50 ms
-                (0.4, 1_000), // back to 100 KB/s
+                (0.4, 1_000), // back to 100 KB/s, still 50 ms
                 (0.5, 400),   // a new size, starting at the idle link...
                 (0.5, 1_000), // ...and the old one behind it, at link-done
-                (0.7, 400),   // the trace's 2 ms delay
-                (0.8, 1_000), // serializing while the trace sets 30 ms
+                (0.7, 400),   // 2 ms delay
+                (0.8, 1_000), // serializing while the delay becomes 30 ms
             ],
         }));
         let m = w.add_agent(Box::new(Mutator {
@@ -721,17 +721,16 @@ mod tests {
             steps: vec![
                 (0.05, 50_000.0, 0.05, 2.0), // loss clamps to 1
                 (0.15, 50_000.0, 0.05, 0.0),
-                (0.3, 100_000.0, 0.05, 0.0),
+                (0.6, 100_000.0, 0.002, 0.0),
+                (0.805, 100_000.0, 0.03, 0.0),
             ],
             observed: vec![],
         }));
-        let point = |at, delay| LinkTracePoint {
-            at,
+        // The trace restores the bandwidth; the mutator's delay survives it.
+        let trace = TraceSchedule::from_points(vec![LinkTracePoint {
+            at: 0.3,
             bandwidth: 100_000.0,
-            delay: Some(delay),
-            loss: None,
-        };
-        let trace = TraceSchedule::from_points(vec![point(0.6, 0.002), point(0.805, 0.03)], None);
+        }]);
         w.add_agent(Box::new(TraceDriver::new(l, trace.unwrap())));
         w.run_until(1.0);
         let ms = |t: u64| t * 1_000_000;

@@ -40,10 +40,9 @@ pub use campaign::{
     CampaignSpec, SessionResult, SessionSpec, TestKind,
 };
 pub use engine::{Agent, Ctx, TimerKey, World};
-pub use faults::{FaultInjector, FaultPlan, FaultStats, FaultWiring};
+pub use faults::{FaultInjector, FaultStats, FaultWiring};
 pub use link::{
-    Link, LinkConfig, LinkStats, LinkTracePoint, LinkTraceState, QueueKind, RedConfig, TraceDriver,
-    TraceSchedule,
+    Link, LinkConfig, LinkStats, LinkTracePoint, QueueKind, RedConfig, TraceDriver, TraceSchedule,
 };
 pub use packet::{AgentId, LinkId, Packet, PacketKind, Route};
 pub use scenarios::{run_scenario, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};

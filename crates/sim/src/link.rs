@@ -113,28 +113,23 @@ impl LinkConfig {
     }
 }
 
-/// One schedule point of a link-condition trace.
+/// One step of a link-condition trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkTracePoint {
-    /// Time the point takes effect (seconds from trace start).
+    /// Time the step takes effect (seconds from trace start).
     pub at: f64,
     /// Link bandwidth from `at` onward (bytes/s).
     pub bandwidth: f64,
-    /// Propagation delay from `at` onward (seconds); `None` keeps the
-    /// link's current delay.
-    pub delay: Option<f64>,
-    /// Random per-packet loss probability from `at` onward; `None` keeps
-    /// the link's current loss rate.
-    pub loss: Option<f64>,
 }
 
-/// A piecewise link-condition schedule: the *TraceLink* machinery.
+/// A list of bandwidth steps: the *TraceLink* machinery.
 ///
-/// Each [`LinkTracePoint`] names a time and the bandwidth (plus optional
-/// delay and loss) the link switches to at that time — step changes, the
-/// way cellular links and shaped links actually behave. Points are
-/// strictly increasing in time; an optional `period` makes the schedule
-/// loop forever (point times then repeat every period).
+/// Each [`LinkTracePoint`] names a time and the bandwidth the link
+/// switches to at that time — step changes, the way cellular links and
+/// shaped links actually behave. Points are strictly increasing in time;
+/// after the last one the link keeps its bandwidth (a schedule does not
+/// loop). A trace owns the link's bandwidth only: its delay and loss rate
+/// stay whatever the link was built with or a fault last set.
 ///
 /// Schedules are *pre-materialized*: the seeded generators below draw
 /// from their own salted [`SimRng`] at construction, so a schedule is a
@@ -145,7 +140,6 @@ pub struct LinkTracePoint {
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceSchedule {
     points: Vec<LinkTracePoint>,
-    period: Option<f64>,
 }
 
 /// Seed salts decoupling each generator's stream from the world RNG and
@@ -157,13 +151,8 @@ pub const BOND_PATH_SALT: u64 = 0xB0D0_5A17_0000_0000;
 
 impl TraceSchedule {
     /// Schedule from explicit points. Validates strictly increasing
-    /// non-negative times, finite positive bandwidth, finite non-negative
-    /// delay, loss in `[0, 1]`, and that a looping `period` strictly
-    /// exceeds the last point's time.
-    pub fn from_points(
-        points: Vec<LinkTracePoint>,
-        period: Option<f64>,
-    ) -> Result<Self, String> {
+    /// non-negative times and finite positive bandwidth.
+    pub fn from_points(points: Vec<LinkTracePoint>) -> Result<Self, String> {
         if points.is_empty() {
             return Err("trace schedule needs at least one point".into());
         }
@@ -175,26 +164,9 @@ impl TraceSchedule {
             if !(p.bandwidth.is_finite() && p.bandwidth > 0.0) {
                 return Err(format!("bandwidth must be positive, got {}", p.bandwidth));
             }
-            if let Some(d) = p.delay {
-                if !(d.is_finite() && d >= 0.0) {
-                    return Err(format!("delay must be non-negative, got {d}"));
-                }
-            }
-            if let Some(l) = p.loss {
-                if !(0.0..=1.0).contains(&l) {
-                    return Err(format!("loss must be in [0, 1], got {l}"));
-                }
-            }
             prev = p.at;
         }
-        if let Some(period) = period {
-            if !(period.is_finite() && period > prev) {
-                return Err(format!(
-                    "loop period {period} must exceed the last point time {prev}"
-                ));
-            }
-        }
-        Ok(TraceSchedule { points, period })
+        Ok(TraceSchedule { points })
     }
 
     /// LTE-style capacity trace: a multiplicative random walk around
@@ -211,17 +183,12 @@ impl TraceSchedule {
             points.push(LinkTracePoint {
                 at: t,
                 bandwidth: nominal_bw * factor,
-                delay: None,
-                loss: None,
             });
             t += 0.1 + 0.9 * rng.next_f64();
             // Swing by up to ±2x per step, then clamp to the walk band.
             factor = (factor * (-0.7 + 1.4 * rng.next_f64()).exp()).clamp(0.25, 1.5);
         }
-        TraceSchedule {
-            points,
-            period: None,
-        }
+        TraceSchedule { points }
     }
 
     /// On-off bufferbloat trace: alternate full capacity (dwell 1–3 s)
@@ -237,13 +204,7 @@ impl TraceSchedule {
         while t < duration {
             points.push(LinkTracePoint {
                 at: t,
-                bandwidth: if choked {
-                    nominal_bw * 0.3
-                } else {
-                    nominal_bw
-                },
-                delay: None,
-                loss: None,
+                bandwidth: if choked { nominal_bw * 0.3 } else { nominal_bw },
             });
             t += if choked {
                 0.5 + 1.5 * rng.next_f64()
@@ -252,128 +213,41 @@ impl TraceSchedule {
             };
             choked = !choked;
         }
-        TraceSchedule {
-            points,
-            period: None,
-        }
+        TraceSchedule { points }
     }
 
-    /// Diurnal capacity ramp: one full cosine period over `period_secs`,
-    /// dipping to 40 % of `nominal_bw` mid-cycle, sampled at 48 steps and
-    /// looping forever. Fully deterministic (no seed).
+    /// Diurnal capacity ramp: one full cosine cycle over `period_secs`,
+    /// dipping to 40 % of `nominal_bw` mid-cycle, sampled at 48 steps plus
+    /// a closing point at `period_secs` that restores the starting
+    /// bandwidth (`cos τ` is exactly 1). Fully deterministic (no seed).
     pub fn diurnal(nominal_bw: f64, period_secs: f64) -> Self {
         const STEPS: usize = 48;
-        let points = (0..STEPS)
+        let points = (0..=STEPS)
             .map(|i| {
                 let phase = i as f64 / STEPS as f64;
                 let dip = 0.5 - 0.5 * (std::f64::consts::TAU * phase).cos();
                 LinkTracePoint {
                     at: phase * period_secs,
                     bandwidth: nominal_bw * (1.0 - 0.6 * dip),
-                    delay: None,
-                    loss: None,
                 }
             })
             .collect();
-        TraceSchedule {
-            points,
-            period: Some(period_secs),
-        }
+        TraceSchedule { points }
     }
 
-    /// The schedule's points (strictly increasing times within a cycle).
+    /// The schedule's points (strictly increasing times).
     pub fn points(&self) -> &[LinkTracePoint] {
         &self.points
     }
 
-    /// Loop period, if the schedule repeats.
-    pub fn period(&self) -> Option<f64> {
-        self.period
-    }
-
     /// The point in effect at time `t` (step interpolation): the last
     /// point with `at <= t`, clamped to the first point before it takes
-    /// effect. Looping schedules evaluate at `t mod period`, so
-    /// `sample(t + period) == sample(t)` — the wrap is seamless by
-    /// construction.
+    /// effect.
     pub fn sample(&self, t: f64) -> LinkTracePoint {
-        let t = match self.period {
-            Some(p) => t.rem_euclid(p),
-            None => t,
-        };
         match self.points.iter().rev().find(|p| p.at <= t) {
             Some(p) => *p,
             None => self.points[0],
         }
-    }
-}
-
-/// Replay cursor of a [`TraceSchedule`], owned by the [`TraceDriver`]
-/// that advances it.
-///
-/// The cursor counts points applied; for looping schedules it keeps
-/// increasing across cycles (`cursor / len` is the cycle number).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LinkTraceState {
-    schedule: TraceSchedule,
-    cursor: u64,
-}
-
-impl LinkTraceState {
-    /// Fresh state with the cursor at the first point.
-    pub fn new(schedule: TraceSchedule) -> Self {
-        LinkTraceState {
-            schedule,
-            cursor: 0,
-        }
-    }
-
-    /// The schedule being replayed.
-    pub fn schedule(&self) -> &TraceSchedule {
-        &self.schedule
-    }
-
-    /// Absolute time (seconds) the next point takes effect, or `None`
-    /// when a non-looping schedule is exhausted.
-    pub fn next_change_at(&self) -> Option<f64> {
-        let n = self.schedule.points.len() as u64;
-        match self.schedule.period {
-            None => self
-                .schedule
-                .points
-                .get(self.cursor as usize)
-                .map(|p| p.at),
-            Some(period) => {
-                let cycle = self.cursor / n;
-                let idx = (self.cursor % n) as usize;
-                Some(cycle as f64 * period + self.schedule.points[idx].at)
-            }
-        }
-    }
-
-    /// Apply the point under the cursor to `cfg` and advance. Returns
-    /// `false` when the schedule is exhausted. Bandwidth is always
-    /// overwritten; delay and loss only when the point carries them —
-    /// which is also the fault-composition precedence rule: whatever a
-    /// `FaultInjector` set on the link holds only until the trace's next
-    /// schedule point reasserts its own value (last writer wins; see
-    /// `tests/faults_replay.rs`).
-    pub fn apply_next(&mut self, cfg: &mut LinkConfig) -> bool {
-        let n = self.schedule.points.len() as u64;
-        let idx = match self.schedule.period {
-            None if self.cursor >= n => return false,
-            _ => (self.cursor % n) as usize,
-        };
-        let p = self.schedule.points[idx];
-        cfg.bandwidth = p.bandwidth;
-        if let Some(d) = p.delay {
-            cfg.delay = d;
-        }
-        if let Some(l) = p.loss {
-            cfg.loss_rate = l.clamp(0.0, 1.0);
-        }
-        self.cursor += 1;
-        true
     }
 }
 
@@ -521,9 +395,8 @@ impl Link {
 /// Agent that replays one [`TraceSchedule`] onto a link off the event
 /// scheduler: it arms a timer for each schedule point and applies the
 /// point when the timer fires, through the same [`crate::engine::Ctx`]
-/// setters — and so with the same runtime-mutation semantics — as fault
-/// injection: bandwidth read at serialize start, delay at serialize
-/// finish.
+/// setter — and so with the same runtime-mutation semantics — as fault
+/// injection: bandwidth read at serialize start.
 ///
 /// Driving the schedule through ordinary timer events — rather than
 /// polling link state on some side channel — is what makes trace replay
@@ -531,13 +404,15 @@ impl Link {
 /// fully determines when each point lands relative to every packet.
 ///
 /// The driver draws no world RNG (schedules are pre-materialized), so
-/// attaching it perturbs nothing but the link parameters it writes.
+/// attaching it perturbs nothing but the bandwidth it writes.
 pub struct TraceDriver {
     /// The trace-driven link this driver writes.
     pub link: crate::packet::LinkId,
     /// Schedule points applied so far (diagnostics + outcome hashing).
     pub changes: u64,
-    state: LinkTraceState,
+    schedule: TraceSchedule,
+    /// Index of the next point to apply.
+    cursor: usize,
 }
 
 const TOK_TRACE: u64 = 0x7_ACE;
@@ -548,13 +423,14 @@ impl TraceDriver {
         TraceDriver {
             link,
             changes: 0,
-            state: LinkTraceState::new(schedule),
+            schedule,
+            cursor: 0,
         }
     }
 
     fn arm(&self, ctx: &mut crate::engine::Ctx) {
-        if let Some(at) = self.state.next_change_at() {
-            ctx.set_timer_at(at, TOK_TRACE);
+        if let Some(p) = self.schedule.points.get(self.cursor) {
+            ctx.set_timer_at(p.at, TOK_TRACE);
         }
     }
 }
@@ -568,28 +444,22 @@ impl crate::engine::Agent for TraceDriver {
         // Nothing routes to the driver; ignore strays defensively.
     }
 
-    /// Fold every point due at or before now into the link's live
-    /// configuration (see [`LinkTraceState::apply_next`] for the fault-
-    /// composition precedence) and write it back. The sub-nanosecond
-    /// tolerance absorbs the timer's integer-nanosecond quantization of
-    /// the point's f64 time.
+    /// Apply every point due at or before now: the link takes the last
+    /// one's bandwidth, overwriting whatever bandwidth a fault set (last
+    /// writer wins; a fault's delay or loss is never touched — see
+    /// `tests/faults_replay.rs`). The sub-nanosecond tolerance absorbs the
+    /// timer's integer-nanosecond quantization of the point's f64 time.
     fn on_timer(&mut self, ctx: &mut crate::engine::Ctx, _token: u64) {
-        let mut cfg = ctx.link_config(self.link);
-        let mut applied = 0;
-        while self
-            .state
-            .next_change_at()
-            .is_some_and(|at| at <= ctx.now + 1e-9)
-            && self.state.apply_next(&mut cfg)
-        {
-            applied += 1;
-        }
-        if applied > 0 {
-            ctx.set_link_bandwidth(self.link, cfg.bandwidth);
-            ctx.set_link_delay(self.link, cfg.delay);
-            ctx.set_link_loss_rate(self.link, cfg.loss_rate);
-            laqa_obs::counter!("trace.points_applied").add(applied);
-            self.changes += applied;
+        let due = self.schedule.points[self.cursor..]
+            .iter()
+            .take_while(|p| p.at <= ctx.now + 1e-9)
+            .count();
+        if due > 0 {
+            self.cursor += due;
+            let bandwidth = self.schedule.points[self.cursor - 1].bandwidth;
+            ctx.set_link_bandwidth(self.link, bandwidth);
+            laqa_obs::counter!("trace.points_applied").add(due as u64);
+            self.changes += due as u64;
         }
         self.arm(ctx);
     }
@@ -768,79 +638,62 @@ mod tests {
         assert_eq!(red.max_th, 75.0);
     }
 
-    #[test]
-    fn trace_schedule_rejects_degenerate_inputs() {
-        let p = |at, bandwidth| LinkTracePoint {
-            at,
-            bandwidth,
-            delay: None,
-            loss: None,
-        };
-        assert!(TraceSchedule::from_points(vec![], None).is_err(), "empty");
-        assert!(
-            TraceSchedule::from_points(vec![p(0.0, 1e5), p(0.0, 2e5)], None).is_err(),
-            "non-increasing times"
-        );
-        assert!(
-            TraceSchedule::from_points(vec![p(0.0, 0.0)], None).is_err(),
-            "non-positive bandwidth"
-        );
-        assert!(
-            TraceSchedule::from_points(vec![p(0.0, 1e5), p(5.0, 2e5)], Some(4.0)).is_err(),
-            "period must cover the last point"
-        );
-        assert!(TraceSchedule::from_points(vec![p(0.0, 1e5), p(5.0, 2e5)], Some(6.0)).is_ok());
+    fn p(at: f64, bandwidth: f64) -> LinkTracePoint {
+        LinkTracePoint { at, bandwidth }
     }
 
     #[test]
-    fn trace_sample_steps_and_wraps() {
-        let p = |at, bandwidth| LinkTracePoint {
-            at,
-            bandwidth,
-            delay: None,
-            loss: None,
-        };
-        let s = TraceSchedule::from_points(vec![p(1.0, 1e5), p(2.0, 5e4)], Some(4.0)).unwrap();
+    fn trace_schedule_rejects_degenerate_inputs() {
+        assert!(TraceSchedule::from_points(vec![]).is_err(), "empty");
+        assert!(
+            TraceSchedule::from_points(vec![p(0.0, 1e5), p(0.0, 2e5)]).is_err(),
+            "non-increasing times"
+        );
+        assert!(
+            TraceSchedule::from_points(vec![p(-1.0, 1e5)]).is_err(),
+            "negative time"
+        );
+        assert!(
+            TraceSchedule::from_points(vec![p(0.0, 0.0)]).is_err(),
+            "non-positive bandwidth"
+        );
+        assert!(TraceSchedule::from_points(vec![p(0.0, 1e5), p(5.0, 2e5)]).is_ok());
+    }
+
+    #[test]
+    fn trace_sample_steps_and_holds_the_last_point() {
+        let s = TraceSchedule::from_points(vec![p(1.0, 1e5), p(2.0, 5e4)]).unwrap();
         // Before the first point the first point's value holds.
         assert_eq!(s.sample(0.0).bandwidth, 1e5);
         assert_eq!(s.sample(1.5).bandwidth, 1e5);
         assert_eq!(s.sample(2.0).bandwidth, 5e4);
+        // No loop: the last step holds for good.
         assert_eq!(s.sample(3.9).bandwidth, 5e4);
-        // Wraps: t + period lands on the same step.
-        assert_eq!(s.sample(4.0).bandwidth, s.sample(0.0).bandwidth);
-        assert_eq!(s.sample(5.5).bandwidth, s.sample(1.5).bandwidth);
+        assert_eq!(s.sample(1e6).bandwidth, 5e4);
     }
 
     #[test]
     fn trace_state_applies_in_order() {
-        let pts = vec![
-            LinkTracePoint {
-                at: 0.0,
-                bandwidth: 1e5,
-                delay: Some(0.02),
-                loss: None,
-            },
-            LinkTracePoint {
-                at: 1.0,
-                bandwidth: 5e4,
-                delay: None,
-                loss: Some(0.01),
-            },
-        ];
-        let s = TraceSchedule::from_points(pts, Some(2.0)).unwrap();
-        let mut st = LinkTraceState::new(s);
-        let mut cfg = LinkConfig::default();
-        assert_eq!(st.next_change_at(), Some(0.0));
-        assert!(st.apply_next(&mut cfg));
-        assert_eq!(cfg.bandwidth, 1e5);
-        assert_eq!(cfg.delay, 0.02);
-        assert_eq!(st.next_change_at(), Some(1.0));
-        assert!(st.apply_next(&mut cfg));
+        use crate::engine::World;
+        let mut w = World::new(1);
+        let link = w.add_link(LinkConfig {
+            delay: 0.02,
+            loss_rate: 0.01,
+            ..LinkConfig::default()
+        });
+        let s = TraceSchedule::from_points(vec![p(0.0, 1e5), p(1.0, 5e4)]).unwrap();
+        let driver = w.add_agent(Box::new(TraceDriver::new(link, s)));
+        w.run_until(0.5);
+        assert_eq!(w.link_config(link).bandwidth, 1e5);
+        w.run_until(1.5);
+        let cfg = w.link_config(link);
         assert_eq!(cfg.bandwidth, 5e4);
-        // Sparse columns leave the previous value in place.
-        assert_eq!(cfg.delay, 0.02);
-        assert_eq!(cfg.loss_rate, 0.01);
-        // Looping: the next cycle starts one period later.
-        assert_eq!(st.next_change_at(), Some(2.0));
+        // The trace owns bandwidth only.
+        assert_eq!((cfg.delay, cfg.loss_rate), (0.02, 0.01));
+        // No loop: the driver is done after its last point.
+        w.run_until(100.0);
+        assert_eq!(w.agent::<TraceDriver>(driver).unwrap().changes, 2);
+        assert_eq!(w.events_processed(), 2);
+        assert_eq!(w.link_config(link).bandwidth, 5e4);
     }
 }

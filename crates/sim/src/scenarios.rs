@@ -4,11 +4,11 @@
 
 use crate::agents::cbr::{CbrAgent, CountingSink};
 use crate::agents::monitor::QueueMonitor;
-use crate::faults::{FaultInjector, FaultPlan, FaultStats, FaultWiring};
 use crate::agents::qa::{QaSinkAgent, QaSourceAgent, QaTraces};
 use crate::agents::rap::{RapFlowAgent, RapSinkAgent};
 use crate::agents::tcp::{TcpAgent, TcpSinkAgent};
 use crate::engine::World;
+use crate::faults::{suite_intensity, FaultInjector, FaultStats, FaultWiring};
 use crate::link::{LinkStats, TraceDriver, TraceSchedule, BOND_PATH_SALT};
 use crate::packet::{AgentId, LinkId, Route};
 use crate::topology::{Dumbbell, DumbbellConfig};
@@ -89,8 +89,8 @@ pub enum TraceKind {
     /// On-off choke against a deep standing drop-tail buffer
     /// (bufferbloat: the choked phases fill the queue and inflate RTT).
     Bloat,
-    /// Slow deterministic capacity ramp (one cosine cycle per run,
-    /// looping).
+    /// Slow deterministic capacity ramp: one cosine cycle over the run,
+    /// ending where it began.
     Diurnal,
     /// Two bonded forward paths with independent LTE-style schedules and
     /// a deterministic round-robin striping relay
@@ -163,10 +163,11 @@ pub struct ScenarioConfig {
     /// Layers `0..n` protected by selective retransmission (§1.3);
     /// 0 = off (the paper's evaluation setting).
     pub retransmit_protect: usize,
-    /// Fault-injection schedule. [`FaultPlan::none`] (the default for T1
-    /// and T2) adds no agent at all, so baseline trajectories — and every
-    /// seed-pinned golden built on them — stay bit-identical.
-    pub faults: FaultPlan,
+    /// Fault-suite intensity (see [`crate::faults`]). `None` (the default
+    /// for T1 and T2), or any value that is not finite and positive, adds
+    /// no agent at all, so baseline trajectories — and every seed-pinned
+    /// golden built on them — stay bit-identical; values above 1 clamp.
+    pub fault_intensity: Option<f64>,
     /// Congestion controller driving the QA flow. [`Transport::Rap`] (the
     /// default) reproduces the paper's system exactly.
     pub transport: Transport,
@@ -212,7 +213,7 @@ impl ScenarioConfig {
             seed,
             tick_dt: 0.05,
             retransmit_protect: 0,
-            faults: FaultPlan::none(),
+            fault_intensity: None,
             transport: Transport::Rap,
             trace: None,
         }
@@ -493,34 +494,22 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
         )));
     }
 
-    // The fault injector (and its churn sink) exist only when the plan has
-    // at least one fault family enabled; an empty plan leaves the agent
-    // list, the link set and every RNG stream untouched.
-    let injector_id = if cfg.faults.is_none() {
-        None
-    } else {
+    // The fault injector (and its churn sink) exist only for an intensity
+    // inside the suite's domain; any other leaves the agent list, the link
+    // set and every RNG stream untouched.
+    let injector_id = suite_intensity(cfg.fault_intensity).map(|intensity| {
         let churn_sink = d.world.add_agent(Box::new(CountingSink::default()));
         let churn_route = d.forward_route();
-        let churn_rate = cfg
-            .faults
-            .churn
-            .map(|c| c.rate_frac * cfg.dumbbell.bottleneck_bw)
-            .unwrap_or(0.0);
         let wiring = FaultWiring {
             forward: d.bottleneck(),
             reverse: d.reverse_bottleneck(),
             churn_dst: churn_sink,
             churn_route,
-            churn_rate,
             churn_packet: pkt,
-            churn_flow: 998,
         };
-        Some(d.world.add_agent(Box::new(FaultInjector::new(
-            cfg.faults.clone(),
-            cfg.seed,
-            wiring,
-        ))))
-    };
+        let injector = FaultInjector::new(intensity, cfg.seed, wiring);
+        d.world.add_agent(Box::new(injector))
+    });
 
     let bottleneck = d.bottleneck();
     let monitor_id = d.world.add_agent(Box::new(QueueMonitor::new(

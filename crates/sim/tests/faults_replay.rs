@@ -6,18 +6,17 @@
 
 use laqa_sim::campaign::{run_campaign, run_session, CampaignSpec, SessionSpec, TestKind};
 use laqa_sim::Transport;
-use laqa_sim::faults::FaultPlan;
 use laqa_sim::{hash_outcome, run_scenario, ScenarioConfig};
 
 fn faulted_t1(intensity: f64, duration: f64, seed: u64) -> ScenarioConfig {
     let mut cfg = ScenarioConfig::t1(2, duration, seed);
-    cfg.faults = FaultPlan::suite(intensity);
+    cfg.fault_intensity = Some(intensity);
     cfg
 }
 
 #[test]
 fn zero_intensity_suite_is_fingerprint_identical_to_faultless_baseline() {
-    // `FaultPlan::suite(0.0)` must compose onto any scenario as a perfect
+    // A zero fault intensity must compose onto any scenario as a perfect
     // no-op: not "statistically similar", but the *same bits* — no
     // injector agent, no extra RNG draws, no extra scheduler events.
     for cfg in [
@@ -26,13 +25,13 @@ fn zero_intensity_suite_is_fingerprint_identical_to_faultless_baseline() {
         ScenarioConfig::t2(2, 12.0, 21),
     ] {
         let mut faulted = cfg.clone();
-        faulted.faults = FaultPlan::suite(0.0);
+        faulted.fault_intensity = Some(0.0);
         let base_out = run_scenario(&cfg);
         let faulted_out = run_scenario(&faulted);
         assert_eq!(
             hash_outcome(&base_out),
             hash_outcome(&faulted_out),
-            "suite(0.0) perturbed the trajectory"
+            "intensity 0.0 perturbed the trajectory"
         );
         assert_eq!(base_out.events_processed, faulted_out.events_processed);
         assert_eq!(faulted_out.fault_stats.transitions(), 0);
@@ -168,6 +167,7 @@ fn trace_points_reassert_link_params_over_fault_mutations() {
     // the link's bandwidth between schedule points holds exactly until the
     // trace's next point reasserts its own absolute value — the trace
     // never "remembers" the fault, and the fault never survives a point.
+    // A trace owns bandwidth only, so a fault's delay outlives every point.
     use laqa_sim::{
         Agent, Ctx, LinkConfig, LinkId, LinkTracePoint, Packet, TraceDriver, TraceSchedule, World,
     };
@@ -183,19 +183,14 @@ fn trace_points_reassert_link_params_over_fault_mutations() {
         fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
             // Stand-in for a FaultInjector degradation transition.
             ctx.set_link_bandwidth(self.link, 12_345.0);
+            ctx.set_link_delay(self.link, 0.25);
         }
     }
 
-    let pt = |at, bandwidth| LinkTracePoint {
-        at,
-        bandwidth,
-        delay: None,
-        loss: None,
-    };
+    let pt = |at, bandwidth| LinkTracePoint { at, bandwidth };
     let mut w = World::new(7);
     let link = w.add_link(LinkConfig::default());
-    let schedule =
-        TraceSchedule::from_points(vec![pt(0.0, 100_000.0), pt(1.5, 50_000.0)], None).unwrap();
+    let schedule = TraceSchedule::from_points(vec![pt(0.0, 100_000.0), pt(1.5, 50_000.0)]).unwrap();
     w.add_agent(Box::new(TraceDriver::new(link, schedule)));
     w.add_agent(Box::new(Meddler { link }));
 
@@ -210,5 +205,10 @@ fn trace_points_reassert_link_params_over_fault_mutations() {
         w.link_config(link).bandwidth,
         50_000.0,
         "the next schedule point must reassert the trace's value"
+    );
+    assert_eq!(
+        w.link_config(link).delay,
+        0.25,
+        "a schedule point never overwrites the fault's delay"
     );
 }

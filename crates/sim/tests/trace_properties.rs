@@ -2,29 +2,24 @@
 //!
 //! These pin the contracts the hostile-network axis leans on:
 //!
-//! - sampling a schedule is a monotone step function of time, and looping
-//!   wrap-around lands exactly on the same step (no discontinuity);
+//! - sampling a schedule is a monotone step function of time;
+//! - the diurnal cycle ends exactly where it began;
 //! - the seeded LTE / bufferbloat generators are pure functions of their
 //!   seed — two runs produce identical schedules, and a longer horizon is
 //!   a strict extension of a shorter one (chunk-boundary identity);
-//! - replaying a schedule through [`LinkTraceState`] visits the same values
-//!   as direct sampling, across cycle boundaries.
+//! - replaying a schedule through a [`TraceDriver`] visits the same values
+//!   as direct sampling, and holds the last one once the schedule ends.
 
-use laqa_sim::{LinkTracePoint, LinkTraceState, TraceSchedule};
+use laqa_sim::{LinkConfig, LinkTracePoint, TraceDriver, TraceSchedule, World};
 
 fn pt(at: f64, bandwidth: f64) -> LinkTracePoint {
-    LinkTracePoint {
-        at,
-        bandwidth,
-        delay: None,
-        loss: None,
-    }
+    LinkTracePoint { at, bandwidth }
 }
 
 #[test]
 fn sample_is_a_monotone_step_function_of_time() {
-    // The step selected for time t must never move backwards as t grows
-    // within a cycle: the active point's `at` is non-decreasing in t.
+    // The step selected for time t must never move backwards as t grows:
+    // the active point's `at` is non-decreasing in t.
     for seed in [7u64, 21, 99] {
         let s = TraceSchedule::lte(seed, 100_000.0, 30.0);
         let pts = s.points();
@@ -52,22 +47,22 @@ fn sample_is_a_monotone_step_function_of_time() {
 }
 
 #[test]
-fn looping_wraps_without_discontinuity() {
+fn diurnal_cycle_ends_where_it_began() {
     let s = TraceSchedule::diurnal(100_000.0, 60.0);
-    let period = s.period().expect("diurnal loops");
-    assert_eq!(period, 60.0);
-    let mut t = 0.0;
-    while t < 2.0 * period {
-        let a = s.sample(t);
-        let b = s.sample(t + period);
-        assert_eq!(
-            a.bandwidth, b.bandwidth,
-            "wrap must be bitwise-identical at t={t}"
-        );
-        t += 0.73;
+    let pts = s.points();
+    assert_eq!(pts.len(), 49, "48 steps plus the closing point");
+    let (first, last) = (pts[0], pts[48]);
+    assert_eq!((first.at, last.at), (0.0, 60.0));
+    assert_eq!(
+        last.bandwidth.to_bits(),
+        first.bandwidth.to_bits(),
+        "the cycle must close bitwise-exactly"
+    );
+    for w in pts.windows(2) {
+        assert!(w[0].at < w[1].at, "points strictly increasing in time");
     }
     // The diurnal curve actually dips: min well below max.
-    let bws: Vec<f64> = s.points().iter().map(|p| p.bandwidth).collect();
+    let bws: Vec<f64> = pts.iter().map(|p| p.bandwidth).collect();
     let max = bws.iter().cloned().fold(f64::MIN, f64::max);
     let min = bws.iter().cloned().fold(f64::MAX, f64::min);
     assert!(min < 0.5 * max, "diurnal trough must be a real dip");
@@ -128,28 +123,28 @@ fn longer_horizon_extends_shorter_without_perturbing_the_prefix() {
 }
 
 #[test]
-fn state_replay_matches_direct_sampling_across_cycles() {
-    let s = TraceSchedule::from_points(
-        vec![pt(0.0, 100_000.0), pt(1.5, 40_000.0), pt(3.0, 80_000.0)],
-        Some(4.0),
-    )
+fn driver_replay_matches_direct_sampling() {
+    let s = TraceSchedule::from_points(vec![
+        pt(0.0, 100_000.0),
+        pt(1.5, 40_000.0),
+        pt(3.0, 80_000.0),
+    ])
     .unwrap();
-    let mut st = LinkTraceState::new(s.clone());
-    let mut cfg = laqa_sim::LinkConfig::default();
-    // Walk two full cycles through the cursor API; after consuming every
-    // point due at or before t, the config must equal the direct sample.
-    let mut applied = 0u32;
-    while let Some(at) = st.next_change_at() {
-        if at >= 8.0 {
-            break;
-        }
-        assert!(st.apply_next(&mut cfg));
-        applied += 1;
+    let mut w = World::new(1);
+    let link = w.add_link(LinkConfig::default());
+    let driver = w.add_agent(Box::new(TraceDriver::new(link, s.clone())));
+    // After the driver consumes every point due at or before t, the link's
+    // bandwidth must equal the direct sample.
+    for t in [0.0, 0.7, 1.5, 2.2, 3.0, 3.1] {
+        w.run_until(t);
         assert_eq!(
-            cfg.bandwidth,
-            s.sample(at).bandwidth,
-            "cursor replay diverged from sample() at t={at}"
+            w.link_config(link).bandwidth,
+            s.sample(t).bandwidth,
+            "driver replay diverged from sample() at t={t}"
         );
     }
-    assert_eq!(applied, 6, "3 points x 2 cycles inside 8s");
+    // No loop: the last point holds and nothing more is applied.
+    w.run_until(10.0);
+    assert_eq!(w.link_config(link).bandwidth, 80_000.0);
+    assert_eq!(w.agent::<TraceDriver>(driver).unwrap().changes, 3);
 }

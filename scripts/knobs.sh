@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Options audit: for every `pub` field of the config structs below, the
-# number of files under crates/ tests/ examples/ benchmark/src, other than
-# the one that declares the struct, which assign it — `field: value` in a
-# struct literal or `.field = value` — fewest first. A field no other file
-# assigns holds one value everywhere: the next candidate for a constant.
-# Like loc.sh a printed counter, not a gate.
+# Options audit: for every `pub` field of every config struct — each
+# `pub struct <Name>Config {` under crates/*/src, found by the scan below —
+# the number of files under crates/ tests/ examples/ benchmark/src, other
+# than the one that declares the struct, which assign it — `field: value`
+# in a struct literal or `.field = value` — fewest first. A field no other
+# file assigns holds one value everywhere: the next candidate for a
+# constant. Like loc.sh a printed counter, not a gate.
 #
 # It is a grep, not a parser:
 # - two structs that share a field name share its count (`packet_size`,
@@ -20,14 +21,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-structs="
-QaConfig:crates/core/src/config.rs
-RapConfig:crates/rap/src/sender.rs
-WindowConfig:crates/rap/src/window.rs
-ScenarioConfig:crates/sim/src/scenarios.rs
-DumbbellConfig:crates/sim/src/topology.rs
-LinkConfig:crates/sim/src/link.rs
-"
+# `Name:path/to/declaring/file.rs`, one per config struct.
+structs=$(grep -rE --include='*.rs' '^pub struct [A-Za-z0-9_]+Config \{' crates/*/src |
+  sed -E 's/^([^:]+):pub struct ([A-Za-z0-9_]+) .*/\2:\1/' | sort)
 
 # Exit 0 when file "$2" assigns field "$1".
 assigns() {
