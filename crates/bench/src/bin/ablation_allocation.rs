@@ -8,8 +8,8 @@
 //! the failure modes the paper describes in prose.
 
 use laqa_bench::outdir;
-use laqa_core::draining::plan_draining;
-use laqa_core::geometry::band_allocation;
+use laqa_core::draining::plan_draining_into;
+use laqa_core::geometry::band_allocation_into;
 use laqa_core::StateSequence;
 use laqa_trace::{RunSummary, Table};
 
@@ -26,12 +26,13 @@ fn shortfall_periods(
 ) -> usize {
     let dt = 0.05;
     let mut bad = 0;
+    let (mut drain, mut rates) = (Vec::new(), Vec::new());
     while rate < n as f64 * c {
-        let plan = plan_draining(seq, &bufs, rate, dt, 1.0);
-        if plan.shortfall > 1.0 {
+        let shortfall = plan_draining_into(seq, &bufs, rate, dt, 1.0, &mut drain, &mut rates);
+        if shortfall > 1.0 {
             bad += 1;
         }
-        for (buf, drain) in bufs.iter_mut().zip(&plan.drain) {
+        for (buf, drain) in bufs.iter_mut().zip(&drain) {
             *buf = (*buf - drain).max(0.0);
         }
         rate += s * dt;
@@ -58,7 +59,8 @@ fn main() {
             if deficit <= 0.0 {
                 continue;
             }
-            let optimal = band_allocation(deficit, c, s, n);
+            let mut optimal = Vec::new();
+            band_allocation_into(deficit, c, s, n, &mut optimal);
             let total: f64 = optimal.iter().sum();
             let equal = vec![total / n as f64; n];
             let mut base_only = vec![0.0; n];

@@ -41,7 +41,8 @@
 use laqa_bench::cli::Args;
 use laqa_bench::outdir;
 use laqa_sim::{
-    run_campaign, CampaignResult, CampaignSpec, SessionResult, TestKind, TraceKind, Transport,
+    run_campaign, CampaignResult, CampaignSpec, ScenarioConfig, SessionResult, TestKind,
+    TraceKind, Transport,
 };
 use laqa_trace::{pct, Table};
 
@@ -254,6 +255,15 @@ fn main() {
     if let Some(bad) = intensities.split(',').map(str::trim).find(outside) {
         eprintln!("error: --intensity {bad} is outside [0, 1]");
         std::process::exit(2);
+    }
+    // A K_max the QA controller refuses would panic every worker that
+    // builds a cell with it; refuse it here with the controller's reason.
+    let kmax = args.options.get("kmax").map_or("", String::as_str);
+    for k in kmax.split(',').filter_map(|v| v.trim().parse::<u32>().ok()) {
+        if let Err(e) = ScenarioConfig::t1(k, 0.0, 0).qa.validated() {
+            eprintln!("error: --kmax {k}: {e}");
+            std::process::exit(2);
+        }
     }
     let obs_dir = args.options.get("obs").map(std::path::PathBuf::from);
     if obs_dir.is_some() {

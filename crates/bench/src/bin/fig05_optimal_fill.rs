@@ -7,9 +7,9 @@
 //! upper layers hand off to the network first. We print both.
 
 use laqa_bench::outdir;
-use laqa_core::draining::plan_draining;
+use laqa_core::draining::plan_draining_into;
 use laqa_core::filling::next_fill_layer;
-use laqa_core::geometry::{band_allocation, buffering_layer_count, deficit, triangle_area};
+use laqa_core::geometry::{band_allocation_into, buffering_layer_count, deficit, triangle_area};
 use laqa_core::StateSequence;
 use laqa_trace::{RunSummary, Table};
 
@@ -21,7 +21,8 @@ fn main() {
 
     let d0 = deficit(n_a as f64 * c, rate / 2.0);
     let n_b = buffering_layer_count(d0, c);
-    let shares = band_allocation(d0, c, s, n_a);
+    let mut shares = Vec::new();
+    band_allocation_into(d0, c, s, n_a, &mut shares);
     let area = triangle_area(d0, s);
 
     println!("== Figure 4: optimal inter-layer buffer distribution ==");
@@ -70,10 +71,11 @@ fn main() {
     let mut cur = rate / 2.0;
     let mut tme = 0.0;
     let dt = 0.2;
+    let (mut drain, mut rates) = (Vec::new(), Vec::new());
     while cur < n_a as f64 * c {
-        let plan = plan_draining(&seq, &bufs, cur, dt, 1.0);
+        plan_draining_into(&seq, &bufs, cur, dt, 1.0, &mut drain, &mut rates);
         let mut row = vec![format!("{tme:.1}"), format!("{cur:.0}")];
-        for (buf, drain) in bufs.iter_mut().zip(&plan.drain) {
+        for (buf, drain) in bufs.iter_mut().zip(&drain) {
             row.push(format!("{:.0}", drain / dt));
             *buf -= drain;
         }

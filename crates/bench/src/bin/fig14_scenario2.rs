@@ -16,7 +16,7 @@ use laqa_trace::{RunSummary, Table};
 /// Numerically integrate the deficit of the figure-14 trajectory.
 fn simulate_scenario2(rate: f64, n: usize, c: f64, slope: f64, k: u32) -> f64 {
     let consumption = n as f64 * c;
-    let k1 = min_backoffs_below(rate, consumption);
+    let k1 = min_backoffs_below(rate, consumption, 0.5);
     if k < k1 {
         return 0.0;
     }
@@ -62,8 +62,8 @@ fn main() {
     for n in [2usize, 3, 5] {
         for &rate in &[40_000.0, 90_000.0, 150_000.0] {
             for k in 1..=5u32 {
-                let k1 = min_backoffs_below(rate, n as f64 * c);
-                let closed = buf_total(Scenario::Two, k, rate, n, c, slope);
+                let k1 = min_backoffs_below(rate, n as f64 * c, 0.5);
+                let closed = buf_total(Scenario::Two, k, rate, n as f64 * c, slope, 0.5);
                 let sim = simulate_scenario2(rate, n, c, slope, k);
                 let err = if closed > 0.0 {
                     (closed - sim).abs() / closed

@@ -12,7 +12,7 @@
 
 use laqa_bench::cli::Args;
 use laqa_bench::{ascii_plot, window_mean};
-use laqa_core::geometry::band_allocation;
+use laqa_core::geometry::band_allocation_into;
 use laqa_core::nonlinear::{nl_band_allocation, LayerRates};
 use laqa_core::StateSequence;
 use laqa_sim::{run_scenario, QueueKind, RedConfig, ScenarioConfig};
@@ -91,6 +91,33 @@ subcommands:
 
 type AnyError = Box<dyn std::error::Error>;
 
+/// A value its option cannot take is a usage error like any other: say
+/// which option and exit 2 before anything runs.
+fn usage_error(msg: String) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
+}
+
+/// `--key` (or `default`), which must be finite and `> 0` — or `>= 0`
+/// when `zero_ok`.
+fn positive(args: &Args, key: &str, default: f64, zero_ok: bool) -> Result<f64, AnyError> {
+    let v: f64 = args.get(key, default)?;
+    if !(v.is_finite() && (v > 0.0 || (zero_ok && v == 0.0))) {
+        let bound = if zero_ok { ">= 0" } else { "> 0" };
+        usage_error(format!("--{key} must be finite and {bound}, got {v}"));
+    }
+    Ok(v)
+}
+
+/// `--layers` (default 5): the base layer always exists.
+fn layers(args: &Args) -> Result<usize, AnyError> {
+    let n: usize = args.get("layers", 5)?;
+    if n == 0 {
+        usage_error("--layers must be >= 1".to_string());
+    }
+    Ok(n)
+}
+
 fn cmd_sim(args: &Args) -> Result<(), AnyError> {
     let test: String = args.get("test", "t1".to_string())?;
     let k_max: u32 = args.get("kmax", 2)?;
@@ -101,10 +128,17 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
         "t2" => ScenarioConfig::t2(k_max, duration, seed),
         other => return Err(format!("unknown --test '{other}' (t1|t2)").into()),
     };
+    if let Err(e) = cfg.qa.clone().validated() {
+        usage_error(format!("--kmax {k_max}: {e}"));
+    }
     if args.flag("red") {
         cfg.dumbbell.queue_kind = QueueKind::Red(RedConfig::for_queue(cfg.dumbbell.queue_packets));
     }
-    cfg.dumbbell.loss_rate = args.get("loss", 0.0)?;
+    let loss: f64 = args.get("loss", 0.0)?;
+    if !(0.0..=1.0).contains(&loss) {
+        usage_error(format!("--loss {loss} is outside [0, 1]"));
+    }
+    cfg.dumbbell.loss_rate = loss;
     cfg.retransmit_protect = args.get("retransmit", 0)?;
 
     println!(
@@ -215,10 +249,10 @@ fn cmd_obs_trace(args: &Args) -> Result<(), AnyError> {
 }
 
 fn cmd_states(args: &Args) -> Result<(), AnyError> {
-    let rate: f64 = args.get("rate", 60_000.0)?;
-    let n: usize = args.get("layers", 5)?;
-    let c: f64 = args.get("c", 10_000.0)?;
-    let slope: f64 = args.get("slope", 12_500.0)?;
+    let rate = positive(args, "rate", 60_000.0, false)?;
+    let n = layers(args)?;
+    let c = positive(args, "c", 10_000.0, false)?;
+    let slope = positive(args, "slope", 12_500.0, false)?;
     let k_max: u32 = args.get("kmax", 5)?;
     let seq = StateSequence::build(rate, n, c, slope, k_max);
     println!("k1 = {}", seq.k1);
@@ -244,19 +278,32 @@ fn cmd_states(args: &Args) -> Result<(), AnyError> {
 }
 
 fn cmd_bands(args: &Args) -> Result<(), AnyError> {
-    let d0: f64 = args.get("deficit", 25_000.0)?;
-    let n: usize = args.get("layers", 5)?;
-    let c: f64 = args.get("c", 10_000.0)?;
-    let slope: f64 = args.get("slope", 12_500.0)?;
-    let exp_base: f64 = args.get("exp-base", 0.0)?;
-    let shares = if exp_base > 0.0 {
-        let factor: f64 = args.get("exp-factor", 2.0)?;
+    let d0 = positive(args, "deficit", 25_000.0, true)?;
+    let n = layers(args)?;
+    let slope = positive(args, "slope", 12_500.0, false)?;
+    // `--exp-base` selects the exponential spacing, which has no `--c`;
+    // the linear one has no `--exp-factor`.
+    let exponential = args.options.contains_key("exp-base");
+    let (unread, branch) = if exponential {
+        ("c", "with --exp-base")
+    } else {
+        ("exp-factor", "without --exp-base")
+    };
+    if args.options.contains_key(unread) {
+        usage_error(format!("--{unread} is not read {branch}"));
+    }
+    let shares = if exponential {
+        let exp_base = positive(args, "exp-base", 0.0, false)?;
+        let factor = positive(args, "exp-factor", 2.0, false)?;
         let rates =
             LayerRates::exponential(n, exp_base, factor).ok_or("invalid exponential spacing")?;
         println!("layer rates: {:?}", rates.rates());
         nl_band_allocation(&rates, n, d0, slope)
     } else {
-        band_allocation(d0, c, slope, n)
+        let c = positive(args, "c", 10_000.0, false)?;
+        let mut shares = Vec::new();
+        band_allocation_into(d0, c, slope, n, &mut shares);
+        shares
     };
     let total: f64 = shares.iter().sum();
     let mut tbl = Table::new(

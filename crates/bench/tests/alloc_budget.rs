@@ -75,7 +75,7 @@ fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
     (ALLOCS.get() - a0, out)
 }
 
-/// `rebuild_with` on a warmed sequence — one that already holds at least
+/// `rebuild` on a warmed sequence — one that already holds at least
 /// as many states and layers as the new operating point needs — allocates
 /// nothing, at any path length: the 31 states of the default horizon and
 /// the 63 of horizon 32 included.
@@ -91,7 +91,7 @@ fn assert_warmed_rebuild_allocates_nothing() {
                 let mut rebuild = || {
                     let held = (seq.states.len(), seq.n_active);
                     let (allocs, ()) = allocs_during(|| {
-                        seq.rebuild_with(rate, n, 10_000.0, 25_000.0, k_horizon, factor)
+                        seq.rebuild(rate, n, 10_000.0, 25_000.0, k_horizon, factor)
                     });
                     (held, allocs)
                 };

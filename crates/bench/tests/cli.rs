@@ -46,8 +46,13 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
     // binary does not take, a flag given a value (`--smoke 1` ran the full
     // campaign), a valued option given none (`--obs` wrote to ./true), a
     // stray positional, an option the selected mode never reads. A fault
-    // intensity outside [0, 1] ran a duplicate cell under its own label.
-    let cases: [(&str, &[&str], &str); 13] = [
+    // intensity outside [0, 1] ran a duplicate cell under its own label. A
+    // K_max the controller refuses panicked every worker, a NaN loss rate
+    // panicked the link and a loss above 1 ran at 1. A zero or negative
+    // layer rate or slope tripped a debug assertion (garbage in release),
+    // a NaN rate printed a state path, and an option the selected spacing
+    // never reads was silently ignored.
+    let cases: [(&str, &[&str], &str); 29] = [
         (CAMPAIGN, &["--smoke", "--nope"], "unknown option --nope"),
         (CAMPAIGN, &["--smoke", "1"], "invalid value '1' for --smoke"),
         (CAMPAIGN, &["--smoke", "--obs"], "missing value for --obs"),
@@ -81,6 +86,42 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
             CAMPAIGN,
             &["--faults", "--intensity", "-0.5"],
             "--intensity -0.5 is outside [0, 1]",
+        ),
+        (
+            CAMPAIGN,
+            &["--smoke", "--kmax", "17"],
+            "--kmax 17: k_max must be <= 16",
+        ),
+        (
+            CAMPAIGN,
+            &["--kmax", "2,0"],
+            "--kmax 0: k_max (smoothing factor) must be >= 1",
+        ),
+        (
+            LAQA,
+            &["sim", "--kmax", "0"],
+            "--kmax 0: k_max (smoothing factor) must be >= 1",
+        ),
+        (LAQA, &["sim", "--kmax", "17"], "--kmax 17: k_max must be <= 16"),
+        (LAQA, &["sim", "--loss", "nan"], "--loss NaN is outside [0, 1]"),
+        (LAQA, &["sim", "--loss", "2"], "--loss 2 is outside [0, 1]"),
+        (LAQA, &["sim", "--loss", "-0.1"], "--loss -0.1 is outside [0, 1]"),
+        (LAQA, &["states", "--c", "0"], "--c must be finite and > 0"),
+        (LAQA, &["states", "--slope", "0"], "--slope must be finite and > 0"),
+        (LAQA, &["states", "--slope", "-5"], "--slope must be finite and > 0"),
+        (LAQA, &["states", "--rate", "nan"], "--rate must be finite and > 0"),
+        (LAQA, &["states", "--layers", "0"], "--layers must be >= 1"),
+        (LAQA, &["bands", "--deficit", "-1"], "--deficit must be finite and >= 0"),
+        (LAQA, &["bands", "--slope", "inf"], "--slope must be finite and > 0"),
+        (
+            LAQA,
+            &["bands", "--exp-factor", "3"],
+            "--exp-factor is not read without --exp-base",
+        ),
+        (
+            LAQA,
+            &["bands", "--exp-base", "2000", "--c", "5"],
+            "--c is not read with --exp-base",
         ),
         (LAQA, &["sim", "--nope", "1"], "unknown option --nope"),
         (LAQA, &["frobnicate"], "unknown subcommand 'frobnicate'"),

@@ -15,7 +15,7 @@
 //! while the total buffering is below the recovery deficit at the current
 //! (post-backoff) rate. The base layer is never dropped.
 
-use crate::geometry::{recovery_buffer_with, sustainable_layers};
+use crate::geometry::{recovery_buffer, sustainable_layers};
 use crate::states::StateSequence;
 
 /// Result of evaluating the add conditions.
@@ -97,29 +97,21 @@ pub fn drop_count(
 /// playing and the *current* rate is `rate` (post-backoff, so no further
 /// decrease is applied — the deficit is `n·C − rate`).
 ///
-/// Equivalent to [`required_recovery_buffer_with`] at the paper's AIMD
-/// halving factor `0.5` (bit-identical: `x * 2.0 ≡ x / 0.5`).
-pub fn required_recovery_buffer(n: usize, layer_rate: f64, rate: f64, slope: f64) -> f64 {
-    required_recovery_buffer_with(n, layer_rate, rate, slope, 0.5)
-}
-
-/// [`required_recovery_buffer`] generalized to an arbitrary decrease
-/// factor: the pre-backoff peak is reconstructed as `rate / factor` so the
-/// recovery geometry un-does exactly the decrease the controller applied.
-/// Analytically the result is the deficit triangle at the post-backoff
-/// `rate` for every factor; threading the factor keeps the peak
-/// reconstruction honest (and bit-exact at the 0.5 default).
-pub fn required_recovery_buffer_with(
+/// [`recovery_buffer`] models a future backoff from a filling-phase rate
+/// and scales its rate argument by the decrease factor; here the backoff
+/// already happened, so the pre-backoff peak is first reconstructed as
+/// `rate / decrease_factor`, un-doing exactly the decrease the controller
+/// applied. Analytically the result is the deficit triangle at the
+/// post-backoff `rate` for every factor; at the paper's halving (`0.5`)
+/// the reconstruction `rate / 0.5 ≡ rate · 2` is exact.
+pub fn required_recovery_buffer(
     n: usize,
     layer_rate: f64,
     rate: f64,
     slope: f64,
     decrease_factor: f64,
 ) -> f64 {
-    // recovery_buffer_with scales its rate argument by the factor (it
-    // models a future backoff from a filling-phase rate); here the backoff
-    // already happened, so the peak is first reconstructed.
-    recovery_buffer_with(
+    recovery_buffer(
         n as f64 * layer_rate,
         rate / decrease_factor,
         slope,
@@ -215,22 +207,24 @@ mod tests {
     #[test]
     fn required_recovery_buffer_matches_triangle() {
         // 3 layers, current rate 10 KB/s: deficit 20 KB/s → 20k²/(2·25k).
-        let req = required_recovery_buffer(3, C, 10_000.0, S);
+        let req = required_recovery_buffer(3, C, 10_000.0, S, 0.5);
         assert!((req - 8_000.0).abs() < 1e-6);
     }
 
     #[test]
     fn required_recovery_buffer_zero_when_rate_covers() {
-        assert_eq!(required_recovery_buffer(2, C, 25_000.0, S), 0.0);
+        assert_eq!(required_recovery_buffer(2, C, 25_000.0, S, 0.5), 0.0);
     }
 
     #[test]
     fn required_recovery_buffer_with_half_is_bit_identical() {
+        // At the paper's halving the peak reconstruction is exact: the
+        // threshold is the recovery triangle of a backoff from `2·rate`.
         for n in 1..=6usize {
             for &rate in &[0.0, 5_000.0, 10_000.0, 23_456.78, 40_000.0] {
-                let old = required_recovery_buffer(n, C, rate, S);
-                let new = required_recovery_buffer_with(n, C, rate, S, 0.5);
-                assert_eq!(old.to_bits(), new.to_bits(), "n={n} rate={rate}");
+                let peak = crate::geometry::recovery_buffer(n as f64 * C, 2.0 * rate, S, 0.5);
+                let req = required_recovery_buffer(n, C, rate, S, 0.5);
+                assert_eq!(peak.to_bits(), req.to_bits(), "n={n} rate={rate}");
             }
         }
     }
@@ -247,7 +241,7 @@ mod tests {
                         crate::geometry::deficit(n as f64 * C, rate),
                         S,
                     );
-                    let got = required_recovery_buffer_with(n, C, rate, S, f);
+                    let got = required_recovery_buffer(n, C, rate, S, f);
                     assert!(
                         (got - want).abs() <= 1e-9 * want.max(1.0),
                         "f={f} n={n} rate={rate}: {got} vs {want}"

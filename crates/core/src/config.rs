@@ -4,7 +4,7 @@
 //! consumed at the same constant rate `C`. That assumption is captured by
 //! [`QaConfig::layer_rate`]. Non-linear layer spacing (listed as future work
 //! in §7) is supported by the `laqa-layered` crate's encodings and by the
-//! generalized band geometry in [`crate::geometry`], but the controller's
+//! generalized band geometry in [`crate::nonlinear`], but the controller's
 //! closed-form buffer states use the linear model, exactly as the paper does.
 
 use std::fmt;

@@ -23,7 +23,7 @@
 //! debited by the layer's consumption rate once playout has started. Lost
 //! packets are simply never credited.
 
-use crate::adddrop::{drop_count, required_recovery_buffer_with};
+use crate::adddrop::{drop_count, required_recovery_buffer};
 use crate::config::{ConfigError, QaConfig, FILL_HORIZON_BACKOFFS};
 use crate::draining::plan_draining_into;
 use crate::filling::allocate_filling_into;
@@ -510,7 +510,7 @@ impl QaController {
         rate: f64,
         n_active: usize,
     ) {
-        seq.rebuild_with(
+        seq.rebuild(
             rate,
             n_active,
             cfg.layer_rate,
@@ -568,7 +568,7 @@ impl QaController {
         let layer = self.n_active - 1;
         let buf_total = self.total_buffer();
         let buf_drop = self.bufs[layer].max(0.0);
-        let required = required_recovery_buffer_with(
+        let required = required_recovery_buffer(
             self.n_active,
             self.cfg.layer_rate,
             rate,

@@ -21,29 +21,9 @@
 //! consumption rate `C`, and the plan reports any uncoverable remainder —
 //! a *critical situation* (§2.2) the controller resolves by dropping
 //! layers.
-//!
-//! [`plan_draining`] is a wrapper that allocates its result vectors; the
-//! body is [`plan_draining_into`], which writes into vectors the caller
-//! keeps (the controller calls it every period and allocates nothing). The
-//! floors are borrowed from the sequence's states, and the band profile is
-//! read one layer at a time.
 
 use crate::geometry::band_drain_rate;
 use crate::states::StateSequence;
-
-/// Outcome of planning one draining period.
-#[derive(Debug, Clone, PartialEq)]
-pub struct DrainPlan {
-    /// Bytes to drain from each layer's buffer during the period.
-    pub drain: Vec<f64>,
-    /// Send rate per layer for the period (bytes/s): consumption minus the
-    /// buffered part. Sums to the offered rate when the deficit is covered.
-    pub per_layer_rate: Vec<f64>,
-    /// Deficit bytes the buffers could *not* cover (0.0 in normal
-    /// operation). A positive value is a critical situation: the controller
-    /// must drop layers immediately.
-    pub shortfall: f64,
-}
 
 /// Plan one draining period of `dt` seconds at transmission rate `rate`.
 ///
@@ -51,21 +31,17 @@ pub struct DrainPlan {
 /// (the controller tracks it), so the floors correspond to the states that
 /// were being filled. `bufs` is the current per-layer buffer estimate
 /// (negative entries are fluid-model debt and treated as empty).
-pub fn plan_draining(seq: &StateSequence, bufs: &[f64], rate: f64, dt: f64, eps: f64) -> DrainPlan {
-    let mut drain = Vec::new();
-    let mut per_layer_rate = Vec::new();
-    let shortfall = plan_draining_into(seq, bufs, rate, dt, eps, &mut drain, &mut per_layer_rate);
-    DrainPlan {
-        drain,
-        per_layer_rate,
-        shortfall,
-    }
-}
-
-/// [`plan_draining`] into caller-owned vectors: `drain` and
-/// `per_layer_rate` receive the fields of the same names (whatever they
-/// held is discarded) and the shortfall is returned. Once the vectors have
-/// held `seq.n_active` entries nothing is allocated.
+///
+/// `drain` receives the bytes to drain from each layer's buffer during the
+/// period and `per_layer_rate` each layer's send rate (bytes/s: consumption
+/// minus the buffered part, summing to the offered rate when the deficit is
+/// covered); whatever they held is discarded. The return value is the
+/// deficit bytes the buffers could *not* cover — 0.0 in normal operation; a
+/// positive value is a critical situation and the controller must drop
+/// layers immediately. The floors are borrowed from the sequence's states
+/// and the band profile is read one layer at a time, so once the vectors
+/// have held `seq.n_active` entries nothing is allocated (the controller
+/// calls this every period).
 pub fn plan_draining_into(
     seq: &StateSequence,
     bufs: &[f64],
@@ -160,6 +136,23 @@ mod tests {
         StateSequence::build(rate, n, C, S, 8)
     }
 
+    struct Plan {
+        drain: Vec<f64>,
+        per_layer_rate: Vec<f64>,
+        shortfall: f64,
+    }
+
+    /// One period of [`plan_draining_into`] on fresh vectors.
+    fn plan_period(seq: &StateSequence, bufs: &[f64], rate: f64, dt: f64) -> Plan {
+        let (mut drain, mut per_layer_rate) = (vec![], vec![]);
+        let shortfall = plan_draining_into(seq, bufs, rate, dt, 1.0, &mut drain, &mut per_layer_rate);
+        Plan {
+            drain,
+            per_layer_rate,
+            shortfall,
+        }
+    }
+
     /// Buffers that satisfy every state on the path.
     /// Midpoint deficit the planner charges for a period.
     fn mid_deficit(n: usize, rate: f64, dt: f64) -> f64 {
@@ -176,7 +169,7 @@ mod tests {
     #[test]
     fn no_deficit_no_drain() {
         let s = seq(40_000.0, 3);
-        let plan = plan_draining(&s, &[1e6; 3], 35_000.0, 0.1, 1.0);
+        let plan = plan_period(&s, &[1e6; 3], 35_000.0, 0.1);
         assert!(plan.drain.iter().all(|&d| d == 0.0));
         assert_eq!(plan.shortfall, 0.0);
         assert_eq!(plan.per_layer_rate, vec![C; 3]);
@@ -187,7 +180,7 @@ mod tests {
         let s = seq(40_000.0, 3);
         let bufs = full_buffers(&s);
         let dt = 0.1;
-        let plan = plan_draining(&s, &bufs, 20_000.0, dt, 1.0);
+        let plan = plan_period(&s, &bufs, 20_000.0, dt);
         let drained: f64 = plan.drain.iter().sum();
         let need = mid_deficit(3, 20_000.0, dt) * dt;
         assert!((drained - need).abs() < 1e-6);
@@ -201,7 +194,7 @@ mod tests {
         let s = seq(40_000.0, 3);
         let bufs = full_buffers(&s);
         let dt = 0.1;
-        let plan = plan_draining(&s, &bufs, 0.0, dt, 1.0);
+        let plan = plan_period(&s, &bufs, 0.0, dt);
         for &d in &plan.drain {
             assert!(d <= C * dt + 1e-9);
         }
@@ -215,7 +208,7 @@ mod tests {
         let s = seq(40_000.0, 3);
         let bufs = [1e6, 1e6, 1e6];
         let dt = 0.1;
-        let plan = plan_draining(&s, &bufs, 17_000.0, dt, 1.0);
+        let plan = plan_period(&s, &bufs, 17_000.0, dt);
         let d = mid_deficit(3, 17_000.0, dt); // 11 750 B/s
         assert!((plan.drain[0] - C * dt).abs() < 1e-6, "{:?}", plan.drain);
         assert!(
@@ -234,7 +227,7 @@ mod tests {
         let s = seq(40_000.0, 3);
         let bufs = [0.0, 1e6, 1e6];
         let dt = 0.1;
-        let plan = plan_draining(&s, &bufs, 17_000.0, dt, 1.0);
+        let plan = plan_period(&s, &bufs, 17_000.0, dt);
         assert_eq!(plan.drain[0], 0.0);
         assert_eq!(plan.shortfall, 0.0);
         let drained: f64 = plan.drain.iter().sum();
@@ -256,17 +249,20 @@ mod tests {
             for n in 2..=6usize {
                 for &mult in &[1.2f64, 1.5, 1.9] {
                     let rate = mult * n as f64 * C;
-                    let sq = StateSequence::build_with(rate, n, C, S, 1, factor);
-                    let mut bufs = crate::geometry::band_allocation(
+                    let mut sq = StateSequence::default();
+                    sq.rebuild(rate, n, C, S, 1, factor);
+                    let mut bufs = Vec::new();
+                    crate::geometry::band_allocation_into(
                         crate::geometry::deficit(n as f64 * C, rate * factor),
                         C,
                         S,
                         n,
+                        &mut bufs,
                     );
                     let dt = 0.05;
                     let mut cur = rate * factor;
                     while cur < n as f64 * C {
-                        let plan = plan_draining(&sq, &bufs, cur, dt, 1.0);
+                        let plan = plan_period(&sq, &bufs, cur, dt);
                         assert!(
                             plan.shortfall < 1.0,
                             "f={factor} n={n} mult={mult} rate={cur}: shortfall {}",
@@ -287,7 +283,7 @@ mod tests {
     fn shortfall_reported_when_buffers_empty() {
         let s = seq(40_000.0, 3);
         let dt = 0.1;
-        let plan = plan_draining(&s, &[0.0; 3], 20_000.0, dt, 1.0);
+        let plan = plan_period(&s, &[0.0; 3], 20_000.0, dt);
         assert!((plan.shortfall - mid_deficit(3, 20_000.0, dt) * dt).abs() < 1e-6);
     }
 
@@ -300,7 +296,7 @@ mod tests {
         let s = seq(40_000.0, 3);
         let dt = 0.1;
         let bufs = [1e6, 0.0, 0.0];
-        let plan = plan_draining(&s, &bufs, 10_000.0, dt, 1.0);
+        let plan = plan_period(&s, &bufs, 10_000.0, dt);
         assert!((plan.drain[0] - C * dt).abs() < 1e-6);
         let need = mid_deficit(3, 10_000.0, dt) * dt;
         assert!((plan.shortfall - (need - C * dt)).abs() < 1e-6);
@@ -311,7 +307,7 @@ mod tests {
         let s = seq(40_000.0, 3);
         let dt = 0.1;
         let bufs = [-500.0, 1e6, 1e6];
-        let plan = plan_draining(&s, &bufs, 17_000.0, dt, 1.0);
+        let plan = plan_period(&s, &bufs, 17_000.0, dt);
         assert_eq!(plan.drain[0], 0.0, "debt must not be drained");
         assert_eq!(plan.shortfall, 0.0);
     }
@@ -330,7 +326,7 @@ mod tests {
             if rate >= 30_000.0 {
                 break;
             }
-            let plan = plan_draining(&s, &bufs, rate, dt, 1.0);
+            let plan = plan_period(&s, &bufs, rate, dt);
             assert_eq!(plan.shortfall, 0.0, "unexpected shortfall");
             for i in 0..3 {
                 bufs[i] -= plan.drain[i];
@@ -350,7 +346,7 @@ mod tests {
     fn send_rates_never_negative() {
         let s = seq(40_000.0, 4);
         let bufs = full_buffers(&s);
-        let plan = plan_draining(&s, &bufs, 0.0, 0.5, 1.0);
+        let plan = plan_period(&s, &bufs, 0.0, 0.5);
         for &r in &plan.per_layer_rate {
             assert!(r >= -1e-9);
         }

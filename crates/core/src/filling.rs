@@ -13,31 +13,12 @@
 //! * [`next_fill_layer`] — the literal per-packet decision of the paper's
 //!   `SendPacket` pseudocode: which layer should own the next transmitted
 //!   packet's worth of buffering.
-//! * [`allocate_filling`] — a per-period rate split (consumption plus excess
-//!   shares), which is what the transport senders consume; it produces the
-//!   per-layer bandwidth "spikes" visible in the paper's figure 11.
-//!
-//! [`allocate_filling`] is a wrapper that allocates its result vectors and
-//! evaluates the `K_max` predicate; the body is [`allocate_filling_into`],
-//! which writes into vectors the caller keeps (the controller calls it every
-//! period and allocates nothing). State targets are read in place from the
-//! sequence.
+//! * [`allocate_filling_into`] — a per-period rate split (consumption plus
+//!   excess shares), which is what the transport senders consume; it
+//!   produces the per-layer bandwidth "spikes" visible in the paper's
+//!   figure 11.
 
 use crate::states::StateSequence;
-
-/// Result of a per-period filling allocation.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FillAllocation {
-    /// Total send rate per layer for the period (bytes/s); includes each
-    /// layer's consumption rate. Sums to the offered `rate` (up to float
-    /// rounding).
-    pub per_layer_rate: Vec<f64>,
-    /// Bytes of *new buffering* assigned to each layer this period.
-    pub buffer_gain: Vec<f64>,
-    /// True when, at period start, every state with `k ≤ k_max` was already
-    /// satisfied — the §3.1 buffering condition for adding a layer.
-    pub targets_met: bool,
-}
 
 /// Per-packet filling decision: the layer whose buffer the next packet
 /// should extend, or `None` when every state on the path is satisfied.
@@ -57,44 +38,18 @@ pub fn next_fill_layer(seq: &StateSequence, bufs: &[f64], eps: f64) -> Option<us
 }
 
 /// Split the offered `rate` across the active layers for a period of `dt`
-/// seconds.
+/// seconds: `per_layer_rate` receives each layer's total send rate (its
+/// consumption `C` plus its share of the excess; the entries sum to `rate`
+/// up to float rounding) and `buffer_gain` the bytes of new buffering each
+/// layer is assigned. Whatever the two vectors held is discarded;
+/// `projected` is working storage. State targets are read in place from
+/// the sequence, so once the vectors have held `seq.n_active` entries
+/// nothing is allocated (the controller calls this every period).
 ///
 /// Preconditions: `rate ≥ n_a·C` (filling phase) — callers in a draining
 /// phase must use [`crate::draining`]. If called with a deficit anyway, the
 /// shortfall is taken evenly from every layer's consumption share and no
 /// buffering is added (a safe degenerate behaviour used only transiently).
-pub fn allocate_filling(
-    seq: &StateSequence,
-    bufs: &[f64],
-    rate: f64,
-    dt: f64,
-    k_max: u32,
-    eps: f64,
-) -> FillAllocation {
-    let mut projected = Vec::new();
-    let mut buffer_gain = Vec::new();
-    let mut per_layer_rate = Vec::new();
-    allocate_filling_into(
-        seq,
-        bufs,
-        rate,
-        dt,
-        eps,
-        &mut projected,
-        &mut buffer_gain,
-        &mut per_layer_rate,
-    );
-    FillAllocation {
-        per_layer_rate,
-        buffer_gain,
-        targets_met: seq.satisfied_up_to_k(bufs, k_max, eps),
-    }
-}
-
-/// [`allocate_filling`] into caller-owned vectors: `buffer_gain` and
-/// `per_layer_rate` receive the fields of the same names (whatever they
-/// held is discarded), `projected` is working storage. Once the vectors
-/// have held `seq.n_active` entries nothing is allocated.
 #[allow(clippy::too_many_arguments)]
 pub fn allocate_filling_into(
     seq: &StateSequence,
@@ -169,6 +124,30 @@ mod tests {
         StateSequence::build(rate, n, C, S, 8)
     }
 
+    struct Fill {
+        per_layer_rate: Vec<f64>,
+        buffer_gain: Vec<f64>,
+    }
+
+    /// One period of [`allocate_filling_into`] on fresh vectors.
+    fn fill(seq: &StateSequence, bufs: &[f64], rate: f64, dt: f64) -> Fill {
+        let (mut projected, mut buffer_gain, mut per_layer_rate) = (vec![], vec![], vec![]);
+        allocate_filling_into(
+            seq,
+            bufs,
+            rate,
+            dt,
+            1.0,
+            &mut projected,
+            &mut buffer_gain,
+            &mut per_layer_rate,
+        );
+        Fill {
+            per_layer_rate,
+            buffer_gain,
+        }
+    }
+
     #[test]
     fn next_fill_layer_prefers_base_when_empty() {
         let s = seq(40_000.0, 3);
@@ -224,7 +203,7 @@ mod tests {
     #[test]
     fn allocation_conserves_rate() {
         let s = seq(50_000.0, 3);
-        let alloc = allocate_filling(&s, &[0.0, 0.0, 0.0], 50_000.0, 0.1, 2, 1.0);
+        let alloc = fill(&s, &[0.0, 0.0, 0.0], 50_000.0, 0.1);
         let total: f64 = alloc.per_layer_rate.iter().sum();
         assert!((total - 50_000.0).abs() < 1e-6, "total {total}");
     }
@@ -232,7 +211,7 @@ mod tests {
     #[test]
     fn allocation_gives_every_layer_consumption() {
         let s = seq(50_000.0, 3);
-        let alloc = allocate_filling(&s, &[0.0; 3], 50_000.0, 0.1, 2, 1.0);
+        let alloc = fill(&s, &[0.0; 3], 50_000.0, 0.1);
         for &r in &alloc.per_layer_rate {
             assert!(r + 1e-9 >= C, "layer rate {r} below consumption");
         }
@@ -241,7 +220,7 @@ mod tests {
     #[test]
     fn excess_goes_to_base_first_when_buffers_empty() {
         let s = seq(50_000.0, 3);
-        let alloc = allocate_filling(&s, &[0.0; 3], 50_000.0, 0.1, 2, 1.0);
+        let alloc = fill(&s, &[0.0; 3], 50_000.0, 0.1);
         assert!(alloc.buffer_gain[0] > 0.0);
         assert!(alloc.buffer_gain[0] >= alloc.buffer_gain[1]);
         assert!(alloc.buffer_gain[1] >= alloc.buffer_gain[2]);
@@ -251,26 +230,24 @@ mod tests {
     fn saturated_path_parks_excess_in_base() {
         let s = seq(50_000.0, 2);
         let huge = [1e12, 1e12];
-        let alloc = allocate_filling(&s, &huge, 50_000.0, 0.1, 2, 1.0);
+        let alloc = fill(&s, &huge, 50_000.0, 0.1);
         let excess = (50_000.0 - 2.0 * C) * 0.1;
         assert!((alloc.buffer_gain[0] - excess).abs() < 1e-6);
         assert_eq!(alloc.buffer_gain[1], 0.0);
-        assert!(alloc.targets_met);
+        assert!(s.satisfied_up_to_k(&huge, 2, 1.0));
     }
 
     #[test]
     fn targets_met_reflects_k_max_condition() {
         let s = seq(40_000.0, 2);
-        let alloc = allocate_filling(&s, &[0.0; 2], 40_000.0, 0.1, 2, 1.0);
-        assert!(!alloc.targets_met);
-        let alloc = allocate_filling(&s, &[1e9, 1e9], 40_000.0, 0.1, 2, 1.0);
-        assert!(alloc.targets_met);
+        assert!(!s.satisfied_up_to_k(&[0.0; 2], 2, 1.0));
+        assert!(s.satisfied_up_to_k(&[1e9, 1e9], 2, 1.0));
     }
 
     #[test]
     fn degenerate_deficit_call_scales_consumption() {
         let s = seq(40_000.0, 4); // consumption 40 KB/s
-        let alloc = allocate_filling(&s, &[0.0; 4], 20_000.0, 0.1, 2, 1.0);
+        let alloc = fill(&s, &[0.0; 4], 20_000.0, 0.1);
         let total: f64 = alloc.per_layer_rate.iter().sum();
         assert!((total - 20_000.0).abs() < 1e-6);
         assert!(alloc.buffer_gain.iter().all(|&g| g == 0.0));
@@ -280,7 +257,7 @@ mod tests {
     fn buffer_gain_matches_rate_minus_consumption() {
         let s = seq(55_000.0, 3);
         let dt = 0.25;
-        let alloc = allocate_filling(&s, &[500.0, 100.0, 0.0], 55_000.0, dt, 2, 1.0);
+        let alloc = fill(&s, &[500.0, 100.0, 0.0], 55_000.0, dt);
         let gain: f64 = alloc.buffer_gain.iter().sum();
         let expect = (55_000.0 - 30_000.0) * dt;
         assert!((gain - expect).abs() < 1e-6, "gain {gain} expect {expect}");

@@ -63,20 +63,11 @@ pub fn triangle_area(deficit_rate: f64, slope: f64) -> f64 {
 }
 
 /// Buffer required to survive a single backoff from transmission rate
-/// `rate_at_backoff` while playing `consumption` bytes/s (§2.1 condition 2,
-/// with the post-backoff rate `rate_at_backoff/2`).
-///
-/// Equivalent to [`recovery_buffer_with`] at the paper's AIMD halving
-/// factor `0.5` (bit-identical: `x / 2.0 ≡ x * 0.5` for every f64).
-pub fn recovery_buffer(consumption: f64, rate_at_backoff: f64, slope: f64) -> f64 {
-    recovery_buffer_with(consumption, rate_at_backoff, slope, 0.5)
-}
-
-/// [`recovery_buffer`] generalized to an arbitrary multiplicative decrease
-/// factor: a backoff from `rate_at_backoff` lands at
-/// `rate_at_backoff · decrease_factor` (gentler controllers use factors
-/// above ½, so they leave a smaller deficit and need less buffer).
-pub fn recovery_buffer_with(
+/// `rate_at_backoff` while playing `consumption` bytes/s (§2.1 condition 2):
+/// the backoff lands at `rate_at_backoff · decrease_factor`. The paper's
+/// AIMD halving is `decrease_factor = 0.5`; gentler controllers use factors
+/// above ½, so they leave a smaller deficit and need less buffer.
+pub fn recovery_buffer(
     consumption: f64,
     rate_at_backoff: f64,
     slope: f64,
@@ -101,31 +92,18 @@ pub fn buffering_layer_count(deficit_rate: f64, layer_rate: f64) -> usize {
     (deficit_rate / layer_rate).ceil() as usize
 }
 
-/// Maximally efficient per-layer buffer shares for a deficit triangle.
+/// Maximally efficient per-layer buffer shares for a deficit triangle,
+/// written into `shares` (cleared and resized to `n_layers`, so hot paths
+/// such as the per-tick state-sequence rebuild recycle the allocation).
 ///
-/// Returns a vector of length `n_layers`; entry `i` is the optimal number of
-/// bytes buffered for layer `i` (layer 0 = base). Layers at or above the
-/// deficit get zero. The shares sum to [`triangle_area`] of the deficit
-/// (up to floating-point rounding), except when `n_layers` is too small to
-/// absorb the whole deficit — then the uncoverable top of the triangle is
-/// credited to the base layer so the total protection is preserved (this can
-/// only happen when the caller asks for fewer layers than `n_b`, e.g. when a
-/// drop decision is being evaluated).
-pub fn band_allocation(
-    deficit_rate: f64,
-    layer_rate: f64,
-    slope: f64,
-    n_layers: usize,
-) -> Vec<f64> {
-    let mut shares = Vec::new();
-    band_allocation_into(deficit_rate, layer_rate, slope, n_layers, &mut shares);
-    shares
-}
-
-/// [`band_allocation`] writing into a caller-provided buffer, so hot paths
-/// (the per-tick state-sequence rebuild) can recycle allocations. `shares`
-/// is cleared and resized to `n_layers`; values are identical to the
-/// allocating variant.
+/// Entry `i` is the optimal number of bytes buffered for layer `i` (layer 0
+/// = base). Layers at or above the deficit get zero. The shares sum to
+/// [`triangle_area`] of the deficit (up to floating-point rounding), except
+/// when `n_layers` is too small to absorb the whole deficit — then the
+/// uncoverable top of the triangle is credited to the base layer so the
+/// total protection is preserved (this can only happen when the caller asks
+/// for fewer layers than `n_b`, e.g. when a drop decision is being
+/// evaluated).
 pub fn band_allocation_into(
     deficit_rate: f64,
     layer_rate: f64,
@@ -167,27 +145,12 @@ pub fn band_allocation_into(
     }
 }
 
-/// Per-layer *drain rates* at a given instant of the draining phase, under
+/// Drain rate of `layer` at a given instant of the draining phase, under
 /// the maximally efficient pattern (network feeds the top of the layer
-/// stack, buffers feed the bottom `d` of it).
-///
-/// `deficit_rate` is the instantaneous deficit `n_a·C − r(t)`; the result
-/// has length `n_layers` and sums to `min(deficit_rate, n_layers·C)`.
-pub fn band_drain_rates(deficit_rate: f64, layer_rate: f64, n_layers: usize) -> Vec<f64> {
-    let mut rates = vec![0.0; n_layers];
-    if deficit_rate <= 0.0 {
-        return rates;
-    }
-    for (i, rate) in rates.iter_mut().enumerate() {
-        *rate = band_drain_rate(deficit_rate, layer_rate, i);
-    }
-    rates
-}
-
-/// Entry `layer` of [`band_drain_rates`] for a positive `deficit_rate`: the
-/// part of the deficit that falls inside the layer's bandwidth band. The
-/// draining planner reads the profile one layer at a time through this, so
-/// its hot path needs no vector.
+/// stack, buffers feed the bottom `deficit_rate` of it): the part of the
+/// instantaneous deficit `n_a·C − r(t)` that falls inside the layer's
+/// bandwidth band. Summed over `n_layers` layers the profile is
+/// `min(deficit_rate, n_layers·C)` for a non-negative deficit.
 pub fn band_drain_rate(deficit_rate: f64, layer_rate: f64, layer: usize) -> f64 {
     (deficit_rate - layer as f64 * layer_rate).clamp(0.0, layer_rate)
 }
@@ -230,6 +193,16 @@ mod tests {
     const C: f64 = 10_000.0; // 10 KB/s, the paper's per-layer rate
     const S: f64 = 25_000.0; // bytes/s² (1 KB packet, 200 ms SRTT → PS/SRTT²)
 
+    fn bands(d0: f64, c: f64, slope: f64, n: usize) -> Vec<f64> {
+        let mut shares = Vec::new();
+        band_allocation_into(d0, c, slope, n, &mut shares);
+        shares
+    }
+
+    fn drain_profile(d: f64, c: f64, n: usize) -> Vec<f64> {
+        (0..n).map(|i| band_drain_rate(d, c, i)).collect()
+    }
+
     #[test]
     fn deficit_is_zero_when_rate_covers_consumption() {
         assert_eq!(deficit(30_000.0, 40_000.0), 0.0);
@@ -258,13 +231,13 @@ mod tests {
     fn recovery_buffer_uses_halved_rate() {
         // 3 layers * 10 KB/s = 30 KB/s consumption; backoff from 40 KB/s
         // leaves 20 KB/s → deficit 10 KB/s → area 10_000²/(2*25_000) = 2000 B.
-        let b = recovery_buffer(30_000.0, 40_000.0, S);
+        let b = recovery_buffer(30_000.0, 40_000.0, S, 0.5);
         assert!((b - 2_000.0).abs() < 1e-6, "b = {b}");
     }
 
     #[test]
     fn recovery_buffer_zero_when_half_rate_still_sufficient() {
-        assert_eq!(recovery_buffer(30_000.0, 80_000.0, S), 0.0);
+        assert_eq!(recovery_buffer(30_000.0, 80_000.0, S, 0.5), 0.0);
     }
 
     #[test]
@@ -279,7 +252,7 @@ mod tests {
     #[test]
     fn bands_sum_to_triangle_area() {
         for &d0 in &[1_000.0, 9_999.0, 10_000.0, 15_000.0, 25_000.0, 40_000.0] {
-            let shares = band_allocation(d0, C, S, 8);
+            let shares = bands(d0, C, S, 8);
             let total: f64 = shares.iter().sum();
             let area = triangle_area(d0, S);
             assert!(
@@ -291,7 +264,7 @@ mod tests {
 
     #[test]
     fn base_layer_gets_largest_band() {
-        let shares = band_allocation(25_000.0, C, S, 5);
+        let shares = bands(25_000.0, C, S, 5);
         for w in shares.windows(2) {
             assert!(w[0] >= w[1], "shares must be non-increasing: {shares:?}");
         }
@@ -300,7 +273,7 @@ mod tests {
 
     #[test]
     fn layers_above_deficit_get_nothing() {
-        let shares = band_allocation(15_000.0, C, S, 5);
+        let shares = bands(15_000.0, C, S, 5);
         assert!(shares[0] > 0.0);
         assert!(shares[1] > 0.0);
         assert_eq!(shares[2], 0.0);
@@ -312,7 +285,7 @@ mod tests {
         // Deficit spans 3 bands but only 2 layers exist: total protection
         // must still equal the triangle area.
         let d0 = 25_000.0;
-        let shares = band_allocation(d0, C, S, 2);
+        let shares = bands(d0, C, S, 2);
         let total: f64 = shares.iter().sum();
         let area = triangle_area(d0, S);
         assert!((total - area).abs() < 1e-6 * area);
@@ -322,7 +295,7 @@ mod tests {
     fn full_band_formula_matches_integral() {
         // Numerically integrate the band overlap and compare.
         let d0 = 27_500.0;
-        let shares = band_allocation(d0, C, S, 6);
+        let shares = bands(d0, C, S, 6);
         let t_end = d0 / S;
         let steps = 200_000;
         let dt = t_end / steps as f64;
@@ -342,7 +315,7 @@ mod tests {
 
     #[test]
     fn drain_rates_cover_deficit() {
-        let rates = band_drain_rates(23_000.0, C, 5);
+        let rates = drain_profile(23_000.0, C, 5);
         let total: f64 = rates.iter().sum();
         assert!((total - 23_000.0).abs() < 1e-9);
         assert_eq!(rates[0], C);
@@ -354,7 +327,7 @@ mod tests {
     #[test]
     fn drain_rates_saturate_at_all_layers() {
         // Deficit larger than the whole stack: every layer drains at C.
-        let rates = band_drain_rates(100_000.0, C, 3);
+        let rates = drain_profile(100_000.0, C, 3);
         assert_eq!(rates, vec![C, C, C]);
     }
 
@@ -379,28 +352,13 @@ mod tests {
     }
 
     #[test]
-    fn recovery_buffer_with_half_is_bit_identical() {
-        for &consumption in &[0.0, 10_000.0, 30_000.0, 55_000.0, 123_456.789] {
-            for &rate in &[0.0, 7_000.0, 20_000.0, 40_000.0, 99_999.25] {
-                let old = recovery_buffer(consumption, rate, S);
-                let new = recovery_buffer_with(consumption, rate, S, 0.5);
-                assert_eq!(
-                    old.to_bits(),
-                    new.to_bits(),
-                    "c={consumption} r={rate}: {old} vs {new}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn gentler_decrease_factor_needs_less_recovery_buffer() {
         // A 0.85 backoff from 40 KB/s lands at 34 KB/s (deficit 0 for 3
         // layers); 0.7 lands at 28 KB/s (deficit 2 KB/s); 0.5 at 20 KB/s
         // (deficit 10 KB/s). Requirement must fall monotonically in f.
-        let b50 = recovery_buffer_with(30_000.0, 40_000.0, S, 0.5);
-        let b70 = recovery_buffer_with(30_000.0, 40_000.0, S, 0.7);
-        let b85 = recovery_buffer_with(30_000.0, 40_000.0, S, 0.85);
+        let b50 = recovery_buffer(30_000.0, 40_000.0, S, 0.5);
+        let b70 = recovery_buffer(30_000.0, 40_000.0, S, 0.7);
+        let b85 = recovery_buffer(30_000.0, 40_000.0, S, 0.85);
         assert!(b50 > b70, "{b50} vs {b70}");
         assert!(b70 > b85, "{b70} vs {b85}");
         assert!((b70 - 2_000.0f64.powi(2) / (2.0 * S)).abs() < 1e-9);
@@ -418,7 +376,7 @@ mod tests {
             for n in 2..=6usize {
                 let rate = n as f64 * C * 1.3;
                 let d0 = deficit(n as f64 * C, rate * f);
-                let shares = band_allocation(d0, C, S, n);
+                let shares = bands(d0, C, S, n);
                 for w in shares.windows(2) {
                     assert!(w[0] >= w[1], "f={f} n={n}: {shares:?}");
                 }

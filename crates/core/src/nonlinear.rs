@@ -14,9 +14,14 @@
 //!
 //! Everything below reduces exactly to the linear-case functions of
 //! [`crate::geometry`]/[`crate::scenario`] when all rates are equal
-//! (cross-checked by tests and property tests).
+//! (cross-checked by tests and property tests). What does not depend on the
+//! individual layer rates is not repeated here: `k₁`
+//! ([`crate::scenario::min_backoffs_below`]) and the Scenario totals
+//! ([`crate::scenario::buf_total`]) see the stack only through its aggregate
+//! consumption [`LayerRates::consumption`].
 
-use crate::scenario::Scenario;
+use crate::geometry::{deficit, triangle_area};
+use crate::scenario::{min_backoffs_below, Scenario};
 
 /// A heterogeneous layer stack (bytes/s per layer, base first).
 #[derive(Debug, Clone, PartialEq)]
@@ -115,7 +120,7 @@ pub fn nl_band_area(rates: &LayerRates, i: usize, d0: f64, slope: f64) -> f64 {
 }
 
 /// Optimal per-layer buffer shares for the `n` lowest layers against a
-/// deficit `d0` (generalizes [`crate::geometry::band_allocation`]). Any
+/// deficit `d0` (generalizes [`crate::geometry::band_allocation_into`]). Any
 /// part of the triangle above the covered stack is folded into the base
 /// layer so total protection is preserved.
 pub fn nl_band_allocation(rates: &LayerRates, n: usize, d0: f64, slope: f64) -> Vec<f64> {
@@ -123,8 +128,7 @@ pub fn nl_band_allocation(rates: &LayerRates, n: usize, d0: f64, slope: f64) -> 
     let mut shares: Vec<f64> = (0..n).map(|i| nl_band_area(rates, i, d0, slope)).collect();
     if n > 0 && d0 > rates.consumption(n) {
         let covered: f64 = shares.iter().sum();
-        let total = d0 * d0 / (2.0 * slope);
-        let missing = total - covered;
+        let missing = triangle_area(d0, slope) - covered;
         if missing > 0.0 {
             shares[0] += missing;
         }
@@ -132,60 +136,19 @@ pub fn nl_band_allocation(rates: &LayerRates, n: usize, d0: f64, slope: f64) -> 
     shares
 }
 
-/// Instantaneous per-layer drain rates at deficit `d` (generalizes
-/// [`crate::geometry::band_drain_rates`]).
-pub fn nl_band_drain_rates(rates: &LayerRates, n: usize, d: f64) -> Vec<f64> {
-    let n = n.min(rates.len());
-    (0..n)
-        .map(|i| (d - rates.height(i)).clamp(0.0, rates.rate(i)))
-        .collect()
+/// Instantaneous drain rate of layer `i` at deficit `d`: the part of the
+/// deficit inside the layer's band (generalizes
+/// [`crate::geometry::band_drain_rate`]).
+pub fn nl_band_drain_rate(rates: &LayerRates, i: usize, d: f64) -> f64 {
+    (d - rates.height(i)).clamp(0.0, rates.rate(i))
 }
 
-/// Smallest number of backoffs `k₁ ≥ 1` bringing `rate` strictly below the
-/// consumption of the `n` lowest layers.
-pub fn nl_min_backoffs_below(rates: &LayerRates, n: usize, rate: f64) -> u32 {
-    let consumption = rates.consumption(n);
-    debug_assert!(consumption > 0.0);
-    let mut k = 1u32;
-    let mut r = rate / 2.0;
-    while r >= consumption && k < 64 {
-        r /= 2.0;
-        k += 1;
-    }
-    k
-}
-
-/// Total buffering to survive `k` backoffs in `scenario` with the `n`
-/// lowest layers active (generalizes [`crate::scenario::buf_total`]).
-pub fn nl_buf_total(
-    rates: &LayerRates,
-    n: usize,
-    scenario: Scenario,
-    k: u32,
-    rate: f64,
-    slope: f64,
-) -> f64 {
-    let consumption = rates.consumption(n);
-    if consumption <= 0.0 || k == 0 {
-        return 0.0;
-    }
-    let k1 = nl_min_backoffs_below(rates, n, rate);
-    if k < k1 {
-        return 0.0;
-    }
-    let tri = |d: f64| if d > 0.0 { d * d / (2.0 * slope) } else { 0.0 };
-    match scenario {
-        Scenario::One => tri(consumption - rate / 2f64.powi(k as i32)),
-        Scenario::Two => {
-            let first = tri(consumption - rate / 2f64.powi(k1 as i32));
-            first + (k - k1) as f64 * tri(consumption / 2.0)
-        }
-    }
-}
-
-/// Per-layer optimal targets to survive `k` backoffs in `scenario`
-/// (generalizes [`crate::scenario::per_layer`]). Sums to
-/// [`nl_buf_total`].
+/// Per-layer optimal targets to survive `k` backoffs in `scenario` with the
+/// `n` lowest layers active and multiplicative decrease factor
+/// `decrease_factor` (generalizes [`crate::scenario::per_layer`]). Sums to
+/// [`crate::scenario::buf_total`] at the stack's consumption
+/// `rates.consumption(n)`.
+#[allow(clippy::too_many_arguments)]
 pub fn nl_per_layer(
     rates: &LayerRates,
     n: usize,
@@ -193,6 +156,7 @@ pub fn nl_per_layer(
     k: u32,
     rate: f64,
     slope: f64,
+    decrease_factor: f64,
 ) -> Vec<f64> {
     let n = n.min(rates.len());
     if n == 0 {
@@ -202,20 +166,20 @@ pub fn nl_per_layer(
     if consumption <= 0.0 || k == 0 {
         return vec![0.0; n];
     }
-    let k1 = nl_min_backoffs_below(rates, n, rate);
+    let k1 = min_backoffs_below(rate, consumption, decrease_factor);
     if k < k1 {
         return vec![0.0; n];
     }
     match scenario {
         Scenario::One => {
-            let d0 = (consumption - rate / 2f64.powi(k as i32)).max(0.0);
+            let d0 = deficit(consumption, rate * decrease_factor.powi(k as i32));
             nl_band_allocation(rates, n, d0, slope)
         }
         Scenario::Two => {
-            let d_first = (consumption - rate / 2f64.powi(k1 as i32)).max(0.0);
+            let d_first = deficit(consumption, rate * decrease_factor.powi(k1 as i32));
             let mut shares = nl_band_allocation(rates, n, d_first, slope);
             if k > k1 {
-                let rec = nl_band_allocation(rates, n, consumption / 2.0, slope);
+                let rec = nl_band_allocation(rates, n, consumption * (1.0 - decrease_factor), slope);
                 let mult = (k - k1) as f64;
                 for (s, r) in shares.iter_mut().zip(rec) {
                     *s += mult * r;
@@ -229,8 +193,8 @@ pub fn nl_per_layer(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::geometry::{band_allocation, band_drain_rates, deficit, triangle_area};
-    use crate::scenario::{buf_total, min_backoffs_below, per_layer};
+    use crate::geometry::{band_allocation_into, band_drain_rate};
+    use crate::scenario::{buf_total, per_layer};
 
     const C: f64 = 10_000.0;
     const S: f64 = 12_500.0;
@@ -256,7 +220,8 @@ mod tests {
         let r = linear(5);
         for &d0 in &[3_000.0, 10_000.0, 27_500.0, 48_000.0] {
             let nl = nl_band_allocation(&r, 5, d0, S);
-            let lin = band_allocation(d0, C, S, 5);
+            let mut lin = Vec::new();
+            band_allocation_into(d0, C, S, 5, &mut lin);
             for (a, b) in nl.iter().zip(lin.iter()) {
                 assert!((a - b).abs() < 1e-6, "d0={d0}: {nl:?} vs {lin:?}");
             }
@@ -267,31 +232,27 @@ mod tests {
     fn reduces_to_linear_drain_rates() {
         let r = linear(4);
         for &d in &[0.0, 5_000.0, 23_000.0, 100_000.0] {
-            let nl = nl_band_drain_rates(&r, 4, d);
-            let lin = band_drain_rates(d, C, 4);
-            assert_eq!(nl, lin, "d={d}");
+            for i in 0..4 {
+                assert_eq!(nl_band_drain_rate(&r, i, d), band_drain_rate(d, C, i), "d={d}");
+            }
         }
     }
 
     #[test]
     fn reduces_to_linear_scenarios() {
         let r = linear(3);
-        for k in 1..=5u32 {
-            for &scenario in &Scenario::ALL {
-                let nl = nl_buf_total(&r, 3, scenario, k, 40_000.0, S);
-                let lin = buf_total(scenario, k, 40_000.0, 3, C, S);
-                assert!((nl - lin).abs() < 1e-6, "{scenario} k={k}");
-                let nlp = nl_per_layer(&r, 3, scenario, k, 40_000.0, S);
-                let linp = per_layer(scenario, k, 40_000.0, 3, C, S);
-                for (a, b) in nlp.iter().zip(linp.iter()) {
-                    assert!((a - b).abs() < 1e-6);
+        assert_eq!(r.consumption(3), 3.0 * C);
+        for f in [0.5, 0.75, 0.85] {
+            for k in 1..=5u32 {
+                for &scenario in &Scenario::ALL {
+                    let nlp = nl_per_layer(&r, 3, scenario, k, 40_000.0, S, f);
+                    let linp = per_layer(scenario, k, 40_000.0, 3, C, S, f);
+                    for (a, b) in nlp.iter().zip(linp.iter()) {
+                        assert!((a - b).abs() < 1e-6, "f={f} {scenario} k={k}");
+                    }
                 }
             }
         }
-        assert_eq!(
-            nl_min_backoffs_below(&r, 3, 130_000.0),
-            min_backoffs_below(130_000.0, 30_000.0)
-        );
     }
 
     #[test]
@@ -346,9 +307,8 @@ mod tests {
     fn drain_rates_cover_deficit_up_to_stack() {
         let r = LayerRates::exponential(3, 3_000.0, 2.0).unwrap(); // 3,6,12 K
         for &d in &[2_000.0, 8_000.0, 25_000.0] {
-            let rates = nl_band_drain_rates(&r, 3, d);
-            let sum: f64 = rates.iter().sum();
-            assert!((sum - d.min(r.total())).abs() < 1e-9, "d={d}: {rates:?}");
+            let sum: f64 = (0..3).map(|i| nl_band_drain_rate(&r, i, d)).sum();
+            assert!((sum - d.min(r.total())).abs() < 1e-9, "d={d}: {sum}");
         }
     }
 
@@ -365,16 +325,18 @@ mod tests {
     #[test]
     fn per_layer_sums_to_total_exponential() {
         let r = LayerRates::exponential(5, 1_500.0, 1.7).unwrap();
-        for &scenario in &Scenario::ALL {
-            for k in 1..=6u32 {
-                for n in 1..=5usize {
-                    let shares = nl_per_layer(&r, n, scenario, k, 30_000.0, S);
-                    let sum: f64 = shares.iter().sum();
-                    let total = nl_buf_total(&r, n, scenario, k, 30_000.0, S);
-                    assert!(
-                        (sum - total).abs() < 1e-6 * total.max(1.0),
-                        "{scenario} k={k} n={n}: {sum} vs {total}"
-                    );
+        for f in [0.5, 0.75, 0.85] {
+            for &scenario in &Scenario::ALL {
+                for k in 1..=6u32 {
+                    for n in 1..=5usize {
+                        let shares = nl_per_layer(&r, n, scenario, k, 30_000.0, S, f);
+                        let sum: f64 = shares.iter().sum();
+                        let total = buf_total(scenario, k, 30_000.0, r.consumption(n), S, f);
+                        assert!(
+                            (sum - total).abs() < 1e-6 * total.max(1.0),
+                            "f={f} {scenario} k={k} n={n}: {sum} vs {total}"
+                        );
+                    }
                 }
             }
         }

@@ -7,14 +7,18 @@
 //! two extremes:
 //!
 //! * **Scenario 1** — all `k` backoffs occur back-to-back at the sawtooth
-//!   peak: the rate steps from `R` straight down to `R/2^k` and then
+//!   peak: the rate steps from `R` straight down to `R·f^k` and then
 //!   recovers linearly. One big deficit triangle.
 //! * **Scenario 2** — the backoffs are maximally spread: `k₁` backoffs at
 //!   the peak bring the rate just below the consumption rate `n_a·C`, and
 //!   each of the remaining `k − k₁` backoffs occurs exactly when the rate
 //!   has recovered to `n_a·C` (figure 14). One initial triangle of height
-//!   `n_a·C − R/2^{k₁}` plus `k − k₁` identical triangles of height
-//!   `n_a·C/2`.
+//!   `n_a·C − R·f^{k₁}` plus `k − k₁` identical triangles of height
+//!   `n_a·C·(1 − f)`.
+//!
+//! `f` is the multiplicative decrease factor of the congestion controller;
+//! the paper's AIMD halving (`R/2`) is `f = ½`, and every function here takes
+//! `f` as an argument.
 //!
 //! `k₁` is the minimum number of backoffs needed to push the transmission
 //! rate strictly below the consumption rate; with fewer backoffs there is no
@@ -55,19 +59,11 @@ impl std::fmt::Display for Scenario {
 }
 
 /// Minimum number of backoffs `k₁ ≥ 1` required to bring `rate` strictly
-/// below `consumption` (Appendix A.4). Saturates at 64 (rate underflows to
-/// zero long before).
-///
-/// Equivalent to [`min_backoffs_below_with`] at the paper's AIMD halving
-/// factor `0.5` (bit-identical: `x / 2.0 ≡ x * 0.5`).
-pub fn min_backoffs_below(rate: f64, consumption: f64) -> u32 {
-    min_backoffs_below_with(rate, consumption, 0.5)
-}
-
-/// [`min_backoffs_below`] generalized to an arbitrary multiplicative
-/// decrease factor: each backoff scales the rate by `decrease_factor`, so
-/// gentler controllers need *more* backoffs to fall below consumption.
-pub fn min_backoffs_below_with(rate: f64, consumption: f64, decrease_factor: f64) -> u32 {
+/// below `consumption` (Appendix A.4): `min{k ≥ 1 : rate·f^k < consumption}`
+/// for the multiplicative decrease factor `f` (the paper's `R/2` is
+/// `f = ½`), so gentler controllers need *more* backoffs to fall below
+/// consumption. Saturates at 64 (rate underflows to zero long before).
+pub fn min_backoffs_below(rate: f64, consumption: f64, decrease_factor: f64) -> u32 {
     debug_assert!(consumption > 0.0);
     debug_assert!(decrease_factor > 0.0 && decrease_factor < 1.0);
     let mut k = 1u32;
@@ -80,41 +76,27 @@ pub fn min_backoffs_below_with(rate: f64, consumption: f64, decrease_factor: f64
 }
 
 /// Total buffer (bytes) required to survive `k` backoffs in `scenario`,
-/// starting from transmission rate `rate` with `n_active` layers of
-/// consumption `layer_rate` each and additive-increase slope `slope`
-/// (Appendix A.4).
+/// starting from transmission rate `rate` while the active layers consume
+/// `consumption = n_a·C` bytes/s, with additive-increase slope `slope` and
+/// multiplicative decrease factor `f` (Appendix A.4, where `f = ½`): `k`
+/// back-to-back backoffs take the rate to `R·f^k` (Scenario 1), and each
+/// spread Scenario-2 backoff from the consumption rate leaves a recurring
+/// triangle of height `n_a·C·(1−f)`.
+///
+/// The layer stack enters only through `n_a·C`, so a heterogeneous stack
+/// ([`crate::nonlinear`]) passes its own aggregate consumption.
 pub fn buf_total(
     scenario: Scenario,
     k: u32,
     rate: f64,
-    n_active: usize,
-    layer_rate: f64,
-    slope: f64,
-) -> f64 {
-    buf_total_with(scenario, k, rate, n_active, layer_rate, slope, 0.5)
-}
-
-/// [`buf_total`] generalized to an arbitrary multiplicative decrease
-/// factor `f`: `k` back-to-back backoffs take the rate to `R·f^k`
-/// (Scenario 1), and each spread Scenario-2 backoff from the consumption
-/// rate leaves a recurring triangle of height `n_a·C·(1−f)`. Bit-identical
-/// to the ungeneralized form at `f = 0.5` (`x / 2^k ≡ x · 0.5^k` and
-/// `x / 2 ≡ x · (1 − 0.5)` for every f64).
-#[allow(clippy::too_many_arguments)]
-pub fn buf_total_with(
-    scenario: Scenario,
-    k: u32,
-    rate: f64,
-    n_active: usize,
-    layer_rate: f64,
+    consumption: f64,
     slope: f64,
     decrease_factor: f64,
 ) -> f64 {
-    let consumption = n_active as f64 * layer_rate;
     if consumption <= 0.0 || k == 0 {
         return 0.0;
     }
-    let k1 = min_backoffs_below_with(rate, consumption, decrease_factor);
+    let k1 = min_backoffs_below(rate, consumption, decrease_factor);
     if k < k1 {
         // Not enough backoffs to create a draining phase at all.
         return 0.0;
@@ -134,37 +116,21 @@ pub fn buf_total_with(
 }
 
 /// Maximally efficient per-layer buffer targets (bytes, index 0 = base
-/// layer) to survive `k` backoffs in `scenario` (Appendix A.5).
+/// layer) to survive `k` backoffs in `scenario` (Appendix A.5), for
+/// `n_active` layers of `layer_rate` each and decrease factor `f`.
 ///
 /// Scenario 1 is the single-backoff band allocation on the larger triangle
-/// (`R` replaced by `R/2^{k-1}` so the post-backoff rate is `R/2^k`).
-/// Scenario 2 is the band allocation of the initial triangle plus
-/// `k − k₁` times the band allocation of the recurring half-consumption
-/// triangle, accumulated per layer.
+/// (the post-backoff rate is `R·f^k`). Scenario 2 is the band allocation of
+/// the initial triangle plus `k − k₁` times the band allocation of the
+/// recurring `n_a·C·(1−f)` triangle, accumulated per layer.
 ///
 /// The targets always sum to [`buf_total`] for the same arguments (tested,
-/// including by property tests).
-pub fn per_layer(
-    scenario: Scenario,
-    k: u32,
-    rate: f64,
-    n_active: usize,
-    layer_rate: f64,
-    slope: f64,
-) -> Vec<f64> {
-    per_layer_with(scenario, k, rate, n_active, layer_rate, slope, 0.5)
-}
-
-/// [`per_layer`] generalized to an arbitrary decrease factor (see
-/// [`buf_total_with`]); bit-identical to the ungeneralized form at `0.5`.
-///
-/// This is the one-state-at-a-time form. The per-tick path
-/// ([`crate::states::StateSequence::rebuild_with`]) needs every `k` of a
-/// path at once and composes the same two pieces — [`scenario_one_into`]
-/// and [`recurring_band_into`] — computing `k₁` and the two Scenario-2
-/// triangles once per path instead of once per state.
+/// including by property tests). This is the one-state-at-a-time form; the
+/// per-tick path ([`crate::states::StateSequence::rebuild`]) needs every `k`
+/// of a path at once and composes the same two pieces, computing `k₁` and
+/// the two Scenario-2 triangles once per path instead of once per state.
 #[allow(clippy::too_many_arguments)]
-pub fn per_layer_with(
+pub fn per_layer(
     scenario: Scenario,
     k: u32,
     rate: f64,
@@ -177,7 +143,7 @@ pub fn per_layer_with(
     if consumption <= 0.0 || k == 0 {
         return vec![0.0; n_active];
     }
-    let k1 = min_backoffs_below_with(rate, consumption, decrease_factor);
+    let k1 = min_backoffs_below(rate, consumption, decrease_factor);
     if k < k1 {
         return vec![0.0; n_active];
     }
@@ -249,33 +215,33 @@ mod tests {
     #[test]
     fn k1_is_one_when_one_backoff_suffices() {
         // rate 40 KB/s, consumption 30 KB/s: 20 < 30 after one backoff.
-        assert_eq!(min_backoffs_below(40_000.0, 30_000.0), 1);
+        assert_eq!(min_backoffs_below(40_000.0, 30_000.0, 0.5), 1);
     }
 
     #[test]
     fn k1_grows_with_rate_headroom() {
         // rate 130 KB/s, consumption 30 KB/s: 65, 32.5, 16.25 → k1 = 3.
-        assert_eq!(min_backoffs_below(130_000.0, 30_000.0), 3);
+        assert_eq!(min_backoffs_below(130_000.0, 30_000.0, 0.5), 3);
     }
 
     #[test]
     fn k1_boundary_requires_strict_drop() {
         // rate/2 exactly equals consumption → no deficit yet, need one more.
-        assert_eq!(min_backoffs_below(60_000.0, 30_000.0), 2);
+        assert_eq!(min_backoffs_below(60_000.0, 30_000.0, 0.5), 2);
     }
 
     #[test]
     fn k1_when_rate_already_at_or_below_consumption() {
-        assert_eq!(min_backoffs_below(30_000.0, 30_000.0), 1);
-        assert_eq!(min_backoffs_below(10_000.0, 30_000.0), 1);
+        assert_eq!(min_backoffs_below(30_000.0, 30_000.0, 0.5), 1);
+        assert_eq!(min_backoffs_below(10_000.0, 30_000.0, 0.5), 1);
     }
 
     #[test]
     fn scenarios_agree_at_k_equals_k1() {
         let rate = 40_000.0;
         let n = 3;
-        let t1 = buf_total(Scenario::One, 1, rate, n, C, S);
-        let t2 = buf_total(Scenario::Two, 1, rate, n, C, S);
+        let t1 = buf_total(Scenario::One, 1, rate, n as f64 * C, S, 0.5);
+        let t2 = buf_total(Scenario::Two, 1, rate, n as f64 * C, S, 0.5);
         assert!((t1 - t2).abs() < 1e-9);
         assert!(t1 > 0.0);
     }
@@ -283,14 +249,14 @@ mod tests {
     #[test]
     fn below_k1_requires_no_buffering() {
         // rate 130 KB/s, 3 layers (30 KB/s): k1 = 3, so k = 2 needs nothing.
-        assert_eq!(buf_total(Scenario::One, 2, 130_000.0, 3, C, S), 0.0);
-        assert_eq!(buf_total(Scenario::Two, 2, 130_000.0, 3, C, S), 0.0);
+        assert_eq!(buf_total(Scenario::One, 2, 130_000.0, 3.0 * C, S, 0.5), 0.0);
+        assert_eq!(buf_total(Scenario::Two, 2, 130_000.0, 3.0 * C, S, 0.5), 0.0);
     }
 
     #[test]
     fn scenario1_total_matches_triangle() {
         // rate 40 KB/s, 3 layers, k = 2 → post-rate 10 KB/s, deficit 20 KB/s.
-        let t = buf_total(Scenario::One, 2, 40_000.0, 3, C, S);
+        let t = buf_total(Scenario::One, 2, 40_000.0, 3.0 * C, S, 0.5);
         let expect = 20_000.0f64.powi(2) / (2.0 * S);
         assert!((t - expect).abs() < 1e-6);
     }
@@ -299,7 +265,7 @@ mod tests {
     fn scenario2_total_adds_recurring_triangles() {
         // rate 40 KB/s, 3 layers: k1 = 1, first triangle deficit 10 KB/s.
         // k = 3 adds two triangles of deficit 15 KB/s each.
-        let t = buf_total(Scenario::Two, 3, 40_000.0, 3, C, S);
+        let t = buf_total(Scenario::Two, 3, 40_000.0, 3.0 * C, S, 0.5);
         let first = 10_000.0f64.powi(2) / (2.0 * S);
         let rec = 15_000.0f64.powi(2) / (2.0 * S);
         assert!((t - (first + 2.0 * rec)).abs() < 1e-6, "t = {t}");
@@ -312,8 +278,8 @@ mod tests {
         // with, because each recovery climbs all the way back to n_a·C.
         let rate = 40_000.0;
         let n = 3;
-        let s1 = buf_total(Scenario::One, 5, rate, n, C, S);
-        let s2 = buf_total(Scenario::Two, 5, rate, n, C, S);
+        let s1 = buf_total(Scenario::One, 5, rate, n as f64 * C, S, 0.5);
+        let s2 = buf_total(Scenario::Two, 5, rate, n as f64 * C, S, 0.5);
         assert!(s2 > s1, "s2 {s2} should exceed s1 {s1} at large k");
     }
 
@@ -322,8 +288,8 @@ mod tests {
         // Scenario 1's triangle is taller → spreads over more layers.
         let rate = 40_000.0;
         let n = 5;
-        let p1 = per_layer(Scenario::One, 3, rate, n, C, S);
-        let p2 = per_layer(Scenario::Two, 3, rate, n, C, S);
+        let p1 = per_layer(Scenario::One, 3, rate, n, C, S, 0.5);
+        let p2 = per_layer(Scenario::Two, 3, rate, n, C, S, 0.5);
         let n_b1 = p1.iter().filter(|&&x| x > 0.0).count();
         let n_b2 = p2.iter().filter(|&&x| x > 0.0).count();
         assert!(n_b1 >= n_b2, "p1={p1:?} p2={p2:?}");
@@ -335,9 +301,9 @@ mod tests {
             for k in 1..=8u32 {
                 for n in 1..=6usize {
                     for &rate in &[15_000.0, 40_000.0, 90_000.0, 200_000.0] {
-                        let shares = per_layer(scenario, k, rate, n, C, S);
+                        let shares = per_layer(scenario, k, rate, n, C, S, 0.5);
                         let total: f64 = shares.iter().sum();
-                        let expect = buf_total(scenario, k, rate, n, C, S);
+                        let expect = buf_total(scenario, k, rate, n as f64 * C, S, 0.5);
                         assert!(
                             (total - expect).abs() < 1e-6 * expect.max(1.0),
                             "{scenario} k={k} n={n} rate={rate}: {total} vs {expect}"
@@ -351,7 +317,7 @@ mod tests {
     #[test]
     fn per_layer_is_non_increasing_with_layer_index() {
         for &scenario in &Scenario::ALL {
-            let shares = per_layer(scenario, 4, 55_000.0, 5, C, S);
+            let shares = per_layer(scenario, 4, 55_000.0, 5, C, S, 0.5);
             for w in shares.windows(2) {
                 assert!(w[0] >= w[1] - 1e-9, "{scenario}: {shares:?}");
             }
@@ -363,37 +329,9 @@ mod tests {
         for &scenario in &Scenario::ALL {
             let mut prev = 0.0;
             for k in 1..=10 {
-                let t = buf_total(scenario, k, 80_000.0, 4, C, S);
+                let t = buf_total(scenario, k, 80_000.0, 4.0 * C, S, 0.5);
                 assert!(t >= prev, "{scenario} k={k}: {t} < {prev}");
                 prev = t;
-            }
-        }
-    }
-
-    #[test]
-    fn half_factor_variants_are_bit_identical() {
-        for &scenario in &Scenario::ALL {
-            for k in 1..=8u32 {
-                for n in 1..=5usize {
-                    for &rate in &[15_000.0, 40_000.0, 90_000.0, 131_072.0, 200_000.0] {
-                        let t_old = buf_total(scenario, k, rate, n, C, S);
-                        let t_new = buf_total_with(scenario, k, rate, n, C, S, 0.5);
-                        assert_eq!(
-                            t_old.to_bits(),
-                            t_new.to_bits(),
-                            "{scenario} k={k} n={n} rate={rate}"
-                        );
-                        let p_old = per_layer(scenario, k, rate, n, C, S);
-                        let p_new = per_layer_with(scenario, k, rate, n, C, S, 0.5);
-                        for (a, b) in p_old.iter().zip(p_new.iter()) {
-                            assert_eq!(a.to_bits(), b.to_bits());
-                        }
-                        assert_eq!(
-                            min_backoffs_below(rate, n as f64 * C),
-                            min_backoffs_below_with(rate, n as f64 * C, 0.5)
-                        );
-                    }
-                }
             }
         }
     }
@@ -402,9 +340,9 @@ mod tests {
     fn gentler_factor_needs_more_backoffs_below_consumption() {
         // 130 KB/s over 30 KB/s: halving needs 3 backoffs; at 0.85 the rate
         // shrinks ~15% per backoff and needs 10.
-        assert_eq!(min_backoffs_below_with(130_000.0, 30_000.0, 0.5), 3);
-        assert_eq!(min_backoffs_below_with(130_000.0, 30_000.0, 0.7), 5);
-        assert_eq!(min_backoffs_below_with(130_000.0, 30_000.0, 0.85), 10);
+        assert_eq!(min_backoffs_below(130_000.0, 30_000.0, 0.5), 3);
+        assert_eq!(min_backoffs_below(130_000.0, 30_000.0, 0.7), 5);
+        assert_eq!(min_backoffs_below(130_000.0, 30_000.0, 0.85), 10);
     }
 
     #[test]
@@ -415,9 +353,9 @@ mod tests {
         let rate = 40_000.0;
         let n = 3;
         for &scenario in &Scenario::ALL {
-            let t50 = buf_total_with(scenario, 4, rate, n, C, S, 0.5);
-            let t70 = buf_total_with(scenario, 4, rate, n, C, S, 0.7);
-            let t85 = buf_total_with(scenario, 4, rate, n, C, S, 0.85);
+            let t50 = buf_total(scenario, 4, rate, n as f64 * C, S, 0.5);
+            let t70 = buf_total(scenario, 4, rate, n as f64 * C, S, 0.7);
+            let t85 = buf_total(scenario, 4, rate, n as f64 * C, S, 0.85);
             assert!(t50 > t70 && t70 > t85, "{scenario}: {t50} {t70} {t85}");
         }
     }
@@ -429,9 +367,9 @@ mod tests {
                 for k in 1..=8u32 {
                     for n in 1..=6usize {
                         for &rate in &[15_000.0, 40_000.0, 90_000.0] {
-                            let shares = per_layer_with(scenario, k, rate, n, C, S, f);
+                            let shares = per_layer(scenario, k, rate, n, C, S, f);
                             let total: f64 = shares.iter().sum();
-                            let expect = buf_total_with(scenario, k, rate, n, C, S, f);
+                            let expect = buf_total(scenario, k, rate, n as f64 * C, S, f);
                             assert!(
                                 (total - expect).abs() < 1e-6 * expect.max(1.0),
                                 "f={f} {scenario} k={k} n={n} rate={rate}: {total} vs {expect}"
@@ -448,7 +386,7 @@ mod tests {
 
     #[test]
     fn zero_layers_yield_empty_or_zero() {
-        assert!(per_layer(Scenario::One, 2, 40_000.0, 0, C, S).is_empty());
-        assert_eq!(buf_total(Scenario::One, 2, 40_000.0, 0, C, S), 0.0);
+        assert!(per_layer(Scenario::One, 2, 40_000.0, 0, C, S, 0.5).is_empty());
+        assert_eq!(buf_total(Scenario::One, 2, 40_000.0, 0.0, S, 0.5), 0.0);
     }
 }

@@ -18,7 +18,7 @@
 //! state" and keeps the path drain-free; the pre-clamp targets are kept
 //! available for the ablation benchmarks.
 
-use crate::scenario::{min_backoffs_below_with, recurring_band_into, scenario_one_into, Scenario};
+use crate::scenario::{min_backoffs_below, recurring_band_into, scenario_one_into, Scenario};
 use std::cmp::Ordering;
 
 /// One optimal buffer state `(scenario, k)` with its per-layer targets.
@@ -72,11 +72,11 @@ pub struct StateSequence {
     /// States in increasing order of total required buffering, after the
     /// monotonicity clamp. Never empty for `n_active ≥ 1` and `k_horizon ≥ 1`.
     pub states: Vec<BufferState>,
-    /// Storage [`rebuild_with`](Self::rebuild_with) recycles between calls.
+    /// Storage [`rebuild`](Self::rebuild) recycles between calls.
     scratch: RebuildScratch,
 }
 
-/// Working storage of [`StateSequence::rebuild_with`]. It holds leftovers
+/// Working storage of [`StateSequence::rebuild`]. It holds leftovers
 /// of the last rebuild, never part of the sequence's value: `Debug` prints
 /// a fixed token and every scratch equals every other, so the derived
 /// `Debug` / `PartialEq` of [`StateSequence`] still compare values only.
@@ -129,38 +129,28 @@ impl SortKey {
 }
 
 impl StateSequence {
-    /// Build the sequence for backoff counts `1..=k_horizon`.
+    /// Build the sequence for backoff counts `1..=k_horizon` at the paper's
+    /// AIMD halving: [`rebuild`](Self::rebuild) into a new sequence with
+    /// decrease factor `0.5`.
+    pub fn build(rate: f64, n_active: usize, layer_rate: f64, slope: f64, k_horizon: u32) -> Self {
+        let mut seq = StateSequence::default();
+        seq.rebuild(rate, n_active, layer_rate, slope, k_horizon, 0.5);
+        seq
+    }
+
+    /// Recompute the sequence in place for the operating point `rate`,
+    /// `n_active` layers of `layer_rate`, slope `slope`, backoff counts
+    /// `1..=k_horizon` and multiplicative decrease factor `decrease_factor`.
     ///
     /// States with zero requirement (fewer than `k₁` backoffs) and duplicate
     /// `(S1,k₁) == (S2,k₁)` states are pruned. The result is sorted by raw
     /// total with Scenario 1 first on ties (its taller-triangle distribution
     /// can stand in for the Scenario 2 one of equal total, §4), then the
     /// running per-layer maximum is applied.
-    pub fn build(rate: f64, n_active: usize, layer_rate: f64, slope: f64, k_horizon: u32) -> Self {
-        Self::build_with(rate, n_active, layer_rate, slope, k_horizon, 0.5)
-    }
-
-    /// [`build`](Self::build) generalized to an arbitrary multiplicative
-    /// decrease factor (bit-identical at `0.5`, the AIMD halving).
-    pub fn build_with(
-        rate: f64,
-        n_active: usize,
-        layer_rate: f64,
-        slope: f64,
-        k_horizon: u32,
-        decrease_factor: f64,
-    ) -> Self {
-        let mut seq = StateSequence::default();
-        seq.rebuild_with(rate, n_active, layer_rate, slope, k_horizon, decrease_factor);
-        seq
-    }
-
-    /// Recompute the sequence in place for a new operating point, recycling
-    /// the previous contents' allocations. Produces exactly the same value
-    /// as [`build_with`](Self::build_with) with the same arguments; the
-    /// point is that a caller ticking every period (the QA controller)
-    /// reuses the state and per-layer vectors instead of reallocating ~2
-    /// `Vec`s per state per tick.
+    ///
+    /// The previous contents' allocations are recycled: a caller ticking
+    /// every period (the QA controller) reuses the state and per-layer
+    /// vectors instead of reallocating ~2 `Vec`s per state per tick.
     ///
     /// Candidate `n` is computed straight into slot `n` of `states`, the
     /// path order is found by an in-place insertion sort over one key per
@@ -172,11 +162,11 @@ impl StateSequence {
     ///
     /// What every state of a path shares is computed once: `k₁`, and the
     /// two triangles each Scenario-2 state is a sum of. Each value is still
-    /// the result of the float operations [`per_layer_with`] performs for
+    /// the result of the float operations [`per_layer`] performs for
     /// that state, in the same order.
     ///
-    /// [`per_layer_with`]: crate::scenario::per_layer_with
-    pub fn rebuild_with(
+    /// [`per_layer`]: crate::scenario::per_layer
+    pub fn rebuild(
         &mut self,
         rate: f64,
         n_active: usize,
@@ -187,7 +177,7 @@ impl StateSequence {
     ) {
         let consumption = n_active as f64 * layer_rate;
         let k1 = if consumption > 0.0 {
-            min_backoffs_below_with(rate, consumption, decrease_factor)
+            min_backoffs_below(rate, consumption, decrease_factor)
         } else {
             1
         };
@@ -379,6 +369,12 @@ mod tests {
         StateSequence::build(rate, n, C, S, k)
     }
 
+    fn rebuilt(rate: f64, n: usize, k: u32, f: f64) -> StateSequence {
+        let mut seq = StateSequence::default();
+        seq.rebuild(rate, n, C, S, k, f);
+        seq
+    }
+
     #[test]
     fn sequence_sorted_by_raw_total() {
         let s = seq(40_000.0, 3, 5);
@@ -515,11 +511,11 @@ mod tests {
     }
 
     #[test]
-    fn build_with_half_is_bit_identical_to_build() {
+    fn build_equals_rebuild_at_half_bit_for_bit() {
         for &rate in &[15_000.0, 40_000.0, 70_000.0, 130_000.0] {
             for n in 1..=5usize {
                 let a = StateSequence::build(rate, n, C, S, 6);
-                let b = StateSequence::build_with(rate, n, C, S, 6, 0.5);
+                let b = rebuilt(rate, n, 6, 0.5);
                 assert_eq!(a.k1, b.k1);
                 assert_eq!(a.states.len(), b.states.len());
                 for (sa, sb) in a.states.iter().zip(&b.states) {
@@ -539,7 +535,7 @@ mod tests {
     #[test]
     fn nonhalf_factor_sequence_stays_sorted_and_monotone() {
         for &f in &[0.7, 0.85] {
-            let s = StateSequence::build_with(40_000.0, 4, C, S, 6, f);
+            let s = rebuilt(40_000.0, 4, 6, f);
             assert!(!s.states.is_empty(), "f={f}");
             for w in s.states.windows(2) {
                 assert!(w[0].raw_total() <= w[1].raw_total() + 1e-9, "f={f}");

@@ -6,8 +6,7 @@
 //!   timer wheel. Near-future events hash into integer-nanosecond bucket
 //!   slots (O(1) insert), far-future events overflow into a `BTreeMap`
 //!   ordered by exact key, and every record is parked once in a
-//!   [`Slab`](crate::arena::Slab) arena so only 24-byte `WheelKey`s
-//!   circulate.
+//!   [`Slab`] arena so only 24-byte `WheelKey`s circulate.
 //! * [`HeapScheduler`] — the original `BinaryHeap` queue, kept verbatim
 //!   as the **op-level oracle**. No world runs on it; it exists so
 //!   `sched_properties.rs` can compare the wheel against it answer for

@@ -7,10 +7,8 @@
 //! cargo run -p laqa-apps --example nonlinear_layers
 //! ```
 
-use laqa_core::nonlinear::{
-    nl_band_allocation, nl_band_drain_rates, nl_buf_total, nl_per_layer, LayerRates,
-};
-use laqa_core::scenario::Scenario;
+use laqa_core::nonlinear::{nl_band_allocation, nl_band_drain_rate, nl_per_layer, LayerRates};
+use laqa_core::scenario::{buf_total, Scenario};
 
 fn main() {
     let slope = 12_500.0;
@@ -53,14 +51,11 @@ fn main() {
     println!();
 
     println!("instantaneous drain handoff at deficit 10 KB/s (B/s per layer):");
-    println!(
-        "  linear      : {:?}",
-        nl_band_drain_rates(&linear, 4, 10_000.0)
-    );
-    println!(
-        "  exponential : {:?}",
-        nl_band_drain_rates(&expo, 4, 10_000.0)
-    );
+    let drain = |rates: &LayerRates| -> Vec<f64> {
+        (0..4).map(|i| nl_band_drain_rate(rates, i, 10_000.0)).collect()
+    };
+    println!("  linear      : {:?}", drain(&linear));
+    println!("  exponential : {:?}", drain(&expo));
     println!();
 
     println!("K-backoff total requirements from a 45 KB/s peak (bytes):");
@@ -68,21 +63,26 @@ fn main() {
         "{:<6} {:>12} {:>12} {:>12} {:>12}",
         "k", "lin S1", "lin S2", "exp S1", "exp S2"
     );
+    // The totals see a stack only through its consumption (here both 30
+    // KB/s); AIMD halving, decrease factor ½.
+    let total = |rates: &LayerRates, scenario, k| {
+        buf_total(scenario, k, 45_000.0, rates.consumption(4), slope, 0.5)
+    };
     for k in 1..=4u32 {
         println!(
             "{:<6} {:>12.0} {:>12.0} {:>12.0} {:>12.0}",
             k,
-            nl_buf_total(&linear, 4, Scenario::One, k, 45_000.0, slope),
-            nl_buf_total(&linear, 4, Scenario::Two, k, 45_000.0, slope),
-            nl_buf_total(&expo, 4, Scenario::One, k, 45_000.0, slope),
-            nl_buf_total(&expo, 4, Scenario::Two, k, 45_000.0, slope),
+            total(&linear, Scenario::One, k),
+            total(&linear, Scenario::Two, k),
+            total(&expo, Scenario::One, k),
+            total(&expo, Scenario::Two, k),
         );
     }
     println!();
     println!("per-layer S2/k=2 targets, exponential:");
     println!(
         "  {:?}",
-        nl_per_layer(&expo, 4, Scenario::Two, 2, 45_000.0, slope)
+        nl_per_layer(&expo, 4, Scenario::Two, 2, 45_000.0, slope, 0.5)
     );
 
     // Sanity assertions so the example doubles as a smoke test.

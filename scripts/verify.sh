@@ -8,7 +8,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== 1/3 build (release) =="
+echo "== 1/4 build (release) =="
 # No configuration may go unbuilt: --all-features compiles any feature a
 # later PR adds (steps 2-3 test and lint it too), nothing may be excluded
 # from the workspace, and the workspace is exactly these nine packages.
@@ -32,11 +32,16 @@ if [ "$got" != "$want " ]; then
   exit 1
 fi
 
-echo "== 2/3 tests =="
+echo "== 2/4 tests =="
 cargo test -q --all-features
 
-echo "== 3/3 clippy (deny warnings) =="
+echo "== 3/4 clippy (deny warnings) =="
 cargo clippy --all-targets --all-features -- -D warnings
+
+echo "== 4/4 rustdoc (deny warnings) =="
+# Intra-doc links name functions; a rename that leaves one dangling is
+# otherwise only a warning nobody reads.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "== non-test Rust lines per crate (scripts/loc.sh) =="
 bash scripts/loc.sh

@@ -15,9 +15,9 @@
 //! LAQA_BLESS=1 cargo test -p laqa-apps --test golden_traces
 //! ```
 
-use laqa_core::draining::plan_draining;
+use laqa_core::draining::plan_draining_into;
 use laqa_core::filling::next_fill_layer;
-use laqa_core::geometry::{band_allocation, buffering_layer_count, deficit, triangle_area};
+use laqa_core::geometry::{band_allocation_into, buffering_layer_count, deficit, triangle_area};
 use laqa_core::StateSequence;
 use laqa_sim::{run_scenario, ScenarioConfig};
 use laqa_trace::{parse_json, JsonValue, TimeSeries};
@@ -120,7 +120,8 @@ fn fig05_optimal_filling_matches_golden() {
 
     let d0 = deficit(n_a as f64 * c, rate / 2.0);
     let n_b = buffering_layer_count(d0, c);
-    let shares = band_allocation(d0, c, s, n_a);
+    let mut shares = Vec::new();
+    band_allocation_into(d0, c, s, n_a, &mut shares);
     let area = triangle_area(d0, s);
 
     // Packet-by-packet filling toward the optimal shares; record the
@@ -140,7 +141,8 @@ fn fig05_optimal_filling_matches_golden() {
     }
 
     // One drain period from the filled state: upper layers hand off first.
-    let plan = plan_draining(&seq, &bufs, rate / 2.0, 0.2, 1.0);
+    let (mut drain, mut rates) = (Vec::new(), Vec::new());
+    plan_draining_into(&seq, &bufs, rate / 2.0, 0.2, 1.0, &mut drain, &mut rates);
 
     let actual = obj(vec![
         (
@@ -164,7 +166,7 @@ fn fig05_optimal_filling_matches_golden() {
                     .collect(),
             ),
         ),
-        ("first_drain_period", arr_f64(&plan.drain)),
+        ("first_drain_period", arr_f64(&drain)),
     ]);
     check_golden("fig05.json", &actual);
 }

@@ -101,8 +101,8 @@ fn scenario_requirements_shape() {
     let mut prev2 = 0.0;
     let mut s1_led_somewhere = false;
     for k in 1..=8u32 {
-        let t1 = buf_total(Scenario::One, k, rate, n, c, s);
-        let t2 = buf_total(Scenario::Two, k, rate, n, c, s);
+        let t1 = buf_total(Scenario::One, k, rate, n as f64 * c, s, 0.5);
+        let t2 = buf_total(Scenario::Two, k, rate, n as f64 * c, s, 0.5);
         assert!(t1 >= prev1 && t2 >= prev2, "monotone in k");
         if t1 > t2 {
             s1_led_somewhere = true;
