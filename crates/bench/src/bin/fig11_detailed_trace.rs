@@ -10,20 +10,18 @@
 use laqa_bench::{ascii_plot, outdir, window_mean};
 use laqa_sim::scenarios::{N_RAP, N_TCP, QA_START};
 use laqa_sim::{run_scenario, ScenarioConfig};
-use laqa_trace::{Recorder, RunSummary};
+use laqa_trace::{write_figure, Panel, Recorder, RunSummary};
 
 fn main() {
     let duration = 45.0;
     let cfg = ScenarioConfig::t1(2, duration, 7);
     let out = run_scenario(&cfg);
+    let (consumption, drain_rate) = out.traces.consumption_and_drain(cfg.qa.layer_rate);
 
     println!("== Figure 11: first 40 s of the K_max=2 T1 trace ==");
     println!("(QA flow joins at t={QA_START}s; panels below start there)\n");
     println!("total tx rate   : {}", ascii_plot(&out.traces.tx_rate, 72));
-    println!(
-        "consumption     : {}",
-        ascii_plot(&out.traces.consumption, 72)
-    );
+    println!("consumption     : {}", ascii_plot(&consumption, 72));
     println!("active layers   : {}", ascii_plot(&out.traces.n_active, 72));
     for i in 0..6 {
         println!(
@@ -31,11 +29,8 @@ fn main() {
             ascii_plot(&out.traces.layer_rate[i], 72)
         );
     }
-    for i in 0..6 {
-        println!(
-            "L{i} drain rate  : {}",
-            ascii_plot(&out.traces.drain_rate[i], 72)
-        );
+    for (i, drain) in drain_rate.iter().take(6).enumerate() {
+        println!("L{i} drain rate  : {}", ascii_plot(drain, 72));
     }
     for i in 0..6 {
         println!(
@@ -74,26 +69,21 @@ fn main() {
     let dir = outdir("fig11");
     let mut rec = Recorder::new();
     rec.insert(out.traces.tx_rate.clone());
-    rec.insert(out.traces.consumption.clone());
+    rec.insert(consumption);
     rec.insert(out.traces.n_active.clone());
-    for i in 0..cfg.qa.max_layers {
-        rec.insert(out.traces.layer_rate[i].clone());
-        rec.insert(out.traces.drain_rate[i].clone());
-        rec.insert(out.traces.buffer[i].clone());
+    let layers = out.traces.layer_rate.iter().chain(&out.traces.buffer).cloned();
+    for ts in layers.chain(drain_rate).chain(out.rx_buffers) {
+        rec.insert(ts);
     }
-    for ts in &out.rx_buffers {
-        rec.insert(ts.clone());
-    }
-    rec.write_csv_dir(&dir).expect("csv");
-    // Ready-to-run gnuplot script reproducing the stacked panels.
+    // The CSVs plus a ready-to-run gnuplot script of the stacked panels.
     let panels = [
-        laqa_trace::Panel::new(
+        Panel::new(
             "total transmit + consumption",
             "B/s",
             &["tx_rate", "consumption"],
         ),
-        laqa_trace::Panel::new("active layers", "count", &["n_active"]),
-        laqa_trace::Panel::new(
+        Panel::new("active layers", "count", &["n_active"]),
+        Panel::new(
             "per-layer transmit rate",
             "B/s",
             &[
@@ -103,7 +93,7 @@ fn main() {
                 "layer_rate_3",
             ],
         ),
-        laqa_trace::Panel::new(
+        Panel::new(
             "per-layer drain rate",
             "B/s",
             &[
@@ -113,17 +103,13 @@ fn main() {
                 "drain_rate_3",
             ],
         ),
-        laqa_trace::Panel::new(
+        Panel::new(
             "per-layer buffer",
             "bytes",
             &["buffer_0", "buffer_1", "buffer_2", "buffer_3"],
         ),
     ];
-    std::fs::write(
-        dir.join("plot.gp"),
-        laqa_trace::render_script("fig11", &panels),
-    )
-    .expect("gnuplot script");
+    write_figure(&rec, &dir, "fig11", &panels).expect("figure");
 
     let mut summary = RunSummary::new("fig11");
     summary

@@ -15,14 +15,12 @@ fn main() {
     let cfg = ScenarioConfig::t2(4, duration, 7);
     let (burst_start, burst_stop, burst_rate) = cfg.cbr.expect("t2 has a burst");
     let out = run_scenario(&cfg);
+    let (consumption, drain_rate) = out.traces.consumption_and_drain(cfg.qa.layer_rate);
 
     println!("== Figure 13: CBR burst at half bottleneck, K_max = 4 ==");
     println!("burst: {burst_rate:.0} B/s during t = {burst_start:.0}..{burst_stop:.0} s\n");
     println!("total tx rate : {}", ascii_plot(&out.traces.tx_rate, 72));
-    println!(
-        "consumption   : {}",
-        ascii_plot(&out.traces.consumption, 72)
-    );
+    println!("consumption   : {}", ascii_plot(&consumption, 72));
     println!("active layers : {}", ascii_plot(&out.traces.n_active, 72));
     for i in 0..5 {
         println!(
@@ -51,12 +49,11 @@ fn main() {
     let dir = outdir("fig13");
     let mut rec = Recorder::new();
     rec.insert(out.traces.tx_rate.clone());
-    rec.insert(out.traces.consumption.clone());
+    rec.insert(consumption);
     rec.insert(out.traces.n_active.clone());
-    for i in 0..cfg.qa.max_layers {
-        rec.insert(out.traces.layer_rate[i].clone());
-        rec.insert(out.traces.drain_rate[i].clone());
-        rec.insert(out.traces.buffer[i].clone());
+    let layers = out.traces.layer_rate.iter().chain(&out.traces.buffer).cloned();
+    for ts in layers.chain(drain_rate) {
+        rec.insert(ts);
     }
     rec.write_csv_dir(&dir).expect("csv");
     let mut summary = RunSummary::new("fig13");

@@ -121,7 +121,7 @@ fn layers(args: &Args) -> Result<usize, AnyError> {
 fn cmd_sim(args: &Args) -> Result<(), AnyError> {
     let test: String = args.get("test", "t1".to_string())?;
     let k_max: u32 = args.get("kmax", 2)?;
-    let duration: f64 = args.get("duration", 40.0)?;
+    let duration = positive(args, "duration", 40.0, false)?;
     let seed: u64 = args.get("seed", 7)?;
     let mut cfg = match test.as_str() {
         "t1" => ScenarioConfig::t1(k_max, duration, seed),

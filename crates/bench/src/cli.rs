@@ -20,6 +20,15 @@ pub enum ArgError {
     UnexpectedPositional(String),
     /// An option the command does not take.
     UnknownOption(String),
+    /// An option given more than once (only the last would count).
+    RepeatedOption(String),
+    /// A list option naming one value twice.
+    RepeatedValue {
+        /// Option name.
+        key: String,
+        /// The repeated list entry.
+        value: String,
+    },
     /// An option value failed to parse, a bare flag was given a value, or
     /// a valued option was given none (`value` is then empty).
     BadValue {
@@ -36,6 +45,10 @@ impl std::fmt::Display for ArgError {
             ArgError::MissingCommand => write!(f, "missing subcommand"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument '{p}'"),
             ArgError::UnknownOption(key) => write!(f, "unknown option --{key}"),
+            ArgError::RepeatedOption(key) => write!(f, "--{key} given more than once"),
+            ArgError::RepeatedValue { key, value } => {
+                write!(f, "--{key} lists {value} more than once")
+            }
             ArgError::BadValue { key, value } if value.is_empty() => {
                 write!(f, "missing value for --{key}")
             }
@@ -51,9 +64,10 @@ impl std::error::Error for ArgError {}
 impl Args {
     /// Parse an iterator of arguments (excluding the program name).
     /// `flags` take no value and `valued` options take exactly one; any
-    /// other `--key`, a flag followed by a value, or a valued option
-    /// without one is an error — a misspelt option or `--smoke 1` must
-    /// fail the run, not silently fall back to a default.
+    /// other `--key`, a flag followed by a value, a valued option without
+    /// one, or an option given twice is an error — a misspelt option,
+    /// `--smoke 1` or `--seeds 7 --seeds 21` must fail the run, not
+    /// silently fall back to a default or to the last value.
     pub fn parse<I: IntoIterator<Item = String>>(
         args: I,
         flags: &[&str],
@@ -81,7 +95,9 @@ impl Args {
                         })
                     }
                 };
-                options.insert(key.to_string(), value);
+                if options.insert(key.to_string(), value).is_some() {
+                    return Err(ArgError::RepeatedOption(key.to_string()));
+                }
             } else {
                 return Err(ArgError::UnexpectedPositional(arg));
             }
@@ -106,23 +122,28 @@ impl Args {
     }
 
     /// Comma-separated typed list option (e.g. `--seeds 7,21,35`), falling
-    /// back to `default` when absent. Empty segments are rejected.
+    /// back to `default` when absent. Empty segments and a value listed
+    /// twice (`7,7`, or `0.5,0.50`: equal once parsed) are rejected.
     pub fn get_list<T>(&self, key: &str, default: &[T]) -> Result<Vec<T>, ArgError>
     where
-        T: std::str::FromStr + Clone,
+        T: std::str::FromStr + Clone + PartialEq,
     {
-        match self.options.get(key) {
-            None => Ok(default.to_vec()),
-            Some(v) => v
-                .split(',')
-                .map(|s| {
-                    s.trim().parse().map_err(|_| ArgError::BadValue {
-                        key: key.to_string(),
-                        value: v.clone(),
-                    })
-                })
-                .collect(),
+        let Some(v) = self.options.get(key) else {
+            return Ok(default.to_vec());
+        };
+        let mut out: Vec<T> = Vec::new();
+        for s in v.split(',').map(str::trim) {
+            let x = s.parse().map_err(|_| ArgError::BadValue {
+                key: key.to_string(),
+                value: v.clone(),
+            })?;
+            if out.contains(&x) {
+                let (key, value) = (key.to_string(), s.to_string());
+                return Err(ArgError::RepeatedValue { key, value });
+            }
+            out.push(x);
         }
+        Ok(out)
     }
 }
 
@@ -218,6 +239,32 @@ mod tests {
         assert_eq!(a.get_list::<u64>("absent", &[1, 2]).unwrap(), vec![1, 2]);
         let a = parse("run --seeds 7,,9").unwrap();
         assert!(a.get_list::<u64>("seeds", &[]).is_err());
+    }
+
+    #[test]
+    fn rejects_repeated_option_by_name() {
+        let err = parse("run --red --kmax 2 --red").unwrap_err();
+        assert_eq!(err, ArgError::RepeatedOption("red".into()));
+        let err = parse("run --seeds 7 --seeds 21").unwrap_err();
+        assert_eq!(err, ArgError::RepeatedOption("seeds".into()));
+        assert_eq!(err.to_string(), "--seeds given more than once");
+    }
+
+    #[test]
+    fn rejects_repeated_list_value_by_name() {
+        let a = parse("run --kmax 2,4,2 --rate 0.5,0.50").unwrap();
+        let err = a.get_list::<u32>("kmax", &[]).unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::RepeatedValue {
+                key: "kmax".into(),
+                value: "2".into()
+            }
+        );
+        assert_eq!(err.to_string(), "--kmax lists 2 more than once");
+        // Equal once parsed is equal: both would run one cell.
+        let err = a.get_list::<f64>("rate", &[]).unwrap_err();
+        assert_eq!(err.to_string(), "--rate lists 0.50 more than once");
     }
 
     #[test]

@@ -1,11 +1,13 @@
 //! The command-line contract of the `campaign` and `laqa` binaries that
 //! no library test can see: exit code 2 for a command line the binary
 //! cannot honour, `--smoke` reading its grid from the command line, the
-//! default tables mode's replay check, the
+//! default tables mode's replay check, `--transport` / `--trace` grids
+//! equal to the library's `CampaignSpec::product`, the
 //! `campaign --obs DIR` → `laqa obs-report` / `laqa obs-trace` round trip
 //! over real files, and the stderr warning when the flight recorder's
 //! rings overflowed.
 
+use laqa_sim::{run_campaign, CampaignSpec, TestKind, TraceKind, Transport};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
@@ -51,8 +53,10 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
     // panicked the link and a loss above 1 ran at 1. A zero or negative
     // layer rate or slope tripped a debug assertion (garbage in release),
     // a NaN rate printed a state path, and an option the selected spacing
-    // never reads was silently ignored.
-    let cases: [(&str, &[&str], &str); 29] = [
+    // never reads was silently ignored. An option given twice ran only its
+    // last value, a list naming a value twice ran its cells twice under
+    // one label, and a NaN, zero or negative duration ran empty sessions.
+    let cases: [(&str, &[&str], &str); 41] = [
         (CAMPAIGN, &["--smoke", "--nope"], "unknown option --nope"),
         (CAMPAIGN, &["--smoke", "1"], "invalid value '1' for --smoke"),
         (CAMPAIGN, &["--smoke", "--obs"], "missing value for --obs"),
@@ -123,6 +127,42 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
             &["bands", "--exp-base", "2000", "--c", "5"],
             "--c is not read with --exp-base",
         ),
+        (
+            CAMPAIGN,
+            &["--smoke", "--seeds", "7", "--seeds", "21"],
+            "--seeds given more than once",
+        ),
+        (CAMPAIGN, &["--smoke", "--kmax", "2,2"], "--kmax lists 2 more than once"),
+        (CAMPAIGN, &["--seeds", "7,21,7"], "--seeds lists 7 more than once"),
+        (
+            CAMPAIGN,
+            &["--faults", "--intensity", "0,0.5,0.50"],
+            "--intensity lists 0.50 more than once",
+        ),
+        (
+            CAMPAIGN,
+            &["--smoke", "--transport", "rap,rap"],
+            "--transport lists rap more than once",
+        ),
+        (
+            CAMPAIGN,
+            &["--faults", "--trace", "lte,bloat,lte"],
+            "--trace lists lte more than once",
+        ),
+        (
+            CAMPAIGN,
+            &["--smoke", "--duration", "nan"],
+            "--duration must be finite and > 0",
+        ),
+        (
+            CAMPAIGN,
+            &["--faults", "--duration", "-3"],
+            "--duration must be finite and > 0",
+        ),
+        (CAMPAIGN, &["--duration", "0"], "--duration must be finite and > 0"),
+        (LAQA, &["sim", "--seed", "1", "--seed", "2"], "--seed given more than once"),
+        (LAQA, &["sim", "--duration", "nan"], "--duration must be finite and > 0"),
+        (LAQA, &["sim", "--duration", "-1"], "--duration must be finite and > 0"),
         (LAQA, &["sim", "--nope", "1"], "unknown option --nope"),
         (LAQA, &["frobnicate"], "unknown subcommand 'frobnicate'"),
         (LAQA, &[], "missing subcommand"),
@@ -165,6 +205,40 @@ fn tables_mode_checks_replay() {
     let out = run(CAMPAIGN, &args, None);
     assert!(out.status.success(), "campaign: {}", stderr(&out));
     assert_has(&stdout(&out), "replay check: 2 sessions");
+}
+
+/// The fingerprint `campaign` printed on its replay-check line.
+fn printed_fingerprint(text: &str) -> u64 {
+    let line = text.lines().find(|l| l.starts_with("replay check:"));
+    let line = line.unwrap_or_else(|| panic!("no replay line in {text}"));
+    let hex = line.split("fingerprint ").nth(1).and_then(|r| r.split(' ').next());
+    u64::from_str_radix(hex.expect("fingerprint field"), 16).expect("hex fingerprint")
+}
+
+#[test]
+fn transport_and_trace_axes_build_the_library_grid() {
+    // The binary builds its grid only through `CampaignSpec::product`: the
+    // printed fingerprint is the in-process one of the same axes, in
+    // smoke mode (T1) and in tables mode (T1 + T2).
+    let dir = scratch("cli-axes");
+    let dir_arg = dir.to_str().expect("utf-8 scratch path");
+    let axes = "--transport rap,tcp --trace lte --kmax 2 --seeds 7 --duration 6";
+    let smoke = format!("--smoke {axes}");
+    let tables = format!("{axes} --out {dir_arg}");
+    for (line, tests) in [(&smoke, &[TestKind::T1][..]), (&tables, &TestKind::ALL[..])] {
+        let out = run(CAMPAIGN, &line.split(' ').collect::<Vec<_>>(), None);
+        assert!(out.status.success(), "campaign {line}: {}", stderr(&out));
+        let text = stdout(&out);
+        assert_has(&text, "interop matrix: QA metrics by transport");
+        assert_has(&text, "hostile grid: QA damage by trace family");
+        let transports = [Transport::Rap, Transport::Tcp];
+        let spec =
+            CampaignSpec::product(tests, &[TraceKind::Lte], &transports, &[2], &[0.0], &[7], 6.0);
+        assert_has(&text, &format!("replay check: {} sessions", spec.len()));
+        let want = run_campaign(&spec, 1).fingerprint();
+        assert_eq!(printed_fingerprint(&text), want, "campaign {line}");
+    }
+    assert_eq!(std::fs::read_dir(&dir).expect("--out DIR").count(), 4);
 }
 
 /// `campaign --faults --smoke --obs DIR`, then both `laqa` readers over

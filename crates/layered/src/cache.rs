@@ -17,7 +17,14 @@
 //!   for the same reason: lower layers are useful to every future client,
 //!   higher ones only to the best-connected).
 
-use crate::stream::PacketId;
+/// Identifies one packet of one layer within a stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PacketId {
+    /// Layer index (0 = base).
+    pub layer: u8,
+    /// Zero-based packet sequence number within the layer.
+    pub seq: u64,
+}
 
 /// Per-layer packet presence for one cached stream.
 #[derive(Debug, Clone, Default)]

@@ -5,8 +5,6 @@
 //!
 //! * [`encoding`] — layer stacks (the paper's linear spacing plus the
 //!   non-linear extension mentioned in its future work);
-//! * [`stream`] — stored-stream packetization, playout deadlines, and
-//!   deterministic payloads for end-to-end integrity checks;
 //! * [`buffer`] — per-layer receiver FIFO buffers with underflow
 //!   accounting;
 //! * [`receiver`] — the playout engine combining buffers and a clock, the
@@ -21,10 +19,8 @@ pub mod buffer;
 pub mod cache;
 pub mod encoding;
 pub mod receiver;
-pub mod stream;
 
 pub use buffer::LayerBuffer;
-pub use cache::{LayerCache, PrefetchPlanner};
+pub use cache::{LayerCache, PacketId, PrefetchPlanner};
 pub use encoding::{EncodingError, LayerSpec, LayeredEncoding};
 pub use receiver::{LayeredReceiver, ReceiverStats};
-pub use stream::{LayeredStream, PacketId};

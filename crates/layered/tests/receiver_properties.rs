@@ -4,7 +4,7 @@
 //! than proptest, so the suite runs with zero registry access.
 
 use laqa_check::{cases, DEFAULT_CASES};
-use laqa_layered::{LayerBuffer, LayeredEncoding, LayeredReceiver, LayeredStream, PacketId};
+use laqa_layered::{LayerBuffer, LayeredEncoding, LayeredReceiver};
 
 #[test]
 fn buffer_conserves_bytes() {
@@ -75,46 +75,6 @@ fn receiver_position_advances_iff_playing() {
                 }
                 t += 0.1;
             }
-        },
-    );
-}
-
-#[test]
-fn stream_deadlines_monotone() {
-    cases("stream_deadlines_monotone", DEFAULT_CASES, |g, _| {
-        let layer = g.u32_in(0, 3) as u8;
-        let n_seqs = g.usize_in(2, 49);
-        let mut seqs: Vec<u64> = (0..n_seqs).map(|_| g.u64_in(0, 9_999)).collect();
-        let enc = LayeredEncoding::exponential(4, 4_000.0, 2.0).unwrap();
-        let s = LayeredStream::new(enc, 120.0, 1_000);
-        seqs.sort_unstable();
-        let mut last = -1.0;
-        for &seq in &seqs {
-            let d = s.deadline(PacketId { layer, seq });
-            assert!(d >= last);
-            last = d;
-        }
-    });
-}
-
-#[test]
-fn payload_verification_rejects_any_flip() {
-    cases(
-        "payload_verification_rejects_any_flip",
-        DEFAULT_CASES,
-        |g, _| {
-            let seq = g.u64_in(0, 999);
-            let layer = g.u32_in(0, 3) as u8;
-            let len = g.usize_in(9, 599);
-            let flip = g.usize_in(0, 599);
-            let enc = LayeredEncoding::linear(4, 10_000.0).unwrap();
-            let s = LayeredStream::new(enc, 60.0, 1_000);
-            let id = PacketId { layer, seq };
-            let mut p = s.payload(id, len);
-            assert!(s.verify_payload(id, &p));
-            let idx = flip % len;
-            p[idx] ^= 0x01;
-            assert!(!s.verify_payload(id, &p));
         },
     );
 }

@@ -10,20 +10,17 @@ use laqa_layered::{LayeredEncoding, LayeredReceiver};
 use laqa_rap::{RapConfig, RapEvent, RapReceiverState, RapSender, RateController};
 use laqa_trace::TimeSeries;
 
-/// Per-run traces recorded by the QA source (the figure-11 panels).
+/// Per-run traces recorded by the QA source (the figure-11 panels; the
+/// consumption and drain-rate panels are derived, see
+/// [`QaTraces::consumption_and_drain`]).
 #[derive(Debug, Clone, Default)]
 pub struct QaTraces {
     /// Total transmission rate (bytes/s) per tick.
     pub tx_rate: TimeSeries,
-    /// Aggregate consumption rate `n_active·C` per tick.
-    pub consumption: TimeSeries,
     /// Active layer count per tick.
     pub n_active: TimeSeries,
     /// Allocated send rate per layer per tick.
     pub layer_rate: Vec<TimeSeries>,
-    /// Buffer-drain rate per layer per tick (`max(0, C − alloc)` while
-    /// playing).
-    pub drain_rate: Vec<TimeSeries>,
     /// Sender-estimated receiver buffer per layer per tick (bytes).
     pub buffer: Vec<TimeSeries>,
 }
@@ -38,12 +35,27 @@ impl QaTraces {
         };
         QaTraces {
             tx_rate: TimeSeries::new("tx_rate"),
-            consumption: TimeSeries::new("consumption"),
             n_active: TimeSeries::new("n_active"),
             layer_rate: per_layer("layer_rate_"),
-            drain_rate: per_layer("drain_rate_"),
             buffer: per_layer("buffer_"),
         }
+    }
+
+    /// The aggregate consumption `n_active·C` and the per-layer drain
+    /// rates (`max(0, C − alloc)` for active layers, else 0), derived
+    /// tick by tick from `n_active` and `layer_rate` for layer rate `c`.
+    pub fn consumption_and_drain(&self, c: f64) -> (TimeSeries, Vec<TimeSeries>) {
+        let n_active = &self.n_active.points;
+        let consumption = n_active.iter().map(|&(t, n)| (t, n * c)).collect();
+        let drain = self.layer_rate.iter().enumerate().map(|(i, alloc)| {
+            let ticks = n_active.iter().zip(&alloc.points);
+            let points = ticks.map(|(&(t, n), &(_, a))| {
+                (t, if (i as f64) < n { (c - a).max(0.0) } else { 0.0 })
+            });
+            TimeSeries { name: format!("drain_rate_{i}"), points: points.collect() }
+        });
+        let consumption = TimeSeries { name: "consumption".into(), points: consumption };
+        (consumption, drain.collect())
     }
 }
 
@@ -181,21 +193,11 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
     }
 
     fn record_tick(&mut self, now: f64, report: &laqa_core::TickReport) {
-        let c = self.qa.config().layer_rate;
         self.traces.tx_rate.push(now, self.rap.tick_rate());
-        self.traces
-            .consumption
-            .push(now, report.n_active as f64 * c);
         self.traces.n_active.push(now, report.n_active as f64);
         for i in 0..self.traces.layer_rate.len() {
             let alloc = report.per_layer_rate.get(i).copied().unwrap_or(0.0);
             self.traces.layer_rate[i].push(now, alloc);
-            let drain = if i < report.n_active {
-                (c - alloc).max(0.0)
-            } else {
-                0.0
-            };
-            self.traces.drain_rate[i].push(now, drain);
             // Report the drainable buffer (debt shows as empty, matching
             // what the receiver actually holds).
             let buf = self.qa.buffers().get(i).copied().unwrap_or(0.0).max(0.0);
@@ -480,6 +482,24 @@ mod tests {
                 > mean_layers::<WindowSender>(&w_lo, src_lo, 10.0),
             "more bandwidth must mean more layers"
         );
+    }
+
+    #[test]
+    fn derived_series_follow_layer_count_and_allocation() {
+        let mut traces = QaTraces::new(2);
+        for (t, n, alloc) in [(0.0, 1.0, [3.0, 0.0]), (0.1, 2.0, [12.0, 7.0])] {
+            traces.n_active.push(t, n);
+            traces.layer_rate[0].push(t, alloc[0]);
+            traces.layer_rate[1].push(t, alloc[1]);
+        }
+        let (consumption, drain) = traces.consumption_and_drain(10.0);
+        assert_eq!(consumption.name, "consumption");
+        assert_eq!(consumption.points, [(0.0, 10.0), (0.1, 20.0)]);
+        // Layer 1 is inactive at t = 0 (drains nothing) and over-fed at
+        // t = 0.1 on layer 0 (clamped at 0).
+        assert_eq!(drain[0].name, "drain_rate_0");
+        assert_eq!(drain[0].points, [(0.0, 7.0), (0.1, 0.0)]);
+        assert_eq!(drain[1].points, [(0.0, 0.0), (0.1, 3.0)]);
     }
 
     #[test]

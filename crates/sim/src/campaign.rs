@@ -2,7 +2,8 @@
 //!
 //! The paper's tables are sweeps: every combination of workload (T1/T2),
 //! smoothing factor `K_max`, and seed is one independent simulator session.
-//! This module fans such a grid across OS threads with a work-stealing
+//! [`CampaignSpec::product`] builds every grid (with optional trace,
+//! transport and fault-intensity axes). This module fans such a grid across OS threads with a work-stealing
 //! index queue, runs each discrete-event session in isolation, and
 //! aggregates the paper's metrics (buffering efficiency, avoidable drops,
 //! quality changes) into summary rows.
@@ -114,31 +115,42 @@ impl SessionSpec {
 /// A full sweep: the list of sessions to run.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CampaignSpec {
-    /// Sessions in grid order (test-major, then `K_max`, then seed).
+    /// Sessions in grid order ([`Self::product`]'s, outermost axis first).
     pub sessions: Vec<SessionSpec>,
 }
 
 impl CampaignSpec {
-    /// The one product under the four grids: test → trace → transport →
-    /// `K_max` → fault intensity → seed, outermost first. A grid without
-    /// an axis passes a singleton for it.
-    fn product(
+    /// The one grid builder: the Cartesian product test → trace →
+    /// transport → `K_max` → fault intensity → seed, outermost first, each
+    /// cell `duration` simulated seconds. An empty `traces` runs steady
+    /// links (no trace axis); an intensity of `0.0` is the unlabelled,
+    /// fault-free baseline cell. A grid without an axis passes a
+    /// singleton for it (`&[Transport::Rap]`, `&[0.0]`).
+    pub fn product(
         tests: &[TestKind],
-        traces: &[Option<TraceKind>],
+        traces: &[TraceKind],
         transports: &[Transport],
         k_values: &[u32],
-        intensities: &[Option<f64>],
+        intensities: &[f64],
         seeds: &[u64],
         duration: f64,
     ) -> Self {
+        let traces: Vec<Option<TraceKind>> = match traces {
+            [] => vec![None],
+            _ => traces.iter().copied().map(Some).collect(),
+        };
+        let intensities: Vec<Option<f64>> = intensities
+            .iter()
+            .map(|&i| (i > 0.0).then_some(i))
+            .collect();
         let cells = tests.len() * traces.len() * transports.len();
         let cells = cells * k_values.len() * intensities.len() * seeds.len();
         let mut sessions = Vec::with_capacity(cells);
         for &test in tests {
-            for &trace in traces {
+            for &trace in &traces {
                 for &transport in transports {
                     for &k_max in k_values {
-                        for &fault_intensity in intensities {
+                        for &fault_intensity in &intensities {
                             for &seed in seeds {
                                 sessions.push(SessionSpec {
                                     test,
@@ -158,76 +170,17 @@ impl CampaignSpec {
         CampaignSpec { sessions }
     }
 
-    /// Cartesian grid `tests × k_values × seeds`, each of `duration`
-    /// simulated seconds.
+    /// [`Self::product`] over `tests × k_values × seeds`: RAP on steady,
+    /// fault-free links.
     pub fn grid(tests: &[TestKind], k_values: &[u32], seeds: &[u64], duration: f64) -> Self {
-        Self::product(
-            tests,
-            &[None],
-            &[Transport::Rap],
-            k_values,
-            &[None],
-            seeds,
-            duration,
-        )
+        Self::product(tests, &[], &[Transport::Rap], k_values, &[0.0], seeds, duration)
     }
 
-    /// QA × transport interop matrix: `tests × transports × k_values ×
-    /// seeds`, with an optional fault suite applied to every cell. Each
-    /// transport's cells run the same workloads and seeds, so rows are
-    /// directly comparable across controllers.
-    pub fn interop_grid(
-        tests: &[TestKind],
-        transports: &[Transport],
-        k_values: &[u32],
-        seeds: &[u64],
-        duration: f64,
-        fault_intensity: Option<f64>,
-    ) -> Self {
-        let intensities = [fault_intensity];
-        Self::product(
-            tests,
-            &[None],
-            transports,
-            k_values,
-            &intensities,
-            seeds,
-            duration,
-        )
-    }
-
-    /// Fault-intensity sweep: `tests × k_values × intensities × seeds`.
-    /// An intensity of exactly `0.0` runs the fault-free baseline cell
-    /// (useful as the reference column of a sweep table).
-    pub fn faults_grid(
-        tests: &[TestKind],
-        k_values: &[u32],
-        intensities: &[f64],
-        seeds: &[u64],
-        duration: f64,
-    ) -> Self {
-        let intensities: Vec<Option<f64>> = intensities
-            .iter()
-            .map(|&i| (i > 0.0).then_some(i))
-            .collect();
-        Self::product(
-            tests,
-            &[None],
-            &[Transport::Rap],
-            k_values,
-            &intensities,
-            seeds,
-            duration,
-        )
-    }
-
-    /// Hostile-network corpus: `tests × traces × transports × k_values ×
-    /// seeds`, with an optional fault suite composed on top of every cell
-    /// (faults mutate the same links the traces drive; the trace's next
-    /// schedule point overwrites a fault's bandwidth, never its delay or
-    /// loss — see `tests/faults_replay.rs` for the pinned precedence).
-    /// Trace-major ordering keeps each corpus condition's cells contiguous
-    /// in tables.
+    /// [`Self::product`] over the hostile corpus, with one fault intensity
+    /// (`None` = fault-free) composed on top of every cell (faults mutate
+    /// the same links the traces drive; the trace's next schedule point
+    /// overwrites a fault's bandwidth, never its delay or loss — see
+    /// `tests/faults_replay.rs` for the pinned precedence).
     pub fn hostile_grid(
         tests: &[TestKind],
         traces: &[TraceKind],
@@ -237,17 +190,8 @@ impl CampaignSpec {
         duration: f64,
         fault_intensity: Option<f64>,
     ) -> Self {
-        let traces: Vec<Option<TraceKind>> = traces.iter().copied().map(Some).collect();
-        let intensities = [fault_intensity];
-        Self::product(
-            tests,
-            &traces,
-            transports,
-            k_values,
-            &intensities,
-            seeds,
-            duration,
-        )
+        let intensity = [fault_intensity.unwrap_or(0.0)];
+        Self::product(tests, traces, transports, k_values, &intensity, seeds, duration)
     }
 
     /// Number of sessions.
@@ -467,17 +411,17 @@ impl CampaignResult {
         self.sessions.iter().map(SessionResult::summary).collect()
     }
 
-    /// Mean of a metric over sessions matching `test` and `k_max`.
+    /// Mean of a metric over the sessions whose spec `cell` selects, in
+    /// spec order; `None` when none of them has a sample.
     pub fn mean_metric(
         &self,
-        test: TestKind,
-        k_max: u32,
+        cell: impl Fn(&SessionSpec) -> bool,
         metric: impl Fn(&SessionResult) -> Option<f64>,
     ) -> Option<f64> {
         let vals: Vec<f64> = self
             .sessions
             .iter()
-            .filter(|s| s.spec.test == test && s.spec.k_max == k_max)
+            .filter(|s| cell(&s.spec))
             .filter_map(metric)
             .collect();
         if vals.is_empty() {
@@ -783,9 +727,9 @@ mod tests {
     }
 
     #[test]
-    fn faults_grid_enumerates_intensities_and_labels_them() {
-        let spec =
-            CampaignSpec::faults_grid(&[TestKind::T1], &[2], &[0.0, 0.5, 1.0], &[7], 10.0);
+    fn product_enumerates_intensities_and_labels_them() {
+        let (rap, intensities) = ([Transport::Rap], [0.0, 0.5, 1.0]);
+        let spec = CampaignSpec::product(&[TestKind::T1], &[], &rap, &[2], &intensities, &[7], 10.0);
         assert_eq!(spec.len(), 3);
         assert_eq!(spec.sessions[0].label(), "T1/k2/seed7");
         assert_eq!(spec.sessions[0].fault_intensity, None, "0.0 = baseline");

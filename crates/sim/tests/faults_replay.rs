@@ -102,7 +102,8 @@ fn full_intensity_sweep_survives_and_degrades_gracefully() {
 fn faults_campaign_fingerprint_is_thread_invariant() {
     // Long enough to pass the suite's start time (8 s) so the faulted cell
     // genuinely diverges from the baseline cell.
-    let spec = CampaignSpec::faults_grid(&[TestKind::T1], &[2], &[0.0, 1.0], &[7], 12.0);
+    let (t1, rap) = ([TestKind::T1], [Transport::Rap]);
+    let spec = CampaignSpec::product(&t1, &[], &rap, &[2], &[0.0, 1.0], &[7], 12.0);
     let serial = run_campaign(&spec, 1);
     let parallel = run_campaign(&spec, 4);
     assert_eq!(

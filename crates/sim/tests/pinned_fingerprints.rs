@@ -45,42 +45,32 @@ const DURATION: f64 = 8.0;
 /// `(name, campaign, pinned digest)` for all eleven pins.
 fn pins() -> Vec<(String, CampaignSpec, u64)> {
     let seeds = [7, 21, 35, 49, 63, 77, 91, 105];
-    let small = || CampaignSpec::grid(&[TestKind::T1], &[2], &[7, 21], DURATION);
+    let small = |traces: &[TraceKind], transport: Transport| {
+        let (t1, k2) = ([TestKind::T1], [2]);
+        CampaignSpec::product(&t1, traces, &[transport], &k2, &[0.0], &[7, 21], DURATION)
+    };
     let mut pins = vec![(
         "fp0".to_string(),
         CampaignSpec::grid(&[TestKind::T1], &[2, 4], &seeds, DURATION),
         FP0,
     )];
     for (transport, want) in Transport::ALL.into_iter().zip(INTEROP) {
-        let mut spec = small();
-        for s in &mut spec.sessions {
-            s.transport = transport;
-        }
-        pins.push((format!("interop/{}", transport.label()), spec, want));
+        let name = format!("interop/{}", transport.label());
+        pins.push((name, small(&[], transport), want));
     }
     for (trace, want) in TraceKind::ALL.into_iter().zip(HOSTILE) {
-        let mut spec = small();
-        for s in &mut spec.sessions {
-            s.trace = Some(trace);
-        }
-        pins.push((format!("hostile/{}", trace.label()), spec, want));
+        let name = format!("hostile/{}", trace.label());
+        pins.push((name, small(&[trace], Transport::Rap), want));
     }
+    let (t1, rap) = ([TestKind::T1], [Transport::Rap]);
     pins.push((
         "faults".to_string(),
-        CampaignSpec::faults_grid(&[TestKind::T1], &[2], &[0.5, 1.0], &[7, 21], 30.0),
+        CampaignSpec::product(&t1, &[], &rap, &[2], &[0.5, 1.0], &[7, 21], 30.0),
         FAULTS,
     ));
     pins.push((
         "hostile+faults".to_string(),
-        CampaignSpec::hostile_grid(
-            &[TestKind::T1],
-            &TraceKind::ALL,
-            &[Transport::Rap],
-            &[2],
-            &[7, 21],
-            20.0,
-            Some(1.0),
-        ),
+        CampaignSpec::product(&t1, &TraceKind::ALL, &rap, &[2], &[1.0], &[7, 21], 20.0),
         HOSTILE_FAULTS,
     ));
     pins

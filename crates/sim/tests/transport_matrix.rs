@@ -25,14 +25,15 @@ fn spec_for(transport: Transport) -> SessionSpec {
 }
 
 #[test]
-fn interop_grid_enumerates_transport_major() {
-    let spec = CampaignSpec::interop_grid(
+fn product_enumerates_transport_major() {
+    let spec = CampaignSpec::product(
         &[TestKind::T1],
+        &[],
         &Transport::ALL,
         &[2, 4],
+        &[0.0],
         &[7, 21],
         8.0,
-        None,
     );
     assert_eq!(spec.sessions.len(), 4 * 2 * 2);
     // Transport-major: each controller's cells stay contiguous, and the
@@ -174,7 +175,8 @@ fn faulted_interop_cells_complete_under_every_transport() {
     // The faults suite re-run across the matrix: every controller must
     // survive the full-intensity suite without panicking or starving the
     // base layer into an unresolved stall.
-    let spec = CampaignSpec::interop_grid(&[TestKind::T1], &Transport::ALL, &[2], &[7], 12.0, Some(1.0));
+    let t1 = [TestKind::T1];
+    let spec = CampaignSpec::product(&t1, &[], &Transport::ALL, &[2], &[1.0], &[7], 12.0);
     let result = run_campaign(&spec, 2);
     for s in &result.sessions {
         assert!(

@@ -1,7 +1,7 @@
 //! # laqa-trace — figure/table plumbing
 //!
 //! Minimal time-series recording and export used by every experiment
-//! regenerator: [`series`] for raw samples and rate binning, [`recorder`]
+//! regenerator: [`series`] for raw samples, [`recorder`]
 //! for collecting a run's series and writing CSVs, [`table`] for the
 //! paper-style aligned text tables, [`summary`] for machine-readable run
 //! summaries, [`json`] for the self-contained JSON reader/writer behind
@@ -26,6 +26,6 @@ pub use gnuplot::{render_script, write_figure, Panel};
 pub use hash::TraceHasher;
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use recorder::Recorder;
-pub use series::{RateBinner, TimeSeries};
+pub use series::TimeSeries;
 pub use summary::RunSummary;
 pub use table::{pct, Table};

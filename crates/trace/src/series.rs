@@ -1,6 +1,5 @@
 //! Time series: the raw material of every figure.
 
-
 /// A named `(time, value)` series.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
@@ -91,53 +90,6 @@ impl TimeSeries {
     }
 }
 
-/// Converts discrete byte events into a rate series by binning: each bin of
-/// width `bin` seconds yields one sample `(bin_start, bytes_in_bin / bin)`.
-#[derive(Debug, Clone)]
-pub struct RateBinner {
-    bin: f64,
-    current_bin: i64,
-    acc: f64,
-    series: TimeSeries,
-}
-
-impl RateBinner {
-    /// New binner with bins of `bin` seconds.
-    pub fn new(name: impl Into<String>, bin: f64) -> Self {
-        assert!(bin > 0.0);
-        RateBinner {
-            bin,
-            current_bin: 0,
-            acc: 0.0,
-            series: TimeSeries::new(name),
-        }
-    }
-
-    /// Record `bytes` at time `t`.
-    pub fn add(&mut self, t: f64, bytes: f64) {
-        let idx = (t / self.bin).floor() as i64;
-        while idx > self.current_bin {
-            let start = self.current_bin as f64 * self.bin;
-            self.series.push(start, self.acc / self.bin);
-            self.acc = 0.0;
-            self.current_bin += 1;
-        }
-        self.acc += bytes;
-    }
-
-    /// Flush the open bin and return the completed series.
-    pub fn finish(mut self, end_time: f64) -> TimeSeries {
-        let end_idx = (end_time / self.bin).ceil() as i64;
-        while self.current_bin < end_idx {
-            let start = self.current_bin as f64 * self.bin;
-            self.series.push(start, self.acc / self.bin);
-            self.acc = 0.0;
-            self.current_bin += 1;
-        }
-        self.series
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,31 +134,5 @@ mod tests {
         assert_eq!(s.at(1.0), Some(10.0));
         assert_eq!(s.at(1.9), Some(10.0));
         assert_eq!(s.at(5.0), Some(20.0));
-    }
-
-    #[test]
-    fn rate_binner_converts_bytes_to_rate() {
-        let mut b = RateBinner::new("rate", 1.0);
-        b.add(0.1, 500.0);
-        b.add(0.9, 500.0);
-        b.add(1.5, 2_000.0);
-        let s = b.finish(3.0);
-        assert_eq!(s.points.len(), 3);
-        assert_eq!(s.points[0], (0.0, 1_000.0));
-        assert_eq!(s.points[1], (1.0, 2_000.0));
-        assert_eq!(s.points[2], (2.0, 0.0));
-    }
-
-    #[test]
-    fn rate_binner_skips_empty_bins_with_zeros() {
-        let mut b = RateBinner::new("rate", 0.5);
-        b.add(0.1, 100.0);
-        b.add(2.1, 100.0);
-        let s = b.finish(2.5);
-        assert_eq!(s.points.len(), 5);
-        assert_eq!(s.points[1].1, 0.0);
-        assert_eq!(s.points[2].1, 0.0);
-        assert_eq!(s.points[3].1, 0.0);
-        assert_eq!(s.points[4].1, 200.0);
     }
 }
