@@ -104,22 +104,11 @@ impl SenderShell {
         &mut self,
         now: f64,
         ack: &AckInfo,
-        acked: impl FnMut(PacketRecord),
+        mut acked: impl FnMut(PacketRecord),
     ) -> Option<f64> {
         // ACK progress ends the RTO backoff, even an ACK that yields no
         // usable sample.
         self.rtt.reset_backoff();
-        self.on_ack_keeping_backoff(now, ack, acked)
-    }
-
-    /// [`on_ack`](Self::on_ack) without the eager backoff reset: only a
-    /// valid RTT sample clears the estimator's backoff.
-    pub(crate) fn on_ack_keeping_backoff(
-        &mut self,
-        now: f64,
-        ack: &AckInfo,
-        mut acked: impl FnMut(PacketRecord),
-    ) -> Option<f64> {
         self.last_progress = now;
         self.timeouts_in_row = 0;
         let events = &mut self.events;

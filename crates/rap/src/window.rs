@@ -146,17 +146,9 @@ impl RateController for WindowSender {
         }
     }
 
-    // The timeout clock is the only timer. Pinned divergence 1 of 2 from
-    // the shell (ROADMAP, "WindowSender's compounded RTO"): the
-    // estimator's `rto()` already carries the capped backoff, and this
-    // multiplies it by `2^timeouts_in_row` again — 4ⁿ growth. The interop
-    // `tcp` digest and the four hostile digests pin it.
+    // The timeout clock is the only timer.
     fn next_timer(&self) -> f64 {
-        if self.shell.in_flight() == 0 {
-            return f64::INFINITY;
-        }
-        let rto = self.shell.rtt.rto() * 2f64.powi(self.shell.timeouts_in_row.min(6) as i32);
-        self.shell.last_progress + rto
+        self.shell.timeout_deadline()
     }
 
     fn register_send(&mut self, now: f64, size: f64, tag: u32) -> u64 {
@@ -164,10 +156,7 @@ impl RateController for WindowSender {
     }
 
     fn on_ack(&mut self, now: f64, ack: AckInfo) {
-        // Pinned divergence 2 of 2 (same ROADMAP note): no eager
-        // `reset_backoff()` on ACK progress — only a valid RTT sample
-        // clears the estimator's backoff.
-        self.shell.on_ack_keeping_backoff(now, &ack, |_| {
+        self.shell.on_ack(now, &ack, |_| {
             // Per-ACK growth: slow start below ssthresh, else CA.
             if self.cwnd < self.ssthresh {
                 self.cwnd += 1.0;
@@ -267,27 +256,24 @@ mod tests {
     }
 
     #[test]
-    fn timeout_deadline_compounds_and_only_a_sample_resets_the_estimator() {
-        // Pinned, not endorsed — the two divergences from the shell that
-        // ROADMAP's "WindowSender's compounded RTO" note records.
-        // 1: after n consecutive timeouts the estimator's RTO is already
-        // 2ⁿ × base and the deadline multiplies it by 2ⁿ again. Base RTO
-        // from the 50 ms seed: max(0.05 + 4·0.025, min_rto) = 0.2 s.
+    fn timeout_deadline_is_the_estimators_rto_and_ack_progress_resets_it() {
+        // After n consecutive timeouts the deadline is the estimator's
+        // RTO, which already carries the 2ⁿ backoff — doubling, not 4ⁿ.
+        // Base RTO from the 50 ms seed: max(0.05 + 4·0.025, min_rto) = 0.2 s.
         let mut s = sender();
-        for (n, rto) in [0.2, 0.2 * 4.0, 0.2 * 16.0].into_iter().enumerate() {
+        for (n, rto) in [0.2, 0.2 * 2.0, 0.2 * 4.0].into_iter().enumerate() {
             let now = n as f64 * 10.0;
             s.register_send(now, 1_000.0, 0);
             assert!((s.next_timer() - (now + rto)).abs() < 1e-12, "timeout {n}");
             s.poll_timers(s.next_timer());
             assert_eq!(backoffs_and_losses(&mut s), (1, 1), "timeout {n}");
         }
-        // 2: a late ACK for a packet the timeout already wrote off is
-        // progress (the window's own exponent clears) but yields no RTT
-        // sample, so the estimator's 2³ stands where the shell's eager
-        // reset would have cleared it.
+        // A late ACK for a packet the timeout already wrote off yields no
+        // RTT sample, but it is progress: the backoff resets, as in every
+        // other sender.
         s.on_ack(30.0, RapReceiverState::new().on_data(0));
         s.register_send(30.0, 1_000.0, 0);
-        assert!((s.next_timer() - (30.0 + 0.2 * 8.0)).abs() < 1e-12);
+        assert!((s.next_timer() - (30.0 + 0.2)).abs() < 1e-12);
     }
 
     #[test]

@@ -20,7 +20,10 @@ const INTEROP: [u64; 4] = [
     0xb89d_8b99_0c73_b861, // rap
     0x0437_deb8_c295_653b, // bbr
     0x9ae4_95b6_5bad_265d, // nada
-    0x47dd_5aaa_0e7d_cc11, // tcp
+    // tcp: 47dd5aaa0e7dcc11 until WindowSender's timeout deadline became
+    // the shell's (the estimator's RTO, reset on ACK progress) instead of
+    // compounding that RTO by 2^timeouts_in_row again.
+    0xeb46_7c35_bcc0_a601, // tcp
 ];
 
 /// The same grid per hostile trace family, in [`TraceKind::ALL`] order.
