@@ -153,7 +153,8 @@ fn main() {
     let obs_dir = args.options.get("obs").map(std::path::Path::new);
     laqa_obs::set_enabled(obs_dir.is_some());
     laqa_obs::flight::set_enabled(obs_dir.is_some());
-    let result = run(&args, preset).and_then(|()| obs_dir.map_or(Ok(()), export_obs));
+    let result = run(&args, preset)
+        .and_then(|sweep| obs_dir.map_or(Ok(()), |dir| export_obs(dir, &sweep)));
     if let Err(e) = result {
         // A list naming one value twice is a usage error like the ones
         // above; anything else failed at run time.
@@ -169,11 +170,9 @@ fn usage_error(msg: String) -> ! {
     std::process::exit(2);
 }
 
-/// Write the accumulated obs snapshot to `dir` (`metrics.json`) plus
-/// the flight-recorder trace (`flight.json`).
-fn export_obs(dir: &std::path::Path) -> Result<(), AnyError> {
-    laqa_obs::set_enabled(false);
-    laqa_obs::flight::set_enabled(false);
+/// Write the sweep's obs snapshot to `dir` (`metrics.json`) plus its
+/// flight-recorder trace (`flight.json`).
+fn export_obs(dir: &std::path::Path, sweep: &CampaignResult) -> Result<(), AnyError> {
     let (snap, shown) = (laqa_obs::snapshot(), dir.display());
     snap.write_dir(dir)?;
     let (counters, histograms) = (snap.counters.len(), snap.histograms.len());
@@ -181,21 +180,14 @@ fn export_obs(dir: &std::path::Path) -> Result<(), AnyError> {
         "obs: wrote snapshot to {shown} ({counters} counters, {histograms} histograms) — \
          render with `laqa obs-report --dir {shown}`"
     );
-    let flight = laqa_obs::flight::snapshot_flight();
+    let flight = sweep.flight();
     if !flight.records.is_empty() {
         std::fs::write(dir.join("flight.json"), flight.to_json().to_compact())?;
-        let (records, tracks, evicted) =
-            (flight.records.len(), flight.session_ids().len(), flight.evicted);
+        let (records, tracks) = (flight.records.len(), flight.session_ids().len());
         println!(
-            "obs: wrote flight.json ({records} records on {tracks} tracks, {evicted} evicted) — \
+            "obs: wrote flight.json ({records} records on {tracks} tracks) — \
              convert with `laqa obs-trace --dir {shown}`"
         );
-        if evicted > 0 {
-            eprintln!(
-                "warning: the flight recorder evicted {evicted} records — the timeline is \
-                 truncated; re-run with a larger LAQA_OBS_FLIGHT_RING to keep them"
-            );
-        }
     }
     Ok(())
 }
@@ -203,8 +195,8 @@ fn export_obs(dir: &std::path::Path) -> Result<(), AnyError> {
 type AnyError = Box<dyn std::error::Error>;
 
 /// Run `preset` over the command line's axes: the grid and its tables,
-/// the replay check, and the summaries on disk.
-fn run(args: &Args, preset: &Preset) -> Result<(), AnyError> {
+/// the replay check, and the summaries on disk. Returns the sweep.
+fn run(args: &Args, preset: &Preset) -> Result<CampaignResult, AnyError> {
     let host = || std::thread::available_parallelism().map_or(4, std::num::NonZeroUsize::get);
     let threads: usize = args.get("threads", preset.threads.unwrap_or_else(host))?;
     let duration: f64 = args.get("duration", preset.duration)?;
@@ -257,6 +249,9 @@ fn run(args: &Args, preset: &Preset) -> Result<(), AnyError> {
         println!("{}", BY_TRACE.render(&result, &traces, |t| t.label().into(), by));
     }
     // The sweep must reproduce bit-identically on another thread count.
+    // Obs is off for the replay, so `--obs` describes the sweep once.
+    laqa_obs::set_enabled(false);
+    laqa_obs::flight::set_enabled(false);
     let (fp, on, wall) = (result.fingerprint(), result.threads, result.wall_secs);
     let replay = run_campaign(&spec, if on == 1 { 2 } else { 1 });
     let (replay_fp, replay_on) = (replay.fingerprint(), replay.threads);
@@ -288,7 +283,7 @@ fn run(args: &Args, preset: &Preset) -> Result<(), AnyError> {
     if preset.name != "tables" {
         println!("{} ok: {n} sessions in {wall:.2}s", preset.name);
     }
-    Ok(())
+    Ok(result)
 }
 
 /// Tables 1 and 2 (mean over each test × `K_max` cell's seeds). With

@@ -174,17 +174,6 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// A timeline that lost records must say so where it cannot be missed,
-/// not only as one field of a table.
-fn warn_if_evicted(evicted: u64) {
-    if evicted > 0 {
-        eprintln!(
-            "warning: the flight recorder evicted {evicted} records — the timeline is \
-             truncated; re-run with a larger LAQA_OBS_FLIGHT_RING to keep them"
-        );
-    }
-}
-
 /// Load the `metrics.json` written by `campaign --obs DIR` and print
 /// it as aligned tables.
 fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
@@ -193,7 +182,6 @@ fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
     let snap = laqa_obs::Snapshot::read_dir(path)
         .map_err(|e| format!("reading obs snapshot from {dir}: {e}"))?;
     print!("{}", snap.render());
-    warn_if_evicted(snap.events_evicted);
     if snap.is_empty() {
         println!("(snapshot is empty — was the run executed with --obs and obs enabled?)");
     }
@@ -203,7 +191,7 @@ fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
 /// Convert the `flight.json` flight-recorder trace written by
 /// `campaign --obs DIR` into Chrome trace-event JSON, then re-parse and
 /// validate the written file (span balance, one non-empty track per
-/// session) so a malformed or empty export fails loudly
+/// session in `flight.json`) so a malformed or empty export fails loudly
 /// (`crates/bench/tests/cli.rs` drives the round trip).
 fn cmd_obs_trace(args: &Args) -> Result<(), AnyError> {
     let dir: String = args.get("dir", "target/obs".to_string())?;
@@ -231,19 +219,21 @@ fn cmd_obs_trace(args: &Args) -> Result<(), AnyError> {
     }
     println!("{}", tbl.render());
     println!(
-        "wrote {out}: {} events ({} spans, {} instants, {} counter samples) on {} tracks, {} records evicted",
+        "wrote {out}: {} events ({} spans, {} instants, {} counter samples) on {} tracks",
         stats.events,
         stats.spans,
         stats.instants,
         stats.counters,
         stats.tracks.len(),
-        trace.evicted,
     );
-    warn_if_evicted(trace.evicted);
-    if stats.session_tracks() == 0 {
-        return Err("export has no non-empty session track — \
-                    was the flight recorder enabled during the run?"
-            .into());
+    let sessions = trace.session_ids().len();
+    if sessions == 0 || stats.session_tracks() != sessions {
+        return Err(format!(
+            "export has {} non-empty session tracks for {sessions} sessions — \
+             was the flight recorder enabled during the run?",
+            stats.session_tracks()
+        )
+        .into());
     }
     Ok(())
 }

@@ -4,8 +4,7 @@
 //! default tables mode's replay check, `--transport` / `--trace` grids
 //! equal to the library's `CampaignSpec::product`, the
 //! `campaign --obs DIR` → `laqa obs-report` / `laqa obs-trace` round trip
-//! over real files, and the stderr warning when the flight recorder's
-//! rings overflowed.
+//! over real files.
 
 use laqa_sim::{run_campaign, CampaignSpec, TestKind, TraceKind, Transport};
 use std::path::{Path, PathBuf};
@@ -14,13 +13,8 @@ use std::process::{Command, Output};
 const CAMPAIGN: &str = env!("CARGO_BIN_EXE_campaign");
 const LAQA: &str = env!("CARGO_BIN_EXE_laqa");
 
-fn run(bin: &str, args: &[&str], ring: Option<&str>) -> Output {
-    let mut cmd = Command::new(bin);
-    cmd.args(args).env_remove("LAQA_OBS_FLIGHT_RING");
-    if let Some(ring) = ring {
-        cmd.env("LAQA_OBS_FLIGHT_RING", ring);
-    }
-    cmd.output().expect("spawn binary")
+fn run(bin: &str, args: &[&str]) -> Output {
+    Command::new(bin).args(args).output().expect("spawn binary")
 }
 
 fn stderr(out: &Output) -> String {
@@ -168,7 +162,7 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
         (LAQA, &[], "missing subcommand"),
     ];
     for (bin, args, want) in cases {
-        let out = run(bin, args, None);
+        let out = run(bin, args);
         assert_eq!(out.status.code(), Some(2), "{bin} {args:?}");
         assert_has(&stderr(&out), want);
         let ran = stdout(&out).contains("fingerprint");
@@ -181,7 +175,7 @@ fn smoke_honours_kmax_and_seeds() {
     // `--smoke` once hard-coded K_max {2, 4} x seeds {7, 21} and ran eight
     // cells here whatever the command line said.
     let args = "--smoke --kmax 3 --seeds 5 --transport rap,tcp";
-    let out = run(CAMPAIGN, &args.split(' ').collect::<Vec<_>>(), None);
+    let out = run(CAMPAIGN, &args.split(' ').collect::<Vec<_>>());
     assert!(out.status.success(), "campaign: {}", stderr(&out));
     let text = stdout(&out);
     let cells: Vec<&str> = text
@@ -202,7 +196,7 @@ fn tables_mode_checks_replay() {
     let dir_arg = dir.to_str().expect("utf-8 scratch path");
     let mut args: Vec<&str> = "--duration 2 --kmax 2 --seeds 7 --out".split(' ').collect();
     args.push(dir_arg);
-    let out = run(CAMPAIGN, &args, None);
+    let out = run(CAMPAIGN, &args);
     assert!(out.status.success(), "campaign: {}", stderr(&out));
     assert_has(&stdout(&out), "replay check: 2 sessions");
 }
@@ -226,7 +220,7 @@ fn transport_and_trace_axes_build_the_library_grid() {
     let smoke = format!("--smoke {axes}");
     let tables = format!("{axes} --out {dir_arg}");
     for (line, tests) in [(&smoke, &[TestKind::T1][..]), (&tables, &TestKind::ALL[..])] {
-        let out = run(CAMPAIGN, &line.split(' ').collect::<Vec<_>>(), None);
+        let out = run(CAMPAIGN, &line.split(' ').collect::<Vec<_>>());
         assert!(out.status.success(), "campaign {line}: {}", stderr(&out));
         let text = stdout(&out);
         assert_has(&text, "interop matrix: QA metrics by transport");
@@ -242,12 +236,14 @@ fn transport_and_trace_axes_build_the_library_grid() {
 }
 
 /// `campaign --faults --smoke --obs DIR`, then both `laqa` readers over
-/// what it wrote. Returns the three outputs.
-fn obs_round_trip(dir: &Path, ring: Option<&str>) -> [Output; 3] {
+/// what it wrote.
+#[test]
+fn obs_export_round_trips_through_report_and_trace() {
+    let dir = scratch("cli-obs");
     let dir_arg = dir.to_str().expect("utf-8 scratch path");
-    let campaign = run(CAMPAIGN, &["--faults", "--smoke", "--obs", dir_arg], ring);
+    let campaign = run(CAMPAIGN, &["--faults", "--smoke", "--obs", dir_arg]);
     assert!(campaign.status.success(), "campaign: {}", stderr(&campaign));
-    let mut written: Vec<_> = std::fs::read_dir(dir)
+    let mut written: Vec<_> = std::fs::read_dir(&dir)
         .expect("campaign --obs created the directory")
         .map(|e| e.expect("dir entry").file_name())
         .collect();
@@ -257,48 +253,27 @@ fn obs_round_trip(dir: &Path, ring: Option<&str>) -> [Output; 3] {
         ["flight.json", "metrics.json"],
         "campaign --obs writes exactly these"
     );
-    let report = run(LAQA, &["obs-report", "--dir", dir_arg], None);
+    let report = run(LAQA, &["obs-report", "--dir", dir_arg]);
     assert!(report.status.success(), "obs-report: {}", stderr(&report));
-    let trace = run(LAQA, &["obs-trace", "--dir", dir_arg], None);
+    let trace = run(LAQA, &["obs-trace", "--dir", dir_arg]);
     assert!(trace.status.success(), "obs-trace: {}", stderr(&trace));
-    [campaign, report, trace]
-}
-
-#[test]
-fn obs_export_round_trips_through_report_and_trace() {
-    let dir = scratch("cli-obs");
-    let [campaign, report, trace] = obs_round_trip(&dir, None);
 
     assert_has(&stdout(&campaign), "replay check:");
     assert_has(&stdout(&report), "campaign.sessions");
-    // obs-trace re-parses and validates what it wrote; check the file is
-    // there and that the default rings held the whole smoke timeline.
+    // The replay check runs with obs off: the 2-session grid is counted
+    // once, not once per run.
+    let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics.json");
+    let sessions = laqa_trace::parse_json(&metrics)
+        .expect("metrics.json parses")
+        .get("counters")
+        .and_then(|c| c.get("campaign.sessions"))
+        .and_then(laqa_trace::JsonValue::as_num);
+    assert_eq!(sessions, Some(2.0), "campaign.sessions in metrics.json");
+    // obs-trace re-parses and validates what it wrote.
     assert!(dir.join("trace.json").is_file());
-    assert_has(&stdout(&trace), "0 records evicted");
+    assert_has(&stdout(&trace), "session 0");
+    assert_has(&stdout(&trace), "session 1");
     for out in [&campaign, &report, &trace] {
         assert!(!stderr(out).contains("warning:"), "{}", stderr(out));
-    }
-}
-
-#[test]
-fn truncated_timelines_warn_on_stderr() {
-    let dir = scratch("cli-obs-tiny-ring");
-    let outputs = obs_round_trip(&dir, Some("64"));
-
-    let flight = std::fs::read_to_string(dir.join("flight.json")).expect("flight.json");
-    let evicted = laqa_trace::parse_json(&flight)
-        .expect("flight.json parses")
-        .get("evicted")
-        .and_then(laqa_trace::JsonValue::as_num)
-        .expect("evicted field") as u64;
-    assert!(evicted > 0, "a 64-record ring must overflow on the sweep");
-
-    // campaign --obs, obs-report, obs-trace: each must say so.
-    for out in &outputs {
-        let err = stderr(out);
-        let warning = err.lines().find(|l| l.starts_with("warning:"));
-        let warning = warning.unwrap_or_else(|| panic!("no warning line in {err:?}"));
-        assert_has(warning, &format!("evicted {evicted} records"));
-        assert_has(warning, "LAQA_OBS_FLIGHT_RING");
     }
 }

@@ -17,27 +17,18 @@ pub struct Snapshot {
     pub counters: BTreeMap<String, u64>,
     /// Histograms, sorted by name.
     pub histograms: Vec<HistogramSnapshot>,
-    /// Flight-recorder records evicted before this snapshot. Named for
-    /// the retired event ring because `benchmark/` reads this field.
+    /// Always 0: nothing in `laqa-obs` evicts. Kept because `benchmark/`
+    /// reads this field.
     pub events_evicted: u64,
 }
 
 impl Snapshot {
     /// Freeze the current state of every registry.
-    ///
-    /// Ring truncation is made visible rather than silent: a nonzero
-    /// flight-recorder eviction total surfaces as the synthetic
-    /// `obs.flight_evicted` counter.
     pub fn collect() -> Snapshot {
-        let mut counters = registry::snapshot_counters();
-        let flight_evicted = crate::flight::total_evicted();
-        if flight_evicted > 0 {
-            counters.insert("obs.flight_evicted".to_string(), flight_evicted);
-        }
         Snapshot {
-            counters,
+            counters: registry::snapshot_counters(),
             histograms: registry::snapshot_histograms(),
-            events_evicted: flight_evicted,
+            events_evicted: 0,
         }
     }
 
@@ -143,8 +134,6 @@ impl Snapshot {
                 sum: h.get("sum").and_then(JsonValue::as_num).unwrap_or(0.0),
             });
         }
-
-        snap.events_evicted = snap.counter("obs.flight_evicted").unwrap_or(0);
         Ok(snap)
     }
 
@@ -243,28 +232,5 @@ mod tests {
         assert!(text.contains("p50"));
         assert!(text.contains("p99"));
         assert!(!text.contains("<=2:"));
-    }
-
-    #[test]
-    fn ring_evictions_surface_as_counter() {
-        let _g = TEST_LOCK.lock().unwrap();
-        crate::reset();
-        crate::flight::set_enabled(true);
-        for i in 0..(crate::flight::ring_capacity() + 2) {
-            crate::flight::instant("export.evict.fl", i as f64, 0.0);
-        }
-        crate::flight::set_enabled(false);
-        let snap = crate::snapshot();
-        assert_eq!(snap.counter("obs.flight_evicted"), Some(2));
-        assert_eq!(snap.events_evicted, 2);
-        let dir = std::env::temp_dir().join("laqa-obs-export-evict-test");
-        snap.write_dir(&dir).unwrap();
-        let back = Snapshot::read_dir(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
-        assert_eq!(back, snap);
-        crate::reset();
-        let snap = crate::snapshot();
-        assert_eq!(snap.counter("obs.flight_evicted"), None);
-        assert_eq!(snap.events_evicted, 0);
     }
 }

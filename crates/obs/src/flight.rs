@@ -1,64 +1,43 @@
-//! Flight recorder: bounded per-thread, sim-time-stamped timeline traces
-//! with per-session attribution.
+//! Flight recorder: per-session, sim-time-stamped timeline traces.
 //!
 //! The metrics registry answers "how many" and spans answer "how long",
 //! but neither can answer *why session 17 starved at t=31s* — that
-//! needs a timeline: QA state spans, layer add/drop
-//! instants, backoff markers and buffer-level samples, all attributed to
-//! the session that produced them no matter which worker thread ran it
-//! or whether its world was warm or cold.
+//! needs a timeline: QA state spans, layer add/drop and backoff
+//! instants and buffer-level samples of that one session.
 //!
 //! ## Recording model
 //!
 //! Producers call [`state`], [`instant`] or [`sample`] with a static
-//! name, the session-local simulation time, and a value. The record is
-//! stamped with the calling thread's *current session* (set by the
-//! campaign workers via [`set_session`]) and a **per-session sequence
-//! number**, then appended to the calling thread's bounded ring.
-//! Executor-side records that belong to no single session use the
-//! reserved [`HOST_TRACK`] id.
+//! name, the session-local simulation time, and a value; the record is
+//! appended to the calling thread's buffer. A session runs entirely on
+//! one thread, so its runner (`laqa_sim::run_session`) owns what it
+//! recorded: it calls [`take`] when the session starts and again when it
+//! ends, and the records travel in the session's result. A campaign
+//! builds its [`FlightTrace`] from those results by grid index
+//! ([`FlightTrace::from_sessions`]). Nothing is bounded or evicted.
 //!
 //! ## Determinism
 //!
-//! The merge sorts by `(session, time, seq)` and finally by full record
-//! content. A session runs entirely on one thread, its records are
-//! appended in dispatch order, and its sequence counter depends only on
-//! how many records the session produced before — never on which worker
-//! ran it or what else that worker ran. Two runs of the same campaign
-//! therefore export **byte-identical** per-session tracks for any thread
-//! count, as long as no ring evicted (`tests/flight_determinism.rs` pins
-//! this). [`HOST_TRACK`] records reflect executor scheduling and are only
-//! deterministic per run.
+//! A session's records, in emission order, depend only on its spec —
+//! never on which worker ran it or what else that worker ran. The
+//! export numbers each record by its emission index (`seq`) and sorts
+//! each track stably by sim time, so two runs of the same campaign
+//! export **byte-identical** traces for any thread count
+//! (`tests/flight_determinism.rs` pins this).
 //!
 //! ## Inertness
 //!
 //! The recorder has its own enable flag, off by default: a disabled site
-//! costs one relaxed atomic load. Enabled, it only copies values it is
-//! handed — fingerprints are bit-identical with the recorder on and off
-//! (`crates/sim/tests/obs_inertness.rs` enforces this).
-//!
-//! ## Capacity
-//!
-//! Each thread ring holds [`FLIGHT_RING_CAPACITY`] records by default;
-//! set the `LAQA_OBS_FLIGHT_RING` environment variable (read once) to
-//! resize. Evictions are counted and surfaced as the
-//! `obs.flight_evicted` counter in snapshots.
+//! costs one relaxed atomic load, and a session run with the recorder off
+//! never touches its thread's buffer. Enabled, it only copies values it
+//! is handed — fingerprints are bit-identical with the recorder on and
+//! off (`crates/sim/tests/obs_inertness.rs` enforces this).
 
-use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, VecDeque};
+use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
 
 use laqa_trace::chrome::ChromeTrace;
 use laqa_trace::JsonValue;
-
-/// Session id for engine-global records (batch dispatches, stale-token
-/// drops) that belong to no single session. Sorts after every real
-/// session and is exported as the `engine` track.
-pub const HOST_TRACK: u64 = u64::MAX;
-
-/// Default flight records retained per thread before eviction.
-pub const FLIGHT_RING_CAPACITY: usize = 65_536;
 
 static FLIGHT_ENABLED: AtomicBool = AtomicBool::new(false);
 
@@ -75,21 +54,6 @@ pub fn set_enabled(on: bool) {
     FLIGHT_ENABLED.store(on, Ordering::Relaxed);
 }
 
-static CAPACITY: OnceLock<usize> = OnceLock::new();
-
-fn parse_capacity(raw: Option<&str>) -> usize {
-    raw.and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|v| v.max(16))
-        .unwrap_or(FLIGHT_RING_CAPACITY)
-}
-
-/// Per-thread ring capacity: the `LAQA_OBS_FLIGHT_RING` environment
-/// variable (read once, clamped to at least 16), else
-/// [`FLIGHT_RING_CAPACITY`].
-pub fn ring_capacity() -> usize {
-    *CAPACITY.get_or_init(|| parse_capacity(std::env::var("LAQA_OBS_FLIGHT_RING").ok().as_deref()))
-}
-
 /// What a [`FlightRecord`] marks on its session's track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
@@ -97,8 +61,8 @@ pub enum FlightKind {
     /// state span on the track ends here. Exported as a Chrome duration
     /// span.
     State,
-    /// A point event (layer add/drop, backoff, timer fire). Exported as
-    /// a Chrome instant.
+    /// A point event (layer add/drop, backoff). Exported as a Chrome
+    /// instant.
     Instant,
     /// A numeric sample (buffer level). Exported as a Chrome counter
     /// series.
@@ -126,14 +90,28 @@ impl FlightKind {
     }
 }
 
-/// One merged, owned timeline record (see [`FlightTrace`]).
+/// One record as its session emitted it. The name stays `&'static str`
+/// so recording never allocates per record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Record {
+    /// Session-local simulation time (seconds).
+    pub time: f64,
+    /// Record kind.
+    pub kind: FlightKind,
+    /// Dotted name (state label for [`FlightKind::State`]).
+    pub name: &'static str,
+    /// Payload value (layer count, rate, buffer bytes, ...).
+    pub value: f64,
+}
+
+/// One exported timeline record (see [`FlightTrace`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct FlightRecord {
-    /// Owning session ([`HOST_TRACK`] for engine-global records).
+    /// Owning session: its grid index.
     pub session: u64,
     /// Session-local simulation time (seconds).
     pub time: f64,
-    /// Per-session sequence number (monotone over the session's records).
+    /// Emission index within the session.
     pub seq: u64,
     /// Record kind.
     pub kind: FlightKind,
@@ -143,84 +121,30 @@ pub struct FlightRecord {
     pub value: f64,
 }
 
-/// In-ring record; names stay `&'static str` so recording never
-/// allocates per record.
-#[derive(Debug, Clone, PartialEq)]
-struct RawRecord {
-    session: u64,
-    time: f64,
-    seq: u64,
-    kind: FlightKind,
-    name: &'static str,
-    value: f64,
-}
-
-struct Ring {
-    records: VecDeque<RawRecord>,
-    /// Next sequence number per session. Lives in the ring (not thread-
-    /// local storage) so [`clear`] can reset it from any thread.
-    next_seq: BTreeMap<u64, u64>,
-    evicted: u64,
-}
-
-impl Ring {
-    fn new() -> Self {
-        Ring {
-            records: VecDeque::with_capacity(ring_capacity().min(FLIGHT_RING_CAPACITY)),
-            next_seq: BTreeMap::new(),
-            evicted: 0,
-        }
-    }
-}
-
-static ALL_RINGS: OnceLock<Mutex<Vec<Arc<Mutex<Ring>>>>> = OnceLock::new();
-
-fn all_rings() -> &'static Mutex<Vec<Arc<Mutex<Ring>>>> {
-    ALL_RINGS.get_or_init(|| Mutex::new(Vec::new()))
-}
-
 thread_local! {
-    static THREAD_RING: RefCell<Option<Arc<Mutex<Ring>>>> = const { RefCell::new(None) };
-    /// The session records on this thread are attributed to.
-    static CURRENT_SESSION: Cell<u64> = const { Cell::new(0) };
-}
-
-/// Attribute subsequent records on this thread to `session`. Campaign
-/// workers call this with the grid index before running a cell. Callers
-/// should gate on [`enabled`] to keep the disabled cost at one load.
-pub fn set_session(session: u64) {
-    CURRENT_SESSION.with(|c| c.set(session));
+    /// What the session running on this thread has recorded so far.
+    static RECORDS: RefCell<Vec<Record>> = const { RefCell::new(Vec::new()) };
 }
 
 fn record(kind: FlightKind, name: &'static str, time: f64, value: f64) {
     if !enabled() {
         return;
     }
-    let session = CURRENT_SESSION.with(Cell::get);
-    THREAD_RING.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        let ring = slot.get_or_insert_with(|| {
-            let ring = Arc::new(Mutex::new(Ring::new()));
-            all_rings().lock().expect("flight rings").push(ring.clone());
-            ring
-        });
-        let mut ring = ring.lock().expect("flight ring");
-        if ring.records.len() >= ring_capacity() {
-            ring.records.pop_front();
-            ring.evicted += 1;
-        }
-        let seq_slot = ring.next_seq.entry(session).or_insert(0);
-        let seq = *seq_slot;
-        *seq_slot += 1;
-        ring.records.push_back(RawRecord {
-            session,
+    RECORDS.with(|r| {
+        r.borrow_mut().push(Record {
             time,
-            seq,
             kind,
             name,
             value,
-        });
+        })
     });
+}
+
+/// Take everything recorded on this thread since the last `take`, in
+/// emission order. A session runner calls it when the session starts
+/// (dropping whatever was recorded outside a session) and when it ends.
+pub fn take() -> Vec<Record> {
+    RECORDS.with(|r| std::mem::take(&mut *r.borrow_mut()))
 }
 
 /// Record a state transition: the current session enters state `name` at
@@ -230,7 +154,7 @@ pub fn state(name: &'static str, time: f64) {
     record(FlightKind::State, name, time, 0.0);
 }
 
-/// Record a point event with a payload value (layer index, rate, token).
+/// Record a point event with a payload value (layer index, rate).
 #[inline]
 pub fn instant(name: &'static str, time: f64, value: f64) {
     record(FlightKind::Instant, name, time, value);
@@ -243,64 +167,12 @@ pub fn sample(name: &'static str, time: f64, value: f64) {
     record(FlightKind::Value, name, time, value);
 }
 
-/// The merged flight trace: every thread's ring, deterministically
-/// ordered (see the module docs).
+/// The timeline of a campaign: one track per session, sorted by
+/// `(session, time, seq)` (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FlightTrace {
     /// Records sorted by `(session, time, seq)`.
     pub records: Vec<FlightRecord>,
-    /// Records evicted from the bounded rings before this snapshot. A
-    /// nonzero count means the timeline is truncated (oldest first).
-    pub evicted: u64,
-}
-
-/// Merge every thread's flight ring into one deterministically ordered
-/// trace (non-destructive; [`crate::reset`] clears the rings).
-pub fn snapshot_flight() -> FlightTrace {
-    let mut records: Vec<FlightRecord> = Vec::new();
-    let mut evicted = 0;
-    for ring in all_rings().lock().expect("flight rings").iter() {
-        let ring = ring.lock().expect("flight ring");
-        records.extend(ring.records.iter().map(|r| FlightRecord {
-            session: r.session,
-            time: r.time,
-            seq: r.seq,
-            kind: r.kind,
-            name: r.name.to_string(),
-            value: r.value,
-        }));
-        evicted += ring.evicted;
-    }
-    records.sort_by(|a, b| {
-        a.session
-            .cmp(&b.session)
-            .then(a.time.total_cmp(&b.time))
-            .then(a.seq.cmp(&b.seq))
-            .then_with(|| a.name.cmp(&b.name))
-            .then(a.value.total_cmp(&b.value))
-    });
-    FlightTrace { records, evicted }
-}
-
-/// Clear every ring (sequence counters restart too).
-pub(crate) fn clear() {
-    for ring in all_rings().lock().expect("flight rings").iter() {
-        let mut ring = ring.lock().expect("flight ring");
-        ring.records.clear();
-        ring.next_seq.clear();
-        ring.evicted = 0;
-    }
-}
-
-/// Total records evicted across all rings (surfaced by snapshots as the
-/// `obs.flight_evicted` counter).
-pub(crate) fn total_evicted() -> u64 {
-    all_rings()
-        .lock()
-        .expect("flight rings")
-        .iter()
-        .map(|r| r.lock().expect("flight ring").evicted)
-        .sum()
 }
 
 /// The Chrome trace `pid` every track lives under.
@@ -312,8 +184,27 @@ fn as_count(x: f64) -> Option<u64> {
 }
 
 impl FlightTrace {
-    /// Distinct session ids in the trace, ascending ([`HOST_TRACK`] last
-    /// when present).
+    /// Assemble a trace from each session's records in grid order:
+    /// session `i` is the `i`-th slice. Each track numbers its records in
+    /// emission order (`seq`) and is sorted stably by sim time.
+    pub fn from_sessions<'a>(sessions: impl IntoIterator<Item = &'a [Record]>) -> FlightTrace {
+        let mut records = Vec::new();
+        for (session, track) in sessions.into_iter().enumerate() {
+            let start = records.len();
+            records.extend(track.iter().enumerate().map(|(seq, r)| FlightRecord {
+                session: session as u64,
+                time: r.time,
+                seq: seq as u64,
+                kind: r.kind,
+                name: r.name.to_string(),
+                value: r.value,
+            }));
+            records[start..].sort_by(|a, b| a.time.total_cmp(&b.time));
+        }
+        FlightTrace { records }
+    }
+
+    /// Distinct session ids in the trace, ascending.
     pub fn session_ids(&self) -> Vec<u64> {
         let mut ids: Vec<u64> = Vec::new();
         for r in &self.records {
@@ -324,53 +215,31 @@ impl FlightTrace {
         ids
     }
 
-    /// Raw JSON form (`flight.json`): `{"evicted": n, "records": [...]}`.
+    /// Raw JSON form (`flight.json`): `{"records": [...]}`.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::Obj(vec![
-            ("evicted".into(), JsonValue::Num(self.evicted as f64)),
-            (
-                "records".into(),
-                JsonValue::Arr(
-                    self.records
-                        .iter()
-                        .map(|r| {
-                            JsonValue::Obj(vec![
-                                ("session".into(), JsonValue::Num(r.session as f64)),
-                                ("time".into(), JsonValue::Num(r.time)),
-                                ("seq".into(), JsonValue::Num(r.seq as f64)),
-                                ("kind".into(), JsonValue::Str(r.kind.label().into())),
-                                ("name".into(), JsonValue::Str(r.name.clone())),
-                                ("value".into(), JsonValue::Num(r.value)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        let records = self.records.iter().map(|r| {
+            JsonValue::Obj(vec![
+                ("session".into(), JsonValue::Num(r.session as f64)),
+                ("time".into(), JsonValue::Num(r.time)),
+                ("seq".into(), JsonValue::Num(r.seq as f64)),
+                ("kind".into(), JsonValue::Str(r.kind.label().into())),
+                ("name".into(), JsonValue::Str(r.name.clone())),
+                ("value".into(), JsonValue::Num(r.value)),
+            ])
+        });
+        JsonValue::Obj(vec![("records".into(), JsonValue::Arr(records.collect()))])
     }
 
     /// Parse a trace previously serialized by [`FlightTrace::to_json`].
     /// A missing or mistyped field is an error naming the record index
     /// and the field.
-    ///
-    /// `u64::MAX` does not round-trip exactly through `f64`, so any
-    /// session id at or beyond the `f64`-exact integer range is mapped
-    /// back to [`HOST_TRACK`].
     pub fn from_json(v: &JsonValue) -> Result<FlightTrace, String> {
-        /// Largest integer `f64` holds exactly (2^53).
-        const F64_EXACT: f64 = 9_007_199_254_740_992.0;
         let records = v
             .get("records")
             .and_then(JsonValue::as_arr)
             .ok_or("flight trace: missing records array")?;
-        let evicted = v
-            .get("evicted")
-            .and_then(JsonValue::as_num)
-            .and_then(as_count)
-            .ok_or("flight trace: missing or non-integer evicted")?;
         let mut out = FlightTrace {
             records: Vec::with_capacity(records.len()),
-            evicted,
         };
         for (i, r) in records.iter().enumerate() {
             let num = |field: &str| {
@@ -389,14 +258,9 @@ impl FlightTrace {
                     .and_then(JsonValue::as_str)
                     .ok_or_else(|| format!("flight record {i}: missing or non-string {field}"))
             };
-            let session = if num("session")? >= F64_EXACT {
-                HOST_TRACK
-            } else {
-                int("session")?
-            };
             let kind_label = text("kind")?;
             out.records.push(FlightRecord {
-                session,
+                session: int("session")?,
                 time: num("time")?,
                 seq: int("seq")?,
                 kind: FlightKind::from_label(kind_label)
@@ -420,12 +284,7 @@ impl FlightTrace {
         chrome.process_name(CHROME_PID, "laqa");
         for (lane, &session) in self.session_ids().iter().enumerate() {
             let tid = lane as u64 + 1;
-            let label = if session == HOST_TRACK {
-                "engine".to_string()
-            } else {
-                format!("session {session}")
-            };
-            chrome.thread_name(CHROME_PID, tid, &label);
+            chrome.thread_name(CHROME_PID, tid, &format!("session {session}"));
 
             // Per-track pass: records are already (time, seq)-sorted.
             let mut open_state: Option<&str> = None;
@@ -451,11 +310,7 @@ impl FlightTrace {
                         );
                     }
                     FlightKind::Value => {
-                        let series = if session == HOST_TRACK {
-                            r.name.clone()
-                        } else {
-                            format!("{} s{session}", r.name)
-                        };
+                        let series = format!("{} s{session}", r.name);
                         chrome.counter(CHROME_PID, ts_us, &series, r.value);
                     }
                 }
@@ -477,51 +332,47 @@ mod tests {
     #[test]
     fn disabled_recorder_records_nothing() {
         let _g = TEST_LOCK.lock().unwrap();
-        crate::reset();
         set_enabled(false);
+        take();
         state("flight.test.idle", 0.0);
         instant("flight.test.ev", 1.0, 2.0);
-        assert!(snapshot_flight().records.is_empty());
+        assert!(take().is_empty());
     }
 
     #[test]
     fn records_sort_by_session_then_time_and_round_trip() {
         let _g = TEST_LOCK.lock().unwrap();
-        crate::reset();
         set_enabled(true);
-        set_session(7);
+        take();
         state("filling", 0.5);
         instant("qa.layer_add", 1.0, 2.0);
-        set_session(3);
         sample("qa.buf_base", 0.25, 4096.0);
-        set_session(HOST_TRACK);
-        instant("host.note", 0.1, 4.0);
+        let first = take();
+        instant("qa.backoff", 0.1, 4.0);
+        let second = take();
         set_enabled(false);
+        assert!(take().is_empty(), "take empties the buffer");
 
-        let trace = snapshot_flight();
-        assert_eq!(trace.evicted, 0);
-        assert_eq!(trace.session_ids(), vec![3, 7, HOST_TRACK]);
+        let trace = FlightTrace::from_sessions([&first[..], &[], &second[..]]);
+        assert_eq!(trace.session_ids(), vec![0, 2]);
         let names: Vec<&str> = trace.records.iter().map(|r| r.name.as_str()).collect();
         assert_eq!(
             names,
-            vec!["qa.buf_base", "filling", "qa.layer_add", "host.note"]
+            vec!["qa.buf_base", "filling", "qa.layer_add", "qa.backoff"]
         );
-        // Per-session sequence restarts per session, not per thread.
-        assert_eq!(trace.records[1].seq, 0);
-        assert_eq!(trace.records[2].seq, 1);
-        assert_eq!(trace.records[0].seq, 0);
+        // `seq` is the emission index within the session.
+        let seqs: Vec<u64> = trace.records.iter().map(|r| r.seq).collect();
+        assert_eq!(seqs, vec![2, 0, 1, 0]);
 
         let back = FlightTrace::from_json(&trace.to_json()).unwrap();
         assert_eq!(back, trace);
-        crate::reset();
-        assert!(snapshot_flight().records.is_empty());
     }
 
     #[test]
     fn from_json_rejects_malformed_records_by_index_and_field() {
         let good = r#"{"session":3,"time":0.5,"seq":1,"kind":"instant","name":"x","value":2}"#;
         let parse = |second: &str| {
-            let text = format!(r#"{{"evicted":0,"records":[{good},{second}]}}"#);
+            let text = format!(r#"{{"records":[{good},{second}]}}"#);
             FlightTrace::from_json(&laqa_trace::json::parse(&text).unwrap())
         };
         assert_eq!(parse(good).unwrap().records.len(), 2);
@@ -551,46 +402,17 @@ mod tests {
     }
 
     #[test]
-    fn rings_are_bounded_and_count_evictions() {
-        let _g = TEST_LOCK.lock().unwrap();
-        crate::reset();
-        set_enabled(true);
-        set_session(1);
-        for i in 0..(ring_capacity() + 5) {
-            instant("flight.test.flood", i as f64, 0.0);
-        }
-        set_enabled(false);
-        let trace = snapshot_flight();
-        assert_eq!(trace.records.len(), ring_capacity());
-        assert_eq!(trace.evicted, 5);
-        assert_eq!(total_evicted(), 5);
-        // Oldest evicted: surviving seqs start at 5 and stay monotone.
-        assert_eq!(trace.records.first().unwrap().seq, 5);
-        crate::reset();
-    }
-
-    #[test]
-    fn capacity_parses_with_floor_and_default() {
-        assert_eq!(parse_capacity(None), FLIGHT_RING_CAPACITY);
-        assert_eq!(parse_capacity(Some("1024")), 1024);
-        assert_eq!(parse_capacity(Some("3")), 16);
-        assert_eq!(parse_capacity(Some("nope")), FLIGHT_RING_CAPACITY);
-    }
-
-    #[test]
     fn chrome_export_builds_one_track_per_session_with_balanced_spans() {
         let _g = TEST_LOCK.lock().unwrap();
-        crate::reset();
         set_enabled(true);
-        for s in [0u64, 1] {
-            set_session(s);
-            state("filling", 0.0);
-            instant("qa.layer_add", 0.4, 2.0);
-            state("draining", 1.0);
-            sample("qa.buf_base", 1.5, 900.0);
-        }
+        take();
+        state("filling", 0.0);
+        instant("qa.layer_add", 0.4, 2.0);
+        state("draining", 1.0);
+        sample("qa.buf_base", 1.5, 900.0);
         set_enabled(false);
-        let trace = snapshot_flight();
+        let track = take();
+        let trace = FlightTrace::from_sessions([&track[..], &track[..]]);
         let chrome = trace.to_chrome();
         let stats = laqa_trace::chrome::validate(&chrome).expect("well-formed");
         assert_eq!(stats.spans, 4); // two states per session, all closed
@@ -609,6 +431,5 @@ mod tests {
             laqa_trace::chrome::validate(&reparsed).unwrap().events,
             stats.events
         );
-        crate::reset();
     }
 }

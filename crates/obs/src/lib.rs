@@ -10,7 +10,8 @@
 //!   fixed-bucket histograms backed by relaxed atomics;
 //! * a **flight recorder** ([`flight`]) — per-session timeline traces
 //!   (QA state spans, layer add/drop and backoff instants, buffer-level
-//!   samples) behind its own enable flag, exportable as Chrome
+//!   samples) that each session's result carries, behind its own
+//!   enable flag, exportable as Chrome
 //!   trace-event JSON for Perfetto via `laqa obs-trace`;
 //! * **exporters** ([`export`]) that render everything through
 //!   `laqa-trace` — JSON files for `campaign --obs <dir>` and aligned
@@ -70,12 +71,10 @@ pub fn snapshot() -> Snapshot {
     Snapshot::collect()
 }
 
-/// Zero all counters and histograms and clear the
-/// flight-recorder rings. Intended for tests and for isolating
-/// consecutive `--obs` exports.
+/// Zero all counters and histograms. Intended for tests and for
+/// isolating consecutive `--obs` exports.
 pub fn reset() {
     registry::reset_metrics();
-    flight::clear();
 }
 
 #[cfg(test)]

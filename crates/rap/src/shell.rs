@@ -172,14 +172,9 @@ impl SenderShell {
             pre_rate,
             cause,
         });
-        use laqa_obs::counter;
-        let (count, instant) = match cause {
-            BackoffCause::Loss => (counter!("rap.backoffs_loss"), "rap.backoff_loss"),
-            BackoffCause::Timeout => (counter!("rap.backoffs_timeout"), "rap.backoff_timeout"),
-        };
-        count.inc();
-        if laqa_obs::flight::enabled() {
-            laqa_obs::flight::instant(instant, now, rate);
+        match cause {
+            BackoffCause::Loss => laqa_obs::counter!("rap.backoffs_loss").inc(),
+            BackoffCause::Timeout => laqa_obs::counter!("rap.backoffs_timeout").inc(),
         }
     }
 }

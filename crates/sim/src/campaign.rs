@@ -16,7 +16,9 @@
 //! index, so the aggregate [`CampaignResult::fingerprint`] is bit-identical
 //! across thread counts; `tests/replay.rs` pins this with 1, 2, 8 and 16
 //! workers. Wall-clock fields are the one exception and are excluded from
-//! every fingerprint. The worker count is the only execution choice
+//! every fingerprint. A session's flight-recorder timeline travels in
+//! its result the same way ([`CampaignResult::flight`]). The worker count
+//! is the only execution choice
 //! ([`CampaignOptions`]): every session runs on the engine's one event
 //! queue.
 
@@ -24,6 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use laqa_core::metrics::QaEvent;
+use laqa_obs::FlightTrace;
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
 use crate::scenarios::{run_scenario, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};
@@ -259,6 +262,10 @@ pub struct SessionResult {
     /// from fingerprints to keep existing goldens stable; with `wall_secs`
     /// it yields the events/sec throughput in run summaries).
     pub events_processed: u64,
+    /// The session's flight-recorder timeline in emission order (empty
+    /// unless [`laqa_obs::flight`] was enabled when it started; excluded
+    /// from fingerprints).
+    pub flight: Vec<laqa_obs::flight::Record>,
 }
 
 impl SessionResult {
@@ -406,6 +413,12 @@ impl CampaignResult {
         tbl.render()
     }
 
+    /// The sweep's flight-recorder timeline: session `i`'s records on
+    /// track `i`, whichever worker ran it.
+    pub fn flight(&self) -> FlightTrace {
+        FlightTrace::from_sessions(self.sessions.iter().map(|s| s.flight.as_slice()))
+    }
+
     /// Machine-readable per-session summaries.
     pub fn summaries(&self) -> Vec<RunSummary> {
         self.sessions.iter().map(SessionResult::summary).collect()
@@ -544,10 +557,22 @@ pub fn mean_recovery_secs(events: &[QaEvent]) -> Option<f64> {
 }
 
 /// Run one session to a result (synchronously, on the calling thread).
+///
+/// With the flight recorder on, the session owns what this thread
+/// records while it runs; with it off, the thread's buffer is never
+/// touched.
 pub fn run_session(spec: &SessionSpec) -> SessionResult {
+    let recording = laqa_obs::flight::enabled();
+    if recording {
+        laqa_obs::flight::take();
+    }
     let started = Instant::now();
     let out = run_scenario(&spec.scenario());
-    outcome_to_result(spec, out, started.elapsed().as_secs_f64())
+    let mut result = outcome_to_result(spec, out, started.elapsed().as_secs_f64());
+    if recording {
+        result.flight = laqa_obs::flight::take();
+    }
+    result
 }
 
 /// Distill a finished scenario into its [`SessionResult`] row.
@@ -577,6 +602,7 @@ fn outcome_to_result(spec: &SessionSpec, out: ScenarioOutcome, wall_secs: f64) -
         trace_hash: hash_outcome(&out),
         wall_secs,
         events_processed: out.events_processed,
+        flight: Vec::new(),
     }
 }
 
@@ -627,11 +653,6 @@ fn worker_loop(spec: &CampaignSpec, next: &AtomicUsize) -> Vec<(usize, SessionRe
             return buf;
         };
         laqa_obs::counter!("campaign.steals").inc();
-        if laqa_obs::flight::enabled() {
-            // Timeline records from this cell land on the track of its
-            // grid index, regardless of which worker stole it.
-            laqa_obs::flight::set_session(i as u64);
-        }
         buf.push((i, run_session(session)));
     }
 }

@@ -420,11 +420,6 @@ fn dispatch_event(
         }
         Event::Timer { agent, token } => {
             core.timer += 1;
-            // Flight-record timer fires only (LinkDone/Arrive would swamp
-            // the bounded rings at per-packet volume).
-            if laqa_obs::flight::enabled() {
-                laqa_obs::flight::instant("timer.fire", ns_to_secs(core.now_ns), token as f64);
-            }
             dispatch_agent(agents, core, queue, agent as usize, |a, ctx| a.on_timer(ctx, token));
         }
     }

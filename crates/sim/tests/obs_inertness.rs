@@ -86,13 +86,17 @@ fn fingerprints_identical_with_obs_on_and_off() {
     // Flight recorder: same contract one level up. With the recorder (and
     // obs) live the fingerprint still cannot move, and the trace must
     // carry the per-session timeline sites.
+    assert!(
+        on.sessions.iter().all(|s| s.flight.is_empty()),
+        "recorder off, yet a session carries a timeline"
+    );
     laqa_obs::reset();
     laqa_obs::set_enabled(true);
     laqa_obs::flight::set_enabled(true);
     let flight_on = run_campaign(&spec, 2);
     laqa_obs::flight::set_enabled(false);
     laqa_obs::set_enabled(false);
-    let flight = laqa_obs::flight::snapshot_flight();
+    let flight = flight_on.flight();
     laqa_obs::reset();
 
     assert_eq!(
@@ -103,7 +107,6 @@ fn fingerprints_identical_with_obs_on_and_off() {
     assert!(!flight.records.is_empty(), "no flight records");
     let has = |name: &str| flight.records.iter().any(|r| r.name == name);
     assert!(has("qa.buf_base"), "no base-buffer samples in flight trace");
-    assert!(has("timer.fire"), "no timer.fire instants in flight trace");
     assert!(
         flight
             .records
@@ -112,10 +115,17 @@ fn fingerprints_identical_with_obs_on_and_off() {
         "no QA phase state records in flight trace"
     );
 
-    // The timeline carries every quality change: per session, each add
-    // and each drop (by reason) in the controller's own MetricsCollector
-    // has exactly one instant on that session's track.
-    assert_eq!(flight.evicted, 0, "eviction would make the counts vacuous");
+    // Only the QA flow's own backoffs are on its track: the background
+    // RAP flows share the sender shell but record nothing.
+    assert!(
+        !flight.records.iter().any(|r| r.name.starts_with("rap.")),
+        "a rap.* record landed on a session track"
+    );
+
+    // The timeline carries every quality change and every QA backoff:
+    // per session, each add, each drop (by reason) in the controller's own
+    // MetricsCollector and each backoff has exactly one instant on that
+    // session's track.
     let mut drops_checked = 0;
     for (i, session) in spec.sessions.iter().enumerate() {
         let metrics = run_scenario(&session.scenario()).metrics;
@@ -128,6 +138,11 @@ fn fingerprints_identical_with_obs_on_and_off() {
         };
         let label = session.label();
         assert_eq!(instants("qa.layer_add"), metrics.adds(), "{label}: adds");
+        assert_eq!(
+            instants("qa.backoff") as u64,
+            flight_on.sessions[i].backoffs,
+            "{label}: backoffs"
+        );
         for reason in [
             DropReason::InsufficientTotalBuffer,
             DropReason::DistributionShortfall,
