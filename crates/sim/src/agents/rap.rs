@@ -180,9 +180,9 @@ impl Agent for RapFlowAgent {
 pub struct RapSinkAgent {
     rx: RapReceiverState,
     /// The sender agent to ACK to.
-    pub src: AgentId,
+    src: AgentId,
     /// Reverse route.
-    pub reverse_route: Route,
+    reverse_route: Route,
     /// Flow id.
     pub flow: u32,
     /// Bytes of data received.

@@ -275,9 +275,9 @@ impl Agent for TcpAgent {
 /// next expected sequence plus one run per hole still open above it.
 pub struct TcpSinkAgent {
     /// Sender agent id.
-    pub src: AgentId,
+    src: AgentId,
     /// Reverse route.
-    pub reverse_route: Route,
+    reverse_route: Route,
     /// Flow id.
     pub flow: u32,
     /// Segments received; `next_expected` is the cumulative ACK.

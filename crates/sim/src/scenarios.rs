@@ -436,54 +436,35 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
         assert_eq!(Some(relay), bond_relay_id, "relay id predicted above");
     }
 
+    // Background flows take the next free ids, each as sink then source;
+    // a sink is built knowing its source (the next id) and its reverse
+    // route (created before the forward one, as for the QA pair).
+    let mut sink_id = bond_relay_id.unwrap_or(qa_src_id) + 1;
     let mut rap_sinks = Vec::new();
     for i in 0..N_RAP {
         let flow = 1 + i as u32;
-        let sink_id = d.world.add_agent(Box::new(RapSinkAgent::new(
-            0, // fixed up immediately below: source id is sink_id + 1
-            Vec::new(),
-            flow,
-        )));
-        let rev = d.reverse_route();
-        {
-            let sink = d
-                .world
-                .agent_mut::<RapSinkAgent>(sink_id)
-                .expect("just added");
-            sink.src = sink_id + 1;
-            sink.reverse_route = rev;
-        }
+        let sink = RapSinkAgent::new(sink_id + 1, d.reverse_route(), flow);
+        assert_eq!(d.world.add_agent(Box::new(sink)), sink_id);
         let fwd = d.forward_route();
         let mut rap_src = RapFlowAgent::new(sink_id, fwd, flow, cfg.rap.clone());
         rap_src.start_at = 0.05 + i as f64 * 0.11 + 0.2 * jitter(); // staggered joins
-        let src_id = d.world.add_agent(Box::new(rap_src));
-        assert_eq!(src_id, sink_id + 1);
+        assert_eq!(d.world.add_agent(Box::new(rap_src)), sink_id + 1);
         rap_sinks.push(sink_id);
+        sink_id += 2;
     }
 
     let mut tcp_sinks = Vec::new();
     for i in 0..N_TCP {
         let flow = 100 + i as u32;
-        let sink_id = d
-            .world
-            .add_agent(Box::new(TcpSinkAgent::new(0, Vec::new(), flow)));
-        let rev = d.reverse_route();
-        {
-            let sink = d
-                .world
-                .agent_mut::<TcpSinkAgent>(sink_id)
-                .expect("just added");
-            sink.src = sink_id + 1;
-            sink.reverse_route = rev;
-        }
+        let sink = TcpSinkAgent::new(sink_id + 1, d.reverse_route(), flow);
+        assert_eq!(d.world.add_agent(Box::new(sink)), sink_id);
         let fwd = d.forward_route();
         // Stagger TCP starts slightly to avoid phase effects.
         let start = 0.1 + i as f64 * 0.037 + 0.2 * jitter();
-        let src_id = d
-            .world
-            .add_agent(Box::new(TcpAgent::new(sink_id, fwd, flow, pkt, start)));
-        assert_eq!(src_id, sink_id + 1);
+        let src = TcpAgent::new(sink_id, fwd, flow, pkt, start);
+        assert_eq!(d.world.add_agent(Box::new(src)), sink_id + 1);
         tcp_sinks.push(sink_id);
+        sink_id += 2;
     }
 
     if let Some((start, stop, rate)) = cfg.cbr {
