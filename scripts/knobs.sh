@@ -7,6 +7,10 @@
 # file assigns holds one value everywhere: the next candidate for a
 # constant. Like loc.sh a printed counter, not a gate.
 #
+# After the table, one `env` row per environment variable read with
+# `env::var(` or `env::var_os(` under crates/*/src, with the files that read
+# it: a knob that bypasses the config structs cannot hide from the audit.
+#
 # It is a grep, not a parser:
 # - two structs that share a field name share its count (`packet_size`,
 #   `initial_rtt`, `queue_packets`, `loss_rate`);
@@ -64,3 +68,8 @@ for entry in $structs; do
     printf '%4d  %s.%s\n' "$n" "$name" "$field"
   done
 done | sort -n -s -k1,1
+
+grep -roE --include='*.rs' 'env::var(_os)?\("[A-Za-z0-9_]+"\)' crates/*/src |
+  sed -E 's/^([^:]+):.*\("([^"]+)"\)$/\2 \1/' | sort -u |
+  awk '{ f[$1] = f[$1] (f[$1] == "" ? "" : ", ") $2 }
+       END { for (v in f) printf " env  %s (%s)\n", v, f[v] }' | sort || true
