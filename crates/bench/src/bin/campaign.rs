@@ -30,8 +30,9 @@
 //! not finite and > 0 are usage errors (exit 2).
 //!
 //! `--obs DIR` writes `metrics.json` and `flight.json` (read them with
-//! `laqa obs-report` / `laqa obs-trace`); observability is inert, so
-//! fingerprints are bit-identical with and without it.
+//! `laqa obs-report` / `laqa obs-trace`) for the sweep alone: the replay
+//! check runs with obs off. Observability is inert, so fingerprints are
+//! bit-identical with and without it.
 
 use laqa_bench::cli::{ArgError, Args};
 use laqa_bench::outdir;
