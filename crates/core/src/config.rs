@@ -16,6 +16,9 @@ pub enum ConfigError {
     NonPositiveLayerRate,
     /// `max_layers` must be at least 1 (the base layer always exists).
     ZeroMaxLayers,
+    /// `max_layers` must not exceed [`MAX_LAYERS`], the capacity of a
+    /// [`TickReport`](crate::TickReport)'s inline per-layer rates.
+    TooManyLayers,
     /// `k_max` (the smoothing factor) must be at least 1; `K_max = 1` is the
     /// un-smoothed single-backoff mechanism of §2.
     ZeroKMax,
@@ -36,6 +39,9 @@ impl fmt::Display for ConfigError {
                 write!(f, "layer_rate must be finite and > 0 bytes/s")
             }
             ConfigError::ZeroMaxLayers => write!(f, "max_layers must be >= 1"),
+            ConfigError::TooManyLayers => {
+                write!(f, "max_layers must be <= {MAX_LAYERS} (MAX_LAYERS)")
+            }
             ConfigError::ZeroKMax => write!(f, "k_max (smoothing factor) must be >= 1"),
             ConfigError::KMaxAboveHorizon => {
                 write!(
@@ -64,6 +70,12 @@ impl std::error::Error for ConfigError {}
 /// invested in protective buffering rather than discarded. It is also the
 /// largest `k_max` a [`QaConfig`] may ask for.
 pub const FILL_HORIZON_BACKOFFS: u32 = 16;
+
+/// The most layers a [`QaConfig`] may ask for: a
+/// [`TickReport`](crate::TickReport) carries its per-layer rates inline in
+/// an array of this length, so a tick allocates nothing. Every encoding in
+/// the paper and in this repository has at most 10 layers.
+pub const MAX_LAYERS: usize = 32;
 
 /// Parameters of the quality-adaptation mechanism.
 ///
@@ -130,6 +142,9 @@ impl QaConfig {
         }
         if self.max_layers == 0 {
             return Err(ConfigError::ZeroMaxLayers);
+        }
+        if self.max_layers > MAX_LAYERS {
+            return Err(ConfigError::TooManyLayers);
         }
         if self.k_max == 0 {
             return Err(ConfigError::ZeroKMax);
@@ -209,6 +224,31 @@ mod tests {
             ..QaConfig::default()
         };
         assert_eq!(cfg.validated().unwrap_err(), ConfigError::ZeroMaxLayers);
+    }
+
+    #[test]
+    fn rejects_more_layers_than_a_report_holds() {
+        let with_layers = |max_layers| QaConfig {
+            max_layers,
+            ..QaConfig::default()
+        };
+        assert!(with_layers(MAX_LAYERS).validated().is_ok());
+        assert_eq!(
+            with_layers(MAX_LAYERS + 1).validated().unwrap_err(),
+            ConfigError::TooManyLayers
+        );
+        // 256 layers would also wrap the simulator's `u8` layer tags.
+        assert_eq!(
+            with_layers(256).validated().unwrap_err(),
+            ConfigError::TooManyLayers
+        );
+    }
+
+    #[test]
+    fn too_many_layers_message_names_the_bound() {
+        let msg = ConfigError::TooManyLayers.to_string();
+        assert!(msg.contains("max_layers"), "{msg}");
+        assert!(msg.contains(&MAX_LAYERS.to_string()), "{msg}");
     }
 
     #[test]

@@ -24,7 +24,7 @@
 //! packets are simply never credited.
 
 use crate::adddrop::{drop_count, required_recovery_buffer};
-use crate::config::{ConfigError, QaConfig, FILL_HORIZON_BACKOFFS};
+use crate::config::{ConfigError, QaConfig, FILL_HORIZON_BACKOFFS, MAX_LAYERS};
 use crate::draining::plan_draining_into;
 use crate::filling::allocate_filling_into;
 use crate::metrics::{DropReason, MetricsCollector, QaEvent};
@@ -60,7 +60,7 @@ impl Phase {
 }
 
 /// Outcome of one allocation period.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TickReport {
     /// Phase after this tick's decisions.
     pub phase: Phase,
@@ -68,7 +68,7 @@ pub struct TickReport {
     pub n_active: usize,
     /// Per-layer send rates (bytes/s) for the coming period; length
     /// `n_active`. Sums to (approximately) the offered rate.
-    pub per_layer_rate: Vec<f64>,
+    pub per_layer_rate: LayerAllocation,
     /// Layers added this tick (0 or 1; the add conditions re-arm only after
     /// the new layer's states are satisfied).
     pub added: usize,
@@ -77,6 +77,67 @@ pub struct TickReport {
     /// True when the base layer's buffer ran dry while rate was below its
     /// consumption — a playback stall.
     pub stalled: bool,
+}
+
+/// A tick's per-layer send rates (bytes/s), held inline: up to
+/// [`MAX_LAYERS`] rates and their count, so a [`TickReport`] is an owned
+/// `Copy` value the caller can keep while calling `&mut` methods on the
+/// controller, and handing it over allocates nothing.
+///
+/// It derefs to the live `[f64]` (`.iter()`, `.len()`, `[i]`, `.get(i)`);
+/// `PartialEq` and `Debug` see only that slice, never the array's unused
+/// tail.
+#[derive(Clone, Copy)]
+pub struct LayerAllocation {
+    rates: [f64; MAX_LAYERS],
+    len: usize,
+}
+
+impl LayerAllocation {
+    /// Copy `rates` in. [`QaConfig::validated`] bounds the layer count by
+    /// [`MAX_LAYERS`], so a controller's allocation always fits.
+    fn from_slice(rates: &[f64]) -> Self {
+        let mut out = LayerAllocation {
+            rates: [0.0; MAX_LAYERS],
+            len: rates.len(),
+        };
+        out.rates[..rates.len()].copy_from_slice(rates);
+        out
+    }
+
+    /// The live rates, one per active layer.
+    pub fn as_slice(&self) -> &[f64] {
+        &self.rates[..self.len]
+    }
+}
+
+impl std::ops::Deref for LayerAllocation {
+    type Target = [f64];
+
+    fn deref(&self) -> &[f64] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for LayerAllocation {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl std::fmt::Debug for LayerAllocation {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl<'a> IntoIterator for &'a LayerAllocation {
+    type Item = &'a f64;
+    type IntoIter = std::slice::Iter<'a, f64>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
 }
 
 /// Server-side quality-adaptation state machine. See module docs.
@@ -361,8 +422,8 @@ impl QaController {
             // run every period on the transport's hot path: the sequences
             // are rebuilt in place and the allocators write into vectors
             // the controller keeps, so once those have reached the
-            // session's sizes a tick allocates only the report's
-            // `per_layer_rate`, which the caller owns.
+            // session's sizes a tick allocates nothing: the report's
+            // `per_layer_rate` is an inline copy.
             Self::rebuild_seq(&self.cfg, self.slope, &mut self.fill_seq, rate, self.n_active);
             // Add at most one layer per tick (the paper adds layers one at
             // a time; rationing the ramp also keeps a startup rate
@@ -494,7 +555,7 @@ impl QaController {
         TickReport {
             phase: self.phase,
             n_active: self.n_active,
-            per_layer_rate: self.alloc_rates.clone(),
+            per_layer_rate: LayerAllocation::from_slice(&self.alloc_rates),
             added,
             dropped,
             stalled,
@@ -1081,6 +1142,48 @@ mod boundary_tests {
         ctl.set_slope(25_000.0);
         let r = ctl.tick(0.0, 25_000.0, 0.1);
         assert_eq!(ctl.allocation(), r.per_layer_rate.as_slice());
+    }
+
+    #[test]
+    fn report_shrinks_on_a_drop_and_compares_only_live_rates() {
+        let mut ctl = QaController::new(QaConfig::default()).unwrap();
+        ctl.set_slope(25_000.0);
+        let mut now = 0.0;
+        let mut before = ctl.tick(now, 35_000.0, 0.1);
+        while before.n_active < 3 {
+            for (layer, &rate) in before.per_layer_rate.iter().enumerate() {
+                ctl.on_packet_delivered(layer, rate * 0.1);
+            }
+            now += 0.1;
+            before = ctl.tick(now, 35_000.0, 0.1);
+        }
+        assert_eq!(before.per_layer_rate.len(), 3);
+        // Empty buffers and a collapsed rate: the drop rule sheds layers.
+        ctl.bufs.iter_mut().for_each(|b| *b = 0.0);
+        ctl.on_backoff(now, 5_000.0);
+        let after = ctl.tick(now + 0.1, 5_000.0, 0.1);
+        assert!(after.n_active < 3, "the backoff must drop a layer");
+        assert_eq!(after.per_layer_rate.len(), after.n_active);
+        assert_eq!(after.per_layer_rate.as_slice(), ctl.allocation());
+        // A stale rate past the live length changes neither equality nor
+        // the debug text.
+        let mut stale = after.per_layer_rate;
+        stale.rates[after.n_active] = 99.0;
+        assert_eq!(stale, after.per_layer_rate);
+        assert_eq!(format!("{stale:?}"), format!("{:?}", ctl.allocation()));
+        assert_ne!(before.per_layer_rate, after.per_layer_rate);
+    }
+
+    #[test]
+    fn controller_refuses_more_layers_than_a_report_holds() {
+        let cfg = QaConfig {
+            max_layers: MAX_LAYERS + 1,
+            ..QaConfig::default()
+        };
+        assert_eq!(
+            QaController::new(cfg).unwrap_err(),
+            ConfigError::TooManyLayers
+        );
     }
 
     #[test]

@@ -71,8 +71,8 @@ pub mod nonlinear;
 pub mod scenario;
 pub mod states;
 
-pub use config::{ConfigError, QaConfig};
-pub use controller::{Phase, QaController, TickReport};
+pub use config::{ConfigError, QaConfig, MAX_LAYERS};
+pub use controller::{LayerAllocation, Phase, QaController, TickReport};
 pub use metrics::{DropReason, MetricsCollector, QaEvent};
 pub use nonlinear::LayerRates;
 pub use scenario::Scenario;

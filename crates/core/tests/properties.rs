@@ -678,9 +678,11 @@ fn controller_survives_arbitrary_rate_walk() {
             }
             let report = ctl.tick(now, rate, dt);
             // Invariants: at least the base layer, allocation length
-            // matches, rates finite and non-negative.
+            // matches, the report's inline rates are the controller's
+            // allocation, rates finite and non-negative.
             assert!(report.n_active >= 1);
             assert_eq!(report.per_layer_rate.len(), report.n_active);
+            assert_eq!(report.per_layer_rate.as_slice(), ctl.allocation());
             for &r in &report.per_layer_rate {
                 assert!(r.is_finite() && r >= -1e-9);
             }

@@ -27,6 +27,14 @@ impl QueueMonitor {
             series,
         }
     }
+
+    /// Size every series for a run ending at `until` (seconds): one sample
+    /// per period, the first one period in.
+    pub(crate) fn reserve_until(&mut self, until: f64) {
+        for series in &mut self.series {
+            series.reserve_periodic(self.period, self.period, until);
+        }
+    }
 }
 
 impl Agent for QueueMonitor {

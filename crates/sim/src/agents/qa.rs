@@ -159,6 +159,19 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
         }
     }
 
+    /// Size the traces for a run ending at `until` (seconds): the source
+    /// records one sample per `tick_dt` from `start_at`, so set that first.
+    pub(crate) fn reserve_until(&mut self, until: f64) {
+        let t = &mut self.traces;
+        let per_layer = t.layer_rate.iter_mut().chain(&mut t.buffer);
+        for series in [&mut t.tx_rate, &mut t.n_active]
+            .into_iter()
+            .chain(per_layer)
+        {
+            series.reserve_periodic(self.start_at.max(0.0), self.tick_dt, until);
+        }
+    }
+
     /// The controller (metrics, buffers) for post-run inspection.
     pub fn qa(&self) -> &QaController {
         &self.qa
@@ -324,6 +337,14 @@ impl QaSinkAgent {
                 .map(|i| TimeSeries::new(format!("rx_buffer_{i}")))
                 .collect(),
             underflows: 0,
+        }
+    }
+
+    /// Size `buffer_trace` for a run ending at `until` (seconds): one
+    /// sample per `adv_dt`, the first one `adv_dt` in.
+    pub(crate) fn reserve_until(&mut self, until: f64) {
+        for series in &mut self.buffer_trace {
+            series.reserve_periodic(self.adv_dt, self.adv_dt, until);
         }
     }
 }

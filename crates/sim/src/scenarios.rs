@@ -364,7 +364,7 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
         let rev = d.reverse_route();
         let encoding =
             LayeredEncoding::linear(cfg.qa.max_layers, cfg.qa.layer_rate).expect("valid encoding");
-        let sink = QaSinkAgent::new(
+        let mut sink = QaSinkAgent::new(
             qa_src_id,
             rev,
             0,
@@ -373,6 +373,7 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
             2.0 * cfg.qa.startup_buffer_secs,
             cfg.tick_dt,
         );
+        sink.reserve_until(cfg.duration);
         assert_eq!(d.world.add_agent(Box::new(sink)), qa_sink_id);
         let fwd = if bond_leg.is_some() {
             d.access_route() // relay picks the bottleneck leg per packet
@@ -400,6 +401,7 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
                 cfg.tick_dt,
             );
             src.start_at = QA_START;
+            src.reserve_until(cfg.duration);
             src.retransmit_protect = cfg.retransmit_protect;
             world.add_agent(Box::new(src))
         }
@@ -493,10 +495,9 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
     });
 
     let bottleneck = d.bottleneck();
-    let monitor_id = d.world.add_agent(Box::new(QueueMonitor::new(
-        vec![bottleneck],
-        cfg.tick_dt * 4.0,
-    )));
+    let mut monitor = QueueMonitor::new(vec![bottleneck], cfg.tick_dt * 4.0);
+    monitor.reserve_until(cfg.duration);
+    let monitor_id = d.world.add_agent(Box::new(monitor));
 
     // Trace-driven links last: one driver agent per traced link, each
     // owning its schedule (pre-materialized from its own salted RNG — no
@@ -685,6 +686,39 @@ mod tests {
             "CBR burst should reduce quality: before {before}, during {during}"
         );
         assert_eq!(out.metrics.stalls(), 0);
+    }
+
+    #[test]
+    fn trace_series_are_sized_once_from_the_horizon() {
+        // A whole-tick horizon, one that is not, and a faulted, traced,
+        // bonded T2: every recorder fills the room it reserved up front
+        // (a regrown series would hold about twice its samples).
+        let faulted = ScenarioConfig {
+            fault_intensity: Some(0.5),
+            ..ScenarioConfig::t2(3, 12.37, 21).with_trace(TraceKind::Bonded)
+        };
+        for cfg in [
+            ScenarioConfig::t1(2, 30.0, 7),
+            ScenarioConfig::t1(4, 9.99, 3),
+            faulted,
+        ] {
+            let out = run_scenario(&cfg);
+            let qa = &out.traces;
+            let series = [&qa.tx_rate, &qa.n_active, &out.queue_trace]
+                .into_iter()
+                .chain(&qa.layer_rate)
+                .chain(&qa.buffer)
+                .chain(&out.rx_buffers);
+            for s in series {
+                let (len, cap) = (s.points.len(), s.points.capacity());
+                assert!(
+                    len > 0 && len <= cap && cap <= len + 2,
+                    "{} at {} s: {len} samples in {cap} slots",
+                    s.name,
+                    cfg.duration
+                );
+            }
+        }
     }
 
     #[test]

@@ -18,6 +18,20 @@ impl TimeSeries {
         }
     }
 
+    /// Make room, in one allocation, for a sample every `period` seconds
+    /// from `first` through `until`, plus one for a recorder whose clock,
+    /// rounded differently from this division, fits one more sample in. A
+    /// periodic recorder that knows its horizon then pushes without
+    /// reallocating. Reserves nothing when no
+    /// sample falls in `[first, until]`, `until` is not finite or `period`
+    /// is not positive.
+    pub fn reserve_periodic(&mut self, first: f64, period: f64, until: f64) {
+        if period > 0.0 && until >= first && until.is_finite() {
+            let samples = ((until - first) / period).floor() as usize + 1;
+            self.points.reserve_exact(samples + 1);
+        }
+    }
+
     /// Append a sample.
     pub fn push(&mut self, t: f64, v: f64) {
         self.points.push((t, v));
@@ -104,6 +118,30 @@ mod tests {
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(3.0));
         assert_eq!(s.mean(), Some(2.0));
+    }
+
+    #[test]
+    fn reserve_periodic_fits_every_sample_in_one_allocation() {
+        let mut s = TimeSeries::new("x");
+        s.reserve_periodic(5.0, 0.05, 90.0);
+        let cap = s.points.capacity();
+        // 5.00, 5.05, …, 90.00 is 1 701 samples; one more must fit too.
+        assert!(cap >= 1_702, "{cap}");
+        for k in 0..=1_701 {
+            s.push(5.0 + k as f64 * 0.05, 0.0);
+        }
+        assert_eq!(s.points.capacity(), cap, "pushing the horizon regrew");
+        // Nothing to reserve before the first sample or without a period.
+        for (first, period, until) in [
+            (5.0, 0.05, 4.0),
+            (0.0, 0.0, 9.0),
+            (0.0, f64::NAN, 9.0),
+            (0.0, 0.05, f64::INFINITY),
+        ] {
+            let mut e = TimeSeries::new("e");
+            e.reserve_periodic(first, period, until);
+            assert_eq!(e.points.capacity(), 0);
+        }
     }
 
     #[test]

@@ -8,9 +8,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== 1/4 build (release) =="
+echo "== 1/5 build (release) =="
 # No configuration may go unbuilt: --all-features compiles any feature a
-# later PR adds (steps 2-3 test and lint it too), nothing may be excluded
+# later PR adds (steps 2 and 4 test and lint it too), nothing may be excluded
 # from the workspace, and the workspace is exactly these nine packages.
 cargo build --release --all-targets --all-features
 # benchmark/ is its own workspace with path dependencies on crates/*: an
@@ -32,13 +32,18 @@ if [ "$got" != "$want " ]; then
   exit 1
 fi
 
-echo "== 2/4 tests =="
+echo "== 2/5 tests =="
 cargo test -q --all-features
 
-echo "== 3/4 clippy (deny warnings) =="
+echo "== 3/5 benchmark/ tests =="
+# A type the benchmark reads can change shape and still compile (step 1);
+# its own unit tests and --smoke runs exercise what it reads.
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+
+echo "== 4/5 clippy (deny warnings) =="
 cargo clippy --all-targets --all-features -- -D warnings
 
-echo "== 4/4 rustdoc (deny warnings) =="
+echo "== 5/5 rustdoc (deny warnings) =="
 # Intra-doc links name functions; a rename that leaves one dangling is
 # otherwise only a warning nobody reads.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
