@@ -392,7 +392,7 @@ impl QaController {
             }
         }
         if top_underflow && self.n_active > 1 {
-            self.drop_top_layer(now, rate, DropReason::Underflow);
+            self.drop_top_layer(now, rate, DropReason::TopLayerUnderflow);
             dropped += 1;
         }
         // The base layer sliding into debt is itself a critical situation
@@ -401,7 +401,7 @@ impl QaController {
         // margin burn while upper layers still hold allocation — past this
         // point the whole transmission rate belongs to the base.
         if self.n_active > 1 && self.bufs[0] < -0.5 * slack {
-            self.drop_top_layer(now, rate, DropReason::Underflow);
+            self.drop_top_layer(now, rate, DropReason::BaseDebt);
             dropped += 1;
         }
 
@@ -664,9 +664,13 @@ impl QaController {
                 laqa_obs::counter!("qa.layer_drops.distribution_shortfall").inc();
                 "qa.layer_drop.distribution_shortfall"
             }
-            DropReason::Underflow => {
-                laqa_obs::counter!("qa.layer_drops.underflow").inc();
-                "qa.layer_drop.underflow"
+            DropReason::TopLayerUnderflow => {
+                laqa_obs::counter!("qa.layer_drops.top_layer_underflow").inc();
+                "qa.layer_drop.top_layer_underflow"
+            }
+            DropReason::BaseDebt => {
+                laqa_obs::counter!("qa.layer_drops.base_debt").inc();
+                "qa.layer_drop.base_debt"
             }
         };
         if laqa_obs::flight::enabled() {

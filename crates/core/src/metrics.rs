@@ -24,9 +24,13 @@ pub enum DropReason {
     /// planned — the §2.3 "insufficient distribution" failure, or a
     /// critical situation from extra backoffs / slope misestimation.
     DistributionShortfall,
-    /// A layer's own buffer ran dry while its allocated bandwidth was below
-    /// its consumption rate (receiver-side underflow).
-    Underflow,
+    /// An upper layer's buffer fell past the underflow slack while its
+    /// allocated bandwidth was below its consumption rate (receiver-side
+    /// underflow): the top layer yields.
+    TopLayerUnderflow,
+    /// The base layer's buffer slid into debt past half the underflow
+    /// slack: the top layer yields so the base gets the whole rate.
+    BaseDebt,
 }
 
 impl DropReason {
@@ -35,7 +39,8 @@ impl DropReason {
         match self {
             DropReason::InsufficientTotalBuffer => "insufficient_total_buffer",
             DropReason::DistributionShortfall => "distribution_shortfall",
-            DropReason::Underflow => "underflow",
+            DropReason::TopLayerUnderflow => "top_layer_underflow",
+            DropReason::BaseDebt => "base_debt",
         }
     }
 }
@@ -157,8 +162,8 @@ impl MetricsCollector {
     /// Table-2 metric: fraction of drop events that a different distribution
     /// of the same total buffering would have avoided — drops whose recorded
     /// total buffering met the §2.2 requirement yet the layer was dropped
-    /// anyway (distribution shortfall / underflow). `None` when there were
-    /// no drops at all.
+    /// anyway (distribution shortfall, or an underflow at either site).
+    /// `None` when there were no drops at all.
     pub fn avoidable_drop_fraction(&self) -> Option<f64> {
         let mut avoidable = 0usize;
         let mut total = 0usize;
@@ -175,7 +180,9 @@ impl MetricsCollector {
                 if had_enough_total
                     && matches!(
                         reason,
-                        DropReason::DistributionShortfall | DropReason::Underflow
+                        DropReason::DistributionShortfall
+                            | DropReason::TopLayerUnderflow
+                            | DropReason::BaseDebt
                     )
                 {
                     avoidable += 1;
@@ -285,10 +292,11 @@ mod tests {
             500.0,
             DropReason::DistributionShortfall,
         ));
-        // Underflow with sufficient total: avoidable.
-        m.record(drop_event(800.0, 10.0, 500.0, DropReason::Underflow));
+        // Underflow at either site with sufficient total: avoidable.
+        m.record(drop_event(800.0, 10.0, 500.0, DropReason::TopLayerUnderflow));
+        m.record(drop_event(800.0, 10.0, 500.0, DropReason::BaseDebt));
         let f = m.avoidable_drop_fraction().unwrap();
-        assert!((f - 0.5).abs() < 1e-12, "f = {f}");
+        assert!((f - 3.0 / 5.0).abs() < 1e-12, "f = {f}");
     }
 
     #[test]

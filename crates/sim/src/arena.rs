@@ -2,11 +2,12 @@
 //! intrusive free list.
 //!
 //! One type, two uses in the engine. The timer-wheel scheduler parks each
-//! scheduled event record (a timer, a packet arrival, a link-done marker)
-//! here once and circulates only `(time_ns, seq, slot)` keys. Each world
-//! keeps its packets in a second slab: a packet is inserted once when
-//! sent, travels through link queues and `Arrive` events as its `u32`
-//! handle, and leaves the arena when it is dropped or delivered.
+//! scheduled event record (a timer, a packet arrival, a link-done that
+//! starts a waiting packet) here once and circulates only
+//! `(time_ns, seq, slot)` keys. Each world keeps its packets in a second
+//! slab: a packet is inserted once when sent, waits in link queues and
+//! rides its `Arrive` events as its `u32` handle, and leaves the arena
+//! when it is dropped or delivered.
 //! Freed slots are recycled in LIFO order, so a steady-state simulation
 //! reaches a fixed footprint and stops allocating entirely.
 //!

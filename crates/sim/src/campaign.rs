@@ -25,7 +25,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use laqa_core::metrics::QaEvent;
+use laqa_core::metrics::{DropReason, QaEvent};
 use laqa_obs::FlightTrace;
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
@@ -501,6 +501,17 @@ pub fn hash_outcome(out: &ScenarioOutcome) -> u64 {
     h.finish()
 }
 
+/// A drop reason's code in the trace hash. Both underflow sites hash as
+/// the one `Underflow` (2) they shared before each had its own label, so
+/// the split moved no digest.
+fn reason_code(reason: DropReason) -> u64 {
+    match reason {
+        DropReason::InsufficientTotalBuffer => 0,
+        DropReason::DistributionShortfall => 1,
+        DropReason::TopLayerUnderflow | DropReason::BaseDebt => 2,
+    }
+}
+
 fn hash_event(h: &mut TraceHasher, ev: &QaEvent) {
     match ev {
         QaEvent::LayerAdded { time, n_active } => {
@@ -522,7 +533,7 @@ fn hash_event(h: &mut TraceHasher, ev: &QaEvent) {
                 .f64(*buf_total)
                 .f64(*buf_drop)
                 .f64(*required)
-                .u64(*reason as u64);
+                .u64(reason_code(*reason));
         }
         QaEvent::BaseStall { time } => {
             h.u64(3).f64(*time);

@@ -5,9 +5,15 @@
 //! world's seeded RNG. Every world holds one event queue, a
 //! [`TimerWheelScheduler`] inline; its `(time_ns, seq)` drain order is
 //! checked op by op against the `BinaryHeap` oracle in [`crate::sched`].
+//!
+//! One event per hop: a packet's hop is timed once, when it enters
+//! service (`enter_service`), which schedules its `Arrive` at the next
+//! hop right then. A packet offered to an idle link enters service at
+//! once; one that has to wait is started by the link's `LinkDone`, which
+//! fires only while packets wait.
 
 use crate::arena::Slab;
-use crate::link::{Link, LinkConfig, LinkStats, QueueSlot};
+use crate::link::{Link, LinkConfig, LinkStats, Offer, QueueSlot, Serving};
 use crate::packet::{AgentId, LinkId, Packet};
 use crate::sched::{Scheduler, TimerWheelScheduler};
 use crate::time::{ns_to_secs, secs_to_ns};
@@ -19,7 +25,8 @@ use std::any::Any;
 /// whole [`Packet`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Event {
-    /// The head-of-line packet of `link` finished serializing.
+    /// The packet in service on `link` finished serializing while others
+    /// wait: the head of its queue enters service.
     LinkDone { link: u32 },
     /// Packet `pkt` arrives at its next hop (link or destination agent).
     Arrive { pkt: u32 },
@@ -37,20 +44,26 @@ const _: () = assert!(std::mem::size_of::<QueueSlot>() == 8);
 /// itself is borrowed out of the agents vector.
 ///
 /// Ownership rule of the arena: a live packet handle is in exactly one of
-/// a link queue or a pending `Arrive` event. A drop frees it at the offer
-/// site; delivery moves the packet out to the callee.
+/// a link queue (waiting) or a pending `Arrive` event (in service or
+/// propagating). A drop frees it at the offer site; delivery moves the
+/// packet out to the callee.
 struct SessionCore {
     now_ns: u64,
     links: Vec<Link>,
     packets: Slab<Packet>,
     rng: SimRng,
+    /// `(packet, seq)` of every `Arrive` a delay change re-keyed and that
+    /// has yet to fire: skipped when it does.
+    superseded: Vec<(u32, u64)>,
     /// Events dispatched (a plain, always-on counter for throughput), their
-    /// split by kind, and the timer fires agents report stale or early.
+    /// split by kind (a skipped superseded `Arrive` is `arrive_stale`),
+    /// and the timer fires agents report stale or early.
     events_processed: u64,
     link_done: u64,
     forward: u64,
     deliver: u64,
     timer: u64,
+    arrive_stale: u64,
     timer_stale: u64,
     timer_early: u64,
 }
@@ -63,11 +76,13 @@ impl SessionCore {
             links: Vec::new(),
             packets: Slab::new(),
             rng: SimRng::seed_from_u64(seed),
+            superseded: Vec::new(),
             events_processed: 0,
             link_done: 0,
             forward: 0,
             deliver: 0,
             timer: 0,
+            arrive_stale: 0,
             timer_stale: 0,
             timer_early: 0,
         }
@@ -113,28 +128,56 @@ impl EventQueue {
 /// directly when routeless). A dropped packet's slot is freed here.
 #[inline]
 fn route_packet(core: &mut SessionCore, queue: &mut EventQueue, pkt: u32) {
-    let p = core.packets.get(pkt).expect("routed packet is live");
+    let p = core.packets.get_mut(pkt).expect("routed packet is live");
     match p.next_link() {
         None => {
             // Already at the destination: deliver immediately.
             queue.schedule(core.now_ns, core.now_ns, Event::Arrive { pkt });
         }
         Some(link_id) => {
+            // Its next stop is past this link, so the link never touches
+            // the packet again.
+            p.advance_hop();
             let size = p.size;
-            let link = &mut core.links[link_id];
-            let was_busy = link.busy;
             let (u_loss, u_red) = (core.rng.next_f64(), core.rng.next_f64());
-            if !link.offer(pkt, size, u_loss, u_red) {
-                core.packets.remove(pkt);
-            } else if !was_busy {
-                // An idle link's queue was empty: this packet is its head.
-                link.busy = true;
-                let done = core.now_ns.saturating_add(link.tx_ns(size));
-                let link = link_id as u32;
-                queue.schedule(core.now_ns, done, Event::LinkDone { link });
+            let link = link_id as u32;
+            match core.links[link_id].offer(core.now_ns, pkt, size, u_loss, u_red) {
+                Offer::Dropped => {
+                    core.packets.remove(pkt);
+                }
+                Offer::Serve => {
+                    enter_service(core, queue, link, pkt, size);
+                }
+                Offer::Queued(Some(done)) => {
+                    queue.schedule(core.now_ns, done, Event::LinkDone { link });
+                }
+                Offer::Queued(None) => {}
             }
         }
     }
+}
+
+/// Put the packet with arena handle `pkt` (`size` bytes) into service on
+/// `link` now — the one place a hop is timed, for an idle link's offer and
+/// for a link-done alike. Bandwidth is read here; the packet's `Arrive` at
+/// its next hop is scheduled here too, with the delay current now (a
+/// later change re-keys it, see [`Ctx::set_link_delay`]). The packet
+/// itself is not touched. Returns when it finishes serializing.
+#[inline]
+fn enter_service(
+    core: &mut SessionCore,
+    queue: &mut EventQueue,
+    link: u32,
+    pkt: u32,
+    size: u32,
+) -> u64 {
+    let now = core.now_ns;
+    let l = &mut core.links[link as usize];
+    let done = now.saturating_add(l.tx_ns(size));
+    let key = queue.reserve(now, done.saturating_add(l.delay_ns()));
+    l.serve(done, Serving { pkt, size, arrive_seq: key.1 });
+    queue.push(key, Event::Arrive { pkt });
+    done
 }
 
 /// The execution context handed to agents.
@@ -190,9 +233,10 @@ impl<'a> Ctx<'a> {
         self.set_timer_at(self.now + delay.max(0.0), token);
     }
 
-    /// Queue length of a link (packets), for diagnostics.
+    /// Queue length of a link (packets waiting plus the one in service),
+    /// for diagnostics.
     pub fn link_queue_len(&self, link: LinkId) -> usize {
-        self.core.links[link].queue.len()
+        self.core.links[link].occupancy(self.core.now_ns)
     }
 
     /// Current configuration of a link.
@@ -212,9 +256,21 @@ impl<'a> Ctx<'a> {
     /// Applies to packets that *finish* serializing after the change;
     /// packets already propagating keep their old arrival time, so packet
     /// order on the wire can invert during a spike — as on a real rerouted
-    /// path.
+    /// path. The packet in service already has its `Arrive` scheduled, so
+    /// the change re-keys it; the superseded event is skipped when it
+    /// fires.
     pub fn set_link_delay(&mut self, link: LinkId, delay: f64) {
-        self.core.links[link].set_delay(delay);
+        let now = self.core.now_ns;
+        let l = &mut self.core.links[link];
+        let before = l.delay_ns();
+        l.set_delay(delay);
+        if l.busy_until > now && l.delay_ns() != before {
+            let old = l.serving;
+            let key = self.queue.reserve(now, l.busy_until.saturating_add(l.delay_ns()));
+            l.serving.arrive_seq = key.1;
+            self.core.superseded.push((old.pkt, old.arrive_seq));
+            self.queue.push(key, Event::Arrive { pkt: old.pkt });
+        }
     }
 
     /// Change a link's random (non-congestive) loss probability at runtime
@@ -280,7 +336,7 @@ impl World {
 
     /// Counters of a link.
     pub fn link_stats(&self, link: LinkId) -> LinkStats {
-        self.core.links[link].stats
+        self.core.links[link].stats(self.core.now_ns)
     }
 
     /// Current configuration of a link (reflects any runtime mutation done
@@ -319,8 +375,8 @@ impl World {
         let end_ns = secs_to_ns(t_end);
         let c = &self.core;
         let start = [c.events_processed, c.link_done, c.forward, c.deliver, c.timer];
-        let idle = [c.timer_stale, c.timer_early];
-        while let Some((time_ns, _, event)) = self.queue.sched.pop_next_at_or_before(end_ns) {
+        let idle = [c.arrive_stale, c.timer_stale, c.timer_early];
+        while let Some((time_ns, seq, event)) = self.queue.sched.pop_next_at_or_before(end_ns) {
             self.core.now_ns = time_ns;
             self.core.events_processed += 1;
             let timed = if laqa_obs::enabled() {
@@ -333,7 +389,7 @@ impl World {
             } else {
                 None
             };
-            dispatch_event(&mut self.core, &mut self.agents, &mut self.queue, event);
+            dispatch_event(&mut self.core, &mut self.agents, &mut self.queue, seq, event);
             if let Some(t0) = timed {
                 laqa_obs::histogram!("sched.dispatch_ns", laqa_obs::LOG_NS_BOUNDS)
                     .observe(t0.elapsed().as_nanos() as f64);
@@ -347,8 +403,9 @@ impl World {
             laqa_obs::counter!("engine.events.forward").add(c.forward - start[2]);
             laqa_obs::counter!("engine.events.deliver").add(c.deliver - start[3]);
             laqa_obs::counter!("engine.events.timer").add(c.timer - start[4]);
-            laqa_obs::counter!("engine.events.timer_stale").add(c.timer_stale - idle[0]);
-            laqa_obs::counter!("engine.events.timer_early").add(c.timer_early - idle[1]);
+            laqa_obs::counter!("engine.events.arrive_stale").add(c.arrive_stale - idle[0]);
+            laqa_obs::counter!("engine.events.timer_stale").add(c.timer_stale - idle[1]);
+            laqa_obs::counter!("engine.events.timer_early").add(c.timer_early - idle[2]);
         }
     }
 }
@@ -381,32 +438,34 @@ fn dispatch_agent(
     agents[id] = Some(agent);
 }
 
-/// Process one engine [`Event`] against a session's state. `core.now_ns`
-/// must already be set to the event's time.
+/// Process one engine [`Event`], popped at key `seq`, against a session's
+/// state. `core.now_ns` must already be set to the event's time.
 #[inline]
 fn dispatch_event(
     core: &mut SessionCore,
     agents: &mut [Option<Box<dyn Agent>>],
     queue: &mut EventQueue,
+    seq: u64,
     event: Event,
 ) {
     match event {
         Event::LinkDone { link } => {
             core.link_done += 1;
-            let l = &mut core.links[link as usize];
-            let (pkt, size) = l.queue.pop_front().expect("busy link has head");
-            l.stats.bytes_out += size as u64;
-            let next = l.queue.front().map(|&(_, size)| size);
-            l.busy = next.is_some();
-            let arrive = core.now_ns.saturating_add(l.delay_ns());
-            let next_done = next.map(|size| core.now_ns.saturating_add(l.tx_ns(size)));
-            core.packets.get_mut(pkt).expect("queued packet is live").advance_hop();
-            queue.schedule(core.now_ns, arrive, Event::Arrive { pkt });
-            if let Some(done) = next_done {
+            let waiting = &mut core.links[link as usize].queue;
+            let (pkt, size) = waiting.pop_front().expect("link-done has a waiting packet");
+            let done = enter_service(core, queue, link, pkt, size);
+            if !core.links[link as usize].queue.is_empty() {
                 queue.schedule(core.now_ns, done, Event::LinkDone { link });
             }
         }
         Event::Arrive { pkt } => {
+            if let Some(i) = core.superseded.iter().position(|&k| k == (pkt, seq)) {
+                // Re-keyed by a delay change: the packet travels under its
+                // newer key, and this slot may already hold another packet.
+                core.superseded.swap_remove(i);
+                core.arrive_stale += 1;
+                return;
+            }
             let p = core.packets.get(pkt).expect("arriving packet is live");
             if p.at_destination() {
                 core.deliver += 1;
@@ -786,15 +845,17 @@ mod tests {
     }
 
     /// Records every callback as `(now, what)`: the arriving packet's
-    /// flow, or 0 for its own timer, armed at `timer_at`.
+    /// flow, or 0 for one of its own timers, armed at start at `timers`.
     struct Log {
-        timer_at: f64,
+        timers: Vec<f64>,
         seen: Vec<(f64, u32)>,
     }
 
     impl Agent for Log {
         fn start(&mut self, ctx: &mut Ctx) {
-            ctx.set_timer_at(self.timer_at, 0);
+            for &at in &self.timers {
+                ctx.set_timer_at(at, 0);
+            }
         }
         fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
             self.seen.push((ctx.now, pkt.flow));
@@ -826,6 +887,10 @@ mod tests {
         fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
     }
 
+    /// A hop's `Arrive` is created when its packet enters service: at the
+    /// send for a packet that finds its link idle, at the link-done that
+    /// starts it for one that waits. Same-ns ties follow that creation
+    /// order on both sides of a timer armed at start, not send order.
     #[test]
     fn same_ns_ties_break_by_event_creation_order() {
         let link = |bandwidth, delay| LinkConfig {
@@ -836,31 +901,119 @@ mod tests {
         let mut w = World::new(1);
         // 10 ms serialization + 10 ms propagation: arrives at 20 ms.
         let l20 = w.add_link(link(100_000.0, 0.010));
-        // 10 + 15 ms and 20 + 5 ms: both arrive at 25 ms, but the
-        // first link finishes serializing 10 ms earlier.
-        let early_done = w.add_link(link(100_000.0, 0.015));
-        let late_done = w.add_link(link(50_000.0, 0.005));
-        // The sender starts first, so the 20 ms packet is *sent*
-        // before the log arms its 20 ms timer — but its `Arrive` is
-        // created only at link-done (10 ms), after the timer.
-        let log = Log {
-            timer_at: 0.020,
-            seen: vec![],
-        };
+        // Two back to back at 10 ms each + 5 ms: the first arrives at
+        // 15 ms; the second waits, enters service at the 10 ms link-done
+        // and arrives at 25 ms.
+        let shared = w.add_link(link(100_000.0, 0.005));
+        // 20 ms serialization + 5 ms: arrives at 25 ms, sent after the
+        // waiting packet but entering service before it.
+        let l25 = w.add_link(link(50_000.0, 0.005));
         let log_id = w.agents.len() + 1;
+        // The sender starts first, so every packet is sent before the log
+        // arms its 20 ms and 25 ms timers.
         w.add_agent(Box::new(Burst {
             dst: log_id,
-            // The late link-done packet is sent (and allocated) first.
             sends: vec![
-                (2, vec![late_done].into()),
+                (4, vec![shared].into()),
+                (5, vec![shared].into()),
                 (1, vec![l20].into()),
-                (3, vec![early_done].into()),
+                (3, vec![l25].into()),
             ],
         }));
+        let log = Log {
+            timers: vec![0.020, 0.025],
+            seen: vec![],
+        };
         assert_eq!(w.add_agent(Box::new(log)), log_id);
         w.run_until(1.0);
         let seen = &w.agent::<Log>(log_id).unwrap().seen;
-        assert_eq!(seen, &[(0.020, 0), (0.020, 1), (0.025, 3), (0.025, 2)]);
+        assert_eq!(seen, &[
+            (0.015, 4),
+            (0.020, 1), // idle start: created at the send, before the timer
+            (0.020, 0),
+            (0.025, 3), // idle start, sent after flow 5
+            (0.025, 0),
+            (0.025, 5), // waited: created at the 10 ms link-done
+        ]);
+    }
+
+    /// Burst of `flows` 1000-byte packets at start over one 100 KB/s,
+    /// 10 ms link into a sink; returns the world after it drains.
+    fn burst_world(flows: u32) -> World {
+        let mut w = World::new(1);
+        let l = w.add_link(LinkConfig {
+            bandwidth: 100_000.0,
+            delay: 0.01,
+            ..LinkConfig::default()
+        });
+        let sink = w.add_agent(Box::new(Sink { arrivals: vec![] }));
+        w.add_agent(Box::new(Burst {
+            dst: sink,
+            sends: (1..=flows).map(|f| (f, vec![l].into())).collect(),
+        }));
+        w.run_until(1.0);
+        assert_eq!(w.agent::<Sink>(sink).unwrap().arrivals.len(), flows as usize);
+        w
+    }
+
+    /// What a hop costs: one event, its `Arrive`, for a packet that finds
+    /// its link idle; a link-done more for each packet that has to wait.
+    #[test]
+    fn a_hop_costs_one_event_plus_one_per_packet_that_waited() {
+        let w = burst_world(1);
+        assert_eq!((w.events_processed(), w.core.link_done, w.core.deliver), (1, 0, 1));
+        let w = burst_world(3);
+        assert_eq!((w.events_processed(), w.core.link_done, w.core.deliver), (5, 2, 3));
+        assert_eq!(w.link_stats(0).bytes_out, 3_000);
+    }
+
+    /// 100 KB/s and 50 ms: packet A (1000 B) is sent at 0 and serializes
+    /// until 10 ms; at 5 ms the delay drops to 1 ms, so A arrives at 11 ms,
+    /// ahead of its first `Arrive` at 60 ms. Packet B (5000 B), sent at
+    /// 20 ms, takes A's freed arena slot and arrives at 71 ms.
+    fn delay_drop_world() -> World {
+        let mut w = World::new(1);
+        let l = w.add_link(LinkConfig {
+            bandwidth: 100_000.0,
+            delay: 0.05,
+            ..LinkConfig::default()
+        });
+        let sink = w.add_agent(Box::new(Sink { arrivals: vec![] }));
+        w.add_agent(Box::new(Script {
+            peer: sink,
+            route: vec![l].into(),
+            sends: vec![(0.0, 1_000), (0.02, 5_000)],
+        }));
+        w.add_agent(Box::new(Mutator {
+            link: l,
+            steps: vec![(0.005, 100_000.0, 0.001, 0.0)],
+            observed: vec![],
+        }));
+        w
+    }
+
+    #[test]
+    fn delay_decrease_mid_serialization_skips_the_superseded_arrive() {
+        // Between the two fires of A's `Arrive`s, B holds A's old slot.
+        let mut w = delay_drop_world();
+        w.run_until(0.04);
+        assert_eq!(w.core.superseded.len(), 1, "A's first Arrive is pending");
+        assert_eq!(w.core.packets.footprint(), 1, "B reuses A's slot");
+        assert_conserved(w);
+
+        let mut w = delay_drop_world();
+        w.run_until(1.0);
+        let want: Vec<f64> = [
+            tx_time_ns(1_000, 100_000.0) + secs_to_ns(0.001),
+            secs_to_ns(0.02) + tx_time_ns(5_000, 100_000.0) + secs_to_ns(0.001),
+        ]
+        .into_iter()
+        .map(ns_to_secs)
+        .collect();
+        assert_eq!(w.agent::<Sink>(0).unwrap().arrivals, want, "each delivered once, on time");
+        assert_eq!((w.core.deliver, w.core.arrive_stale), (2, 1));
+        assert!(w.core.superseded.is_empty());
+        assert_eq!(w.core.packets.len(), 0);
     }
 
     /// Callbacks of the exactness worlds, in dispatch order: (time, who,
@@ -1042,14 +1195,18 @@ mod tests {
         w
     }
 
-    /// At a pause every live packet slot is in a link queue or in a
-    /// pending `Arrive` (drains the event queue to count the latter).
+    /// At a pause every live packet slot is waiting in a link queue or
+    /// held by its one live pending `Arrive`, in service or propagating
+    /// (drains the event queue to count the latter; superseded `Arrive`s
+    /// hold nothing).
     fn assert_conserved(mut w: World) {
         let queued: usize = w.core.links.iter().map(|l| l.queue.len()).sum();
         let live = w.core.packets.len();
         let mut arriving = 0;
-        while let Some((_, _, event)) = w.queue.sched.pop_next_at_or_before(u64::MAX) {
-            arriving += usize::from(matches!(event, Event::Arrive { .. }));
+        while let Some((_, seq, event)) = w.queue.sched.pop_next_at_or_before(u64::MAX) {
+            if let Event::Arrive { pkt } = event {
+                arriving += usize::from(!w.core.superseded.contains(&(pkt, seq)));
+            }
         }
         assert!(live > 0, "pause with nothing in flight");
         assert_eq!(live, queued + arriving);

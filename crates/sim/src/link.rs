@@ -255,7 +255,41 @@ impl TraceSchedule {
 /// wire size, so serialization never touches the packet itself.
 pub type QueueSlot = (u32, u32);
 
+/// The packet a link serialized last — still in service until the link's
+/// `busy_until` — and the `seq` of the `Arrive` event that carries it to
+/// its next hop.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct Serving {
+    /// Arena handle.
+    pub pkt: u32,
+    /// Wire size (bytes), counted into `bytes_out` once service ends.
+    pub size: u32,
+    /// `seq` of the packet's live `Arrive`.
+    pub arrive_seq: u64,
+}
+
+/// What [`Link::offer`] did with a packet.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Offer {
+    /// Dropped by the tail, RED or the random-loss process: the caller
+    /// frees the handle.
+    Dropped,
+    /// The link was idle: the caller puts the packet into service now.
+    Serve,
+    /// Queued behind the packet in service. `Some(at)` when it is the only
+    /// one waiting: the caller arms the link's link-done at `at`, the
+    /// `busy_until` of the packet in service.
+    Queued(Option<u64>),
+}
+
 /// Runtime state of a link.
+///
+/// A packet enters service the moment the link is free: an idle link's
+/// offer starts it at once, and a link-done event starts the next waiting
+/// packet when the one in service finishes. The engine then schedules the
+/// packet's arrival at the next hop right away, so the in-service packet
+/// is held by its pending `Arrive`, not by [`Link::queue`]; the link keeps
+/// only its finish time (`busy_until`) and a `Serving` record.
 #[derive(Debug)]
 pub struct Link {
     /// Configuration; only the `set_*` methods write it.
@@ -264,14 +298,19 @@ pub struct Link {
     delay_ns: u64,
     /// The last serialization time computed: `(size, bandwidth bits, ns)`.
     tx_memo: (u32, u64, u64),
-    /// Waiting packets (head is next to transmit).
+    /// Packets waiting for service (head is next to transmit); the packet
+    /// in service is not among them.
     pub queue: VecDeque<QueueSlot>,
-    /// True while a packet is being serialized.
-    pub busy: bool,
+    /// When the packet in service finishes serializing (ns); the link is
+    /// idle once this has passed and nothing waits.
+    pub(crate) busy_until: u64,
+    /// The packet serialized last.
+    pub(crate) serving: Serving,
     /// RED average-queue estimate (packets).
     pub red_avg: f64,
-    /// Counters.
-    pub stats: LinkStats,
+    /// Counters; `bytes_out` lags by the packet served last
+    /// (see [`Link::stats`]).
+    stats: LinkStats,
 }
 
 /// Per-link counters.
@@ -285,7 +324,8 @@ pub struct LinkStats {
     pub random_losses: u64,
     /// Bytes fully transmitted.
     pub bytes_out: u64,
-    /// Peak queue length observed (packets).
+    /// Peak queue length observed (packets waiting, excluding the one in
+    /// service).
     pub peak_queue: usize,
 }
 
@@ -298,7 +338,8 @@ impl Link {
             delay_ns: secs_to_ns(cfg.delay),
             tx_memo: (0, cfg.bandwidth.to_bits(), 0), // 0 bytes take 0 ns
             queue: VecDeque::new(),
-            busy: false,
+            busy_until: 0,
+            serving: Serving::default(),
             red_avg: 0.0,
             stats: LinkStats::default(),
         }
@@ -342,18 +383,43 @@ impl Link {
         self.tx_memo.2
     }
 
+    /// True while a packet is in service at `now_ns`: one is serializing,
+    /// or one finishes exactly now and the link-done that starts the next
+    /// waiting packet has yet to fire.
+    #[inline]
+    fn busy(&self, now_ns: u64) -> bool {
+        self.busy_until > now_ns || !self.queue.is_empty()
+    }
+
+    /// Packets on the link at `now_ns`: waiting plus the one in service.
+    pub(crate) fn occupancy(&self, now_ns: u64) -> usize {
+        self.queue.len() + usize::from(self.busy(now_ns))
+    }
+
+    /// Counters at `now_ns`: `bytes_out` includes the packet served last
+    /// once it has finished serializing.
+    pub fn stats(&self, now_ns: u64) -> LinkStats {
+        let mut stats = self.stats;
+        if self.busy_until <= now_ns {
+            stats.bytes_out += self.serving.size as u64;
+        }
+        stats
+    }
+
+    /// Record `serving` as in service until `done_ns`; the packet served
+    /// before it has finished, so its bytes are counted out.
+    #[inline]
+    pub(crate) fn serve(&mut self, done_ns: u64, serving: Serving) {
+        self.stats.bytes_out += self.serving.size as u64;
+        self.busy_until = done_ns;
+        self.serving = serving;
+    }
+
     /// Offer the packet with arena handle `pkt` and wire `size` to the
-    /// link. `u_loss` and `u_red` are uniform `[0, 1)` samples consumed by
-    /// the loss and RED processes. Returns `true` when accepted (caller
-    /// schedules the dequeue when the link was idle), `false` when dropped
-    /// (caller frees the handle).
-    pub fn offer(&mut self, pkt: u32, size: u32, u_loss: f64, u_red: f64) -> bool {
-        // The head of a non-empty queue is in (or about to enter) service;
-        // only the packets behind it occupy queue slots. This deliberately
-        // ignores `busy`: in the window between an enqueue and its dequeue
-        // scheduling the flag is still false, and counting by it let an
-        // "idle" link with a non-empty queue accept unboundedly.
-        let waiting = self.queue.len().saturating_sub(1);
+    /// link at `now_ns`. `u_loss` and `u_red` are uniform `[0, 1)` samples
+    /// consumed by the loss and RED processes.
+    pub fn offer(&mut self, now_ns: u64, pkt: u32, size: u32, u_loss: f64, u_red: f64) -> Offer {
+        let waiting = self.queue.len();
         // RED's average-queue estimate must see *every* arrival — including
         // packets the random-loss process removes below — or the average is
         // biased low under non-congestive loss.
@@ -370,25 +436,26 @@ impl Link {
         }
         if self.cfg.loss_rate > 0.0 && u_loss < self.cfg.loss_rate {
             self.stats.random_losses += 1;
-            return false;
+            return Offer::Dropped;
         }
         if red_drop {
             self.stats.dropped += 1;
-            return false;
+            return Offer::Dropped;
         }
-        // Drop-tail bound on queue occupancy whenever the queue is
-        // non-empty (an empty queue always accepts: the packet goes
-        // straight into service).
-        if !self.queue.is_empty() && waiting >= self.cfg.queue_packets {
+        if !self.busy(now_ns) {
+            // An idle link always accepts: the packet goes straight into
+            // service.
+            self.stats.enqueued += 1;
+            return Offer::Serve;
+        }
+        if waiting >= self.cfg.queue_packets {
             self.stats.dropped += 1;
-            return false;
+            return Offer::Dropped;
         }
         self.queue.push_back((pkt, size));
         self.stats.enqueued += 1;
-        // Peak counts *waiting* packets (excluding the head in service),
-        // consistent with the admission bound above.
-        self.stats.peak_queue = self.stats.peak_queue.max(self.queue.len() - 1);
-        true
+        self.stats.peak_queue = self.stats.peak_queue.max(waiting + 1);
+        Offer::Queued((waiting == 0).then_some(self.busy_until))
     }
 }
 
@@ -469,11 +536,30 @@ impl crate::engine::Agent for TraceDriver {
 mod tests {
     use super::*;
 
-    /// Offer a 1000-byte packet with handle `h`; neither the loss nor the
-    /// RED sample fires.
-    fn offer(l: &mut Link, h: u32) -> bool {
-        l.offer(h, 1000, 0.99, 0.99)
+    /// Offer a 1000-byte packet with handle `h` at `now` ns with the given
+    /// loss and RED samples, as the engine does: a packet the idle link
+    /// takes enters service at once.
+    fn offer_with(l: &mut Link, now: u64, h: u32, u_loss: f64, u_red: f64) -> Offer {
+        let offer = l.offer(now, h, 1000, u_loss, u_red);
+        if offer == Offer::Serve {
+            let done = now + l.tx_ns(1000);
+            l.serve(done, Serving {
+                pkt: h,
+                size: 1000,
+                arrive_seq: 0,
+            });
+        }
+        offer
     }
+
+    /// [`offer_with`] at time 0 where neither the loss nor the RED sample
+    /// fires.
+    fn offer(l: &mut Link, h: u32) -> Offer {
+        offer_with(l, 0, h, 0.99, 0.99)
+    }
+
+    /// 1000-byte packets serialize in 1 ms on this link.
+    const MS: u64 = 1_000_000;
 
     #[test]
     fn drop_tail_when_full_and_busy() {
@@ -483,12 +569,12 @@ mod tests {
             queue_packets: 2,
             ..LinkConfig::default()
         });
-        assert!(offer(&mut l, 1));
-        l.busy = true; // first packet entered service
-        assert!(offer(&mut l, 2));
-        assert!(offer(&mut l, 3));
-        assert!(
-            !offer(&mut l, 4),
+        assert_eq!(offer(&mut l, 1), Offer::Serve, "first packet enters service");
+        assert_eq!(offer(&mut l, 2), Offer::Queued(Some(MS)), "first waiter arms");
+        assert_eq!(offer(&mut l, 3), Offer::Queued(None));
+        assert_eq!(
+            offer(&mut l, 4),
+            Offer::Dropped,
             "third queued packet must be dropped"
         );
         assert_eq!(l.stats.dropped, 1);
@@ -503,10 +589,12 @@ mod tests {
             queue_packets: 0,
             ..LinkConfig::default()
         });
-        assert!(
+        assert_eq!(
             offer(&mut l, 1),
+            Offer::Serve,
             "idle link accepts even with zero queue"
         );
+        assert_eq!(offer(&mut l, 2), Offer::Dropped, "busy with zero queue drops");
     }
 
     #[test]
@@ -520,29 +608,40 @@ mod tests {
         for i in 0..5 {
             offer(&mut l, i);
         }
-        // Five in the queue = one in (or entering) service + four waiting;
-        // peak counts the waiting packets, same as the admission bound.
+        // One in service + four waiting; peak counts the waiting packets,
+        // same as the admission bound.
         assert_eq!(l.stats.peak_queue, 4);
+        assert_eq!((l.queue.len(), l.occupancy(0)), (4, 5));
     }
 
     #[test]
-    fn occupancy_bounded_even_when_not_marked_busy() {
-        // Regression: in the window between enqueue and dequeue scheduling
-        // `busy` is still false, and the old bound (`busy && ...`) let the
-        // queue grow without limit.
+    fn idle_to_busy_boundary() {
         let mut l = Link::new(LinkConfig {
             bandwidth: 1e6,
             delay: 0.01,
             queue_packets: 2,
             ..LinkConfig::default()
         });
-        assert!(offer(&mut l, 1), "empty queue accepts into service");
-        assert!(offer(&mut l, 2));
-        assert!(offer(&mut l, 3));
-        assert!(!offer(&mut l, 4), "bound applies while busy is false");
-        assert_eq!(l.queue.len(), 3);
-        assert_eq!(l.stats.dropped, 1);
+        assert_eq!(offer(&mut l, 1), Offer::Serve, "empty link accepts into service");
+        assert_eq!((l.occupancy(0), l.occupancy(MS - 1)), (1, 1));
+        assert_eq!(l.stats(MS - 1).bytes_out, 0, "still serializing");
+        // Service ends at 1 ms: the link is idle then, and its bytes are out.
+        assert_eq!((l.occupancy(MS), l.stats(MS).bytes_out), (0, 1000));
+        assert_eq!(offer_with(&mut l, MS, 2, 0.99, 0.99), Offer::Serve);
+        // Busy until 2 ms. Two may wait; the first arms the link-done.
+        let late = 2 * MS - 1;
+        assert_eq!(offer_with(&mut l, late, 3, 0.99, 0.99), Offer::Queued(Some(2 * MS)));
+        assert_eq!(offer_with(&mut l, late, 4, 0.99, 0.99), Offer::Queued(None));
+        assert_eq!(offer_with(&mut l, late, 5, 0.99, 0.99), Offer::Dropped);
+        // At 2 ms the packet in service has finished, but the link-done
+        // that starts the next has yet to fire: the link still reads busy,
+        // with its head in service, and the bound still applies.
+        assert_eq!(l.occupancy(2 * MS), 3);
+        assert_eq!(offer_with(&mut l, 2 * MS, 6, 0.99, 0.99), Offer::Dropped);
+        assert_eq!(l.queue.len(), 2);
+        assert_eq!(l.stats.dropped, 2);
         assert_eq!(l.stats.peak_queue, 2);
+        assert_eq!(l.stats(2 * MS).bytes_out, 2000);
     }
 
     #[test]
@@ -551,8 +650,8 @@ mod tests {
             loss_rate: 0.5,
             ..LinkConfig::default()
         });
-        assert!(!l.offer(1, 1000, 0.4, 0.9), "u < p drops");
-        assert!(l.offer(2, 1000, 0.6, 0.9), "u >= p passes");
+        assert_eq!(offer_with(&mut l, 0, 1, 0.4, 0.9), Offer::Dropped, "u < p drops");
+        assert_eq!(offer_with(&mut l, 0, 2, 0.6, 0.9), Offer::Serve, "u >= p passes");
         assert_eq!(l.stats.random_losses, 1);
         assert_eq!(l.stats.dropped, 0, "random losses counted separately");
     }
@@ -570,14 +669,15 @@ mod tests {
             queue_kind: QueueKind::Red(red),
             ..LinkConfig::default()
         });
-        // Build the queue to avg = 3 (wq = 1 tracks instantaneously):
-        l.busy = true;
+        // One in service and three waiting: avg = 3 (wq = 1 tracks
+        // instantaneously).
         for i in 0..4 {
-            assert!(l.offer(i, 1000, 0.9, 0.99), "low avg accepts");
+            let offer = offer_with(&mut l, 0, i, 0.9, 0.99);
+            assert_ne!(offer, Offer::Dropped, "low avg accepts");
         }
         // avg now 3 → p = 0.5 * (3-1)/(5-1) = 0.25.
-        assert!(!l.offer(10, 1000, 0.9, 0.2), "u_red < p drops early");
-        assert!(l.offer(11, 1000, 0.9, 0.3), "u_red >= p accepts");
+        assert_eq!(offer_with(&mut l, 0, 10, 0.9, 0.2), Offer::Dropped, "u_red < p drops early");
+        assert_eq!(offer_with(&mut l, 0, 11, 0.9, 0.3), Offer::Queued(None), "u_red >= p accepts");
     }
 
     #[test]
@@ -593,12 +693,11 @@ mod tests {
             queue_kind: QueueKind::Red(red),
             ..LinkConfig::default()
         });
-        l.busy = true;
         for i in 0..3 {
-            l.offer(i, 1000, 0.9, 0.99);
+            offer_with(&mut l, 0, i, 0.9, 0.99);
         }
-        // avg >= 2 now: unconditional drop regardless of u_red.
-        assert!(!l.offer(10, 1000, 0.9, 0.999));
+        // Two waiting, avg >= 2 now: unconditional drop regardless of u_red.
+        assert_eq!(offer_with(&mut l, 0, 10, 0.9, 0.999), Offer::Dropped);
     }
 
     #[test]
@@ -615,14 +714,13 @@ mod tests {
         let mut l = Link::new(LinkConfig {
             queue_packets: 100,
             queue_kind: QueueKind::Red(red),
-            loss_rate: 1.0, // every offer is randomly lost
             ..LinkConfig::default()
         });
-        l.queue.push_back((0, 1000));
-        l.queue.push_back((1, 1000));
-        l.queue.push_back((2, 1000));
-        l.busy = true;
-        assert!(!l.offer(10, 1000, 0.0, 0.99), "randomly lost");
+        for i in 0..3 {
+            offer(&mut l, i);
+        }
+        l.set_loss_rate(1.0); // every offer from here is randomly lost
+        assert_eq!(offer_with(&mut l, 0, 10, 0.0, 0.99), Offer::Dropped, "randomly lost");
         assert_eq!(l.stats.random_losses, 1);
         assert!(
             (l.red_avg - 2.0).abs() < 1e-12,

@@ -146,7 +146,8 @@ fn fingerprints_identical_with_obs_on_and_off() {
         for reason in [
             DropReason::InsufficientTotalBuffer,
             DropReason::DistributionShortfall,
-            DropReason::Underflow,
+            DropReason::TopLayerUnderflow,
+            DropReason::BaseDebt,
         ] {
             let logged = metrics
                 .events()

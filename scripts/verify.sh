@@ -8,9 +8,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== 1/5 build (release) =="
+echo "== 1/6 build (release) =="
 # No configuration may go unbuilt: --all-features compiles any feature a
-# later PR adds (steps 2 and 4 test and lint it too), nothing may be excluded
+# later PR adds (steps 3 and 5 test and lint it too), nothing may be excluded
 # from the workspace, and the workspace is exactly these nine packages.
 cargo build --release --all-targets --all-features
 # benchmark/ is its own workspace with path dependencies on crates/*: an
@@ -32,18 +32,37 @@ if [ "$got" != "$want " ]; then
   exit 1
 fi
 
-echo "== 2/5 tests =="
+echo "== 2/6 Tables 1-2 grid fingerprint =="
+# pinned_fingerprints.rs pins only short T1 campaigns. The grid behind the
+# paper's Tables 1-2 (T1+T2, five K_max, five seeds, 90 s) is pinned here:
+# plain `campaign` must print the fingerprint recorded in
+# results/campaign.out. Its summaries go to a scratch directory, so
+# results/campaign/ is left as committed.
+fingerprint() {
+  grep -oE 'campaign fingerprint [0-9a-f]{16}' | tail -n 1 | grep -oE '[0-9a-f]{16}$' || true
+}
+want=$(fingerprint < results/campaign.out)
+grid_out=$(mktemp -d)
+got=$(./target/release/campaign --out "$grid_out" | fingerprint)
+rm -rf "$grid_out"
+if [ -z "$want" ] || [ "$got" != "$want" ]; then
+  echo "FAIL: Tables 1-2 grid fingerprint '$got', results/campaign.out records '$want'" >&2
+  exit 1
+fi
+echo "grid fingerprint $got"
+
+echo "== 3/6 tests =="
 cargo test -q --all-features
 
-echo "== 3/5 benchmark/ tests =="
+echo "== 4/6 benchmark/ tests =="
 # A type the benchmark reads can change shape and still compile (step 1);
 # its own unit tests and --smoke runs exercise what it reads.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== 4/5 clippy (deny warnings) =="
+echo "== 5/6 clippy (deny warnings) =="
 cargo clippy --all-targets --all-features -- -D warnings
 
-echo "== 5/5 rustdoc (deny warnings) =="
+echo "== 6/6 rustdoc (deny warnings) =="
 # Intra-doc links name functions; a rename that leaves one dangling is
 # otherwise only a warning nobody reads.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
