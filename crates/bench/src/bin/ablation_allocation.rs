@@ -17,7 +17,7 @@ use laqa_trace::{RunSummary, Table};
 /// per-period planning against `bufs`; returns the number of periods that
 /// had an uncovered shortfall.
 fn shortfall_periods(
-    seq: &StateSequence,
+    seq: &mut StateSequence,
     mut bufs: Vec<f64>,
     mut rate: f64,
     n: usize,
@@ -65,11 +65,11 @@ fn main() {
             let equal = vec![total / n as f64; n];
             let mut base_only = vec![0.0; n];
             base_only[0] = total;
-            let seq = StateSequence::build(rate, n, c, s, 1);
+            let mut seq = StateSequence::build(rate, n, c, s, 1);
 
-            let r_opt = shortfall_periods(&seq, optimal, post, n, c, s);
-            let r_eq = shortfall_periods(&seq, equal, post, n, c, s);
-            let r_base = shortfall_periods(&seq, base_only, post, n, c, s);
+            let r_opt = shortfall_periods(&mut seq, optimal, post, n, c, s);
+            let r_eq = shortfall_periods(&mut seq, equal, post, n, c, s);
+            let r_base = shortfall_periods(&mut seq, base_only, post, n, c, s);
             cases += 1;
             if r_opt <= r_eq && r_opt <= r_base {
                 opt_wins += 1;

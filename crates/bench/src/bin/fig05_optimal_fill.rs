@@ -41,11 +41,11 @@ fn main() {
 
     // Figure 5: sequential filling order (packet by packet) and the drain
     // handoff pattern.
-    let seq = StateSequence::build(rate, n_a, c, s, 1);
+    let mut seq = StateSequence::build(rate, n_a, c, s, 1);
     let mut bufs = vec![0.0f64; n_a];
     let pkt = 1_000.0;
     let mut order = Vec::new();
-    while let Some(layer) = next_fill_layer(&seq, &bufs, 1.0) {
+    while let Some(layer) = next_fill_layer(&mut seq, &bufs, 1.0) {
         bufs[layer] += pkt;
         order.push(layer);
         if order.len() > 10_000 {
@@ -73,7 +73,7 @@ fn main() {
     let dt = 0.2;
     let (mut drain, mut rates) = (Vec::new(), Vec::new());
     while cur < n_a as f64 * c {
-        plan_draining_into(&seq, &bufs, cur, dt, 1.0, &mut drain, &mut rates);
+        plan_draining_into(&mut seq, &bufs, cur, dt, 1.0, &mut drain, &mut rates);
         let mut row = vec![format!("{tme:.1}"), format!("{cur:.0}")];
         for (buf, drain) in bufs.iter_mut().zip(&drain) {
             row.push(format!("{:.0}", drain / dt));

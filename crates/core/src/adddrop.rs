@@ -66,7 +66,11 @@ pub struct AddInputs<'a> {
 /// triangles are then tiny and near-vacuous, yet the moment the layer is
 /// added the deficit a backoff must bridge jumps by a whole `C`, and the
 /// buffers have to already carry that protection.
-pub fn check_add(seq: &StateSequence, next_seq: &StateSequence, inputs: &AddInputs) -> AddCheck {
+pub fn check_add(
+    seq: &mut StateSequence,
+    next_seq: &mut StateSequence,
+    inputs: &AddInputs,
+) -> AddCheck {
     let c = seq.layer_rate;
     AddCheck {
         bandwidth_ok: inputs.rate >= (inputs.n_active as f64 + 1.0) * c,
@@ -128,11 +132,11 @@ mod tests {
     const S: f64 = 25_000.0;
 
     fn check(rate: f64, bufs: &[f64], n: usize, max_layers: usize) -> AddCheck {
-        let seq = StateSequence::build(rate, n, C, S, 8);
-        let next = StateSequence::build(rate, n + 1, C, S, 8);
+        let mut seq = StateSequence::build(rate, n, C, S, 8);
+        let mut next = StateSequence::build(rate, n + 1, C, S, 8);
         check_add(
-            &seq,
-            &next,
+            &mut seq,
+            &mut next,
             &AddInputs {
                 bufs,
                 rate,
@@ -169,7 +173,7 @@ mod tests {
         // tiny: rate far above C makes k1 large and the triangles small) but
         // not the base-layer share of the 2-layer path the add would enter.
         let rate = 31_000.0;
-        let seq = StateSequence::build(rate, 1, C, S, 8);
+        let mut seq = StateSequence::build(rate, 1, C, S, 8);
         let bufs = [400.0];
         assert!(
             seq.satisfied_up_to_k(&bufs, 2, 1.0),

@@ -158,13 +158,16 @@ pub struct QaController {
     peak_rate: f64,
     phase: Phase,
     /// Draining path at `peak_rate`; current only while `!drain_stale`.
+    /// Kept across draining ticks, so the prefix the floor searches have
+    /// grown stays.
     drain_seq: StateSequence,
-    /// Set by a backoff, add or drop: the floors must be re-derived (into
-    /// the storage `drain_seq` already owns) before the next draining plan.
+    /// Set by a backoff, add or drop: the path must be reset (into the
+    /// storage `drain_seq` already owns) before the next draining plan.
     drain_stale: bool,
-    /// Filling path at the tick's rate, rebuilt in place every filling tick.
+    /// Filling path at the tick's rate: reset in place every filling tick
+    /// and grown only as far as the add check and the allocator read.
     fill_seq: StateSequence,
-    /// Post-add path (`n_active + 1` layers), rebuilt in place on the ticks
+    /// Post-add path (`n_active + 1` layers), reset in place on the ticks
     /// where the add rule's cheaper conditions all hold.
     next_seq: StateSequence,
     /// Working storage of the filling allocator (projected buffers, gains).
@@ -418,19 +421,20 @@ impl QaController {
         let protect = 0.75 * slack;
         if rate >= consumption {
             self.phase = Phase::Filling;
-            // Build the filling path at the current rate and allocate. Ticks
-            // run every period on the transport's hot path: the sequences
-            // are rebuilt in place and the allocators write into vectors
-            // the controller keeps, so once those have reached the
-            // session's sizes a tick allocates nothing: the report's
+            // Point the filling path at the current rate and allocate.
+            // Ticks run every period on the transport's hot path: the
+            // sequences are reset in place and emit only the states their
+            // readers reach, and the allocators write into vectors the
+            // controller keeps, so once those have reached the session's
+            // sizes a tick allocates nothing: the report's
             // `per_layer_rate` is an inline copy.
-            Self::rebuild_seq(&self.cfg, self.slope, &mut self.fill_seq, rate, self.n_active);
+            Self::reset_seq(&self.cfg, self.slope, &mut self.fill_seq, rate, self.n_active);
             // Add at most one layer per tick (the paper adds layers one at
             // a time; rationing the ramp also keeps a startup rate
             // overestimate from instantiating the whole encoding at once).
             // This is `adddrop::check_add(..).all_ok()` with the conditions
             // that need only the current path first: the post-add path is
-            // built just on the ticks where they all hold.
+            // grown just on the ticks where they all hold.
             let k_max = self.cfg.k_max;
             let eps = self.cfg.epsilon_bytes;
             let can_add = rate >= (self.n_active as f64 + 1.0) * c
@@ -438,7 +442,7 @@ impl QaController {
                 && self.fill_seq.satisfied_up_to_k(&self.bufs, k_max, eps)
                 && {
                     let next_n = self.n_active + 1;
-                    Self::rebuild_seq(&self.cfg, self.slope, &mut self.next_seq, rate, next_n);
+                    Self::reset_seq(&self.cfg, self.slope, &mut self.next_seq, rate, next_n);
                     self.next_seq
                         .satisfied_up_to_k_post_add(&self.bufs, k_max, eps, self.n_active)
                 };
@@ -446,12 +450,12 @@ impl QaController {
                 self.add_layer(now);
                 added += 1;
                 // The add required `rate ≥ (n_a+1)·C`: still filling, and
-                // the post-add path just built is the new filling path.
+                // the post-add path just grown is the new filling path.
                 debug_assert!(rate >= self.cfg.consumption(self.n_active));
                 std::mem::swap(&mut self.fill_seq, &mut self.next_seq);
             }
             allocate_filling_into(
-                &self.fill_seq,
+                &mut self.fill_seq,
                 &self.bufs,
                 rate,
                 dt,
@@ -494,7 +498,7 @@ impl QaController {
             loop {
                 self.ensure_drain_seq();
                 let shortfall = plan_draining_into(
-                    &self.drain_seq,
+                    &mut self.drain_seq,
                     &self.bufs,
                     rate,
                     dt,
@@ -562,16 +566,16 @@ impl QaController {
         }
     }
 
-    /// Rebuild `seq` in place as the state path for `n_active` layers at
+    /// Reset `seq` in place to the state path for `n_active` layers at
     /// `rate` under the controller's geometry parameters.
-    fn rebuild_seq(
+    fn reset_seq(
         cfg: &QaConfig,
         slope: f64,
         seq: &mut StateSequence,
         rate: f64,
         n_active: usize,
     ) {
-        seq.rebuild(
+        seq.reset(
             rate,
             n_active,
             cfg.layer_rate,
@@ -582,14 +586,14 @@ impl QaController {
     }
 
     /// Make `self.drain_seq` current for the present peak rate and layer
-    /// count, rebuilding in place (reusing its allocations) when stale.
+    /// count, resetting it in place (reusing its allocations) when stale.
     fn ensure_drain_seq(&mut self) {
         let peak = self.peak_rate.max(self.cfg.consumption(self.n_active));
         if self.drain_stale
             || self.drain_seq.n_active != self.n_active
             || (self.drain_seq.rate - peak).abs() > 1e-9
         {
-            Self::rebuild_seq(&self.cfg, self.slope, &mut self.drain_seq, peak, self.n_active);
+            Self::reset_seq(&self.cfg, self.slope, &mut self.drain_seq, peak, self.n_active);
             self.drain_stale = false;
         }
     }

@@ -94,7 +94,7 @@ pub fn buffering_layer_count(deficit_rate: f64, layer_rate: f64) -> usize {
 
 /// Maximally efficient per-layer buffer shares for a deficit triangle,
 /// written into `shares` (cleared and resized to `n_layers`, so hot paths
-/// such as the per-tick state-sequence rebuild recycle the allocation).
+/// such as the per-tick state path recycle the allocation).
 ///
 /// Entry `i` is the optimal number of bytes buffered for layer `i` (layer 0
 /// = base). Layers at or above the deficit get zero. The shares sum to

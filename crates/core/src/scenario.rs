@@ -126,8 +126,8 @@ pub fn buf_total(
 ///
 /// The targets always sum to [`buf_total`] for the same arguments (tested,
 /// including by property tests). This is the one-state-at-a-time form; the
-/// per-tick path ([`crate::states::StateSequence::rebuild`]) needs every `k`
-/// of a path at once and composes the same two pieces, computing `k₁` and
+/// per-tick path ([`crate::states::StateSequence::reset`]) walks the `k` of
+/// a path in order and composes the same two pieces, computing `k₁` and
 /// the two Scenario-2 triangles once per path instead of once per state.
 #[allow(clippy::too_many_arguments)]
 pub fn per_layer(

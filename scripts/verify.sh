@@ -8,9 +8,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== 1/6 build (release) =="
+echo "== 1/7 build (release) =="
 # No configuration may go unbuilt: --all-features compiles any feature a
-# later PR adds (steps 3 and 5 test and lint it too), nothing may be excluded
+# later PR adds (steps 4 and 6 test and lint it too), nothing may be excluded
 # from the workspace, and the workspace is exactly these nine packages.
 cargo build --release --all-targets --all-features
 # benchmark/ is its own workspace with path dependencies on crates/*: an
@@ -32,7 +32,7 @@ if [ "$got" != "$want " ]; then
   exit 1
 fi
 
-echo "== 2/6 Tables 1-2 grid fingerprint =="
+echo "== 2/7 Tables 1-2 grid fingerprint =="
 # pinned_fingerprints.rs pins only short T1 campaigns. The grid behind the
 # paper's Tables 1-2 (T1+T2, five K_max, five seeds, 90 s) is pinned here:
 # plain `campaign` must print the fingerprint recorded in
@@ -51,18 +51,35 @@ if [ -z "$want" ] || [ "$got" != "$want" ]; then
 fi
 echo "grid fingerprint $got"
 
-echo "== 3/6 tests =="
+echo "== 3/7 controller-only workload fingerprint =="
+# No test pins a 10-layer, K_max 16 controller run bit for bit. The
+# benchmark's qa_fluid workload is one (QaController alone on a seeded
+# AIMD sawtooth, K_max 2 to 16): at seed 1999 it must print this
+# fingerprint. A behaviour change on purpose = edit it here.
+want=82ddef813d9ebe49
+qa_out=$(mktemp -d)
+got=$(benchmark/target/release/laqa-benchmark run --workload qa_fluid --seed 1999 \
+  --passes 2 --trace 0 --out "$qa_out" | grep -oE 'fingerprint [0-9a-f]{16}' \
+  | head -n 1 | grep -oE '[0-9a-f]{16}$' || true)
+rm -rf "$qa_out"
+if [ "$got" != "$want" ]; then
+  echo "FAIL: qa_fluid fingerprint '$got', expected '$want'" >&2
+  exit 1
+fi
+echo "qa_fluid fingerprint $got"
+
+echo "== 4/7 tests =="
 cargo test -q --all-features
 
-echo "== 4/6 benchmark/ tests =="
+echo "== 5/7 benchmark/ tests =="
 # A type the benchmark reads can change shape and still compile (step 1);
 # its own unit tests and --smoke runs exercise what it reads.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== 5/6 clippy (deny warnings) =="
+echo "== 6/7 clippy (deny warnings) =="
 cargo clippy --all-targets --all-features -- -D warnings
 
-echo "== 6/6 rustdoc (deny warnings) =="
+echo "== 7/7 rustdoc (deny warnings) =="
 # Intra-doc links name functions; a rename that leaves one dangling is
 # otherwise only a warning nobody reads.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
