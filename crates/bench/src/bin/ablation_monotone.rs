@@ -31,13 +31,13 @@ fn main() {
         for rate_mult in [1.1f64, 1.4, 1.8, 2.5] {
             for s in [6_250.0f64, 12_500.0, 50_000.0] {
                 let rate = rate_mult * n as f64 * c;
-                let seq = StateSequence::build(rate, n, c, s, 6);
-                if seq.states.is_empty() {
+                let mut seq = StateSequence::build(rate, n, c, s, 6);
+                if seq.path().is_empty() {
                     continue;
                 }
                 total_points += 1;
                 let mut inversions = 0;
-                for w in seq.states.windows(2) {
+                for w in seq.path().windows(2) {
                     if (0..n).any(|i| w[1].raw_per_layer[i] < w[0].raw_per_layer[i] - 1e-6) {
                         inversions += 1;
                     }
@@ -47,7 +47,7 @@ fn main() {
                 }
                 // Clamp overhead: extra bytes the monotone targets require
                 // at the final state vs the raw optimum.
-                let last = seq.states.last().unwrap();
+                let last = seq.path().last().unwrap();
                 let overhead = if last.raw_total() > 0.0 {
                     (last.total() - last.raw_total()) / last.raw_total()
                 } else {

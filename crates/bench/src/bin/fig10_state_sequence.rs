@@ -19,7 +19,7 @@ fn main() {
     let rate = 60_000.0;
     let k_max = 5;
 
-    let seq = StateSequence::build(rate, n_a, c, s, k_max);
+    let mut seq = StateSequence::build(rate, n_a, c, s, k_max);
     println!("== Figures 8-10: buffer states (n_a={n_a}, C={c:.0}, S={s:.0}, R={rate:.0}) ==");
     println!(
         "k1 = {} backoffs needed to drop below consumption\n",
@@ -28,7 +28,7 @@ fn main() {
 
     let headers = ["state", "k", "total", "L0", "L1", "L2", "L3", "L4"];
     let mut raw_tbl = Table::new("Figure 9: states sorted by raw total", &headers);
-    for st in &seq.states {
+    for st in seq.path() {
         let mut row = vec![
             format!("{}", st.scenario),
             format!("{}", st.k),
@@ -43,7 +43,7 @@ fn main() {
 
     // Detect the fig-9 phenomenon: raw per-layer decreases along the sort.
     let mut violations = 0;
-    for w in seq.states.windows(2) {
+    for w in seq.path().windows(2) {
         for i in 0..n_a {
             if w[1].raw_per_layer[i] < w[0].raw_per_layer[i] - 1e-6 {
                 println!(
@@ -62,7 +62,7 @@ fn main() {
     println!();
 
     let mut clamped_tbl = Table::new("Figure 10: monotone step sequence (clamped)", &headers);
-    for st in &seq.states {
+    for st in seq.path() {
         let mut row = vec![
             format!("{}", st.scenario),
             format!("{}", st.k),
@@ -87,7 +87,7 @@ fn main() {
         .param("rate", rate)
         .param("k_max", k_max)
         .metric("k1", seq.k1 as f64)
-        .metric("n_states", seq.states.len() as f64)
+        .metric("n_states", seq.path().len() as f64)
         .metric("naive_drain_violations", violations as f64);
     summary
         .write_json(dir.join("summary.json"))

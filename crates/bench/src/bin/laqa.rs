@@ -244,7 +244,7 @@ fn cmd_states(args: &Args) -> Result<(), AnyError> {
     let c = positive(args, "c", 10_000.0, false)?;
     let slope = positive(args, "slope", 12_500.0, false)?;
     let k_max: u32 = args.get("kmax", 5)?;
-    let seq = StateSequence::build(rate, n, c, slope, k_max);
+    let mut seq = StateSequence::build(rate, n, c, slope, k_max);
     println!("k1 = {}", seq.k1);
     let mut headers = vec!["state".to_string(), "k".to_string(), "total".to_string()];
     for i in 0..n {
@@ -252,7 +252,7 @@ fn cmd_states(args: &Args) -> Result<(), AnyError> {
     }
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut tbl = Table::new("monotone buffer-state path", &header_refs);
-    for st in &seq.states {
+    for st in seq.path() {
         let mut row = vec![
             format!("{}", st.scenario),
             st.k.to_string(),

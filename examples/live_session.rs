@@ -21,9 +21,9 @@ fn max_supported_k(rate: f64, n: usize, c: f64, slope: f64, delay: f64) -> u32 {
     let cap = delay * c;
     let mut best = 0;
     for k in 1..=8u32 {
-        let seq = StateSequence::build(rate, n, c, slope, k);
+        let mut seq = StateSequence::build(rate, n, c, slope, k);
         let fits = seq
-            .states
+            .path()
             .iter()
             .all(|st| st.per_layer.iter().all(|&b| b <= cap + 1e-9));
         if fits {

@@ -124,9 +124,9 @@ fn scenario_requirements_shape() {
 /// not.
 #[test]
 fn monotone_path_exists_and_is_needed() {
-    let seq = StateSequence::build(60_000.0, 5, 10_000.0, 12_500.0, 5);
+    let mut seq = StateSequence::build(60_000.0, 5, 10_000.0, 12_500.0, 5);
     let mut naive_violations = 0;
-    for w in seq.states.windows(2) {
+    for w in seq.path().windows(2) {
         for i in 0..5 {
             if w[1].raw_per_layer[i] < w[0].raw_per_layer[i] - 1e-6 {
                 naive_violations += 1;
