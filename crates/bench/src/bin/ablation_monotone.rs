@@ -37,8 +37,8 @@ fn main() {
                 }
                 total_points += 1;
                 let mut inversions = 0;
-                for w in seq.path().windows(2) {
-                    if (0..n).any(|i| w[1].raw_per_layer[i] < w[0].raw_per_layer[i] - 1e-6) {
+                for (a, b) in seq.path().pairs() {
+                    if (0..n).any(|i| b.raw_per_layer[i] < a.raw_per_layer[i] - 1e-6) {
                         inversions += 1;
                     }
                 }

@@ -28,7 +28,7 @@ fn main() {
 
     let headers = ["state", "k", "total", "L0", "L1", "L2", "L3", "L4"];
     let mut raw_tbl = Table::new("Figure 9: states sorted by raw total", &headers);
-    for st in seq.path() {
+    for st in seq.path().iter() {
         let mut row = vec![
             format!("{}", st.scenario),
             format!("{}", st.k),
@@ -43,17 +43,12 @@ fn main() {
 
     // Detect the fig-9 phenomenon: raw per-layer decreases along the sort.
     let mut violations = 0;
-    for w in seq.path().windows(2) {
+    for (a, b) in seq.path().pairs() {
         for i in 0..n_a {
-            if w[1].raw_per_layer[i] < w[0].raw_per_layer[i] - 1e-6 {
+            if b.raw_per_layer[i] < a.raw_per_layer[i] - 1e-6 {
                 println!(
                     "naive order would DRAIN L{i}: {}k{} {:.0} -> {}k{} {:.0}",
-                    w[0].scenario,
-                    w[0].k,
-                    w[0].raw_per_layer[i],
-                    w[1].scenario,
-                    w[1].k,
-                    w[1].raw_per_layer[i]
+                    a.scenario, a.k, a.raw_per_layer[i], b.scenario, b.k, b.raw_per_layer[i]
                 );
                 violations += 1;
             }
@@ -62,7 +57,7 @@ fn main() {
     println!();
 
     let mut clamped_tbl = Table::new("Figure 10: monotone step sequence (clamped)", &headers);
-    for st in seq.path() {
+    for st in seq.path().iter() {
         let mut row = vec![
             format!("{}", st.scenario),
             format!("{}", st.k),

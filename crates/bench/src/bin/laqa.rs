@@ -252,7 +252,7 @@ fn cmd_states(args: &Args) -> Result<(), AnyError> {
     }
     let header_refs: Vec<&str> = headers.iter().map(String::as_str).collect();
     let mut tbl = Table::new("monotone buffer-state path", &header_refs);
-    for st in seq.path() {
+    for st in seq.path().iter() {
         let mut row = vec![
             format!("{}", st.scenario),
             st.k.to_string(),

@@ -84,7 +84,10 @@ pub fn plan_draining_into(
         let states = seq.emitted();
         let floor = |idx: isize, i: usize| {
             if idx >= 0 {
-                states[idx as usize].per_layer[i]
+                states
+                    .get(idx as usize)
+                    .expect("floor state emitted")
+                    .per_layer[i]
             } else {
                 0.0
             }
@@ -163,10 +166,10 @@ mod tests {
     }
 
     fn full_buffers(seq: &mut StateSequence) -> Vec<f64> {
+        let n = seq.n_active;
         seq.path()
             .last()
-            .map(|s| s.per_layer.clone())
-            .unwrap_or_else(|| vec![0.0; seq.n_active])
+            .map_or_else(|| vec![0.0; n], |s| s.per_layer.to_vec())
     }
 
     #[test]

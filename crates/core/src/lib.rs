@@ -76,4 +76,4 @@ pub use controller::{LayerAllocation, Phase, QaController, TickReport};
 pub use metrics::{DropReason, MetricsCollector, QaEvent};
 pub use nonlinear::LayerRates;
 pub use scenario::Scenario;
-pub use states::{BufferState, StateSequence};
+pub use states::{BufferState, StateSequence, States};

@@ -27,24 +27,30 @@
 //! reader that needs only a prefix of the path — the controller's filling
 //! walk, add check and draining floor search — grows the sequence just as
 //! far as it reads ([`StateSequence::reset`], [`StateSequence::state`]).
+//!
+//! The emitted states are stored as rows: one buffer of raw targets and
+//! one of clamped targets, `n_active` entries per state, beside a list of
+//! each state's `(scenario, k)`. A [`BufferState`] is a view of one row;
+//! [`States`] is a view of consecutive rows.
 
 use crate::scenario::{min_backoffs_below, recurring_band_into, scenario_one_into, Scenario};
 
-/// One optimal buffer state `(scenario, k)` with its per-layer targets.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BufferState {
+/// One optimal buffer state `(scenario, k)` with its per-layer targets: a
+/// view of one row of a [`StateSequence`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct BufferState<'a> {
     /// Which extremal loss pattern this state protects against.
     pub scenario: Scenario,
     /// Number of backoffs survived.
     pub k: u32,
     /// Raw per-layer optimal allocation (bytes, index 0 = base), before the
     /// monotonicity clamp.
-    pub raw_per_layer: Vec<f64>,
+    pub raw_per_layer: &'a [f64],
     /// Per-layer targets after the figure-10 monotonicity constraint.
-    pub per_layer: Vec<f64>,
+    pub per_layer: &'a [f64],
 }
 
-impl BufferState {
+impl BufferState<'_> {
     /// Total buffering of the *raw* optimal allocation.
     pub fn raw_total(&self) -> f64 {
         self.raw_per_layer.iter().sum()
@@ -64,6 +70,63 @@ impl BufferState {
     }
 }
 
+/// Consecutive states of a path from its first, in path order: the whole
+/// path ([`StateSequence::path`]) or the prefix emitted so far
+/// ([`StateSequence::emitted`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct States<'a> {
+    /// `(scenario, k)` of each state.
+    labels: &'a [(Scenario, u32)],
+    /// Raw targets, `stride` per state.
+    raw: &'a [f64],
+    /// Clamped targets, `stride` per state.
+    clamped: &'a [f64],
+    /// Layers per state.
+    stride: usize,
+}
+
+impl<'a> States<'a> {
+    /// Number of states.
+    pub fn len(&self) -> usize {
+        self.labels.len()
+    }
+
+    /// True when there is no state.
+    pub fn is_empty(&self) -> bool {
+        self.labels.is_empty()
+    }
+
+    /// State `i`, or `None` past the end.
+    pub fn get(&self, i: usize) -> Option<BufferState<'a>> {
+        let &(scenario, k) = self.labels.get(i)?;
+        let row = i * self.stride..(i + 1) * self.stride;
+        Some(BufferState {
+            scenario,
+            k,
+            raw_per_layer: &self.raw[row.clone()],
+            per_layer: &self.clamped[row],
+        })
+    }
+
+    /// The last state, or `None` when there is none.
+    pub fn last(&self) -> Option<BufferState<'a>> {
+        self.len().checked_sub(1).and_then(|i| self.get(i))
+    }
+
+    /// Each state with its successor, in path order.
+    pub fn pairs(&self) -> impl Iterator<Item = (BufferState<'a>, BufferState<'a>)> + 'a {
+        self.iter().zip(self.iter().skip(1))
+    }
+
+    /// The states in path order.
+    pub fn iter(
+        &self,
+    ) -> impl DoubleEndedIterator<Item = BufferState<'a>> + ExactSizeIterator + Clone + 'a {
+        let states = *self;
+        (0..states.len()).map(move |i| states.get(i).expect("index below len"))
+    }
+}
+
 /// The ordered, monotone path of buffer states for a given operating point.
 ///
 /// The states are read through [`path`](Self::path) (the whole path) or
@@ -76,7 +139,7 @@ pub struct StateSequence {
     /// Transmission rate (bytes/s) the sequence was computed for — the rate
     /// from which the hypothetical backoffs occur.
     pub rate: f64,
-    /// Number of active layers.
+    /// Number of active layers: the row stride.
     pub n_active: usize,
     /// Per-layer consumption rate `C`.
     pub layer_rate: f64,
@@ -84,9 +147,14 @@ pub struct StateSequence {
     pub slope: f64,
     /// `k₁` for this operating point.
     pub k1: u32,
-    /// The prefix of the path emitted so far, in increasing order of total
-    /// required buffering, after the monotonicity clamp.
-    states: Vec<BufferState>,
+    /// `(scenario, k)` of each state emitted so far, in increasing order of
+    /// total required buffering.
+    labels: Vec<(Scenario, u32)>,
+    /// Raw targets of the emitted states, one row of `n_active` per state.
+    raw: Vec<f64>,
+    /// Targets of the emitted states after the monotonicity clamp, rows as
+    /// in `raw`.
+    clamped: Vec<f64>,
     /// Largest backoff count on the path.
     k_horizon: u32,
     /// Multiplicative decrease factor the path is computed for.
@@ -96,10 +164,9 @@ pub struct StateSequence {
 }
 
 /// The two-stream merge behind [`StateSequence`]: the heads of both
-/// streams, the triangles their states are built from, and states the
-/// sequence owns but does not show. None of it is part of the sequence's
-/// value (the operating point determines it), so `Debug` prints a fixed
-/// token.
+/// streams and the triangles their states are built from. None of it is
+/// part of the sequence's value (the operating point determines it), so
+/// `Debug` prints a fixed token.
 #[derive(Clone, Default)]
 struct Merge {
     /// Scenario-1 targets at `k₁`: also the initial triangle of every
@@ -110,11 +177,6 @@ struct Merge {
     /// The Scenario-1 and Scenario-2 streams, indexed by `Scenario as
     /// usize`.
     streams: [Stream; 2],
-    /// States the sequence owns but does not show, vectors intact, for the
-    /// next emissions. Whenever a state is created, room is made here for
-    /// every state the sequence owns, so handing states back never
-    /// allocates.
-    spare: Vec<BufferState>,
 }
 
 /// One scenario's candidates, in increasing `k`.
@@ -188,11 +250,10 @@ impl StateSequence {
     /// readers below ask for more of it, so a reader that stops early never
     /// computes the rest.
     ///
-    /// The previous contents' allocations are recycled: a caller resetting
-    /// every period (the QA controller) reuses the state and per-layer
-    /// vectors. Once the sequence has owned as many states as the new
-    /// operating point needs, each with that many layers, nothing is
-    /// allocated at any path length.
+    /// The rows are emptied, not freed: a caller resetting every period
+    /// (the QA controller) reuses them. Once the sequence has held as many
+    /// states, and as many targets in all, as the new operating point
+    /// needs, and as many layers, nothing is allocated at any path length.
     ///
     /// What every state of a path shares is computed here once: `k₁`, and
     /// the two triangles each Scenario-2 state is a sum of. Each emitted
@@ -215,17 +276,17 @@ impl StateSequence {
         } else {
             1
         };
-        let Merge {
-            base,
-            recurring,
-            streams,
-            spare,
-        } = &mut self.merge;
-        spare.append(&mut self.states);
+        self.labels.clear();
+        self.raw.clear();
+        self.clamped.clear();
         // Fewer than k₁ backoffs leave no draining phase and nothing to
         // protect, so candidates start at k₁; without consumption there
         // are none at all. Scenario 2 at k₁ is Scenario 1 at k₁.
-        let [one, two] = streams;
+        let Merge {
+            base,
+            recurring,
+            streams: [one, two],
+        } = &mut self.merge;
         if consumption > 0.0 && k1 <= k_horizon {
             scenario_one_into(k1, rate, n_active, layer_rate, slope, decrease_factor, base);
             recurring_band_into(n_active, layer_rate, slope, decrease_factor, recurring);
@@ -248,80 +309,66 @@ impl StateSequence {
 
     /// State `i` of the path, emitting the states before it first; `None`
     /// when the path has no state `i`.
-    pub fn state(&mut self, i: usize) -> Option<&BufferState> {
-        while self.states.len() <= i {
+    pub fn state(&mut self, i: usize) -> Option<BufferState<'_>> {
+        while self.labels.len() <= i {
             if !self.emit() {
                 return None;
             }
         }
-        Some(&self.states[i])
+        self.emitted().get(i)
     }
 
     /// The whole path, emitting whatever of it is still to come first:
     /// never empty for `n_active ≥ 1` and `k_horizon ≥ 1` unless the rate
     /// leaves no draining phase (`k₁ > k_horizon`).
-    pub fn path(&mut self) -> &[BufferState] {
+    pub fn path(&mut self) -> States<'_> {
         while self.emit() {}
-        &self.states
+        self.emitted()
     }
 
     /// The states emitted since the last [`reset`](Self::reset): only a
     /// prefix of the path, as far as the readers have read. For a reader
     /// that has just grown it as far as it reads, and for checking how far
     /// that was; [`path`](Self::path) is the whole path.
-    pub fn emitted(&self) -> &[BufferState] {
-        &self.states
+    pub fn emitted(&self) -> States<'_> {
+        States {
+            labels: &self.labels,
+            raw: &self.raw,
+            clamped: &self.clamped,
+            stride: self.n_active,
+        }
     }
 
-    /// Append the next state of the path to `states`; false when the path
+    /// Append the next state of the path as a new row; false when the path
     /// is complete.
     fn emit(&mut self) -> bool {
         self.fill_head(Scenario::One);
         self.fill_head(Scenario::Two);
-        let Merge { streams, spare, .. } = &mut self.merge;
-        let [one, two] = streams;
+        let [one, two] = &mut self.merge.streams;
         let (stream, scenario) = match (one.ready, two.ready) {
             (true, true) if two.raw_total < one.raw_total => (two, Scenario::Two),
             (true, _) => (one, Scenario::One),
             (false, true) => (two, Scenario::Two),
             (false, false) => return false,
         };
-        let mut state = spare.pop().unwrap_or_else(|| {
-            // A state the sequence never owned: make room in `spare` for
-            // every owned state while allocating anyway.
-            spare.reserve(self.states.len() + 1);
-            BufferState {
-                scenario,
-                k: 0,
-                raw_per_layer: Vec::new(),
-                per_layer: Vec::new(),
-            }
-        });
-        state.raw_per_layer.clear();
-        state.raw_per_layer.extend_from_slice(&stream.raw);
-        state.scenario = scenario;
-        state.k = stream.k;
+        self.labels.push((scenario, stream.k));
         stream.ready = false;
         stream.k += 1;
+        let row = self.raw.len();
+        self.raw.extend_from_slice(&stream.raw);
         // Figure-10 monotonicity: running per-layer maximum. The previous
-        // state's clamped targets already dominate every earlier state's,
-        // so the maximum is taken pairwise against it.
-        let BufferState {
-            raw_per_layer,
-            per_layer,
-            ..
-        } = &mut state;
-        per_layer.clear();
-        match self.states.last() {
-            Some(prev) => per_layer.extend(
-                raw_per_layer
-                    .iter()
-                    .zip(&prev.per_layer)
-                    .map(|(&raw, &floor)| if raw < floor { floor } else { raw }),
-            ),
-            None => per_layer.extend_from_slice(raw_per_layer),
+        // row's clamped targets already dominate every earlier state's, so
+        // the maximum is taken pairwise against it. A state always has
+        // `n_active ≥ 1` layers, so only the first row starts at 0.
+        match row.checked_sub(self.n_active) {
+            Some(prev) => {
+                self.clamped.extend_from_within(prev..row);
+                for (target, &raw) in self.clamped[row..].iter_mut().zip(&self.raw[row..]) {
+                    *target = if raw < *target { *target } else { raw };
+                }
+            }
+            None => self.clamped.extend_from_slice(&self.raw[row..]),
         }
-        self.states.push(state);
         true
     }
 
@@ -332,7 +379,6 @@ impl StateSequence {
             base,
             recurring,
             streams,
-            ..
         } = &mut self.merge;
         let stream = &mut streams[scenario as usize];
         if stream.ready {
@@ -375,17 +421,16 @@ impl StateSequence {
     /// True when `keep` holds for every state with `k ≤ k_max`. Stops at
     /// the first such state that fails, or once both streams are past
     /// `k_max`: every state still to come has `k > k_max`.
-    fn all_up_to_k(&mut self, k_max: u32, keep: impl Fn(&BufferState) -> bool) -> bool {
+    fn all_up_to_k(&mut self, k_max: u32, keep: impl Fn(BufferState<'_>) -> bool) -> bool {
         let mut i = 0;
         loop {
-            if i == self.states.len() {
+            if i == self.labels.len() {
                 let [one, two] = &self.merge.streams;
                 if (one.k > k_max && two.k > k_max) || !self.emit() {
                     return true;
                 }
             }
-            let state = &self.states[i];
-            if state.k <= k_max && !keep(state) {
+            if self.labels[i].1 <= k_max && !keep(self.emitted().get(i).expect("state emitted")) {
                 return false;
             }
             i += 1;
@@ -413,7 +458,7 @@ impl StateSequence {
         match self.first_unsatisfied(bufs, eps) {
             Some(0) => None,
             Some(i) => Some(i - 1),
-            None => self.states.len().checked_sub(1),
+            None => self.labels.len().checked_sub(1),
         }
     }
 
@@ -483,7 +528,9 @@ mod tests {
         // rate 40 KB/s, 3 layers: k1 = 1, so horizon 16 has 31 states.
         let mut eager = seq(40_000.0, 3, 16);
         assert_eq!(eager.emitted().len(), 31);
-        let eager_path = eager.path().to_vec();
+        let bufs = eager.emitted().get(4).unwrap().per_layer.to_vec();
+        let want = eager.first_unsatisfied(&bufs, 1.0).unwrap();
+        let eager_path = eager.emitted();
         let mut s = lazy(40_000.0, 3, 16);
         assert!(s.emitted().is_empty());
 
@@ -500,8 +547,6 @@ mod tests {
         assert_eq!(s.emitted().iter().filter(|st| st.k <= 2).count(), 3);
 
         // The filling and draining walks stop at the first miss.
-        let bufs = eager_path[4].per_layer.clone();
-        let want = eager.first_unsatisfied(&bufs, 1.0).unwrap();
         let mut s = lazy(40_000.0, 3, 16);
         assert_eq!(s.first_unsatisfied(&bufs, 1.0), Some(want));
         assert_eq!(s.emitted().len(), want + 1);
@@ -510,14 +555,14 @@ mod tests {
 
         // `state` grows to exactly the state asked for and no further,
         // the grown prefix is the eager path's, and `path` grows the rest.
-        assert_eq!(s.state(20), Some(&eager_path[20]));
+        assert_eq!(s.state(20), eager_path.get(20));
         assert_eq!(s.emitted().len(), 21);
-        assert_eq!(s.emitted(), &eager_path[..21]);
+        assert!(s.emitted().iter().eq(eager_path.iter().take(21)));
         assert_eq!(s.state(31), None);
         assert_eq!(s.emitted().len(), 31);
         let mut s = lazy(40_000.0, 3, 16);
         assert_eq!(s, eager, "same operating point, whatever has been read");
-        assert_eq!(s.path(), &eager_path[..]);
+        assert_eq!(s.path(), eager_path);
     }
 
     #[test]
@@ -535,8 +580,8 @@ mod tests {
     #[test]
     fn sequence_sorted_by_raw_total() {
         let mut s = seq(40_000.0, 3, 5);
-        for w in s.path().windows(2) {
-            assert!(w[0].raw_total() <= w[1].raw_total() + 1e-9);
+        for (a, b) in s.path().pairs() {
+            assert!(a.raw_total() <= b.raw_total() + 1e-9);
         }
         assert!(!s.path().is_empty());
     }
@@ -544,13 +589,13 @@ mod tests {
     #[test]
     fn clamped_targets_monotone_per_layer() {
         let mut s = seq(40_000.0, 4, 6);
-        for w in s.path().windows(2) {
+        for (a, b) in s.path().pairs() {
             for i in 0..4 {
                 assert!(
-                    w[0].per_layer[i] <= w[1].per_layer[i] + 1e-9,
+                    a.per_layer[i] <= b.per_layer[i] + 1e-9,
                     "layer {i} not monotone: {:?} -> {:?}",
-                    w[0].per_layer,
-                    w[1].per_layer
+                    a.per_layer,
+                    b.per_layer
                 );
             }
         }
@@ -559,7 +604,7 @@ mod tests {
     #[test]
     fn clamp_never_reduces_targets_below_raw() {
         let mut s = seq(70_000.0, 4, 6);
-        for state in s.path() {
+        for state in s.path().iter() {
             for (t, r) in state.per_layer.iter().zip(state.raw_per_layer.iter()) {
                 assert!(t + 1e-9 >= *r);
             }
@@ -593,10 +638,10 @@ mod tests {
         // Empty buffers: first state unsatisfied.
         assert_eq!(s.first_unsatisfied(&[0.0, 0.0, 0.0], 1.0), Some(0));
         // Satisfy exactly the first state's targets.
-        let t0 = s.path()[0].per_layer.clone();
+        let t0 = s.state(0).unwrap().per_layer.to_vec();
         assert_eq!(s.first_unsatisfied(&t0, 1.0), Some(1));
         // Satisfy everything.
-        let last = s.path().last().unwrap().per_layer.clone();
+        let last = s.path().last().unwrap().per_layer.to_vec();
         assert_eq!(s.first_unsatisfied(&last, 1.0), None);
         assert_eq!(s.last_satisfied(&last, 1.0), Some(s.path().len() - 1));
     }
@@ -630,7 +675,7 @@ mod tests {
     fn satisfied_by_tolerates_short_buffer_slice() {
         let mut s = seq(40_000.0, 3, 2);
         // A slice shorter than n_active is treated as zeros beyond its end.
-        let state = &s.path()[0];
+        let state = s.state(0).unwrap();
         assert!(!state.satisfied_by(&[1e9], 1.0) || state.per_layer[1] == 0.0);
         assert!(state.satisfied_by(&[1e9, 1e9, 1e9], 1.0));
     }
@@ -645,9 +690,9 @@ mod tests {
         'outer: for &rate in &[40_000.0, 55_000.0, 70_000.0, 90_000.0] {
             for n in 2..=5usize {
                 let mut s = StateSequence::build(rate, n, C, S, 6);
-                for w in s.path().windows(2) {
+                for (a, b) in s.path().pairs() {
                     for i in 0..n {
-                        if w[1].raw_per_layer[i] < w[0].raw_per_layer[i] - 1e-6 {
+                        if b.raw_per_layer[i] < a.raw_per_layer[i] - 1e-6 {
                             found = true;
                             break 'outer;
                         }
@@ -661,7 +706,7 @@ mod tests {
     #[test]
     fn single_layer_sequence_has_base_only_states() {
         let mut s = seq(15_000.0, 1, 3);
-        for st in s.path() {
+        for st in s.path().iter() {
             assert_eq!(st.per_layer.len(), 1);
             assert!(st.per_layer[0] > 0.0);
         }
@@ -675,13 +720,13 @@ mod tests {
                 let mut b = rebuilt(rate, n, 6, 0.5);
                 assert_eq!(a.k1, b.k1);
                 assert_eq!(a.path().len(), b.path().len());
-                for (sa, sb) in a.path().iter().zip(b.path()) {
+                for (sa, sb) in a.path().iter().zip(b.path().iter()) {
                     assert_eq!(sa.scenario, sb.scenario);
                     assert_eq!(sa.k, sb.k);
-                    for (x, y) in sa.per_layer.iter().zip(&sb.per_layer) {
+                    for (x, y) in sa.per_layer.iter().zip(sb.per_layer) {
                         assert_eq!(x.to_bits(), y.to_bits());
                     }
-                    for (x, y) in sa.raw_per_layer.iter().zip(&sb.raw_per_layer) {
+                    for (x, y) in sa.raw_per_layer.iter().zip(sb.raw_per_layer) {
                         assert_eq!(x.to_bits(), y.to_bits());
                     }
                 }
@@ -694,10 +739,10 @@ mod tests {
         for &f in &[0.7, 0.85] {
             let mut s = rebuilt(40_000.0, 4, 6, f);
             assert!(!s.path().is_empty(), "f={f}");
-            for w in s.path().windows(2) {
-                assert!(w[0].raw_total() <= w[1].raw_total() + 1e-9, "f={f}");
+            for (a, b) in s.path().pairs() {
+                assert!(a.raw_total() <= b.raw_total() + 1e-9, "f={f}");
                 for i in 0..4 {
-                    assert!(w[0].per_layer[i] <= w[1].per_layer[i] + 1e-9, "f={f}");
+                    assert!(a.per_layer[i] <= b.per_layer[i] + 1e-9, "f={f}");
                 }
             }
         }

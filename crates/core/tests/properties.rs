@@ -168,12 +168,12 @@ fn state_sequence_monotone() {
         let k_h = g.u32_in(1, 8);
         let mut seq = path(rate, n, c, s, k_h, *g.pick(&FACTORS));
         let mut prev = vec![0.0f64; n];
-        for st in seq.path() {
+        for st in seq.path().iter() {
             for i in 0..n {
                 assert!(st.per_layer[i] + 1e-9 >= prev[i]);
                 assert!(st.per_layer[i] + 1e-9 >= st.raw_per_layer[i]);
             }
-            prev = st.per_layer.clone();
+            prev = st.per_layer.to_vec();
         }
     });
 }
@@ -284,8 +284,8 @@ fn rebuild_and_compare_with_reference(
     assert_eq!(seq.emitted().len(), want.len(), "{at}");
     for (i, (got, (scenario, k, raw, clamped))) in seq.emitted().iter().zip(&want).enumerate() {
         assert_eq!((got.scenario, got.k), (*scenario, *k), "{at}: state {i}");
-        assert_eq!(bits(&got.raw_per_layer), bits(raw), "{at}: state {i} raw");
-        assert_eq!(bits(&got.per_layer), bits(clamped), "{at}: state {i}");
+        assert_eq!(bits(got.raw_per_layer), bits(raw), "{at}: state {i} raw");
+        assert_eq!(bits(got.per_layer), bits(clamped), "{at}: state {i}");
     }
     want
 }
@@ -376,8 +376,8 @@ fn grow_and_compare_with_reference(
             .state(i)
             .unwrap_or_else(|| panic!("{at}: the merge ended before state {i}"));
         assert_eq!((got.scenario, got.k), (*scenario, *k), "{at}: state {i}");
-        assert_eq!(bits(&got.raw_per_layer), bits(raw), "{at}: state {i} raw");
-        assert_eq!(bits(&got.per_layer), bits(clamped), "{at}: state {i}");
+        assert_eq!(bits(got.raw_per_layer), bits(raw), "{at}: state {i} raw");
+        assert_eq!(bits(got.per_layer), bits(clamped), "{at}: state {i}");
         assert_eq!(seq.emitted().len(), i + 1, "{at}: grown past state {i}");
     }
     assert!(seq.state(want.len()).is_none(), "{at}: the merge ran past the path");
@@ -452,7 +452,9 @@ fn bufs_along(g: &mut Gen, seq: &mut StateSequence) -> Vec<f64> {
     let mut bufs = match (g.usize_in(0, 9), path.len()) {
         (0, _) | (_, 0) => vec![0.0; n],
         (1, _) => vec![1e12; n],
-        (_, len) => path[g.usize_in(0, len - 1)]
+        (_, len) => path
+            .get(g.usize_in(0, len - 1))
+            .unwrap()
             .per_layer
             .iter()
             .map(|x| x * g.f64_range(0.9, 1.1))
@@ -499,10 +501,10 @@ fn readers_on_demand_equal_eager_answers_and_stop_early() {
         let read = seq.emitted().len();
         match ok {
             false => {
-                let last = &seq.emitted()[read - 1];
+                let last = seq.emitted().get(read - 1).unwrap();
                 assert!(last.k <= k_max && !last.satisfied_by(&bufs, eps));
             }
-            true => assert!(eager.path()[read..].iter().all(|st| st.k > k_max)),
+            true => assert!(eager.path().iter().skip(read).all(|st| st.k > k_max)),
         }
         work = (work.0 + read, work.1 + full);
         let mut seq = lazy();
@@ -526,7 +528,8 @@ fn readers_on_demand_equal_eager_answers_and_stop_early() {
         assert_eq!(bits(&got_rates), bits(&want_rates), "drain rates");
         assert_eq!(got_short.to_bits(), want_short.to_bits(), "shortfall");
         // Whatever was read is a prefix of the eager path.
-        assert_eq!(seq.emitted(), &eager.path()[..seq.emitted().len()]);
+        let read = seq.emitted().len();
+        assert!(seq.emitted().iter().eq(eager.path().iter().take(read)));
     });
     eprintln!("add check read {} of {} states", work.0, work.1);
     assert!(2 * work.0 < work.1, "the add check read most of the path: {work:?}");
@@ -620,7 +623,7 @@ fn draining_relaxes_floors_several_states_back_on_recycled_vectors() {
     let (n, c, s, dt) = (4usize, 10_000.0, 25_000.0, 0.25);
     let mut seq = StateSequence::build(50_000.0, n, c, s, 8);
     let top = seq.path().len() - 1;
-    let bufs = seq.path()[top].per_layer.clone();
+    let bufs = seq.state(top).unwrap().per_layer.to_vec();
     assert_eq!(seq.last_satisfied(&bufs, 1.0), Some(top));
 
     let (mut drained, mut rates) = (vec![7.0; 9], vec![-3.0; 1]);

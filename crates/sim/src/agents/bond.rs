@@ -107,11 +107,11 @@ mod tests {
         let sink = w.add_agent(Box::new(RouteCounter::default()));
         let relay = w.add_agent(Box::new(BondAgent::new(
             sink,
-            vec![Route::from(vec![leg_a]), Route::from(vec![leg_b])],
+            vec![Route::from([leg_a]), Route::from([leg_b])],
         )));
         w.add_agent(Box::new(Burst {
             relay,
-            route: Route::from(vec![access]),
+            route: Route::from([access]),
             n: 9,
         }));
         w.run_until(1.0);

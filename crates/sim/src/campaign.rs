@@ -22,6 +22,7 @@
 //! ([`CampaignOptions`]): every session runs on the engine's one event
 //! queue.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -655,7 +656,9 @@ fn effective_threads(requested: usize, sessions: usize) -> usize {
 }
 
 /// Per-worker steal-and-run loop: `(index, result)` for every session
-/// this worker stole, in steal order.
+/// this worker stole, in steal order. A session that panics panics the
+/// worker again with `session {i} {label}: {message}`, so the failure
+/// names its cell.
 fn worker_loop(spec: &CampaignSpec, next: &AtomicUsize) -> Vec<(usize, SessionResult)> {
     let mut buf = Vec::new();
     loop {
@@ -664,7 +667,16 @@ fn worker_loop(spec: &CampaignSpec, next: &AtomicUsize) -> Vec<(usize, SessionRe
             return buf;
         };
         laqa_obs::counter!("campaign.steals").inc();
-        buf.push((i, run_session(session)));
+        let result = panic::catch_unwind(AssertUnwindSafe(|| run_session(session)))
+            .unwrap_or_else(|payload| {
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                    .unwrap_or("non-string panic payload");
+                panic!("session {i} {}: {message}", session.label())
+            });
+        buf.push((i, result));
     }
 }
 
@@ -674,6 +686,10 @@ fn worker_loop(spec: &CampaignSpec, next: &AtomicUsize) -> Vec<(usize, SessionRe
 /// and a deterministic index-ordered merge assembles the final vector
 /// after the last worker exits. The fingerprint is bit-identical for
 /// every thread count.
+///
+/// A session that panics panics the campaign with a `String` payload
+/// naming it, e.g. `session 1 T1/k17/seed7: valid QA config: …`; the
+/// other workers finish what they stole first.
 pub fn run_campaign_opts(spec: &CampaignSpec, opts: CampaignOptions) -> CampaignResult {
     let threads = effective_threads(opts.threads, spec.sessions.len());
     let started = Instant::now();
@@ -685,7 +701,7 @@ pub fn run_campaign_opts(spec: &CampaignSpec, opts: CampaignOptions) -> Campaign
             .collect();
         let buffers: Vec<Vec<(usize, SessionResult)>> = handles
             .into_iter()
-            .map(|h| h.join().expect("campaign worker panicked"))
+            .map(|h| h.join().unwrap_or_else(|payload| panic::resume_unwind(payload)))
             .collect();
         // All workers have exited: this is the simulation wall time; the
         // merge below is timed separately (see CampaignResult::wall_secs).
@@ -717,6 +733,19 @@ mod tests {
 
     fn tiny_spec() -> CampaignSpec {
         CampaignSpec::grid(&[TestKind::T1], &[2], &[7, 21], 4.0)
+    }
+
+    #[test]
+    fn a_panicking_session_names_its_cell() {
+        let mut spec = CampaignSpec::grid(&[TestKind::T1], &[2], &[7], 1.0);
+        // QaController::new refuses K_max 17.
+        let mut bad = spec.sessions[0].clone();
+        bad.k_max = 17;
+        spec.sessions.push(bad);
+        let payload = panic::catch_unwind(|| run_campaign_opts(&spec, CampaignOptions::new(2)))
+            .expect_err("the K_max 17 cell panics");
+        let message = payload.downcast_ref::<String>().expect("a String payload");
+        assert!(message.starts_with("session 1 T1/k17/seed7: "), "{message}");
     }
 
     #[test]

@@ -49,6 +49,13 @@ impl From<Vec<LinkId>> for Route {
     }
 }
 
+/// One allocation: the links go straight into the shared slice.
+impl<const N: usize> From<[LinkId; N]> for Route {
+    fn from(links: [LinkId; N]) -> Self {
+        Route(Rc::from(links))
+    }
+}
+
 impl From<&[LinkId]> for Route {
     fn from(links: &[LinkId]) -> Self {
         Route(Rc::from(links))

@@ -430,10 +430,7 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
     if let Some(leg_b) = bond_leg {
         let relay = d.world.add_agent(Box::new(crate::agents::bond::BondAgent::new(
             qa_sink_id,
-            vec![
-                Route::from(vec![d.bottleneck()]),
-                Route::from(vec![leg_b]),
-            ],
+            vec![Route::from([d.bottleneck()]), Route::from([leg_b])],
         )));
         assert_eq!(Some(relay), bond_relay_id, "relay id predicted above");
     }

@@ -136,7 +136,7 @@ impl Dumbbell {
             queue_packets: 10_000,
             ..LinkConfig::default()
         });
-        Route::from(vec![access, self.fwd_bottleneck])
+        Route::from([access, self.fwd_bottleneck])
     }
 
     /// Create a fresh access link and return the route `[access]` alone —
@@ -151,7 +151,7 @@ impl Dumbbell {
             queue_packets: 10_000,
             ..LinkConfig::default()
         });
-        Route::from(vec![access])
+        Route::from([access])
     }
 
     /// Reverse route `[rev_bottleneck, rev_access]` for one flow's ACKs.
@@ -162,7 +162,7 @@ impl Dumbbell {
             queue_packets: 10_000,
             ..LinkConfig::default()
         });
-        Route::from(vec![self.rev_bottleneck, access])
+        Route::from([self.rev_bottleneck, access])
     }
 }
 

@@ -51,22 +51,32 @@ if [ -z "$want" ] || [ "$got" != "$want" ]; then
 fi
 echo "grid fingerprint $got"
 
-echo "== 3/7 controller-only workload fingerprint =="
+echo "== 3/7 controller-only workload fingerprint and allocations =="
 # No test pins a 10-layer, K_max 16 controller run bit for bit. The
 # benchmark's qa_fluid workload is one (QaController alone on a seeded
 # AIMD sawtooth, K_max 2 to 16): at seed 1999 it must print this
 # fingerprint. A behaviour change on purpose = edit it here.
 want=82ddef813d9ebe49
+# Its allocations per session are exact at a fixed seed (measured 116.625:
+# the state paths' row buffers and the controller's vectors growing as
+# layers come up); the ceiling is that plus 7 %.
+max_allocs=124.8
 qa_out=$(mktemp -d)
-got=$(benchmark/target/release/laqa-benchmark run --workload qa_fluid --seed 1999 \
-  --passes 2 --trace 0 --out "$qa_out" | grep -oE 'fingerprint [0-9a-f]{16}' \
-  | head -n 1 | grep -oE '[0-9a-f]{16}$' || true)
+qa_report=$(benchmark/target/release/laqa-benchmark run --workload qa_fluid --seed 1999 \
+  --passes 2 --trace 0 --out "$qa_out")
 rm -rf "$qa_out"
+got=$(grep -oE 'fingerprint [0-9a-f]{16}' <<< "$qa_report" | head -n 1 | grep -oE '[0-9a-f]{16}$' || true)
 if [ "$got" != "$want" ]; then
   echo "FAIL: qa_fluid fingerprint '$got', expected '$want'" >&2
   exit 1
 fi
 echo "qa_fluid fingerprint $got"
+allocs=$(awk '$1 == "qa_fluid" && $2 == "allocs_per_session" { print $3; exit }' <<< "$qa_report")
+if [ -z "$allocs" ] || ! awk -v a="$allocs" -v m="$max_allocs" 'BEGIN { exit !(a <= m) }'; then
+  echo "FAIL: qa_fluid allocs_per_session '$allocs', ceiling $max_allocs" >&2
+  exit 1
+fi
+echo "qa_fluid allocs_per_session $allocs (ceiling $max_allocs)"
 
 echo "== 4/7 tests =="
 cargo test -q --all-features

@@ -191,7 +191,7 @@ fn fig10_state_sequence_matches_golden() {
                 ("k", num(st.k as f64)),
                 ("raw_total", num(st.raw_total())),
                 ("total", num(st.total())),
-                ("per_layer", arr_f64(&st.per_layer)),
+                ("per_layer", arr_f64(st.per_layer)),
             ])
         })
         .collect();

@@ -126,13 +126,13 @@ fn scenario_requirements_shape() {
 fn monotone_path_exists_and_is_needed() {
     let mut seq = StateSequence::build(60_000.0, 5, 10_000.0, 12_500.0, 5);
     let mut naive_violations = 0;
-    for w in seq.path().windows(2) {
+    for (a, b) in seq.path().pairs() {
         for i in 0..5 {
-            if w[1].raw_per_layer[i] < w[0].raw_per_layer[i] - 1e-6 {
+            if b.raw_per_layer[i] < a.raw_per_layer[i] - 1e-6 {
                 naive_violations += 1;
             }
             assert!(
-                w[1].per_layer[i] + 1e-9 >= w[0].per_layer[i],
+                b.per_layer[i] + 1e-9 >= a.per_layer[i],
                 "monotone path violated at layer {i}"
             );
         }
