@@ -46,7 +46,15 @@ use laqa_trace::{pct, Table};
 /// then the options that carry a value.
 const FLAGS: &[&str] = &["smoke", "faults"];
 const VALUED: &[&str] = &[
-    "threads", "duration", "kmax", "seeds", "intensity", "transport", "trace", "out", "obs",
+    "threads",
+    "duration",
+    "kmax",
+    "seeds",
+    "intensity",
+    "transport",
+    "trace",
+    "out",
+    "obs",
 ];
 
 /// One mode's defaults. The command line overrides every axis but
@@ -116,7 +124,11 @@ fn main() {
     if args.command != "run" {
         // Catch e.g. `campaign smoke` (meaning `--smoke`) before it
         // silently runs the full 50-session sweep instead.
-        let options: Vec<String> = FLAGS.iter().chain(VALUED).map(|o| format!("--{o}")).collect();
+        let options: Vec<String> = FLAGS
+            .iter()
+            .chain(VALUED)
+            .map(|o| format!("--{o}"))
+            .collect();
         let (cmd, options) = (&args.command, options.join(", "));
         usage_error(format!(
             "unexpected argument '{cmd}' — this binary takes options only ({options})"
@@ -154,8 +166,8 @@ fn main() {
     let obs_dir = args.options.get("obs").map(std::path::Path::new);
     laqa_obs::set_enabled(obs_dir.is_some());
     laqa_obs::flight::set_enabled(obs_dir.is_some());
-    let result = run(&args, preset)
-        .and_then(|sweep| obs_dir.map_or(Ok(()), |dir| export_obs(dir, &sweep)));
+    let result =
+        run(&args, preset).and_then(|sweep| obs_dir.map_or(Ok(()), |dir| export_obs(dir, &sweep)));
     if let Err(e) = result {
         // A list naming one value twice is a usage error like the ones
         // above; anything else failed at run time.
@@ -243,11 +255,17 @@ fn run(args: &Args, preset: &Preset) -> Result<CampaignResult, AnyError> {
     }
     if transports.len() > 1 {
         let by = |s: &SessionSpec, t: Transport| s.transport == t;
-        println!("{}", BY_TRANSPORT.render(&result, &transports, |t| t.label().into(), by));
+        println!(
+            "{}",
+            BY_TRANSPORT.render(&result, &transports, |t| t.label().into(), by)
+        );
     }
     if !traces.is_empty() {
         let by = |s: &SessionSpec, t: TraceKind| s.trace == Some(t);
-        println!("{}", BY_TRACE.render(&result, &traces, |t| t.label().into(), by));
+        println!(
+            "{}",
+            BY_TRACE.render(&result, &traces, |t| t.label().into(), by)
+        );
     }
     // The sweep must reproduce bit-identically on another thread count.
     // Obs is off for the replay, so `--obs` describes the sweep once.
@@ -299,7 +317,10 @@ fn print_tables(result: &CampaignResult, transports: &[Transport], k_values: &[u
         let suffix = (transports.len() > 1).then(|| format!(" [{}]", t.label()));
         let suffix = suffix.unwrap_or_default();
         let mean = |test: TestKind, k: u32, metric: fn(&SessionResult) -> Option<f64>| {
-            result.mean_metric(|s| s.test == test && s.k_max == k && s.transport == t, metric)
+            result.mean_metric(
+                |s| s.test == test && s.k_max == k && s.transport == t,
+                metric,
+            )
         };
         let t1 = format!("Table 1{suffix}: buffering efficiency e (mean over drop events)");
         let t2 = format!("Table 2{suffix}: avoidable drops / quality changes (mean per run)");
@@ -323,7 +344,12 @@ fn print_tables(result: &CampaignResult, transports: &[Transport], k_values: &[u
 
 /// One column of a per-axis summary: header, per-cell sample (`None`: no
 /// sample, e.g. no drop to rate), and the decimals and unit of the mean.
-type Column = (&'static str, fn(&SessionResult) -> Option<f64>, usize, &'static str);
+type Column = (
+    &'static str,
+    fn(&SessionResult) -> Option<f64>,
+    usize,
+    &'static str,
+);
 
 const EFF: Column = ("eff", |s| s.efficiency, 4, "");
 const CHG: Column = ("chg/s", |s| Some(s.layer_change_rate), 3, "");

@@ -71,7 +71,12 @@ fn main() {
     rec.insert(out.traces.tx_rate.clone());
     rec.insert(consumption);
     rec.insert(out.traces.n_active.clone());
-    let layers = out.traces.layer_rate.iter().chain(&out.traces.buffer).cloned();
+    let layers = out
+        .traces
+        .layer_rate
+        .iter()
+        .chain(&out.traces.buffer)
+        .cloned();
     for ts in layers.chain(drain_rate).chain(out.rx_buffers) {
         rec.insert(ts);
     }

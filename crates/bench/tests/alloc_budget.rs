@@ -158,7 +158,10 @@ fn assert_warmed_rebuild_allocates_nothing() {
             }
         }
     }
-    assert!(longest > 31, "the walk must go past the default horizon's 31 states");
+    assert!(
+        longest > 31,
+        "the walk must go past the default horizon's 31 states"
+    );
 }
 
 /// A [`QaController`] with the `qa_fluid` shape (10 layers, `K_max`
@@ -201,7 +204,10 @@ fn assert_warmed_controller_tick_allocates_nothing(k_max: u32, drops_in: DropSit
                 let layers = qa.n_active();
                 let (allocs, ()) = allocs_during(|| qa.on_backoff(now, rate));
                 if measuring && qa.n_active() == layers {
-                    assert_eq!(allocs, 0, "K_max {k_max}: on_backoff at t={now:.1} allocated");
+                    assert_eq!(
+                        allocs, 0,
+                        "K_max {k_max}: on_backoff at t={now:.1} allocated"
+                    );
                 }
                 if measuring {
                     seen.3 += 1;
@@ -330,7 +336,10 @@ fn assert_warmed_forwarding_allocates_nothing() {
     let (allocs, ()) = allocs_during(|| world.run_until(11.0));
     let packets = delivered(&world) - warm;
     assert!(packets >= 39_000, "only {packets} packets forwarded");
-    assert_eq!(allocs, 0, "forwarding {packets} packets allocated {allocs} times");
+    assert_eq!(
+        allocs, 0,
+        "forwarding {packets} packets allocated {allocs} times"
+    );
 }
 
 #[test]

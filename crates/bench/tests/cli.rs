@@ -100,17 +100,49 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
             &["sim", "--kmax", "0"],
             "--kmax 0: k_max (smoothing factor) must be >= 1",
         ),
-        (LAQA, &["sim", "--kmax", "17"], "--kmax 17: k_max must be <= 16"),
-        (LAQA, &["sim", "--loss", "nan"], "--loss NaN is outside [0, 1]"),
+        (
+            LAQA,
+            &["sim", "--kmax", "17"],
+            "--kmax 17: k_max must be <= 16",
+        ),
+        (
+            LAQA,
+            &["sim", "--loss", "nan"],
+            "--loss NaN is outside [0, 1]",
+        ),
         (LAQA, &["sim", "--loss", "2"], "--loss 2 is outside [0, 1]"),
-        (LAQA, &["sim", "--loss", "-0.1"], "--loss -0.1 is outside [0, 1]"),
+        (
+            LAQA,
+            &["sim", "--loss", "-0.1"],
+            "--loss -0.1 is outside [0, 1]",
+        ),
         (LAQA, &["states", "--c", "0"], "--c must be finite and > 0"),
-        (LAQA, &["states", "--slope", "0"], "--slope must be finite and > 0"),
-        (LAQA, &["states", "--slope", "-5"], "--slope must be finite and > 0"),
-        (LAQA, &["states", "--rate", "nan"], "--rate must be finite and > 0"),
+        (
+            LAQA,
+            &["states", "--slope", "0"],
+            "--slope must be finite and > 0",
+        ),
+        (
+            LAQA,
+            &["states", "--slope", "-5"],
+            "--slope must be finite and > 0",
+        ),
+        (
+            LAQA,
+            &["states", "--rate", "nan"],
+            "--rate must be finite and > 0",
+        ),
         (LAQA, &["states", "--layers", "0"], "--layers must be >= 1"),
-        (LAQA, &["bands", "--deficit", "-1"], "--deficit must be finite and >= 0"),
-        (LAQA, &["bands", "--slope", "inf"], "--slope must be finite and > 0"),
+        (
+            LAQA,
+            &["bands", "--deficit", "-1"],
+            "--deficit must be finite and >= 0",
+        ),
+        (
+            LAQA,
+            &["bands", "--slope", "inf"],
+            "--slope must be finite and > 0",
+        ),
         (
             LAQA,
             &["bands", "--exp-factor", "3"],
@@ -126,8 +158,16 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
             &["--smoke", "--seeds", "7", "--seeds", "21"],
             "--seeds given more than once",
         ),
-        (CAMPAIGN, &["--smoke", "--kmax", "2,2"], "--kmax lists 2 more than once"),
-        (CAMPAIGN, &["--seeds", "7,21,7"], "--seeds lists 7 more than once"),
+        (
+            CAMPAIGN,
+            &["--smoke", "--kmax", "2,2"],
+            "--kmax lists 2 more than once",
+        ),
+        (
+            CAMPAIGN,
+            &["--seeds", "7,21,7"],
+            "--seeds lists 7 more than once",
+        ),
         (
             CAMPAIGN,
             &["--faults", "--intensity", "0,0.5,0.50"],
@@ -153,10 +193,26 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
             &["--faults", "--duration", "-3"],
             "--duration must be finite and > 0",
         ),
-        (CAMPAIGN, &["--duration", "0"], "--duration must be finite and > 0"),
-        (LAQA, &["sim", "--seed", "1", "--seed", "2"], "--seed given more than once"),
-        (LAQA, &["sim", "--duration", "nan"], "--duration must be finite and > 0"),
-        (LAQA, &["sim", "--duration", "-1"], "--duration must be finite and > 0"),
+        (
+            CAMPAIGN,
+            &["--duration", "0"],
+            "--duration must be finite and > 0",
+        ),
+        (
+            LAQA,
+            &["sim", "--seed", "1", "--seed", "2"],
+            "--seed given more than once",
+        ),
+        (
+            LAQA,
+            &["sim", "--duration", "nan"],
+            "--duration must be finite and > 0",
+        ),
+        (
+            LAQA,
+            &["sim", "--duration", "-1"],
+            "--duration must be finite and > 0",
+        ),
         (LAQA, &["sim", "--nope", "1"], "unknown option --nope"),
         (LAQA, &["frobnicate"], "unknown subcommand 'frobnicate'"),
         (LAQA, &[], "missing subcommand"),
@@ -205,7 +261,10 @@ fn tables_mode_checks_replay() {
 fn printed_fingerprint(text: &str) -> u64 {
     let line = text.lines().find(|l| l.starts_with("replay check:"));
     let line = line.unwrap_or_else(|| panic!("no replay line in {text}"));
-    let hex = line.split("fingerprint ").nth(1).and_then(|r| r.split(' ').next());
+    let hex = line
+        .split("fingerprint ")
+        .nth(1)
+        .and_then(|r| r.split(' ').next());
     u64::from_str_radix(hex.expect("fingerprint field"), 16).expect("hex fingerprint")
 }
 
@@ -226,8 +285,15 @@ fn transport_and_trace_axes_build_the_library_grid() {
         assert_has(&text, "interop matrix: QA metrics by transport");
         assert_has(&text, "hostile grid: QA damage by trace family");
         let transports = [Transport::Rap, Transport::Tcp];
-        let spec =
-            CampaignSpec::product(tests, &[TraceKind::Lte], &transports, &[2], &[0.0], &[7], 6.0);
+        let spec = CampaignSpec::product(
+            tests,
+            &[TraceKind::Lte],
+            &transports,
+            &[2],
+            &[0.0],
+            &[7],
+            6.0,
+        );
         assert_has(&text, &format!("replay check: {} sessions", spec.len()));
         let want = run_campaign(&spec, 1).fingerprint();
         assert_eq!(printed_fingerprint(&text), want, "campaign {line}");

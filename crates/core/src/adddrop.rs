@@ -265,6 +265,9 @@ mod tests {
         let d70 = drops_at(0.7);
         let d85 = drops_at(0.85);
         assert!(d50 >= d70 && d70 >= d85, "{d50} {d70} {d85}");
-        assert!(d50 > d85, "halving from 52 KB/s must shed more than a 0.85 backoff");
+        assert!(
+            d50 > d85,
+            "halving from 52 KB/s must shed more than a 0.85 backoff"
+        );
     }
 }

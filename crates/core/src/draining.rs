@@ -151,7 +151,8 @@ mod tests {
     /// One period of [`plan_draining_into`] on fresh vectors.
     fn plan_period(seq: &mut StateSequence, bufs: &[f64], rate: f64, dt: f64) -> Plan {
         let (mut drain, mut per_layer_rate) = (vec![], vec![]);
-        let shortfall = plan_draining_into(seq, bufs, rate, dt, 1.0, &mut drain, &mut per_layer_rate);
+        let shortfall =
+            plan_draining_into(seq, bufs, rate, dt, 1.0, &mut drain, &mut per_layer_rate);
         Plan {
             drain,
             per_layer_rate,

@@ -77,7 +77,10 @@ pub fn recovery_buffer(
         decrease_factor > 0.0 && decrease_factor < 1.0,
         "decrease_factor must be in (0,1), got {decrease_factor}"
     );
-    triangle_area(deficit(consumption, rate_at_backoff * decrease_factor), slope)
+    triangle_area(
+        deficit(consumption, rate_at_backoff * decrease_factor),
+        slope,
+    )
 }
 
 /// Number of *buffering layers* `n_b = ceil(d₀/C)`: how many of the lowest

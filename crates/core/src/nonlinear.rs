@@ -179,7 +179,8 @@ pub fn nl_per_layer(
             let d_first = deficit(consumption, rate * decrease_factor.powi(k1 as i32));
             let mut shares = nl_band_allocation(rates, n, d_first, slope);
             if k > k1 {
-                let rec = nl_band_allocation(rates, n, consumption * (1.0 - decrease_factor), slope);
+                let rec =
+                    nl_band_allocation(rates, n, consumption * (1.0 - decrease_factor), slope);
                 let mult = (k - k1) as f64;
                 for (s, r) in shares.iter_mut().zip(rec) {
                     *s += mult * r;
@@ -233,7 +234,11 @@ mod tests {
         let r = linear(4);
         for &d in &[0.0, 5_000.0, 23_000.0, 100_000.0] {
             for i in 0..4 {
-                assert_eq!(nl_band_drain_rate(&r, i, d), band_drain_rate(d, C, i), "d={d}");
+                assert_eq!(
+                    nl_band_drain_rate(&r, i, d),
+                    band_drain_rate(d, C, i),
+                    "d={d}"
+                );
             }
         }
     }

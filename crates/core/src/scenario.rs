@@ -150,10 +150,26 @@ pub fn per_layer(
     let mut out = Vec::new();
     match scenario {
         Scenario::One => {
-            scenario_one_into(k, rate, n_active, layer_rate, slope, decrease_factor, &mut out);
+            scenario_one_into(
+                k,
+                rate,
+                n_active,
+                layer_rate,
+                slope,
+                decrease_factor,
+                &mut out,
+            );
         }
         Scenario::Two => {
-            scenario_one_into(k1, rate, n_active, layer_rate, slope, decrease_factor, &mut out);
+            scenario_one_into(
+                k1,
+                rate,
+                n_active,
+                layer_rate,
+                slope,
+                decrease_factor,
+                &mut out,
+            );
             if k > k1 {
                 let mut recurring = Vec::new();
                 recurring_band_into(n_active, layer_rate, slope, decrease_factor, &mut recurring);

@@ -240,7 +240,14 @@ impl StateSequence {
         k_horizon: u32,
         decrease_factor: f64,
     ) {
-        self.reset(rate, n_active, layer_rate, slope, k_horizon, decrease_factor);
+        self.reset(
+            rate,
+            n_active,
+            layer_rate,
+            slope,
+            k_horizon,
+            decrease_factor,
+        );
         while self.emit() {}
     }
 

@@ -180,26 +180,30 @@ fn state_sequence_monotone() {
 
 #[test]
 fn rebuild_in_place_equals_fresh_build_along_random_walk() {
-    cases("rebuild_in_place_equals_fresh_build", DEFAULT_CASES, |g, _| {
-        // One sequence carried through a walk of operating points whose
-        // state counts grow and shrink (n, k_horizon and the rate all
-        // move), so every slot is reused with stale contents of another
-        // shape before being compared.
-        let mut seq = StateSequence::default();
-        for step in 0..12 {
-            let (rate, n, c, s) = op_point(g);
-            let k_h = g.u32_in(1, 10);
-            let f = *g.pick(&[0.5, 0.7, 0.85]);
-            seq.rebuild(rate, n, c, s, k_h, f);
-            let fresh = path(rate, n, c, s, k_h, f);
-            // Debug output separates -0.0 from 0.0, so this is bit equality.
-            assert_eq!(
-                format!("{seq:?}"),
-                format!("{fresh:?}"),
-                "step {step}: rate={rate} n={n} k_h={k_h} f={f}"
-            );
-        }
-    });
+    cases(
+        "rebuild_in_place_equals_fresh_build",
+        DEFAULT_CASES,
+        |g, _| {
+            // One sequence carried through a walk of operating points whose
+            // state counts grow and shrink (n, k_horizon and the rate all
+            // move), so every slot is reused with stale contents of another
+            // shape before being compared.
+            let mut seq = StateSequence::default();
+            for step in 0..12 {
+                let (rate, n, c, s) = op_point(g);
+                let k_h = g.u32_in(1, 10);
+                let f = *g.pick(&[0.5, 0.7, 0.85]);
+                seq.rebuild(rate, n, c, s, k_h, f);
+                let fresh = path(rate, n, c, s, k_h, f);
+                // Debug output separates -0.0 from 0.0, so this is bit equality.
+                assert_eq!(
+                    format!("{seq:?}"),
+                    format!("{fresh:?}"),
+                    "step {step}: rate={rate} n={n} k_h={k_h} f={f}"
+                );
+            }
+        },
+    );
 }
 
 /// One state of [`reference_path`]: `(scenario, k, raw targets, clamped
@@ -335,7 +339,10 @@ fn rebuild_equals_per_state_reference_bit_for_bit() {
     for n in 1..=6usize {
         check(0.75 * n as f64 * C, n, C, S, 12, 1.0 - f64::EPSILON / 2.0);
     }
-    assert!(visited > 8_000 && empty_paths > 100, "{visited} {empty_paths}");
+    assert!(
+        visited > 8_000 && empty_paths > 100,
+        "{visited} {empty_paths}"
+    );
     assert!(
         same_scenario_ties > 0 && cross_scenario_ties > 0,
         "the sweep must reach exact ties: {same_scenario_ties} {cross_scenario_ties}"
@@ -344,15 +351,19 @@ fn rebuild_equals_per_state_reference_bit_for_bit() {
 
 #[test]
 fn rebuild_equals_per_state_reference_at_random_operating_points() {
-    cases("rebuild_equals_per_state_reference", DEFAULT_CASES, |g, _| {
-        let mut seq = StateSequence::default();
-        for _ in 0..6 {
-            let (rate, n, c, s) = op_point(g);
-            let k_h = g.u32_in(1, 32);
-            let f = *g.pick(&[0.5, 0.7, 0.85]);
-            rebuild_and_compare_with_reference(&mut seq, rate, n, c, s, k_h, f);
-        }
-    });
+    cases(
+        "rebuild_equals_per_state_reference",
+        DEFAULT_CASES,
+        |g, _| {
+            let mut seq = StateSequence::default();
+            for _ in 0..6 {
+                let (rate, n, c, s) = op_point(g);
+                let k_h = g.u32_in(1, 32);
+                let f = *g.pick(&[0.5, 0.7, 0.85]);
+                rebuild_and_compare_with_reference(&mut seq, rate, n, c, s, k_h, f);
+            }
+        },
+    );
 }
 
 /// Grow `seq` from a reset one state at a time and hold every prefix
@@ -380,7 +391,10 @@ fn grow_and_compare_with_reference(
         assert_eq!(bits(got.per_layer), bits(clamped), "{at}: state {i}");
         assert_eq!(seq.emitted().len(), i + 1, "{at}: grown past state {i}");
     }
-    assert!(seq.state(want.len()).is_none(), "{at}: the merge ran past the path");
+    assert!(
+        seq.state(want.len()).is_none(),
+        "{at}: the merge ran past the path"
+    );
     (k1, want)
 }
 
@@ -401,30 +415,43 @@ fn merge_grown_on_demand_equals_sorted_reference_prefix_by_prefix() {
         empty_k1 += usize::from(n > 0 && c > 0.0 && k1 <= k_h && !has_k1);
         cross_ties += want
             .windows(2)
-            .filter(|w| w[0].0 != w[1].0 && w[0].2.iter().sum::<f64>() == w[1].2.iter().sum::<f64>())
+            .filter(|w| {
+                w[0].0 != w[1].0 && w[0].2.iter().sum::<f64>() == w[1].2.iter().sum::<f64>()
+            })
             .count();
     };
     const C: f64 = 10_000.0;
     const S: f64 = 25_000.0;
-    cases("merge_grown_on_demand_equals_sorted_reference", 24, |g, _| {
-        for f in [0.5, 0.7, 0.85] {
-            for k_h in [1u32, 2, 8, 16, 32] {
-                for n in 1..=12usize {
-                    let consumption = n as f64 * C;
-                    // From below consumption to 8x above it.
-                    check(g.f64_range(0.3, 8.0) * consumption, n, C, S, k_h, f);
-                    // The k1 edges: a rate whose j-th backoff lands on
-                    // consumption, give or take a few ulps, where the
-                    // iterated k1 and the powi post-backoff rate round
-                    // apart.
-                    let j = g.u32_in(1, 4);
-                    let edge = consumption / f.powi(j as i32);
-                    let ulps = g.u64_in(0, 8) as i64 - 4;
-                    check(f64::from_bits((edge.to_bits() as i64 + ulps) as u64), n, C, S, k_h, f);
+    cases(
+        "merge_grown_on_demand_equals_sorted_reference",
+        24,
+        |g, _| {
+            for f in [0.5, 0.7, 0.85] {
+                for k_h in [1u32, 2, 8, 16, 32] {
+                    for n in 1..=12usize {
+                        let consumption = n as f64 * C;
+                        // From below consumption to 8x above it.
+                        check(g.f64_range(0.3, 8.0) * consumption, n, C, S, k_h, f);
+                        // The k1 edges: a rate whose j-th backoff lands on
+                        // consumption, give or take a few ulps, where the
+                        // iterated k1 and the powi post-backoff rate round
+                        // apart.
+                        let j = g.u32_in(1, 4);
+                        let edge = consumption / f.powi(j as i32);
+                        let ulps = g.u64_in(0, 8) as i64 - 4;
+                        check(
+                            f64::from_bits((edge.to_bits() as i64 + ulps) as u64),
+                            n,
+                            C,
+                            S,
+                            k_h,
+                            f,
+                        );
+                    }
                 }
             }
-        }
-    });
+        },
+    );
     // Exact ties between the streams: a decrease factor one ulp short of
     // 1 leaves the recurring triangle too small to register, so every
     // Scenario-2 total equals the Scenario-1 total at k1 (and at a rate
@@ -492,7 +519,10 @@ fn readers_on_demand_equal_eager_answers_and_stop_early() {
         let first = seq.first_unsatisfied(&bufs, eps);
         assert_eq!(first, eager.first_unsatisfied(&bufs, eps));
         assert_eq!(seq.emitted().len(), first.map_or(full, |i| i + 1));
-        assert_eq!(lazy().last_satisfied(&bufs, eps), eager.last_satisfied(&bufs, eps));
+        assert_eq!(
+            lazy().last_satisfied(&bufs, eps),
+            eager.last_satisfied(&bufs, eps)
+        );
 
         let mut seq = lazy();
         let ok = seq.satisfied_up_to_k(&bufs, k_max, eps);
@@ -532,7 +562,10 @@ fn readers_on_demand_equal_eager_answers_and_stop_early() {
         assert!(seq.emitted().iter().eq(eager.path().iter().take(read)));
     });
     eprintln!("add check read {} of {} states", work.0, work.1);
-    assert!(2 * work.0 < work.1, "the add check read most of the path: {work:?}");
+    assert!(
+        2 * work.0 < work.1,
+        "the add check read most of the path: {work:?}"
+    );
 }
 
 /// Scratch vectors as a previous call on another layer count left them.
@@ -559,7 +592,12 @@ fn fill_fresh(seq: &mut StateSequence, bufs: &[f64], rate: f64, dt: f64) -> (Vec
 
 /// [`plan_draining_into`] on fresh vectors: `(drain, per_layer_rate,
 /// shortfall)`.
-fn drain_fresh(seq: &mut StateSequence, bufs: &[f64], rate: f64, dt: f64) -> (Vec<f64>, Vec<f64>, f64) {
+fn drain_fresh(
+    seq: &mut StateSequence,
+    bufs: &[f64],
+    rate: f64,
+    dt: f64,
+) -> (Vec<f64>, Vec<f64>, f64) {
     let (mut drain, mut rates) = (vec![], vec![]);
     let shortfall = plan_draining_into(seq, bufs, rate, dt, 1.0, &mut drain, &mut rates);
     (drain, rates, shortfall)
@@ -607,7 +645,8 @@ fn into_allocators_on_dirty_scratch_equal_fresh_scratch() {
 
         let (want_drain, want_rates, want_shortfall) = drain_fresh(&mut seq, &bufs, rate, dt);
         let (mut drained, mut rates) = (dirty(g), dirty(g));
-        let shortfall = plan_draining_into(&mut seq, &bufs, rate, dt, 1.0, &mut drained, &mut rates);
+        let shortfall =
+            plan_draining_into(&mut seq, &bufs, rate, dt, 1.0, &mut drained, &mut rates);
         assert_eq!(bits(&drained), bits(&want_drain), "drain");
         assert_eq!(bits(&rates), bits(&want_rates), "drain rates");
         assert_eq!(shortfall.to_bits(), want_shortfall.to_bits());
@@ -826,20 +865,24 @@ fn draining_never_overdraws() {
 
 #[test]
 fn drop_rule_result_always_recoverable() {
-    cases("drop_rule_result_always_recoverable", DEFAULT_CASES, |g, _| {
-        let (rate, n, c, s) = op_point(g);
-        let buf = g.f64_range(0.0, 1_000_000.0);
-        let kept = sustainable_layers(n, c, rate, s, buf);
-        assert!(kept <= n);
-        assert!(kept >= 1 || n == 0);
-        // After the drop, either the deficit is absorbable or we're at the
-        // base layer.
-        if kept > 1 {
-            let deficit = kept as f64 * c - rate;
-            assert!(deficit <= (2.0 * s * buf).sqrt() + 1e-9);
-        }
-        assert_eq!(drop_count(n, c, rate, s, buf), n - kept);
-    });
+    cases(
+        "drop_rule_result_always_recoverable",
+        DEFAULT_CASES,
+        |g, _| {
+            let (rate, n, c, s) = op_point(g);
+            let buf = g.f64_range(0.0, 1_000_000.0);
+            let kept = sustainable_layers(n, c, rate, s, buf);
+            assert!(kept <= n);
+            assert!(kept >= 1 || n == 0);
+            // After the drop, either the deficit is absorbable or we're at the
+            // base layer.
+            if kept > 1 {
+                let deficit = kept as f64 * c - rate;
+                assert!(deficit <= (2.0 * s * buf).sqrt() + 1e-9);
+            }
+            assert_eq!(drop_count(n, c, rate, s, buf), n - kept);
+        },
+    );
 }
 
 #[test]
@@ -1022,7 +1065,8 @@ fn drop_rule_never_strands_optimally_buffered_layers() {
             let total: f64 = shares.iter().sum::<f64>() * (1.0 + 1e-9);
             let kept = sustainable_layers(n, c, post, s, total);
             assert_eq!(
-                kept, n,
+                kept,
+                n,
                 "optimal allocation (total {total}) stranded {} layers",
                 n - kept
             );

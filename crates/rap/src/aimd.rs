@@ -16,7 +16,6 @@
 //! linear increase (`S = packet_size / srtt²` bytes/s²), and backoff
 //! notifications.
 
-
 /// AIMD rate state for a RAP flow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AimdState {

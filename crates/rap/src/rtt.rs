@@ -4,7 +4,6 @@
 //! the same estimator TCP uses: an exponentially weighted moving average of
 //! RTT samples plus four mean deviations.
 
-
 /// Jacobson/Karels RTT estimator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RttEstimator {

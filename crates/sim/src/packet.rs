@@ -159,7 +159,10 @@ mod tests {
         let c = r.clone();
         assert_eq!(r, c);
         assert_eq!(c.links(), &[1, 2, 3]);
-        assert!(std::ptr::eq(r.links(), c.links()), "clone is a refcount bump");
+        assert!(
+            std::ptr::eq(r.links(), c.links()),
+            "clone is a refcount bump"
+        );
         assert!(Route::empty().is_empty());
         assert_eq!(Route::default(), Route::empty());
     }

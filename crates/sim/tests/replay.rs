@@ -52,7 +52,10 @@ fn per_session_traces_identical_across_thread_counts() {
             "trace diverged for {}",
             a.spec.label()
         );
-        assert_eq!(a.efficiency.map(f64::to_bits), b.efficiency.map(f64::to_bits));
+        assert_eq!(
+            a.efficiency.map(f64::to_bits),
+            b.efficiency.map(f64::to_bits)
+        );
         assert_eq!(
             a.avoidable_drops.map(f64::to_bits),
             b.avoidable_drops.map(f64::to_bits)
@@ -123,7 +126,11 @@ fn empty_campaign_runs_to_an_empty_result() {
 /// rarely share a topology.
 fn gen_session(g: &mut Gen) -> SessionSpec {
     SessionSpec {
-        test: if g.bool(0.7) { TestKind::T1 } else { TestKind::T2 },
+        test: if g.bool(0.7) {
+            TestKind::T1
+        } else {
+            TestKind::T2
+        },
         k_max: *g.pick(&[1, 2, 4]),
         seed: g.u64_in(1, 1 << 40),
         duration: g.f64_range(5.5, 7.5),

@@ -141,7 +141,11 @@ fn replay(sched: &mut dyn Scheduler<u64>, ops: &[Op]) -> Vec<Option<(u64, u64, u
     while pop(sched, &mut now, &mut last, u64::MAX) {}
     let popped = answers.iter().flatten().count() as u64;
     assert_eq!(popped, scheduled, "every scheduled event pops exactly once");
-    assert!(sched.is_empty(), "drained scheduler reports len {}", sched.len());
+    assert!(
+        sched.is_empty(),
+        "drained scheduler reports len {}",
+        sched.len()
+    );
     answers
 }
 

@@ -137,7 +137,8 @@ fn every_transport_produces_finite_metrics_and_replays() {
             );
         }
         assert_eq!(
-            s.stalls, 0,
+            s.stalls,
+            0,
             "{}: a fault-free run must never stall the base layer",
             transport.label()
         );
@@ -193,7 +194,11 @@ fn faulted_interop_cells_complete_under_every_transport() {
         // written against; the other transports are characterized, not
         // tuned, so they get a looser bound that still catches a
         // controller wedging the base layer outright.
-        let stall_budget = if s.spec.transport == Transport::Rap { 2 } else { 8 };
+        let stall_budget = if s.spec.transport == Transport::Rap {
+            2
+        } else {
+            8
+        };
         assert!(
             s.stalls <= stall_budget,
             "{}: base layer must stay essentially continuous (stalls {})",

@@ -68,12 +68,14 @@ impl ChromeTrace {
 
     /// Open a duration span on a track.
     pub fn begin(&mut self, pid: u64, tid: u64, ts_us: f64, name: &str) {
-        self.events.push(JsonValue::Obj(base("B", pid, tid, ts_us, name)));
+        self.events
+            .push(JsonValue::Obj(base("B", pid, tid, ts_us, name)));
     }
 
     /// Close the most recently opened span on a track.
     pub fn end(&mut self, pid: u64, tid: u64, ts_us: f64) {
-        self.events.push(JsonValue::Obj(base("E", pid, tid, ts_us, "")));
+        self.events
+            .push(JsonValue::Obj(base("E", pid, tid, ts_us, "")));
     }
 
     /// A thread-scoped instant marker with an args payload.
@@ -240,7 +242,13 @@ mod tests {
         t.process_name(1, "laqa");
         t.thread_name(1, 2, "session 0");
         t.begin(1, 2, 0.0, "filling");
-        t.instant(1, 2, 5.0, "qa.layer_add", vec![("value".into(), JsonValue::Num(2.0))]);
+        t.instant(
+            1,
+            2,
+            5.0,
+            "qa.layer_add",
+            vec![("value".into(), JsonValue::Num(2.0))],
+        );
         t.end(1, 2, 10.0);
         t.counter(1, 7.5, "qa.buf_base s0", 4096.0);
         t

@@ -326,8 +326,8 @@ impl<'a> Parser<'a> {
                                 .bytes
                                 .get(self.pos + 1..self.pos + 5)
                                 .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.err("bad \\u escape"))?;
+                            let hex =
+                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| self.err("bad \\u escape"))?;
                             // Surrogates are not produced by our writer; map
@@ -364,7 +364,10 @@ impl<'a> Parser<'a> {
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        while matches!(self.peek(), Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')) {
+        while matches!(
+            self.peek(),
+            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
+        ) {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).unwrap();
@@ -405,7 +408,10 @@ mod tests {
     fn get_looks_up_keys() {
         let v = parse(r#"{"x": 1, "y": [2]}"#).unwrap();
         assert_eq!(v.get("x").and_then(JsonValue::as_num), Some(1.0));
-        assert_eq!(v.get("y").and_then(JsonValue::as_arr).map(<[_]>::len), Some(1));
+        assert_eq!(
+            v.get("y").and_then(JsonValue::as_arr).map(<[_]>::len),
+            Some(1)
+        );
         assert!(v.get("z").is_none());
     }
 

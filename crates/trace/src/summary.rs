@@ -82,10 +82,7 @@ impl RunSummary {
     /// Lower into the JSON value model.
     pub fn to_value(&self) -> JsonValue {
         JsonValue::Obj(vec![
-            (
-                "experiment".into(),
-                JsonValue::Str(self.experiment.clone()),
-            ),
+            ("experiment".into(), JsonValue::Str(self.experiment.clone())),
             (
                 "params".into(),
                 JsonValue::Obj(

@@ -52,7 +52,9 @@ fn main() {
 
     println!("instantaneous drain handoff at deficit 10 KB/s (B/s per layer):");
     let drain = |rates: &LayerRates| -> Vec<f64> {
-        (0..4).map(|i| nl_band_drain_rate(rates, i, 10_000.0)).collect()
+        (0..4)
+            .map(|i| nl_band_drain_rate(rates, i, 10_000.0))
+            .collect()
     };
     println!("  linear      : {:?}", drain(&linear));
     println!("  exponential : {:?}", drain(&expo));

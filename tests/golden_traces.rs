@@ -142,7 +142,15 @@ fn fig05_optimal_filling_matches_golden() {
 
     // One drain period from the filled state: upper layers hand off first.
     let (mut drain, mut rates) = (Vec::new(), Vec::new());
-    plan_draining_into(&mut seq, &bufs, rate / 2.0, 0.2, 1.0, &mut drain, &mut rates);
+    plan_draining_into(
+        &mut seq,
+        &bufs,
+        rate / 2.0,
+        0.2,
+        1.0,
+        &mut drain,
+        &mut rates,
+    );
 
     let actual = obj(vec![
         (
@@ -273,7 +281,10 @@ fn fig12_smoothing_sweep_matches_golden() {
     let actual = obj(vec![
         (
             "params",
-            obj(vec![("duration", num(duration)), ("seed", num(seed as f64))]),
+            obj(vec![
+                ("duration", num(duration)),
+                ("seed", num(seed as f64)),
+            ]),
         ),
         ("runs", JsonValue::Arr(sweep)),
     ]);
