@@ -72,7 +72,7 @@ pub mod scenario;
 pub mod states;
 
 pub use config::{ConfigError, QaConfig, MAX_LAYERS};
-pub use controller::{LayerAllocation, Phase, QaController, TickReport};
+pub use controller::{LayerAllocation, Phase, QaController, QaCounts, TickReport};
 pub use metrics::{DropReason, MetricsCollector, QaEvent};
 pub use nonlinear::LayerRates;
 pub use scenario::Scenario;

@@ -26,13 +26,18 @@ impl Snapshot {
     /// Freeze the current state of every registry.
     pub fn collect() -> Snapshot {
         Snapshot {
-            counters: registry::snapshot_counters(),
+            counters: registry::COUNTS
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .iter()
+                .map(|(&name, &n)| (name.to_string(), n))
+                .collect(),
             histograms: registry::snapshot_histograms(),
             events_evicted: 0,
         }
     }
 
-    /// Counter value by name, `None` if never registered.
+    /// Counter total by name, `None` if nothing added it.
     pub fn counter(&self, name: &str) -> Option<u64> {
         self.counters.get(name).copied()
     }
@@ -180,14 +185,14 @@ impl Snapshot {
 mod tests {
     use super::*;
     use crate::tests::TEST_LOCK;
-    use crate::{counter, histogram};
+    use crate::{add_counts, histogram};
 
     #[test]
     fn snapshot_write_read_round_trip() {
         let _g = TEST_LOCK.lock().unwrap();
         crate::reset();
         crate::set_enabled(true);
-        counter!("export.test.ctr").add(7);
+        add_counts(&[("export.test.ctr", 7)]);
         histogram!("export.test.hist", &[1.0, 4.0]).observe(2.0);
         crate::set_enabled(false);
 
@@ -208,7 +213,7 @@ mod tests {
         let _g = TEST_LOCK.lock().unwrap();
         crate::reset();
         crate::set_enabled(true);
-        counter!("export.render.ctr").inc();
+        add_counts(&[("export.render.ctr", 1)]);
         histogram!("export.render.all", &[1.0]).observe(0.5);
         crate::set_enabled(false);
 

@@ -1,6 +1,6 @@
 //! Flight recorder: per-session, sim-time-stamped timeline traces.
 //!
-//! The metrics registry answers "how many" and spans answer "how long",
+//! Counters answer "how many" and histograms "how long on the host",
 //! but neither can answer *why session 17 starved at t=31s* — that
 //! needs a timeline: QA state spans, layer add/drop and backoff
 //! instants and buffer-level samples of that one session.

@@ -6,8 +6,9 @@
 //! through figure CSVs and campaign fingerprints. `laqa-obs` provides
 //! the runtime substrate:
 //!
-//! * a **metrics registry** ([`registry`]) of named counters and
-//!   fixed-bucket histograms backed by relaxed atomics;
+//! * **metrics** ([`registry`]): counter totals, added by each counting
+//!   object once at the end of its life ([`add_counts`]), and fixed-bucket
+//!   histograms backed by relaxed atomics;
 //! * a **flight recorder** ([`flight`]) — per-session timeline traces
 //!   (QA state spans, layer add/drop and backoff instants, buffer-level
 //!   samples) that each session's result carries, behind its own
@@ -21,8 +22,10 @@
 //!
 //! Observability must never perturb a simulation:
 //!
-//! * **Disabled** (the default), every instrumentation site costs one
-//!   relaxed atomic load (the global [`enabled`] flag) and returns.
+//! * **Disabled** (the default), a histogram site costs one relaxed load
+//!   of the global [`enabled`] flag. Counting costs none: the controller,
+//!   sender shell, world and campaign keep plain integers, always on, and
+//!   pay one load each when they add them through [`add_counts`].
 //! * **Enabled**, instrumentation only *reads* simulation state; it
 //!   never touches `SimRng`, never schedules events, and never feeds
 //!   back into any control path. Campaign trace fingerprints are
@@ -33,9 +36,12 @@
 //!
 //! ```
 //! laqa_obs::set_enabled(true);
-//! laqa_obs::counter!("demo.widgets").inc();
+//! // A counting object, at the end of its life:
+//! laqa_obs::add_counts(&[("demo.widgets", 3), ("demo.gadgets", 0)]);
+//! laqa_obs::histogram!("demo.size", &[1.0, 10.0]).observe(4.0);
 //! let snap = laqa_obs::snapshot();
-//! assert_eq!(snap.counter("demo.widgets"), Some(1));
+//! assert_eq!(snap.counter("demo.widgets"), Some(3));
+//! assert_eq!(snap.histogram("demo.size").map(|h| h.count), Some(1));
 //! laqa_obs::set_enabled(false);
 //! ```
 
@@ -48,14 +54,14 @@ pub mod registry;
 
 pub use export::Snapshot;
 pub use flight::{FlightKind, FlightRecord, FlightTrace};
-pub use registry::{Counter, Histogram, HistogramSnapshot, LOG_MS_BOUNDS, LOG_NS_BOUNDS};
+pub use registry::{add_counts, Histogram, HistogramSnapshot, LOG_MS_BOUNDS, LOG_NS_BOUNDS};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Whether instrumentation is live. One relaxed load — this is the
-/// entire cost of a disabled instrumentation site.
+/// Whether instrumentation is live. One relaxed load — the entire cost
+/// of a disabled histogram site, and of a disabled [`add_counts`].
 #[inline(always)]
 pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
@@ -66,13 +72,13 @@ pub fn set_enabled(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Snapshot every registered metric.
+/// Snapshot the counter totals and every registered histogram.
 pub fn snapshot() -> Snapshot {
     Snapshot::collect()
 }
 
-/// Zero all counters and histograms. Intended for tests and for
-/// isolating consecutive `--obs` exports.
+/// Clear the counter totals and zero every histogram. Intended for tests
+/// and for isolating consecutive `--obs` exports.
 pub fn reset() {
     registry::reset_metrics();
 }
@@ -91,12 +97,10 @@ mod tests {
         let _g = TEST_LOCK.lock().unwrap();
         reset();
         set_enabled(false);
-        counter!("lib.test.ctr").inc();
+        add_counts(&[("lib.test.ctr", 1)]);
+        histogram!("lib.test.hist", &[1.0]).observe(0.5);
         let snap = snapshot();
-        // Disabled sites return before registering, so the snapshot has
-        // either no entry or a zeroed one (if a prior enabled test
-        // registered the name).
-        assert_eq!(snap.counter("lib.test.ctr").unwrap_or(0), 0);
+        assert_eq!(snap.counter("lib.test.ctr"), None);
         assert!(snap.is_empty());
     }
 
@@ -105,12 +109,10 @@ mod tests {
         let _g = TEST_LOCK.lock().unwrap();
         reset();
         set_enabled(true);
-        counter!("lib.test2.ctr").add(3);
+        add_counts(&[("lib.test2.ctr", 3)]);
         set_enabled(false);
-        let snap = snapshot();
-        assert_eq!(snap.counter("lib.test2.ctr"), Some(3));
+        assert_eq!(snapshot().counter("lib.test2.ctr"), Some(3));
         reset();
-        let snap = snapshot();
-        assert_eq!(snap.counter("lib.test2.ctr"), Some(0));
+        assert_eq!(snapshot().counter("lib.test2.ctr"), None);
     }
 }

@@ -27,6 +27,20 @@
 use crate::receiver::AckInfo;
 use crate::sender::RapEvent;
 
+/// What a sender's shell counts, always on, from its construction or last
+/// [`RateController::restart`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SenderCounts {
+    /// RTT samples fed to the estimator.
+    pub rtt_samples: u64,
+    /// Backoffs answering an ACK-inferred loss.
+    pub backoffs_loss: u64,
+    /// Backoffs answering a timeout.
+    pub backoffs_timeout: u64,
+    /// AIMD increase steps (RAP only; 0 under the other laws).
+    pub increase_steps: u64,
+}
+
 /// A congestion controller usable underneath the quality-adaptation layer.
 ///
 /// Implementations must be deterministic: the same sequence of calls with
@@ -68,6 +82,10 @@ pub trait RateController {
     /// Reset to the freshly-constructed state with the clock at
     /// `start_at` (delayed flow start, fault-recovery restart).
     fn restart(&mut self, start_at: f64);
+
+    /// What this sender has counted since construction or the last
+    /// [`restart`](Self::restart).
+    fn counts(&self) -> SenderCounts;
 
     /// The rate the per-tick QA allocation should plan with. Defaults to
     /// the instantaneous [`rate`](Self::rate); controllers whose

@@ -42,7 +42,7 @@ pub mod window;
 
 pub use aimd::AimdState;
 pub use bbr::{BbrConfig, BbrSender};
-pub use controller::RateController;
+pub use controller::{RateController, SenderCounts};
 pub use history::{PacketRecord, TransmissionHistory};
 pub use nada::{NadaConfig, NadaSender};
 pub use receiver::{AckInfo, RapReceiverState, RunSet};

@@ -32,7 +32,7 @@
 //! near-TCP-style (γ → 0.5). Timeouts collapse to the floor rate. All
 //! state is a pure function of the ACK stream and the polled clock.
 
-use crate::controller::RateController;
+use crate::controller::{RateController, SenderCounts};
 use crate::receiver::AckInfo;
 use crate::sender::{BackoffCause, RapConfig, RapEvent};
 use crate::shell::SenderShell;
@@ -68,7 +68,7 @@ pub type NadaConfig = RapConfig;
 
 /// NADA-style unified-congestion-signal sender. Paced, like RAP; drive it
 /// with the same loop (see [`RateController`]).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct NadaSender {
     cfg: NadaConfig,
     shell: SenderShell,
@@ -228,6 +228,10 @@ impl RateController for NadaSender {
 
     fn restart(&mut self, start_at: f64) {
         *self = NadaSender::new(self.cfg.clone(), start_at);
+    }
+
+    fn counts(&self) -> SenderCounts {
+        self.shell.counts
     }
 
     fn decrease_factor(&self) -> f64 {

@@ -24,7 +24,7 @@
 //! one-backoff-per-loss-event rule are the shared `SenderShell`'s.
 
 use crate::aimd::AimdState;
-use crate::controller::RateController;
+use crate::controller::{RateController, SenderCounts};
 use crate::receiver::AckInfo;
 use crate::shell::SenderShell;
 
@@ -115,7 +115,7 @@ pub enum RapEvent {
 }
 
 /// RAP sender. See module docs for the driving loop.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct RapSender {
     cfg: RapConfig,
     aimd: AimdState,
@@ -207,7 +207,7 @@ impl RateController for RapSender {
         }
         while now >= self.next_step {
             self.aimd.increase_step(self.shell.rtt.srtt());
-            laqa_obs::counter!("rap.increase_steps").inc();
+            self.shell.counts.increase_steps += 1;
             self.shell.events.push(RapEvent::RateIncrease {
                 time: self.next_step,
                 rate: self.aimd.rate(),
@@ -222,6 +222,10 @@ impl RateController for RapSender {
 
     fn restart(&mut self, start_at: f64) {
         *self = RapSender::new(self.cfg.clone(), start_at);
+    }
+
+    fn counts(&self) -> SenderCounts {
+        self.shell.counts
     }
 }
 

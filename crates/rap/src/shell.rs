@@ -13,6 +13,7 @@
 //! already in flight at the last backoff are reported but belong to the
 //! event it answered (cluster-loss suppression).
 
+use crate::controller::SenderCounts;
 use crate::history::{PacketRecord, TransmissionHistory};
 use crate::receiver::AckInfo;
 use crate::rtt::RttEstimator;
@@ -21,8 +22,9 @@ use crate::sender::{BackoffCause, RapEvent};
 /// Packets after a hole before it is declared lost.
 const REORDER_THRESHOLD: u64 = 3;
 
-/// Transport bookkeeping shared by the four senders.
-#[derive(Debug, Clone)]
+/// Transport bookkeeping shared by the four senders. Not `Clone`: dropping
+/// it adds its counts to obs, and a copy would add them twice.
+#[derive(Debug)]
 pub(crate) struct SenderShell {
     pub(crate) rtt: RttEstimator,
     history: TransmissionHistory,
@@ -38,6 +40,8 @@ pub(crate) struct SenderShell {
     /// the estimator so it stays capped and clamped in one place).
     pub(crate) timeouts_in_row: u32,
     pub(crate) events: Vec<RapEvent>,
+    /// Always on; added to obs when the shell drops (a `restart` drops it).
+    pub(crate) counts: SenderCounts,
 }
 
 impl SenderShell {
@@ -52,6 +56,7 @@ impl SenderShell {
             last_progress: now,
             timeouts_in_row: 0,
             events: Vec::new(),
+            counts: SenderCounts::default(),
         }
     }
 
@@ -124,7 +129,7 @@ impl SenderShell {
         // The acked packet times the path if it was still outstanding.
         let sample = now - trigger?.send_time;
         self.rtt.sample(sample);
-        laqa_obs::counter!("rap.rtt_samples").inc();
+        self.counts.rtt_samples += 1;
         laqa_obs::histogram!(
             "rap.rtt_ms",
             &[10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0]
@@ -173,9 +178,22 @@ impl SenderShell {
             cause,
         });
         match cause {
-            BackoffCause::Loss => laqa_obs::counter!("rap.backoffs_loss").inc(),
-            BackoffCause::Timeout => laqa_obs::counter!("rap.backoffs_timeout").inc(),
+            BackoffCause::Loss => self.counts.backoffs_loss += 1,
+            BackoffCause::Timeout => self.counts.backoffs_timeout += 1,
         }
+    }
+}
+
+impl Drop for SenderShell {
+    /// Add what this shell counted to the `laqa-obs` view, once.
+    fn drop(&mut self) {
+        let c = self.counts;
+        laqa_obs::add_counts(&[
+            ("rap.rtt_samples", c.rtt_samples),
+            ("rap.backoffs_loss", c.backoffs_loss),
+            ("rap.backoffs_timeout", c.backoffs_timeout),
+            ("rap.increase_steps", c.increase_steps),
+        ]);
     }
 }
 

@@ -11,7 +11,7 @@
 //! to RAP's — one packet per RTT per RTT), and the same [`RapEvent`]
 //! stream.
 
-use crate::controller::RateController;
+use crate::controller::{RateController, SenderCounts};
 use crate::receiver::AckInfo;
 use crate::sender::{BackoffCause, RapEvent};
 use crate::shell::SenderShell;
@@ -39,7 +39,7 @@ impl Default for WindowConfig {
 
 /// ACK-clocked AIMD sender with the same event interface as
 /// [`crate::RapSender`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct WindowSender {
     cfg: WindowConfig,
     cwnd: f64,
@@ -183,6 +183,10 @@ impl RateController for WindowSender {
 
     fn restart(&mut self, start_at: f64) {
         *self = WindowSender::new(self.cfg.clone(), start_at);
+    }
+
+    fn counts(&self) -> SenderCounts {
+        self.shell.counts
     }
 
     fn tick_rate(&self) -> f64 {

@@ -7,8 +7,8 @@
 
 use laqa_check::{cases, Gen};
 use laqa_rap::{
-    AckInfo, BbrConfig, BbrSender, NadaConfig, NadaSender, RapConfig, RapEvent, RapReceiverState,
-    RapSender, RateController, WindowConfig, WindowSender,
+    AckInfo, BackoffCause, BbrConfig, BbrSender, NadaConfig, NadaSender, RapConfig, RapEvent,
+    RapReceiverState, RapSender, RateController, SenderCounts, WindowConfig, WindowSender,
 };
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -75,6 +75,8 @@ struct Tally {
     acked: u64,
     lost: u64,
     backoffs: u64,
+    /// Of `backoffs`, those answering a timeout.
+    timeouts: u64,
     /// ACKs whose own packet was still outstanding: the ones that time
     /// the path.
     rtt_samples: u64,
@@ -93,7 +95,10 @@ impl Tally {
                     self.rtt_samples += u64::from(ack_seq == Some(seq));
                 }
                 RapEvent::PacketLost { .. } => self.lost += 1,
-                RapEvent::Backoff { .. } => self.backoffs += 1,
+                RapEvent::Backoff { cause, .. } => {
+                    self.backoffs += 1;
+                    self.timeouts += u64::from(cause == BackoffCause::Timeout);
+                }
                 RapEvent::RateIncrease { .. } => {}
             }
         }
@@ -159,7 +164,7 @@ fn drive(ctl: &mut dyn RateController, fates: &[u8], reorder: usize) -> Tally {
 }
 
 /// The obs registry is process-global: tests that drive a sender take
-/// this so the one that reads the `rap.*` counters sees only its own.
+/// this so the one that reads the `rap.rtt_ms` histogram sees only its own.
 static SENDERS: Mutex<()> = Mutex::new(());
 
 #[test]
@@ -220,14 +225,18 @@ fn obs_counters_match_the_drained_events_under_every_controller() {
             laqa_obs::set_enabled(true);
             let t = drive(ctl.as_mut(), &fates, 0);
             laqa_obs::set_enabled(false);
+            // The sender's own counts, one per Backoff event by cause and
+            // one per sample; obs adds them only when it is dropped.
+            let SenderCounts {
+                rtt_samples,
+                backoffs_loss,
+                backoffs_timeout,
+                ..
+            } = ctl.counts();
+            assert_eq!(backoffs_loss, t.backoffs - t.timeouts, "{name}: loss");
+            assert_eq!(backoffs_timeout, t.timeouts, "{name}: timeout");
+            assert_eq!(rtt_samples, t.rtt_samples, "{name}");
             let snap = laqa_obs::snapshot();
-            let count = |c: &str| snap.counter(c).unwrap_or(0);
-            assert_eq!(
-                count("rap.backoffs_loss") + count("rap.backoffs_timeout"),
-                t.backoffs,
-                "{name}: one count per Backoff event"
-            );
-            assert_eq!(count("rap.rtt_samples"), t.rtt_samples, "{name}");
             assert_eq!(
                 snap.histogram("rap.rtt_ms").map_or(0, |h| h.count),
                 t.rtt_samples,

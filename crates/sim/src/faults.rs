@@ -30,8 +30,8 @@
 //!   (means `1 + 3i` s on, `10 − 6i` s off).
 //!
 //! All sojourns are `-mean·ln(1-u)` draws from the injector's RNG; every
-//! transition is counted in [`FaultStats`] and mirrored to `laqa-obs`
-//! counters (`faults.*`) when observability is enabled.
+//! transition is counted in [`FaultStats`], which the injector adds to the
+//! `laqa-obs` view (`faults.*`) when it is dropped.
 
 use crate::engine::{Agent, Ctx};
 use crate::packet::{AgentId, LinkId, Packet, PacketKind, Route};
@@ -197,7 +197,6 @@ impl FaultInjector {
             self.flap_down = true;
             self.down_since = ctx.now;
             self.stats.flap_downs += 1;
-            laqa_obs::counter!("faults.flap_down").inc();
             ctx.set_link_bandwidth(self.wiring.forward, self.nominal_bw * (1.0 - 0.7 * i));
             let dt = self.exp(0.25 + i);
             ctx.set_timer_after(dt, TOK_FLAP);
@@ -207,7 +206,6 @@ impl FaultInjector {
     fn on_spike(&mut self, ctx: &mut Ctx) {
         let i = self.i;
         self.stats.rtt_spikes += 1;
-        laqa_obs::counter!("faults.rtt_spike").inc();
         ctx.set_link_delay(self.wiring.forward, self.nominal_delay + (0.05 + 0.25 * i));
         ctx.set_timer_after(0.2 + 0.6 * i, TOK_SPIKE_END);
     }
@@ -229,7 +227,6 @@ impl FaultInjector {
         } else {
             self.loss_bad = true;
             self.stats.loss_bursts += 1;
-            laqa_obs::counter!("faults.loss_burst").inc();
             ctx.set_link_loss_rate(self.wiring.forward, 0.1 + 0.4 * i);
             let dt = self.exp(0.2 + 0.8 * i);
             ctx.set_timer_after(dt, TOK_LOSS);
@@ -246,7 +243,6 @@ impl FaultInjector {
         } else {
             self.churn_on = true;
             self.stats.churn_joins += 1;
-            laqa_obs::counter!("faults.churn_join").inc();
             let send_tok = TOK_CHURN_SEND | (self.churn_epoch << 8);
             ctx.set_timer_after(0.0, send_tok);
             let dt = self.exp(1.0 + 3.0 * i);
@@ -268,6 +264,19 @@ impl FaultInjector {
         });
         self.stats.churn_packets += 1;
         ctx.set_timer_after(self.churn_interval(), TOK_CHURN_SEND | (epoch << 8));
+    }
+}
+
+impl Drop for FaultInjector {
+    /// Add the run's transitions to the `laqa-obs` view, once.
+    fn drop(&mut self) {
+        let s = self.stats;
+        laqa_obs::add_counts(&[
+            ("faults.flap_down", s.flap_downs),
+            ("faults.rtt_spike", s.rtt_spikes),
+            ("faults.loss_burst", s.loss_bursts),
+            ("faults.churn_join", s.churn_joins),
+        ]);
     }
 }
 
