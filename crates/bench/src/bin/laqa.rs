@@ -8,9 +8,11 @@
 //!             [--exp-base B --exp-factor F]
 //! laqa obs-report [--dir DIR]
 //! laqa obs-trace  [--dir DIR] [--out FILE]
+//! laqa figures    [--only ID] [--out DIR] [--check]
 //! ```
 
 use laqa_bench::cli::Args;
+use laqa_bench::figures::{self, FIGURES};
 use laqa_bench::{ascii_plot, window_mean};
 use laqa_core::geometry::band_allocation_into;
 use laqa_core::nonlinear::{nl_band_allocation, LayerRates};
@@ -43,6 +45,7 @@ fn main() {
         ),
         Some("obs-report") => (&[], &["dir"]),
         Some("obs-trace") => (&[], &["dir", "out"]),
+        Some("figures") => (&["check"], &["only", "out"]),
         _ => (&[], &[]),
     };
     let args = match Args::parse(raw, flags, valued) {
@@ -59,6 +62,7 @@ fn main() {
         "bands" => cmd_bands(&args),
         "obs-report" => cmd_obs_report(&args),
         "obs-trace" => cmd_obs_trace(&args),
+        "figures" => cmd_figures(&args),
         "help" | "--help" => {
             usage();
             Ok(())
@@ -76,6 +80,7 @@ fn main() {
 }
 
 fn usage() {
+    let ids: Vec<&str> = FIGURES.iter().map(|&(id, _)| id).collect();
     eprintln!(
         "laqa — layered quality adaptation toolkit
 
@@ -85,7 +90,13 @@ subcommands:
   bands       print the optimal per-layer buffer bands for a deficit
   obs-report  render an observability snapshot written by campaign --obs DIR
   obs-trace   convert a flight-recorder trace (flight.json in --obs DIR)
-              to Chrome trace-event JSON for Perfetto / chrome://tracing"
+              to Chrome trace-event JSON for Perfetto / chrome://tracing
+  figures     regenerate the paper's figures and ablations: each report
+              to DIR/ID.out and its CSV/JSON under DIR/ID/ (--out DIR,
+              default results/); --check compares the reports with
+              DIR/ID.out instead and writes nothing there
+              --only ID, one of: {}",
+        ids.join(" ")
     );
 }
 
@@ -116,6 +127,28 @@ fn layers(args: &Args) -> Result<usize, AnyError> {
         usage_error("--layers must be >= 1".to_string());
     }
     Ok(n)
+}
+
+/// `laqa figures`: every figure, or the one `--only` names, written to
+/// `--out` or checked against it.
+fn cmd_figures(args: &Args) -> Result<(), AnyError> {
+    let selected = match args.options.get("only") {
+        None => &FIGURES[..],
+        Some(only) => match FIGURES.iter().position(|&(id, _)| id == only) {
+            Some(i) => &FIGURES[i..=i],
+            None => {
+                eprintln!("error: unknown figure '{only}'\n");
+                usage();
+                std::process::exit(2);
+            }
+        },
+    };
+    let out: std::path::PathBuf = args.get("out", "results".into())?;
+    if args.flag("check") {
+        figures::check(selected, &out)
+    } else {
+        figures::write(selected, &out)
+    }
 }
 
 fn cmd_sim(args: &Args) -> Result<(), AnyError> {

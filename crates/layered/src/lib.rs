@@ -8,19 +8,15 @@
 //! * [`buffer`] — per-layer receiver FIFO buffers with underflow
 //!   accounting;
 //! * [`receiver`] — the playout engine combining buffers and a clock, the
-//!   ground truth against which the sender's buffer estimates are judged;
-//! * [`cache`] — proxy caching of layered streams with demand-driven
-//!   prefetch (the paper's §7 closing future-work item).
+//!   ground truth against which the sender's buffer estimates are judged.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
 pub mod buffer;
-pub mod cache;
 pub mod encoding;
 pub mod receiver;
 
 pub use buffer::LayerBuffer;
-pub use cache::{LayerCache, PacketId, PrefetchPlanner};
 pub use encoding::{EncodingError, LayerSpec, LayeredEncoding};
 pub use receiver::{LayeredReceiver, ReceiverStats};

@@ -4,7 +4,7 @@
 //! broken by insertion sequence, and the only randomness flows through the
 //! world's seeded RNG. Every world holds one event queue, a
 //! [`TimerWheelScheduler`] inline; its `(time_ns, seq)` drain order is
-//! checked op by op against the `BinaryHeap` oracle in [`crate::sched`].
+//! checked op by op against a `BinaryHeap` oracle (`tests/sched_properties.rs`).
 //!
 //! One event per hop: a packet's hop is timed once, when it enters
 //! service (`enter_service`), which schedules its `Arrive` at the next

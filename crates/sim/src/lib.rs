@@ -46,6 +46,6 @@ pub use link::{
 };
 pub use packet::{AgentId, LinkId, Packet, PacketKind, Route};
 pub use scenarios::{run_scenario, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};
-pub use sched::{HeapScheduler, Scheduler, TimerWheelScheduler};
+pub use sched::{Scheduler, TimerWheelScheduler};
 pub use stats::{jain_fairness, summarize_sharing, SharingSummary};
 pub use topology::{Dumbbell, DumbbellConfig};

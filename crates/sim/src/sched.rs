@@ -1,27 +1,23 @@
-//! Event schedulers: the engine's priority queue and the oracle it is
-//! checked against, behind one trait.
+//! The engine's event queue behind the [`Scheduler`] trait.
 //!
-//! * [`TimerWheelScheduler`] — the engine's only event queue
-//!   ([`crate::engine`] holds one per world, inline): a hierarchical
-//!   timer wheel. Near-future events hash into integer-nanosecond bucket
-//!   slots (O(1) insert), far-future events overflow into a `BTreeMap`
-//!   ordered by exact key, and every record is parked once in a
-//!   [`Slab`] arena so only 24-byte `WheelKey`s circulate.
-//! * [`HeapScheduler`] — the original `BinaryHeap` queue, kept verbatim
-//!   as the **op-level oracle**. No world runs on it; it exists so
-//!   `sched_properties.rs` can compare the wheel against it answer for
-//!   answer.
+//! [`TimerWheelScheduler`] is the engine's only event queue
+//! ([`crate::engine`] holds one per world, inline): a hierarchical timer
+//! wheel. Near-future events hash into integer-nanosecond bucket slots
+//! (O(1) insert), far-future events overflow into a `BTreeMap` ordered by
+//! exact key, and every record is parked once in a [`Slab`] arena so only
+//! 24-byte `WheelKey`s circulate.
 //!
 //! **Ordering contract.** Events drain in strictly increasing
 //! `(time_ns, seq)` order — exactly the tie-break the engine has always
 //! used. `seq` values must be unique and a scheduled `(time_ns, seq)`
 //! never behind the last pop; `seq` need not grow call to call, since the
 //! engine may push a timer at a key reserved when it was armed. Under that
-//! contract the two implementations are *bit-identical*:
-//! `sched_properties.rs` checks it op by op over random insert /
-//! bounded-pop traces with out-of-order reserved `seq`s, and the digests
-//! pinned in `pinned_fingerprints.rs` — which the heap itself produced
-//! before the wheel existed — hold it at the world level.
+//! contract the wheel is *bit-identical* to the original `BinaryHeap`
+//! queue: `sched_properties.rs` keeps that heap as the oracle and checks
+//! the two op by op over random insert / bounded-pop traces with
+//! out-of-order reserved `seq`s, and the digests pinned in
+//! `pinned_fingerprints.rs` — which the heap itself produced before the
+//! wheel existed — hold it at the world level.
 //!
 //! There is no cancellation: an event, once scheduled, is popped exactly
 //! once. The TCP RTO keeps one live event and re-pushes it at its latest
@@ -30,10 +26,9 @@
 
 use crate::arena::Slab;
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::BTreeMap;
 
-/// The event-queue contract (min-queue on `(time_ns, seq)`) the wheel and
-/// its oracle share.
+/// The event-queue contract: a min-queue on `(time_ns, seq)`.
 pub trait Scheduler<T> {
     /// Insert `item` to fire at `time_ns`. `seq` must be unique on this
     /// scheduler, and `(time_ns, seq)` not behind the last pop.
@@ -50,67 +45,6 @@ pub trait Scheduler<T> {
     /// True when no events remain.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Reference implementation: the original BinaryHeap queue.
-// ---------------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-struct HeapEntry<T> {
-    time_ns: u64,
-    seq: u64,
-    item: T,
-}
-
-impl<T: PartialEq> Eq for HeapEntry<T> {}
-impl<T: PartialEq> PartialOrd for HeapEntry<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T: PartialEq> Ord for HeapEntry<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time_ns, self.seq).cmp(&(other.time_ns, other.seq))
-    }
-}
-
-/// The original engine queue — a `BinaryHeap` min-ordered by
-/// `(time_ns, seq)` — kept as the op-level oracle the timer wheel is
-/// property-tested against.
-#[derive(Debug, Default)]
-pub struct HeapScheduler<T> {
-    heap: BinaryHeap<Reverse<HeapEntry<T>>>,
-}
-
-impl<T: PartialEq> HeapScheduler<T> {
-    /// New empty scheduler.
-    pub fn new() -> Self {
-        HeapScheduler {
-            heap: BinaryHeap::new(),
-        }
-    }
-}
-
-impl<T: PartialEq> Scheduler<T> for HeapScheduler<T> {
-    #[inline]
-    fn schedule(&mut self, time_ns: u64, seq: u64, item: T) {
-        self.heap.push(Reverse(HeapEntry { time_ns, seq, item }));
-    }
-
-    #[inline]
-    fn pop_next_at_or_before(&mut self, bound_ns: u64) -> Option<(u64, u64, T)> {
-        match self.heap.peek() {
-            Some(Reverse(e)) if e.time_ns <= bound_ns => {
-                self.heap.pop().map(|Reverse(e)| (e.time_ns, e.seq, e.item))
-            }
-            _ => None,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.heap.len()
     }
 }
 
@@ -406,13 +340,9 @@ mod tests {
         std::iter::from_fn(|| pop(s)).collect()
     }
 
-    fn both() -> (HeapScheduler<u32>, TimerWheelScheduler<u32>) {
-        (HeapScheduler::new(), TimerWheelScheduler::new())
-    }
-
     #[test]
     fn drains_in_time_seq_order() {
-        let (mut h, mut w) = both();
+        let mut w: TimerWheelScheduler<u32> = TimerWheelScheduler::new();
         // Same-time burst (seq breaks ties), plus out-of-order inserts.
         let events = [
             (5_000u64, 0u64),
@@ -423,7 +353,6 @@ mod tests {
             (5_000, 5),
         ];
         for &(t, s) in &events {
-            h.schedule(t, s, s as u32);
             w.schedule(t, s, s as u32);
         }
         let expect = vec![
@@ -434,7 +363,6 @@ mod tests {
             (5_000, 5, 5),
             (70_000_000, 4, 4),
         ];
-        assert_eq!(drain_all(&mut h), expect);
         assert_eq!(drain_all(&mut w), expect);
     }
 
@@ -474,20 +402,17 @@ mod tests {
 
     #[test]
     fn reserved_key_below_a_staged_seq_drains_in_key_order() {
-        let (mut h, mut w) = both();
-        for s in [&mut h as &mut dyn Scheduler<u32>, &mut w] {
-            s.schedule(100, 5, 5);
-            s.schedule(300, 7, 7);
-            assert_eq!(s.pop_next_at_or_before(u64::MAX), Some((100, 5, 5)));
-            // Keys reserved before (300, 7) and pushed only now, while it
-            // is staged: both seqs are below 7 and 3 is below the last
-            // pop's, yet neither key is behind that pop.
-            s.schedule(300, 3, 3);
-            s.schedule(200, 6, 6);
-        }
+        let mut w: TimerWheelScheduler<u32> = TimerWheelScheduler::new();
+        w.schedule(100, 5, 5);
+        w.schedule(300, 7, 7);
+        assert_eq!(pop(&mut w), Some((100, 5, 5)));
+        // Keys reserved before (300, 7) and pushed only now, while it is
+        // staged: both seqs are below 7 and 3 is below the last pop's, yet
+        // neither key is behind that pop.
+        w.schedule(300, 3, 3);
+        w.schedule(200, 6, 6);
         assert_eq!(w.drain.len(), 3, "all in the active tick's drain");
         let expect = vec![(200, 6, 6), (300, 3, 3), (300, 7, 7)];
-        assert_eq!(drain_all(&mut h), expect);
         assert_eq!(drain_all(&mut w), expect);
     }
 
