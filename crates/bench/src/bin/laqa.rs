@@ -6,17 +6,24 @@
 //! laqa states [--rate R] [--layers N] [--c C] [--slope S] [--kmax K]
 //! laqa bands  [--deficit D] [--layers N] [--c C] [--slope S]
 //!             [--exp-base B --exp-factor F]
+//! laqa campaign   [--smoke] [--faults] [--duration S] [--kmax LIST]
+//!                 [--seeds LIST] [--threads N] [--intensity LIST]
+//!                 [--transport LIST] [--trace LIST] [--out DIR] [--obs DIR]
 //! laqa obs-report [--dir DIR]
 //! laqa obs-trace  [--dir DIR] [--out FILE]
 //! laqa figures    [--only ID] [--out DIR] [--check]
 //! ```
+//!
+//! A command line a subcommand cannot honour is an [`ArgError`]: `laqa`
+//! prints it with the usage text and exits 2. Any other error exits 1.
 
-use laqa_bench::cli::Args;
+use laqa_bench::campaign::{self, check_kmax};
+use laqa_bench::cli::{ArgError, Args};
 use laqa_bench::figures::{self, FIGURES};
 use laqa_bench::{ascii_plot, window_mean};
 use laqa_core::geometry::band_allocation_into;
 use laqa_core::nonlinear::{nl_band_allocation, LayerRates};
-use laqa_core::StateSequence;
+use laqa_core::{StateSequence, MAX_LAYERS};
 use laqa_sim::{run_scenario, QueueKind, RedConfig, ScenarioConfig};
 use laqa_trace::{Recorder, Table};
 
@@ -24,7 +31,6 @@ fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     // Options per subcommand (the usage block above); anything else —
     // including every option of an unknown subcommand — is rejected.
-    // `sim --red` is the only bare flag; the rest carry a value.
     let (flags, valued): (&[&str], &[&str]) = match raw.first().map(String::as_str) {
         Some("sim") => (
             &["red"],
@@ -43,38 +49,48 @@ fn main() {
             &[],
             &["deficit", "layers", "c", "slope", "exp-base", "exp-factor"],
         ),
+        Some("campaign") => (
+            &["smoke", "faults"],
+            &[
+                "threads",
+                "duration",
+                "kmax",
+                "seeds",
+                "intensity",
+                "transport",
+                "trace",
+                "out",
+                "obs",
+            ],
+        ),
         Some("obs-report") => (&[], &["dir"]),
         Some("obs-trace") => (&[], &["dir", "out"]),
         Some("figures") => (&["check"], &["only", "out"]),
         _ => (&[], &[]),
     };
-    let args = match Args::parse(raw, flags, valued) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("error: {e}\n");
-            usage();
-            std::process::exit(2);
-        }
-    };
-    let result = match args.command.as_str() {
-        "sim" => cmd_sim(&args),
-        "states" => cmd_states(&args),
-        "bands" => cmd_bands(&args),
-        "obs-report" => cmd_obs_report(&args),
-        "obs-trace" => cmd_obs_trace(&args),
-        "figures" => cmd_figures(&args),
-        "help" | "--help" => {
-            usage();
-            Ok(())
-        }
-        other => {
-            eprintln!("error: unknown subcommand '{other}'\n");
-            usage();
-            std::process::exit(2);
-        }
-    };
+    let result = Args::parse(raw, flags, valued)
+        .map_err(AnyError::from)
+        .and_then(|args| match args.command.as_str() {
+            "sim" => cmd_sim(&args),
+            "states" => cmd_states(&args),
+            "bands" => cmd_bands(&args),
+            "campaign" => campaign::cmd(&args),
+            "obs-report" => cmd_obs_report(&args),
+            "obs-trace" => cmd_obs_trace(&args),
+            "figures" => cmd_figures(&args),
+            "help" => {
+                usage();
+                Ok(())
+            }
+            other => Err(usage_error(format!("unknown subcommand '{other}'"))),
+        });
     if let Err(e) = result {
         eprintln!("error: {e}");
+        if e.is::<ArgError>() {
+            eprintln!();
+            usage();
+            std::process::exit(2);
+        }
         std::process::exit(1);
     }
 }
@@ -88,11 +104,18 @@ subcommands:
   sim         run the paper's T1/T2 workload in the simulator
   states      print the monotone buffer-state path for an operating point
   bands       print the optimal per-layer buffer bands for a deficit
+  campaign    sweep T1/T2 sessions in parallel and check the sweep replays
+              bit-identically at another thread count; by default the
+              paper's Tables 1-2 grid (--smoke: seconds-long; --faults:
+              fault-intensity sweep, --intensity in [0, 1]); lists are
+              comma-separated (--kmax 2,4 --transport rap,tcp --trace lte);
+              --out DIR writes one summary per session, --obs DIR the
+              observability snapshot and flight trace
   obs-report  render an observability snapshot written by campaign --obs DIR
   obs-trace   convert a flight-recorder trace (flight.json in --obs DIR)
               to Chrome trace-event JSON for Perfetto / chrome://tracing
-  figures     regenerate the paper's figures and ablations: each report
-              to DIR/ID.out and its CSV/JSON under DIR/ID/ (--out DIR,
+  figures     regenerate the paper's figures, ablations and Tables 1-2: each
+              report to DIR/ID.out and its CSV/JSON under DIR/ID/ (--out DIR,
               default results/); --check compares the reports with
               DIR/ID.out instead and writes nothing there
               --only ID, one of: {}",
@@ -102,11 +125,9 @@ subcommands:
 
 type AnyError = Box<dyn std::error::Error>;
 
-/// A value its option cannot take is a usage error like any other: say
-/// which option and exit 2 before anything runs.
-fn usage_error(msg: String) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(2);
+/// A command line the subcommand cannot honour, said in `msg`.
+fn usage_error(msg: String) -> AnyError {
+    ArgError::Usage(msg).into()
 }
 
 /// `--key` (or `default`), which must be finite and `> 0` — or `>= 0`
@@ -115,16 +136,21 @@ fn positive(args: &Args, key: &str, default: f64, zero_ok: bool) -> Result<f64, 
     let v: f64 = args.get(key, default)?;
     if !(v.is_finite() && (v > 0.0 || (zero_ok && v == 0.0))) {
         let bound = if zero_ok { ">= 0" } else { "> 0" };
-        usage_error(format!("--{key} must be finite and {bound}, got {v}"));
+        return Err(usage_error(format!(
+            "--{key} must be finite and {bound}, got {v}"
+        )));
     }
     Ok(v)
 }
 
-/// `--layers` (default 5): the base layer always exists.
+/// `--layers` (default 5): the base layer always exists, and no encoding
+/// has more than the controller's `MAX_LAYERS`.
 fn layers(args: &Args) -> Result<usize, AnyError> {
     let n: usize = args.get("layers", 5)?;
-    if n == 0 {
-        usage_error("--layers must be >= 1".to_string());
+    if !(1..=MAX_LAYERS).contains(&n) {
+        return Err(usage_error(format!(
+            "--layers must be >= 1 and <= {MAX_LAYERS}, got {n}"
+        )));
     }
     Ok(n)
 }
@@ -136,11 +162,7 @@ fn cmd_figures(args: &Args) -> Result<(), AnyError> {
         None => &FIGURES[..],
         Some(only) => match FIGURES.iter().position(|&(id, _)| id == only) {
             Some(i) => &FIGURES[i..=i],
-            None => {
-                eprintln!("error: unknown figure '{only}'\n");
-                usage();
-                std::process::exit(2);
-            }
+            None => return Err(usage_error(format!("unknown figure '{only}'"))),
         },
     };
     let out: std::path::PathBuf = args.get("out", "results".into())?;
@@ -159,17 +181,15 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
     let mut cfg = match test.as_str() {
         "t1" => ScenarioConfig::t1(k_max, duration, seed),
         "t2" => ScenarioConfig::t2(k_max, duration, seed),
-        other => return Err(format!("unknown --test '{other}' (t1|t2)").into()),
+        other => return Err(usage_error(format!("unknown --test '{other}' (t1|t2)"))),
     };
-    if let Err(e) = cfg.qa.clone().validated() {
-        usage_error(format!("--kmax {k_max}: {e}"));
-    }
+    check_kmax(k_max)?;
     if args.flag("red") {
         cfg.dumbbell.queue_kind = QueueKind::Red(RedConfig::for_queue(cfg.dumbbell.queue_packets));
     }
     let loss: f64 = args.get("loss", 0.0)?;
     if !(0.0..=1.0).contains(&loss) {
-        usage_error(format!("--loss {loss} is outside [0, 1]"));
+        return Err(usage_error(format!("--loss {loss} is outside [0, 1]")));
     }
     cfg.dumbbell.loss_rate = loss;
     cfg.retransmit_protect = args.get("retransmit", 0)?;
@@ -207,7 +227,7 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
     Ok(())
 }
 
-/// Load the `metrics.json` written by `campaign --obs DIR` and print
+/// Load the `metrics.json` written by `laqa campaign --obs DIR` and print
 /// it as aligned tables.
 fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
     let dir: String = args.get("dir", "target/obs".to_string())?;
@@ -222,7 +242,7 @@ fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
 }
 
 /// Convert the `flight.json` flight-recorder trace written by
-/// `campaign --obs DIR` into Chrome trace-event JSON, then re-parse and
+/// `laqa campaign --obs DIR` into Chrome trace-event JSON, then re-parse and
 /// validate the written file (span balance, one non-empty track per
 /// session in `flight.json`) so a malformed or empty export fails loudly
 /// (`crates/bench/tests/cli.rs` drives the round trip).
@@ -277,6 +297,7 @@ fn cmd_states(args: &Args) -> Result<(), AnyError> {
     let c = positive(args, "c", 10_000.0, false)?;
     let slope = positive(args, "slope", 12_500.0, false)?;
     let k_max: u32 = args.get("kmax", 5)?;
+    check_kmax(k_max)?;
     let mut seq = StateSequence::build(rate, n, c, slope, k_max);
     println!("k1 = {}", seq.k1);
     let mut headers = vec!["state".to_string(), "k".to_string(), "total".to_string()];
@@ -313,7 +334,7 @@ fn cmd_bands(args: &Args) -> Result<(), AnyError> {
         ("exp-factor", "without --exp-base")
     };
     if args.options.contains_key(unread) {
-        usage_error(format!("--{unread} is not read {branch}"));
+        return Err(usage_error(format!("--{unread} is not read {branch}")));
     }
     let shares = if exponential {
         let exp_base = positive(args, "exp-base", 0.0, false)?;

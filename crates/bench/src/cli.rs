@@ -1,4 +1,6 @@
-//! Tiny dependency-free argument parsing for the `laqa` CLI binary.
+//! Tiny dependency-free argument parsing for the `laqa` CLI binary. Every
+//! [`ArgError`] is a usage error: `laqa` prints it with the usage text and
+//! exits 2.
 
 use std::collections::BTreeMap;
 
@@ -37,6 +39,9 @@ pub enum ArgError {
         /// Raw value.
         value: String,
     },
+    /// Any other command line the subcommand cannot honour; the message
+    /// names the option or argument.
+    Usage(String),
 }
 
 impl std::fmt::Display for ArgError {
@@ -55,6 +60,7 @@ impl std::fmt::Display for ArgError {
             ArgError::BadValue { key, value } => {
                 write!(f, "invalid value '{value}' for --{key}")
             }
+            ArgError::Usage(msg) => f.write_str(msg),
         }
     }
 }

@@ -19,13 +19,13 @@ mod extensions;
 mod paper;
 
 /// A figure: prints its report to the writer, writes its CSVs under the
-/// directory (which exists) and returns its run summaries. A summary
-/// named `<id>` is written as `summary.json`, one named `<id>/<part>` as
-/// `summary_<part>.json`.
+/// directory (which exists) and returns its run summaries, which the
+/// driver writes there (see `write_summaries`).
 pub type FigureFn = fn(&Path, &mut dyn Write) -> io::Result<Vec<RunSummary>>;
 
-/// Every figure by id, in the order `laqa figures` runs them.
-pub const FIGURES: [(&str, FigureFn); 13] = [
+/// Every figure by id, in the order `laqa figures` runs them. `tables` is
+/// Tables 1–2: `laqa campaign` with no options.
+pub const FIGURES: [(&str, FigureFn); 14] = [
     ("fig01", paper::fig01),
     ("fig02", paper::fig02),
     ("fig05", paper::fig05),
@@ -39,6 +39,7 @@ pub const FIGURES: [(&str, FigureFn); 13] = [
     ("ablation_red", extensions::red),
     ("ablation_smoothing", ablations::smoothing),
     ("ablation_window_cc", extensions::window_cc),
+    ("tables", crate::campaign::tables),
 ];
 
 /// Print `tbl` and write it as `dir/file`.
@@ -47,18 +48,26 @@ fn table(w: &mut dyn Write, dir: &Path, file: &str, tbl: &Table) -> io::Result<(
     fs::write(dir.join(file), tbl.to_csv())
 }
 
+/// Write each summary under `dir`: one named `<id>` as `summary.json`,
+/// one named `<id>/<part>` as `summary_<part>.json` (`-` and `/` in the
+/// part become `_`).
+pub(crate) fn write_summaries(dir: &Path, summaries: &[RunSummary]) -> io::Result<()> {
+    for summary in summaries {
+        let file = match summary.experiment.split_once('/') {
+            Some((_, part)) => format!("summary_{}.json", part.replace(['-', '/'], "_")),
+            None => "summary.json".to_string(),
+        };
+        summary.write_json(dir.join(file))?;
+    }
+    Ok(())
+}
+
 /// Run one figure into `dir` and write its summaries there; returns its
 /// report.
 fn report(run: FigureFn, dir: &Path) -> io::Result<String> {
     fs::create_dir_all(dir)?;
     let mut text = Vec::new();
-    for summary in run(dir, &mut text)? {
-        let file = match summary.experiment.split_once('/') {
-            Some((_, part)) => format!("summary_{}.json", part.replace('-', "_")),
-            None => "summary.json".to_string(),
-        };
-        summary.write_json(dir.join(file))?;
-    }
+    write_summaries(dir, &run(dir, &mut text)?)?;
     String::from_utf8(text).map_err(io::Error::other)
 }
 

@@ -1,8 +1,10 @@
 //! The experiment regenerators: the figure registry `laqa figures` runs,
-//! command-line parsing, terminal plots and common run-analysis helpers.
+//! the `laqa campaign` sweep driver behind Tables 1–2, command-line
+//! parsing, terminal plots and common run-analysis helpers.
 
 use laqa_trace::TimeSeries;
 
+pub mod campaign;
 pub mod cli;
 pub mod figures;
 

@@ -1,6 +1,6 @@
 //! Snapshot/export layer: everything the registry has accumulated,
 //! frozen into one value and rendered through `laqa-trace` — JSON for
-//! `campaign --obs <dir>`, aligned text tables for `laqa obs-report`.
+//! `laqa campaign --obs <dir>`, aligned text tables for `laqa obs-report`.
 
 use std::collections::BTreeMap;
 use std::io;

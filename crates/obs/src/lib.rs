@@ -15,7 +15,7 @@
 //!   enable flag, exportable as Chrome
 //!   trace-event JSON for Perfetto via `laqa obs-trace`;
 //! * **exporters** ([`export`]) that render everything through
-//!   `laqa-trace` — JSON files for `campaign --obs <dir>` and aligned
+//!   `laqa-trace` — JSON files for `laqa campaign --obs <dir>` and aligned
 //!   text tables for `laqa obs-report`.
 //!
 //! ## Determinism / inertness contract

@@ -270,8 +270,8 @@ pub struct SessionResult {
     /// Wall-clock seconds this session took (excluded from fingerprints).
     pub wall_secs: f64,
     /// Discrete events the engine dispatched (deterministic, but excluded
-    /// from fingerprints to keep existing goldens stable; with `wall_secs`
-    /// it yields the events/sec throughput in run summaries).
+    /// from fingerprints to keep existing goldens stable; `sim_events` in
+    /// run summaries).
     pub events_processed: u64,
     /// The session's flight-recorder timeline in emission order (empty
     /// unless [`laqa_obs::flight`] was enabled when it started; excluded
@@ -310,7 +310,8 @@ impl SessionResult {
         h.u64(self.trace_hash);
     }
 
-    /// Machine-readable summary for EXPERIMENTS.md tooling.
+    /// Machine-readable summary for EXPERIMENTS.md tooling. It holds no
+    /// wall-clock time, so it is the same on every host.
     pub fn summary(&self) -> RunSummary {
         let mut s = RunSummary::new(format!("campaign/{}", self.spec.label()));
         s.param("test", self.spec.test.label())
@@ -353,7 +354,7 @@ impl SessionResult {
             .metric("discarded_bytes", self.discarded_bytes)
             .metric("fault_transitions", self.fault_transitions as f64)
             .metric("trace_hash_lo32", (self.trace_hash & 0xffff_ffff) as f64)
-            .timing(self.wall_secs, self.events_processed);
+            .metric("sim_events", self.events_processed as f64);
         s
     }
 }

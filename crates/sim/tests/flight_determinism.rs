@@ -45,7 +45,7 @@ fn eight_worker_flight_exports_are_byte_identical() {
     );
 
     // The flight JSON round-trip must reproduce the same export too, so
-    // `campaign --obs DIR` + `laqa obs-trace` sees exactly this trace.
+    // `laqa campaign --obs DIR` + `laqa obs-trace` sees exactly this trace.
     let flight_json = trace_a.to_json().to_compact();
     let reloaded = laqa_obs::FlightTrace::from_json(
         &laqa_trace::parse_json(&flight_json).expect("flight.json parses"),

@@ -1,6 +1,6 @@
 //! Observability must be inert: enabling `laqa-obs` instrumentation may
 //! not change a single bit of any campaign fingerprint. The
-//! `campaign --obs` CLI path that switches it on is driven by
+//! `laqa campaign --obs` CLI path that switches it on is driven by
 //! `crates/bench/tests/cli.rs`.
 //!
 //! Counting is always on and reaches the obs view exactly once: a

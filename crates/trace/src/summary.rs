@@ -47,18 +47,6 @@ impl RunSummary {
         self
     }
 
-    /// Record run timing: wall-clock seconds, simulator events dispatched,
-    /// and the derived `events_per_sec` throughput (omitted when
-    /// `wall_secs` is not positive, e.g. a sub-resolution run).
-    pub fn timing(&mut self, wall_secs: f64, events: u64) -> &mut Self {
-        self.metric("wall_secs", wall_secs)
-            .metric("sim_events", events as f64);
-        if wall_secs > 0.0 {
-            self.metric("events_per_sec", events as f64 / wall_secs);
-        }
-        self
-    }
-
     /// Serialize to pretty JSON.
     pub fn to_json(&self) -> String {
         self.to_value().to_pretty()
@@ -177,23 +165,6 @@ mod tests {
         let text = std::fs::read_to_string(&path).unwrap();
         assert_eq!(RunSummary::from_json(&text).unwrap(), s);
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn timing_records_throughput() {
-        let mut s = RunSummary::new("t");
-        s.timing(2.0, 1_000_000);
-        assert_eq!(s.metrics.get("wall_secs"), Some(&2.0));
-        assert_eq!(s.metrics.get("sim_events"), Some(&1_000_000.0));
-        assert_eq!(s.metrics.get("events_per_sec"), Some(&500_000.0));
-    }
-
-    #[test]
-    fn timing_omits_rate_for_zero_wall() {
-        let mut s = RunSummary::new("t");
-        s.timing(0.0, 42);
-        assert_eq!(s.metrics.get("sim_events"), Some(&42.0));
-        assert!(!s.metrics.contains_key("events_per_sec"));
     }
 
     #[test]

@@ -8,14 +8,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== 1/9 formatting (cargo fmt --check) =="
+echo "== 1/8 formatting (cargo fmt --check) =="
 # The root workspace is rustfmt-clean, so a PR's diff carries only its own
 # change. benchmark/ is its own workspace; --all does not reach it.
 cargo fmt --all -- --check
 
-echo "== 2/9 build (release) =="
+echo "== 2/8 build (release) =="
 # No configuration may go unbuilt: --all-features compiles any feature a
-# later PR adds (steps 6 and 8 test and lint it too), nothing may be excluded
+# later PR adds (steps 5 and 7 test and lint it too), nothing may be excluded
 # from the workspace, and the workspace is exactly these nine packages.
 cargo build --release --all-targets --all-features
 # benchmark/ is its own workspace with path dependencies on crates/*: an
@@ -37,26 +37,7 @@ if [ "$got" != "$want " ]; then
   exit 1
 fi
 
-echo "== 3/9 Tables 1-2 grid fingerprint =="
-# pinned_fingerprints.rs pins only short T1 campaigns. The grid behind the
-# paper's Tables 1-2 (T1+T2, five K_max, five seeds, 90 s) is pinned here:
-# plain `campaign` must print the fingerprint recorded in
-# results/campaign.out. Its summaries go to a scratch directory, so
-# results/campaign/ is left as committed.
-fingerprint() {
-  grep -oE 'campaign fingerprint [0-9a-f]{16}' | tail -n 1 | grep -oE '[0-9a-f]{16}$' || true
-}
-want=$(fingerprint < results/campaign.out)
-grid_out=$(mktemp -d)
-got=$(./target/release/campaign --out "$grid_out" | fingerprint)
-rm -rf "$grid_out"
-if [ -z "$want" ] || [ "$got" != "$want" ]; then
-  echo "FAIL: Tables 1-2 grid fingerprint '$got', results/campaign.out records '$want'" >&2
-  exit 1
-fi
-echo "grid fingerprint $got"
-
-echo "== 4/9 controller-only workload fingerprint and allocations =="
+echo "== 3/8 controller-only workload fingerprint and allocations =="
 # No test pins a 10-layer, K_max 16 controller run bit for bit. The
 # benchmark's qa_fluid workload is one (QaController alone on a seeded
 # AIMD sawtooth, K_max 2 to 16): at seed 1999 it must print this
@@ -83,26 +64,29 @@ if [ -z "$allocs" ] || ! awk -v a="$allocs" -v m="$max_allocs" 'BEGIN { exit !(a
 fi
 echo "qa_fluid allocs_per_session $allocs (ceiling $max_allocs)"
 
-echo "== 5/9 figures match results/ (laqa figures --check) =="
-# Every figure and ablation runs into a scratch directory (≈ 0.7 s); its
-# report must equal the committed results/<id>.out line for line, less
-# the trailing `wrote` line. A change that moves a figure fails here,
-# naming the figure and its first differing line: regenerate it with
+echo "== 4/8 figures and Tables 1-2 match results/ (laqa figures --check) =="
+# Every figure, ablation and Tables 1-2 runs into a scratch directory
+# (≈ 0.7 s for the figures; ≈ 2 s for `tables`, the paper's T1+T2 grid
+# with its replay check at a second thread count); each report must equal
+# the committed results/<id>.out line for line, less the trailing `wrote`
+# line. `tables` compares every session's row and trace hash, the grid
+# fingerprint and both tables. A change that moves a figure or a table
+# fails here, naming it and its first differing line: regenerate it with
 # `laqa figures` and commit the new results.
 ./target/release/laqa figures --check
 
-echo "== 6/9 tests =="
+echo "== 5/8 tests =="
 cargo test -q --all-features
 
-echo "== 7/9 benchmark/ tests =="
-# A type the benchmark reads can change shape and still compile (step 1);
+echo "== 6/8 benchmark/ tests =="
+# A type the benchmark reads can change shape and still compile (step 2);
 # its own unit tests and --smoke runs exercise what it reads.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== 8/9 clippy (deny warnings) =="
+echo "== 7/8 clippy (deny warnings) =="
 cargo clippy --all-targets --all-features -- -D warnings
 
-echo "== 9/9 rustdoc (deny warnings) =="
+echo "== 8/8 rustdoc (deny warnings) =="
 # Intra-doc links name functions; a rename that leaves one dangling is
 # otherwise only a warning nobody reads.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
