@@ -29,6 +29,12 @@ use laqa_trace::{Recorder, Table};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
+    if let [only] = raw.as_slice() {
+        if ["help", "--help", "-h"].contains(&only.as_str()) {
+            print!("{}", usage());
+            return;
+        }
+    }
     // Options per subcommand (the usage block above); anything else —
     // including every option of an unknown subcommand — is rejected.
     let (flags, valued): (&[&str], &[&str]) = match raw.first().map(String::as_str) {
@@ -78,26 +84,23 @@ fn main() {
             "obs-report" => cmd_obs_report(&args),
             "obs-trace" => cmd_obs_trace(&args),
             "figures" => cmd_figures(&args),
-            "help" => {
-                usage();
-                Ok(())
-            }
             other => Err(usage_error(format!("unknown subcommand '{other}'"))),
         });
     if let Err(e) = result {
         eprintln!("error: {e}");
         if e.is::<ArgError>() {
-            eprintln!();
-            usage();
+            eprint!("\n{}", usage());
             std::process::exit(2);
         }
         std::process::exit(1);
     }
 }
 
-fn usage() {
+/// The usage text: `laqa help`, `--help` and `-h` print it and exit 0; a
+/// usage error prints it after the error and exits 2.
+fn usage() -> String {
     let ids: Vec<&str> = FIGURES.iter().map(|&(id, _)| id).collect();
-    eprintln!(
+    format!(
         "laqa — layered quality adaptation toolkit
 
 subcommands:
@@ -117,10 +120,12 @@ subcommands:
   figures     regenerate the paper's figures, ablations and Tables 1-2: each
               report to DIR/ID.out and its CSV/JSON under DIR/ID/ (--out DIR,
               default results/); --check compares the reports with
-              DIR/ID.out instead and writes nothing there
-              --only ID, one of: {}",
+              DIR/ID.out and their files with those under DIR/ID/
+              instead, and writes nothing there
+              --only ID, one of: {}
+",
         ids.join(" ")
-    );
+    )
 }
 
 type AnyError = Box<dyn std::error::Error>;
@@ -218,8 +223,8 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
         rec.insert(out.traces.tx_rate.clone());
         rec.insert(out.traces.n_active.clone());
         rec.insert(out.queue_trace.clone());
-        for ts in &out.traces.buffer {
-            rec.insert(ts.clone());
+        for ts in out.traces.buffer.to_series() {
+            rec.insert(ts);
         }
         rec.write_csv_dir(dir)?;
         println!("wrote CSVs to {dir}");

@@ -6,7 +6,8 @@
 //! once: it makes `<out>/<id>/`, writes the summaries there, and saves
 //! the report with a trailing `wrote <out>/<id>` line as `<out>/<id>.out`
 //! — or, in check mode, runs into a scratch directory and compares the
-//! report with the committed `<out>/<id>.out`.
+//! report with the committed `<out>/<id>.out` and every file it wrote
+//! with the committed one under `<out>/<id>/`.
 
 use laqa_trace::{RunSummary, Table};
 use std::error::Error;
@@ -84,27 +85,73 @@ pub fn write(figures: &[(&str, FigureFn)], out: &Path) -> Result<(), Box<dyn Err
 }
 
 /// Run each figure into a scratch directory and compare its report with
-/// `<out>/<id>.out`. The error names the first figure that differs and
-/// its first differing line.
+/// `<out>/<id>.out`, then the files it wrote with those under `<out>/<id>/`:
+/// the same names, equal bytes. The error names the first figure that
+/// differs, the first file of it that does, and its first differing line.
 pub fn check(figures: &[(&str, FigureFn)], out: &Path) -> Result<(), Box<dyn Error>> {
     let scratch = std::env::temp_dir().join(format!("laqa-figures-{}", std::process::id()));
     let checked = figures.iter().try_for_each(|&(id, run)| {
         let path = out.join(format!("{id}.out"));
         let want = fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let got = report(run, &scratch.join(id)).map_err(|e| format!("{id}: {e}"))?;
-        match first_difference(&want, &got) {
-            None => {
-                println!("{id}: matches {}", path.display());
-                Ok(())
-            }
-            Some((line, want, got)) => Err(format!(
-                "{id} differs from {} at line {line}:\n  committed: {want}\n  printed:   {got}",
-                path.display()
-            )),
+        if let Some(diff) = first_difference(&want, &got) {
+            return Err(differs(id, &path, diff));
         }
+        let dir = out.join(id);
+        let files = check_files(id, &dir, &scratch.join(id))?;
+        println!(
+            "{id}: matches {} and the {files} file(s) under {}",
+            path.display(),
+            dir.display()
+        );
+        Ok(())
     });
     let _ = fs::remove_dir_all(&scratch);
     Ok(checked?)
+}
+
+/// Compare every file under `want` with the one of the same name under
+/// `got`; returns how many there are.
+fn check_files(id: &str, want: &Path, got: &Path) -> Result<usize, String> {
+    let names = |dir: &Path| file_names(dir).map_err(|e| format!("{}: {e}", dir.display()));
+    let (committed, written) = (names(want)?, names(got)?);
+    if let Some(name) = written.iter().find(|n| !committed.contains(n)) {
+        return Err(format!("{id} wrote {name}, which {} lacks", want.display()));
+    }
+    for name in &committed {
+        let path = want.join(name);
+        if !written.contains(name) {
+            return Err(format!("{id} did not write {}", path.display()));
+        }
+        let read = |p: &Path| fs::read(p).map_err(|e| format!("{}: {e}", p.display()));
+        let (a, b) = (read(&path)?, read(&got.join(name))?);
+        if a != b {
+            let (a, b) = (String::from_utf8_lossy(&a), String::from_utf8_lossy(&b));
+            let (a, b): (Vec<&str>, Vec<&str>) = (a.lines().collect(), b.lines().collect());
+            let endings = "(the line endings differ)";
+            let diff = first_line_difference(&a, &b).unwrap_or((a.len(), endings, endings));
+            return Err(differs(id, &path, diff));
+        }
+    }
+    Ok(committed.len())
+}
+
+/// The names of the entries of `dir`, sorted.
+fn file_names(dir: &Path) -> io::Result<Vec<String>> {
+    let mut names = Vec::new();
+    for entry in fs::read_dir(dir)? {
+        names.push(entry?.file_name().to_string_lossy().into_owned());
+    }
+    names.sort();
+    Ok(names)
+}
+
+/// `id differs from <path> at line N` with both sides of that line.
+fn differs(id: &str, path: &Path, (line, want, got): (usize, &str, &str)) -> String {
+    format!(
+        "{id} differs from {} at line {line}:\n  committed: {want}\n  printed:   {got}",
+        path.display()
+    )
 }
 
 /// Line number (from 1) and both sides of the first line where `want`,
@@ -115,9 +162,18 @@ fn first_difference<'a>(want: &'a str, got: &'a str) -> Option<(usize, &'a str, 
         want.pop();
     }
     let got: Vec<&str> = got.lines().collect();
+    first_line_difference(&want, &got)
+}
+
+/// Line number (from 1) and both sides of the first line where `want` and
+/// `got` differ.
+fn first_line_difference<'a>(
+    want: &[&'a str],
+    got: &[&'a str],
+) -> Option<(usize, &'a str, &'a str)> {
     let line = (0..want.len().max(got.len())).find(|&i| want.get(i) != got.get(i))?;
     let side = |lines: &[&'a str]| lines.get(line).copied().unwrap_or("(no line)");
-    Some((line + 1, side(&want), side(&got)))
+    Some((line + 1, side(want), side(got)))
 }
 
 #[cfg(test)]

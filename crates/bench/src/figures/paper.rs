@@ -50,13 +50,13 @@ pub(super) fn fig01(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
             ..RapConfig::default()
         },
     );
-    src.record_rate = true;
+    src.rate_trace = Some(TimeSeries::new("rap_rate"));
     assert_eq!(world.add_agent(Box::new(src)), src_id);
     world.run_until(duration);
 
     let src: &RapFlowAgent = world.agent(src_id).expect("the RAP source");
     let sink: &RapSinkAgent = world.agent(sink_id).expect("the RAP sink");
-    let trace = &src.rate_trace;
+    let trace = src.rate_trace.as_ref().expect("recorded");
     let throughput = sink.bytes_received as f64 / duration;
 
     // Plot/report past the startup ramp (RAP has no slow-start validation,
@@ -392,11 +392,12 @@ naive-order drain violations found: {violations}"
 /// and each layer's rate, buffer and `drain` rate.
 fn qa_series(traces: &QaTraces, consumption: TimeSeries, drain: Vec<TimeSeries>) -> Recorder {
     let mut rec = Recorder::new();
-    let whole = [&traces.tx_rate, &traces.n_active].into_iter();
-    for ts in whole.chain(&traces.layer_rate).chain(&traces.buffer) {
+    for ts in [&traces.tx_rate, &traces.n_active] {
         rec.insert(ts.clone());
     }
-    for ts in drain.into_iter().chain([consumption]) {
+    let per_layer = traces.layer_rate.to_series().into_iter();
+    let derived = drain.into_iter().chain([consumption]);
+    for ts in per_layer.chain(traces.buffer.to_series()).chain(derived) {
         rec.insert(ts);
     }
     rec
@@ -428,22 +429,24 @@ active layers   : {}",
         plot(&consumption),
         plot(&out.traces.n_active)
     )?;
-    for (i, series) in out.traces.layer_rate.iter().take(6).enumerate() {
+    let (rates, buffers) = (
+        out.traces.layer_rate.to_series(),
+        out.traces.buffer.to_series(),
+    );
+    for (i, series) in rates.iter().take(6).enumerate() {
         writeln!(w, "L{i} tx rate     : {}", plot(series))?;
     }
     for (i, series) in drain_rate.iter().take(6).enumerate() {
         writeln!(w, "L{i} drain rate  : {}", plot(series))?;
     }
-    for (i, series) in out.traces.buffer.iter().take(6).enumerate() {
+    for (i, series) in buffers.iter().take(6).enumerate() {
         writeln!(w, "L{i} buffer      : {}", plot(series))?;
     }
 
     let steady = (15.0, duration);
     let mean_rate = window_mean(&out.traces.tx_rate, steady.0, steady.1).unwrap_or(0.0);
     let mean_layers = window_mean(&out.traces.n_active, steady.0, steady.1).unwrap_or(0.0);
-    let max_buf: f64 = out
-        .traces
-        .buffer
+    let max_buf: f64 = buffers
         .iter()
         .map(|b| b.max().unwrap_or(0.0))
         .fold(0.0, f64::max);
@@ -469,7 +472,7 @@ lowest layers' buffer fill/drain spikes; base layer never stalls.",
     )?;
 
     let mut rec = qa_series(&out.traces, consumption, drain_rate);
-    for ts in out.rx_buffers {
+    for ts in out.rx_buffers.to_series() {
         rec.insert(ts);
     }
     // The CSVs plus a ready-to-run gnuplot script of the stacked panels.
@@ -566,7 +569,7 @@ pub(super) fn fig12(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
         let mean_layers = steady.iter().sum::<f64>() / steady.len().max(1) as f64;
         // Total buffering over time, its peak and the share held above L1
         // at that moment.
-        let buffers = &out.traces.buffer;
+        let buffers = out.traces.buffer.to_series();
         let mut total_buf = TimeSeries::new(format!("total_buffer_k{k_max}"));
         let (mut peak_total, mut upper_share_at_peak) = (0.0f64, 0.0f64);
         for (idx, &(t, _)) in buffers[0].points.iter().enumerate() {
@@ -650,7 +653,7 @@ active layers : {}",
         plot(&consumption),
         plot(&out.traces.n_active)
     )?;
-    for (i, series) in out.traces.buffer.iter().take(5).enumerate() {
+    for (i, series) in out.traces.buffer.to_series().iter().take(5).enumerate() {
         writeln!(w, "L{i} buffer     : {}", plot(series))?;
     }
 

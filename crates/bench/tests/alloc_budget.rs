@@ -41,23 +41,31 @@ struct CountingAlloc;
 
 thread_local! {
     // Const-initialised and without a destructor, so the allocator can
-    // touch it at any point of a thread's life without allocating.
+    // touch them at any point of a thread's life without allocating.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// One trip to the allocator for `bytes` bytes (a growth counts its new
+/// size, as `benchmark/`'s `alloc_bytes_per_session` does).
+fn count(bytes: usize) {
+    ALLOCS.set(ALLOCS.get() + 1);
+    BYTES.set(BYTES.get() + bytes as u64);
 }
 
 // SAFETY: every method hands its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter bump touches no
+// upholds the `GlobalAlloc` contract; the counter bumps touch no
 // allocator state and cannot allocate (see `ALLOCS`).
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.set(ALLOCS.get() + 1);
+        count(layout.size());
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.set(ALLOCS.get() + 1);
+        count(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -65,9 +73,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations allowed for one 8 s session (measured: 439 — world and
+/// Allocations allowed for one 8 s session (measured: 375 — world and
 /// agent construction with every trace series sized from the horizon
-/// and every route one allocation, packet-arena growth; result
+/// and every route one allocation, a column for each per-layer trace
+/// that leaves zero, packet-arena growth; result
 /// extraction moves the traces out. A link queue holds only packets
 /// that wait, so a link on which no packet waits never allocates one,
 /// and a state path keeps its states in two row buffers that grow
@@ -75,15 +84,23 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// times, not once per state). The 7 % budget leaves slack for
 /// allocator-library drift without letting the in-session paths — the
 /// per-tick state paths above all — quietly start allocating again.
-const SESSION_ALLOC_BUDGET: u64 = 470;
+const SESSION_ALLOC_BUDGET: u64 = 401;
+
+/// Bytes a 90 s T1 or T2 session may request from the allocator
+/// (measured: 553 923 for T1, 550 411 for T2 at `K_max` 2, seed 7, plus
+/// 7 %). Most of it is the periodic traces, sized once from the horizon:
+/// the QA source's and sink's whole-run series and the column of each
+/// per-layer trace that leaves zero; a layer that never does costs none.
+const SESSION_BYTE_BUDGET: u64 = 592_700;
 
 /// Allocations a 90 s session may make beyond a 30 s one of the same
-/// spec (measured: 32 for T1, 33 for T2 at `K_max` 2, seed 7). What
+/// spec (measured: 33 for T1, 34 for T2 at `K_max` 2, seed 7). What
 /// still grows with length is what records a count not known up front —
-/// the background RAP flows' rate traces, the QA metrics event log — and
-/// first visits to new layer counts and path lengths (a path grown on
-/// demand reaches its longer prefixes later in a session, and its rows
-/// grow then); a per-tick or per-packet allocation would add thousands.
+/// the QA metrics event log — and first visits to new layer counts and
+/// path lengths (a path grown on demand reaches its longer prefixes
+/// later in a session, and its rows grow then; a layer first used late
+/// starts its trace columns then); a per-tick or per-packet allocation
+/// would add thousands.
 const SESSION_GROWTH_BUDGET: u64 = 150;
 
 /// A T1 or T2 session at `K_max` 2, seed 7, lasting `secs`.
@@ -99,10 +116,16 @@ fn session(test: TestKind, secs: f64) -> SessionSpec {
     }
 }
 
-fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
-    let a0 = ALLOCS.get();
+/// Allocations and bytes requested while `f` runs, and its result.
+fn counts_during<R>(f: impl FnOnce() -> R) -> ((u64, u64), R) {
+    let (a0, b0) = (ALLOCS.get(), BYTES.get());
     let out = f();
-    (ALLOCS.get() - a0, out)
+    ((ALLOCS.get() - a0, BYTES.get() - b0), out)
+}
+
+fn allocs_during<R>(f: impl FnOnce() -> R) -> (u64, R) {
+    let ((allocs, _), out) = counts_during(f);
+    (allocs, out)
 }
 
 /// `rebuild` on a warmed sequence — one whose rows have already held at
@@ -373,18 +396,25 @@ fn sessions_and_rebuilds_stay_under_alloc_budgets() {
 }
 
 /// A session's allocations are set by its setup, not its length: tripling
-/// a session from 30 s to 90 s adds at most [`SESSION_GROWTH_BUDGET`].
+/// a session from 30 s to 90 s adds at most [`SESSION_GROWTH_BUDGET`], and
+/// the 90 s one requests at most [`SESSION_BYTE_BUDGET`] bytes.
 #[test]
 fn session_allocations_do_not_grow_with_length() {
     for test in [TestKind::T1, TestKind::T2] {
         let (short, _) = allocs_during(|| run_session(&session(test, 30.0)));
-        let (long, _) = allocs_during(|| run_session(&session(test, 90.0)));
+        let ((long, bytes), _) = counts_during(|| run_session(&session(test, 90.0)));
         let growth = long.saturating_sub(short);
-        eprintln!("alloc_budget: {test:?} 30 s = {short}, 90 s = {long}, growth = {growth}");
+        eprintln!(
+            "alloc_budget: {test:?} 30 s = {short}, 90 s = {long} ({bytes} B), growth = {growth}"
+        );
         assert!(
             growth <= SESSION_GROWTH_BUDGET,
             "{test:?}: a 90 s session allocated {long} times against {short} at 30 s \
              (growth budget {SESSION_GROWTH_BUDGET})"
+        );
+        assert!(
+            bytes <= SESSION_BYTE_BUDGET,
+            "{test:?}: a 90 s session requested {bytes} B (budget {SESSION_BYTE_BUDGET})"
         );
     }
 }

@@ -4,8 +4,8 @@
 //! tables mode's replay check and a report that does not depend on the
 //! thread count, `--transport` / `--trace` grids equal to the library's
 //! `CampaignSpec::product`, the `campaign --obs DIR` → `laqa obs-report` /
-//! `laqa obs-trace` round trip over real files, and `laqa figures`
-//! writing to `--out` and checking against it.
+//! `laqa obs-trace` round trip over real files, `laqa figures` writing to
+//! `--out` and checking its reports and files against it, and `--help`.
 
 use laqa_sim::{run_campaign, CampaignSpec, TestKind, TraceKind, Transport};
 use std::path::{Path, PathBuf};
@@ -222,6 +222,18 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
 }
 
 #[test]
+fn help_prints_the_usage_and_exits_0() {
+    // `--help` and `-h` once exited 2 with `error: missing subcommand`.
+    for arg in ["help", "--help", "-h"] {
+        let out = run(&[arg]);
+        assert_eq!(out.status.code(), Some(0), "laqa {arg}: {}", stderr(&out));
+        assert!(stdout(&out).starts_with("laqa — layered quality adaptation toolkit"));
+        assert_has(&stdout(&out), "--only ID, one of: fig01");
+        assert_eq!(stderr(&out), "", "laqa {arg}");
+    }
+}
+
+#[test]
 fn smoke_honours_kmax_and_seeds() {
     // `--smoke` once hard-coded K_max {2, 4} x seeds {7, 21} and ran eight
     // cells here whatever the command line said.
@@ -423,15 +435,44 @@ fn figures_write_one_figure_under_out_only() {
     );
 }
 
+/// Copy `results/<id>.out` and every file under `results/<id>/` into a
+/// fresh scratch directory named `name`; returns it.
+fn copy_results(name: &str, id: &str) -> PathBuf {
+    let dir = scratch(name);
+    std::fs::create_dir_all(dir.join(id)).expect("scratch dir");
+    let results = checkout().join("results");
+    for (file, _, _) in listing(&results.join(id)) {
+        std::fs::copy(results.join(id).join(&file), dir.join(id).join(&file)).expect("copy");
+    }
+    let report = format!("{id}.out");
+    std::fs::copy(results.join(&report), dir.join(&report)).expect("copy the report");
+    dir
+}
+
+/// `text` with the first digit of its first line that has one after line
+/// `skip` bumped by one (mod 10); returns the new text, that line's
+/// number (from 1) and the changed line.
+fn bump_a_digit(text: &str, skip: usize) -> (String, usize, String) {
+    let (n, line) = text
+        .lines()
+        .enumerate()
+        .skip(skip)
+        .find(|(_, l)| l.contains(|c: char| c.is_ascii_digit()))
+        .expect("a line with a digit");
+    let at = line.find(|c: char| c.is_ascii_digit()).expect("digit");
+    let digit = line.as_bytes()[at] - b'0';
+    let changed = format!("{}{}{}", &line[..at], (digit + 1) % 10, &line[at + 1..]);
+    let mut lines: Vec<&str> = text.lines().collect();
+    lines[n] = &changed;
+    (lines.join("\n") + "\n", n + 1, changed)
+}
+
 #[test]
 fn figures_check_names_the_figure_and_its_first_differing_line() {
-    let dir = scratch("cli-figures-check");
-    std::fs::create_dir_all(&dir).expect("scratch dir");
+    let dir = copy_results("cli-figures-check", "fig05");
     let dir_arg = dir.to_str().expect("utf-8 scratch path");
-    let committed = checkout().join("results/fig05.out");
-    let committed = std::fs::read_to_string(committed).expect("committed fig05.out");
     let copy = dir.join("fig05.out");
-    std::fs::write(&copy, &committed).expect("copy fig05.out");
+    let committed = std::fs::read_to_string(&copy).expect("committed fig05.out");
     let check = || run(&["figures", "--check", "--only", "fig05", "--out", dir_arg]);
 
     let out = check();
@@ -439,27 +480,49 @@ fn figures_check_names_the_figure_and_its_first_differing_line() {
     assert_has(&stdout(&out), "fig05: matches");
     assert_eq!(
         names(&listing(&dir)),
-        ["fig05.out"],
+        ["fig05/summary.json", "fig05.out"],
         "--check writes nothing"
     );
 
     // One digit of the copy changed: the check fails on that line.
-    let (n, line) = committed
-        .lines()
-        .enumerate()
-        .find(|(_, l)| l.contains(|c: char| c.is_ascii_digit()))
-        .expect("a line with a digit");
-    let at = line.find(|c: char| c.is_ascii_digit()).expect("digit");
-    let digit = line.as_bytes()[at] - b'0';
-    let changed = format!("{}{}{}", &line[..at], (digit + 1) % 10, &line[at + 1..]);
-    let mut lines: Vec<&str> = committed.lines().collect();
-    lines[n] = &changed;
-    std::fs::write(&copy, lines.join("\n") + "\n").expect("edit the copy");
+    let (edited, line, changed) = bump_a_digit(&committed, 0);
+    std::fs::write(&copy, edited).expect("edit the copy");
     let out = check();
     assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
     assert_has(
         &stderr(&out),
-        &format!("fig05 differs from {} at line {}", copy.display(), n + 1),
+        &format!("fig05 differs from {} at line {line}", copy.display()),
     );
     assert_has(&stderr(&out), &changed);
+}
+
+#[test]
+fn figures_check_compares_every_file_a_figure_writes() {
+    // `--check` once compared only `<id>.out`, so a CSV or summary that
+    // drifted while the report did not passed.
+    let dir = copy_results("cli-figures-check-files", "fig11");
+    let dir_arg = dir.to_str().expect("utf-8 scratch path");
+    let check = || run(&["figures", "--check", "--only", "fig11", "--out", dir_arg]);
+    let out = check();
+    assert!(out.status.success(), "check: {}", stderr(&out));
+    assert_has(&stdout(&out), "fig11: matches");
+
+    // One digit of one sample of a per-layer buffer CSV changed.
+    let csv = dir.join("fig11/buffer_1.csv");
+    let committed = std::fs::read_to_string(&csv).expect("committed buffer_1.csv");
+    let (edited, line, changed) = bump_a_digit(&committed, 1);
+    std::fs::write(&csv, edited).expect("edit the copy");
+    let out = check();
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_has(
+        &stderr(&out),
+        &format!("fig11 differs from {} at line {line}", csv.display()),
+    );
+    assert_has(&stderr(&out), &changed);
+
+    // A file the figure writes that the directory lacks fails too.
+    std::fs::remove_file(&csv).expect("remove the copy");
+    let out = check();
+    assert_eq!(out.status.code(), Some(1), "{}", stderr(&out));
+    assert_has(&stderr(&out), "fig11 wrote buffer_1.csv, which");
 }

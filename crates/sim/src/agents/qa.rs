@@ -8,7 +8,7 @@ use crate::packet::{AgentId, Packet, PacketKind, Route};
 use laqa_core::{QaConfig, QaController};
 use laqa_layered::{LayeredEncoding, LayeredReceiver};
 use laqa_rap::{RapConfig, RapEvent, RapReceiverState, RapSender, RateController};
-use laqa_trace::TimeSeries;
+use laqa_trace::{LayerColumns, TimeSeries};
 
 /// Per-run traces recorded by the QA source (the figure-11 panels; the
 /// consumption and drain-rate panels are derived, see
@@ -20,24 +20,19 @@ pub struct QaTraces {
     /// Active layer count per tick.
     pub n_active: TimeSeries,
     /// Allocated send rate per layer per tick.
-    pub layer_rate: Vec<TimeSeries>,
+    pub layer_rate: LayerColumns,
     /// Sender-estimated receiver buffer per layer per tick (bytes).
-    pub buffer: Vec<TimeSeries>,
+    pub buffer: LayerColumns,
 }
 
 impl QaTraces {
     /// Empty trace set for `max_layers` layers.
     pub fn new(max_layers: usize) -> Self {
-        let per_layer = |prefix: &str| {
-            (0..max_layers)
-                .map(|i| TimeSeries::new(format!("{prefix}{i}")))
-                .collect::<Vec<_>>()
-        };
         QaTraces {
             tx_rate: TimeSeries::new("tx_rate"),
             n_active: TimeSeries::new("n_active"),
-            layer_rate: per_layer("layer_rate_"),
-            buffer: per_layer("buffer_"),
+            layer_rate: LayerColumns::new("layer_rate_", max_layers),
+            buffer: LayerColumns::new("buffer_", max_layers),
         }
     }
 
@@ -47,9 +42,9 @@ impl QaTraces {
     pub fn consumption_and_drain(&self, c: f64) -> (TimeSeries, Vec<TimeSeries>) {
         let n_active = &self.n_active.points;
         let consumption = n_active.iter().map(|&(t, n)| (t, n * c)).collect();
-        let drain = self.layer_rate.iter().enumerate().map(|(i, alloc)| {
-            let ticks = n_active.iter().zip(&alloc.points);
-            let points = ticks.map(|(&(t, n), &(_, a))| {
+        let drain = (0..self.layer_rate.layers()).map(|i| {
+            let ticks = n_active.iter().zip(self.layer_rate.values(i));
+            let points = ticks.map(|(&(t, n), a)| {
                 (
                     t,
                     if (i as f64) < n {
@@ -172,13 +167,12 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
     /// Size the traces for a run ending at `until` (seconds): the source
     /// records one sample per `tick_dt` from `start_at`, so set that first.
     pub(crate) fn reserve_until(&mut self, until: f64) {
-        let t = &mut self.traces;
-        let per_layer = t.layer_rate.iter_mut().chain(&mut t.buffer);
-        for series in [&mut t.tx_rate, &mut t.n_active]
-            .into_iter()
-            .chain(per_layer)
-        {
-            series.reserve_periodic(self.start_at.max(0.0), self.tick_dt, until);
+        let (t, first) = (&mut self.traces, self.start_at.max(0.0));
+        for series in [&mut t.tx_rate, &mut t.n_active] {
+            series.reserve_periodic(first, self.tick_dt, until);
+        }
+        for columns in [&mut t.layer_rate, &mut t.buffer] {
+            columns.reserve_periodic(first, self.tick_dt, until);
         }
     }
 
@@ -210,14 +204,12 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
     fn record_tick(&mut self, now: f64, report: &laqa_core::TickReport) {
         self.traces.tx_rate.push(now, self.rap.tick_rate());
         self.traces.n_active.push(now, report.n_active as f64);
-        for i in 0..self.traces.layer_rate.len() {
-            let alloc = report.per_layer_rate.get(i).copied().unwrap_or(0.0);
-            self.traces.layer_rate[i].push(now, alloc);
-            // Report the drainable buffer (debt shows as empty, matching
-            // what the receiver actually holds).
-            let buf = self.qa.buffers().get(i).copied().unwrap_or(0.0).max(0.0);
-            self.traces.buffer[i].push(now, buf);
-        }
+        let rates = report.per_layer_rate.iter().copied();
+        self.traces.layer_rate.push_row(now, rates);
+        // Report the drainable buffer (debt shows as empty, matching what
+        // the receiver actually holds).
+        let buffers = self.qa.buffers().iter().map(|b| b.max(0.0));
+        self.traces.buffer.push_row(now, buffers);
     }
 
     fn pump(&mut self, ctx: &mut Ctx) {
@@ -306,7 +298,7 @@ pub struct QaSinkAgent {
     adv_dt: f64,
     /// Receiver-observed buffer per layer over time (figure 11 bottom
     /// panel, ground truth).
-    pub buffer_trace: Vec<TimeSeries>,
+    pub buffer_trace: LayerColumns,
     /// Underflow events observed during playout, per advance step.
     pub underflows: u64,
 }
@@ -335,9 +327,7 @@ impl QaSinkAgent {
             reverse_route: reverse_route.into(),
             flow,
             adv_dt,
-            buffer_trace: (0..n)
-                .map(|i| TimeSeries::new(format!("rx_buffer_{i}")))
-                .collect(),
+            buffer_trace: LayerColumns::new("rx_buffer_", n),
             underflows: 0,
         }
     }
@@ -345,9 +335,8 @@ impl QaSinkAgent {
     /// Size `buffer_trace` for a run ending at `until` (seconds): one
     /// sample per `adv_dt`, the first one `adv_dt` in.
     pub(crate) fn reserve_until(&mut self, until: f64) {
-        for series in &mut self.buffer_trace {
-            series.reserve_periodic(self.adv_dt, self.adv_dt, until);
-        }
+        self.buffer_trace
+            .reserve_periodic(self.adv_dt, self.adv_dt, until);
     }
 }
 
@@ -374,9 +363,8 @@ impl Agent for QaSinkAgent {
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         if token == 1 {
             self.underflows += self.receiver.advance(self.adv_dt) as u64;
-            for (i, ts) in self.buffer_trace.iter_mut().enumerate() {
-                ts.push(ctx.now, self.receiver.buffered(i));
-            }
+            let buffered = (0..self.buffer_trace.layers()).map(|i| self.receiver.buffered(i));
+            self.buffer_trace.push_row(ctx.now, buffered);
             ctx.set_timer_after(self.adv_dt, 1);
         }
     }
@@ -512,8 +500,7 @@ mod tests {
         let mut traces = QaTraces::new(2);
         for (t, n, alloc) in [(0.0, 1.0, [3.0, 0.0]), (0.1, 2.0, [12.0, 7.0])] {
             traces.n_active.push(t, n);
-            traces.layer_rate[0].push(t, alloc[0]);
-            traces.layer_rate[1].push(t, alloc[1]);
+            traces.layer_rate.push_row(t, alloc);
         }
         let (consumption, drain) = traces.consumption_and_drain(10.0);
         assert_eq!(consumption.name, "consumption");

@@ -60,11 +60,9 @@ pub struct RapFlowAgent {
     armed_at: f64,
     /// Time the flow starts sending (seconds).
     pub start_at: f64,
-    /// Transmission-rate trace (sampled on every rate change) — figure 1.
-    pub rate_trace: TimeSeries,
-    /// Whether to record the rate trace (off for background flows to save
-    /// memory).
-    pub record_rate: bool,
+    /// Transmission-rate trace, sampled on every rate change, when set
+    /// (figure 1); `None`, the default, records nothing.
+    pub rate_trace: Option<TimeSeries>,
     /// Backoffs observed.
     pub backoffs: u64,
     /// Packets sent.
@@ -86,8 +84,7 @@ impl RapFlowAgent {
             flow,
             armed_at: f64::NEG_INFINITY,
             start_at: 0.0,
-            rate_trace: TimeSeries::new("rap_rate"),
-            record_rate: false,
+            rate_trace: None,
             backoffs: 0,
             sent: 0,
             lost: 0,
@@ -107,13 +104,13 @@ impl RapFlowAgent {
             match e {
                 RapEvent::Backoff { rate, .. } => {
                     self.backoffs += 1;
-                    if self.record_rate {
-                        self.rate_trace.push(now, rate);
+                    if let Some(trace) = &mut self.rate_trace {
+                        trace.push(now, rate);
                     }
                 }
                 RapEvent::RateIncrease { time, rate } => {
-                    if self.record_rate {
-                        self.rate_trace.push(time, rate);
+                    if let Some(trace) = &mut self.rate_trace {
+                        trace.push(time, rate);
                     }
                 }
                 RapEvent::PacketLost { .. } => self.lost += 1,
@@ -241,7 +238,7 @@ mod tests {
             sink_id
         );
         let mut src_agent = RapFlowAgent::new(sink_id, vec![fwd], 1, RapConfig::default());
-        src_agent.record_rate = true;
+        src_agent.rate_trace = Some(TimeSeries::new("rap_rate"));
         assert_eq!(w.add_agent(Box::new(src_agent)), src_id);
         w.run_until(dur);
         (w, src_id, sink_id, fwd)
@@ -271,7 +268,7 @@ mod tests {
     fn rate_trace_is_sawtooth_shaped() {
         let (w, src, _, _) = single_flow(50_000.0, 20, 20.0);
         let s: &RapFlowAgent = w.agent(src).unwrap();
-        let trace = &s.rate_trace;
+        let trace = s.rate_trace.as_ref().expect("recorded");
         assert!(trace.len() > 20);
         // Sawtooth: strictly more small increases than big decreases, and
         // at least a few decreases.

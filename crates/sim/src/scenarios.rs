@@ -17,7 +17,7 @@ use laqa_layered::LayeredEncoding;
 use laqa_rap::{
     BbrSender, NadaSender, RapConfig, RapSender, RateController, WindowConfig, WindowSender,
 };
-use laqa_trace::TimeSeries;
+use laqa_trace::{LayerColumns, TimeSeries};
 
 /// Which congestion controller drives the QA flow (the interop axis of
 /// the QA × transport matrix). Background cross-traffic is unaffected:
@@ -261,7 +261,7 @@ pub struct ScenarioOutcome {
     /// QA event log/metrics (Tables 1 and 2 inputs).
     pub metrics: MetricsCollector,
     /// Receiver-side per-layer buffer traces (ground truth).
-    pub rx_buffers: Vec<TimeSeries>,
+    pub rx_buffers: LayerColumns,
     /// Receiver-observed playout underflows (all layers).
     pub rx_underflows: u64,
     /// Receiver-observed *base-layer* underflow events (visible stalls;
@@ -711,19 +711,34 @@ mod tests {
         ] {
             let out = run_scenario(&cfg);
             let qa = &out.traces;
-            let series = [&qa.tx_rate, &qa.n_active, &out.queue_trace]
-                .into_iter()
-                .chain(&qa.layer_rate)
-                .chain(&qa.buffer)
-                .chain(&out.rx_buffers);
-            for s in series {
+            let fits = |len: usize, cap: usize| len <= cap && cap <= len + 2;
+            for s in [&qa.tx_rate, &qa.n_active, &out.queue_trace] {
                 let (len, cap) = (s.points.len(), s.points.capacity());
                 assert!(
-                    len > 0 && len <= cap && cap <= len + 2,
+                    len > 0 && fits(len, cap),
                     "{} at {} s: {len} samples in {cap} slots",
                     s.name,
                     cfg.duration
                 );
+            }
+            // A layer's column starts at its first nonzero sample, or
+            // never: one that started fills the room it reserved then, one
+            // that never did holds nothing, and the time column is full.
+            for columns in [&qa.layer_rate, &qa.buffer, &out.rx_buffers] {
+                let mut room = columns.room();
+                let (rows, cap) = room.next().expect("the time column");
+                assert!(rows > 0 && fits(rows, cap), "{rows} rows in {cap} slots");
+                let mut started = 0;
+                for (layer, (len, cap)) in room.enumerate() {
+                    assert!(
+                        fits(len, cap),
+                        "{} at {} s: {len} samples in {cap} slots",
+                        columns.series(layer).name,
+                        cfg.duration
+                    );
+                    started += usize::from(len > 0);
+                }
+                assert!(started > 0, "the base layer's column starts");
             }
         }
     }

@@ -1,5 +1,13 @@
 //! Time series: the raw material of every figure.
 
+/// The slots [`TimeSeries::reserve_periodic`] reserves: one per sample
+/// every `period` seconds from `first` through `until`, plus one; `None`
+/// when it reserves nothing.
+pub(crate) fn periodic_slots(first: f64, period: f64, until: f64) -> Option<usize> {
+    (period > 0.0 && until >= first && until.is_finite())
+        .then(|| ((until - first) / period).floor() as usize + 2)
+}
+
 /// A named `(time, value)` series.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
@@ -26,9 +34,8 @@ impl TimeSeries {
     /// sample falls in `[first, until]`, `until` is not finite or `period`
     /// is not positive.
     pub fn reserve_periodic(&mut self, first: f64, period: f64, until: f64) {
-        if period > 0.0 && until >= first && until.is_finite() {
-            let samples = ((until - first) / period).floor() as usize + 1;
-            self.points.reserve_exact(samples + 1);
+        if let Some(slots) = periodic_slots(first, period, until) {
+            self.points.reserve_exact(slots);
         }
     }
 

@@ -31,10 +31,10 @@ fn main() {
             .windows(2)
             .filter(|w| (w[0] - w[1]).abs() > 1e-9)
             .count();
-        let peak_buf: f64 = (0..out.traces.buffer[0].points.len())
+        let buffers = out.traces.buffer.to_series();
+        let peak_buf: f64 = (0..buffers[0].points.len())
             .map(|i| {
-                out.traces
-                    .buffer
+                buffers
                     .iter()
                     .map(|b| b.points.get(i).map(|&(_, v)| v.max(0.0)).unwrap_or(0.0))
                     .sum::<f64>()

@@ -256,12 +256,11 @@ fn fig12_smoothing_sweep_matches_golden() {
             .collect();
         let mean_layers = steady.iter().sum::<f64>() / steady.len().max(1) as f64;
 
-        let n_points = out.traces.buffer[0].points.len();
+        let buffers = out.traces.buffer.to_series();
+        let n_points = buffers[0].points.len();
         let mut peak_total = 0.0f64;
         for idx in 0..n_points {
-            let total: f64 = out
-                .traces
-                .buffer
+            let total: f64 = buffers
                 .iter()
                 .map(|b| b.points.get(idx).map(|&(_, v)| v.max(0.0)).unwrap_or(0.0))
                 .sum();
