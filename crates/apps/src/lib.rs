@@ -6,12 +6,10 @@
 //! library code of its own — see the examples:
 //!
 //! * `quickstart` — drive a [`laqa_core::QaController`] by hand;
-//! * `congested_backbone` — the paper's T1 workload in the simulator;
-//! * `smoothing_tradeoff` — sweep the smoothing factor `K_max`;
-//! * `nonlinear_layers` — quality adaptation over non-uniform layer rates;
 //! * `live_session` — a playback session against the simulated network.
 //!
-//! Run one with `cargo run -p laqa-apps --example quickstart`.
+//! Run one with `cargo run -p laqa-apps --example quickstart`. The paper's
+//! figures and Tables 1–2 are `laqa figures` (crate `laqa-bench`).
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! laqa sim    [--test t1|t2] [--kmax N] [--duration S] [--seed N]
-//!             [--red] [--loss P] [--retransmit N] [--csv DIR]
+//!             [--red] [--loss P] [--csv DIR]
 //! laqa states [--rate R] [--layers N] [--c C] [--slope S] [--kmax K]
 //! laqa bands  [--deficit D] [--layers N] [--c C] [--slope S]
-//!             [--exp-base B --exp-factor F]
 //! laqa campaign   [--smoke] [--faults] [--duration S] [--kmax LIST]
 //!                 [--seeds LIST] [--threads N] [--intensity LIST]
 //!                 [--transport LIST] [--trace LIST] [--out DIR] [--obs DIR]
@@ -22,7 +21,6 @@ use laqa_bench::cli::{ArgError, Args};
 use laqa_bench::figures::{self, FIGURES};
 use laqa_bench::{ascii_plot, window_mean};
 use laqa_core::geometry::band_allocation_into;
-use laqa_core::nonlinear::{nl_band_allocation, LayerRates};
 use laqa_core::{StateSequence, MAX_LAYERS};
 use laqa_sim::{run_scenario, QueueKind, RedConfig, ScenarioConfig};
 use laqa_trace::{Recorder, Table};
@@ -40,21 +38,10 @@ fn main() {
     let (flags, valued): (&[&str], &[&str]) = match raw.first().map(String::as_str) {
         Some("sim") => (
             &["red"],
-            &[
-                "test",
-                "kmax",
-                "duration",
-                "seed",
-                "loss",
-                "retransmit",
-                "csv",
-            ],
+            &["test", "kmax", "duration", "seed", "loss", "csv"],
         ),
         Some("states") => (&[], &["rate", "layers", "c", "slope", "kmax"]),
-        Some("bands") => (
-            &[],
-            &["deficit", "layers", "c", "slope", "exp-base", "exp-factor"],
-        ),
+        Some("bands") => (&[], &["deficit", "layers", "c", "slope"]),
         Some("campaign") => (
             &["smoke", "faults"],
             &[
@@ -197,7 +184,6 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
         return Err(usage_error(format!("--loss {loss} is outside [0, 1]")));
     }
     cfg.dumbbell.loss_rate = loss;
-    cfg.retransmit_protect = args.get("retransmit", 0)?;
 
     println!(
         "running {test} for {duration:.0}s (K_max={k_max}, seed={seed}, {:?})...",
@@ -330,30 +316,9 @@ fn cmd_bands(args: &Args) -> Result<(), AnyError> {
     let d0 = positive(args, "deficit", 25_000.0, true)?;
     let n = layers(args)?;
     let slope = positive(args, "slope", 12_500.0, false)?;
-    // `--exp-base` selects the exponential spacing, which has no `--c`;
-    // the linear one has no `--exp-factor`.
-    let exponential = args.options.contains_key("exp-base");
-    let (unread, branch) = if exponential {
-        ("c", "with --exp-base")
-    } else {
-        ("exp-factor", "without --exp-base")
-    };
-    if args.options.contains_key(unread) {
-        return Err(usage_error(format!("--{unread} is not read {branch}")));
-    }
-    let shares = if exponential {
-        let exp_base = positive(args, "exp-base", 0.0, false)?;
-        let factor = positive(args, "exp-factor", 2.0, false)?;
-        let rates =
-            LayerRates::exponential(n, exp_base, factor).ok_or("invalid exponential spacing")?;
-        println!("layer rates: {:?}", rates.rates());
-        nl_band_allocation(&rates, n, d0, slope)
-    } else {
-        let c = positive(args, "c", 10_000.0, false)?;
-        let mut shares = Vec::new();
-        band_allocation_into(d0, c, slope, n, &mut shares);
-        shares
-    };
+    let c = positive(args, "c", 10_000.0, false)?;
+    let mut shares = Vec::new();
+    band_allocation_into(d0, c, slope, n, &mut shares);
     let total: f64 = shares.iter().sum();
     let mut tbl = Table::new(
         format!("optimal bands for deficit {d0:.0} B/s"),

@@ -46,8 +46,9 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
     // K_max the controller refuses panicked every worker, a NaN loss rate
     // panicked the link and a loss above 1 ran at 1. A zero or negative
     // layer rate or slope tripped a debug assertion (garbage in release),
-    // a NaN rate printed a state path, and an option the selected spacing
-    // never reads was silently ignored. An option given twice ran only its
+    // and a NaN rate printed a state path. `bands --exp-base` and
+    // `sim --retransmit` ran the non-linear spacing and the selective
+    // retransmission that are gone. An option given twice ran only its
     // last value, a list naming a value twice ran its cells twice under
     // one label, and a NaN, zero or negative duration ran empty sessions.
     // A value that did not parse exited 1 where every other usage error
@@ -125,13 +126,10 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
             "--slope must be finite and > 0",
         ),
         (
-            &["bands", "--exp-factor", "3"],
-            "--exp-factor is not read without --exp-base",
+            &["bands", "--exp-base", "2000"],
+            "unknown option --exp-base",
         ),
-        (
-            &["bands", "--exp-base", "2000", "--c", "5"],
-            "--c is not read with --exp-base",
-        ),
+        (&["sim", "--retransmit", "1"], "unknown option --retransmit"),
         (
             &["campaign", "--smoke", "--seeds", "7", "--seeds", "21"],
             "--seeds given more than once",

@@ -2,10 +2,8 @@
 //!
 //! The paper's analysis (§2) assumes linearly spaced layers: every layer is
 //! consumed at the same constant rate `C`. That assumption is captured by
-//! [`QaConfig::layer_rate`]. Non-linear layer spacing (listed as future work
-//! in §7) is supported by the `laqa-layered` crate's encodings and by the
-//! generalized band geometry in [`crate::nonlinear`], but the controller's
-//! closed-form buffer states use the linear model, exactly as the paper does.
+//! [`QaConfig::layer_rate`]. Non-linear layer spacing is future work in the
+//! paper (§7) and is not modelled.
 
 use std::fmt;
 

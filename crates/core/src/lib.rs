@@ -23,8 +23,6 @@
 //!   allocation in each phase.
 //! * [`adddrop`] — the coarse-grain layer add/drop conditions with the
 //!   `K_max` smoothing factor (§2.1, §2.2, §3.1).
-//! * [`nonlinear`] — the §7 future-work extension: the same geometry for
-//!   heterogeneous (e.g. exponentially spaced) layer rates.
 //! * [`controller`] — [`controller::QaController`], the transport-agnostic
 //!   server-side state machine combining all of the above.
 //! * [`metrics`] — the paper's evaluation metrics: buffering efficiency
@@ -67,13 +65,11 @@ pub mod draining;
 pub mod filling;
 pub mod geometry;
 pub mod metrics;
-pub mod nonlinear;
 pub mod scenario;
 pub mod states;
 
 pub use config::{ConfigError, QaConfig, MAX_LAYERS};
 pub use controller::{LayerAllocation, Phase, QaController, QaCounts, TickReport};
 pub use metrics::{DropReason, MetricsCollector, QaEvent};
-pub use nonlinear::LayerRates;
 pub use scenario::Scenario;
 pub use states::{BufferState, StateSequence, States};

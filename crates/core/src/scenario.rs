@@ -82,9 +82,6 @@ pub fn min_backoffs_below(rate: f64, consumption: f64, decrease_factor: f64) -> 
 /// back-to-back backoffs take the rate to `R·f^k` (Scenario 1), and each
 /// spread Scenario-2 backoff from the consumption rate leaves a recurring
 /// triangle of height `n_a·C·(1−f)`.
-///
-/// The layer stack enters only through `n_a·C`, so a heterogeneous stack
-/// ([`crate::nonlinear`]) passes its own aggregate consumption.
 pub fn buf_total(
     scenario: Scenario,
     k: u32,

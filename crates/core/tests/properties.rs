@@ -17,10 +17,8 @@ use laqa_core::config::FILL_HORIZON_BACKOFFS;
 use laqa_core::draining::plan_draining_into;
 use laqa_core::filling::{allocate_filling_into, next_fill_layer};
 use laqa_core::geometry::{
-    band_allocation_into, band_drain_rate, buffering_layer_count, deficit, sustainable_layers,
-    triangle_area,
+    band_allocation_into, buffering_layer_count, deficit, sustainable_layers, triangle_area,
 };
-use laqa_core::nonlinear::{nl_band_allocation, nl_band_drain_rate, nl_per_layer, LayerRates};
 use laqa_core::scenario::{buf_total, min_backoffs_below, per_layer, Scenario};
 use laqa_core::{Phase, QaConfig, QaController, StateSequence};
 
@@ -50,20 +48,6 @@ fn bands(d0: f64, c: f64, s: f64, n: usize) -> Vec<f64> {
     let mut shares = Vec::new();
     band_allocation_into(d0, c, s, n, &mut shares);
     shares
-}
-
-/// Random layer-rate profile: linear, exponential, or arbitrary positive.
-fn layer_rates(g: &mut Gen) -> LayerRates {
-    match g.usize_in(0, 2) {
-        0 => LayerRates::linear(g.usize_in(1, 10), g.f64_range(1_000.0, 50_000.0)).unwrap(),
-        1 => LayerRates::exponential(
-            g.usize_in(1, 8),
-            g.f64_range(1_000.0, 20_000.0),
-            g.f64_range(1.2, 2.5),
-        )
-        .unwrap(),
-        _ => LayerRates::new(g.vec_f64(500.0, 40_000.0, 1, 10)).unwrap(),
-    }
 }
 
 #[test]
@@ -949,95 +933,6 @@ fn controller_packet_scheduler_never_picks_inactive_layer() {
                     budget -= pkt;
                 }
                 now += 0.1;
-            }
-        },
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Nonlinear (per-layer rate profile) invariants — nonlinear.rs
-// ---------------------------------------------------------------------------
-
-#[test]
-fn nl_per_layer_sums_to_buf_total() {
-    cases("nl_per_layer_sums_to_buf_total", DEFAULT_CASES, |g, _| {
-        let rates = layer_rates(g);
-        let n = rates.len();
-        let rate = g.f64_range(1_000.0, 500_000.0);
-        let s = g.f64_range(500.0, 200_000.0);
-        let k = g.u32_in(1, 10);
-        let f = *g.pick(&FACTORS);
-        for &scenario in &Scenario::ALL {
-            let shares = nl_per_layer(&rates, n, scenario, k, rate, s, f);
-            assert_eq!(shares.len(), n);
-            let total: f64 = shares.iter().sum();
-            let expect = buf_total(scenario, k, rate, rates.consumption(n), s, f);
-            assert!(
-                (total - expect).abs() <= 1e-9 * expect.max(1.0) + 1e-9,
-                "{scenario:?} k={k}: shares {total} vs total {expect}"
-            );
-            for (i, &b) in shares.iter().enumerate() {
-                assert!(b >= -1e-9, "negative share {b} on layer {i}");
-            }
-        }
-    });
-}
-
-#[test]
-fn nl_drain_rates_sum_to_instantaneous_deficit() {
-    cases(
-        "nl_drain_rates_sum_to_instantaneous_deficit",
-        DEFAULT_CASES,
-        |g, _| {
-            let rates = layer_rates(g);
-            let n = rates.len();
-            let stack = rates.consumption(n);
-            let d = g.f64_range(-0.2, 1.5) * stack;
-            // The per-layer drain pattern feeds exactly the bottom `d` of the
-            // stack: each band drains at most its own rate, bands below the
-            // deficit run flat out, and the total equals the instantaneous
-            // deficit clamped to the stack's consumption.
-            let drains: Vec<f64> = (0..n).map(|i| nl_band_drain_rate(&rates, i, d)).collect();
-            let total: f64 = drains.iter().sum();
-            let expect = d.clamp(0.0, stack);
-            assert!(
-                (total - expect).abs() <= 1e-9 * stack.max(1.0),
-                "drains {total} vs clamped deficit {expect}"
-            );
-            for (i, &r) in drains.iter().enumerate() {
-                assert!(r >= 0.0 && r <= rates.rate(i) + 1e-12, "layer {i}: {r}");
-            }
-            // Linear special case agrees with the closed-form geometry path.
-            let c = g.f64_range(1_000.0, 50_000.0);
-            let m = g.usize_in(1, 10);
-            let d_lin = g.f64_range(0.0, 1.5) * m as f64 * c;
-            let linear = LayerRates::linear(m, c).unwrap();
-            for i in 0..m {
-                let lin = band_drain_rate(d_lin, c, i);
-                assert!((lin - nl_band_drain_rate(&linear, i, d_lin)).abs() <= 1e-9 * c);
-            }
-        },
-    );
-}
-
-#[test]
-fn nl_band_allocation_matches_linear_geometry() {
-    cases(
-        "nl_band_allocation_matches_linear_geometry",
-        DEFAULT_CASES,
-        |g, _| {
-            let (rate, n, c, s) = op_point(g);
-            let d0 = deficit(n as f64 * c, rate / 2.0);
-            let lin = bands(d0, c, s, n);
-            let nl = nl_band_allocation(&LayerRates::linear(n, c).unwrap(), n, d0, s);
-            assert_eq!(lin.len(), nl.len());
-            for i in 0..n {
-                assert!(
-                    (lin[i] - nl[i]).abs() <= 1e-9 * lin[i].max(1.0) + 1e-9,
-                    "layer {i}: linear {} vs nonlinear {}",
-                    lin[i],
-                    nl[i]
-                );
             }
         },
     );

@@ -3,8 +3,8 @@
 //! The hierarchically encoded stream substrate for the quality-adaptation
 //! mechanism of Rejaie/Handley/Estrin (SIGCOMM 1999):
 //!
-//! * [`encoding`] — layer stacks (the paper's linear spacing plus the
-//!   non-linear extension mentioned in its future work);
+//! * [`encoding`] — the layer stack: `n` layers of one rate `C`, the
+//!   paper's linear spacing;
 //! * [`buffer`] — per-layer receiver FIFO buffers with underflow
 //!   accounting;
 //! * [`receiver`] — the playout engine combining buffers and a clock, the
@@ -18,5 +18,5 @@ pub mod encoding;
 pub mod receiver;
 
 pub use buffer::LayerBuffer;
-pub use encoding::{EncodingError, LayerSpec, LayeredEncoding};
+pub use encoding::{EncodingError, LayeredEncoding};
 pub use receiver::{LayeredReceiver, ReceiverStats};

@@ -78,18 +78,3 @@ fn receiver_position_advances_iff_playing() {
         },
     );
 }
-
-#[test]
-fn layers_within_is_monotone_in_bandwidth() {
-    cases(
-        "layers_within_is_monotone_in_bandwidth",
-        DEFAULT_CASES,
-        |g, _| {
-            let bw1 = g.f64_range(0.0, 100_000.0);
-            let bw2 = g.f64_range(0.0, 100_000.0);
-            let enc = LayeredEncoding::exponential(5, 2_000.0, 1.6).unwrap();
-            let (lo, hi) = if bw1 <= bw2 { (bw1, bw2) } else { (bw2, bw1) };
-            assert!(enc.layers_within(lo) <= enc.layers_within(hi));
-        },
-    );
-}

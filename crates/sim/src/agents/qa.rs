@@ -87,20 +87,10 @@ pub struct QaSourceAgent<T: RateController = RapSender> {
     armed_at: f64,
     /// Time the flow starts sending (seconds).
     pub start_at: f64,
-    /// Layers `0..retransmit_protect` get selective retransmission: a
-    /// detected loss is re-sent (once) at the next send opportunity. The
-    /// paper names this as an advantage of the layered approach (§1.3,
-    /// "opportunity for selective retransmission of the more important
-    /// information"); `0` disables it (the paper's evaluation setting).
-    pub retransmit_protect: usize,
-    /// Pending retransmissions: (layer, size).
-    retx_queue: std::collections::VecDeque<(usize, f64)>,
     /// Recorded traces (figure panels).
     pub traces: QaTraces,
     /// Packets sent per layer (diagnostics).
     pub sent_per_layer: Vec<u64>,
-    /// Retransmissions performed.
-    pub retransmissions: u64,
     /// Reused buffer for draining sender events without reallocating.
     ev_scratch: Vec<RapEvent>,
 }
@@ -155,11 +145,8 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
             next_tick: 0.0,
             armed_at: f64::NEG_INFINITY,
             start_at: 0.0,
-            retransmit_protect: 0,
-            retx_queue: std::collections::VecDeque::new(),
             traces: QaTraces::new(max_layers),
             sent_per_layer: vec![0; max_layers],
-            retransmissions: 0,
             ev_scratch: Vec::new(),
         }
     }
@@ -190,12 +177,7 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
                 RapEvent::PacketAcked { size, tag, .. } => {
                     self.qa.on_packet_delivered(tag as usize, size);
                 }
-                RapEvent::PacketLost { size, tag, .. } => {
-                    if (tag as usize) < self.retransmit_protect {
-                        self.retx_queue.push_back((tag as usize, size));
-                    }
-                }
-                RapEvent::RateIncrease { .. } => {}
+                RapEvent::PacketLost { .. } | RapEvent::RateIncrease { .. } => {}
             }
         }
         self.ev_scratch = events;
@@ -224,15 +206,7 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
         }
         while ctx.now >= self.rap.next_send_time(ctx.now) {
             let size = self.packet_size as f64;
-            // Retransmissions of protected layers take priority over new
-            // data; they ride the same paced budget.
-            let layer = match self.retx_queue.pop_front() {
-                Some((l, _)) => {
-                    self.retransmissions += 1;
-                    l
-                }
-                None => self.qa.next_packet_layer(size),
-            };
+            let layer = self.qa.next_packet_layer(size);
             let seq = self.rap.register_send(ctx.now, size, layer as u32);
             if let Some(cnt) = self.sent_per_layer.get_mut(layer) {
                 *cnt += 1;
@@ -425,7 +399,7 @@ mod tests {
     }
 
     /// [`run_flow`] over RAP.
-    fn qa_flow(bw: f64, queue: usize, dur: f64, protect: usize) -> (World, AgentId, AgentId) {
+    fn qa_flow(bw: f64, queue: usize, dur: f64) -> (World, AgentId, AgentId) {
         run_flow(17, bw, queue, dur, |sink, fwd, qa_cfg| {
             let rap_cfg = RapConfig {
                 packet_size: 500.0,
@@ -433,9 +407,7 @@ mod tests {
                 initial_rtt: 0.08,
                 max_rate: 45_000.0,
             };
-            let mut src = QaSourceAgent::new(sink, vec![fwd], 1, rap_cfg, qa_cfg, 0.05);
-            src.retransmit_protect = protect;
-            src
+            QaSourceAgent::new(sink, vec![fwd], 1, rap_cfg, qa_cfg, 0.05)
         })
     }
 
@@ -514,7 +486,7 @@ mod tests {
 
     #[test]
     fn single_qa_flow_adapts_to_bottleneck() {
-        let (w, src, sink) = qa_flow(25_000.0, 15, 25.0, 0);
+        let (w, src, sink) = qa_flow(25_000.0, 15, 25.0);
         // 25 KB/s bottleneck and 5 KB/s layers: should settle at 4-5
         // layers, not pinned at 1 or 6.
         let mean = mean_layers::<RapSender>(&w, src, 10.0);
@@ -526,37 +498,8 @@ mod tests {
     }
 
     #[test]
-    fn selective_retransmission_repairs_base_layer() {
-        // A tight queue makes losses frequent; with base-layer protection
-        // enabled the receiver's base layer misses (starves) less.
-        let (w_off, _, sink_off) = qa_flow(15_000.0, 4, 25.0, 0);
-        let (w_on, src_on, sink_on) = qa_flow(15_000.0, 4, 25.0, 1);
-        let starved_off = w_off
-            .agent::<QaSinkAgent>(sink_off)
-            .unwrap()
-            .receiver
-            .stats()
-            .starved[0];
-        let starved_on = w_on
-            .agent::<QaSinkAgent>(sink_on)
-            .unwrap()
-            .receiver
-            .stats()
-            .starved[0];
-        let src: &QaSourceAgent = w_on.agent(src_on).unwrap();
-        assert!(
-            src.retransmissions > 0,
-            "protection must actually retransmit"
-        );
-        assert!(
-            starved_on <= starved_off,
-            "retransmission should not increase base starvation: {starved_on} vs {starved_off}"
-        );
-    }
-
-    #[test]
     fn sent_per_layer_matches_active_layers() {
-        let (w, src, _) = qa_flow(25_000.0, 15, 15.0, 0);
+        let (w, src, _) = qa_flow(25_000.0, 15, 15.0);
         let s: &QaSourceAgent = w.agent(src).unwrap();
         // Lower layers must carry at least as many packets as higher ones
         // over the run (they are always active).

@@ -162,9 +162,6 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// QA allocation period (seconds).
     pub tick_dt: f64,
-    /// Layers `0..n` protected by selective retransmission (§1.3);
-    /// 0 = off (the paper's evaluation setting).
-    pub retransmit_protect: usize,
     /// Fault-suite intensity (see [`crate::faults`]). `None` (the default
     /// for T1 and T2), or any value that is not finite and positive, adds
     /// no agent at all, so baseline trajectories — and every seed-pinned
@@ -214,7 +211,6 @@ impl ScenarioConfig {
             duration,
             seed,
             tick_dt: 0.05,
-            retransmit_protect: 0,
             fault_intensity: None,
             transport: Transport::Rap,
             trace: None,
@@ -404,7 +400,6 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
             );
             src.start_at = QA_START;
             src.reserve_until(cfg.duration);
-            src.retransmit_protect = cfg.retransmit_protect;
             world.add_agent(Box::new(src))
         }
         let w = &mut d.world;

@@ -56,7 +56,6 @@ pub struct Dumbbell {
     cfg: DumbbellConfig,
     fwd_bottleneck: LinkId,
     rev_bottleneck: LinkId,
-    bond_path: Option<LinkId>,
 }
 
 impl Dumbbell {
@@ -83,7 +82,6 @@ impl Dumbbell {
             cfg,
             fwd_bottleneck,
             rev_bottleneck,
-            bond_path: None,
         }
     }
 
@@ -95,21 +93,13 @@ impl Dumbbell {
     /// per-flow routes so the link numbering of non-bonded scenarios is
     /// untouched. Returns the new leg's link id.
     pub fn add_bond_path(&mut self) -> LinkId {
-        let id = self.world.add_link(LinkConfig {
+        self.world.add_link(LinkConfig {
             bandwidth: self.cfg.bottleneck_bw,
             delay: BOTTLENECK_DELAY,
             queue_packets: self.cfg.queue_packets,
             queue_kind: self.cfg.queue_kind,
             loss_rate: self.cfg.loss_rate,
-        });
-        self.bond_path = Some(id);
-        id
-    }
-
-    /// The second bonded forward bottleneck, if [`Dumbbell::add_bond_path`]
-    /// created one.
-    pub fn bond_path(&self) -> Option<LinkId> {
-        self.bond_path
+        })
     }
 
     /// The shared forward bottleneck link.

@@ -8,14 +8,14 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== 1/8 formatting (cargo fmt --check) =="
+echo "== 1/9 formatting (cargo fmt --check) =="
 # The root workspace is rustfmt-clean, so a PR's diff carries only its own
 # change. benchmark/ is its own workspace; --all does not reach it.
 cargo fmt --all -- --check
 
-echo "== 2/8 build (release) =="
+echo "== 2/9 build (release) =="
 # No configuration may go unbuilt: --all-features compiles any feature a
-# later PR adds (steps 5 and 7 test and lint it too), nothing may be excluded
+# later PR adds (steps 6 and 8 test and lint it too), nothing may be excluded
 # from the workspace, and the workspace is exactly these nine packages.
 cargo build --release --all-targets --all-features
 # benchmark/ is its own workspace with path dependencies on crates/*: an
@@ -37,7 +37,15 @@ if [ "$got" != "$want " ]; then
   exit 1
 fi
 
-echo "== 3/8 controller-only workload fingerprint and allocations =="
+echo "== 3/9 examples run (release) =="
+# Step 2 compiles the examples but nothing else runs them, so one that
+# panics would pass every other step. Each must exit 0.
+for example in quickstart live_session; do
+  cargo run --release --quiet -p laqa-apps --example "$example" > /dev/null
+done
+echo "quickstart and live_session exit 0"
+
+echo "== 4/9 controller-only workload fingerprint and allocations =="
 # No test pins a 10-layer, K_max 16 controller run bit for bit. The
 # benchmark's qa_fluid workload is one (QaController alone on a seeded
 # AIMD sawtooth, K_max 2 to 16): at seed 1999 it must print this
@@ -64,7 +72,7 @@ if [ -z "$allocs" ] || ! awk -v a="$allocs" -v m="$max_allocs" 'BEGIN { exit !(a
 fi
 echo "qa_fluid allocs_per_session $allocs (ceiling $max_allocs)"
 
-echo "== 4/8 figures and Tables 1-2 match results/ (laqa figures --check) =="
+echo "== 5/9 figures and Tables 1-2 match results/ (laqa figures --check) =="
 # Every figure, ablation and Tables 1-2 runs into a scratch directory
 # (≈ 0.7 s for the figures; ≈ 2 s for `tables`, the paper's T1+T2 grid
 # with its replay check at a second thread count); each report must equal
@@ -75,18 +83,18 @@ echo "== 4/8 figures and Tables 1-2 match results/ (laqa figures --check) =="
 # `laqa figures` and commit the new results.
 ./target/release/laqa figures --check
 
-echo "== 5/8 tests =="
+echo "== 6/9 tests =="
 cargo test -q --all-features
 
-echo "== 6/8 benchmark/ tests =="
+echo "== 7/9 benchmark/ tests =="
 # A type the benchmark reads can change shape and still compile (step 2);
 # its own unit tests and --smoke runs exercise what it reads.
 cargo test --offline -q --manifest-path benchmark/Cargo.toml
 
-echo "== 7/8 clippy (deny warnings) =="
+echo "== 8/9 clippy (deny warnings) =="
 cargo clippy --all-targets --all-features -- -D warnings
 
-echo "== 8/8 rustdoc (deny warnings) =="
+echo "== 9/9 rustdoc (deny warnings) =="
 # Intra-doc links name functions; a rename that leaves one dangling is
 # otherwise only a warning nobody reads.
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
