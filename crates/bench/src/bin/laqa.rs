@@ -190,13 +190,14 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
         cfg.dumbbell.queue_kind
     );
     let out = run_scenario(&cfg);
-    println!("tx rate : {}", ascii_plot(&out.traces.tx_rate, 64));
-    println!("layers  : {}", ascii_plot(&out.traces.n_active, 64));
+    let (tx_rate, n_active) = (out.traces.tx_rate(), out.traces.n_active());
+    println!("tx rate : {}", ascii_plot(&tx_rate, 64));
+    println!("layers  : {}", ascii_plot(&n_active, 64));
     println!("queue   : {}", ascii_plot(&out.queue_trace, 64));
     println!();
     println!(
         "mean layers (steady) : {:.2}",
-        window_mean(&out.traces.n_active, duration * 0.3, duration).unwrap_or(0.0)
+        window_mean(&n_active, duration * 0.3, duration).unwrap_or(0.0)
     );
     println!("quality changes      : {}", out.metrics.quality_changes());
     println!("backoffs             : {}", out.backoffs);
@@ -206,10 +207,10 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
 
     if let Some(dir) = args.options.get("csv") {
         let mut rec = Recorder::new();
-        rec.insert(out.traces.tx_rate.clone());
-        rec.insert(out.traces.n_active.clone());
+        rec.insert(tx_rate);
+        rec.insert(n_active);
         rec.insert(out.queue_trace.clone());
-        for ts in out.traces.buffer.to_series() {
+        for ts in out.traces.buffer() {
             rec.insert(ts);
         }
         rec.write_csv_dir(dir)?;

@@ -128,7 +128,7 @@ fn run_qa<T: RateController + 'static>(
     world.run_until(dur);
     let src: &QaSourceAgent<T> = world.agent(src_id).expect("the QA source");
     let sink: &QaSinkAgent = world.agent(sink_id).expect("the QA sink");
-    let n_active = &src.traces.n_active;
+    let n_active = src.traces.n_active();
     let steady: Vec<f64> = n_active
         .points
         .iter()
@@ -143,7 +143,7 @@ fn run_qa<T: RateController + 'static>(
             .count(),
         stalls: src.qa().metrics().stalls(),
         base_underflows: sink.receiver.stats().underflows[0],
-        plot: ascii_plot(n_active, 64),
+        plot: ascii_plot(&n_active, 64),
     }
 }
 

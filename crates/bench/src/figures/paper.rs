@@ -392,12 +392,10 @@ naive-order drain violations found: {violations}"
 /// and each layer's rate, buffer and `drain` rate.
 fn qa_series(traces: &QaTraces, consumption: TimeSeries, drain: Vec<TimeSeries>) -> Recorder {
     let mut rec = Recorder::new();
-    for ts in [&traces.tx_rate, &traces.n_active] {
-        rec.insert(ts.clone());
-    }
-    let per_layer = traces.layer_rate.to_series().into_iter();
+    let ticks = [traces.tx_rate(), traces.n_active()].into_iter();
+    let per_layer = traces.layer_rate().into_iter().chain(traces.buffer());
     let derived = drain.into_iter().chain([consumption]);
-    for ts in per_layer.chain(traces.buffer.to_series()).chain(derived) {
+    for ts in ticks.chain(per_layer).chain(derived) {
         rec.insert(ts);
     }
     rec
@@ -416,6 +414,7 @@ pub(super) fn fig11(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
     let cfg = ScenarioConfig::t1(2, duration, 7);
     let out = run_scenario(&cfg);
     let (consumption, drain_rate) = out.traces.consumption_and_drain(cfg.qa.layer_rate);
+    let (tx_rate, n_active) = (out.traces.tx_rate(), out.traces.n_active());
 
     let plot = |series| ascii_plot(series, 72);
     writeln!(
@@ -425,14 +424,11 @@ pub(super) fn fig11(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
 total tx rate   : {}
 consumption     : {}
 active layers   : {}",
-        plot(&out.traces.tx_rate),
+        plot(&tx_rate),
         plot(&consumption),
-        plot(&out.traces.n_active)
+        plot(&n_active)
     )?;
-    let (rates, buffers) = (
-        out.traces.layer_rate.to_series(),
-        out.traces.buffer.to_series(),
-    );
+    let (rates, buffers) = (out.traces.layer_rate(), out.traces.buffer());
     for (i, series) in rates.iter().take(6).enumerate() {
         writeln!(w, "L{i} tx rate     : {}", plot(series))?;
     }
@@ -444,8 +440,8 @@ active layers   : {}",
     }
 
     let steady = (15.0, duration);
-    let mean_rate = window_mean(&out.traces.tx_rate, steady.0, steady.1).unwrap_or(0.0);
-    let mean_layers = window_mean(&out.traces.n_active, steady.0, steady.1).unwrap_or(0.0);
+    let mean_rate = window_mean(&tx_rate, steady.0, steady.1).unwrap_or(0.0);
+    let mean_layers = window_mean(&n_active, steady.0, steady.1).unwrap_or(0.0);
     let max_buf: f64 = buffers
         .iter()
         .map(|b| b.max().unwrap_or(0.0))
@@ -557,10 +553,9 @@ pub(super) fn fig12(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
         let cfg = ScenarioConfig::t1(k_max, duration, seed);
         let out = run_scenario(&cfg);
 
-        let changes = window_changes(&out.traces.n_active, 15.0, duration);
-        let steady: Vec<f64> = out
-            .traces
-            .n_active
+        let mut n_active = out.traces.n_active();
+        let changes = window_changes(&n_active, 15.0, duration);
+        let steady: Vec<f64> = n_active
             .points
             .iter()
             .filter(|&&(t, _)| t > 15.0)
@@ -569,7 +564,7 @@ pub(super) fn fig12(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
         let mean_layers = steady.iter().sum::<f64>() / steady.len().max(1) as f64;
         // Total buffering over time, its peak and the share held above L1
         // at that moment.
-        let buffers = out.traces.buffer.to_series();
+        let buffers = out.traces.buffer();
         let mut total_buf = TimeSeries::new(format!("total_buffer_k{k_max}"));
         let (mut peak_total, mut upper_share_at_peak) = (0.0f64, 0.0f64);
         for (idx, &(t, _)) in buffers[0].points.iter().enumerate() {
@@ -588,7 +583,7 @@ pub(super) fn fig12(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
         writeln!(
             w,
             "-- K_max = {k_max} --\nactive layers: {}\ntotal buffer : {}",
-            ascii_plot(&out.traces.n_active, 72),
+            ascii_plot(&n_active, 72),
             ascii_plot(&total_buf, 72)
         )?;
 
@@ -601,9 +596,8 @@ pub(super) fn fig12(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
             out.metrics.stalls().to_string(),
         ]);
 
-        let mut n_series = out.traces.n_active.clone();
-        n_series.name = format!("n_active_k{k_max}");
-        rec.insert(n_series);
+        n_active.name = format!("n_active_k{k_max}");
+        rec.insert(n_active);
         rec.insert(total_buf);
 
         let mut summary = RunSummary::new(format!("fig12/k{k_max}"));
@@ -640,6 +634,7 @@ pub(super) fn fig13(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
     let (burst_start, burst_stop, burst_rate) = cfg.cbr.expect("t2 has a burst");
     let out = run_scenario(&cfg);
     let (consumption, drain_rate) = out.traces.consumption_and_drain(cfg.qa.layer_rate);
+    let (tx_rate, n_active) = (out.traces.tx_rate(), out.traces.n_active());
 
     let plot = |series| ascii_plot(series, 72);
     writeln!(
@@ -649,17 +644,17 @@ burst: {burst_rate:.0} B/s during t = {burst_start:.0}..{burst_stop:.0} s\n
 total tx rate : {}
 consumption   : {}
 active layers : {}",
-        plot(&out.traces.tx_rate),
+        plot(&tx_rate),
         plot(&consumption),
-        plot(&out.traces.n_active)
+        plot(&n_active)
     )?;
-    for (i, series) in out.traces.buffer.to_series().iter().take(5).enumerate() {
+    for (i, series) in out.traces.buffer().iter().take(5).enumerate() {
         writeln!(w, "L{i} buffer     : {}", plot(series))?;
     }
 
-    let before = window_mean(&out.traces.n_active, 15.0, burst_start).unwrap_or(0.0);
-    let during = window_mean(&out.traces.n_active, burst_start + 5.0, burst_stop).unwrap_or(0.0);
-    let after = window_mean(&out.traces.n_active, burst_stop + 5.0, duration).unwrap_or(0.0);
+    let before = window_mean(&n_active, 15.0, burst_start).unwrap_or(0.0);
+    let during = window_mean(&n_active, burst_start + 5.0, burst_stop).unwrap_or(0.0);
+    let after = window_mean(&n_active, burst_stop + 5.0, duration).unwrap_or(0.0);
     writeln!(
         w,
         "

@@ -60,11 +60,6 @@ impl LayeredReceiver {
         }
     }
 
-    /// The encoding being received.
-    pub fn encoding(&self) -> &LayeredEncoding {
-        &self.encoding
-    }
-
     /// Change the decoded layer count (server adds/drops are signalled in
     /// the data stream; the receiver follows).
     pub fn set_active_layers(&mut self, n: usize) {

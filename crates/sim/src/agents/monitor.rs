@@ -5,35 +5,30 @@ use crate::engine::{Agent, Ctx};
 use crate::packet::{LinkId, Packet};
 use laqa_trace::TimeSeries;
 
-/// Samples the queue length of a set of links on a fixed period.
+/// Samples the queue length of one link on a fixed period.
 pub struct QueueMonitor {
-    links: Vec<LinkId>,
+    link: LinkId,
     period: f64,
-    /// One series per monitored link, in the order given.
-    pub series: Vec<TimeSeries>,
+    /// The link's queue length, named `queue_len_link<link>`.
+    pub series: TimeSeries,
 }
 
 impl QueueMonitor {
-    /// Monitor `links` every `period` seconds.
-    pub fn new(links: Vec<LinkId>, period: f64) -> Self {
+    /// Monitor `link` every `period` seconds.
+    pub fn new(link: LinkId, period: f64) -> Self {
         assert!(period > 0.0);
-        let series = links
-            .iter()
-            .map(|l| TimeSeries::new(format!("queue_len_link{l}")))
-            .collect();
         QueueMonitor {
-            links,
+            link,
             period,
-            series,
+            series: TimeSeries::new(format!("queue_len_link{link}")),
         }
     }
 
-    /// Size every series for a run ending at `until` (seconds): one sample
+    /// Size the series for a run ending at `until` (seconds): one sample
     /// per period, the first one period in.
     pub(crate) fn reserve_until(&mut self, until: f64) {
-        for series in &mut self.series {
-            series.reserve_periodic(self.period, self.period, until);
-        }
+        self.series
+            .reserve_periodic(self.period, self.period, until);
     }
 }
 
@@ -45,9 +40,8 @@ impl Agent for QueueMonitor {
     fn on_packet(&mut self, _ctx: &mut Ctx, _pkt: Packet) {}
 
     fn on_timer(&mut self, ctx: &mut Ctx, _token: u64) {
-        for (i, &link) in self.links.iter().enumerate() {
-            self.series[i].push(ctx.now, ctx.link_queue_len(link) as f64);
-        }
+        self.series
+            .push(ctx.now, ctx.link_queue_len(self.link) as f64);
         ctx.set_timer_after(self.period, 0);
     }
 }
@@ -79,10 +73,10 @@ mod tests {
             0.0,
             2.0,
         )));
-        let mon = w.add_agent(Box::new(QueueMonitor::new(vec![l], 0.05)));
+        let mon = w.add_agent(Box::new(QueueMonitor::new(l, 0.05)));
         w.run_until(1.0);
         let m: &QueueMonitor = w.agent(mon).unwrap();
-        let series = &m.series[0];
+        let series = &m.series;
         assert!(series.len() >= 18, "{} samples", series.len());
         assert!(series.max().unwrap() > 3.0, "queue should build");
         // Monotone-ish growth early in the overload.
@@ -95,9 +89,9 @@ mod tests {
     fn monitor_of_idle_link_reads_zero() {
         let mut w = World::new(3);
         let l = w.add_link(LinkConfig::uncongested());
-        let mon = w.add_agent(Box::new(QueueMonitor::new(vec![l], 0.1)));
+        let mon = w.add_agent(Box::new(QueueMonitor::new(l, 0.1)));
         w.run_until(1.0);
         let m: &QueueMonitor = w.agent(mon).unwrap();
-        assert_eq!(m.series[0].max(), Some(0.0));
+        assert_eq!(m.series.max(), Some(0.0));
     }
 }

@@ -9,50 +9,73 @@ use laqa_core::{QaConfig, QaController};
 use laqa_layered::{LayeredEncoding, LayeredReceiver};
 use laqa_rap::{RapConfig, RapEvent, RapReceiverState, RapSender, RateController};
 use laqa_trace::{LayerColumns, TimeSeries};
+use std::iter;
 
 /// Per-run traces recorded by the QA source (the figure-11 panels; the
 /// consumption and drain-rate panels are derived, see
-/// [`QaTraces::consumption_and_drain`]).
+/// [`QaTraces::consumption_and_drain`]): one table with a row per
+/// allocation tick and the columns `tx_rate`, `n_active`, each layer's
+/// `layer_rate_<i>`, then each layer's `buffer_<i>`.
 #[derive(Debug, Clone, Default)]
-pub struct QaTraces {
-    /// Total transmission rate (bytes/s) per tick.
-    pub tx_rate: TimeSeries,
-    /// Active layer count per tick.
-    pub n_active: TimeSeries,
-    /// Allocated send rate per layer per tick.
-    pub layer_rate: LayerColumns,
-    /// Sender-estimated receiver buffer per layer per tick (bytes).
-    pub buffer: LayerColumns,
-}
+pub struct QaTraces(LayerColumns);
 
 impl QaTraces {
+    pub(crate) const TX_RATE: usize = 0;
+    pub(crate) const N_ACTIVE: usize = 1;
+    const LAYER_RATE: usize = 2;
+    const BUFFER: usize = 3;
+
     /// Empty trace set for `max_layers` layers.
     pub fn new(max_layers: usize) -> Self {
-        QaTraces {
-            tx_rate: TimeSeries::new("tx_rate"),
-            n_active: TimeSeries::new("n_active"),
-            layer_rate: LayerColumns::new("layer_rate_", max_layers),
-            buffer: LayerColumns::new("buffer_", max_layers),
-        }
+        let groups = [
+            ("tx_rate", 1),
+            ("n_active", 1),
+            ("layer_rate_", max_layers),
+            ("buffer_", max_layers),
+        ];
+        QaTraces(LayerColumns::new(&groups))
+    }
+
+    pub(crate) fn table(&self) -> &LayerColumns {
+        &self.0
+    }
+
+    /// Total transmission rate (bytes/s) per tick.
+    pub fn tx_rate(&self) -> TimeSeries {
+        self.0.series(Self::TX_RATE)
+    }
+
+    /// Active layer count per tick.
+    pub fn n_active(&self) -> TimeSeries {
+        self.0.series(Self::N_ACTIVE)
+    }
+
+    /// Allocated send rate per layer per tick.
+    pub fn layer_rate(&self) -> Vec<TimeSeries> {
+        self.group(Self::LAYER_RATE)
+    }
+
+    /// Sender-estimated receiver buffer per layer per tick (bytes).
+    pub fn buffer(&self) -> Vec<TimeSeries> {
+        self.group(Self::BUFFER)
+    }
+
+    fn group(&self, group: usize) -> Vec<TimeSeries> {
+        self.0.group(group).map(|c| self.0.series(c)).collect()
     }
 
     /// The aggregate consumption `n_active·C` and the per-layer drain
     /// rates (`max(0, C − alloc)` for active layers, else 0), derived
     /// tick by tick from `n_active` and `layer_rate` for layer rate `c`.
     pub fn consumption_and_drain(&self, c: f64) -> (TimeSeries, Vec<TimeSeries>) {
-        let n_active = &self.n_active.points;
-        let consumption = n_active.iter().map(|&(t, n)| (t, n * c)).collect();
-        let drain = (0..self.layer_rate.layers()).map(|i| {
-            let ticks = n_active.iter().zip(self.layer_rate.values(i));
-            let points = ticks.map(|(&(t, n), a)| {
-                (
-                    t,
-                    if (i as f64) < n {
-                        (c - a).max(0.0)
-                    } else {
-                        0.0
-                    },
-                )
+        let n_active = || self.0.points(Self::N_ACTIVE);
+        let consumption = n_active().map(|(t, n)| (t, n * c)).collect();
+        let layers = self.0.group(Self::LAYER_RATE).enumerate();
+        let drain = layers.map(|(i, col)| {
+            let ticks = n_active().zip(self.0.points(col));
+            let points = ticks.map(|((t, n), (_, a))| {
+                let active = (i as f64) < n;
+                (t, if active { (c - a).max(0.0) } else { 0.0 })
             });
             TimeSeries {
                 name: format!("drain_rate_{i}"),
@@ -89,8 +112,6 @@ pub struct QaSourceAgent<T: RateController = RapSender> {
     pub start_at: f64,
     /// Recorded traces (figure panels).
     pub traces: QaTraces,
-    /// Packets sent per layer (diagnostics).
-    pub sent_per_layer: Vec<u64>,
     /// Reused buffer for draining sender events without reallocating.
     ev_scratch: Vec<RapEvent>,
 }
@@ -146,21 +167,15 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
             armed_at: f64::NEG_INFINITY,
             start_at: 0.0,
             traces: QaTraces::new(max_layers),
-            sent_per_layer: vec![0; max_layers],
             ev_scratch: Vec::new(),
         }
     }
 
     /// Size the traces for a run ending at `until` (seconds): the source
-    /// records one sample per `tick_dt` from `start_at`, so set that first.
+    /// records one row per `tick_dt` from `start_at`, so set that first.
     pub(crate) fn reserve_until(&mut self, until: f64) {
-        let (t, first) = (&mut self.traces, self.start_at.max(0.0));
-        for series in [&mut t.tx_rate, &mut t.n_active] {
-            series.reserve_periodic(first, self.tick_dt, until);
-        }
-        for columns in [&mut t.layer_rate, &mut t.buffer] {
-            columns.reserve_periodic(first, self.tick_dt, until);
-        }
+        let first = self.start_at.max(0.0);
+        self.traces.0.reserve_periodic(first, self.tick_dt, until);
     }
 
     /// The controller (metrics, buffers) for post-run inspection.
@@ -184,14 +199,15 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
     }
 
     fn record_tick(&mut self, now: f64, report: &laqa_core::TickReport) {
-        self.traces.tx_rate.push(now, self.rap.tick_rate());
-        self.traces.n_active.push(now, report.n_active as f64);
+        let layers = self.traces.0.group(QaTraces::LAYER_RATE).len();
         let rates = report.per_layer_rate.iter().copied();
-        self.traces.layer_rate.push_row(now, rates);
+        let rates = rates.chain(iter::repeat(0.0)).take(layers);
         // Report the drainable buffer (debt shows as empty, matching what
         // the receiver actually holds).
         let buffers = self.qa.buffers().iter().map(|b| b.max(0.0));
-        self.traces.buffer.push_row(now, buffers);
+        let head = [self.rap.tick_rate(), report.n_active as f64];
+        let row = head.into_iter().chain(rates).chain(buffers);
+        self.traces.0.push_row(now, row);
     }
 
     fn pump(&mut self, ctx: &mut Ctx) {
@@ -208,9 +224,6 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
             let size = self.packet_size as f64;
             let layer = self.qa.next_packet_layer(size);
             let seq = self.rap.register_send(ctx.now, size, layer as u32);
-            if let Some(cnt) = self.sent_per_layer.get_mut(layer) {
-                *cnt += 1;
-            }
             ctx.send(Packet {
                 flow: self.flow,
                 size: self.packet_size,
@@ -301,7 +314,7 @@ impl QaSinkAgent {
             reverse_route: reverse_route.into(),
             flow,
             adv_dt,
-            buffer_trace: LayerColumns::new("rx_buffer_", n),
+            buffer_trace: LayerColumns::new(&[("rx_buffer_", n)]),
             underflows: 0,
         }
     }
@@ -337,7 +350,7 @@ impl Agent for QaSinkAgent {
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         if token == 1 {
             self.underflows += self.receiver.advance(self.adv_dt) as u64;
-            let buffered = (0..self.buffer_trace.layers()).map(|i| self.receiver.buffered(i));
+            let buffered = (0..self.buffer_trace.width()).map(|i| self.receiver.buffered(i));
             self.buffer_trace.push_row(ctx.now, buffered);
             ctx.set_timer_after(self.adv_dt, 1);
         }
@@ -432,7 +445,7 @@ mod tests {
         let s: &QaSourceAgent<T> = w.agent(src).unwrap();
         let steady: Vec<f64> = s
             .traces
-            .n_active
+            .n_active()
             .points
             .iter()
             .filter(|&&(t, _)| t > after)
@@ -470,10 +483,13 @@ mod tests {
     #[test]
     fn derived_series_follow_layer_count_and_allocation() {
         let mut traces = QaTraces::new(2);
-        for (t, n, alloc) in [(0.0, 1.0, [3.0, 0.0]), (0.1, 2.0, [12.0, 7.0])] {
-            traces.n_active.push(t, n);
-            traces.layer_rate.push_row(t, alloc);
-        }
+        traces.0.push_row(0.0, [30.0, 1.0, 3.0]);
+        traces.0.push_row(0.1, [20.0, 2.0, 12.0, 7.0]);
+        // One time column, then one column per quantity.
+        assert_eq!(traces.table().room().count(), 1 + 2 + 2 * 2);
+        assert_eq!(traces.tx_rate().points, [(0.0, 30.0), (0.1, 20.0)]);
+        assert_eq!(traces.layer_rate()[1].name, "layer_rate_1");
+        assert_eq!(traces.buffer()[1].points, [(0.0, 0.0), (0.1, 0.0)]);
         let (consumption, drain) = traces.consumption_and_drain(10.0);
         assert_eq!(consumption.name, "consumption");
         assert_eq!(consumption.points, [(0.0, 10.0), (0.1, 20.0)]);
@@ -498,17 +514,17 @@ mod tests {
     }
 
     #[test]
-    fn sent_per_layer_matches_active_layers() {
-        let (w, src, _) = qa_flow(25_000.0, 15, 15.0);
-        let s: &QaSourceAgent = w.agent(src).unwrap();
-        // Lower layers must carry at least as many packets as higher ones
-        // over the run (they are always active).
-        let counts = &s.sent_per_layer;
-        assert!(counts[0] > 0);
-        for w2 in counts.windows(2) {
+    fn received_per_layer_matches_active_layers() {
+        let (w, _, sink) = qa_flow(25_000.0, 15, 15.0);
+        let sk: &QaSinkAgent = w.agent(sink).unwrap();
+        // Lower layers must carry at least as many bytes as higher ones
+        // over the run (they are always active), within 50 packets.
+        let bytes = &sk.receiver.stats().received;
+        assert!(bytes[0] > 0.0);
+        for w2 in bytes.windows(2) {
             assert!(
-                w2[0] + 50 >= w2[1],
-                "layer counts should roughly decrease: {counts:?}"
+                w2[0] + 50.0 * 500.0 >= w2[1],
+                "layer bytes should roughly decrease: {bytes:?}"
             );
         }
     }

@@ -30,6 +30,7 @@ use laqa_core::metrics::{DropReason, QaEvent};
 use laqa_obs::FlightTrace;
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
+use crate::agents::qa::QaTraces;
 use crate::scenarios::{run_scenario, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};
 
 /// Which of the paper's dumbbell workloads a session runs.
@@ -480,9 +481,9 @@ pub fn hash_outcome(out: &ScenarioOutcome) -> u64 {
     for ev in out.metrics.events() {
         hash_event(&mut h, ev);
     }
-    h.samples(&out.traces.tx_rate.points);
-    h.samples(&out.traces.n_active.points);
-    h.samples(&out.queue_trace.points);
+    h.samples(out.traces.table().points(QaTraces::TX_RATE));
+    h.samples(out.traces.table().points(QaTraces::N_ACTIVE));
+    h.samples(out.queue_trace.points.iter().copied());
     h.u64(out.backoffs);
     h.u64(out.rx_underflows);
     h.u64(out.rx_base_underflows);

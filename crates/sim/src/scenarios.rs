@@ -491,7 +491,7 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
     });
 
     let bottleneck = d.bottleneck();
-    let mut monitor = QueueMonitor::new(vec![bottleneck], cfg.tick_dt * 4.0);
+    let mut monitor = QueueMonitor::new(bottleneck, cfg.tick_dt * 4.0);
     monitor.reserve_until(cfg.duration);
     let monitor_id = d.world.add_agent(Box::new(monitor));
 
@@ -594,7 +594,7 @@ fn extract_outcome(
         .unwrap_or_default();
     let queue_trace = world
         .agent_mut::<QueueMonitor>(handles.monitor)
-        .map(|m| std::mem::take(&mut m.series[0]))
+        .map(|m| std::mem::take(&mut m.series))
         .unwrap_or_default();
     let events_processed = world.events_processed();
     let trace_changes = handles
@@ -655,7 +655,7 @@ mod tests {
         let out = run_scenario(&cfg);
         // The QA flow must have reached more than one layer and survived
         // backoffs without starving the base layer.
-        let max_layers = out.traces.n_active.max().unwrap_or(0.0);
+        let max_layers = out.traces.n_active().max().unwrap_or(0.0);
         assert!(max_layers >= 2.0, "n_active peaked at {max_layers}");
         assert!(out.backoffs > 0, "competition must cause backoffs");
         assert!(out.bottleneck.dropped > 0);
@@ -669,7 +669,7 @@ mod tests {
     fn t2_burst_forces_quality_reduction() {
         let cfg = ScenarioConfig::t2(2, 45.0, 7);
         let out = run_scenario(&cfg);
-        let n = &out.traces.n_active;
+        let n = out.traces.n_active();
         // Peak layer count before the burst vs the minimum during it.
         let before: f64 = n
             .points
@@ -705,30 +705,28 @@ mod tests {
             faulted,
         ] {
             let out = run_scenario(&cfg);
-            let qa = &out.traces;
             let fits = |len: usize, cap: usize| len <= cap && cap <= len + 2;
-            for s in [&qa.tx_rate, &qa.n_active, &out.queue_trace] {
-                let (len, cap) = (s.points.len(), s.points.capacity());
-                assert!(
-                    len > 0 && fits(len, cap),
-                    "{} at {} s: {len} samples in {cap} slots",
-                    s.name,
-                    cfg.duration
-                );
-            }
-            // A layer's column starts at its first nonzero sample, or
-            // never: one that started fills the room it reserved then, one
-            // that never did holds nothing, and the time column is full.
-            for columns in [&qa.layer_rate, &qa.buffer, &out.rx_buffers] {
+            let s = &out.queue_trace;
+            let (len, cap) = (s.points.len(), s.points.capacity());
+            assert!(
+                len > 0 && fits(len, cap),
+                "{} at {} s: {len} samples in {cap} slots",
+                s.name,
+                cfg.duration
+            );
+            // A column starts at its first nonzero sample, or never: one
+            // that started fills the room it reserved then, one that never
+            // did holds nothing, and the time column is full.
+            for columns in [out.traces.table(), &out.rx_buffers] {
                 let mut room = columns.room();
                 let (rows, cap) = room.next().expect("the time column");
                 assert!(rows > 0 && fits(rows, cap), "{rows} rows in {cap} slots");
                 let mut started = 0;
-                for (layer, (len, cap)) in room.enumerate() {
+                for (column, (len, cap)) in room.enumerate() {
                     assert!(
                         fits(len, cap),
                         "{} at {} s: {len} samples in {cap} slots",
-                        columns.series(layer).name,
+                        columns.series(column).name,
                         cfg.duration
                     );
                     started += usize::from(len > 0);
@@ -743,7 +741,7 @@ mod tests {
         let cfg = ScenarioConfig::t1(2, 10.0, 99);
         let a = run_scenario(&cfg);
         let b = run_scenario(&cfg);
-        assert_eq!(a.traces.n_active.points, b.traces.n_active.points);
+        assert_eq!(a.traces.n_active(), b.traces.n_active());
         assert_eq!(a.bottleneck.dropped, b.bottleneck.dropped);
     }
 }

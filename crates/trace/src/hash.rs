@@ -48,10 +48,10 @@ impl TraceHasher {
     }
 
     /// Fold in a `(time, value)` sample sequence.
-    pub fn samples(&mut self, points: &[(f64, f64)]) -> &mut Self {
+    pub fn samples(&mut self, points: impl ExactSizeIterator<Item = (f64, f64)>) -> &mut Self {
         self.u64(points.len() as u64);
         for (t, v) in points {
-            self.f64(*t).f64(*v);
+            self.f64(t).f64(v);
         }
         self
     }
@@ -112,9 +112,9 @@ mod tests {
     fn samples_fingerprint_is_stable() {
         let pts = [(0.0, 1.0), (0.5, 2.0)];
         let mut a = TraceHasher::new();
-        a.samples(&pts);
+        a.samples(pts.into_iter());
         let mut b = TraceHasher::new();
-        b.samples(&pts);
+        b.samples(pts.into_iter());
         assert_eq!(a.finish(), b.finish());
     }
 }

@@ -11,7 +11,7 @@
 //! the cap enforced and shows the base layer still never stalls.
 //!
 //! ```sh
-//! cargo run -p laqa-apps --example live_session
+//! cargo run -p laqa-bench --example live_session
 //! ```
 
 use laqa_core::{QaConfig, QaController, StateSequence};

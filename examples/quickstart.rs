@@ -6,7 +6,7 @@
 //! congestion controller so the adaptation is easy to watch.
 //!
 //! ```sh
-//! cargo run -p laqa-apps --example quickstart
+//! cargo run -p laqa-bench --example quickstart
 //! ```
 
 use laqa_core::{Phase, QaConfig, QaController};

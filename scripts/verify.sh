@@ -16,7 +16,7 @@ cargo fmt --all -- --check
 echo "== 2/9 build (release) =="
 # No configuration may go unbuilt: --all-features compiles any feature a
 # later PR adds (steps 6 and 8 test and lint it too), nothing may be excluded
-# from the workspace, and the workspace is exactly these nine packages.
+# from the workspace, and the workspace is exactly these eight packages.
 cargo build --release --all-targets --all-features
 # benchmark/ is its own workspace with path dependencies on crates/*: an
 # API deleted there can break the only perf harness while `cargo test`
@@ -26,7 +26,7 @@ if grep -qE '^\s*exclude\s*=' Cargo.toml; then
   echo "FAIL: root Cargo.toml excludes a crate from the workspace" >&2
   exit 1
 fi
-want="laqa-apps laqa-bench laqa-check laqa-core laqa-layered laqa-obs laqa-rap laqa-sim laqa-trace"
+want="laqa-bench laqa-check laqa-core laqa-layered laqa-obs laqa-rap laqa-sim laqa-trace"
 got=$(cargo metadata --offline --no-deps --format-version 1 \
   | grep -oE '"workspace_members":\[[^]]*\]' | grep -oE '"[^"]+"' | tail -n +2 \
   | sed -E 's/^"//; s/"$//; s/.*#//; s/[@ ].*//' | sort | tr '\n' ' ')
@@ -41,7 +41,7 @@ echo "== 3/9 examples run (release) =="
 # Step 2 compiles the examples but nothing else runs them, so one that
 # panics would pass every other step. Each must exit 0.
 for example in quickstart live_session; do
-  cargo run --release --quiet -p laqa-apps --example "$example" > /dev/null
+  cargo run --release --quiet -p laqa-bench --example "$example" > /dev/null
 done
 echo "quickstart and live_session exit 0"
 
