@@ -8,8 +8,6 @@
 //! laqa campaign   [--smoke] [--faults] [--duration S] [--kmax LIST]
 //!                 [--seeds LIST] [--threads N] [--intensity LIST]
 //!                 [--transport LIST] [--trace LIST] [--out DIR] [--obs DIR]
-//! laqa obs-report [--dir DIR]
-//! laqa obs-trace  [--dir DIR] [--out FILE]
 //! laqa figures    [--only ID] [--out DIR] [--check]
 //! ```
 //!
@@ -56,8 +54,6 @@ fn main() {
                 "obs",
             ],
         ),
-        Some("obs-report") => (&[], &["dir"]),
-        Some("obs-trace") => (&[], &["dir", "out"]),
         Some("figures") => (&["check"], &["only", "out"]),
         _ => (&[], &[]),
     };
@@ -68,8 +64,6 @@ fn main() {
             "states" => cmd_states(&args),
             "bands" => cmd_bands(&args),
             "campaign" => campaign::cmd(&args),
-            "obs-report" => cmd_obs_report(&args),
-            "obs-trace" => cmd_obs_trace(&args),
             "figures" => cmd_figures(&args),
             other => Err(usage_error(format!("unknown subcommand '{other}'"))),
         });
@@ -100,10 +94,8 @@ subcommands:
               fault-intensity sweep, --intensity in [0, 1]); lists are
               comma-separated (--kmax 2,4 --transport rap,tcp --trace lte);
               --out DIR writes one summary per session, --obs DIR the
-              observability snapshot and flight trace
-  obs-report  render an observability snapshot written by campaign --obs DIR
-  obs-trace   convert a flight-recorder trace (flight.json in --obs DIR)
-              to Chrome trace-event JSON for Perfetto / chrome://tracing
+              counter report (report.txt) and the flight recorder's
+              Chrome trace for Perfetto / chrome://tracing (trace.json)
   figures     regenerate the paper's figures, ablations and Tables 1-2: each
               report to DIR/ID.out and its CSV/JSON under DIR/ID/ (--out DIR,
               default results/); --check compares the reports with
@@ -215,70 +207,6 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
         }
         rec.write_csv_dir(dir)?;
         println!("wrote CSVs to {dir}");
-    }
-    Ok(())
-}
-
-/// Load the `metrics.json` written by `laqa campaign --obs DIR` and print
-/// it as aligned tables.
-fn cmd_obs_report(args: &Args) -> Result<(), AnyError> {
-    let dir: String = args.get("dir", "target/obs".to_string())?;
-    let path = std::path::Path::new(&dir);
-    let snap = laqa_obs::Snapshot::read_dir(path)
-        .map_err(|e| format!("reading obs snapshot from {dir}: {e}"))?;
-    print!("{}", snap.render());
-    if snap.is_empty() {
-        println!("(snapshot is empty — was the run executed with --obs and obs enabled?)");
-    }
-    Ok(())
-}
-
-/// Convert the `flight.json` flight-recorder trace written by
-/// `laqa campaign --obs DIR` into Chrome trace-event JSON, then re-parse and
-/// validate the written file (span balance, one non-empty track per
-/// session in `flight.json`) so a malformed or empty export fails loudly
-/// (`crates/bench/tests/cli.rs` drives the round trip).
-fn cmd_obs_trace(args: &Args) -> Result<(), AnyError> {
-    let dir: String = args.get("dir", "target/obs".to_string())?;
-    let out: String = args.get("out", format!("{dir}/trace.json"))?;
-    let flight_path = std::path::Path::new(&dir).join("flight.json");
-    let text = std::fs::read_to_string(&flight_path).map_err(|e| {
-        format!(
-            "reading {}: {e} (was the run executed with --obs so the flight recorder exported?)",
-            flight_path.display()
-        )
-    })?;
-    let raw = laqa_trace::parse_json(&text).map_err(|e| format!("parsing flight.json: {e}"))?;
-    let trace = laqa_obs::FlightTrace::from_json(&raw)?;
-    let chrome = trace.to_chrome();
-    std::fs::write(&out, chrome.to_compact()).map_err(|e| format!("writing {out}: {e}"))?;
-
-    // Validate what actually landed on disk, end to end.
-    let back = laqa_trace::parse_json(&std::fs::read_to_string(&out)?)
-        .map_err(|e| format!("re-parsing {out}: {e}"))?;
-    let stats = laqa_trace::validate_chrome(&back).map_err(|e| format!("invalid export: {e}"))?;
-
-    let mut tbl = Table::new("trace tracks", &["track", "events"]);
-    for t in stats.tracks.values() {
-        tbl.row(vec![t.name.clone(), t.events.to_string()]);
-    }
-    println!("{}", tbl.render());
-    println!(
-        "wrote {out}: {} events ({} spans, {} instants, {} counter samples) on {} tracks",
-        stats.events,
-        stats.spans,
-        stats.instants,
-        stats.counters,
-        stats.tracks.len(),
-    );
-    let sessions = trace.session_ids().len();
-    if sessions == 0 || stats.session_tracks() != sessions {
-        return Err(format!(
-            "export has {} non-empty session tracks for {sessions} sessions — \
-             was the flight recorder enabled during the run?",
-            stats.session_tracks()
-        )
-        .into());
     }
     Ok(())
 }

@@ -16,7 +16,7 @@
 //!          --transport rap,bbr,nada,tcp  # QA-flow controllers (default rap)
 //!          --trace lte,bloat,diurnal,bonded  # link traces (default: steady)
 //!          --obs DIR      # enable laqa-obs + the flight recorder and
-//!                         # export snapshot + flight trace to DIR
+//!                         # write DIR/report.txt + DIR/trace.json
 //! ```
 //!
 //! Each mode is a `Preset` run by the one function `run`: the command
@@ -26,10 +26,10 @@
 //! names no thread count, wall time or path, so it is the same on every
 //! host; `laqa figures` runs the default mode as its `tables` entry.
 //!
-//! `--obs DIR` writes `metrics.json` and `flight.json` (read them with
-//! `laqa obs-report` / `laqa obs-trace`) for the sweep alone: the replay
-//! check runs with obs off. Observability is inert, so fingerprints are
-//! bit-identical with and without it.
+//! `--obs DIR` writes `report.txt` (the counter and histogram tables) and
+//! `trace.json` (the flight recorder's Perfetto timeline) for the sweep
+//! alone: the replay check runs with obs off. Observability is inert, so
+//! fingerprints are bit-identical with and without it.
 
 use crate::cli::{ArgError, Args};
 use laqa_sim::{
@@ -132,25 +132,16 @@ pub fn cmd(args: &Args) -> Result<(), Box<dyn Error>> {
     Ok(())
 }
 
-/// Write the sweep's obs snapshot to `dir` (`metrics.json`) plus its
-/// flight-recorder trace (`flight.json`).
+/// Write the sweep's obs snapshot to `dir` as `report.txt` (counter and
+/// histogram tables) and its flight-recorder timeline as `trace.json`
+/// (Chrome trace-event JSON for Perfetto / `chrome://tracing`).
 fn export_obs(dir: &Path, sweep: &CampaignResult) -> Result<(), Box<dyn Error>> {
-    let (snap, shown) = (laqa_obs::snapshot(), dir.display());
-    snap.write_dir(dir)?;
-    let (counters, histograms) = (snap.counters.len(), snap.histograms.len());
-    println!(
-        "obs: wrote snapshot to {shown} ({counters} counters, {histograms} histograms) — \
-         render with `laqa obs-report --dir {shown}`"
-    );
-    let flight = sweep.flight();
-    if !flight.records.is_empty() {
-        std::fs::write(dir.join("flight.json"), flight.to_json().to_compact())?;
-        let (records, tracks) = (flight.records.len(), flight.session_ids().len());
-        println!(
-            "obs: wrote flight.json ({records} records on {tracks} tracks) — \
-             convert with `laqa obs-trace --dir {shown}`"
-        );
-    }
+    let tracks = sweep.sessions.iter().map(|s| s.flight.as_slice());
+    let trace = laqa_obs::flight::to_chrome(tracks).to_compact();
+    std::fs::create_dir_all(dir)?;
+    std::fs::write(dir.join("report.txt"), laqa_obs::snapshot().render())?;
+    std::fs::write(dir.join("trace.json"), trace)?;
+    println!("obs: wrote report.txt and trace.json to {}", dir.display());
     Ok(())
 }
 

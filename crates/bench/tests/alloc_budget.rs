@@ -73,7 +73,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations allowed for one 8 s session (measured: 375 — world and
+/// Allocations allowed for one 8 s session (measured: 369 — world and
 /// agent construction with every trace series sized from the horizon
 /// and every route one allocation, a column for each per-layer trace
 /// that leaves zero, packet-arena growth; result
@@ -84,7 +84,7 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// times, not once per state). The 7 % budget leaves slack for
 /// allocator-library drift without letting the in-session paths — the
 /// per-tick state paths above all — quietly start allocating again.
-const SESSION_ALLOC_BUDGET: u64 = 401;
+const SESSION_ALLOC_BUDGET: u64 = 395;
 
 /// Bytes a 90 s T1 or T2 session may request from the allocator
 /// (measured: 512 788 for T1, 509 276 for T2 at `K_max` 2, seed 7, plus

@@ -3,8 +3,8 @@
 //! `campaign --smoke` reading its grid from the command line, the default
 //! tables mode's replay check and a report that does not depend on the
 //! thread count, `--transport` / `--trace` grids equal to the library's
-//! `CampaignSpec::product`, the `campaign --obs DIR` → `laqa obs-report` /
-//! `laqa obs-trace` round trip over real files, `laqa figures` writing to
+//! `CampaignSpec::product`, the report and Perfetto trace
+//! `campaign --obs DIR` writes, `laqa figures` writing to
 //! `--out` and checking its reports and files against it, and `--help`.
 
 use laqa_sim::{run_campaign, CampaignSpec, TestKind, TraceKind, Transport};
@@ -54,8 +54,9 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
     // A value that did not parse exited 1 where every other usage error
     // exited 2. `states --kmax 0` printed an empty path, `--kmax 17` a
     // path the controller refuses, and `bands --layers 100000000` ran on
-    // for seconds.
-    let cases: [(&[&str], &str); 48] = [
+    // for seconds. `obs-report` and `obs-trace` read intermediate files
+    // that `campaign --obs` no longer writes.
+    let cases: [(&[&str], &str); 50] = [
         (&["campaign", "--smoke", "--nope"], "unknown option --nope"),
         (
             &["campaign", "--smoke", "1"],
@@ -180,6 +181,8 @@ fn bad_command_lines_exit_2_and_name_the_problem() {
         ),
         (&["sim", "--nope", "1"], "unknown option --nope"),
         (&["frobnicate"], "unknown subcommand 'frobnicate'"),
+        (&["obs-report"], "unknown subcommand 'obs-report'"),
+        (&["obs-trace"], "unknown subcommand 'obs-trace'"),
         (&["figures", "--only", "fig99"], "unknown figure 'fig99'"),
         (&[], "missing subcommand"),
         (
@@ -336,14 +339,20 @@ fn transport_and_trace_axes_build_the_library_grid() {
     assert_eq!(std::fs::read_dir(&dir).expect("--out DIR").count(), 4);
 }
 
-/// `laqa campaign --faults --smoke --obs DIR`, then both readers over
-/// what it wrote.
+/// `laqa campaign --faults --smoke --obs DIR` writes the counter report
+/// and the Perfetto trace of the sweep.
 #[test]
-fn obs_export_round_trips_through_report_and_trace() {
+fn obs_export_writes_report_and_trace() {
     let dir = scratch("cli-obs");
     let dir_arg = dir.to_str().expect("utf-8 scratch path");
     let campaign = run(&["campaign", "--faults", "--smoke", "--obs", dir_arg]);
     assert!(campaign.status.success(), "campaign: {}", stderr(&campaign));
+    assert!(
+        !stderr(&campaign).contains("warning:"),
+        "{}",
+        stderr(&campaign)
+    );
+    assert_has(&stdout(&campaign), "replay check:");
     let mut written: Vec<_> = std::fs::read_dir(&dir)
         .expect("campaign --obs created the directory")
         .map(|e| e.expect("dir entry").file_name())
@@ -351,32 +360,22 @@ fn obs_export_round_trips_through_report_and_trace() {
     written.sort();
     assert_eq!(
         written,
-        ["flight.json", "metrics.json"],
+        ["report.txt", "trace.json"],
         "campaign --obs writes exactly these"
     );
-    let report = run(&["obs-report", "--dir", dir_arg]);
-    assert!(report.status.success(), "obs-report: {}", stderr(&report));
-    let trace = run(&["obs-trace", "--dir", dir_arg]);
-    assert!(trace.status.success(), "obs-trace: {}", stderr(&trace));
-
-    assert_has(&stdout(&campaign), "replay check:");
-    assert_has(&stdout(&report), "campaign.sessions");
     // The replay check runs with obs off: the 2-session grid is counted
     // once, not once per run.
-    let metrics = std::fs::read_to_string(dir.join("metrics.json")).expect("metrics.json");
-    let sessions = laqa_trace::parse_json(&metrics)
-        .expect("metrics.json parses")
-        .get("counters")
-        .and_then(|c| c.get("campaign.sessions"))
-        .and_then(laqa_trace::JsonValue::as_num);
-    assert_eq!(sessions, Some(2.0), "campaign.sessions in metrics.json");
-    // obs-trace re-parses and validates what it wrote.
-    assert!(dir.join("trace.json").is_file());
-    assert_has(&stdout(&trace), "session 0");
-    assert_has(&stdout(&trace), "session 1");
-    for out in [&campaign, &report, &trace] {
-        assert!(!stderr(out).contains("warning:"), "{}", stderr(out));
-    }
+    let report = std::fs::read_to_string(dir.join("report.txt")).expect("report.txt");
+    let sessions: Vec<&str> = report
+        .lines()
+        .filter_map(|l| l.trim().strip_prefix("campaign.sessions"))
+        .map(str::trim)
+        .collect();
+    assert_eq!(sessions, ["2"], "campaign.sessions row in {report}");
+    let trace = std::fs::read_to_string(dir.join("trace.json")).expect("trace.json");
+    let trace = laqa_trace::parse_json(&trace).expect("trace.json parses");
+    let stats = laqa_trace::validate_chrome(&trace).expect("trace.json is well-formed");
+    assert_eq!(stats.session_tracks(), 2, "one non-empty track per session");
 }
 
 /// The workspace root: `laqa figures` run from here defaults to its

@@ -13,15 +13,15 @@
 //! one thread, so its runner (`laqa_sim::run_session`) owns what it
 //! recorded: it calls [`take`] when the session starts and again when it
 //! ends, and the records travel in the session's result. A campaign
-//! builds its [`FlightTrace`] from those results by grid index
-//! ([`FlightTrace::from_sessions`]). Nothing is bounded or evicted.
+//! exports those results by grid index ([`to_chrome`]). Nothing is
+//! bounded or evicted.
 //!
 //! ## Determinism
 //!
 //! A session's records, in emission order, depend only on its spec —
 //! never on which worker ran it or what else that worker ran. The
-//! export numbers each record by its emission index (`seq`) and sorts
-//! each track stably by sim time, so two runs of the same campaign
+//! export sorts each track stably by sim time, so records stamped alike
+//! keep their emission order, and two runs of the same campaign
 //! export **byte-identical** traces for any thread count
 //! (`tests/flight_determinism.rs` pins this).
 //!
@@ -54,7 +54,7 @@ pub fn set_enabled(on: bool) {
     FLIGHT_ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// What a [`FlightRecord`] marks on its session's track.
+/// What a [`Record`] marks on its session's track.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlightKind {
     /// The session entered a new state (e.g. a QA phase); the previous
@@ -69,27 +69,6 @@ pub enum FlightKind {
     Value,
 }
 
-impl FlightKind {
-    /// Lower-case label used in the JSON export.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FlightKind::State => "state",
-            FlightKind::Instant => "instant",
-            FlightKind::Value => "value",
-        }
-    }
-
-    /// Parse the export label back.
-    pub fn from_label(s: &str) -> Option<FlightKind> {
-        match s {
-            "state" => Some(FlightKind::State),
-            "instant" => Some(FlightKind::Instant),
-            "value" => Some(FlightKind::Value),
-            _ => None,
-        }
-    }
-}
-
 /// One record as its session emitted it. The name stays `&'static str`
 /// so recording never allocates per record.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,23 +79,6 @@ pub struct Record {
     pub kind: FlightKind,
     /// Dotted name (state label for [`FlightKind::State`]).
     pub name: &'static str,
-    /// Payload value (layer count, rate, buffer bytes, ...).
-    pub value: f64,
-}
-
-/// One exported timeline record (see [`FlightTrace`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FlightRecord {
-    /// Owning session: its grid index.
-    pub session: u64,
-    /// Session-local simulation time (seconds).
-    pub time: f64,
-    /// Emission index within the session.
-    pub seq: u64,
-    /// Record kind.
-    pub kind: FlightKind,
-    /// Dotted name (state label for [`FlightKind::State`]).
-    pub name: String,
     /// Payload value (layer count, rate, buffer bytes, ...).
     pub value: f64,
 }
@@ -167,161 +129,67 @@ pub fn sample(name: &'static str, time: f64, value: f64) {
     record(FlightKind::Value, name, time, value);
 }
 
-/// The timeline of a campaign: one track per session, sorted by
-/// `(session, time, seq)` (see the module docs).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlightTrace {
-    /// Records sorted by `(session, time, seq)`.
-    pub records: Vec<FlightRecord>,
-}
-
 /// The Chrome trace `pid` every track lives under.
 const CHROME_PID: u64 = 1;
 
-/// `x` as a count, if it is a non-negative integer.
-fn as_count(x: f64) -> Option<u64> {
-    (x >= 0.0 && x.fract() == 0.0).then_some(x as u64)
-}
-
-impl FlightTrace {
-    /// Assemble a trace from each session's records in grid order:
-    /// session `i` is the `i`-th slice. Each track numbers its records in
-    /// emission order (`seq`) and is sorted stably by sim time.
-    pub fn from_sessions<'a>(sessions: impl IntoIterator<Item = &'a [Record]>) -> FlightTrace {
-        let mut records = Vec::new();
-        for (session, track) in sessions.into_iter().enumerate() {
-            let start = records.len();
-            records.extend(track.iter().enumerate().map(|(seq, r)| FlightRecord {
-                session: session as u64,
-                time: r.time,
-                seq: seq as u64,
-                kind: r.kind,
-                name: r.name.to_string(),
-                value: r.value,
-            }));
-            records[start..].sort_by(|a, b| a.time.total_cmp(&b.time));
+/// Export a campaign's timeline as Chrome trace-event JSON (load it in
+/// Perfetto or `chrome://tracing`). `sessions` holds each session's
+/// records in grid order, so session `i` is the `i`-th slice. Each
+/// non-empty session becomes one named thread track under one process,
+/// its records sorted stably by sim time: [`FlightKind::State`] records
+/// become `B`/`E` duration spans, instants `i` events, and samples
+/// per-session `C` counter series. Times are session-local; staggered
+/// sessions align at their own zero, which is exactly what side-by-side
+/// comparison wants.
+pub fn to_chrome<'a>(sessions: impl IntoIterator<Item = &'a [Record]>) -> JsonValue {
+    let mut chrome = ChromeTrace::new();
+    chrome.process_name(CHROME_PID, "laqa");
+    let mut track: Vec<Record> = Vec::new();
+    let mut tid = 0;
+    for (session, records) in sessions.into_iter().enumerate() {
+        if records.is_empty() {
+            continue;
         }
-        FlightTrace { records }
-    }
+        tid += 1;
+        chrome.thread_name(CHROME_PID, tid, &format!("session {session}"));
+        track.clear();
+        track.extend_from_slice(records);
+        track.sort_by(|a, b| a.time.total_cmp(&b.time));
 
-    /// Distinct session ids in the trace, ascending.
-    pub fn session_ids(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = Vec::new();
-        for r in &self.records {
-            if ids.last() != Some(&r.session) {
-                ids.push(r.session);
-            }
-        }
-        ids
-    }
-
-    /// Raw JSON form (`flight.json`): `{"records": [...]}`.
-    pub fn to_json(&self) -> JsonValue {
-        let records = self.records.iter().map(|r| {
-            JsonValue::Obj(vec![
-                ("session".into(), JsonValue::Num(r.session as f64)),
-                ("time".into(), JsonValue::Num(r.time)),
-                ("seq".into(), JsonValue::Num(r.seq as f64)),
-                ("kind".into(), JsonValue::Str(r.kind.label().into())),
-                ("name".into(), JsonValue::Str(r.name.clone())),
-                ("value".into(), JsonValue::Num(r.value)),
-            ])
-        });
-        JsonValue::Obj(vec![("records".into(), JsonValue::Arr(records.collect()))])
-    }
-
-    /// Parse a trace previously serialized by [`FlightTrace::to_json`].
-    /// A missing or mistyped field is an error naming the record index
-    /// and the field.
-    pub fn from_json(v: &JsonValue) -> Result<FlightTrace, String> {
-        let records = v
-            .get("records")
-            .and_then(JsonValue::as_arr)
-            .ok_or("flight trace: missing records array")?;
-        let mut out = FlightTrace {
-            records: Vec::with_capacity(records.len()),
-        };
-        for (i, r) in records.iter().enumerate() {
-            let num = |field: &str| {
-                r.get(field)
-                    .and_then(JsonValue::as_num)
-                    .ok_or_else(|| format!("flight record {i}: missing or non-numeric {field}"))
-            };
-            let int = |field: &str| {
-                let x = num(field)?;
-                as_count(x).ok_or_else(|| {
-                    format!("flight record {i}: {field} {x} is not a non-negative integer")
-                })
-            };
-            let text = |field: &str| {
-                r.get(field)
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| format!("flight record {i}: missing or non-string {field}"))
-            };
-            let kind_label = text("kind")?;
-            out.records.push(FlightRecord {
-                session: int("session")?,
-                time: num("time")?,
-                seq: int("seq")?,
-                kind: FlightKind::from_label(kind_label)
-                    .ok_or_else(|| format!("flight record {i}: unknown kind '{kind_label}'"))?,
-                name: text("name")?.to_string(),
-                value: num("value")?,
-            });
-        }
-        Ok(out)
-    }
-
-    /// Export as Chrome trace-event JSON (load in Perfetto or
-    /// `chrome://tracing`): one named thread track per session under one
-    /// process, [`FlightKind::State`] records as `B`/`E` duration spans,
-    /// instants as `i` events, and samples as per-session `C` counter
-    /// series. Times are session-local; staggered sessions align at
-    /// their own zero, which is exactly what side-by-side comparison
-    /// wants.
-    pub fn to_chrome(&self) -> JsonValue {
-        let mut chrome = ChromeTrace::new();
-        chrome.process_name(CHROME_PID, "laqa");
-        for (lane, &session) in self.session_ids().iter().enumerate() {
-            let tid = lane as u64 + 1;
-            chrome.thread_name(CHROME_PID, tid, &format!("session {session}"));
-
-            // Per-track pass: records are already (time, seq)-sorted.
-            let mut open_state: Option<&str> = None;
-            let mut last_us = 0.0f64;
-            for r in self.records.iter().filter(|r| r.session == session) {
-                let ts_us = r.time * 1e6;
-                last_us = last_us.max(ts_us);
-                match r.kind {
-                    FlightKind::State => {
-                        if open_state.take().is_some() {
-                            chrome.end(CHROME_PID, tid, ts_us);
-                        }
-                        chrome.begin(CHROME_PID, tid, ts_us, &r.name);
-                        open_state = Some(&r.name);
+        let mut open_state = false;
+        let mut last_us = 0.0f64;
+        for r in &track {
+            let ts_us = r.time * 1e6;
+            last_us = last_us.max(ts_us);
+            match r.kind {
+                FlightKind::State => {
+                    if open_state {
+                        chrome.end(CHROME_PID, tid, ts_us);
                     }
-                    FlightKind::Instant => {
-                        chrome.instant(
-                            CHROME_PID,
-                            tid,
-                            ts_us,
-                            &r.name,
-                            vec![("value".into(), JsonValue::Num(r.value))],
-                        );
-                    }
-                    FlightKind::Value => {
-                        let series = format!("{} s{session}", r.name);
-                        chrome.counter(CHROME_PID, ts_us, &series, r.value);
-                    }
+                    chrome.begin(CHROME_PID, tid, ts_us, r.name);
+                    open_state = true;
+                }
+                FlightKind::Instant => {
+                    chrome.instant(
+                        CHROME_PID,
+                        tid,
+                        ts_us,
+                        r.name,
+                        vec![("value".into(), JsonValue::Num(r.value))],
+                    );
+                }
+                FlightKind::Value => {
+                    let series = format!("{} s{session}", r.name);
+                    chrome.counter(CHROME_PID, ts_us, &series, r.value);
                 }
             }
-            if open_state.is_some() {
-                // Close the final state span at the track's last stamp.
-                chrome.end(CHROME_PID, tid, last_us);
-            }
         }
-        chrome.finish()
+        if open_state {
+            // Close the final state span at the track's last stamp.
+            chrome.end(CHROME_PID, tid, last_us);
+        }
     }
+    chrome.finish()
 }
 
 #[cfg(test)]
@@ -340,7 +208,7 @@ mod tests {
     }
 
     #[test]
-    fn records_sort_by_session_then_time_and_round_trip() {
+    fn chrome_tracks_sort_by_time_and_skip_empty_sessions() {
         let _g = TEST_LOCK.lock().unwrap();
         set_enabled(true);
         take();
@@ -353,52 +221,37 @@ mod tests {
         set_enabled(false);
         assert!(take().is_empty(), "take empties the buffer");
 
-        let trace = FlightTrace::from_sessions([&first[..], &[], &second[..]]);
-        assert_eq!(trace.session_ids(), vec![0, 2]);
-        let names: Vec<&str> = trace.records.iter().map(|r| r.name.as_str()).collect();
+        let chrome = to_chrome([&first[..], &[], &second[..]]);
+        let events: Vec<(&str, f64, &str)> = chrome
+            .get("traceEvents")
+            .and_then(JsonValue::as_arr)
+            .unwrap()
+            .iter()
+            .map(|e| {
+                let text = |k: &str| e.get(k).and_then(JsonValue::as_str).unwrap();
+                let tid = e.get("tid").and_then(JsonValue::as_num).unwrap();
+                // A metadata event's subject is its `args.name`.
+                let name = match text("ph") {
+                    "M" => e.get("args").and_then(|a| a.get("name")),
+                    _ => e.get("name"),
+                };
+                (text("ph"), tid, name.and_then(JsonValue::as_str).unwrap())
+            })
+            .collect();
+        // Session 1 recorded nothing: no track, and session 2 takes tid 2.
         assert_eq!(
-            names,
-            vec!["qa.buf_base", "filling", "qa.layer_add", "qa.backoff"]
+            events,
+            vec![
+                ("M", 0.0, "laqa"),
+                ("M", 1.0, "session 0"),
+                ("C", 0.0, "qa.buf_base s0"),
+                ("B", 1.0, "filling"),
+                ("i", 1.0, "qa.layer_add"),
+                ("E", 1.0, ""),
+                ("M", 2.0, "session 2"),
+                ("i", 2.0, "qa.backoff"),
+            ]
         );
-        // `seq` is the emission index within the session.
-        let seqs: Vec<u64> = trace.records.iter().map(|r| r.seq).collect();
-        assert_eq!(seqs, vec![2, 0, 1, 0]);
-
-        let back = FlightTrace::from_json(&trace.to_json()).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_records_by_index_and_field() {
-        let good = r#"{"session":3,"time":0.5,"seq":1,"kind":"instant","name":"x","value":2}"#;
-        let parse = |second: &str| {
-            let text = format!(r#"{{"records":[{good},{second}]}}"#);
-            FlightTrace::from_json(&laqa_trace::json::parse(&text).unwrap())
-        };
-        assert_eq!(parse(good).unwrap().records.len(), 2);
-        // One mutation of the valid record per row: (from, to, field).
-        let cases = [
-            (r#""session":3"#, r#""session":-1"#, "session"),
-            (r#""session":3"#, r#""session":1.5"#, "session"),
-            (r#""session":3,"#, "", "session"),
-            (r#""time":0.5"#, r#""time":"soon""#, "time"),
-            (r#""time":0.5,"#, "", "time"),
-            (r#""seq":1"#, r#""seq":null"#, "seq"),
-            (r#""seq":1"#, r#""seq":-2"#, "seq"),
-            (r#""seq":1,"#, "", "seq"),
-            (r#""kind":"instant""#, r#""kind":"blip""#, "kind"),
-            (r#""name":"x""#, r#""name":7"#, "name"),
-            (r#""value":2"#, r#""value":true"#, "value"),
-            (r#","value":2"#, "", "value"),
-        ];
-        for (from, to, field) in cases {
-            assert!(good.contains(from), "stale case {from}");
-            let err = parse(&good.replacen(from, to, 1)).unwrap_err();
-            assert!(
-                err.contains("record 1") && err.contains(field),
-                "{from} -> {to}: {err}"
-            );
-        }
     }
 
     #[test]
@@ -412,8 +265,7 @@ mod tests {
         sample("qa.buf_base", 1.5, 900.0);
         set_enabled(false);
         let track = take();
-        let trace = FlightTrace::from_sessions([&track[..], &track[..]]);
-        let chrome = trace.to_chrome();
+        let chrome = to_chrome([&track[..], &track[..]]);
         let stats = laqa_trace::chrome::validate(&chrome).expect("well-formed");
         assert_eq!(stats.spans, 4); // two states per session, all closed
         assert_eq!(stats.instants, 2);

@@ -12,11 +12,13 @@
 //! * a **flight recorder** ([`flight`]) — per-session timeline traces
 //!   (QA state spans, layer add/drop and backoff instants, buffer-level
 //!   samples) that each session's result carries, behind its own
-//!   enable flag, exportable as Chrome
-//!   trace-event JSON for Perfetto via `laqa obs-trace`;
-//! * **exporters** ([`export`]) that render everything through
-//!   `laqa-trace` — JSON files for `laqa campaign --obs <dir>` and aligned
-//!   text tables for `laqa obs-report`.
+//!   enable flag, exported as Chrome trace-event JSON for Perfetto
+//!   ([`flight::to_chrome`]);
+//! * a **report** ([`export`]): the snapshot rendered as aligned text
+//!   tables through `laqa-trace`.
+//!
+//! `laqa campaign --obs <dir>` writes both finished artefacts:
+//! `report.txt` and `trace.json`.
 //!
 //! ## Determinism / inertness contract
 //!
@@ -53,7 +55,7 @@ pub mod flight;
 pub mod registry;
 
 pub use export::Snapshot;
-pub use flight::{FlightKind, FlightRecord, FlightTrace};
+pub use flight::FlightKind;
 pub use registry::{add_counts, Histogram, HistogramSnapshot, LOG_MS_BOUNDS, LOG_NS_BOUNDS};
 
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -83,13 +83,6 @@ impl WindowSender {
         self.shell.rtt.srtt()
     }
 
-    /// EWMA-smoothed transmission rate (bytes/s) — a steadier signal than
-    /// [`rate`](RateController::rate) for per-tick consumers like the QA
-    /// allocator.
-    pub fn smoothed_rate(&self) -> f64 {
-        self.smoothed_rate
-    }
-
     /// Packets in flight.
     pub fn in_flight(&self) -> usize {
         self.shell.in_flight()

@@ -17,7 +17,7 @@
 //! across thread counts; `tests/replay.rs` pins this with 1, 2, 8 and 16
 //! workers. Wall-clock fields are the one exception and are excluded from
 //! every fingerprint. A session's flight-recorder timeline travels in
-//! its result the same way ([`CampaignResult::flight`]). The worker count
+//! its result the same way ([`SessionResult::flight`]). The worker count
 //! is the only execution choice
 //! ([`CampaignOptions`]): every session runs on the engine's one event
 //! queue.
@@ -27,7 +27,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use laqa_core::metrics::{DropReason, QaEvent};
-use laqa_obs::FlightTrace;
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
 use crate::agents::qa::QaTraces;
@@ -437,12 +436,6 @@ impl CampaignResult {
         tbl.render()
     }
 
-    /// The sweep's flight-recorder timeline: session `i`'s records on
-    /// track `i`, whichever worker ran it.
-    pub fn flight(&self) -> FlightTrace {
-        FlightTrace::from_sessions(self.sessions.iter().map(|s| s.flight.as_slice()))
-    }
-
     /// Machine-readable per-session summaries.
     pub fn summaries(&self) -> Vec<RunSummary> {
         self.sessions.iter().map(SessionResult::summary).collect()
@@ -568,7 +561,7 @@ fn hash_event(h: &mut TraceHasher, ev: &QaEvent) {
 /// Mean seconds from the first drop of each degradation episode to the
 /// next layer add — the fault suite's recovery-time metric. `None` when
 /// no drop was ever followed by an add.
-pub fn mean_recovery_secs(events: &[QaEvent]) -> Option<f64> {
+fn mean_recovery_secs(events: &[QaEvent]) -> Option<f64> {
     let mut gaps: Vec<f64> = Vec::new();
     let mut episode_start: Option<f64> = None;
     for ev in events {

@@ -149,29 +149,26 @@ fn fingerprints_identical_with_obs_on_and_off() {
     let flight_on = run_campaign(&spec, 2);
     laqa_obs::flight::set_enabled(false);
     laqa_obs::set_enabled(false);
-    let flight = flight_on.flight();
     laqa_obs::reset();
+    let records = || flight_on.sessions.iter().flat_map(|s| &s.flight);
 
     assert_eq!(
         off.fingerprint(),
         flight_on.fingerprint(),
         "enabling the flight recorder changed the campaign fingerprint"
     );
-    assert!(!flight.records.is_empty(), "no flight records");
-    let has = |name: &str| flight.records.iter().any(|r| r.name == name);
+    assert!(records().next().is_some(), "no flight records");
+    let has = |name: &str| records().any(|r| r.name == name);
     assert!(has("qa.buf_base"), "no base-buffer samples in flight trace");
     assert!(
-        flight
-            .records
-            .iter()
-            .any(|r| r.kind == laqa_obs::FlightKind::State),
+        records().any(|r| r.kind == laqa_obs::FlightKind::State),
         "no QA phase state records in flight trace"
     );
 
     // Only the QA flow's own backoffs are on its track: the background
     // RAP flows share the sender shell but record nothing.
     assert!(
-        !flight.records.iter().any(|r| r.name.starts_with("rap.")),
+        !records().any(|r| r.name.starts_with("rap.")),
         "a rap.* record landed on a session track"
     );
 
@@ -183,10 +180,10 @@ fn fingerprints_identical_with_obs_on_and_off() {
     for (i, session) in spec.sessions.iter().enumerate() {
         let metrics = run_scenario(&session.scenario()).metrics;
         let instants = |name: &str| {
-            flight
-                .records
+            flight_on.sessions[i]
+                .flight
                 .iter()
-                .filter(|r| r.session == i as u64 && r.name == name)
+                .filter(|r| r.name == name)
                 .count()
         };
         let label = session.label();

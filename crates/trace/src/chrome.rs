@@ -5,9 +5,10 @@
 //! load: a `{"traceEvents": [...]}` object whose entries carry a phase
 //! (`ph`), microsecond timestamp (`ts`), name, and `pid`/`tid` track
 //! coordinates. The flight recorder (`laqa-obs`) exports per-session
-//! timelines through [`ChromeTrace`]; `laqa obs-trace` gates the export
-//! through [`validate`] (`crates/bench/tests/cli.rs` runs it), which
-//! reuses [`crate::json`] so the check stays registry-free.
+//! timelines through [`ChromeTrace`], and `laqa campaign --obs DIR`
+//! writes them to `DIR/trace.json`. [`validate`] is the tests' oracle for
+//! that file (`crates/bench/tests/cli.rs` runs it on the written bytes);
+//! it reuses [`crate::json`] so the check stays registry-free.
 //!
 //! Only the event phases the workspace emits are modeled: `M` metadata
 //! (process/thread names), `B`/`E` duration spans, `i` instants, `C`
@@ -103,16 +104,6 @@ impl ChromeTrace {
         self.events.push(JsonValue::Obj(ev));
     }
 
-    /// Number of events appended so far.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// True when no event has been appended.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Finish the document: `{"traceEvents": [...], "displayTimeUnit": "ms"}`.
     pub fn finish(self) -> JsonValue {
         JsonValue::Obj(vec![
@@ -148,7 +139,7 @@ pub struct ChromeStats {
 
 impl ChromeStats {
     /// Tracks named `session …` that carry at least one event — the
-    /// per-session timelines `laqa obs-trace` gates on.
+    /// per-session timelines of a flight-recorder export.
     pub fn session_tracks(&self) -> usize {
         self.tracks
             .values()
@@ -168,8 +159,7 @@ fn field_num(ev: &JsonValue, key: &str, i: usize) -> Result<u64, String> {
 /// `traceEvents` array whose entries all carry a known phase, numeric
 /// `pid`/`tid`/`ts`, and a string `name`; every `B` on a track must be
 /// closed by an `E` (and never under-closed). Returns per-track tallies
-/// on success. This is the zero-dependency gate `laqa obs-trace` runs on
-/// every export it writes.
+/// on success.
 pub fn validate(v: &JsonValue) -> Result<ChromeStats, String> {
     let events = v
         .get("traceEvents")
