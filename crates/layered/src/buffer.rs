@@ -1,26 +1,25 @@
 //! Per-layer receiver buffer.
 //!
 //! The receiver holds arrived-but-not-yet-played data per layer (figure 2's
-//! horizontal arrival→playout bars). The quality-adaptation analysis only
-//! needs byte counts, but the buffer also tracks arrival metadata so the
-//! experiments can reconstruct the paper's figure-2 playout diagram and
-//! measure actual (not estimated) occupancy.
+//! horizontal arrival→playout bars). Playout and the quality-adaptation
+//! analysis read byte counts only, so the buffer keeps no arrival times:
+//! its FIFO holds runs of equal-size chunks, and a stream of equal-size
+//! packets is one run however many are buffered.
 
 use std::collections::VecDeque;
 
-/// One buffered chunk (usually one packet's payload).
+/// `count` consecutive chunks of `bytes` each.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BufferedChunk {
-    /// Arrival time at the receiver (seconds).
-    pub arrival: f64,
-    /// Bytes in the chunk.
-    pub bytes: f64,
+struct Run {
+    bytes: f64,
+    count: u64,
 }
 
 /// FIFO byte buffer for one layer.
 #[derive(Debug, Clone, Default)]
 pub struct LayerBuffer {
-    chunks: VecDeque<BufferedChunk>,
+    /// The buffered chunks in arrival order, equal neighbours merged.
+    runs: VecDeque<Run>,
     buffered: f64,
     /// Cumulative bytes that were demanded but missing (underflow volume).
     starved: f64,
@@ -38,12 +37,15 @@ impl LayerBuffer {
         Self::default()
     }
 
-    /// Add `bytes` that arrived at time `arrival`.
-    pub fn push(&mut self, arrival: f64, bytes: f64) {
+    /// Add a chunk of `bytes` at the tail.
+    pub fn push(&mut self, bytes: f64) {
         if bytes <= 0.0 {
             return;
         }
-        self.chunks.push_back(BufferedChunk { arrival, bytes });
+        match self.runs.back_mut() {
+            Some(run) if run.bytes.to_bits() == bytes.to_bits() => run.count += 1,
+            _ => self.runs.push_back(Run { bytes, count: 1 }),
+        }
         self.buffered += bytes;
         self.debug_check_invariant();
     }
@@ -70,24 +72,38 @@ impl LayerBuffer {
 
     /// Consume up to `bytes` from the head of the buffer; returns the bytes
     /// actually supplied. A short supply is recorded as an underflow.
+    ///
+    /// Chunk by chunk, in order: a whole chunk leaves with one subtraction
+    /// from `remaining` and from `buffered`, a partly played one is cut
+    /// once, so every float result is the one a per-chunk FIFO computes.
     pub fn consume(&mut self, bytes: f64) -> f64 {
         if bytes <= 0.0 {
             return 0.0;
         }
         let mut remaining = bytes;
         while remaining > 0.0 {
-            match self.chunks.front_mut() {
-                None => break,
-                Some(chunk) => {
-                    if chunk.bytes > remaining {
-                        chunk.bytes -= remaining;
-                        self.buffered -= remaining;
-                        remaining = 0.0;
-                    } else {
-                        remaining -= chunk.bytes;
-                        self.buffered -= chunk.bytes;
-                        self.chunks.pop_front();
-                    }
+            let Some(run) = self.runs.front_mut() else {
+                break;
+            };
+            if run.bytes > remaining {
+                let rest = run.bytes - remaining;
+                self.buffered -= remaining;
+                remaining = 0.0;
+                if run.count == 1 {
+                    run.bytes = rest;
+                } else {
+                    run.count -= 1;
+                    self.runs.push_front(Run {
+                        bytes: rest,
+                        count: 1,
+                    });
+                }
+            } else {
+                remaining -= run.bytes;
+                self.buffered -= run.bytes;
+                run.count -= 1;
+                if run.count == 0 {
+                    self.runs.pop_front();
                 }
             }
         }
@@ -95,7 +111,7 @@ impl LayerBuffer {
         // few ULPs from the chunk sum over long runs — clamp so it can
         // never go (or report) negative, and resynchronize exactly when
         // the buffer empties.
-        if self.chunks.is_empty() || self.buffered < 0.0 {
+        if self.runs.is_empty() || self.buffered < 0.0 {
             self.buffered = 0.0;
         }
         self.debug_check_invariant();
@@ -113,7 +129,7 @@ impl LayerBuffer {
     pub fn clear(&mut self) -> f64 {
         let dropped = self.buffered.max(0.0);
         self.discarded += dropped;
-        self.chunks.clear();
+        self.runs.clear();
         self.buffered = 0.0;
         dropped
     }
@@ -123,7 +139,7 @@ impl LayerBuffer {
     fn debug_check_invariant(&self) {
         #[cfg(debug_assertions)]
         {
-            let sum: f64 = self.chunks.iter().map(|c| c.bytes).sum();
+            let sum: f64 = self.runs.iter().map(|r| r.bytes * r.count as f64).sum();
             debug_assert!(
                 (self.buffered - sum).abs() <= 1e-6 * sum.max(1.0),
                 "buffered {} drifted from chunk sum {}",
@@ -142,8 +158,8 @@ mod tests {
     #[test]
     fn push_and_consume_round_trip() {
         let mut b = LayerBuffer::new();
-        b.push(0.0, 1_000.0);
-        b.push(0.1, 500.0);
+        b.push(1_000.0);
+        b.push(500.0);
         assert_eq!(b.buffered(), 1_500.0);
         assert_eq!(b.consume(600.0), 600.0);
         assert_eq!(b.buffered(), 900.0);
@@ -153,17 +169,37 @@ mod tests {
     #[test]
     fn consume_across_chunk_boundaries() {
         let mut b = LayerBuffer::new();
-        for i in 0..10 {
-            b.push(i as f64, 100.0);
+        for _ in 0..10 {
+            b.push(100.0);
         }
         assert_eq!(b.consume(950.0), 950.0);
         assert!((b.buffered() - 50.0).abs() < 1e-9);
     }
 
     #[test]
+    fn equal_chunks_share_a_run() {
+        let mut b = LayerBuffer::new();
+        for _ in 0..1_000 {
+            b.push(250.0);
+        }
+        assert_eq!(b.runs.len(), 1);
+        // Cutting into the head chunk splits it off; the rest stay one run.
+        assert_eq!(b.consume(100.0), 100.0);
+        let runs: Vec<(f64, u64)> = b.runs.iter().map(|r| (r.bytes, r.count)).collect();
+        assert_eq!(runs, [(150.0, 1), (250.0, 999)]);
+        b.push(100.0);
+        b.push(250.0);
+        assert_eq!(b.runs.len(), 4);
+        assert_eq!(b.consume(150.0 + 250.0 * 999.0), 150.0 + 250.0 * 999.0);
+        let runs: Vec<(f64, u64)> = b.runs.iter().map(|r| (r.bytes, r.count)).collect();
+        assert_eq!(runs, [(100.0, 1), (250.0, 1)]);
+        assert_eq!(b.buffered(), 350.0);
+    }
+
+    #[test]
     fn underflow_recorded_once_per_call() {
         let mut b = LayerBuffer::new();
-        b.push(0.0, 100.0);
+        b.push(100.0);
         assert_eq!(b.consume(250.0), 100.0);
         assert_eq!(b.underflow_events(), 1);
         assert_eq!(b.starved_bytes(), 150.0);
@@ -173,8 +209,8 @@ mod tests {
     #[test]
     fn zero_and_negative_ops_are_noops() {
         let mut b = LayerBuffer::new();
-        b.push(0.0, 0.0);
-        b.push(0.0, -5.0);
+        b.push(0.0);
+        b.push(-5.0);
         assert_eq!(b.buffered(), 0.0);
         assert_eq!(b.consume(0.0), 0.0);
         assert_eq!(b.consume(-1.0), 0.0);
@@ -184,9 +220,9 @@ mod tests {
     #[test]
     fn clear_empties_but_keeps_stats() {
         let mut b = LayerBuffer::new();
-        b.push(0.0, 100.0);
+        b.push(100.0);
         b.consume(200.0);
-        b.push(1.0, 300.0);
+        b.push(300.0);
         b.clear();
         assert_eq!(b.buffered(), 0.0);
         assert_eq!(b.underflow_events(), 1);
@@ -195,8 +231,8 @@ mod tests {
     #[test]
     fn clear_accounts_discarded_bytes() {
         let mut b = LayerBuffer::new();
-        b.push(0.0, 400.0);
-        b.push(0.1, 100.0);
+        b.push(400.0);
+        b.push(100.0);
         b.consume(150.0);
         assert_eq!(b.clear(), 350.0);
         assert_eq!(b.discarded_bytes(), 350.0);
@@ -204,7 +240,7 @@ mod tests {
         assert_eq!(b.clear(), 0.0);
         assert_eq!(b.discarded_bytes(), 350.0);
         // Discards accumulate across drop episodes.
-        b.push(1.0, 25.0);
+        b.push(25.0);
         b.clear();
         assert_eq!(b.discarded_bytes(), 375.0);
     }
@@ -225,7 +261,7 @@ mod tests {
         for i in 0..200_000 {
             let r = rand();
             if r < 0.5 {
-                b.push(i as f64, 0.1 + 1_000.0 * rand() / 3.0);
+                b.push(0.1 + 1_000.0 * rand() / 3.0);
             } else {
                 // Often drain exactly to (or past) empty.
                 let want = if r < 0.6 {

@@ -81,12 +81,13 @@ impl LayeredReceiver {
         self.buffers[layer].buffered()
     }
 
-    /// Deliver `bytes` of `layer` data arriving at time `now`.
-    pub fn on_data(&mut self, now: f64, layer: usize, bytes: f64) {
+    /// Deliver `bytes` of `layer` data arriving at time `_now` (the
+    /// buffers keep byte counts, not arrival times).
+    pub fn on_data(&mut self, _now: f64, layer: usize, bytes: f64) {
         if layer >= self.buffers.len() {
             return;
         }
-        self.buffers[layer].push(now, bytes);
+        self.buffers[layer].push(bytes);
         self.received[layer] += bytes;
     }
 

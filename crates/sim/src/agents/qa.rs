@@ -25,7 +25,8 @@ impl QaTraces {
     const LAYER_RATE: usize = 2;
     const BUFFER: usize = 3;
 
-    /// Empty trace set for `max_layers` layers.
+    /// Empty trace set for `max_layers` layers (`0` records `tx_rate` and
+    /// `n_active` alone).
     pub fn new(max_layers: usize) -> Self {
         let groups = [
             ("tx_rate", 1),
@@ -204,7 +205,7 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
         let rates = rates.chain(iter::repeat(0.0)).take(layers);
         // Report the drainable buffer (debt shows as empty, matching what
         // the receiver actually holds).
-        let buffers = self.qa.buffers().iter().map(|b| b.max(0.0));
+        let buffers = self.qa.buffers().iter().map(|b| b.max(0.0)).take(layers);
         let head = [self.rap.tick_rate(), report.n_active as f64];
         let row = head.into_iter().chain(rates).chain(buffers);
         self.traces.0.push_row(now, row);
@@ -284,8 +285,8 @@ pub struct QaSinkAgent {
     pub flow: u32,
     adv_dt: f64,
     /// Receiver-observed buffer per layer over time (figure 11 bottom
-    /// panel, ground truth).
-    pub buffer_trace: LayerColumns,
+    /// panel, ground truth); `None` records no rows.
+    pub buffer_trace: Option<LayerColumns>,
     /// Underflow events observed during playout, per advance step.
     pub underflows: u64,
 }
@@ -314,7 +315,7 @@ impl QaSinkAgent {
             reverse_route: reverse_route.into(),
             flow,
             adv_dt,
-            buffer_trace: LayerColumns::new(&[("rx_buffer_", n)]),
+            buffer_trace: Some(LayerColumns::new(&[("rx_buffer_", n)])),
             underflows: 0,
         }
     }
@@ -322,8 +323,9 @@ impl QaSinkAgent {
     /// Size `buffer_trace` for a run ending at `until` (seconds): one
     /// sample per `adv_dt`, the first one `adv_dt` in.
     pub(crate) fn reserve_until(&mut self, until: f64) {
-        self.buffer_trace
-            .reserve_periodic(self.adv_dt, self.adv_dt, until);
+        if let Some(trace) = &mut self.buffer_trace {
+            trace.reserve_periodic(self.adv_dt, self.adv_dt, until);
+        }
     }
 }
 
@@ -350,8 +352,10 @@ impl Agent for QaSinkAgent {
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         if token == 1 {
             self.underflows += self.receiver.advance(self.adv_dt) as u64;
-            let buffered = (0..self.buffer_trace.width()).map(|i| self.receiver.buffered(i));
-            self.buffer_trace.push_row(ctx.now, buffered);
+            if let Some(trace) = &mut self.buffer_trace {
+                let buffered = (0..trace.width()).map(|i| self.receiver.buffered(i));
+                trace.push_row(ctx.now, buffered);
+            }
             ctx.set_timer_after(self.adv_dt, 1);
         }
     }

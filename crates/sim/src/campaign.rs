@@ -30,7 +30,9 @@ use laqa_core::metrics::{DropReason, QaEvent};
 use laqa_trace::{RunSummary, Table, TraceHasher};
 
 use crate::agents::qa::QaTraces;
-use crate::scenarios::{run_scenario, ScenarioConfig, ScenarioOutcome, TraceKind, Transport};
+use crate::scenarios::{
+    run_recording, Recording, ScenarioConfig, ScenarioOutcome, TraceKind, Transport,
+};
 
 /// Which of the paper's dumbbell workloads a session runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -585,6 +587,10 @@ fn mean_recovery_secs(events: &[QaEvent]) -> Option<f64> {
 }
 
 /// Run one session to a result (synchronously, on the calling thread).
+/// The scenario records only what the result reads (the QA source's
+/// `tx_rate` and `n_active`, no per-layer column), so its `trace_hash`
+/// equals [`hash_outcome`] of [`run_scenario`](crate::run_scenario) on the
+/// same scenario.
 ///
 /// With the flight recorder on, the session owns what this thread
 /// records while it runs; with it off, the thread's buffer is never
@@ -595,7 +601,7 @@ pub fn run_session(spec: &SessionSpec) -> SessionResult {
         laqa_obs::flight::take();
     }
     let started = Instant::now();
-    let out = run_scenario(&spec.scenario());
+    let out = run_recording(&spec.scenario(), Recording::Session);
     let mut result = outcome_to_result(spec, out, started.elapsed().as_secs_f64());
     if recording {
         result.flight = laqa_obs::flight::take();

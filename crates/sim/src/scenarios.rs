@@ -295,9 +295,33 @@ pub struct ScenarioOutcome {
     pub bond_leg: Option<LinkStats>,
 }
 
-/// Build and run a scenario, returning the collected outcome.
+/// Build and run a scenario, returning the collected outcome with every
+/// figure panel recorded: the QA source's per-layer rate and buffer
+/// columns and the sink's receiver buffers included.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
-    let (mut world, handles) = build_scenario(cfg);
+    run_recording(cfg, Recording::Figures)
+}
+
+/// What the QA pair records while a scenario runs. Either way the
+/// simulated history, and every outcome field but the per-layer traces,
+/// is the same bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Recording {
+    /// Every figure panel: the source's `tx_rate`, `n_active`,
+    /// `layer_rate_<i>` and `buffer_<i>` columns and the sink's
+    /// `rx_buffer_<i>` rows ([`run_scenario`]).
+    Figures,
+    /// Only what a campaign session's result reads: the source's
+    /// `tx_rate` and `n_active` (the columns
+    /// [`hash_outcome`](crate::campaign::hash_outcome) folds) and no sink
+    /// rows; [`ScenarioOutcome::rx_buffers`] is empty
+    /// ([`crate::campaign::run_session`]).
+    Session,
+}
+
+/// Build and run a scenario that records what `recording` names.
+pub(crate) fn run_recording(cfg: &ScenarioConfig, recording: Recording) -> ScenarioOutcome {
+    let (mut world, handles) = build_scenario(cfg, recording);
     world.run_until(cfg.duration);
     extract_outcome(cfg, &mut world, &handles)
 }
@@ -325,8 +349,9 @@ struct ScenarioHandles {
 /// running it; the returned [`ScenarioHandles`] lets [`extract_outcome`]
 /// find everything afterward. Construction order — and therefore every
 /// agent id, link id and RNG draw — is identical to what the monolithic
-/// scenario body always did, so trajectories stay bit-identical.
-fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
+/// scenario body always did, so trajectories stay bit-identical;
+/// `recording` changes what the QA pair keeps, never what it does.
+fn build_scenario(cfg: &ScenarioConfig, recording: Recording) -> (World, ScenarioHandles) {
     let mut d = Dumbbell::new(cfg.dumbbell, cfg.seed);
     // The bonded corpus adds its second forward bottleneck *before* any
     // per-flow access links, so link numbering in every other scenario —
@@ -371,6 +396,9 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
             2.0 * cfg.qa.startup_buffer_secs,
             cfg.tick_dt,
         );
+        if recording == Recording::Session {
+            sink.buffer_trace = None;
+        }
         sink.reserve_until(cfg.duration);
         assert_eq!(d.world.add_agent(Box::new(sink)), qa_sink_id);
         let fwd = if bond_leg.is_some() {
@@ -385,6 +413,7 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
             world: &mut World,
             controller: T,
             cfg: &ScenarioConfig,
+            recording: Recording,
             dst: AgentId,
             fwd: Route,
         ) -> AgentId {
@@ -398,16 +427,19 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
                 cfg.qa.clone(),
                 cfg.tick_dt,
             );
+            if recording == Recording::Session {
+                src.traces = QaTraces::new(0);
+            }
             src.start_at = QA_START;
             src.reserve_until(cfg.duration);
             world.add_agent(Box::new(src))
         }
-        let w = &mut d.world;
+        let (w, rap) = (&mut d.world, cfg.rap.clone());
         let id = match cfg.transport {
-            Transport::Rap => add_qa_src(w, RapSender::new(cfg.rap.clone(), 0.0), cfg, qa_dst, fwd),
-            Transport::Bbr => add_qa_src(w, BbrSender::new(cfg.rap.clone(), 0.0), cfg, qa_dst, fwd),
+            Transport::Rap => add_qa_src(w, RapSender::new(rap, 0.0), cfg, recording, qa_dst, fwd),
+            Transport::Bbr => add_qa_src(w, BbrSender::new(rap, 0.0), cfg, recording, qa_dst, fwd),
             Transport::Nada => {
-                add_qa_src(w, NadaSender::new(cfg.rap.clone(), 0.0), cfg, qa_dst, fwd)
+                add_qa_src(w, NadaSender::new(rap, 0.0), cfg, recording, qa_dst, fwd)
             }
             Transport::Tcp => {
                 let window = WindowConfig {
@@ -418,7 +450,8 @@ fn build_scenario(cfg: &ScenarioConfig) -> (World, ScenarioHandles) {
                     // floor keeps the window usable on fast paths.
                     max_cwnd: (cfg.rap.max_rate * 0.5 / cfg.rap.packet_size).max(8.0),
                 };
-                add_qa_src(w, WindowSender::new(window, 0.0), cfg, qa_dst, fwd)
+                let tcp = WindowSender::new(window, 0.0);
+                add_qa_src(w, tcp, cfg, recording, qa_dst, fwd)
             }
         };
         assert_eq!(id, qa_src_id);
@@ -580,7 +613,7 @@ fn extract_outcome(
         let starved = stats.starved.first().copied().unwrap_or(0.0);
         let discarded = sink.receiver.total_discarded();
         (
-            std::mem::take(&mut sink.buffer_trace),
+            sink.buffer_trace.take().unwrap_or_default(),
             sink.underflows,
             base,
             starved,
@@ -733,6 +766,43 @@ mod tests {
                 }
                 assert!(started > 0, "the base layer's column starts");
             }
+        }
+    }
+
+    #[test]
+    fn a_session_records_only_what_its_result_reads() {
+        use crate::campaign::{hash_outcome, run_session, SessionSpec, TestKind};
+        let cell = |test, transport, trace, fault_intensity| SessionSpec {
+            test,
+            k_max: 3,
+            seed: 11,
+            duration: 15.0,
+            fault_intensity,
+            transport,
+            trace,
+        };
+        let bonded = Some(TraceKind::Bonded);
+        for spec in [
+            cell(TestKind::T1, Transport::Rap, None, None),
+            cell(TestKind::T2, Transport::Rap, None, None),
+            cell(TestKind::T1, Transport::Bbr, bonded, Some(0.5)),
+        ] {
+            let cfg = spec.scenario();
+            let figures = run_scenario(&cfg);
+            let layers = cfg.qa.max_layers;
+            assert_eq!(figures.traces.layer_rate().len(), layers);
+            assert_eq!(figures.traces.buffer().len(), layers);
+            assert_eq!(figures.rx_buffers.width(), layers);
+            let label = spec.label();
+            let hash = hash_outcome(&figures);
+            assert_eq!(run_session(&spec).trace_hash, hash, "{label}");
+            // The session path keeps the two hashed columns and no sink row.
+            let session = run_recording(&cfg, Recording::Session);
+            assert_eq!(session.traces.table().width(), 2, "{label}");
+            assert_eq!(session.traces.tx_rate(), figures.traces.tx_rate());
+            assert_eq!(session.traces.n_active(), figures.traces.n_active());
+            assert_eq!(session.rx_buffers.room().collect::<Vec<_>>(), [(0, 0)]);
+            assert_eq!(hash_outcome(&session), hash, "{label}");
         }
     }
 

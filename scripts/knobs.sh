@@ -19,9 +19,9 @@
 #   and would read zero: what it shows is `SessionSpec`'s literals, whose
 #   same-named fields feed it;
 # - `field: Type` declarations and parameters are told from `field: value`
-#   by the shape of what follows the colon; comment lines and `{field:..}`
-#   format arguments are skipped; field-init shorthand (`Foo { seed, .. }`)
-#   is not seen.
+#   by the shape of what follows the colon; comment lines, string literals
+#   (`"trace: missing …"`) and `{field:..}` format arguments are skipped;
+#   field-init shorthand (`Foo { seed, .. }`) is not seen.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,7 +34,9 @@ assigns() {
   awk -v f="$1" '
     /^[[:space:]]*\/\// { next }
     {
+      # Text inside a string literal assigns nothing: blank it first.
       line = $0
+      gsub(/"([^"\\]|\\.)*"/, "\"\"", line)
       if (line ~ ("\\." f "[[:space:]]*=[^=]")) { found = 1; exit }
       while (match(line, "(^|[^A-Za-z0-9_.{])" f "[[:space:]]*:[^:]")) {
         rhs = substr(line, RSTART + RLENGTH - 1)
