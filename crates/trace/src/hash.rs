@@ -9,7 +9,7 @@
 //! bit-equal, not approximately equal.
 
 /// Streaming FNV-1a 64-bit hasher for trace fingerprints.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceHasher {
     state: u64,
 }
@@ -47,13 +47,9 @@ impl TraceHasher {
         self.u64(s.len() as u64).bytes(s.as_bytes())
     }
 
-    /// Fold in a `(time, value)` sample sequence.
-    pub fn samples(&mut self, points: impl ExactSizeIterator<Item = (f64, f64)>) -> &mut Self {
-        self.u64(points.len() as u64);
-        for (t, v) in points {
-            self.f64(t).f64(v);
-        }
-        self
+    /// Fold in a [`Section`]: its item count, then its digest.
+    pub fn section(&mut self, section: &Section) -> &mut Self {
+        self.u64(section.count).u64(section.digest())
     }
 
     /// Final digest.
@@ -65,6 +61,43 @@ impl TraceHasher {
 impl Default for TraceHasher {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// One streamed part of a digest: how many items were folded into it and
+/// their own FNV-1a digest, fed one item at a time as a run produces
+/// them, so a section stores nothing however long its stream grows.
+///
+/// FNV-1a can be neither resumed nor concatenated, so a digest that
+/// folds a stream's length *before* its items needs every item kept
+/// until the stream ends. A section counts as it goes instead, and the
+/// enclosing digest folds the pair afterwards ([`TraceHasher::section`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Section {
+    count: u64,
+    items: TraceHasher,
+}
+
+impl Section {
+    /// Count one more item and hand back the hasher its fields fold into.
+    pub fn item(&mut self) -> &mut TraceHasher {
+        self.count += 1;
+        &mut self.items
+    }
+
+    /// Fold one `(time, value)` sample as an item.
+    pub fn sample(&mut self, t: f64, v: f64) {
+        self.item().f64(t).f64(v);
+    }
+
+    /// Items folded so far.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Digest of the items folded so far.
+    pub fn digest(&self) -> u64 {
+        self.items.finish()
     }
 }
 
@@ -109,12 +142,22 @@ mod tests {
     }
 
     #[test]
-    fn samples_fingerprint_is_stable() {
-        let pts = [(0.0, 1.0), (0.5, 2.0)];
-        let mut a = TraceHasher::new();
-        a.samples(pts.into_iter());
-        let mut b = TraceHasher::new();
-        b.samples(pts.into_iter());
-        assert_eq!(a.finish(), b.finish());
+    fn a_section_folds_its_count_after_its_items() {
+        let mut s = Section::default();
+        s.sample(0.0, 1.0);
+        s.sample(0.5, 2.0);
+        assert_eq!(s.count(), 2);
+        let mut items = TraceHasher::new();
+        items.f64(0.0).f64(1.0).f64(0.5).f64(2.0);
+        assert_eq!(s.digest(), items.finish());
+        let mut folded = TraceHasher::new();
+        folded.section(&s);
+        let mut want = TraceHasher::new();
+        want.u64(2).u64(items.finish());
+        assert_eq!(folded, want);
+        // An empty section still folds its zero count.
+        let mut empty = TraceHasher::new();
+        empty.section(&Section::default());
+        assert_ne!(empty, TraceHasher::new());
     }
 }

@@ -26,7 +26,7 @@ pub mod table;
 pub use chrome::{validate as validate_chrome, ChromeStats, ChromeTrace};
 pub use columns::LayerColumns;
 pub use gnuplot::{render_script, write_figure, Panel};
-pub use hash::TraceHasher;
+pub use hash::{Section, TraceHasher};
 pub use json::{parse as parse_json, JsonError, JsonValue};
 pub use recorder::Recorder;
 pub use series::TimeSeries;
