@@ -128,7 +128,8 @@ fn run_qa<T: RateController + 'static>(
     world.run_until(dur);
     let src: &QaSourceAgent<T> = world.agent(src_id).expect("the QA source");
     let sink: &QaSinkAgent = world.agent(sink_id).expect("the QA sink");
-    let n_active = src.traces.n_active();
+    let traces = src.traces.as_ref().expect("the QA source records traces");
+    let n_active = traces.n_active();
     let steady: Vec<f64> = n_active
         .points
         .iter()
@@ -166,7 +167,7 @@ pub(super) fn window_cc(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSumm
         max_rate: 1.25 * 30_000.0,
     };
     let rap = run_qa(bw, dur, |sink, fwd| {
-        QaSourceAgent::new(sink, vec![fwd], 1, rap, qa_cfg(), 0.05)
+        QaSourceAgent::new(sink, vec![fwd], 1, rap, qa_cfg(), 0.05).with_traces()
     });
     let cc = WindowConfig {
         packet_size: 500.0,
@@ -175,7 +176,7 @@ pub(super) fn window_cc(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSumm
     };
     let win = run_qa(bw, dur, |sink, fwd| {
         let cc = WindowSender::new(cc, 0.0);
-        QaSourceAgent::with_controller(sink, vec![fwd], 1, cc, 500, qa_cfg(), 0.05)
+        QaSourceAgent::with_controller(sink, vec![fwd], 1, cc, 500, qa_cfg(), 0.05).with_traces()
     });
 
     writeln!(

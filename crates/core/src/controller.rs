@@ -141,7 +141,8 @@ impl<'a> IntoIterator for &'a LayerAllocation {
 }
 
 /// What a [`QaController`] counts as it runs, always on. Its adds, drops
-/// and base stalls are not here: its [`MetricsCollector`] logs each one.
+/// and base stalls are not here: its [`MetricsCollector`] accounts each
+/// one.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QaCounts {
     /// Calls to [`QaController::tick`].
@@ -198,6 +199,9 @@ pub struct QaController {
     /// True once `now >= playout_delay`: consumption is being charged.
     playing: bool,
     metrics: MetricsCollector,
+    /// The adds, drops and base stalls of the latest `tick` or
+    /// `on_backoff` call, in order: at most one per layer and a stall.
+    decisions: Vec<QaEvent>,
     counts: QaCounts,
 }
 
@@ -226,6 +230,7 @@ impl QaController {
             alloc_rates: vec![0.0; n],
             playing: false,
             metrics: MetricsCollector::new(),
+            decisions: Vec::new(),
             counts: QaCounts::default(),
         })
     }
@@ -262,9 +267,17 @@ impl QaController {
         &self.cfg
     }
 
-    /// Event log and derived metrics.
+    /// The paper's metrics over every decision so far.
     pub fn metrics(&self) -> &MetricsCollector {
         &self.metrics
+    }
+
+    /// The decisions (layer adds, layer drops, base stalls) the latest
+    /// [`tick`](Self::tick) or [`on_backoff`](Self::on_backoff) call made,
+    /// in order; the next such call replaces them. A caller that keeps a
+    /// session's decision log collects it from here after each call.
+    pub fn decisions(&self) -> &[QaEvent] {
+        &self.decisions
     }
 
     /// What this controller has counted so far.
@@ -318,6 +331,7 @@ impl QaController {
             0.0
         };
         self.counts.backoffs += 1;
+        self.decisions.clear();
         if laqa_obs::flight::enabled() {
             laqa_obs::flight::instant("qa.backoff", now, post_rate);
         }
@@ -370,6 +384,7 @@ impl QaController {
         let rate = if rate.is_finite() { rate.max(0.0) } else { 0.0 };
         let dt = if dt.is_finite() { dt.max(0.0) } else { 0.0 };
         self.counts.ticks += 1;
+        self.decisions.clear();
         let phase_before = self.phase;
         let c = self.cfg.layer_rate;
         if !self.playing {
@@ -398,7 +413,7 @@ impl QaController {
             if self.bufs[i] < -slack - self.cfg.epsilon_bytes {
                 if i == 0 {
                     stalled = true;
-                    self.metrics.record(QaEvent::BaseStall { time: now });
+                    self.decide(QaEvent::BaseStall { time: now });
                     if laqa_obs::flight::enabled() {
                         laqa_obs::flight::instant("qa.base_stall", now, rate);
                     }
@@ -631,13 +646,20 @@ impl QaController {
         }
     }
 
+    /// Account a decision and keep it until the next `tick` or
+    /// `on_backoff` call.
+    fn decide(&mut self, event: QaEvent) {
+        self.metrics.record(&event);
+        self.decisions.push(event);
+    }
+
     fn add_layer(&mut self, now: f64) {
         self.n_active += 1;
         self.bufs.push(0.0);
         self.sent_acc.push(0.0);
         self.credits.push(0.0);
         self.drain_stale = true;
-        self.metrics.record(QaEvent::LayerAdded {
+        self.decide(QaEvent::LayerAdded {
             time: now,
             n_active: self.n_active,
         });
@@ -667,7 +689,7 @@ impl QaController {
         self.sent_acc.truncate(self.n_active);
         self.credits.truncate(self.n_active);
         self.drain_stale = true;
-        self.metrics.record(QaEvent::LayerDropped {
+        self.decide(QaEvent::LayerDropped {
             time: now,
             layer,
             n_active: self.n_active,
@@ -691,8 +713,8 @@ impl QaController {
 
 impl Drop for QaController {
     /// Add this controller's counts, and the adds, drops by reason and
-    /// base stalls its event log holds, to the `laqa-obs` view: once, at
-    /// the end of its life.
+    /// base stalls its metrics hold, to the `laqa-obs` view: once, at the
+    /// end of its life.
     fn drop(&mut self) {
         use DropReason::*;
         let (c, m) = (self.counts, &self.metrics);
@@ -1022,8 +1044,7 @@ mod tests {
         ctl.bufs[0] = 1_000.0;
         ctl.on_backoff(now, 5_000.0);
         let drops: Vec<_> = ctl
-            .metrics()
-            .events()
+            .decisions()
             .iter()
             .filter(|e| matches!(e, QaEvent::LayerDropped { .. }))
             .collect();

@@ -20,7 +20,9 @@ use laqa_core::geometry::{
     band_allocation_into, buffering_layer_count, deficit, sustainable_layers, triangle_area,
 };
 use laqa_core::scenario::{buf_total, min_backoffs_below, per_layer, Scenario};
-use laqa_core::{Phase, QaConfig, QaController, StateSequence};
+use laqa_core::{
+    DropReason, MetricsCollector, Phase, QaConfig, QaController, QaEvent, StateSequence,
+};
 
 /// The decrease factors `Transport::nominal_decrease` installs: AIMD
 /// halving (RAP, TCP), NADA's nominal γ and BBR's loss β.
@@ -987,6 +989,140 @@ fn required_recovery_buffer_is_the_drop_threshold() {
                 let kept = sustainable_layers(n, c, rate, s, req * 0.25);
                 assert!(kept < n, "f={f}: shortfall kept all {n} layers (req {req})");
             }
+        },
+    );
+}
+
+/// The metrics over a whole decision log, computed afterwards the way a
+/// collector that kept the log would: `(adds, drops, drops per reason,
+/// stalls, efficiency, avoidable fraction, mean recovery)`.
+type BatchMetrics = (
+    usize,
+    usize,
+    [usize; 4],
+    usize,
+    Option<f64>,
+    Option<f64>,
+    Option<f64>,
+);
+
+fn batch_metrics(log: &[QaEvent]) -> BatchMetrics {
+    let reasons = [
+        DropReason::InsufficientTotalBuffer,
+        DropReason::DistributionShortfall,
+        DropReason::TopLayerUnderflow,
+        DropReason::BaseDebt,
+    ];
+    let adds = log
+        .iter()
+        .filter(|e| matches!(e, QaEvent::LayerAdded { .. }))
+        .count();
+    let stalls = log
+        .iter()
+        .filter(|e| matches!(e, QaEvent::BaseStall { .. }))
+        .count();
+    let drops: Vec<_> = log
+        .iter()
+        .filter_map(|e| match *e {
+            QaEvent::LayerDropped {
+                buf_total,
+                buf_drop,
+                required,
+                reason,
+                ..
+            } => Some((buf_total, buf_drop, required, reason)),
+            _ => None,
+        })
+        .collect();
+    let by_reason = reasons.map(|r| drops.iter().filter(|d| d.3 == r).count());
+    let shares: Vec<f64> = drops
+        .iter()
+        .filter(|d| d.0 > 0.0)
+        .map(|d| (d.0 - d.1) / d.0)
+        .collect();
+    let mut sum = 0.0;
+    shares.iter().for_each(|e| sum += e);
+    let efficiency = (!shares.is_empty()).then(|| sum / shares.len() as f64);
+    let avoidable = drops
+        .iter()
+        .filter(|d| d.0 >= d.2 && d.3 != DropReason::InsufficientTotalBuffer)
+        .count();
+    let avoidable = (!drops.is_empty()).then(|| avoidable as f64 / drops.len() as f64);
+    let mut gaps = Vec::new();
+    let mut episode_start = None;
+    for e in log {
+        match *e {
+            QaEvent::LayerDropped { time, .. } => {
+                episode_start.get_or_insert(time);
+            }
+            QaEvent::LayerAdded { time, .. } => {
+                if let Some(t0) = episode_start.take() {
+                    gaps.push(time - t0);
+                }
+            }
+            QaEvent::BaseStall { .. } => {}
+        }
+    }
+    let recovery = (!gaps.is_empty()).then(|| gaps.iter().sum::<f64>() / gaps.len() as f64);
+    let n_drops = drops.len();
+    (
+        adds, n_drops, by_reason, stalls, efficiency, avoidable, recovery,
+    )
+}
+
+#[test]
+fn running_metrics_equal_the_batch_forms_bit_for_bit() {
+    // The collector keeps sums, not the log: each metric must equal the
+    // one computed over the whole log afterwards, floats by bit pattern.
+    cases(
+        "running_metrics_equal_the_batch_forms_bit_for_bit",
+        DEFAULT_CASES,
+        |g, _| {
+            let reasons = [
+                DropReason::InsufficientTotalBuffer,
+                DropReason::DistributionShortfall,
+                DropReason::TopLayerUnderflow,
+                DropReason::BaseDebt,
+            ];
+            let mut log = Vec::new();
+            let mut time = 0.0;
+            for _ in 0..g.usize_in(0, 60) {
+                // Repeated times make zero-length recovery gaps.
+                if g.bool(0.7) {
+                    time += g.f64_range(0.0, 5.0);
+                }
+                let n_active = g.usize_in(1, 10);
+                log.push(match g.usize_in(0, 3) {
+                    0 => QaEvent::LayerAdded { time, n_active },
+                    1 => QaEvent::BaseStall { time },
+                    _ => {
+                        let buf_total = if g.bool(0.2) {
+                            0.0
+                        } else {
+                            g.f64_range(0.0, 5e4)
+                        };
+                        QaEvent::LayerDropped {
+                            time,
+                            layer: n_active,
+                            n_active,
+                            buf_total,
+                            buf_drop: buf_total * g.f64_unit(),
+                            required: g.f64_range(0.0, 5e4),
+                            reason: *g.pick(&reasons),
+                        }
+                    }
+                });
+            }
+            let mut m = MetricsCollector::new();
+            log.iter().for_each(|e| m.record(e));
+            let bits = |x: Option<f64>| x.map(f64::to_bits);
+            let (adds, drops, by_reason, stalls, eff, avoid, recovery) = batch_metrics(&log);
+            assert_eq!((m.adds(), m.drops(), m.stalls()), (adds, drops, stalls));
+            assert_eq!(m.quality_changes(), adds + drops);
+            assert_eq!(reasons.map(|r| m.drops_for(r)), by_reason);
+            assert_eq!(bits(m.efficiency()), bits(eff));
+            assert_eq!(bits(m.avoidable_drop_fraction()), bits(avoid));
+            assert_eq!(bits(m.recovery_secs_mean()), bits(recovery));
         },
     );
 }

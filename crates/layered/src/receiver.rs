@@ -66,6 +66,11 @@ impl LayeredReceiver {
         self.active = n.clamp(1, self.encoding.n_layers());
     }
 
+    /// Layers the encoding has.
+    pub fn n_layers(&self) -> usize {
+        self.buffers.len()
+    }
+
     /// Whether playout has started.
     pub fn playing(&self) -> bool {
         self.playing
