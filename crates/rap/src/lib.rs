@@ -45,7 +45,7 @@ pub use bbr::{BbrConfig, BbrSender};
 pub use controller::{RateController, SenderCounts};
 pub use history::{PacketRecord, TransmissionHistory};
 pub use nada::{NadaConfig, NadaSender};
-pub use receiver::{AckInfo, RapReceiverState, RunSet};
+pub use receiver::{AckInfo, RapReceiverState, RunSet, RECEPTION_HORIZON};
 pub use rtt::RttEstimator;
 pub use sender::{BackoffCause, RapConfig, RapEvent, RapSender};
 pub use window::{WindowConfig, WindowSender};

@@ -9,6 +9,7 @@ use laqa_check::{cases, Gen};
 use laqa_rap::{
     AckInfo, BackoffCause, BbrConfig, BbrSender, NadaConfig, NadaSender, RapConfig, RapEvent,
     RapReceiverState, RapSender, RateController, SenderCounts, WindowConfig, WindowSender,
+    RECEPTION_HORIZON,
 };
 use std::collections::BTreeSet;
 use std::sync::Mutex;
@@ -404,4 +405,82 @@ fn run_set_receiver_matches_the_tree_receiver_on_directed_paths() {
         eprintln!("directed: {what}");
         assert_receivers_agree(&arrivals);
     }
+}
+
+/// A lossy, duplicating stream of `sent` sequences in which each packet
+/// is held back by a delay in `0..=max_delay` sequences with probability
+/// `p_late`: it arrives after every packet of a lower delivery key
+/// (`seq + delay`). When it arrives, no sequence above `seq + max_delay`
+/// has, so `max_delay` bounds how far below the highest any arrival lands.
+fn delayed_stream(g: &mut Gen, sent: u64, max_delay: u64, p_late: f64) -> Vec<u64> {
+    let loss = g.f64_range(0.0, 0.2);
+    let dup = g.f64_range(0.0, 0.05);
+    let mut wire: Vec<(u64, u64)> = Vec::new();
+    for seq in 0..sent {
+        if g.bool(loss) {
+            continue;
+        }
+        let copies = if g.bool(dup) { 2 } else { 1 };
+        for _ in 0..copies {
+            let delay = if g.bool(p_late) {
+                g.u64_in(0, max_delay)
+            } else {
+                0
+            };
+            wire.push((seq + delay, seq));
+        }
+    }
+    wire.sort_by_key(|&(key, seq)| (key, seq));
+    wire.into_iter().map(|(_, seq)| seq).collect()
+}
+
+#[test]
+fn the_reception_horizon_changes_no_ack_under_shallower_reordering() {
+    // Streams long enough that the receiver forgets thousands of holes,
+    // reordered at most `RECEPTION_HORIZON` deep: every ACK and counter
+    // equals the exact reference receiver's, and nothing is counted.
+    cases("horizon_exact_under_shallow_reordering", 48, |g, _| {
+        let sent = g.u64_in(1, 6_000);
+        let max_delay = g.u64_in(0, RECEPTION_HORIZON);
+        let p_late = g.f64_range(0.0, 0.3);
+        let arrivals = delayed_stream(g, sent, max_delay, p_late);
+        assert_receivers_agree(&arrivals);
+        let mut rx = RapReceiverState::new();
+        for &seq in &arrivals {
+            rx.on_data(seq);
+        }
+        assert_eq!(rx.beyond_horizon(), 0, "max delay {max_delay}");
+    });
+}
+
+#[test]
+fn the_horizon_counter_counts_every_arrival_below_it() {
+    // Reordering up to three horizons deep: the counter counts exactly
+    // the arrivals above the receiver's in-order prefix and more than
+    // the horizon below the highest sequence, and every ACK before the
+    // first of them equals the exact reference receiver's.
+    let mut counted = 0;
+    cases("horizon_counter_counts_late_arrivals", 48, |g, _| {
+        let sent = g.u64_in(1, 6_000);
+        let max_delay = g.u64_in(0, 3 * RECEPTION_HORIZON);
+        let p_late = g.f64_range(0.0, 0.3);
+        let arrivals = delayed_stream(g, sent, max_delay, p_late);
+        let mut rx = RapReceiverState::new();
+        let mut reference = TreeReceiver::default();
+        let (mut next, mut highest, mut late) = (0u64, None::<u64>, 0u64);
+        for (i, &seq) in arrivals.iter().enumerate() {
+            if highest.is_some_and(|h| seq >= next && seq + RECEPTION_HORIZON < h) {
+                late += 1;
+            }
+            let (ack, want) = (rx.on_data(seq), reference.on_data(seq));
+            assert_eq!(rx.beyond_horizon(), late, "arrival {i} (seq {seq})");
+            if late == 0 {
+                assert_eq!(ack, want, "arrival {i} (seq {seq}), none late yet");
+            }
+            next = ack.cum_seq.wrapping_add(1);
+            highest = Some(ack.highest);
+        }
+        counted += late;
+    });
+    assert!(counted > 0, "no case reordered past the horizon");
 }

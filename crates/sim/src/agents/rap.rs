@@ -197,6 +197,12 @@ impl RapSinkAgent {
             bytes_received: 0,
         }
     }
+
+    /// Arrivals its receiver could no longer track (see
+    /// [`RapReceiverState::beyond_horizon`]).
+    pub fn beyond_horizon(&self) -> u64 {
+        self.rx.beyond_horizon()
+    }
 }
 
 impl Agent for RapSinkAgent {
