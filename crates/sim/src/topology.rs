@@ -59,9 +59,12 @@ pub struct Dumbbell {
 }
 
 impl Dumbbell {
-    /// Create the shared links in a fresh world.
-    pub fn new(cfg: DumbbellConfig, seed: u64) -> Self {
+    /// Create the shared links in a fresh world whose link table has room
+    /// for `links` links, these two included: a caller that knows how many
+    /// access links and legs it will add sizes the table once.
+    pub fn new(cfg: DumbbellConfig, seed: u64, links: usize) -> Self {
         let mut world = World::new(seed);
+        world.reserve_links(links);
         let fwd_bottleneck = world.add_link(LinkConfig {
             bandwidth: cfg.bottleneck_bw,
             delay: BOTTLENECK_DELAY,
@@ -169,7 +172,7 @@ mod tests {
 
     #[test]
     fn routes_share_the_bottleneck() {
-        let mut d = Dumbbell::new(DumbbellConfig::paper_base(), 1);
+        let mut d = Dumbbell::new(DumbbellConfig::paper_base(), 1, 4);
         let r1 = d.forward_route();
         let r2 = d.forward_route();
         assert_ne!(r1[0], r2[0], "distinct access links");
@@ -179,7 +182,7 @@ mod tests {
 
     #[test]
     fn reverse_routes_avoid_forward_bottleneck() {
-        let mut d = Dumbbell::new(DumbbellConfig::paper_base(), 1);
+        let mut d = Dumbbell::new(DumbbellConfig::paper_base(), 1, 4);
         let f = d.forward_route();
         let r = d.reverse_route();
         assert!(!r.contains(&f[1]));
