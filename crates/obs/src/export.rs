@@ -45,11 +45,6 @@ impl Snapshot {
         self.histograms.iter().find(|h| h.name == name)
     }
 
-    /// True when nothing was recorded (all zeros).
-    pub fn is_empty(&self) -> bool {
-        self.counters.values().all(|&v| v == 0) && self.histograms.iter().all(|h| h.count == 0)
-    }
-
     /// Render counters and histograms as aligned text tables
     /// (`report.txt` under `laqa campaign --obs DIR`).
     pub fn render(&self) -> String {

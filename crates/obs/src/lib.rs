@@ -103,7 +103,8 @@ mod tests {
         histogram!("lib.test.hist", &[1.0]).observe(0.5);
         let snap = snapshot();
         assert_eq!(snap.counter("lib.test.ctr"), None);
-        assert!(snap.is_empty());
+        assert!(snap.counters.values().all(|&v| v == 0), "{snap:?}");
+        assert!(snap.histograms.iter().all(|h| h.count == 0), "{snap:?}");
     }
 
     #[test]

@@ -63,8 +63,9 @@ fn fingerprints_identical_with_obs_on_and_off() {
     drop(ctl);
     let off = run_campaign(&spec, 2);
     let off_snapshot = laqa_obs::snapshot();
+    let (counters, histograms) = (&off_snapshot.counters, &off_snapshot.histograms);
     assert!(
-        off_snapshot.is_empty(),
+        counters.values().all(|&v| v == 0) && histograms.iter().all(|h| h.count == 0),
         "disabled instrumentation recorded state: {off_snapshot:?}"
     );
 
