@@ -51,10 +51,10 @@ echo "== 4/9 controller-only workload fingerprint and allocations =="
 # AIMD sawtooth, K_max 2 to 16): at seed 1999 it must print this
 # fingerprint. A behaviour change on purpose = edit it here.
 want=82ddef813d9ebe49
-# Its allocations per session are exact at a fixed seed (measured 116.625:
+# Its allocations per session are exact at a fixed seed (measured 110.875:
 # the state paths' row buffers and the controller's vectors growing as
 # layers come up); the ceiling is that plus 7 %.
-max_allocs=124.8
+max_allocs=118.7
 qa_out=$(mktemp -d)
 qa_report=$(benchmark/target/release/laqa-benchmark run --workload qa_fluid --seed 1999 \
   --passes 2 --trace 0 --out "$qa_out")
