@@ -5,7 +5,7 @@
 use crate::ascii_plot;
 use laqa_core::QaConfig;
 use laqa_layered::LayeredEncoding;
-use laqa_rap::{RapConfig, RateController, WindowConfig, WindowSender};
+use laqa_rap::{RapConfig, RapSender, RateController, WindowConfig, WindowSender};
 use laqa_sim::agents::qa::{QaSinkAgent, QaSourceAgent};
 use laqa_sim::{run_scenario, LinkConfig, QueueKind, RedConfig, ScenarioConfig, World};
 use laqa_trace::{RunSummary, Table};
@@ -93,23 +93,9 @@ struct Outcome {
     plot: String,
 }
 
-fn qa_cfg() -> QaConfig {
-    QaConfig {
-        layer_rate: 5_000.0,
-        max_layers: 6,
-        k_max: 2,
-        underflow_slack_bytes: 2_000.0,
-        ..QaConfig::default()
-    }
-}
-
-/// Run one QA source (built by `make_src` from the sink id and forward
-/// link) alone over a `bw` bottleneck for `dur` seconds.
-fn run_qa<T: RateController + 'static>(
-    bw: f64,
-    dur: f64,
-    make_src: impl FnOnce(usize, usize) -> QaSourceAgent<T>,
-) -> Outcome {
+/// Run one QA source over `controller`, with 500-byte packets, alone over
+/// a `bw` bottleneck for `dur` seconds.
+fn run_qa(bw: f64, dur: f64, controller: Box<dyn RateController>) -> Outcome {
     let mut world = World::new(31);
     let fwd = world.add_link(LinkConfig {
         bandwidth: bw,
@@ -118,15 +104,22 @@ fn run_qa<T: RateController + 'static>(
         ..LinkConfig::default()
     });
     let rev = world.add_link(LinkConfig::uncongested());
-    let cfg = qa_cfg();
+    let cfg = QaConfig {
+        layer_rate: 5_000.0,
+        max_layers: 6,
+        k_max: 2,
+        underflow_slack_bytes: 2_000.0,
+        ..QaConfig::default()
+    };
     let encoding =
         LayeredEncoding::linear(cfg.max_layers, cfg.layer_rate).expect("a valid encoding");
     let startup = 2.0 * cfg.startup_buffer_secs;
     let sink = QaSinkAgent::new(1, vec![rev], 1, encoding, startup, 0.05);
     let sink_id = world.add_agent(Box::new(sink));
-    let src_id = world.add_agent(Box::new(make_src(sink_id, fwd)));
+    let src = QaSourceAgent::new(sink_id, vec![fwd], 1, controller, 500, cfg, 0.05);
+    let src_id = world.add_agent(Box::new(src.with_traces()));
     world.run_until(dur);
-    let src: &QaSourceAgent<T> = world.agent(src_id).expect("the QA source");
+    let src: &QaSourceAgent = world.agent(src_id).expect("the QA source");
     let sink: &QaSinkAgent = world.agent(sink_id).expect("the QA sink");
     let traces = src.traces.as_ref().expect("the QA source records traces");
     let n_active = traces.n_active();
@@ -143,7 +136,7 @@ fn run_qa<T: RateController + 'static>(
             .filter(|w| (w[0] - w[1]).abs() > 1e-9)
             .count(),
         stalls: src.qa().metrics().stalls(),
-        base_underflows: sink.receiver.stats().underflows[0],
+        base_underflows: sink.receiver.layer(0).underflow_events(),
         plot: ascii_plot(&n_active, 64),
     }
 }
@@ -166,18 +159,13 @@ pub(super) fn window_cc(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSumm
         initial_rtt: 0.06,
         max_rate: 1.25 * 30_000.0,
     };
-    let rap = run_qa(bw, dur, |sink, fwd| {
-        QaSourceAgent::new(sink, vec![fwd], 1, rap, qa_cfg(), 0.05).with_traces()
-    });
+    let rap = run_qa(bw, dur, Box::new(RapSender::new(rap, 0.0)));
     let cc = WindowConfig {
         packet_size: 500.0,
         initial_rtt: 0.06,
         max_cwnd: 80.0,
     };
-    let win = run_qa(bw, dur, |sink, fwd| {
-        let cc = WindowSender::new(cc, 0.0);
-        QaSourceAgent::with_controller(sink, vec![fwd], 1, cc, 500, qa_cfg(), 0.05).with_traces()
-    });
+    let win = run_qa(bw, dur, Box::new(WindowSender::new(cc, 0.0)));
 
     writeln!(
         w,

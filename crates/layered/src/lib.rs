@@ -19,4 +19,4 @@ pub mod receiver;
 
 pub use buffer::LayerBuffer;
 pub use encoding::{EncodingError, LayeredEncoding};
-pub use receiver::{LayeredReceiver, ReceiverStats};
+pub use receiver::LayeredReceiver;

@@ -9,26 +9,6 @@
 use crate::buffer::LayerBuffer;
 use crate::encoding::LayeredEncoding;
 
-/// Receiver-side statistics snapshot.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ReceiverStats {
-    /// Bytes currently buffered per layer.
-    pub buffered: Vec<f64>,
-    /// Underflow events per layer.
-    pub underflows: Vec<u64>,
-    /// Starved bytes per layer.
-    pub starved: Vec<f64>,
-    /// Bytes written off per layer when its buffer was discarded (layer
-    /// drops); without this, loss summaries under-report.
-    pub discarded: Vec<f64>,
-    /// Total bytes received per layer.
-    pub received: Vec<f64>,
-    /// Media position (seconds of content consumed).
-    pub position: f64,
-    /// Whether playout has started.
-    pub playing: bool,
-}
-
 /// A receiving endpoint for a layered stream.
 #[derive(Debug, Clone)]
 pub struct LayeredReceiver {
@@ -86,6 +66,17 @@ impl LayeredReceiver {
         self.buffers[layer].buffered()
     }
 
+    /// The buffer of `layer`: its underflow, starvation and discard
+    /// counters.
+    pub fn layer(&self, layer: usize) -> &LayerBuffer {
+        &self.buffers[layer]
+    }
+
+    /// Total bytes received for `layer`.
+    pub fn received(&self, layer: usize) -> f64 {
+        self.received[layer]
+    }
+
     /// Deliver `bytes` of `layer` data arriving at time `_now` (the
     /// buffers keep byte counts, not arrival times).
     pub fn on_data(&mut self, _now: f64, layer: usize, bytes: f64) {
@@ -126,19 +117,6 @@ impl LayeredReceiver {
     /// Total bytes written off across all layers by buffer discards.
     pub fn total_discarded(&self) -> f64 {
         self.buffers.iter().map(|b| b.discarded_bytes()).sum()
-    }
-
-    /// Statistics snapshot.
-    pub fn stats(&self) -> ReceiverStats {
-        ReceiverStats {
-            buffered: self.buffers.iter().map(|b| b.buffered()).collect(),
-            underflows: self.buffers.iter().map(|b| b.underflow_events()).collect(),
-            starved: self.buffers.iter().map(|b| b.starved_bytes()).collect(),
-            discarded: self.buffers.iter().map(|b| b.discarded_bytes()).collect(),
-            received: self.received.clone(),
-            position: self.position,
-            playing: self.playing,
-        }
     }
 }
 
@@ -185,10 +163,8 @@ mod tests {
         // Layer 2 empty, layer 1 short: 1 s of playout needs 10 KB each.
         let u = r.advance(1.0);
         assert_eq!(u, 2);
-        let stats = r.stats();
-        assert_eq!(stats.underflows[0], 0);
-        assert_eq!(stats.underflows[1], 1);
-        assert_eq!(stats.underflows[2], 1);
+        let underflows = (0..4).map(|l| r.layer(l).underflow_events());
+        assert_eq!(underflows.collect::<Vec<_>>(), [0, 1, 1, 0]);
     }
 
     #[test]
@@ -209,18 +185,18 @@ mod tests {
         r.buffers[1].clear();
         r.on_data(1.0, 2, 500.0);
         r.buffers[2].clear();
-        let stats = r.stats();
-        assert_eq!(stats.discarded, vec![0.0, 2_000.0, 8_000.0, 0.0]);
+        let discarded = (0..4).map(|l| r.layer(l).discarded_bytes());
+        assert_eq!(discarded.collect::<Vec<_>>(), [0.0, 2_000.0, 8_000.0, 0.0]);
         assert_eq!(r.total_discarded(), 10_000.0);
         // Discarded data is not starvation: no underflows were charged.
-        assert_eq!(stats.underflows, vec![0, 0, 0, 0]);
+        assert!((0..4).all(|l| r.layer(l).underflow_events() == 0));
     }
 
     #[test]
     fn data_for_unknown_layer_ignored() {
         let mut r = receiver(1);
         r.on_data(0.0, 9, 1_000.0);
-        assert_eq!(r.stats().buffered, vec![0.0; 4]);
+        assert!((0..4).all(|l| r.buffered(l) == 0.0 && r.received(l) == 0.0));
     }
 
     #[test]

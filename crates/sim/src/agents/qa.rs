@@ -1,5 +1,6 @@
-//! The quality-adaptive streaming pair: a RAP source driven by the
-//! [`laqa_core::QaController`] and a layered-receiver sink — the system
+//! The quality-adaptive streaming pair: a source that runs the
+//! [`laqa_core::QaController`] over any congestion controller (see
+//! [`RateController`]) and a layered-receiver sink — over RAP, the system
 //! under test in every figure of the paper's §5.
 
 use super::rap::{count_fire, rearm, send_ack};
@@ -8,7 +9,7 @@ use crate::packet::{AgentId, Packet, PacketKind, Route};
 use laqa_core::metrics::{DropReason, QaEvent};
 use laqa_core::{QaConfig, QaController};
 use laqa_layered::{LayeredEncoding, LayeredReceiver};
-use laqa_rap::{RapConfig, RapEvent, RapReceiverState, RapSender, RateController};
+use laqa_rap::{RapEvent, RapReceiverState, RateController};
 use laqa_trace::{LayerColumns, Section, TimeSeries, TraceHasher};
 use std::iter;
 
@@ -152,13 +153,12 @@ pub fn fold_decision(h: &mut TraceHasher, event: &QaEvent) {
     }
 }
 
-/// Quality-adaptive video source, generic over the congestion controller
-/// underneath (see [`RateController`]). The default `RapSender`
-/// instantiation is the paper's QA-over-RAP system; any other controller
-/// implementing the trait (BBR-style, NADA-style, ACK-clocked window)
-/// drives the identical quality-adaptation machinery.
-pub struct QaSourceAgent<T: RateController = RapSender> {
-    rap: T,
+/// Quality-adaptive video source over any congestion controller (see
+/// [`RateController`]). Over [`laqa_rap::RapSender`] it is the paper's
+/// QA-over-RAP system; any other controller (BBR-style, NADA-style,
+/// ACK-clocked window) drives the identical quality-adaptation machinery.
+pub struct QaSourceAgent {
+    rap: Box<dyn RateController>,
     qa: QaController,
     /// Sink agent.
     pub dst: AgentId,
@@ -181,40 +181,17 @@ pub struct QaSourceAgent<T: RateController = RapSender> {
     ev_scratch: Vec<RapEvent>,
 }
 
-impl QaSourceAgent<RapSender> {
-    /// New QA-over-RAP source; `tick_dt` is the allocation period
-    /// (seconds).
+impl QaSourceAgent {
+    /// New QA source over `controller`, sending `packet_size`-byte packets
+    /// and allocating every `tick_dt` seconds, recording no trace rows.
+    /// The controller should be constructed with its clock at `0.0`; a
+    /// delayed `start_at` restarts it at the join time via
+    /// [`RateController::restart`].
     pub fn new(
         dst: AgentId,
         route: impl Into<Route>,
         flow: u32,
-        rap_cfg: RapConfig,
-        qa_cfg: QaConfig,
-        tick_dt: f64,
-    ) -> Self {
-        let packet_size = rap_cfg.packet_size as u32;
-        Self::with_controller(
-            dst,
-            route,
-            flow,
-            RapSender::new(rap_cfg, 0.0),
-            packet_size,
-            qa_cfg,
-            tick_dt,
-        )
-    }
-}
-
-impl<T: RateController + 'static> QaSourceAgent<T> {
-    /// New QA source over an arbitrary congestion controller, recording
-    /// no trace rows. The controller should be constructed with its clock
-    /// at `0.0`; a delayed `start_at` restarts it at the join time via
-    /// [`RateController::restart`].
-    pub fn with_controller(
-        dst: AgentId,
-        route: impl Into<Route>,
-        flow: u32,
-        controller: T,
+        controller: Box<dyn RateController>,
         packet_size: u32,
         qa_cfg: QaConfig,
         tick_dt: f64,
@@ -339,7 +316,7 @@ impl<T: RateController + 'static> QaSourceAgent<T> {
     }
 }
 
-impl<T: RateController + 'static> Agent for QaSourceAgent<T> {
+impl Agent for QaSourceAgent {
     fn start(&mut self, ctx: &mut Ctx) {
         if self.start_at > 0.0 {
             self.rap.restart(self.start_at);
@@ -472,17 +449,16 @@ mod tests {
     use super::*;
     use crate::engine::World;
     use crate::link::LinkConfig;
-    use crate::packet::LinkId;
-    use laqa_rap::{RapConfig, WindowConfig, WindowSender};
+    use laqa_rap::{RapConfig, RapSender, WindowConfig, WindowSender};
 
-    /// One QA flow over a bottleneck, its source built by `make_src` from
-    /// (sink id, forward link, QA config); returns (world, src id, sink id).
-    fn run_flow<T: RateController + 'static>(
+    /// One QA flow over `controller` with 500-byte packets through a
+    /// bottleneck, recording its traces; returns (world, src id, sink id).
+    fn run_flow(
         seed: u64,
         bw: f64,
         queue: usize,
         dur: f64,
-        make_src: impl FnOnce(AgentId, LinkId, QaConfig) -> QaSourceAgent<T>,
+        controller: Box<dyn RateController>,
     ) -> (World, AgentId, AgentId) {
         let mut w = World::new(seed);
         let fwd = w.add_link(LinkConfig {
@@ -513,46 +489,37 @@ mod tests {
             ))),
             sink_id
         );
-        assert_eq!(
-            w.add_agent(Box::new(make_src(sink_id, fwd, qa_cfg))),
-            src_id
-        );
+        let src = QaSourceAgent::new(sink_id, vec![fwd], 1, controller, 500, qa_cfg, 0.05);
+        assert_eq!(w.add_agent(Box::new(src.with_traces())), src_id);
         w.run_until(dur);
         (w, src_id, sink_id)
     }
 
     /// [`run_flow`] over RAP.
     fn qa_flow(bw: f64, queue: usize, dur: f64) -> (World, AgentId, AgentId) {
-        run_flow(17, bw, queue, dur, |sink, fwd, qa_cfg| {
-            let rap_cfg = RapConfig {
-                packet_size: 500.0,
-                initial_rate: 2_000.0,
-                initial_rtt: 0.08,
-                max_rate: 45_000.0,
-            };
-            QaSourceAgent::new(sink, vec![fwd], 1, rap_cfg, qa_cfg, 0.05).with_traces()
-        })
+        let rap_cfg = RapConfig {
+            packet_size: 500.0,
+            initial_rate: 2_000.0,
+            initial_rtt: 0.08,
+            max_rate: 45_000.0,
+        };
+        run_flow(17, bw, queue, dur, Box::new(RapSender::new(rap_cfg, 0.0)))
     }
 
     /// [`run_flow`] over the ACK-clocked AIMD window (the paper's §7 "other
     /// AIMD schemes" port).
     fn window_flow(bw: f64, dur: f64) -> (World, AgentId, AgentId) {
-        run_flow(23, bw, 20, dur, |sink, fwd, qa_cfg| {
-            let cc = WindowSender::new(
-                WindowConfig {
-                    packet_size: 500.0,
-                    initial_rtt: 0.06,
-                    max_cwnd: 60.0,
-                },
-                0.0,
-            );
-            QaSourceAgent::with_controller(sink, vec![fwd], 1, cc, 500, qa_cfg, 0.05).with_traces()
-        })
+        let cc = WindowConfig {
+            packet_size: 500.0,
+            initial_rtt: 0.06,
+            max_cwnd: 60.0,
+        };
+        run_flow(23, bw, 20, dur, Box::new(WindowSender::new(cc, 0.0)))
     }
 
     /// Mean active-layer count after `after` seconds.
-    fn mean_layers<T: RateController + 'static>(w: &World, src: AgentId, after: f64) -> f64 {
-        let s: &QaSourceAgent<T> = w.agent(src).unwrap();
+    fn mean_layers(w: &World, src: AgentId, after: f64) -> f64 {
+        let s: &QaSourceAgent = w.agent(src).unwrap();
         let steady: Vec<f64> = s
             .traces
             .as_ref()
@@ -569,16 +536,17 @@ mod tests {
     #[test]
     fn window_cc_qa_adapts_without_stalling() {
         let (w, src, sink) = window_flow(25_000.0, 30.0);
-        let mean = mean_layers::<WindowSender>(&w, src, 12.0);
+        let mean = mean_layers(&w, src, 12.0);
         assert!((2.0..=5.9).contains(&mean), "mean layers {mean}");
-        let s: &QaSourceAgent<WindowSender> = w.agent(src).unwrap();
+        let s: &QaSourceAgent = w.agent(src).unwrap();
         assert!(
             s.qa().counts().backoffs > 0,
             "ACK-clocked AIMD must back off at a bottleneck"
         );
         assert_eq!(s.qa().metrics().stalls(), 0);
         let sk: &QaSinkAgent = w.agent(sink).unwrap();
-        assert_eq!(sk.receiver.stats().underflows[0], 0, "base never starves");
+        let base = sk.receiver.layer(0);
+        assert_eq!(base.underflow_events(), 0, "base never starves");
     }
 
     #[test]
@@ -586,8 +554,7 @@ mod tests {
         let (w_lo, src_lo, _) = window_flow(12_000.0, 25.0);
         let (w_hi, src_hi, _) = window_flow(28_000.0, 25.0);
         assert!(
-            mean_layers::<WindowSender>(&w_hi, src_hi, 10.0)
-                > mean_layers::<WindowSender>(&w_lo, src_lo, 10.0),
+            mean_layers(&w_hi, src_hi, 10.0) > mean_layers(&w_lo, src_lo, 10.0),
             "more bandwidth must mean more layers"
         );
     }
@@ -617,12 +584,13 @@ mod tests {
         let (w, src, sink) = qa_flow(25_000.0, 15, 25.0);
         // 25 KB/s bottleneck and 5 KB/s layers: should settle at 4-5
         // layers, not pinned at 1 or 6.
-        let mean = mean_layers::<RapSender>(&w, src, 10.0);
+        let mean = mean_layers(&w, src, 10.0);
         assert!((2.5..=5.5).contains(&mean), "mean layers {mean}");
         let s: &QaSourceAgent = w.agent(src).unwrap();
         assert!(s.qa().counts().backoffs > 0);
         let sk: &QaSinkAgent = w.agent(sink).unwrap();
-        assert_eq!(sk.receiver.stats().underflows[0], 0, "base never starves");
+        let base = sk.receiver.layer(0);
+        assert_eq!(base.underflow_events(), 0, "base never starves");
     }
 
     #[test]
@@ -631,7 +599,8 @@ mod tests {
         let sk: &QaSinkAgent = w.agent(sink).unwrap();
         // Lower layers must carry at least as many bytes as higher ones
         // over the run (they are always active), within 50 packets.
-        let bytes = &sk.receiver.stats().received;
+        let layers = 0..sk.receiver.n_layers();
+        let bytes: Vec<f64> = layers.map(|l| sk.receiver.received(l)).collect();
         assert!(bytes[0] > 0.0);
         for w2 in bytes.windows(2) {
             assert!(

@@ -67,6 +67,28 @@ impl Transport {
             Transport::Nada => laqa_rap::nada::NOMINAL_GAMMA,
         }
     }
+
+    /// This transport's controller for a QA flow whose RAP parameters are
+    /// `rap`, its clock at zero.
+    pub fn controller(&self, rap: &RapConfig) -> Box<dyn RateController> {
+        let rap = rap.clone();
+        match self {
+            Transport::Rap => Box::new(RapSender::new(rap, 0.0)),
+            Transport::Bbr => Box::new(BbrSender::new(rap, 0.0)),
+            Transport::Nada => Box::new(NadaSender::new(rap, 0.0)),
+            Transport::Tcp => {
+                let window = WindowConfig {
+                    packet_size: rap.packet_size,
+                    initial_rtt: rap.initial_rtt,
+                    // Flow-control cap equivalent to RAP's max_rate at a
+                    // generous queueing-inclusive RTT of 0.5 s; the floor
+                    // keeps the window usable on fast paths.
+                    max_cwnd: (rap.max_rate * 0.5 / rap.packet_size).max(8.0),
+                };
+                Box::new(WindowSender::new(window, 0.0))
+            }
+        }
+    }
 }
 
 impl std::str::FromStr for Transport {
@@ -344,9 +366,6 @@ pub(crate) fn run_recording(cfg: &ScenarioConfig, recording: Recording) -> Scena
 struct ScenarioHandles {
     qa_sink: AgentId,
     qa_src: AgentId,
-    /// Which [`QaSourceAgent`] instantiation sits at `qa_src` (extraction
-    /// must downcast to the matching concrete type).
-    transport: Transport,
     rap_sinks: Vec<AgentId>,
     tcp_sinks: Vec<AgentId>,
     injector: Option<AgentId>,
@@ -427,55 +446,15 @@ fn build_scenario(cfg: &ScenarioConfig, recording: Recording) -> (World, Scenari
         } else {
             d.forward_route()
         };
-        // Wrap the transport's controller (clock at zero) in its
-        // QaSourceAgent<T> instantiation; identical wiring for every
-        // controller family.
-        fn add_qa_src<T: RateController + 'static>(
-            world: &mut World,
-            controller: T,
-            cfg: &ScenarioConfig,
-            recording: Recording,
-            dst: AgentId,
-            fwd: Route,
-        ) -> AgentId {
-            let pkt = cfg.rap.packet_size as u32;
-            let mut src = QaSourceAgent::with_controller(
-                dst,
-                fwd,
-                0,
-                controller,
-                pkt,
-                cfg.qa.clone(),
-                cfg.tick_dt,
-            );
-            if recording == Recording::Figures {
-                src = src.with_traces();
-            }
-            src.start_at = QA_START;
-            src.reserve_until(cfg.duration);
-            world.add_agent(Box::new(src))
+        let controller = cfg.transport.controller(&cfg.rap);
+        let qa = cfg.qa.clone();
+        let mut src = QaSourceAgent::new(qa_dst, fwd, 0, controller, pkt, qa, cfg.tick_dt);
+        if recording == Recording::Figures {
+            src = src.with_traces();
         }
-        let (w, rap) = (&mut d.world, cfg.rap.clone());
-        let id = match cfg.transport {
-            Transport::Rap => add_qa_src(w, RapSender::new(rap, 0.0), cfg, recording, qa_dst, fwd),
-            Transport::Bbr => add_qa_src(w, BbrSender::new(rap, 0.0), cfg, recording, qa_dst, fwd),
-            Transport::Nada => {
-                add_qa_src(w, NadaSender::new(rap, 0.0), cfg, recording, qa_dst, fwd)
-            }
-            Transport::Tcp => {
-                let window = WindowConfig {
-                    packet_size: cfg.rap.packet_size,
-                    initial_rtt: cfg.rap.initial_rtt,
-                    // Flow-control cap equivalent to RAP's max_rate at
-                    // a generous queueing-inclusive RTT of 0.5 s; the
-                    // floor keeps the window usable on fast paths.
-                    max_cwnd: (cfg.rap.max_rate * 0.5 / cfg.rap.packet_size).max(8.0),
-                };
-                let tcp = WindowSender::new(window, 0.0);
-                add_qa_src(w, tcp, cfg, recording, qa_dst, fwd)
-            }
-        };
-        assert_eq!(id, qa_src_id);
+        src.start_at = QA_START;
+        src.reserve_until(cfg.duration);
+        assert_eq!(d.world.add_agent(Box::new(src)), qa_src_id);
     }
 
     if let Some(leg_b) = bond_leg {
@@ -596,7 +575,6 @@ fn build_scenario(cfg: &ScenarioConfig, recording: Recording) -> (World, Scenari
         ScenarioHandles {
             qa_sink: qa_sink_id,
             qa_src: qa_src_id,
-            transport: cfg.transport,
             rap_sinks,
             tcp_sinks,
             injector: injector_id,
@@ -637,16 +615,13 @@ fn extract_outcome(
     let (rx_buffers, rx_underflows, rx_base_underflows, base_starved_bytes, discarded_bytes) = {
         let sink: &mut QaSinkAgent = world.agent_mut(handles.qa_sink).unwrap();
         rx_beyond_horizon += sink.beyond_horizon();
-        let stats = sink.receiver.stats();
-        let base = stats.underflows.first().copied().unwrap_or(0);
-        let starved = stats.starved.first().copied().unwrap_or(0.0);
-        let discarded = sink.receiver.total_discarded();
+        let base = sink.receiver.layer(0);
         (
             sink.buffer_trace.take().unwrap_or_default(),
             sink.underflows,
-            base,
-            starved,
-            discarded,
+            base.underflow_events(),
+            base.starved_bytes(),
+            sink.receiver.total_discarded(),
         )
     };
     let fault_stats = handles
@@ -665,40 +640,20 @@ fn extract_outcome(
         .map(|t| t.changes)
         .sum();
     let bond_leg = handles.bond_leg.map(|l| world.link_stats(l));
-    // The QA source's concrete type depends on the transport; downcast to
-    // the matching instantiation and pull out the identical field set.
-    fn qa_src_parts<T: RateController + 'static>(
-        world: &mut World,
-        id: AgentId,
-    ) -> (QaTraces, QaSections, MetricsCollector, u64, Vec<f64>) {
-        let src: &mut QaSourceAgent<T> = world.agent_mut(id).unwrap();
-        (
-            src.traces.take().unwrap_or_default(),
-            std::mem::take(&mut src.sections),
-            src.qa().metrics().clone(),
-            src.qa().counts().backoffs,
-            src.qa().buffers().to_vec(),
-        )
-    }
-    let (traces, qa_sections, metrics, backoffs, final_buffers) = match handles.transport {
-        Transport::Rap => qa_src_parts::<RapSender>(world, handles.qa_src),
-        Transport::Bbr => qa_src_parts::<BbrSender>(world, handles.qa_src),
-        Transport::Nada => qa_src_parts::<NadaSender>(world, handles.qa_src),
-        Transport::Tcp => qa_src_parts::<WindowSender>(world, handles.qa_src),
-    };
+    let src: &mut QaSourceAgent = world.agent_mut(handles.qa_src).unwrap();
     ScenarioOutcome {
-        traces,
-        qa_sections,
-        metrics,
+        traces: src.traces.take().unwrap_or_default(),
+        qa_sections: std::mem::take(&mut src.sections),
+        metrics: src.qa().metrics().clone(),
+        backoffs: src.qa().counts().backoffs,
+        final_buffers: src.qa().buffers().to_vec(),
         rx_buffers,
         rx_underflows,
         rx_beyond_horizon,
         rx_base_underflows,
-        backoffs,
         bottleneck: bottleneck_stats,
         rap_throughput,
         tcp_goodput,
-        final_buffers,
         queue_trace,
         queue_section,
         events_processed,

@@ -1,6 +1,6 @@
 //! QA × transport interop matrix acceptance tests.
 //!
-//! The quality-adaptation machine is generic over [`laqa_rap::RateController`];
+//! The quality-adaptation machine runs over any [`laqa_rap::RateController`];
 //! these tests pin the contract of the `transport` campaign axis that runs
 //! the paper's workloads under RAP, a BBR-style delivery-rate controller, a
 //! NADA-style delay-gradient controller, and the ACK-clocked TCP baseline:
@@ -92,6 +92,16 @@ fn with_transport_threads_the_nominal_decrease_factor() {
             cfg.qa.decrease_factor,
             expect,
             "{} must install its nominal decrease factor",
+            transport.label()
+        );
+    }
+    // The geometry's assumed factor is the one each controller reports.
+    let rap = ScenarioConfig::t1(2, 8.0, 7).rap;
+    for transport in Transport::ALL {
+        assert_eq!(
+            transport.controller(&rap).decrease_factor(),
+            transport.nominal_decrease(),
+            "{}: nominal_decrease and the controller's decrease_factor disagree",
             transport.label()
         );
     }

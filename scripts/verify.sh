@@ -45,32 +45,43 @@ for example in quickstart live_session; do
 done
 echo "quickstart and live_session exit 0"
 
-echo "== 4/9 controller-only workload fingerprint and allocations =="
-# No test pins a 10-layer, K_max 16 controller run bit for bit. The
-# benchmark's qa_fluid workload is one (QaController alone on a seeded
-# AIMD sawtooth, K_max 2 to 16): at seed 1999 it must print this
-# fingerprint. A behaviour change on purpose = edit it here.
-want=82ddef813d9ebe49
-# Its allocations per session are exact at a fixed seed (measured 110.875:
-# the state paths' row buffers and the controller's vectors growing as
-# layers come up); the ceiling is that plus 7 %.
+echo "== 4/9 benchmark fingerprints and qa_fluid allocations =="
+# No test pins the benchmark's workloads bit for bit: tables (the paper's
+# T1+T2 grid), hostile (traces, bonding, faults, the three other
+# controllers), stack_loop (rap + layered + core with no simulator) and
+# qa_fluid (QaController alone on a seeded AIMD sawtooth, 10 layers,
+# K_max 2 to 16). At seed 1999 each must print its fingerprint here
+# (≈ 6 s for all four). A behaviour change on purpose = edit it here.
+declare -A want=(
+  [tables]=53185a2385686cd7
+  [hostile]=2285d8add9aff4f4
+  [stack_loop]=5540713e003de161
+  [qa_fluid]=82ddef813d9ebe49
+)
+# qa_fluid's allocations per session are exact at a fixed seed (measured
+# 110.875: the state paths' row buffers and the controller's vectors
+# growing as layers come up); the ceiling is that plus 7 %.
 max_allocs=118.7
-qa_out=$(mktemp -d)
-qa_report=$(benchmark/target/release/laqa-benchmark run --workload qa_fluid --seed 1999 \
-  --passes 2 --trace 0 --out "$qa_out")
-rm -rf "$qa_out"
-got=$(grep -oE 'fingerprint [0-9a-f]{16}' <<< "$qa_report" | head -n 1 | grep -oE '[0-9a-f]{16}$' || true)
-if [ "$got" != "$want" ]; then
-  echo "FAIL: qa_fluid fingerprint '$got', expected '$want'" >&2
-  exit 1
-fi
-echo "qa_fluid fingerprint $got"
-allocs=$(awk '$1 == "qa_fluid" && $2 == "allocs_per_session" { print $3; exit }' <<< "$qa_report")
-if [ -z "$allocs" ] || ! awk -v a="$allocs" -v m="$max_allocs" 'BEGIN { exit !(a <= m) }'; then
-  echo "FAIL: qa_fluid allocs_per_session '$allocs', ceiling $max_allocs" >&2
-  exit 1
-fi
-echo "qa_fluid allocs_per_session $allocs (ceiling $max_allocs)"
+for workload in tables hostile stack_loop qa_fluid; do
+  bench_out=$(mktemp -d)
+  report=$(benchmark/target/release/laqa-benchmark run --workload "$workload" --seed 1999 \
+    --passes 2 --trace 0 --out "$bench_out")
+  rm -rf "$bench_out"
+  got=$(grep -oE 'fingerprint [0-9a-f]{16}' <<< "$report" | head -n 1 | grep -oE '[0-9a-f]{16}$' || true)
+  if [ "$got" != "${want[$workload]}" ]; then
+    echo "FAIL: $workload fingerprint '$got', expected '${want[$workload]}'" >&2
+    exit 1
+  fi
+  echo "$workload fingerprint $got"
+  if [ "$workload" = qa_fluid ]; then
+    allocs=$(awk '$1 == "qa_fluid" && $2 == "allocs_per_session" { print $3; exit }' <<< "$report")
+    if [ -z "$allocs" ] || ! awk -v a="$allocs" -v m="$max_allocs" 'BEGIN { exit !(a <= m) }'; then
+      echo "FAIL: qa_fluid allocs_per_session '$allocs', ceiling $max_allocs" >&2
+      exit 1
+    fi
+    echo "qa_fluid allocs_per_session $allocs (ceiling $max_allocs)"
+  fi
+done
 
 echo "== 5/9 figures and Tables 1-2 match results/ (laqa figures --check) =="
 # Every figure, ablation and Tables 1-2 runs into a scratch directory
