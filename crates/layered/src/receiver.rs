@@ -14,7 +14,6 @@ use crate::encoding::LayeredEncoding;
 pub struct LayeredReceiver {
     encoding: LayeredEncoding,
     buffers: Vec<LayerBuffer>,
-    received: Vec<f64>,
     /// Number of layers currently being decoded.
     active: usize,
     /// Seconds of base-layer content required before playout starts.
@@ -31,7 +30,6 @@ impl LayeredReceiver {
         let n = encoding.n_layers();
         LayeredReceiver {
             buffers: (0..n).map(|_| LayerBuffer::new()).collect(),
-            received: vec![0.0; n],
             active: active.clamp(1, n),
             startup_secs: startup_secs.max(0.0),
             playing: false,
@@ -72,11 +70,6 @@ impl LayeredReceiver {
         &self.buffers[layer]
     }
 
-    /// Total bytes received for `layer`.
-    pub fn received(&self, layer: usize) -> f64 {
-        self.received[layer]
-    }
-
     /// Deliver `bytes` of `layer` data arriving at time `_now` (the
     /// buffers keep byte counts, not arrival times).
     pub fn on_data(&mut self, _now: f64, layer: usize, bytes: f64) {
@@ -84,7 +77,6 @@ impl LayeredReceiver {
             return;
         }
         self.buffers[layer].push(bytes);
-        self.received[layer] += bytes;
     }
 
     /// Advance wall-clock time by `dt` seconds: start playout when the
@@ -195,8 +187,10 @@ mod tests {
     #[test]
     fn data_for_unknown_layer_ignored() {
         let mut r = receiver(1);
+        let before = format!("{r:?}");
         r.on_data(0.0, 9, 1_000.0);
-        assert!((0..4).all(|l| r.buffered(l) == 0.0 && r.received(l) == 0.0));
+        assert!((0..4).all(|l| r.buffered(l) == 0.0));
+        assert_eq!(format!("{r:?}"), before, "no state moved");
     }
 
     #[test]

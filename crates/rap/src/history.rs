@@ -16,17 +16,57 @@
 
 use crate::receiver::AckInfo;
 use std::collections::VecDeque;
+use std::num::NonZeroU32;
 
 /// Record of one transmitted, not-yet-resolved packet.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PacketRecord {
     /// Transmission time (seconds).
     pub send_time: f64,
-    /// Payload size (bytes).
+    /// Payload size: whole bytes, at least one
+    /// ([`TransmissionHistory::on_send`] panics otherwise).
     pub size: f64,
     /// Opaque tag the application attaches (the QA layer stores the layer
     /// index here so losses can be charged to the right buffer).
     pub tag: u32,
+}
+
+/// A [`PacketRecord`] as the window keeps it, in 16 bytes: the size is a
+/// whole number of bytes, at least one, so it fits a `NonZeroU32`, whose
+/// niche lets `None` mark a resolved slot at no extra cost.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    send_time: f64,
+    size: NonZeroU32,
+    tag: u32,
+}
+
+// A field that re-bloats the window's slots must fail the build.
+const _: () = assert!(std::mem::size_of::<Option<Slot>>() == 16);
+
+impl Slot {
+    /// # Panics
+    /// If `record.size` is not a whole number of bytes in `1..=u32::MAX`.
+    fn new(record: PacketRecord) -> Self {
+        let size = record.size;
+        assert!(
+            size.fract() == 0.0 && (1.0..=f64::from(u32::MAX)).contains(&size),
+            "a sent packet is a whole number of bytes, at least one: {size}"
+        );
+        Slot {
+            send_time: record.send_time,
+            size: NonZeroU32::new(size as u32).expect("checked at least one"),
+            tag: record.tag,
+        }
+    }
+
+    fn record(self) -> PacketRecord {
+        PacketRecord {
+            send_time: self.send_time,
+            size: f64::from(self.size.get()),
+            tag: self.tag,
+        }
+    }
 }
 
 /// Outstanding-packet table with loss inference.
@@ -48,7 +88,7 @@ pub struct PacketRecord {
 pub struct TransmissionHistory {
     /// Window of sends, `window[i]` holding sequence `base + i`
     /// (`None` once resolved).
-    window: VecDeque<Option<PacketRecord>>,
+    window: VecDeque<Option<Slot>>,
     /// Sequence number of `window[0]`.
     base: u64,
     /// Unresolved (`Some`) entries in the window.
@@ -88,7 +128,11 @@ impl TransmissionHistory {
     /// Register a transmission. Sequences are normally consecutive and
     /// increasing (the sender's counter); any gap is represented by
     /// resolved filler slots so out-of-pattern callers stay correct.
+    ///
+    /// # Panics
+    /// If `record.size` is not a whole number of bytes in `1..=u32::MAX`.
     pub fn on_send(&mut self, seq: u64, record: PacketRecord) {
+        let record = Slot::new(record);
         if self.window.is_empty() {
             self.base = seq;
             self.window.push_back(Some(record));
@@ -126,10 +170,10 @@ impl TransmissionHistory {
             return None;
         }
         let i = (seq - self.base) as usize;
-        let record = self.window.get_mut(i)?.take()?;
+        let slot = self.window.get_mut(i)?.take()?;
         self.live -= 1;
         self.trim_front();
-        Some(record)
+        Some(slot.record())
     }
 
     /// Pop every slot at or below `limit` off the front, calling `visit`
@@ -139,9 +183,9 @@ impl TransmissionHistory {
             let seq = self.base;
             let slot = self.window.pop_front().expect("checked non-empty");
             self.base += 1;
-            if let Some(record) = slot {
+            if let Some(slot) = slot {
                 self.live -= 1;
-                visit(seq, record);
+                visit(seq, slot.record());
             }
         }
         self.trim_front();
@@ -210,8 +254,8 @@ impl TransmissionHistory {
     /// `lost` in ascending sequence order.
     pub fn flush_all_as_lost(&mut self, mut lost: impl FnMut(u64, PacketRecord)) {
         for (seq, slot) in (self.base..).zip(self.window.drain(..)) {
-            if let Some(record) = slot {
-                lost(seq, record);
+            if let Some(slot) = slot {
+                lost(seq, slot.record());
             }
         }
         self.live = 0;
@@ -246,6 +290,30 @@ mod tests {
         let r = h.mark_received(1).unwrap();
         assert_eq!(r.send_time, 0.0);
         assert_eq!(h.outstanding(), 1);
+    }
+
+    #[test]
+    fn a_record_comes_back_as_it_was_sent() {
+        let mut h = TransmissionHistory::new(3);
+        let sent = PacketRecord {
+            send_time: 0.1 + 0.2,
+            size: f64::from(u32::MAX),
+            tag: u32::MAX,
+        };
+        h.on_send(9, sent);
+        h.on_send(10, rec(1.0));
+        assert_eq!(h.mark_received(9), Some(sent));
+        assert_eq!(h.mark_received(10), Some(rec(1.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "whole number of bytes, at least one: 999.5")]
+    fn a_fractional_size_is_refused() {
+        let record = PacketRecord {
+            size: 999.5,
+            ..rec(0.0)
+        };
+        TransmissionHistory::new(3).on_send(0, record);
     }
 
     #[test]

@@ -49,8 +49,7 @@ impl Agent for BondAgent {
         self.next = (self.next + 1) % self.paths.len();
         self.forwarded[leg] += 1;
         pkt.dst = self.dst;
-        pkt.route = self.paths[leg].clone();
-        pkt.hop = 0;
+        pkt.route = self.paths[leg];
         ctx.send(pkt);
     }
 }
@@ -70,7 +69,7 @@ mod tests {
 
     impl Agent for RouteCounter {
         fn on_packet(&mut self, _ctx: &mut Ctx, pkt: Packet) {
-            let first = pkt.route.first().copied().unwrap_or(usize::MAX);
+            let first = pkt.route.first().map_or(usize::MAX, |&l| usize::from(l));
             *self.by_first_link.entry(first).or_insert(0) += 1;
         }
     }
@@ -90,8 +89,7 @@ mod tests {
                     size: 100,
                     kind: PacketKind::Cbr,
                     dst: self.relay,
-                    route: self.route.clone(),
-                    hop: 0,
+                    route: self.route,
                 });
             }
         }

@@ -69,8 +69,7 @@ impl Agent for CbrAgent {
             size: self.packet_size,
             kind: PacketKind::Cbr,
             dst: self.dst,
-            route: self.route.clone(),
-            hop: 0,
+            route: self.route,
         });
         self.sent += 1;
         ctx.set_timer_after(self.interval(), 0);

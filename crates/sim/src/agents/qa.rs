@@ -303,8 +303,7 @@ impl QaSourceAgent {
                     n_active: self.qa.n_active() as u8,
                 },
                 dst: self.dst,
-                route: self.route.clone(),
-                hop: 0,
+                route: self.route,
             });
         }
         let next = self
@@ -428,7 +427,7 @@ impl Agent for QaSinkAgent {
                 .on_data(ctx.now, layer as usize, pkt.size as f64);
             self.receiver.set_active_layers(n_active as usize);
             let ack = PacketKind::RapAck(self.rap_rx.on_data(seq));
-            send_ack(ctx, self.flow, ack, self.src, &self.reverse_route);
+            send_ack(ctx, self.flow, ack, self.src, self.reverse_route);
         }
     }
 
@@ -452,13 +451,15 @@ mod tests {
     use laqa_rap::{RapConfig, RapSender, WindowConfig, WindowSender};
 
     /// One QA flow over `controller` with 500-byte packets through a
-    /// bottleneck, recording its traces; returns (world, src id, sink id).
+    /// bottleneck, recording its traces, its sink the agent `sink` makes
+    /// of a [`QaSinkAgent`]; returns (world, src id, sink id).
     fn run_flow(
         seed: u64,
         bw: f64,
         queue: usize,
         dur: f64,
         controller: Box<dyn RateController>,
+        sink: fn(QaSinkAgent) -> Box<dyn Agent>,
     ) -> (World, AgentId, AgentId) {
         let mut w = World::new(seed);
         let fwd = w.add_link(LinkConfig {
@@ -479,7 +480,7 @@ mod tests {
         };
         let encoding = LayeredEncoding::linear(qa_cfg.max_layers, qa_cfg.layer_rate).unwrap();
         assert_eq!(
-            w.add_agent(Box::new(QaSinkAgent::new(
+            w.add_agent(sink(QaSinkAgent::new(
                 src_id,
                 vec![rev],
                 1,
@@ -496,14 +497,20 @@ mod tests {
     }
 
     /// [`run_flow`] over RAP.
-    fn qa_flow(bw: f64, queue: usize, dur: f64) -> (World, AgentId, AgentId) {
+    fn qa_flow(
+        bw: f64,
+        queue: usize,
+        dur: f64,
+        sink: fn(QaSinkAgent) -> Box<dyn Agent>,
+    ) -> (World, AgentId, AgentId) {
         let rap_cfg = RapConfig {
             packet_size: 500.0,
             initial_rate: 2_000.0,
             initial_rtt: 0.08,
             max_rate: 45_000.0,
         };
-        run_flow(17, bw, queue, dur, Box::new(RapSender::new(rap_cfg, 0.0)))
+        let controller = Box::new(RapSender::new(rap_cfg, 0.0));
+        run_flow(17, bw, queue, dur, controller, sink)
     }
 
     /// [`run_flow`] over the ACK-clocked AIMD window (the paper's §7 "other
@@ -514,7 +521,8 @@ mod tests {
             initial_rtt: 0.06,
             max_cwnd: 60.0,
         };
-        run_flow(23, bw, 20, dur, Box::new(WindowSender::new(cc, 0.0)))
+        let controller = Box::new(WindowSender::new(cc, 0.0));
+        run_flow(23, bw, 20, dur, controller, |s| Box::new(s))
     }
 
     /// Mean active-layer count after `after` seconds.
@@ -581,7 +589,7 @@ mod tests {
 
     #[test]
     fn single_qa_flow_adapts_to_bottleneck() {
-        let (w, src, sink) = qa_flow(25_000.0, 15, 25.0);
+        let (w, src, sink) = qa_flow(25_000.0, 15, 25.0, |s| Box::new(s));
         // 25 KB/s bottleneck and 5 KB/s layers: should settle at 4-5
         // layers, not pinned at 1 or 6.
         let mean = mean_layers(&w, src, 10.0);
@@ -593,14 +601,37 @@ mod tests {
         assert_eq!(base.underflow_events(), 0, "base never starves");
     }
 
+    /// A [`QaSinkAgent`] that also counts the data bytes it is handed,
+    /// per layer.
+    struct LayerBytes {
+        sink: QaSinkAgent,
+        bytes: Vec<f64>,
+    }
+
+    impl Agent for LayerBytes {
+        fn start(&mut self, ctx: &mut Ctx) {
+            self.sink.start(ctx);
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx, pkt: Packet) {
+            if let PacketKind::RapData { layer, .. } = pkt.kind {
+                self.bytes[usize::from(layer)] += f64::from(pkt.size);
+            }
+            self.sink.on_packet(ctx, pkt);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
+            self.sink.on_timer(ctx, token);
+        }
+    }
+
     #[test]
     fn received_per_layer_matches_active_layers() {
-        let (w, _, sink) = qa_flow(25_000.0, 15, 15.0);
-        let sk: &QaSinkAgent = w.agent(sink).unwrap();
+        let (w, _, sink) = qa_flow(25_000.0, 15, 15.0, |sink| {
+            let bytes = vec![0.0; sink.receiver.n_layers()];
+            Box::new(LayerBytes { sink, bytes })
+        });
+        let bytes = &w.agent::<LayerBytes>(sink).unwrap().bytes;
         // Lower layers must carry at least as many bytes as higher ones
         // over the run (they are always active), within 50 packets.
-        let layers = 0..sk.receiver.n_layers();
-        let bytes: Vec<f64> = layers.map(|l| sk.receiver.received(l)).collect();
         assert!(bytes[0] > 0.0);
         for w2 in bytes.windows(2) {
             assert!(

@@ -11,14 +11,13 @@ const ACK_SIZE: u32 = 40;
 
 /// Send an acknowledgement carrying `kind` from a sink back to its source
 /// `dst` along `route`.
-pub(super) fn send_ack(ctx: &mut Ctx, flow: u32, kind: PacketKind, dst: AgentId, route: &Route) {
+pub(super) fn send_ack(ctx: &mut Ctx, flow: u32, kind: PacketKind, dst: AgentId, route: Route) {
     ctx.send(Packet {
         flow,
         size: ACK_SIZE,
         kind,
         dst,
-        route: route.clone(),
-        hop: 0,
+        route,
     });
 }
 
@@ -135,8 +134,7 @@ impl RapFlowAgent {
                     n_active: 1,
                 },
                 dst: self.dst,
-                route: self.route.clone(),
-                hop: 0,
+                route: self.route,
             });
             self.sent += 1;
         }
@@ -210,7 +208,7 @@ impl Agent for RapSinkAgent {
         if let PacketKind::RapData { seq, .. } = pkt.kind {
             self.bytes_received += pkt.size as u64;
             let ack = PacketKind::RapAck(self.rx.on_data(seq));
-            send_ack(ctx, self.flow, ack, self.src, &self.reverse_route);
+            send_ack(ctx, self.flow, ack, self.src, self.reverse_route);
         }
     }
 }

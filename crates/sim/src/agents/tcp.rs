@@ -114,8 +114,7 @@ impl TcpAgent {
             size: self.packet_size,
             kind: PacketKind::TcpData { seq, retx },
             dst: self.dst,
-            route: self.route.clone(),
-            hop: 0,
+            route: self.route,
         });
         self.sent += 1;
         if retx {
@@ -315,7 +314,7 @@ impl Agent for TcpSinkAgent {
         // Highest out-of-order segment held, else the cumulative point.
         let high = self.seen.highest().map_or(cum, |h| h.max(cum));
         let ack = PacketKind::TcpAck { cum, high };
-        send_ack(ctx, self.flow, ack, self.src, &self.reverse_route);
+        send_ack(ctx, self.flow, ack, self.src, self.reverse_route);
     }
 }
 

@@ -33,6 +33,10 @@ enum Entry<T> {
 /// Sentinel for "no slot" in the free list.
 const NO_SLOT: u32 = u32::MAX;
 
+// A free slot's link hides in a packet's niche: a packet slot is 64 bytes,
+// what the packet itself takes.
+const _: () = assert!(std::mem::size_of::<Entry<crate::packet::Packet>>() == 64);
+
 impl<T> Default for Slab<T> {
     fn default() -> Self {
         Self::new()
@@ -62,6 +66,16 @@ impl<T> Slab<T> {
     /// Slots allocated, live or free: the most records ever held at once.
     pub fn footprint(&self) -> usize {
         self.entries.len()
+    }
+
+    /// Slots the slab holds room for before it must grow.
+    pub fn capacity(&self) -> usize {
+        self.entries.capacity()
+    }
+
+    /// Make room for `additional` more slots in one allocation.
+    pub fn reserve_exact(&mut self, additional: usize) {
+        self.entries.reserve_exact(additional);
     }
 
     /// Store `item`, returning its handle. Recycles a freed slot when one

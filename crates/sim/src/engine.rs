@@ -37,6 +37,8 @@ enum Event {
 // A field that re-bloats either per-event record must fail the build.
 const _: () = assert!(std::mem::size_of::<Event>() == 16);
 const _: () = assert!(std::mem::size_of::<QueueSlot>() == 8);
+// Nor a packet, which the arena holds by value, route included.
+const _: () = assert!(std::mem::size_of::<Packet>() <= 64);
 
 /// A session's events, always on: dispatched (the throughput counter),
 /// their split by kind (a skipped superseded `Arrive` is `arrive_stale`),
@@ -329,6 +331,19 @@ impl World {
         (self.core.links.len(), self.core.links.capacity())
     }
 
+    /// Make room for `additional` more packets in flight at once, in one
+    /// allocation.
+    pub(crate) fn reserve_packets(&mut self, additional: usize) {
+        self.core.packets.reserve_exact(additional);
+    }
+
+    /// The most packets in flight at once so far, and how many the packet
+    /// arena has room for; the second is still what was reserved at build
+    /// unless the arena grew.
+    pub fn packet_room(&self) -> (usize, usize) {
+        (self.core.packets.footprint(), self.core.packets.capacity())
+    }
+
     /// Add a link; returns its id.
     pub fn add_link(&mut self, cfg: LinkConfig) -> LinkId {
         self.core.links.push(Link::new(cfg));
@@ -551,8 +566,7 @@ mod tests {
                 size: 1_000,
                 kind: PacketKind::Cbr,
                 dst: self.peer,
-                route: self.route.clone(),
-                hop: 0,
+                route: self.route,
             });
             self.sent += 1;
             ctx.set_timer_after(self.interval, 0);
@@ -767,8 +781,7 @@ mod tests {
                 size: self.sends[i as usize].1,
                 kind: PacketKind::Cbr,
                 dst: self.peer,
-                route: self.route.clone(),
-                hop: 0,
+                route: self.route,
             });
         }
     }
@@ -911,8 +924,7 @@ mod tests {
                     size: 1_000,
                     kind: PacketKind::Cbr,
                     dst: self.dst,
-                    route: route.clone(),
-                    hop: 0,
+                    route: *route,
                 });
             }
         }
@@ -1120,7 +1132,6 @@ mod tests {
                     kind: PacketKind::Cbr,
                     dst: self.dst,
                     route: vec![].into(),
-                    hop: 0,
                 });
             }
             if k < self.until {

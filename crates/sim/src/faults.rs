@@ -259,8 +259,7 @@ impl FaultInjector {
             size: self.wiring.churn_packet,
             kind: PacketKind::Cbr,
             dst: self.wiring.churn_dst,
-            route: self.wiring.churn_route.clone(),
-            hop: 0,
+            route: self.wiring.churn_route,
         });
         self.stats.churn_packets += 1;
         ctx.set_timer_after(self.churn_interval(), TOK_CHURN_SEND | (epoch << 8));

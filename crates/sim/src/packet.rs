@@ -1,70 +1,76 @@
 //! Simulated packets and their protocol payloads.
 
 use laqa_rap::AckInfo;
-use std::rc::Rc;
 
 /// Agent identifier within a [`crate::engine::World`].
 pub type AgentId = usize;
 /// Link identifier within a [`crate::engine::World`].
 pub type LinkId = usize;
 
-/// An immutable, cheaply clonable route: the links a packet traverses.
+/// Most links one [`Route`] holds: the dumbbell's forward and reverse
+/// routes take two, a bonded leg one.
+pub const MAX_HOPS: usize = 3;
+
+/// A route and how far along it a packet is: up to [`MAX_HOPS`] links,
+/// each id below 2^16, and the index of the next one, in 8 bytes.
 ///
-/// Agents keep one `Route` per flow and stamp it onto every packet they
-/// send. Backed by a shared `Rc<[LinkId]>`, so the per-packet cost is a
-/// refcount bump instead of a fresh `Vec` allocation — in a long
-/// campaign that removes one heap allocation and free per packet sent
-/// (`crates/bench/tests/alloc_budget.rs` pins the per-packet zero).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Route(Rc<[LinkId]>);
+/// `Copy` and allocation-free: agents keep one `Route` per flow (its
+/// cursor at the first link) and stamp it onto every packet they send, and
+/// the engine moves the cursor as the packet takes each hop. Dereferences
+/// to the whole route's link ids in traversal order, wherever the cursor
+/// stands. Building one from more than [`MAX_HOPS`] links, or from a link
+/// id past `u16::MAX`, panics.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Route {
+    links: [u16; MAX_HOPS],
+    len: u8,
+    /// Links already taken: `links[hop]` is the next one.
+    hop: u8,
+}
 
 impl Route {
-    /// The empty route (direct delivery to the destination agent).
-    pub fn empty() -> Self {
-        Route(Rc::from(&[][..]))
+    /// The route over `links`, in traversal order, its cursor at the first.
+    fn new(links: &[LinkId]) -> Self {
+        assert!(
+            links.len() <= MAX_HOPS,
+            "a route holds at most {MAX_HOPS} links, got {links:?}"
+        );
+        let mut route = Route {
+            len: links.len() as u8,
+            ..Route::default()
+        };
+        for (slot, &link) in route.links.iter_mut().zip(links) {
+            *slot = u16::try_from(link)
+                .unwrap_or_else(|_| panic!("link id {link} does not fit a route's u16"));
+        }
+        route
     }
 
-    /// The links of the route, in traversal order.
-    pub fn links(&self) -> &[LinkId] {
-        &self.0
+    /// Next link to traverse, if any.
+    #[inline]
+    fn next_link(&self) -> Option<LinkId> {
+        self.get(usize::from(self.hop)).map(|&l| usize::from(l))
     }
 }
 
-impl Default for Route {
-    fn default() -> Self {
-        Route::empty()
-    }
-}
+const _: () = assert!(std::mem::size_of::<Route>() == 8);
 
 impl std::ops::Deref for Route {
-    type Target = [LinkId];
-    fn deref(&self) -> &[LinkId] {
-        &self.0
+    type Target = [u16];
+    fn deref(&self) -> &[u16] {
+        &self.links[..usize::from(self.len)]
     }
 }
 
 impl From<Vec<LinkId>> for Route {
     fn from(links: Vec<LinkId>) -> Self {
-        Route(Rc::from(links))
+        Route::new(&links)
     }
 }
 
-/// One allocation: the links go straight into the shared slice.
 impl<const N: usize> From<[LinkId; N]> for Route {
     fn from(links: [LinkId; N]) -> Self {
-        Route(Rc::from(links))
-    }
-}
-
-impl From<&[LinkId]> for Route {
-    fn from(links: &[LinkId]) -> Self {
-        Route(Rc::from(links))
-    }
-}
-
-impl FromIterator<LinkId> for Route {
-    fn from_iter<I: IntoIterator<Item = LinkId>>(iter: I) -> Self {
-        Route(iter.into_iter().collect())
+        Route::new(&links)
     }
 }
 
@@ -115,26 +121,27 @@ pub struct Packet {
     pub kind: PacketKind,
     /// Destination agent.
     pub dst: AgentId,
-    /// Remaining route: links to traverse before reaching `dst`.
+    /// The links to traverse before reaching `dst`, and the next one.
     pub route: Route,
-    /// Index of the next link in `route`.
-    pub hop: usize,
 }
 
 impl Packet {
     /// Next link to traverse, if any.
+    #[inline]
     pub fn next_link(&self) -> Option<LinkId> {
-        self.route.get(self.hop).copied()
+        self.route.next_link()
     }
 
     /// Advance to the following hop.
+    #[inline]
     pub fn advance_hop(&mut self) {
-        self.hop += 1;
+        self.route.hop += 1;
     }
 
     /// True when the packet has traversed its whole route.
+    #[inline]
     pub fn at_destination(&self) -> bool {
-        self.hop >= self.route.len()
+        self.route.hop >= self.route.len
     }
 }
 
@@ -149,22 +156,37 @@ mod tests {
             kind: PacketKind::Cbr,
             dst: 5,
             route: route.into(),
-            hop: 0,
         }
     }
 
     #[test]
-    fn route_clone_shares_storage() {
-        let r: Route = vec![1, 2, 3].into();
-        let c = r.clone();
-        assert_eq!(r, c);
-        assert_eq!(c.links(), &[1, 2, 3]);
-        assert!(
-            std::ptr::eq(r.links(), c.links()),
-            "clone is a refcount bump"
-        );
-        assert!(Route::empty().is_empty());
-        assert_eq!(Route::default(), Route::empty());
+    fn route_conversions_keep_traversal_order() {
+        let from_vec = Route::from(vec![4, 0, 65_535]);
+        let from_array = Route::from([4, 0, 65_535]);
+        assert_eq!(from_vec, from_array);
+        assert_eq!(*from_vec, [4, 0, 65_535]);
+        assert_eq!(*Route::from([9]), [9]);
+        assert!(Route::from(Vec::new()).is_empty());
+        assert_eq!(Route::default(), Route::from([]));
+        // A copy is a new cursor: moving one leaves the other in place.
+        let mut p = pkt(vec![2, 1]);
+        let kept = p.route;
+        p.advance_hop();
+        assert_eq!(kept.next_link(), Some(2));
+        assert_eq!(p.next_link(), Some(1));
+        assert_eq!(*p.route, [2, 1], "the whole route, wherever the cursor is");
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 3 links")]
+    fn route_refuses_a_fourth_hop() {
+        let _ = Route::from([1, 2, 3, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "link id 65536 does not fit")]
+    fn route_refuses_a_link_id_past_u16() {
+        let _ = Route::from(vec![0, 65_536]);
     }
 
     #[test]

@@ -166,6 +166,17 @@ pub const N_TCP: usize = 10;
 /// the paper's figure 11 instead of an empty-network rate overshoot.
 pub const QA_START: f64 = 5.0;
 
+/// Packet-arena slots a scenario reserves per flow beyond its forward
+/// bottleneck queues: what the flow has on its access links, in
+/// propagation and in ACKs. Without faults the pinned grids need at most
+/// 3.25 (the 8 s `fp0` pin's start-up bursts; Tables 1-2 need 1.95).
+const PACKETS_PER_FLOW: usize = 4;
+
+/// Packet-arena slots reserved on top for a fault injector, whose delay
+/// spikes hold packets in propagation: the `faults` pin at intensity 1.0
+/// needs 48 beyond [`PACKETS_PER_FLOW`], the hostile corpus 28.
+const FAULT_PACKETS: usize = 64;
+
 /// Scenario parameters (defaults = the paper's T1 at `K_max = 2`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioConfig {
@@ -393,6 +404,14 @@ fn build_scenario(cfg: &ScenarioConfig, recording: Recording) -> (World, Scenari
     let links = 2 + usize::from(bonded) + 2 * (1 + N_RAP + N_TCP);
     let links = links + usize::from(cfg.cbr.is_some()) + usize::from(faulted);
     let mut d = Dumbbell::new(cfg.dumbbell, cfg.seed, links);
+    // Every packet in flight at once: full forward bottleneck queues, the
+    // rest of each flow's packets (the QA, RAP, TCP, CBR and churn
+    // sources) and what the faults' delay spikes hold up.
+    let flows = 1 + N_RAP + N_TCP + usize::from(cfg.cbr.is_some()) + usize::from(faulted);
+    let legs = 1 + usize::from(bonded);
+    let packets = legs * cfg.dumbbell.queue_packets + flows * PACKETS_PER_FLOW;
+    d.world
+        .reserve_packets(packets + if faulted { FAULT_PACKETS } else { 0 });
     // The bonded corpus adds its second forward bottleneck *before* any
     // per-flow access links, so link numbering in every other scenario —
     // and therefore every pre-existing golden — is untouched.
@@ -668,6 +687,94 @@ fn extract_outcome(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{CampaignSpec, SessionSpec, TestKind};
+
+    /// The default Tables 1-2 grid, the hostile corpus at seeds 7 and 21,
+    /// and the eleven campaigns `tests/pinned_fingerprints.rs` pins.
+    fn pinned_grids() -> Vec<(String, CampaignSpec)> {
+        let (t1, rap, k2, pair) = ([TestKind::T1], [Transport::Rap], [2], [7, 21]);
+        let small = |traces: &[TraceKind], transport: Transport| {
+            CampaignSpec::product(&t1, traces, &[transport], &k2, &[0.0], &pair, 8.0)
+        };
+        let mut grids = vec![
+            (
+                "tables".to_string(),
+                CampaignSpec::grid(&TestKind::ALL, &[2, 3, 4, 5, 8], &[7, 21, 42, 77, 99], 90.0),
+            ),
+            (
+                "hostile".to_string(),
+                CampaignSpec::hostile_grid(
+                    &t1,
+                    &TraceKind::ALL,
+                    &Transport::ALL,
+                    &[2, 4],
+                    &pair,
+                    60.0,
+                    Some(0.5),
+                ),
+            ),
+            (
+                "fp0".to_string(),
+                CampaignSpec::grid(&t1, &[2, 4], &[7, 21, 35, 49, 63, 77, 91, 105], 8.0),
+            ),
+        ];
+        for transport in Transport::ALL {
+            grids.push((
+                format!("interop/{}", transport.label()),
+                small(&[], transport),
+            ));
+        }
+        for trace in TraceKind::ALL {
+            grids.push((
+                format!("hostile/{}", trace.label()),
+                small(&[trace], Transport::Rap),
+            ));
+        }
+        grids.push((
+            "faults".to_string(),
+            CampaignSpec::product(&t1, &[], &rap, &k2, &[0.5, 1.0], &pair, 30.0),
+        ));
+        grids.push((
+            "hostile+faults".to_string(),
+            CampaignSpec::product(&t1, &TraceKind::ALL, &rap, &k2, &[1.0], &pair, 20.0),
+        ));
+        grids
+    }
+
+    /// `(label, most packets in flight, arena slots reserved at build)` of
+    /// every session in `cells` whose arena grew past its reservation.
+    fn arena_regrowths(cells: &[SessionSpec]) -> Vec<(String, usize, usize)> {
+        let mut grew = Vec::new();
+        for spec in cells {
+            let cfg = spec.scenario();
+            let (mut world, _) = build_scenario(&cfg, Recording::Session);
+            let (_, reserved) = world.packet_room();
+            world.run_until(cfg.duration);
+            let (footprint, capacity) = world.packet_room();
+            if capacity != reserved {
+                grew.push((spec.label(), footprint, reserved));
+            }
+        }
+        grew
+    }
+
+    #[test]
+    fn no_pinned_session_grows_its_packet_arena() {
+        for (name, spec) in pinned_grids() {
+            // Two halves on two threads: the grids hold 158 sessions.
+            let (a, b) = spec.sessions.split_at(spec.len() / 2);
+            let grew = std::thread::scope(|s| {
+                let first = s.spawn(|| arena_regrowths(a));
+                let mut grew = arena_regrowths(b);
+                grew.extend(first.join().expect("the first half"));
+                grew
+            });
+            assert!(
+                grew.is_empty(),
+                "{name}: (session, packets in flight, reserved) past the reservation: {grew:?}"
+            );
+        }
+    }
 
     #[test]
     fn t1_runs_and_adapts() {

@@ -177,7 +177,7 @@ mod tests {
         let r2 = d.forward_route();
         assert_ne!(r1[0], r2[0], "distinct access links");
         assert_eq!(r1[1], r2[1], "shared bottleneck");
-        assert_eq!(r1[1], d.bottleneck());
+        assert_eq!(usize::from(r1[1]), d.bottleneck());
     }
 
     #[test]

@@ -45,7 +45,7 @@ for example in quickstart live_session; do
 done
 echo "quickstart and live_session exit 0"
 
-echo "== 4/9 benchmark fingerprints and qa_fluid allocations =="
+echo "== 4/9 benchmark fingerprints, qa_fluid allocations and tables bytes =="
 # No test pins the benchmark's workloads bit for bit: tables (the paper's
 # T1+T2 grid), hostile (traces, bonding, faults, the three other
 # controllers), stack_loop (rap + layered + core with no simulator) and
@@ -62,6 +62,11 @@ declare -A want=(
 # 110.875: the state paths' row buffers and the controller's vectors
 # growing as layers come up); the ceiling is that plus 7 %.
 max_allocs=118.7
+# So are the bytes a tables session requests (measured 127707.6: the
+# packet arena sized once at build, 64-byte packets, 16-byte history
+# slots); the ceiling is that plus 7 %. An arena left to grow by
+# doubling again requests about 18 kB more per session.
+max_tables_bytes=136648
 for workload in tables hostile stack_loop qa_fluid; do
   bench_out=$(mktemp -d)
   report=$(benchmark/target/release/laqa-benchmark run --workload "$workload" --seed 1999 \
@@ -80,6 +85,14 @@ for workload in tables hostile stack_loop qa_fluid; do
       exit 1
     fi
     echo "qa_fluid allocs_per_session $allocs (ceiling $max_allocs)"
+  fi
+  if [ "$workload" = tables ]; then
+    bytes=$(awk '$1 == "tables" && $2 == "alloc_bytes_per_session" { print $3; exit }' <<< "$report")
+    if [ -z "$bytes" ] || ! awk -v b="$bytes" -v m="$max_tables_bytes" 'BEGIN { exit !(b <= m) }'; then
+      echo "FAIL: tables alloc_bytes_per_session '$bytes', ceiling $max_tables_bytes" >&2
+      exit 1
+    fi
+    echo "tables alloc_bytes_per_session $bytes (ceiling $max_tables_bytes)"
   fi
 done
 
