@@ -21,7 +21,7 @@ use laqa_bench::{ascii_plot, window_mean};
 use laqa_core::geometry::band_allocation_into;
 use laqa_core::{StateSequence, MAX_LAYERS};
 use laqa_sim::{run_scenario, QueueKind, RedConfig, ScenarioConfig};
-use laqa_trace::{Recorder, Table};
+use laqa_trace::{write_csvs, Table, TimeSeries};
 
 fn main() {
     let raw: Vec<String> = std::env::args().skip(1).collect();
@@ -182,14 +182,14 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
         cfg.dumbbell.queue_kind
     );
     let out = run_scenario(&cfg);
-    let (tx_rate, n_active) = (out.traces.tx_rate(), out.traces.n_active());
-    println!("tx rate : {}", ascii_plot(&tx_rate, 64));
-    println!("layers  : {}", ascii_plot(&n_active, 64));
+    let (tx_rate, n_active) = (&out.traces.tx_rate, &out.traces.n_active);
+    println!("tx rate : {}", ascii_plot(tx_rate, 64));
+    println!("layers  : {}", ascii_plot(n_active, 64));
     println!("queue   : {}", ascii_plot(&out.queue_trace, 64));
     println!();
     println!(
         "mean layers (steady) : {:.2}",
-        window_mean(&n_active, duration * 0.3, duration).unwrap_or(0.0)
+        window_mean(n_active, duration * 0.3, duration).unwrap_or(0.0)
     );
     println!("quality changes      : {}", out.metrics.quality_changes());
     println!("backoffs             : {}", out.backoffs);
@@ -198,14 +198,10 @@ fn cmd_sim(args: &Args) -> Result<(), AnyError> {
     println!("bottleneck drops     : {}", out.bottleneck.dropped);
 
     if let Some(dir) = args.options.get("csv") {
-        let mut rec = Recorder::new();
-        rec.insert(tx_rate);
-        rec.insert(n_active);
-        rec.insert(out.queue_trace.clone());
-        for ts in out.traces.buffer() {
-            rec.insert(ts);
-        }
-        rec.write_csv_dir(dir)?;
+        let traces = out.traces;
+        let ticks = [traces.tx_rate, traces.n_active, out.queue_trace];
+        let series: Vec<TimeSeries> = ticks.into_iter().chain(traces.buffer).collect();
+        write_csvs(dir, &series)?;
         println!("wrote CSVs to {dir}");
     }
     Ok(())

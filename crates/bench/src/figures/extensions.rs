@@ -122,7 +122,7 @@ fn run_qa(bw: f64, dur: f64, controller: Box<dyn RateController>) -> Outcome {
     let src: &QaSourceAgent = world.agent(src_id).expect("the QA source");
     let sink: &QaSinkAgent = world.agent(sink_id).expect("the QA sink");
     let traces = src.traces.as_ref().expect("the QA source records traces");
-    let n_active = traces.n_active();
+    let n_active = &traces.n_active;
     let steady: Vec<f64> = n_active
         .points
         .iter()
@@ -137,7 +137,7 @@ fn run_qa(bw: f64, dur: f64, controller: Box<dyn RateController>) -> Outcome {
             .count(),
         stalls: src.qa().metrics().stalls(),
         base_underflows: sink.receiver.layer(0).underflow_events(),
-        plot: ascii_plot(&n_active, 64),
+        plot: ascii_plot(n_active, 64),
     }
 }
 

@@ -12,7 +12,7 @@ use laqa_sim::agents::qa::QaTraces;
 use laqa_sim::agents::rap::{RapFlowAgent, RapSinkAgent};
 use laqa_sim::scenarios::{N_RAP, N_TCP, QA_START};
 use laqa_sim::{run_scenario, LinkConfig, ScenarioConfig, World};
-use laqa_trace::{write_figure, Panel, Recorder, RunSummary, Table, TimeSeries};
+use laqa_trace::{write_csvs, write_figure, Panel, RunSummary, Table, TimeSeries};
 use std::io::{self, Write};
 use std::path::Path;
 
@@ -87,9 +87,7 @@ expected shape : regular sawtooth — linear climbs, multiplicative
         ascii_plot(&steady, 72)
     )?;
 
-    let mut rec = Recorder::new();
-    rec.insert(trace.clone());
-    rec.write_csv_dir(dir)?;
+    write_csvs(dir, std::slice::from_ref(trace))?;
     let mut summary = RunSummary::new("fig01");
     summary
         .param("bottleneck_bw", bottleneck_bw)
@@ -129,7 +127,6 @@ pub(super) fn fig02(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
     let dt = 0.05;
     let mut rate: f64 = 8_000.0;
     let mut now = 0.0;
-    let mut rec = Recorder::new();
     let mut tx = TimeSeries::new("tx_rate");
     let mut cons = TimeSeries::new("consumption");
     let mut buf0 = TimeSeries::new("buffer_l0");
@@ -188,11 +185,7 @@ shrink through each draining phase and refill afterwards, while
 the consumption (layer count) stays level through the backoffs."
     )?;
 
-    rec.insert(tx);
-    rec.insert(cons);
-    rec.insert(buf0);
-    rec.insert(buf1);
-    rec.write_csv_dir(dir)?;
+    write_csvs(dir, &[tx, cons, buf0, buf1])?;
     let mut summary = RunSummary::new("fig02");
     summary
         .param("layer_rate", c)
@@ -390,15 +383,10 @@ naive-order drain violations found: {violations}"
 
 /// A QA flow's series for the CSVs: tx rate, `consumption`, layer count,
 /// and each layer's rate, buffer and `drain` rate.
-fn qa_series(traces: &QaTraces, consumption: TimeSeries, drain: Vec<TimeSeries>) -> Recorder {
-    let mut rec = Recorder::new();
-    let ticks = [traces.tx_rate(), traces.n_active()].into_iter();
-    let per_layer = traces.layer_rate().into_iter().chain(traces.buffer());
-    let derived = drain.into_iter().chain([consumption]);
-    for ts in ticks.chain(per_layer).chain(derived) {
-        rec.insert(ts);
-    }
-    rec
+fn qa_series(traces: QaTraces, consumption: TimeSeries, drain: Vec<TimeSeries>) -> Vec<TimeSeries> {
+    let ticks = [traces.tx_rate, traces.n_active, consumption];
+    let per_layer = traces.layer_rate.into_iter().chain(traces.buffer);
+    ticks.into_iter().chain(per_layer).chain(drain).collect()
 }
 
 /// **Figure 11** — the detailed T1 trace: 1 quality-adaptive RAP flow
@@ -414,7 +402,7 @@ pub(super) fn fig11(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
     let cfg = ScenarioConfig::t1(2, duration, 7);
     let out = run_scenario(&cfg);
     let (consumption, drain_rate) = out.traces.consumption_and_drain(cfg.qa.layer_rate);
-    let (tx_rate, n_active) = (out.traces.tx_rate(), out.traces.n_active());
+    let (tx_rate, n_active) = (&out.traces.tx_rate, &out.traces.n_active);
 
     let plot = |series| ascii_plot(series, 72);
     writeln!(
@@ -424,11 +412,11 @@ pub(super) fn fig11(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
 total tx rate   : {}
 consumption     : {}
 active layers   : {}",
-        plot(&tx_rate),
+        plot(tx_rate),
         plot(&consumption),
-        plot(&n_active)
+        plot(n_active)
     )?;
-    let (rates, buffers) = (out.traces.layer_rate(), out.traces.buffer());
+    let (rates, buffers) = (&out.traces.layer_rate, &out.traces.buffer);
     for (i, series) in rates.iter().take(6).enumerate() {
         writeln!(w, "L{i} tx rate     : {}", plot(series))?;
     }
@@ -440,8 +428,8 @@ active layers   : {}",
     }
 
     let steady = (15.0, duration);
-    let mean_rate = window_mean(&tx_rate, steady.0, steady.1).unwrap_or(0.0);
-    let mean_layers = window_mean(&n_active, steady.0, steady.1).unwrap_or(0.0);
+    let mean_rate = window_mean(tx_rate, steady.0, steady.1).unwrap_or(0.0);
+    let mean_layers = window_mean(n_active, steady.0, steady.1).unwrap_or(0.0);
     let max_buf: f64 = buffers
         .iter()
         .map(|b| b.max().unwrap_or(0.0))
@@ -467,10 +455,8 @@ lowest layers' buffer fill/drain spikes; base layer never stalls.",
         out.metrics.quality_changes()
     )?;
 
-    let mut rec = qa_series(&out.traces, consumption, drain_rate);
-    for ts in out.rx_buffers.to_series() {
-        rec.insert(ts);
-    }
+    let mut series = qa_series(out.traces, consumption, drain_rate);
+    series.extend(out.rx_buffers);
     // The CSVs plus a ready-to-run gnuplot script of the stacked panels.
     let panels = [
         Panel::new(
@@ -505,7 +491,7 @@ lowest layers' buffer fill/drain spikes; base layer never stalls.",
             &["buffer_0", "buffer_1", "buffer_2", "buffer_3"],
         ),
     ];
-    write_figure(&rec, dir, "fig11", &panels)?;
+    write_figure(dir, &series, "fig11", &panels)?;
 
     let mut summary = RunSummary::new("fig11");
     summary
@@ -546,14 +532,14 @@ pub(super) fn fig12(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
             "stalls",
         ],
     );
-    let mut rec = Recorder::new();
+    let mut series = Vec::new();
     let mut summaries = Vec::new();
 
     for k_max in [2u32, 3, 4] {
         let cfg = ScenarioConfig::t1(k_max, duration, seed);
         let out = run_scenario(&cfg);
 
-        let mut n_active = out.traces.n_active();
+        let mut n_active = out.traces.n_active;
         let changes = window_changes(&n_active, 15.0, duration);
         let steady: Vec<f64> = n_active
             .points
@@ -564,7 +550,7 @@ pub(super) fn fig12(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
         let mean_layers = steady.iter().sum::<f64>() / steady.len().max(1) as f64;
         // Total buffering over time, its peak and the share held above L1
         // at that moment.
-        let buffers = out.traces.buffer();
+        let buffers = &out.traces.buffer;
         let mut total_buf = TimeSeries::new(format!("total_buffer_k{k_max}"));
         let (mut peak_total, mut upper_share_at_peak) = (0.0f64, 0.0f64);
         for (idx, &(t, _)) in buffers[0].points.iter().enumerate() {
@@ -597,8 +583,7 @@ pub(super) fn fig12(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
         ]);
 
         n_active.name = format!("n_active_k{k_max}");
-        rec.insert(n_active);
-        rec.insert(total_buf);
+        series.extend([n_active, total_buf]);
 
         let mut summary = RunSummary::new(format!("fig12/k{k_max}"));
         summary
@@ -617,7 +602,7 @@ pub(super) fn fig12(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
 total buffering, and a larger share of it pushed into higher
 layers (protection against longer loss bursts)."
     )?;
-    rec.write_csv_dir(dir)?;
+    write_csvs(dir, &series)?;
     Ok(summaries)
 }
 
@@ -634,7 +619,7 @@ pub(super) fn fig13(dir: &Path, w: &mut dyn Write) -> io::Result<Vec<RunSummary>
     let (burst_start, burst_stop, burst_rate) = cfg.cbr.expect("t2 has a burst");
     let out = run_scenario(&cfg);
     let (consumption, drain_rate) = out.traces.consumption_and_drain(cfg.qa.layer_rate);
-    let (tx_rate, n_active) = (out.traces.tx_rate(), out.traces.n_active());
+    let (tx_rate, n_active) = (&out.traces.tx_rate, &out.traces.n_active);
 
     let plot = |series| ascii_plot(series, 72);
     writeln!(
@@ -644,17 +629,17 @@ burst: {burst_rate:.0} B/s during t = {burst_start:.0}..{burst_stop:.0} s\n
 total tx rate : {}
 consumption   : {}
 active layers : {}",
-        plot(&tx_rate),
+        plot(tx_rate),
         plot(&consumption),
-        plot(&n_active)
+        plot(n_active)
     )?;
-    for (i, series) in out.traces.buffer().iter().take(5).enumerate() {
+    for (i, series) in out.traces.buffer.iter().take(5).enumerate() {
         writeln!(w, "L{i} buffer     : {}", plot(series))?;
     }
 
-    let before = window_mean(&n_active, 15.0, burst_start).unwrap_or(0.0);
-    let during = window_mean(&n_active, burst_start + 5.0, burst_stop).unwrap_or(0.0);
-    let after = window_mean(&n_active, burst_stop + 5.0, duration).unwrap_or(0.0);
+    let before = window_mean(n_active, 15.0, burst_start).unwrap_or(0.0);
+    let during = window_mean(n_active, burst_start + 5.0, burst_stop).unwrap_or(0.0);
+    let after = window_mean(n_active, burst_stop + 5.0, duration).unwrap_or(0.0);
     writeln!(
         w,
         "
@@ -670,7 +655,7 @@ the base layer's reception is never jeopardized.",
         out.rx_base_underflows
     )?;
 
-    qa_series(&out.traces, consumption, drain_rate).write_csv_dir(dir)?;
+    write_csvs(dir, &qa_series(out.traces, consumption, drain_rate))?;
     let mut summary = RunSummary::new("fig13");
     summary
         .param("k_max", 4)

@@ -34,14 +34,6 @@ impl QueueMonitor {
         self.series = Some(TimeSeries::new(format!("queue_len_link{}", self.link)));
         self
     }
-
-    /// Size the series for a run ending at `until` (seconds): one sample
-    /// per period, the first one period in.
-    pub(crate) fn reserve_until(&mut self, until: f64) {
-        if let Some(series) = &mut self.series {
-            series.reserve_periodic(self.period, self.period, until);
-        }
-    }
 }
 
 impl Agent for QueueMonitor {

@@ -10,82 +10,85 @@ use laqa_core::metrics::{DropReason, QaEvent};
 use laqa_core::{QaConfig, QaController};
 use laqa_layered::{LayeredEncoding, LayeredReceiver};
 use laqa_rap::{RapEvent, RapReceiverState, RateController};
-use laqa_trace::{LayerColumns, Section, TimeSeries, TraceHasher};
+use laqa_trace::{Section, TimeSeries, TraceHasher};
 use std::iter;
 
 /// Per-run traces recorded by the QA source (the figure-11 panels; the
 /// consumption and drain-rate panels are derived, see
-/// [`QaTraces::consumption_and_drain`]): one table with a row per
-/// allocation tick and the columns `tx_rate`, `n_active`, each layer's
-/// `layer_rate_<i>`, then each layer's `buffer_<i>`; and the controller's
-/// decision log.
+/// [`QaTraces::consumption_and_drain`]): one sample per allocation tick in
+/// every series, so all of them carry the same times; and the
+/// controller's decision log.
 #[derive(Debug, Clone, Default)]
 pub struct QaTraces {
-    pub(crate) table: LayerColumns,
-    decisions: Vec<QaEvent>,
+    /// Total transmission rate (bytes/s) per tick.
+    pub tx_rate: TimeSeries,
+    /// Active layer count per tick.
+    pub n_active: TimeSeries,
+    /// Allocated send rate per layer per tick (`layer_rate_<i>`).
+    pub layer_rate: Vec<TimeSeries>,
+    /// Sender-estimated receiver buffer per layer per tick (`buffer_<i>`,
+    /// bytes).
+    pub buffer: Vec<TimeSeries>,
+    /// Every decision the controller made (layer adds, layer drops, base
+    /// stalls), in order.
+    pub decisions: Vec<QaEvent>,
+}
+
+/// One empty series per layer, named `<prefix><i>`.
+fn per_layer(prefix: &str, layers: usize) -> Vec<TimeSeries> {
+    (0..layers)
+        .map(|i| TimeSeries::new(format!("{prefix}{i}")))
+        .collect()
+}
+
+/// Append the sample at `t` to each of `series`: the `i`-th of `values`,
+/// or `+0.0` past its end.
+fn push_each(series: &mut [TimeSeries], t: f64, values: impl Iterator<Item = f64>) {
+    for (s, v) in series.iter_mut().zip(values.chain(iter::repeat(0.0))) {
+        s.push(t, v);
+    }
 }
 
 impl QaTraces {
-    const TX_RATE: usize = 0;
-    const N_ACTIVE: usize = 1;
-    const LAYER_RATE: usize = 2;
-    const BUFFER: usize = 3;
-
     /// Empty trace set for `max_layers` layers.
     pub fn new(max_layers: usize) -> Self {
-        let groups = [
-            ("tx_rate", 1),
-            ("n_active", 1),
-            ("layer_rate_", max_layers),
-            ("buffer_", max_layers),
-        ];
         QaTraces {
-            table: LayerColumns::new(&groups),
+            tx_rate: TimeSeries::new("tx_rate"),
+            n_active: TimeSeries::new("n_active"),
+            layer_rate: per_layer("layer_rate_", max_layers),
+            buffer: per_layer("buffer_", max_layers),
             decisions: Vec::new(),
         }
     }
 
-    /// Every decision the controller made (layer adds, layer drops, base
-    /// stalls), in order.
-    pub fn decisions(&self) -> &[QaEvent] {
-        &self.decisions
-    }
-
-    /// Total transmission rate (bytes/s) per tick.
-    pub fn tx_rate(&self) -> TimeSeries {
-        self.table.series(Self::TX_RATE)
-    }
-
-    /// Active layer count per tick.
-    pub fn n_active(&self) -> TimeSeries {
-        self.table.series(Self::N_ACTIVE)
-    }
-
-    /// Allocated send rate per layer per tick.
-    pub fn layer_rate(&self) -> Vec<TimeSeries> {
-        self.group(Self::LAYER_RATE)
-    }
-
-    /// Sender-estimated receiver buffer per layer per tick (bytes).
-    pub fn buffer(&self) -> Vec<TimeSeries> {
-        self.group(Self::BUFFER)
-    }
-
-    fn group(&self, group: usize) -> Vec<TimeSeries> {
-        let columns = self.table.group(group);
-        columns.map(|c| self.table.series(c)).collect()
+    /// Append the tick at `t`: every layer past the end of `rates` or
+    /// `buffers` records `+0.0`.
+    fn record(
+        &mut self,
+        t: f64,
+        tx_rate: f64,
+        n_active: f64,
+        rates: impl IntoIterator<Item = f64>,
+        buffers: impl IntoIterator<Item = f64>,
+    ) {
+        self.tx_rate.push(t, tx_rate);
+        self.n_active.push(t, n_active);
+        push_each(&mut self.layer_rate, t, rates.into_iter());
+        push_each(&mut self.buffer, t, buffers.into_iter());
     }
 
     /// The aggregate consumption `n_active·C` and the per-layer drain
     /// rates (`max(0, C − alloc)` for active layers, else 0), derived
     /// tick by tick from `n_active` and `layer_rate` for layer rate `c`.
     pub fn consumption_and_drain(&self, c: f64) -> (TimeSeries, Vec<TimeSeries>) {
-        let n_active = || self.table.points(Self::N_ACTIVE);
-        let consumption = n_active().map(|(t, n)| (t, n * c)).collect();
-        let layers = self.table.group(Self::LAYER_RATE).enumerate();
-        let drain = layers.map(|(i, col)| {
-            let ticks = n_active().zip(self.table.points(col));
-            let points = ticks.map(|((t, n), (_, a))| {
+        let n_active = &self.n_active.points;
+        let consumption = TimeSeries {
+            name: "consumption".into(),
+            points: n_active.iter().map(|&(t, n)| (t, n * c)).collect(),
+        };
+        let drain = self.layer_rate.iter().enumerate().map(|(i, rate)| {
+            let ticks = n_active.iter().zip(&rate.points);
+            let points = ticks.map(|(&(t, n), &(_, a))| {
                 let active = (i as f64) < n;
                 (t, if active { (c - a).max(0.0) } else { 0.0 })
             });
@@ -94,10 +97,6 @@ impl QaTraces {
                 points: points.collect(),
             }
         });
-        let consumption = TimeSeries {
-            name: "consumption".into(),
-            points: consumption,
-        };
         (consumption, drain.collect())
     }
 }
@@ -219,15 +218,6 @@ impl QaSourceAgent {
         self
     }
 
-    /// Size the traces for a run ending at `until` (seconds): the source
-    /// records one row per `tick_dt` from `start_at`, so set that first.
-    pub(crate) fn reserve_until(&mut self, until: f64) {
-        if let Some(traces) = &mut self.traces {
-            let first = self.start_at.max(0.0);
-            traces.table.reserve_periodic(first, self.tick_dt, until);
-        }
-    }
-
     /// The controller (metrics, buffers) for post-run inspection.
     pub fn qa(&self) -> &QaController {
         &self.qa
@@ -269,14 +259,11 @@ impl QaSourceAgent {
         let Some(traces) = &mut self.traces else {
             return;
         };
-        let layers = traces.table.group(QaTraces::LAYER_RATE).len();
         let rates = report.per_layer_rate.iter().copied();
-        let rates = rates.chain(iter::repeat(0.0)).take(layers);
         // Report the drainable buffer (debt shows as empty, matching what
         // the receiver actually holds).
-        let buffers = self.qa.buffers().iter().map(|b| b.max(0.0)).take(layers);
-        let row = [tx_rate, n_active].into_iter().chain(rates).chain(buffers);
-        traces.table.push_row(now, row);
+        let buffers = self.qa.buffers().iter().map(|b| b.max(0.0));
+        traces.record(now, tx_rate, n_active, rates, buffers);
     }
 
     fn pump(&mut self, ctx: &mut Ctx) {
@@ -355,7 +342,7 @@ pub struct QaSinkAgent {
     /// Receiver-observed buffer per layer over time (figure 11 bottom
     /// panel, ground truth); `None` (the default, see
     /// [`with_buffer_trace`](Self::with_buffer_trace)) records no rows.
-    pub buffer_trace: Option<LayerColumns>,
+    pub buffer_trace: Option<Vec<TimeSeries>>,
     /// Underflow events observed during playout, per advance step.
     pub underflows: u64,
 }
@@ -392,7 +379,7 @@ impl QaSinkAgent {
     /// Record the receiver's per-layer buffers (`rx_buffer_<i>`) as well.
     pub fn with_buffer_trace(mut self) -> Self {
         let layers = self.receiver.n_layers();
-        self.buffer_trace = Some(LayerColumns::new(&[("rx_buffer_", layers)]));
+        self.buffer_trace = Some(per_layer("rx_buffer_", layers));
         self
     }
 
@@ -400,14 +387,6 @@ impl QaSinkAgent {
     /// [`RapReceiverState::beyond_horizon`]).
     pub fn beyond_horizon(&self) -> u64 {
         self.rap_rx.beyond_horizon()
-    }
-
-    /// Size `buffer_trace` for a run ending at `until` (seconds): one
-    /// sample per `adv_dt`, the first one `adv_dt` in.
-    pub(crate) fn reserve_until(&mut self, until: f64) {
-        if let Some(trace) = &mut self.buffer_trace {
-            trace.reserve_periodic(self.adv_dt, self.adv_dt, until);
-        }
     }
 }
 
@@ -434,9 +413,8 @@ impl Agent for QaSinkAgent {
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         if token == 1 {
             self.underflows += self.receiver.advance(self.adv_dt) as u64;
-            if let Some(trace) = &mut self.buffer_trace {
-                let buffered = (0..trace.width()).map(|i| self.receiver.buffered(i));
-                trace.push_row(ctx.now, buffered);
+            for (i, series) in self.buffer_trace.iter_mut().flatten().enumerate() {
+                series.push(ctx.now, self.receiver.buffered(i));
             }
             ctx.set_timer_after(self.adv_dt, 1);
         }
@@ -532,7 +510,7 @@ mod tests {
             .traces
             .as_ref()
             .expect("the flow records its traces")
-            .n_active()
+            .n_active
             .points
             .iter()
             .filter(|&&(t, _)| t > after)
@@ -570,13 +548,15 @@ mod tests {
     #[test]
     fn derived_series_follow_layer_count_and_allocation() {
         let mut traces = QaTraces::new(2);
-        traces.table.push_row(0.0, [30.0, 1.0, 3.0]);
-        traces.table.push_row(0.1, [20.0, 2.0, 12.0, 7.0]);
-        // One time column, then one column per quantity.
-        assert_eq!(traces.table.room().count(), 1 + 2 + 2 * 2);
-        assert_eq!(traces.tx_rate().points, [(0.0, 30.0), (0.1, 20.0)]);
-        assert_eq!(traces.layer_rate()[1].name, "layer_rate_1");
-        assert_eq!(traces.buffer()[1].points, [(0.0, 0.0), (0.1, 0.0)]);
+        traces.record(0.0, 30.0, 1.0, [3.0], []);
+        traces.record(0.1, 20.0, 2.0, [12.0, 7.0], []);
+        // One series per quantity, each with a sample per tick.
+        assert_eq!((traces.layer_rate.len(), traces.buffer.len()), (2, 2));
+        assert_eq!(traces.tx_rate.points, [(0.0, 30.0), (0.1, 20.0)]);
+        assert_eq!(traces.layer_rate[1].name, "layer_rate_1");
+        assert_eq!(traces.layer_rate[1].points, [(0.0, 0.0), (0.1, 7.0)]);
+        assert_eq!(traces.buffer[1].name, "buffer_1");
+        assert_eq!(traces.buffer[1].points, [(0.0, 0.0), (0.1, 0.0)]);
         let (consumption, drain) = traces.consumption_and_drain(10.0);
         assert_eq!(consumption.name, "consumption");
         assert_eq!(consumption.points, [(0.0, 10.0), (0.1, 20.0)]);

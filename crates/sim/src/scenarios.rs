@@ -17,7 +17,7 @@ use laqa_layered::LayeredEncoding;
 use laqa_rap::{
     BbrSender, NadaSender, RapConfig, RapSender, RateController, WindowConfig, WindowSender,
 };
-use laqa_trace::{LayerColumns, Section, TimeSeries};
+use laqa_trace::{Section, TimeSeries};
 
 /// Which congestion controller drives the QA flow (the interop axis of
 /// the QA × transport matrix). Background cross-traffic is unaffected:
@@ -284,7 +284,7 @@ impl ScenarioConfig {
 }
 
 /// Everything a regenerator needs after a scenario run. The recorded
-/// rows (`traces`, `rx_buffers`, `queue_trace`) are empty after
+/// series (`traces`, `rx_buffers`, `queue_trace`) are empty after
 /// [`run_session`](crate::campaign::run_session), which keeps only their
 /// digests (`qa_sections`, `queue_section`).
 pub struct ScenarioOutcome {
@@ -294,8 +294,9 @@ pub struct ScenarioOutcome {
     pub qa_sections: QaSections,
     /// QA metrics (Tables 1 and 2 inputs).
     pub metrics: MetricsCollector,
-    /// Receiver-side per-layer buffer traces (ground truth).
-    pub rx_buffers: LayerColumns,
+    /// Receiver-side per-layer buffer traces (`rx_buffer_<i>`, ground
+    /// truth), one sample per playout advance.
+    pub rx_buffers: Vec<TimeSeries>,
     /// Receiver-observed playout underflows (all layers).
     pub rx_underflows: u64,
     /// RAP arrivals, at the QA sink and every background RAP sink, that
@@ -341,7 +342,7 @@ pub struct ScenarioOutcome {
 }
 
 /// Build and run a scenario, returning the collected outcome with every
-/// figure panel recorded: the QA source's columns and decision log, the
+/// figure panel recorded: the QA source's series and decision log, the
 /// sink's receiver buffers and the queue samples.
 pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
     run_recording(cfg, Recording::Figures)
@@ -353,8 +354,8 @@ pub fn run_scenario(cfg: &ScenarioConfig) -> ScenarioOutcome {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Recording {
     /// Every figure panel: the source's `tx_rate`, `n_active`,
-    /// `layer_rate_<i>` and `buffer_<i>` columns and decision log, the
-    /// sink's `rx_buffer_<i>` rows and the queue samples
+    /// `layer_rate_<i>` and `buffer_<i>` series and decision log, the
+    /// sink's `rx_buffer_<i>` series and the queue samples
     /// ([`run_scenario`]).
     Figures,
     /// Only what a campaign session's result reads, none of which grows
@@ -458,7 +459,6 @@ fn build_scenario(cfg: &ScenarioConfig, recording: Recording) -> (World, Scenari
         if recording == Recording::Figures {
             sink = sink.with_buffer_trace();
         }
-        sink.reserve_until(cfg.duration);
         assert_eq!(d.world.add_agent(Box::new(sink)), qa_sink_id);
         let fwd = if bond_leg.is_some() {
             d.access_route() // relay picks the bottleneck leg per packet
@@ -472,7 +472,6 @@ fn build_scenario(cfg: &ScenarioConfig, recording: Recording) -> (World, Scenari
             src = src.with_traces();
         }
         src.start_at = QA_START;
-        src.reserve_until(cfg.duration);
         assert_eq!(d.world.add_agent(Box::new(src)), qa_src_id);
     }
 
@@ -547,7 +546,6 @@ fn build_scenario(cfg: &ScenarioConfig, recording: Recording) -> (World, Scenari
     if recording == Recording::Figures {
         monitor = monitor.with_series();
     }
-    monitor.reserve_until(cfg.duration);
     let monitor_id = d.world.add_agent(Box::new(monitor));
 
     // Trace-driven links last: one driver agent per traced link, each
@@ -782,7 +780,7 @@ mod tests {
         let out = run_scenario(&cfg);
         // The QA flow must have reached more than one layer and survived
         // backoffs without starving the base layer.
-        let max_layers = out.traces.n_active().max().unwrap_or(0.0);
+        let max_layers = out.traces.n_active.max().unwrap_or(0.0);
         assert!(max_layers >= 2.0, "n_active peaked at {max_layers}");
         assert!(out.backoffs > 0, "competition must cause backoffs");
         assert!(out.bottleneck.dropped > 0);
@@ -796,7 +794,7 @@ mod tests {
     fn t2_burst_forces_quality_reduction() {
         let cfg = ScenarioConfig::t2(2, 45.0, 7);
         let out = run_scenario(&cfg);
-        let n = out.traces.n_active();
+        let n = &out.traces.n_active;
         // Peak layer count before the burst vs the minimum during it.
         let before: f64 = n
             .points
@@ -817,52 +815,6 @@ mod tests {
         assert_eq!(out.metrics.stalls(), 0);
     }
 
-    #[test]
-    fn trace_series_are_sized_once_from_the_horizon() {
-        // A whole-tick horizon, one that is not, and a faulted, traced,
-        // bonded T2: every recorder fills the room it reserved up front
-        // (a regrown series would hold about twice its samples).
-        let faulted = ScenarioConfig {
-            fault_intensity: Some(0.5),
-            ..ScenarioConfig::t2(3, 12.37, 21).with_trace(TraceKind::Bonded)
-        };
-        for cfg in [
-            ScenarioConfig::t1(2, 30.0, 7),
-            ScenarioConfig::t1(4, 9.99, 3),
-            faulted,
-        ] {
-            let out = run_scenario(&cfg);
-            let fits = |len: usize, cap: usize| len <= cap && cap <= len + 2;
-            let s = &out.queue_trace;
-            let (len, cap) = (s.points.len(), s.points.capacity());
-            assert!(
-                len > 0 && fits(len, cap),
-                "{} at {} s: {len} samples in {cap} slots",
-                s.name,
-                cfg.duration
-            );
-            // A column starts at its first nonzero sample, or never: one
-            // that started fills the room it reserved then, one that never
-            // did holds nothing, and the time column is full.
-            for columns in [&out.traces.table, &out.rx_buffers] {
-                let mut room = columns.room();
-                let (rows, cap) = room.next().expect("the time column");
-                assert!(rows > 0 && fits(rows, cap), "{rows} rows in {cap} slots");
-                let mut started = 0;
-                for (column, (len, cap)) in room.enumerate() {
-                    assert!(
-                        fits(len, cap),
-                        "{} at {} s: {len} samples in {cap} slots",
-                        columns.series(column).name,
-                        cfg.duration
-                    );
-                    started += usize::from(len > 0);
-                }
-                assert!(started > 0, "the base layer's column starts");
-            }
-        }
-    }
-
     /// The sections a run streams, recomputed from the rows the figures
     /// path keeps: the decision log, `tx_rate`, `n_active` and the queue
     /// samples.
@@ -873,11 +825,11 @@ mod tests {
             section
         };
         let mut qa = QaSections {
-            tx_rate: samples(&out.traces.tx_rate().points),
-            n_active: samples(&out.traces.n_active().points),
+            tx_rate: samples(&out.traces.tx_rate.points),
+            n_active: samples(&out.traces.n_active.points),
             ..QaSections::default()
         };
-        for event in out.traces.decisions() {
+        for event in &out.traces.decisions {
             crate::agents::qa::fold_decision(qa.decisions.item(), event);
         }
         (qa, samples(&out.queue_trace.points))
@@ -905,10 +857,28 @@ mod tests {
             let label = spec.label();
             let figures = run_scenario(&cfg);
             let layers = cfg.qa.max_layers;
-            assert_eq!(figures.traces.layer_rate().len(), layers);
-            assert_eq!(figures.traces.buffer().len(), layers);
-            assert_eq!(figures.rx_buffers.width(), layers);
-            assert!(!figures.traces.decisions().is_empty(), "{label}");
+            let traces = &figures.traces;
+            assert_eq!(traces.layer_rate.len(), layers);
+            assert_eq!(traces.buffer.len(), layers);
+            assert_eq!(figures.rx_buffers.len(), layers);
+            assert!(!traces.decisions.is_empty(), "{label}");
+            // Every QA series samples the ticks `tx_rate` does, and every
+            // receiver series the sink's playout advances.
+            let times = |s: &TimeSeries| s.points.iter().map(|p| p.0).collect::<Vec<_>>();
+            let ticks = times(&traces.tx_rate);
+            assert!(!ticks.is_empty(), "{label}");
+            let per_layer = traces.layer_rate.iter().chain(&traces.buffer);
+            for series in per_layer.chain([&traces.n_active]) {
+                assert_eq!(times(series), ticks, "{label}: {}", series.name);
+            }
+            let advances = times(&figures.rx_buffers[0]);
+            let steps = std::iter::once(0.0).chain(advances.iter().copied());
+            let gaps: Vec<f64> = steps.zip(&advances).map(|(a, b)| b - a).collect();
+            let every_tick = |gap: &f64| (gap - cfg.tick_dt).abs() < 1e-9;
+            assert!(!gaps.is_empty() && gaps.iter().all(every_tick), "{label}");
+            for series in &figures.rx_buffers {
+                assert_eq!(times(series), advances, "{label}: {}", series.name);
+            }
             // The streamed sections are the stored rows', digested.
             let (qa, queue) = sections_from_rows(&figures);
             assert_eq!(figures.qa_sections, qa, "{label}");
@@ -922,9 +892,15 @@ mod tests {
             assert_eq!(session.qa_sections, figures.qa_sections, "{label}");
             assert_eq!(session.queue_section, figures.queue_section, "{label}");
             assert_eq!(session.metrics, figures.metrics, "{label}");
-            assert_eq!(session.traces.table.room().collect::<Vec<_>>(), [(0, 0)]);
-            assert!(session.traces.decisions().is_empty(), "{label}");
-            assert_eq!(session.rx_buffers.room().collect::<Vec<_>>(), [(0, 0)]);
+            let kept = &session.traces;
+            assert_eq!(kept.tx_rate.points.capacity(), 0, "{label}");
+            assert_eq!(kept.n_active.points.capacity(), 0, "{label}");
+            assert!(
+                kept.layer_rate.is_empty() && kept.buffer.is_empty(),
+                "{label}"
+            );
+            assert_eq!(kept.decisions.capacity(), 0, "{label}");
+            assert!(session.rx_buffers.is_empty(), "{label}");
             assert_eq!(session.queue_trace.points.capacity(), 0, "{label}");
             assert_eq!(hash_outcome(&session), hash, "{label}");
         }
@@ -935,7 +911,7 @@ mod tests {
         let cfg = ScenarioConfig::t1(2, 10.0, 99);
         let a = run_scenario(&cfg);
         let b = run_scenario(&cfg);
-        assert_eq!(a.traces.n_active(), b.traces.n_active());
+        assert_eq!(a.traces.n_active, b.traces.n_active);
         assert_eq!(a.bottleneck.dropped, b.bottleneck.dropped);
     }
 }

@@ -1,13 +1,5 @@
 //! Time series: the raw material of every figure.
 
-/// The slots [`TimeSeries::reserve_periodic`] reserves: one per sample
-/// every `period` seconds from `first` through `until`, plus one; `None`
-/// when it reserves nothing.
-pub(crate) fn periodic_slots(first: f64, period: f64, until: f64) -> Option<usize> {
-    (period > 0.0 && until >= first && until.is_finite())
-        .then(|| ((until - first) / period).floor() as usize + 2)
-}
-
 /// A named `(time, value)` series.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimeSeries {
@@ -23,19 +15,6 @@ impl TimeSeries {
         TimeSeries {
             name: name.into(),
             points: Vec::new(),
-        }
-    }
-
-    /// Make room, in one allocation, for a sample every `period` seconds
-    /// from `first` through `until`, plus one for a recorder whose clock,
-    /// rounded differently from this division, fits one more sample in. A
-    /// periodic recorder that knows its horizon then pushes without
-    /// reallocating. Reserves nothing when no
-    /// sample falls in `[first, until]`, `until` is not finite or `period`
-    /// is not positive.
-    pub fn reserve_periodic(&mut self, first: f64, period: f64, until: f64) {
-        if let Some(slots) = periodic_slots(first, period, until) {
-            self.points.reserve_exact(slots);
         }
     }
 
@@ -68,14 +47,6 @@ impl TimeSeries {
             .iter()
             .map(|&(_, v)| v)
             .fold(None, |m, v| Some(m.map_or(v, |m: f64| m.max(v))))
-    }
-
-    /// Arithmetic mean of the values, if any.
-    pub fn mean(&self) -> Option<f64> {
-        if self.points.is_empty() {
-            return None;
-        }
-        Some(self.points.iter().map(|&(_, v)| v).sum::<f64>() / self.points.len() as f64)
     }
 
     /// Time-weighted mean over the sampled span (treats the series as a
@@ -124,31 +95,6 @@ mod tests {
         assert_eq!(s.len(), 3);
         assert_eq!(s.min(), Some(1.0));
         assert_eq!(s.max(), Some(3.0));
-        assert_eq!(s.mean(), Some(2.0));
-    }
-
-    #[test]
-    fn reserve_periodic_fits_every_sample_in_one_allocation() {
-        let mut s = TimeSeries::new("x");
-        s.reserve_periodic(5.0, 0.05, 90.0);
-        let cap = s.points.capacity();
-        // 5.00, 5.05, …, 90.00 is 1 701 samples; one more must fit too.
-        assert!(cap >= 1_702, "{cap}");
-        for k in 0..=1_701 {
-            s.push(5.0 + k as f64 * 0.05, 0.0);
-        }
-        assert_eq!(s.points.capacity(), cap, "pushing the horizon regrew");
-        // Nothing to reserve before the first sample or without a period.
-        for (first, period, until) in [
-            (5.0, 0.05, 4.0),
-            (0.0, 0.0, 9.0),
-            (0.0, f64::NAN, 9.0),
-            (0.0, 0.05, f64::INFINITY),
-        ] {
-            let mut e = TimeSeries::new("e");
-            e.reserve_periodic(first, period, until);
-            assert_eq!(e.points.capacity(), 0);
-        }
     }
 
     #[test]
@@ -157,7 +103,6 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-        assert_eq!(s.mean(), None);
         assert_eq!(s.time_weighted_mean(), None);
     }
 

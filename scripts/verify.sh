@@ -98,7 +98,7 @@ done
 
 echo "== 5/9 figures and Tables 1-2 match results/ (laqa figures --check) =="
 # Every figure, ablation and Tables 1-2 runs into a scratch directory
-# (≈ 0.7 s for the figures; ≈ 2 s for `tables`, the paper's T1+T2 grid
+# (≈ 0.2 s for the figures; ≈ 2 s for `tables`, the paper's T1+T2 grid
 # with its replay check at a second thread count); each report must equal
 # the committed results/<id>.out line for line, less the trailing `wrote`
 # line. `tables` compares every session's row and trace hash, the grid

@@ -9,7 +9,7 @@ fn t1_full_stack_adapts_without_stalling() {
     let out = run_scenario(&cfg);
 
     // Quality exceeded the base layer.
-    assert!(out.traces.n_active().max().unwrap_or(0.0) >= 2.0);
+    assert!(out.traces.n_active.max().unwrap_or(0.0) >= 2.0);
     // Congestion control actually engaged.
     assert!(out.backoffs > 0);
     assert!(out.bottleneck.dropped > 0);
@@ -35,7 +35,7 @@ fn qa_flow_is_tcp_friendly() {
     let out = run_scenario(&cfg);
     let qa_rate = out
         .traces
-        .tx_rate()
+        .tx_rate
         .points
         .iter()
         .filter(|&&(t, _)| t > 20.0)
@@ -43,7 +43,7 @@ fn qa_flow_is_tcp_friendly() {
         .sum::<f64>()
         / out
             .traces
-            .tx_rate()
+            .tx_rate
             .points
             .iter()
             .filter(|&&(t, _)| t > 20.0)
@@ -65,7 +65,7 @@ fn t2_burst_reduces_and_recovers_quality() {
     let mean_in = |lo: f64, hi: f64| {
         let v: Vec<f64> = out
             .traces
-            .n_active()
+            .n_active
             .points
             .iter()
             .filter(|&&(t, _)| t >= lo && t < hi)
@@ -102,7 +102,7 @@ fn efficiency_stays_high_across_k_max() {
 fn deterministic_given_seed() {
     let a = run_scenario(&ScenarioConfig::t1(2, 12.0, 77));
     let b = run_scenario(&ScenarioConfig::t1(2, 12.0, 77));
-    assert_eq!(a.traces.n_active(), b.traces.n_active());
+    assert_eq!(a.traces.n_active, b.traces.n_active);
     assert_eq!(a.backoffs, b.backoffs);
     assert_eq!(a.bottleneck.dropped, b.bottleneck.dropped);
 }

@@ -245,10 +245,10 @@ fn fig12_smoothing_sweep_matches_golden() {
     for k_max in [2u32, 4] {
         let out = run_scenario(&ScenarioConfig::t1(k_max, duration, seed));
 
-        let changes = changes_within(&out.traces.n_active(), 10.0, duration);
+        let changes = changes_within(&out.traces.n_active, 10.0, duration);
         let steady: Vec<f64> = out
             .traces
-            .n_active()
+            .n_active
             .points
             .iter()
             .filter(|&&(t, _)| t > 10.0)
@@ -256,7 +256,7 @@ fn fig12_smoothing_sweep_matches_golden() {
             .collect();
         let mean_layers = steady.iter().sum::<f64>() / steady.len().max(1) as f64;
 
-        let buffers = out.traces.buffer();
+        let buffers = &out.traces.buffer;
         let n_points = buffers[0].points.len();
         let mut peak_total = 0.0f64;
         for idx in 0..n_points {

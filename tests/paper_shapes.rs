@@ -15,7 +15,7 @@ fn smoothing_reduces_quality_changes() {
         let out = run_scenario(&ScenarioConfig::t1(k_max, 60.0, 7));
         let steady: Vec<f64> = out
             .traces
-            .n_active()
+            .n_active
             .points
             .iter()
             .filter(|&&(t, _)| t > 15.0)
@@ -25,7 +25,7 @@ fn smoothing_reduces_quality_changes() {
             .windows(2)
             .filter(|w| (w[0] - w[1]).abs() > 1e-9)
             .count();
-        let buffers = out.traces.buffer();
+        let buffers = &out.traces.buffer;
         let peak_buf: f64 = (0..buffers[0].points.len())
             .map(|i| {
                 buffers
@@ -77,7 +77,7 @@ fn responsiveness_shape() {
     let window_mean = |lo: f64, hi: f64| {
         let v: Vec<f64> = out
             .traces
-            .n_active()
+            .n_active
             .points
             .iter()
             .filter(|&&(t, _)| t >= lo && t < hi)
